@@ -9,9 +9,10 @@ type (finite/affine/indefinite) controls the structure theory downstream.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -99,44 +100,101 @@ def _check_pqr(p: int, q: int, r: int) -> None:
 
 
 def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Signature (n_+, n_0, n_-) via exact congruence diagonalization."""
+    """Signature (n_+, n_0, n_-) of a symmetric matrix, exactly.
+
+    Sparse minimum-degree congruence (LDL^T) elimination over the rationals.
+    Each row is a ``{col: value}`` dict of its nonzero entries (the input's
+    integers until an update makes them Fractions).  Each step
+    eliminates the live row with a nonzero diagonal and the fewest nonzeros
+    (ties to the lowest index), updating only its neighbours by the Schur
+    complement m[i][j] -= m[i][k] m[k][j] / m[k][k].  On a tree that order
+    eliminates leaves first with zero fill-in (Parter 1961), so a T_{p,q,r}
+    Cartan matrix costs O(n).  When every live diagonal is zero, the lowest
+    live row either is empty (one zero eigenvalue) or gets a neighbour's row
+    and column added to it, which makes its diagonal nonzero.  Every step is
+    a congruence, so by Sylvester's law of inertia the signs of the pivots
+    give the signature of A.
+
+    Raises ValueError if A is not square or not symmetric.
+    """
     n = len(A)
-    m = [[Fraction(A[i][j]) for j in range(n)] for i in range(n)]
+    if any(len(row) != n for row in A):
+        raise ValueError(f"matrix is not square: {n} rows, row lengths {[len(row) for row in A]}")
+    rows = [{j: a for j, a in enumerate(row) if a} for row in A]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if rows[j].get(i, 0) != a:
+                raise ValueError(f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]")
+    live = set(range(n))
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapq.heapify(heap)
     plus = zero = minus = 0
-    for k in range(n):
-        if m[k][k] == 0:
-            # Find a nonzero diagonal pivot below, or fix a zero diagonal by a
-            # symmetric row/column addition.
-            swap = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                off = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if off is None:
-                    zero += 1
-                    continue
-                for j in range(n):
-                    m[k][j] += m[off][j]
-                for i in range(n):
-                    m[i][k] += m[i][off]
-        pivot = m[k][k]
-        if pivot == 0:
-            zero += 1
+    while live:
+        k = _min_degree_pivot(rows, live, heap)
+        if k is None:
+            k = min(live)
+            if not rows[k]:
+                zero += 1
+                live.remove(k)
+                continue
+            for i in _add_neighbour_to_row(rows, k, min(rows[k])):
+                heapq.heappush(heap, (len(rows[i]), i))
             continue
+        row = rows[k]
+        pivot = row.pop(k)
+        live.remove(k)
         if pivot > 0:
             plus += 1
         else:
             minus += 1
-        for i in range(k + 1, n):
-            if m[i][k]:
-                factor = m[i][k] / pivot
-                for j in range(n):
-                    m[i][j] -= factor * m[k][j]
-                for row in m:
-                    row[i] -= factor * row[k]
+        for i, a in row.items():
+            ri = rows[i]
+            del ri[k]
+            for j, b in row.items():
+                v = ri.get(j, 0) - Fraction(a * b, pivot)
+                if v:
+                    ri[j] = v
+                else:
+                    ri.pop(j, None)
+            heapq.heappush(heap, (len(ri), i))
     return (plus, zero, minus)
+
+
+def _min_degree_pivot(
+    rows: List[Dict[int, Fraction]], live: Set[int], heap: List[Tuple[int, int]]
+) -> Optional[int]:
+    """Pop the live row with a nonzero diagonal and the fewest nonzeros.
+
+    The heap holds a (degree, index) entry for every row as it was after each
+    change to it; entries that no longer match their row are dropped.
+    """
+    while heap:
+        degree, k = heapq.heappop(heap)
+        row = rows[k]
+        if k in live and k in row and len(row) == degree:
+            return k
+    return None
+
+
+def _add_neighbour_to_row(rows: List[Dict[int, Fraction]], k: int, off: int) -> Set[int]:
+    """Add row and column `off` to row and column `k` (a congruence).
+
+    Returns the indices of the rows that changed.
+    """
+    old = rows[k]
+    new = dict(old)
+    for j, a in rows[off].items():
+        new[j] = new.get(j, 0) + a
+    new[k] = new.get(k, 0) + new.get(off, 0)
+    new = {j: a for j, a in new.items() if a}
+    rows[k] = new
+    changed = old.keys() | new.keys()
+    for j in changed - {k}:
+        if j in new:
+            rows[j][k] = new[j]
+        else:
+            rows[j].pop(k, None)
+    return changed | {k}
 
 
 def _finite_dynkin_name(p: int, q: int, r: int) -> str:
@@ -145,7 +203,8 @@ def _finite_dynkin_name(p: int, q: int, r: int) -> str:
         return f"A{p + r - 1}"
     if arms[0] == 2 and arms[1] == 2:
         return f"D{arms[2] + 2}"
-    assert arms[0] == 2 and arms[1] == 3 and arms[2] in (3, 4, 5)
+    if not (arms[0] == 2 and arms[1] == 3 and arms[2] in (3, 4, 5)):
+        raise AssertionError(f"T_{(p, q, r)} is not a Dynkin diagram")
     return f"E{arms[2] + 3}"
 
 
@@ -203,11 +262,6 @@ def cyclic_exists(n_param: int, l_param: int) -> bool:
     if n_param == 1 and l_param % 2 == 0:
         return True
     return False
-
-
-def cyclic_covered(n_param: int, l_param: int) -> bool:
-    """Whether (n, l) falls in the proven region at all (for CLI flagging)."""
-    return cyclic_exists(n_param, l_param)
 
 
 def format_exists(f: Sequence[int]) -> bool:

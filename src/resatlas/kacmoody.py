@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .formats import classify, tpqr_cartan_matrix
+from .formats import classify, symmetric_signature, tpqr_cartan_matrix
 
 Labels = Tuple[int, ...]
 Coords = Tuple[int, ...]
@@ -168,10 +168,6 @@ def labels_to_coords(A: Sequence[Sequence[int]], labels: Sequence[int]) -> Coord
 
 def height(coords: Sequence[int]) -> int:
     return sum(coords)
-
-
-def s_height(coords: Sequence[int], z1: int) -> int:
-    return coords[z1]
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +329,6 @@ def enumerate_roots(
         finite = graph_or_A.classify().finite
     else:
         A = graph_or_A
-        from .formats import symmetric_signature
-
         sig = symmetric_signature(A)
         finite = sig == (len(A), 0, 0)
     if finite and not force_recursion:

@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from resatlas import formats
 from resatlas.formats import (
     classify,
     classify_format,
@@ -48,6 +55,36 @@ def test_classification_dual_paths_agree_small():
         for q in range(1, 7):
             for r in range(2, 7):
                 classify(p, q, r)  # raises on any disagreement
+
+
+@pytest.mark.parametrize(
+    "pqr, edge, value, perturbed_sig",
+    [
+        ((2, 3, 7), (0, 4), 0, (10, 0, 0)),   # drop the u-z1 edge
+        ((2, 2, 2), (1, 2), -1, (3, 0, 1)),   # add an x1-y1 edge to D4
+    ],
+)
+def test_classify_catches_a_wrong_cartan_matrix(monkeypatch, pqr, edge, value, perturbed_sig):
+    A = tpqr_cartan_matrix(*pqr)
+    i, j = edge
+    A[i][j] = A[j][i] = value
+    assert symmetric_signature(A) == perturbed_sig
+    monkeypatch.setattr(formats, "tpqr_cartan_matrix", lambda p, q, r: A)
+    with pytest.raises(AssertionError, match=re.escape(f"classification mismatch for T_{pqr}")):
+        classify(*pqr)
+
+
+def test_dynkin_name_check_survives_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "from resatlas.formats import _finite_dynkin_name; print(_finite_dynkin_name(2, 3, 6))"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 0
+    assert "T_(2, 3, 6) is not a Dynkin diagram" in proc.stderr
 
 
 def test_cartan_matrix_shape():
