@@ -15,27 +15,12 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import complexes, formats, kacmoody, rings, schur
+from . import complexes, formats, kacmoody, rings
+from .checks import CHECKS, Budget, BudgetExceeded, random_sigma_tau
 from .formats import derive_ranks
 from .kacmoody import TpqrGraph
-
-
-class BudgetExceeded(Exception):
-    pass
-
-
-class Budget:
-    """Wall-clock cap on enumeration work, from RESATLAS_BUDGET_MS."""
-
-    def __init__(self, ms: Optional[int]) -> None:
-        self.deadline = time.monotonic() + ms / 1000.0 if ms is not None else None
-
-    def check(self, what: str = "") -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(what or "enumeration budget exhausted")
 
 
 def _budget_from_env() -> Budget:
@@ -79,14 +64,11 @@ def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
     return tuple(labels)
 
 
-def _random_sigma_tau(
-    rng: random.Random, fmt
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
-    r1, r2, r3 = fmt.r
-    sigma = tuple(sorted((rng.randint(0, 3) for _ in range(r3)), reverse=True))
-    tau = tuple(sorted((rng.randint(0, 3) for _ in range(r1 + r2)), reverse=True))
-    t = rng.randint(1, 3)
-    return sigma, tau, t
+def _mu_json(mu: rings.MuIndex) -> Dict:
+    return {
+        "a": mu.a, "b": mu.b, "c": mu.c,
+        "alpha": list(mu.alpha), "beta": list(mu.beta), "gamma": list(mu.gamma),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +232,7 @@ def cmd_ra_decompose(args) -> int:
         "count": len(comps),
         "components": [
             {
-                "mu": {
-                    "a": mu.a, "b": mu.b, "c": mu.c,
-                    "alpha": list(mu.alpha), "beta": list(mu.beta), "gamma": list(mu.gamma),
-                },
+                "mu": _mu_json(mu),
                 "weights": [list(w) for w in quad.weights],
             }
             for mu, quad in comps
@@ -282,10 +261,7 @@ def cmd_rspec(args) -> int:
         "count": len(comps),
         "components": [
             {
-                "mu": {
-                    "a": mu.a, "b": mu.b, "c": mu.c,
-                    "alpha": list(mu.alpha), "beta": list(mu.beta), "gamma": list(mu.gamma),
-                },
+                "mu": _mu_json(mu),
                 "sigma": list(c.sigma),
                 "tau": list(c.tau),
                 "lambda": graph.labels_as_dict(c.lam),
@@ -315,13 +291,7 @@ def cmd_generators(args) -> int:
                 "number": g.number,
                 "description": g.description,
                 "present": g.present,
-                "members": [
-                    {
-                        "a": m.a, "b": m.b, "c": m.c,
-                        "alpha": list(m.alpha), "beta": list(m.beta), "gamma": list(m.gamma),
-                    }
-                    for m in g.members
-                ],
+                "members": [_mu_json(m) for m in g.members],
                 "interpretation": g.interpretation,
                 "note": g.note,
             }
@@ -344,7 +314,7 @@ def cmd_kstar_check(args) -> int:
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.count):
-        sigma, tau, t = _random_sigma_tau(rng, fmt)
+        sigma, tau, t = random_sigma_tau(rng, fmt)
         ok = rings.dictionary_crosscheck(sigma, tau, t, fmt)
         results.append({"sigma": list(sigma), "tau": list(tau), "t": t, "ok": ok})
     all_ok = all(r["ok"] for r in results)
@@ -464,237 +434,8 @@ def cmd_q1(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The verification suite (acceptance checks)
+# The verification suite (checks.CHECKS)
 # ---------------------------------------------------------------------------
-
-
-def _check_classification(budget: Budget) -> str:
-    anchors = {
-        (2, 2, 2): ("finite", "D4"),
-        (5, 2, 3): ("finite", "E8"),
-        (3, 3, 3): ("affine", None),
-        (2, 3, 7): ("indefinite", None),
-    }
-    count = 0
-    for p in range(2, 10):
-        for q in range(1, 10):
-            for r in range(2, 10):
-                budget.check("classification table")
-                cls = formats.classify(p, q, r)  # internal dual-path assert
-                count += 1
-                if (p, q, r) in anchors:
-                    kind, name = anchors[(p, q, r)]
-                    assert cls.kind == kind and cls.dynkin == name, (p, q, r, cls)
-    cls = formats.classify(3, 3, 3)
-    assert cls.signature == (6, 1, 0)
-    cls = formats.classify(2, 3, 7)
-    assert cls.signature == (9, 0, 1)
-    return f"{count} triples, anchors D4/E8/affine/indefinite confirmed"
-
-
-def _check_root_counts(budget: Budget) -> str:
-    expected = {(2, 2, 2): 24, (3, 3, 2): 72, (5, 2, 3): 240}
-    for (p, q, r), half in expected.items():
-        budget.check("root enumeration")
-        roots = kacmoody.enumerate_roots(TpqrGraph(p, q, r))
-        n = p + q + r - 2
-        assert len(roots) == half // 2, (p, q, r, len(roots))
-        assert all(root.mult == 1 for root in roots)
-        assert n + 2 * len(roots) == half + n
-    return "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
-
-
-def _check_denominator_identity(budget: Budget) -> str:
-    A = formats.tpqr_cartan_matrix(2, 3, 7)
-    mults = kacmoody.roots_by_denominator(A, 8)
-    assert kacmoody.verify_denominator_identity(A, 8, mults)
-    return f"T_{{2,3,7}} multiplicities to height 8 re-verified ({len(mults)} roots)"
-
-
-def _check_defect_dims(budget: Budget) -> str:
-    cases = {(2, 2, 2): (6, 0), (3, 3, 2): (20, 1), (2, 2, 3): (12, 1)}
-    for (p, q, r), (g1, g2) in cases.items():
-        budget.check("defect dims")
-        defect = kacmoody.defect_graded_dims(p, q, r, m_max=6)
-        expect = [g1, g2] + [0] * 4
-        assert list(defect.dims) == expect, (p, q, r, defect.dims)
-        assert defect.exhaustive and defect.total == g1 + g2
-        assert schur.g1_dim_formula(p, q, r) == g1
-        assert schur.g2_dim_formula(p, q, r) == g2
-        graph = TpqrGraph(p, q, r)
-        z1 = graph.z1
-        counts = [0] * 6
-        for root in kacmoody.enumerate_roots(graph):
-            if root.coords[z1] >= 1:
-                counts[root.coords[z1] - 1] += root.mult
-        assert counts == expect
-    return "defect dims [6],[20,1],[12,1] = closed formulas = root counts"
-
-
-def _check_kostant(budget: Budget) -> str:
-    graph = TpqrGraph(3, 3, 4)
-    weights = kacmoody.kostant_weights(graph, graph.S, 2)
-    dicts = [
-        {k: v for k, v in graph.labels_as_dict(w).items() if v} for w in weights
-    ]
-    expected = [
-        {"x1": 1, "y1": 1, "z1": -3, "z2": 2},
-        {"u": 2, "z1": -3, "z3": 1},
-    ]
-    assert sorted(dicts, key=str) == sorted(expected, key=str), dicts
-    return "T_{3,3,4} length-2 Kostant weights match both displays"
-
-
-def _check_bgg_euler(budget: Budget) -> str:
-    graph = TpqrGraph(2, 2, 2)
-    for spec in ("zero", "w:z1", "w:u"):
-        budget.check("BGG Euler")
-        lam = _parse_lam(graph, spec)
-        ok, bad = kacmoody.bgg_euler_check(graph, lam, 4)
-        assert ok, (spec, bad)
-    return "D4 truncated BGG Euler identity holds for 0, w_z1, w_u (cutoff 4)"
-
-
-def _check_spin_branching(budget: Budget) -> str:
-    graph = TpqrGraph(2, 2, 2)
-    dims, total = kacmoody.weyl_kac_character(graph, graph.fundamental_weight(graph.z1), 2)
-    assert dims == (1, 6, 1) and total == 8, (dims, total)
-    return "V(w_z1) on D4 has S-graded dims (1, 6, 1)"
-
-
-def _check_ra(budget: Budget) -> str:
-    fmt = derive_ranks([1, 4, 4, 1])
-    comps = rings.ra_enumerate(fmt, 4)  # internal distinctness/injectivity asserts
-    assert all(quad.dominant for _, quad in comps)
-    rng = random.Random(1109)
-    for _ in range(200):
-        budget.check("R_a formulas")
-        mu = rings.MuIndex(
-            a=rng.randint(0, 4), b=rng.randint(0, 4), c=rng.randint(0, 4),
-            alpha=(), beta=tuple(sorted((rng.randint(0, 3) for _ in range(2)), reverse=True)),
-            gamma=(),
-        )
-        quad = rings.ra_component(mu, fmt)
-        general = rings.ra_general_component(
-            [mu.c, mu.b, mu.a], [mu.gamma, mu.beta, mu.alpha], fmt
-        )
-        assert tuple(general) == (quad.w0, quad.w1, quad.w2, quad.w3), mu
-    return f"{len(comps)} components to degree 4; 200 random mu agree across both formulas"
-
-
-def _check_dictionary(budget: Budget) -> str:
-    for f in ([1, 4, 4, 1], [2, 6, 5, 1]):
-        fmt = derive_ranks(f)
-        rng = random.Random(271)
-        for _ in range(20):
-            budget.check("dictionary crosscheck")
-            sigma, tau, t = _random_sigma_tau(rng, fmt)
-            assert rings.dictionary_crosscheck(sigma, tau, t, fmt), (f, sigma, tau, t)
-    return "20 random K*/BGG matches each on the D4 and E6 formats"
-
-
-def _check_thm112(budget: Budget) -> str:
-    for r3 in (1, 2, 3):
-        budget.check("generic family")
-        res = complexes.thm112_build(r3)
-        assert complexes.verify_complex(res.complex).ok
-        rk = complexes.be_rank_check(res.complex, seed=11)
-        assert rk.ok and rk.ranks == (1, 2, r3), rk
-    return "r3 in {1,2,3}: d.d = 0 symbolically, ranks (1,2,r3), skew pattern certified"
-
-
-def _check_monomial(budget: Budget) -> str:
-    for t in (2, 3, 4, 5):
-        budget.check("monomial family")
-        res = complexes.monomial_complex(t)
-        assert complexes.verify_complex(res.complex).ok
-        rk = complexes.be_rank_check(res.complex, seed=3)
-        assert rk.ok and rk.ranks == (1, 2 * t - 1, 1), rk
-    return "t in {2..5}: compositions vanish, generators as stated, ranks (1, 2t-1, 1)"
-
-
-def _check_d4_relation(budget: Budget) -> str:
-    rep = complexes.d4_relation_check()
-    assert rep.ok
-    target = "b12*b34 - b13*b24 + b14*b23"
-    assert str(rep.pfaffian) == target and str(rep.lhs) == target and str(rep.rhs) == target
-    return f"both relation sides equal the Pfaffian; normalization {rep.normalization}"
-
-
-def _check_be_multipliers(budget: Budget) -> str:
-    fixtures = [complexes.koszul_complex()]
-    fixtures += [complexes.thm112_build(r3).complex for r3 in (1, 2)]
-    fixtures += [complexes.monomial_complex(t).complex for t in (2, 3)]
-    for cx in fixtures:
-        names = sorted(
-            {
-                v
-                for d in cx.differentials
-                for row in d.data
-                for e in row
-                if not isinstance(e, (int, Fraction))
-                for v in e.variables()
-            }
-        )
-        done = 0
-        seed = 0
-        while done < 10:
-            budget.check("BE multipliers")
-            seed += 1
-            from .exact import seeded_random_point
-
-            point = seeded_random_point(97 * seed, names)
-            spec = cx.substitute(point)
-            if tuple(m.rank() for m in spec.differentials) != cx.fmt.r:
-                continue
-            rep = complexes.be_multipliers(spec)
-            assert rep.ok, (cx.label, seed, rep.detail)
-            done += 1
-    return f"factorization holds at 10 seeded points on each of {len(fixtures)} fixtures"
-
-
-def _check_existence(budget: Budget) -> str:
-    table = {
-        (n, l): formats.cyclic_exists(n, l)
-        for n in range(1, 7)
-        for l in range(1, 7)
-    }
-    for (n, l), val in table.items():
-        expect = (l >= 3 and n >= 2) or (n == 1 and l % 2 == 0)
-        assert val == expect, (n, l)
-    count = 0
-    for f1 in range(1, 9):
-        for f2 in range(1, 9):
-            for f3 in range(1, 9):
-                budget.check("existence predicates")
-                f0 = f1 - f2 + f3
-                if not 1 <= f0 <= 8:
-                    continue
-                fmt = derive_ranks([f0, f1, f2, f3])
-                got = formats.format_exists([f0, f1, f2, f3])
-                assert got == (fmt.valid and fmt.r[1] > 1), (f0, f1, f2, f3)
-                count += 1
-    assert formats.format_exists([1, 4, 4, 1])
-    assert not formats.format_exists([1, 1, 1, 1])
-    return f"36 cyclic-existence cells and {count} Euler-zero formats checked"
-
-
-SUITE_CHECKS = [
-    ("classification", _check_classification),
-    ("root-counts", _check_root_counts),
-    ("denominator-identity", _check_denominator_identity),
-    ("defect-dims", _check_defect_dims),
-    ("kostant-length-2", _check_kostant),
-    ("bgg-euler", _check_bgg_euler),
-    ("spin-branching", _check_spin_branching),
-    ("ra-truncations", _check_ra),
-    ("dictionary-crosscheck", _check_dictionary),
-    ("generic-family", _check_thm112),
-    ("monomial-family", _check_monomial),
-    ("d4-relation", _check_d4_relation),
-    ("be-multipliers", _check_be_multipliers),
-    ("existence-predicates", _check_existence),
-]
 
 
 def cmd_suite(args) -> int:
@@ -704,7 +445,7 @@ def cmd_suite(args) -> int:
     budget = _budget_from_env()
     results = []
     all_ok = True
-    for name, fn in SUITE_CHECKS:
+    for name, fn in CHECKS:
         start = time.monotonic()
         try:
             detail = fn(budget)
@@ -733,6 +474,16 @@ def cmd_suite(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resatlas",
@@ -741,44 +492,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pqr=False, fmt=False):
+    def common(p, pqr=False, fmt=False, seed=False, cutoff=False, max_height=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cutoff", type=int, default=4)
-        p.add_argument("--max-height", type=int, default=20)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if cutoff:
+            p.add_argument("--cutoff", type=_nonnegative, default=4)
+        if max_height:
+            p.add_argument("--max-height", type=_nonnegative, default=20)
         if pqr:
             p.add_argument("--pqr", type=int, nargs=3, metavar=("P", "Q", "R"), required=True)
         if fmt:
             p.add_argument("f", type=int, nargs=4, metavar="f", help="format f0 f1 f2 f3")
 
     p = sub.add_parser("analyze", help="full report on a length-3 format")
-    common(p, fmt=True)
+    common(p, fmt=True, cutoff=True, max_height=True)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("roots", help="positive roots of T_{p,q,r}")
-    common(p, pqr=True)
+    common(p, pqr=True, max_height=True)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("defect", help="graded dims of the defect algebra")
-    common(p, pqr=True)
+    common(p, pqr=True, cutoff=True, max_height=True)
     p.set_defaults(fn=cmd_defect)
 
     p = sub.add_parser("kostant", help="nilradical homology weights")
     common(p, pqr=True)
-    p.add_argument("--length", type=int, default=2)
+    p.add_argument("--length", type=_nonnegative, default=2)
     p.set_defaults(fn=cmd_kostant)
 
     p = sub.add_parser("bgg-check", help="truncated BGG Euler identity")
-    common(p, pqr=True)
+    common(p, pqr=True, cutoff=True)
     p.add_argument("--lam", default="zero", help="'zero', 'w:<vertex>', or 'u=1,z1=2'")
     p.set_defaults(fn=cmd_bgg_check)
 
     p = sub.add_parser("ra-decompose", help="R_a isotypic components")
-    common(p, fmt=True)
+    common(p, fmt=True, cutoff=True)
     p.set_defaults(fn=cmd_ra_decompose)
 
     p = sub.add_parser("rspec", help="special-fiber components with T_{p,q,r} weights")
-    common(p, fmt=True)
+    common(p, fmt=True, cutoff=True)
     p.set_defaults(fn=cmd_rspec)
 
     p = sub.add_parser("generators", help="weight-semigroup generator families")
@@ -786,17 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generators)
 
     p = sub.add_parser("kstar-check", help="random K*/BGG dictionary crosschecks")
-    common(p, fmt=True)
-    p.add_argument("--count", type=int, default=20)
+    common(p, fmt=True, seed=True)
+    p.add_argument("--count", type=_nonnegative, default=20)
     p.set_defaults(fn=cmd_kstar_check)
 
     p = sub.add_parser("verify-thm112", help="generic (1,3,r3+2,r3) family")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--r3", type=int, required=True)
     p.set_defaults(fn=cmd_verify_thm112)
 
     p = sub.add_parser("verify-monomial", help="monomial (1,2t,2t,1) family")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(fn=cmd_verify_monomial)
 

@@ -341,9 +341,6 @@ class ExactMatrix:
             ]
         )
 
-    def scale(self, factor: Entry) -> "ExactMatrix":
-        return ExactMatrix([[factor * e for e in row] for row in self.data])
-
     def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
         rows = sorted(rows)
         cols = sorted(cols)

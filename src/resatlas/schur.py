@@ -9,24 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, List, Sequence, Tuple
-
-Weight = Tuple[int, ...]
+from typing import Iterator, Sequence, Tuple
 
 
 def is_dominant(w: Sequence[int]) -> bool:
     return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
-
-
-def is_partition(w: Sequence[int]) -> bool:
-    return is_dominant(w) and all(x >= 0 for x in w)
-
-
-def conjugate(partition: Sequence[int]) -> Tuple[int, ...]:
-    parts = [x for x in partition if x > 0]
-    if not parts:
-        return ()
-    return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
 
 
 def partitions_bounded(max_parts: int, max_size: int) -> Iterator[Tuple[int, ...]]:
@@ -61,19 +48,6 @@ def schur_dim(w: Sequence[int], n: int) -> int:
     dim = Fraction(num, den)
     assert dim.denominator == 1
     return int(dim)
-
-
-def pieri_add_box(w: Sequence[int]) -> List[Weight]:
-    """Dominant weights obtained from w by adding 1 to a single entry."""
-    w = tuple(w)
-    if not is_dominant(w):
-        raise ValueError(f"non-dominant weight {w}")
-    out = []
-    for i in range(len(w)):
-        cand = w[:i] + (w[i] + 1,) + w[i + 1 :]
-        if is_dominant(cand):
-            out.append(cand)
-    return out
 
 
 def g2_dim_formula(p: int, q: int, r: int) -> int:

@@ -1,256 +1,47 @@
-"""Acceptance criteria: one test (and one pass/fail line) per criterion.
+"""Acceptance criteria: one test per entry of `resatlas.checks.CHECKS`, the
+same code `resatlas suite paper-checks` runs.
 
-Each test prints `CRITERION nn <name>: PASS (t s)` on success; pytest -v adds
-its own PASSED/FAILED line per criterion.  Wall-clock bounds from the
-criteria are asserted where stated.
+Tests keep their `test_criterion_<nn>_<name>` ids; each runs its check
+under the wall-clock bound of its criterion, where one is stated, and
+prints `CRITERION nn <check>: PASS (t s)`.
 """
 
-import random
 import time
-from contextlib import contextmanager
 
-from resatlas import complexes, formats, rings, schur
-from resatlas.formats import derive_ranks, tpqr_cartan_matrix
-from resatlas.kacmoody import (
-    TpqrGraph,
-    bgg_euler_check,
-    defect_graded_dims,
-    enumerate_roots,
-    kostant_weights,
-    roots_by_denominator,
-    verify_denominator_identity,
-    weyl_kac_character,
-)
+from resatlas.checks import CHECKS, Budget
 
-
-@contextmanager
-def criterion(number, name, bound_seconds=None):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    if bound_seconds is not None:
-        assert elapsed < bound_seconds, f"criterion {number} took {elapsed:.1f}s (bound {bound_seconds}s)"
-    print(f"CRITERION {number:02d} {name}: PASS ({elapsed:.2f}s)")
+# check name -> (test id suffix, wall-clock bound in seconds or None)
+CRITERIA = {
+    "classification": ("classification_table", 5),
+    "root-counts": ("root_enumeration", 30),
+    "denominator-identity": ("denominator_identity_t237", 60),
+    "defect-dims": ("defect_dims", None),
+    "kostant-length-2": ("kostant_displays_t334", None),
+    "bgg-euler": ("bgg_euler_d4", 60),
+    "spin-branching": ("spin_branching", None),
+    "ra-truncations": ("ra_truncations", 60),
+    "dictionary-crosscheck": ("dictionary_crosscheck", None),
+    "generic-family": ("generic_family", 120),
+    "monomial-family": ("monomial_family", 60),
+    "d4-relation": ("example_relation", None),
+    "be-multipliers": ("be_factorization", None),
+    "existence-predicates": ("existence_predicates", None),
+}
 
 
-def test_criterion_01_classification_table():
-    with criterion(1, "classification-table", 5):
-        anchors = {
-            (2, 2, 2): ("finite", "D4"),
-            (5, 2, 3): ("finite", "E8"),
-        }
-        for p in range(2, 10):
-            for q in range(1, 10):
-                for r in range(2, 10):
-                    cls = formats.classify(p, q, r)  # dual paths assert-agree inside
-                    if (p, q, r) in anchors:
-                        assert (cls.kind, cls.dynkin) == anchors[(p, q, r)]
-        affine = formats.classify(3, 3, 3)
-        assert affine.kind == "affine" and affine.signature == (6, 1, 0)
-        indef = formats.classify(2, 3, 7)
-        assert indef.kind == "indefinite" and indef.signature == (9, 0, 1)
+def _criterion(number, name, fn, bound_seconds):
+    def test():
+        start = time.monotonic()
+        fn(Budget(None))
+        elapsed = time.monotonic() - start
+        if bound_seconds is not None:
+            assert elapsed < bound_seconds, f"{name} took {elapsed:.1f}s (bound {bound_seconds}s)"
+        print(f"CRITERION {number:02d} {name}: PASS ({elapsed:.2f}s)")
+
+    return test
 
 
-def test_criterion_02_root_enumeration():
-    with criterion(2, "root-enumeration", 30):
-        for (p, q, r), roots_total, dim in [
-            ((2, 2, 2), 24, 28),
-            ((3, 3, 2), 72, 78),
-            ((5, 2, 3), 240, 248),
-        ]:
-            graph = TpqrGraph(p, q, r)
-            pos = enumerate_roots(graph)
-            assert 2 * len(pos) == roots_total
-            assert all(root.mult == 1 for root in pos)
-            assert graph.n + 2 * len(pos) == dim
-
-
-def test_criterion_03_denominator_identity_t237():
-    with criterion(3, "denominator-identity", 60):
-        A = tpqr_cartan_matrix(2, 3, 7)
-        mults = roots_by_denominator(A, 8)
-        assert verify_denominator_identity(A, 8, mults)
-
-
-def test_criterion_04_defect_dims():
-    with criterion(4, "defect-dims"):
-        for (p, q, r), expect in [
-            ((2, 2, 2), [6, 0, 0, 0, 0, 0]),
-            ((3, 3, 2), [20, 1, 0, 0, 0, 0]),
-            ((2, 2, 3), [12, 1, 0, 0, 0, 0]),
-        ]:
-            d = defect_graded_dims(p, q, r, m_max=6)
-            assert d.exhaustive and list(d.dims) == expect
-            # independent closed formulas
-            assert schur.g1_dim_formula(p, q, r) == expect[0]
-            assert schur.g2_dim_formula(p, q, r) == expect[1]
-            # independent root count
-            graph = TpqrGraph(p, q, r)
-            counts = [0] * 6
-            for root in enumerate_roots(graph):
-                m = root.coords[graph.z1]
-                if m >= 1:
-                    counts[m - 1] += root.mult
-            assert counts == expect
-
-
-def test_criterion_05_kostant_displays_t334():
-    with criterion(5, "kostant-length-2"):
-        graph = TpqrGraph(3, 3, 4)
-        weights = kostant_weights(graph, graph.S, 2)
-        nonzero = sorted(
-            tuple(sorted((k, v) for k, v in graph.labels_as_dict(w).items() if v))
-            for w in weights
-        )
-        expected = sorted(
-            [
-                tuple(sorted({"x1": 1, "y1": 1, "z1": -3, "z2": 2}.items())),
-                tuple(sorted({"u": 2, "z1": -3, "z3": 1}.items())),
-            ]
-        )
-        assert nonzero == expected
-
-
-def test_criterion_06_bgg_euler_d4():
-    with criterion(6, "bgg-euler", 60):
-        graph = TpqrGraph(2, 2, 2)
-        for lam in [
-            (0, 0, 0, 0),
-            graph.fundamental_weight(graph.z1),
-            graph.fundamental_weight(graph.u),
-        ]:
-            ok, bad = bgg_euler_check(graph, lam, 4)
-            assert ok, (lam, bad)
-
-
-def test_criterion_07_spin_branching():
-    with criterion(7, "spin-branching"):
-        graph = TpqrGraph(2, 2, 2)
-        dims, total = weyl_kac_character(graph, graph.fundamental_weight(graph.z1), 2)
-        assert dims == (1, 6, 1) and total == 8
-
-
-def test_criterion_08_ra_truncations():
-    with criterion(8, "ra-truncations", 60):
-        fmt = derive_ranks([1, 4, 4, 1])
-        comps = rings.ra_enumerate(fmt, 4)  # asserts distinctness + injectivity
-        assert all(quad.dominant for _, quad in comps)
-        rng = random.Random(1109)
-        for _ in range(200):
-            mu = rings.MuIndex(
-                a=rng.randint(0, 4),
-                b=rng.randint(0, 4),
-                c=rng.randint(0, 4),
-                beta=tuple(sorted((rng.randint(0, 3) for _ in range(2)), reverse=True)),
-            )
-            quad = rings.ra_component(mu, fmt)
-            general = rings.ra_general_component(
-                [mu.c, mu.b, mu.a], [mu.gamma, mu.beta, mu.alpha], fmt
-            )
-            assert tuple(general) == (quad.w0, quad.w1, quad.w2, quad.w3)
-
-
-def test_criterion_09_dictionary_crosscheck():
-    with criterion(9, "dictionary-crosscheck"):
-        for f in ([1, 4, 4, 1], [2, 6, 5, 1]):
-            fmt = derive_ranks(f)
-            r1, r2, r3 = fmt.r
-            rng = random.Random(271)
-            for _ in range(20):
-                sigma = tuple(sorted((rng.randint(0, 3) for _ in range(r3)), reverse=True))
-                tau = tuple(sorted((rng.randint(0, 3) for _ in range(r1 + r2)), reverse=True))
-                t = rng.randint(1, 3)
-                assert rings.dictionary_crosscheck(sigma, tau, t, fmt)
-
-
-def test_criterion_10_generic_family():
-    with criterion(10, "generic-family", 120):
-        for r3 in (1, 2, 3):
-            res = complexes.thm112_build(r3)
-            assert complexes.verify_complex(res.complex).ok  # d2d3 = d1d2 = 0
-            rk = complexes.be_rank_check(res.complex, seed=11)
-            assert rk.ok and rk.ranks == (1, 2, r3)
-            # skew pattern of B^T Delta B (asserted in the builder; re-check)
-            M = res.B.transpose().matmul(res.delta).matmul(res.B)
-            x1, x2, x3 = res.x
-            assert (M.data[0][1] - x3).is_zero() and (M.data[1][2] - x1).is_zero()
-            assert (M.data[2][0] - x2).is_zero()
-            assert M.add(M.transpose()).is_zero()
-
-
-def test_criterion_11_monomial_family():
-    with criterion(11, "monomial-family", 60):
-        for t in (2, 3, 4, 5):
-            res = complexes.monomial_complex(t)
-            assert complexes.verify_complex(res.complex).ok
-            rk = complexes.be_rank_check(res.complex, seed=3)
-            assert rk.ok and rk.ranks == (1, 2 * t - 1, 1)
-            # d_1 entries are the stated square-free monomials of degree 2t-2
-            for g in res.ideal_generators:
-                assert g.total_degree() == 2 * t - 2
-
-
-def test_criterion_12_example_relation():
-    with criterion(12, "split-d4-relation"):
-        rep = complexes.d4_relation_check()
-        assert rep.ok
-        assert str(rep.pfaffian) == "b12*b34 - b13*b24 + b14*b23"
-        assert rep.lhs == rep.pfaffian and rep.rhs == rep.pfaffian
-        # multiplication tables verbatim
-        m = complexes.d4_split_model()
-        assert m.ef[(2, 1)] == m.b[(1, 2)]
-        assert m.ef[(4, 1)] == -m.b[(1, 4)]
-        assert m.eee[(2, 3, 4)] == m.b[(2, 3)]
-        assert m.v2[0] == m.b[(2, 3)]
-
-
-def test_criterion_13_be_factorization():
-    with criterion(13, "be-factorization"):
-        fixtures = [complexes.koszul_complex()]
-        fixtures += [complexes.thm112_build(r3).complex for r3 in (1, 2)]
-        fixtures += [complexes.monomial_complex(t).complex for t in (2, 3)]
-        from resatlas.exact import seeded_random_point
-
-        for cx in fixtures:
-            names = sorted(
-                {
-                    v
-                    for d in cx.differentials
-                    for row in d.data
-                    for e in row
-                    if hasattr(e, "variables")
-                    for v in e.variables()
-                }
-            )
-            done, seed = 0, 0
-            while done < 10:
-                seed += 1
-                point = seeded_random_point(97 * seed, names)
-                spec = cx.substitute(point)
-                if tuple(m.rank() for m in spec.differentials) != cx.fmt.r:
-                    continue
-                assert complexes.be_multipliers(spec).ok, (cx.label, seed)
-                done += 1
-
-
-def test_criterion_14_existence_predicates():
-    with criterion(14, "existence-predicates"):
-        for n in range(1, 7):
-            for l in range(1, 7):
-                expect = (l >= 3 and n >= 2) or (n == 1 and l % 2 == 0)
-                assert formats.cyclic_exists(n, l) == expect
-        checked = 0
-        for f1 in range(1, 9):
-            for f2 in range(1, 9):
-                for f3 in range(1, 9):
-                    f0 = f1 - f2 + f3
-                    if not 1 <= f0 <= 8:
-                        continue
-                    fmt = derive_ranks([f0, f1, f2, f3])
-                    assert formats.format_exists([f0, f1, f2, f3]) == (
-                        fmt.valid and fmt.r[1] > 1
-                    )
-                    checked += 1
-        assert checked > 300
-        assert formats.format_exists([1, 4, 4, 1])
-        assert not formats.format_exists([1, 1, 1, 1])
+assert set(CRITERIA) == {name for name, _ in CHECKS}
+for _number, (_name, _fn) in enumerate(CHECKS, 1):
+    _suffix, _bound = CRITERIA[_name]
+    globals()[f"test_criterion_{_number:02d}_{_suffix}"] = _criterion(_number, _name, _fn, _bound)

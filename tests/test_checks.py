@@ -1,0 +1,86 @@
+"""Must-fail twins for the paper checks in `resatlas.checks`: a broken
+input makes the check raise `CheckFailed` naming the object that broke,
+also under `python -O`."""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from resatlas import checks, complexes, rings
+from resatlas.checks import CHECKS, Budget, CheckFailed
+from resatlas.exact import ExactMatrix, MPoly
+
+
+def run_check(name):
+    return dict(CHECKS)[name](Budget(None))
+
+
+def test_suite_fails_under_python_O_when_a_formula_breaks():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from resatlas import cli, schur\n"
+        "g1 = schur.g1_dim_formula\n"
+        "schur.g1_dim_formula = lambda p, q, r: g1(p, q, r) + 1\n"
+        "sys.exit(cli.main(['suite', 'paper-checks', '--json']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1, proc.stderr
+    results = {r["check"]: r for r in json.loads(proc.stdout)["results"]}
+    assert results["defect-dims"]["ok"] is False
+    assert "(2, 2, 2)" in results["defect-dims"]["detail"]
+    assert all(r["ok"] for name, r in results.items() if name != "defect-dims")
+
+
+def test_generic_family_catches_a_broken_skew_pattern(monkeypatch):
+    build = complexes.thm112_build
+
+    def negated_delta(r3, seed=None):
+        res = build(r3, seed)
+        delta = ExactMatrix([[-e for e in row] for row in res.delta.data])
+        return dataclasses.replace(res, delta=delta)
+
+    monkeypatch.setattr(complexes, "thm112_build", negated_delta)
+    with pytest.raises(CheckFailed, match=r"generic family r3=1: B\^T Delta B entry \(0, 1\)"):
+        run_check("generic-family")
+
+
+def test_monomial_family_catches_a_wrong_generator_degree(monkeypatch):
+    build = complexes.monomial_complex
+
+    def extra_factor(t):
+        res = build(t)
+        gens = res.ideal_generators
+        return dataclasses.replace(res, ideal_generators=(gens[0] * MPoly.var("X1"),) + gens[1:])
+
+    monkeypatch.setattr(complexes, "monomial_complex", extra_factor)
+    with pytest.raises(CheckFailed, match=r"monomial family t=2: generator .* not of degree 2"):
+        run_check("monomial-family")
+
+
+def test_ra_truncations_catch_a_repeated_component(monkeypatch):
+    enumerate_ = rings.ra_enumerate
+
+    def first_repeated(fmt, cutoff):
+        comps = enumerate_(fmt, cutoff)
+        return comps + comps[:1]
+
+    monkeypatch.setattr(rings, "ra_enumerate", first_repeated)
+    with pytest.raises(CheckFailed, match=r"\(1, 4, 4, 1\) R_a to degree 4 not multiplicity-free"):
+        run_check("ra-truncations")
+
+
+def test_be_multipliers_stop_when_no_seed_gives_full_rank(monkeypatch):
+    monkeypatch.setattr(checks, "seeded_random_point", lambda seed, names: {v: 0 for v in names})
+    with pytest.raises(CheckFailed, match=r"koszul: only 0 of seeds 1\.\.100 give a point of full rank"):
+        run_check("be-multipliers")

@@ -116,3 +116,37 @@ def test_budget_cap(capsys, monkeypatch):
     code, out = run(capsys, "suite", "paper-checks")
     assert code == 1
     assert "budget exceeded" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bgg-check", "--pqr", "2", "2", "2", "--cutoff", "-1"),
+        ("kstar-check", "1", "4", "4", "1", "--count", "-1"),
+        ("kostant", "--pqr", "3", "3", "4", "--length", "-1"),
+        ("roots", "--pqr", "2", "3", "7", "--max-height", "-1"),
+        ("analyze", "1", "4", "4", "1", "--cutoff", "x"),
+    ],
+)
+def test_negative_or_non_integer_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("suite", "--seed", "1"),
+        ("verify-d4", "--cutoff", "2"),
+        ("generators", "1", "4", "4", "1", "--max-height", "5"),
+        ("kostant", "--pqr", "3", "3", "4", "--seed", "1"),
+        ("roots", "--pqr", "2", "2", "2", "--cutoff", "3"),
+    ],
+)
+def test_unread_options_are_not_accepted(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -79,4 +79,5 @@ def test_matrix_ops():
     i2 = ExactMatrix.identity(2)
     assert m.matmul(i2) == m
     assert m.transpose().transpose() == m
-    assert m.add(m.scale(-1)).is_zero()
+    assert m.add(ExactMatrix([[-1, -2], [-3, -4]])).is_zero()
+    assert not m.add(m).is_zero()
