@@ -4,7 +4,8 @@ Deterministic text and JSON reporting over the library: format analysis,
 root/defect/Kostant/BGG computations, coordinate-ring decompositions, the
 explicit complex builders, and the full verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.
+Exit codes: 0 success, 1 verification failure, 2 invalid input.  A suite
+check that hits an internal error is reported as failed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import complexes, formats, kacmoody, rings
@@ -129,10 +131,7 @@ def cmd_roots(args) -> int:
     p, q, r = args.pqr
     graph = TpqrGraph(p, q, r)
     cls = graph.classify()
-    if cls.finite:
-        roots = kacmoody.enumerate_roots(graph)
-    else:
-        roots = kacmoody.enumerate_roots(graph, H=args.max_height)
+    roots = kacmoody.enumerate_roots(graph, H=args.max_height)
     by_height: Dict[int, int] = {}
     total = 0
     for root in roots:
@@ -455,6 +454,10 @@ def cmd_suite(args) -> int:
             ok = False
         except AssertionError as exc:
             detail = f"assertion failed: {exc}"
+            ok = False
+        except Exception as exc:  # one broken check must not hide the others
+            traceback.print_exc()
+            detail = f"internal error: {type(exc).__name__}: {exc}"
             ok = False
         elapsed = time.monotonic() - start
         results.append({"check": name, "ok": ok, "seconds": round(elapsed, 3), "detail": detail})

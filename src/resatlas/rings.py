@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .formats import ResolutionFormat, classify_format
-from .kacmoody import TpqrGraph, weyl_dim
+from .kacmoody import TpqrGraph, bgg_initial_terms, weyl_dim
 from .schur import is_dominant, partitions_bounded, schur_dim
 
 Weight = Tuple[int, ...]
@@ -518,7 +518,6 @@ def dictionary_crosscheck(
     tau: Sequence[int],
     t: int,
     fmt: ResolutionFormat,
-    break_u_by: int = 0,
 ) -> bool:
     """The K* terms equal the three-layer BGG initial terms through the
     lambda-dictionary.
@@ -528,29 +527,14 @@ def dictionary_crosscheck(
     corresponding parabolic Verma highest weight (identity, s_{z1},
     s_{z1}s_u, s_{z1}s_{z2} dot-applied to lambda).  The z-arm is read in the
     ascending-sigma orientation, under which the match is exact for all arm
-    lengths.  `break_u_by` perturbs the u-parameter (for must-fail tests).
+    lengths.
     """
-    from .kacmoody import bgg_initial_terms
-
     ks = kstar_terms(sigma, tau, t, fmt)
     graph = TpqrGraph(*fmt.pqr)
     a = t - 1
     lam = lambda_from_sigma_tau(graph, tuple(sigma), tau, a, z_arm_ascending=True)
     layers = bgg_initial_terms(graph, lam)
-    u = ks.u + break_u_by
-    expected = [
-        (ks.bottom, t - 1),
-        (ks.middle, -t - 1),
-        (
-            (
-                (sigma[0] + t + u,) + tuple(sigma[1:]),
-                tuple(x + t + u for x in tau[: fmt.r[0]])
-                + (tau[fmt.r[0]] + t, tau[fmt.r[0] + 1] + u)
-                + tuple(tau[fmt.r[0] + 2 :]),
-            ),
-            -t - 1 - u,
-        ),
-    ]
+    expected = [(ks.bottom, t - 1), (ks.middle, -t - 1), (ks.top_u, -t - 1 - ks.u)]
     if ks.top_s is not None:
         expected.append((ks.top_s, -t - 1 - ks.s))
     bgg = [layers[0][0], layers[1][0]] + list(layers[2])

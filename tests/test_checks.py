@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import checks, complexes, rings
+from resatlas import checks, cli, complexes, kacmoody, rings
 from resatlas.checks import CHECKS, Budget, CheckFailed
 from resatlas.exact import ExactMatrix, MPoly
 
@@ -84,3 +84,19 @@ def test_be_multipliers_stop_when_no_seed_gives_full_rank(monkeypatch):
     monkeypatch.setattr(checks, "seeded_random_point", lambda seed, names: {v: 0 for v in names})
     with pytest.raises(CheckFailed, match=r"koszul: only 0 of seeds 1\.\.100 give a point of full rank"):
         run_check("be-multipliers")
+
+
+def test_suite_reports_an_internal_error_as_that_checks_failure(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise ValueError("internal boom")
+
+    monkeypatch.setattr(kacmoody, "weyl_kac_character", boom)
+    rc = cli.main(["suite", "paper-checks", "--json"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    results = json.loads(out)["results"]
+    assert len(results) == len(CHECKS) == 14
+    assert [r["check"] for r in results if not r["ok"]] == ["spin-branching"]
+    failed = next(r for r in results if not r["ok"])
+    assert failed["detail"] == "internal error: ValueError: internal boom"
+    assert "Traceback" in err

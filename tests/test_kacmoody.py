@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 from resatlas.formats import tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
@@ -5,12 +13,16 @@ from resatlas.kacmoody import (
     bgg_initial_terms,
     character_series,
     defect_graded_dims,
+    dot_action,
+    dot_walk,
     enumerate_WS,
     enumerate_roots,
     fundamental_in_exterior_check,
     inversion_roots,
     kostant_weights,
     parabolic_verma_character,
+    reflect,
+    root_labels,
     roots_by_denominator,
     verify_denominator_identity,
     weyl_dim,
@@ -37,8 +49,12 @@ def test_finite_root_counts():
 def test_recursion_agrees_with_closure_on_finite():
     g = TpqrGraph(2, 2, 2)
     closure = {r.coords: r.mult for r in enumerate_roots(g)}
-    recursed = {r.coords: r.mult for r in enumerate_roots(g, H=12, force_recursion=True)}
-    assert closure == recursed
+    assert closure == roots_by_denominator(g.cartan, 12)
+
+
+def test_finite_roots_ignore_the_height_cutoff():
+    g = TpqrGraph(2, 2, 2)
+    assert enumerate_roots(g, H=3) == enumerate_roots(g)
 
 
 def test_affine_null_root_multiplicity():
@@ -48,6 +64,13 @@ def test_affine_null_root_multiplicity():
     delta = (3, 2, 1, 2, 1, 2, 1)
     assert mults[delta] == 6
     assert verify_denominator_identity(g.cartan, 12, mults)
+
+
+def test_denominator_identity_rejects_a_negative_multiplicity():
+    A = tpqr_cartan_matrix(2, 2, 2)
+    mults = {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}
+    with pytest.raises(ValueError, match=r"negative multiplicity -1 at root \(0, 1, 0, 0\)"):
+        verify_denominator_identity(A, 4, mults)
 
 
 def test_indefinite_identity_verifies():
@@ -66,6 +89,52 @@ def test_weyl_group_order_d4():
     elems = weyl_elements(g, 12)  # longest element has length 12
     assert len(elems) == 192
     assert max(e.length for e in elems) == 12
+
+
+def solve_coords(A, labels):
+    """Root coordinates k with A k = labels, by exact Gauss-Jordan elimination
+    (A invertible); the oracle for the drop that `dot_walk` tracks."""
+    n = len(labels)
+    m = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(labels[i])] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col] / m[col][col]
+                for j in range(col, n + 1):
+                    m[i][j] -= f * m[col][j]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def check_walk(g, word, lam):
+    weight, drop = dot_walk(g, word, lam)
+    moved = tuple(x + 1 for x in lam)
+    for i in reversed(word):
+        moved = reflect(g, moved, i)
+    assert weight == tuple(x - 1 for x in moved) == dot_action(g, word, lam), word
+    lowered = tuple(l - w for l, w in zip(lam, weight))
+    assert root_labels(g.cartan, drop) == lowered, word
+    assert drop == solve_coords(g.cartan, lowered), word
+
+
+def test_dot_walk_drop_on_all_of_w_d4():
+    g = TpqrGraph(2, 2, 2)
+    elems = weyl_elements(g, 12)
+    assert len(elems) == 192
+    for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.u)]:
+        for e in elems:
+            check_walk(g, e.word, lam)
+
+
+def test_dot_walk_drop_on_ws_d5():
+    g = TpqrGraph(2, 2, 3)
+    grouped = enumerate_WS(g, g.S, 6, verify=False)
+    assert sum(len(v) for v in grouped.values()) == 20  # of |W(D5)| / |W(A3 x A1)| = 40
+    for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.z(2))]:
+        for elems in grouped.values():
+            for e in elems:
+                check_walk(g, e.word, lam)
 
 
 def test_inversion_roots_length():
@@ -127,6 +196,27 @@ def test_character_dimensions_e6():
     dims, total = weyl_kac_character(g, g.fundamental_weight(g.z1), 4)
     assert total == 78
     assert dims == (1, 20, 36, 20, 1)
+
+
+def test_character_total_check_holds_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from resatlas import kacmoody\n"
+        "from resatlas.kacmoody import TpqrGraph\n"
+        "dim = kacmoody.weyl_dim\n"
+        "kacmoody.weyl_dim = lambda graph, lam: dim(graph, lam) + 1\n"
+        "g = TpqrGraph(2, 2, 2)\n"
+        "kacmoody.weyl_kac_character(g, g.fundamental_weight(g.z1), 2)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    assert "AssertionError" in proc.stderr
+    assert "character total 8 disagrees with dimension formula 9" in proc.stderr
 
 
 def test_weyl_dim_matches_series():

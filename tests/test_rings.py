@@ -1,5 +1,7 @@
+import dataclasses
 import random
 
+from resatlas import rings
 from resatlas.formats import derive_ranks
 from resatlas.kacmoody import TpqrGraph
 from resatlas.rings import (
@@ -131,8 +133,16 @@ def test_dictionary_crosscheck_random():
             assert dictionary_crosscheck(sigma, tau, t, fmt)
 
 
-def test_dictionary_crosscheck_detects_breakage():
-    assert not dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4, break_u_by=1)
+def test_dictionary_crosscheck_detects_breakage(monkeypatch):
+    assert dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
+    terms = rings.kstar_terms
+
+    def off_by_one_u(sigma, tau, t, fmt):
+        ks = terms(sigma, tau, t, fmt)
+        return dataclasses.replace(ks, u=ks.u + 1)
+
+    monkeypatch.setattr(rings, "kstar_terms", off_by_one_u)
+    assert not dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
 
 
 def test_hilbert_truncation_anchors():
