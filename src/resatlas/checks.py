@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 from . import complexes, formats, kacmoody, rings, schur
@@ -123,7 +122,7 @@ def _check_defect_dims(budget: Budget) -> str:
 
 def _check_kostant(budget: Budget) -> str:
     graph = TpqrGraph(3, 3, 4)
-    weights = kacmoody.kostant_weights(graph, graph.S, 2)
+    weights = kacmoody.kostant_weights(graph, graph.S, 2)[2]
     dicts = [
         {k: v for k, v in graph.labels_as_dict(w).items() if v} for w in weights
     ]
@@ -234,7 +233,10 @@ def _check_monomial(budget: Budget) -> str:
 def _check_d4_relation(budget: Budget) -> str:
     rep = complexes.d4_relation_check()
     if not rep.ok:
-        raise CheckFailed(f"split D4: no sign normalization fits; lhs {rep.lhs}, rhs {rep.rhs}")
+        raise CheckFailed(
+            f"split D4: relation fails under the fixed normalization {rep.normalization}; "
+            f"lhs {rep.lhs}, rhs {rep.rhs}, Pfaffian {rep.pfaffian}"
+        )
     target = "b12*b34 - b13*b24 + b14*b23"
     if str(rep.pfaffian) != target or rep.lhs != rep.pfaffian or rep.rhs != rep.pfaffian:
         raise CheckFailed(f"split D4: lhs {rep.lhs}, rhs {rep.rhs}, Pfaffian {rep.pfaffian}")
@@ -259,16 +261,7 @@ def _check_be_multipliers(budget: Budget) -> str:
     fixtures += [complexes.thm112_build(r3).complex for r3 in (1, 2)]
     fixtures += [complexes.monomial_complex(t).complex for t in (2, 3)]
     for cx in fixtures:
-        names = sorted(
-            {
-                v
-                for d in cx.differentials
-                for row in d.data
-                for e in row
-                if not isinstance(e, (int, Fraction))
-                for v in e.variables()
-            }
-        )
+        names = complexes.entry_variables(cx)
         done = 0
         for seed in range(1, BE_MAX_SEED + 1):
             budget.check("BE multipliers")

@@ -178,12 +178,9 @@ def cmd_defect(args) -> int:
 def cmd_kostant(args) -> int:
     p, q, r = args.pqr
     graph = TpqrGraph(p, q, r)
-    L = args.length
-    grouped = kacmoody.enumerate_WS(graph, graph.S, L)
     payload = {"pqr": [p, q, r], "layers": {}}
     lines = [f"Kostant homology weights for T_{{{p},{q},{r}}}, S = all but z1:"]
-    for k in range(L + 1):
-        weights = [tuple(x - 1 for x in e.labels) for e in grouped.get(k, [])]
+    for k, weights in kacmoody.kostant_weights(graph, graph.S, args.length).items():
         payload["layers"][str(k)] = [graph.labels_as_dict(w) for w in weights]
         lines.append(f"  length {k}: {len(weights)} component(s)")
         for w in weights:
@@ -342,7 +339,7 @@ def cmd_verify_thm112(args) -> int:
         "ranks": list(rk.ranks),
         "expected_ranks": list(rk.expected),
         "ranks_ok": rk.ok,
-        "sign_convention": res.sign_convention,
+        "sign_convention": complexes.DELTA_SIGN_CONVENTION,
         "fixture": complexes.complex_to_json(res.complex),
         "ok": ok,
     }
@@ -350,7 +347,7 @@ def cmd_verify_thm112(args) -> int:
         f"format (1, 3, {args.r3 + 2}, {args.r3}) from generic d_3:",
         f"  symbolic d.d = 0: {rep.ok}",
         f"  seeded ranks {rk.ranks} (expected {rk.expected}): {rk.ok}",
-        f"  Delta sign convention: {res.sign_convention}",
+        f"  Delta sign convention: {complexes.DELTA_SIGN_CONVENTION}",
         "PASS" if ok else "FAIL",
     ]
     _emit(payload, args.json, lines)

@@ -97,12 +97,13 @@ class RankReport:
     point: Dict[str, Fraction]
 
 
-def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
-    """At a seeded rational point, every differential has its expected rank
-    r_i.  The point is retried (deterministically) until the top maximal
-    minors are nonvanishing or the budget runs out."""
-    fmt = complex_.fmt
-    names = sorted(
+def entry_variables(complex_: FreeComplex) -> List[str]:
+    """The variables occurring in the entries of `complex_`, sorted by name.
+
+    Seeded points draw one coordinate per name in this order.  It is not the
+    order of `complex_.variables`: X10 sorts before X2.
+    """
+    return sorted(
         {
             v
             for d in complex_.differentials
@@ -112,12 +113,18 @@ def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
             for v in e.variables()
         }
     )
+
+
+def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
+    """At a seeded rational point, every differential has its expected rank
+    r_i.  The point is retried (deterministically) until the top maximal
+    minors are nonvanishing or the budget runs out."""
+    fmt = complex_.fmt
+    names = entry_variables(complex_)
     expected = fmt.r
     for attempt in range(50):
-        point = (
-            seeded_random_point(seed * 1000 + attempt, names) if names else {}
-        )
-        spec = [d.substitute(point) if names else d for d in complex_.differentials]
+        point = seeded_random_point(seed * 1000 + attempt, names)
+        spec = [d.substitute(point) for d in complex_.differentials]
         ranks = tuple(m.rank() for m in spec)
         if ranks == expected:
             return RankReport(ok=True, ranks=ranks, expected=expected, point=point)
@@ -239,24 +246,26 @@ def be_multipliers(complex_: FreeComplex) -> MultiplierReport:
 # ---------------------------------------------------------------------------
 
 
+DELTA_SIGN_CONVENTION = "(-1)^(i+j)"
+
+
 @dataclass(frozen=True)
 class Thm112Result:
     complex: FreeComplex
     delta: ExactMatrix
     B: ExactMatrix
     x: Tuple[MPoly, MPoly, MPoly]
-    sign_convention: str
 
 
-def thm112_build(r3: int, seed: Optional[int] = None) -> Thm112Result:
+def thm112_build(r3: int) -> Thm112Result:
     """The format (1, 3, r3+2, r3) complex from generic d_3 and second
     structure map B.
 
-    Delta is the skew matrix of complementary maximal minors of d_3
-    (Delta_{ij} = sign * minor omitting rows i, j), the sign fixed so that
-    Delta . d_3 = 0; d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the
-    x_k read from the displayed skew pattern of B^T Delta B.  With `seed`
-    the variables are specialized to a deterministic rational point.
+    Delta is the skew matrix of complementary maximal minors of d_3,
+    Delta_{ij} = (-1)^(i+j) * minor(d_3 without rows i, j) for i < j;
+    d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the x_k read from the
+    displayed skew pattern of B^T Delta B.  Raises AssertionError, naming
+    r3, if Delta . d_3 != 0 or B^T Delta B is off the pattern.
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")
@@ -266,31 +275,34 @@ def thm112_build(r3: int, seed: Optional[int] = None) -> Thm112Result:
     a1 = MPoly.var("a1")
     d3 = ExactMatrix(A)
     Bm = ExactMatrix(B)
-    chosen = None
-    for name, sign in (("(-1)^(i+j)", lambda i, j: (-1) ** (i + j)), ("+1", lambda i, j: 1)):
-        delta_data = [[MPoly.const(0) for _ in range(f2)] for _ in range(f2)]
-        for i in range(f2):
-            for j in range(i + 1, f2):
-                rows = [k for k in range(f2) if k not in (i, j)]
-                m = sign(i, j) * MPoly.coerce(d3.minor(rows, range(r3)))
-                delta_data[i][j] = m
-                delta_data[j][i] = -m
-        delta = ExactMatrix(delta_data)
-        if delta.matmul(d3).is_zero():
-            chosen = (name, delta)
-            break
-    if chosen is None:
-        raise AssertionError("no sign convention annihilates d_3")
-    name, delta = chosen
+    # Entry (i, c) of Delta . d_3 is, up to one sign per row i, the Laplace
+    # expansion along its last column of the determinant of d_3 without row
+    # i with column c appended again.  A repeated column makes that
+    # determinant 0, so this sign rule annihilates d_3 for every r3.
+    delta_data = [[MPoly.const(0) for _ in range(f2)] for _ in range(f2)]
+    for i in range(f2):
+        for j in range(i + 1, f2):
+            rows = [k for k in range(f2) if k not in (i, j)]
+            m = (-1) ** (i + j) * MPoly.coerce(d3.minor(rows, range(r3)))
+            delta_data[i][j] = m
+            delta_data[j][i] = -m
+    delta = ExactMatrix(delta_data)
+    if not delta.matmul(d3).is_zero():
+        raise AssertionError(
+            f"thm112(r3={r3}): Delta with signs {DELTA_SIGN_CONVENTION} does not annihilate d_3"
+        )
     M = Bm.transpose().matmul(delta).matmul(Bm)
     x1 = M.data[1][2]
     x2 = M.data[2][0]
     x3 = M.data[0][1]
     # Displayed skew pattern [[0, x3, -x2], [-x3, 0, x1], [x2, -x1, 0]].
-    assert M.data[0][0].is_zero() and M.data[1][1].is_zero() and M.data[2][2].is_zero()
-    assert (M.data[0][2] + x2).is_zero() and (M.data[1][0] + x3).is_zero() and (
-        M.data[2][1] + x1
-    ).is_zero()
+    for (i, j), want in (
+        ((0, 0), 0), ((1, 1), 0), ((2, 2), 0), ((0, 2), -x2), ((1, 0), -x3), ((2, 1), -x1),
+    ):
+        if M.data[i][j] != want:
+            raise AssertionError(
+                f"thm112(r3={r3}): B^T Delta B entry {(i, j)} is {M.data[i][j]}, expected {want}"
+            )
     d2 = Bm.transpose().matmul(delta)
     d1 = ExactMatrix([[a1 * x1, a1 * x2, a1 * x3]])
     fmt = derive_ranks([1, 3, f2, r3])
@@ -298,10 +310,7 @@ def thm112_build(r3: int, seed: Optional[int] = None) -> Thm112Result:
         sorted({v for row in A + B for e in row for v in e.variables()} | {"a1"})
     )
     cx = FreeComplex(fmt=fmt, differentials=[d1, d2, d3], variables=variables, label=f"thm112(r3={r3})")
-    if seed is not None:
-        point = seeded_random_point(seed, variables)
-        cx = cx.substitute(point)
-    return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3), sign_convention=name)
+    return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +427,11 @@ def d4_split_model() -> SplitD4Model:
     return SplitD4Model(b=b, ee=ee, ef=ef, eee=eee, v2=v2, pfaffian=pf, d1=d1, d2=d2, d3=d3)
 
 
+# The literal table reading with c^1_4 negated: e_4 is the split basis
+# vector, the only one mixing the split and generic parts.
+D4_NORMALIZATION = {"eps_c": 1, "eps_p": 1, "eps_v": 1, "eps_split": -1}
+
+
 @dataclass(frozen=True)
 class D4RelationReport:
     ok: bool
@@ -430,46 +444,23 @@ class D4RelationReport:
 def d4_relation_check() -> D4RelationReport:
     """Both sides of the quadratic relation
     (v_2)_4 (d_2)_{1,1} = p^4_{23} c^1_4 - p^4_{24} c^1_3 + p^4_{34} c^1_2
-    equal the Pfaffian, under a sign normalization searched over
-    {+1,-1}^3 on (c-extraction, p-extraction, v_2) plus one extra sign
-    `eps_split` on c-extractions involving the split basis vector e_4 (the
-    only entries mixing split and generic parts); the choice is reported.
+    equal the Pfaffian, under the fixed sign normalization
+    `D4_NORMALIZATION`: eps_c on c-extractions, eps_p on p-extractions,
+    eps_v on v_2, and eps_split on c-extractions involving e_4.
     """
     model = d4_split_model()
-    pf = model.pfaffian
+    eps = D4_NORMALIZATION
     p = {ij: model.ee[ij][3] for ij in ((2, 3), (2, 4), (3, 4))}
-    c_raw = {k: model.ef[(k, 1)] for k in (2, 3, 4)}
-    d2_11 = MPoly.coerce(model.d2.data[0][0])
-    best = None
-    for eps_c in (1, -1):
-        for eps_p in (1, -1):
-            for eps_v in (1, -1):
-                for eps_split in (1, -1):
-                    def c(k: int) -> MPoly:
-                        s = eps_c * (eps_split if k == 4 else 1)
-                        return s * c_raw[k]
-
-                    lhs = eps_v * model.v2[3] * d2_11
-                    rhs = eps_p * (
-                        p[(2, 3)] * c(4) - p[(2, 4)] * c(3) + p[(3, 4)] * c(2)
-                    )
-                    if lhs == pf and rhs == pf:
-                        cand = {
-                            "eps_c": eps_c,
-                            "eps_p": eps_p,
-                            "eps_v": eps_v,
-                            "eps_split": eps_split,
-                        }
-                        score = sum(v != 1 for v in cand.values())
-                        if best is None or score < best[0]:
-                            best = (score, cand, lhs, rhs)
-    if best is None:
-        # Report the literal reading for diagnosis.
-        lhs = model.v2[3] * d2_11
-        rhs = p[(2, 3)] * c_raw[4] - p[(2, 4)] * c_raw[3] + p[(3, 4)] * c_raw[2]
-        return D4RelationReport(ok=False, normalization={}, lhs=lhs, rhs=rhs, pfaffian=pf)
-    _, norm, lhs, rhs = best
-    return D4RelationReport(ok=True, normalization=norm, lhs=lhs, rhs=rhs, pfaffian=pf)
+    c = {
+        k: eps["eps_c"] * (eps["eps_split"] if k == 4 else 1) * model.ef[(k, 1)]
+        for k in (2, 3, 4)
+    }
+    lhs = eps["eps_v"] * model.v2[3] * MPoly.coerce(model.d2.data[0][0])
+    rhs = eps["eps_p"] * (p[(2, 3)] * c[4] - p[(2, 4)] * c[3] + p[(3, 4)] * c[2])
+    pf = model.pfaffian
+    return D4RelationReport(
+        ok=lhs == pf and rhs == pf, normalization=dict(eps), lhs=lhs, rhs=rhs, pfaffian=pf
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -247,18 +247,6 @@ class MPoly:
     __repr__ = __str__
 
 
-def mpoly_vars(prefix: str, *shape: int) -> List:
-    """Create a list (or nested list) of fresh variables `prefix_i[_j]`."""
-    if len(shape) == 1:
-        return [MPoly.var(f"{prefix}{i + 1}") for i in range(shape[0])]
-    if len(shape) == 2:
-        return [
-            [MPoly.var(f"{prefix}{i + 1}_{j + 1}") for j in range(shape[1])]
-            for i in range(shape[0])
-        ]
-    raise ValueError("shape must be 1- or 2-dimensional")
-
-
 Entry = Union[int, Fraction, MPoly]
 
 
@@ -278,14 +266,6 @@ class ExactMatrix:
         for row in self.data:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * cols for _ in range(rows)])
 
     def is_numeric(self) -> bool:
         return all(_is_numeric(e) for row in self.data for e in row)
@@ -431,7 +411,7 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over the rationals (numeric entries only)."""
         if not self.is_numeric():
-            raise ValueError("rank requires numeric entries; use rank_at")
+            raise ValueError("rank requires numeric entries; substitute a point first")
         m = [[Fraction(e) for e in row] for row in self.data]
         rank = 0
         row_idx = 0
@@ -468,9 +448,6 @@ class ExactMatrix:
             out.append(new_row)
         return ExactMatrix(out)
 
-    def rank_at(self, assignment: Mapping[str, Scalar]) -> int:
-        return self.substitute(assignment).rank()
-
     def is_zero(self) -> bool:
         for row in self.data:
             for e in row:
@@ -493,24 +470,8 @@ def _gcd(a: int, b: int) -> int:
     return abs(a)
 
 
-def seeded_random_point(
-    seed: int,
-    variables: Sequence[str],
-    avoid: Sequence[MPoly] = (),
-    max_tries: int = 200,
-) -> Dict[str, Fraction]:
-    """Deterministic rational point with every polynomial in `avoid` nonzero.
-
-    Coordinates are integers drawn from [-1000, 1000]; the range widens if the
-    avoidance constraints keep failing (they essentially never do for the
-    generic minors this supports).
-    """
+def seeded_random_point(seed: int, variables: Sequence[str]) -> Dict[str, Fraction]:
+    """Deterministic rational point: integer coordinates drawn from
+    [-1000, 1000], one per name in the order of `variables`."""
     rng = random.Random(seed)
-    span = 1000
-    for attempt in range(max_tries):
-        point = {name: Fraction(rng.randint(-span, span)) for name in variables}
-        if all(p.substitute(point) != 0 for p in avoid):
-            return point
-        if attempt % 20 == 19:
-            span *= 2
-    raise RuntimeError("seeded_random_point: retry budget exhausted")
+    return {name: Fraction(rng.randint(-1000, 1000)) for name in variables}

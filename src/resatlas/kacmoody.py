@@ -397,25 +397,24 @@ def enumerate_WS(
 
 
 def kostant_weights(
-    graph: TpqrGraph, S: Sequence[int], k: int, L: Optional[int] = None
-) -> List[Labels]:
-    """Highest weights of the k-th Lie algebra homology of the nilradical:
-    {w rho - rho : w in W(S), l(w) = k}, each dominant on S."""
-    if L is None:
-        L = k
-    if k > L:
-        raise ValueError("k must be <= L")
+    graph: TpqrGraph, S: Sequence[int], L: int
+) -> Dict[int, List[Labels]]:
+    """Highest weights of the Lie algebra homology of the nilradical, by
+    degree k = 0..L: {w rho - rho : w in W(S), l(w) = k}, each dominant on
+    S."""
     grouped = enumerate_WS(graph, S, L)
-    out = []
-    for elem in grouped.get(k, []):
-        weight = tuple(x - 1 for x in elem.labels)
-        for j in S:
-            if weight[j] < 0:
-                raise AssertionError(
-                    f"{graph}: Kostant weight {weight} of word {elem.word} "
-                    f"not dominant at S vertex {j}"
-                )
-        out.append(weight)
+    out: Dict[int, List[Labels]] = {}
+    for k in range(L + 1):
+        out[k] = []
+        for elem in grouped.get(k, []):
+            weight = tuple(x - 1 for x in elem.labels)
+            for j in S:
+                if weight[j] < 0:
+                    raise AssertionError(
+                        f"{graph}: Kostant weight {weight} of word {elem.word} "
+                        f"not dominant at S vertex {j}"
+                    )
+            out[k].append(weight)
     return out
 
 

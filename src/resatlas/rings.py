@@ -106,7 +106,11 @@ def ra_component(mu: MuIndex, fmt: ResolutionFormat) -> GLWeightQuadruple:
     # Given naturals b, c and partitions, weak decrease of all four weights is
     # equivalent to a >= 0 (the only cross-block comparison that can fail is
     # B >= -A inside w2, i.e. a >= 0).
-    assert quad.dominant == (a >= 0), (mu, quad)
+    if quad.dominant != (a >= 0):
+        raise AssertionError(
+            f"{tuple(fmt.f)} R_a component of {mu}: dominance {quad.dominant} "
+            f"disagrees with a = {a} >= 0 ({quad.weights})"
+        )
     return quad
 
 
@@ -146,7 +150,11 @@ def ra_general_component(
     for i in range(1, n + 1):
         chi[i] = sum((-1) ** (i - j) * x[j - 1] for j in range(1, i + 1))
     for i in range(1, n):
-        assert chi[i] + chi[i + 1] == x[i], "partial Euler characteristic identity"
+        if chi[i] + chi[i + 1] != x[i]:
+            raise AssertionError(
+                f"{tuple(fmt.f)} degrees {tuple(x)}: partial Euler characteristics "
+                f"chi^({i}) + chi^({i + 1}) = {chi[i] + chi[i + 1]}, not x^({i + 1}) = {x[i]}"
+            )
     out: List[Weight] = []
     for i in range(0, n + 1):
         if i == 0:
@@ -190,8 +198,9 @@ def mu_enumerate(fmt: ResolutionFormat, cutoff: int) -> List[MuIndex]:
 def ra_enumerate(
     fmt: ResolutionFormat, cutoff: int
 ) -> List[Tuple[MuIndex, GLWeightQuadruple]]:
-    """All R_a components within the cutoff; asserts multiplicity-freeness
-    and injectivity of the even (F_0, F_2) and odd (F_1, F_3) projections."""
+    """All R_a components within the cutoff; raises AssertionError unless
+    they are multiplicity-free and the even (F_0, F_2) and odd (F_1, F_3)
+    projections are injective."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     out = [
@@ -199,12 +208,16 @@ def ra_enumerate(
         for mu in mu_enumerate(fmt, cutoff)
         if in_ra(mu, fmt)
     ]
-    quads = [q.weights for _, q in out]
-    assert len(set(quads)) == len(quads), "multiplicity-freeness violated"
-    evens = [q.even for _, q in out]
-    odds = [q.odd for _, q in out]
-    assert len(set(evens)) == len(evens), "even projection not injective"
-    assert len(set(odds)) == len(odds), "odd projection not injective"
+    for what, keys in (
+        ("weight quadruple", [q.weights for _, q in out]),
+        ("even projection (F_0, F_2)", [q.even for _, q in out]),
+        ("odd projection (F_1, F_3)", [q.odd for _, q in out]),
+    ):
+        if len(set(keys)) != len(keys):
+            dup = next(k for k in keys if keys.count(k) > 1)
+            raise AssertionError(
+                f"{tuple(fmt.f)} R_a to degree {cutoff}: {what} {dup} occurs twice"
+            )
     return out
 
 
@@ -269,18 +282,23 @@ def homology_weights(fmt: ResolutionFormat, j: int, cutoff: int) -> HomologyRepo
     for i in range(1, j):
         psi[i] = (-1) ** (j - 1 - i)
     ys_min = [psi[i] + psi[i - 1] if i >= 2 else psi[1] for i in range(1, n + 1)]
-    assert all(v >= 0 for v in ys_min) and ys_min[j] == 0  # y^(j+1) = 0
+    if any(v < 0 for v in ys_min) or ys_min[j] != 0:  # y^(j+1) = 0
+        raise AssertionError(f"{tuple(fmt.f)} H_{j - 1}: minimal generator degrees {ys_min}")
     gen = _homology_weights_for(fmt, j, ys_min, [()] * n)
     # Up to maximal exterior powers of the other F_i, the generator is the
     # (r_{j-1}+1)-st exterior power of F_{j-1}.
     f_len = len(gen[j - 1])
     expected = (1,) * (fmt.r[j - 2] + 1) + (0,) * (f_len - fmt.r[j - 2] - 1)
-    assert gen[j - 1] == expected, (gen[j - 1], expected)
+    if gen[j - 1] != expected:
+        raise AssertionError(
+            f"{tuple(fmt.f)} H_{j - 1}: minimal generator weight {gen[j - 1]} "
+            f"on F_{j - 1}, expected {expected}"
+        )
     for idx, w in enumerate(gen):
-        if idx == j - 1:
-            continue
-        blocks = set(w)
-        assert len(blocks) <= 2, f"non-exterior twist on F_{idx}: {w}"
+        if idx != j - 1 and len(set(w)) > 2:
+            raise AssertionError(
+                f"{tuple(fmt.f)} H_{j - 1}: non-exterior twist on F_{idx}: {w}"
+            )
     return HomologyReport(components=components, minimal_generator=gen)
 
 
@@ -338,7 +356,8 @@ def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
     sigma, theta, tau, phi = quad.w3, quad.w2, quad.w1, quad.w0
     graph = TpqrGraph(*fmt.pqr)
     lam = lambda_from_sigma_tau(graph, sigma, tau, mu.a)
-    assert all(v >= 0 for v in lam), "lambda must be dominant when a >= 0"
+    if any(v < 0 for v in lam):
+        raise AssertionError(f"{tuple(fmt.f)} {mu}: lambda {lam} not dominant although a >= 0")
     # Round trip: chain differences plus the anchor tau_{p+q} = c - b - beta_1
     # reconstruct tau exactly.
     p, q = graph.p, graph.q
@@ -352,7 +371,11 @@ def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
     )
     for d in chain:
         rebuilt.append(rebuilt[-1] + d)
-    assert tuple(reversed(rebuilt)) == tau, (rebuilt, tau)
+    if tuple(reversed(rebuilt)) != tau:
+        raise AssertionError(
+            f"{tuple(fmt.f)} {mu}: tau rebuilt from lambda {lam} is "
+            f"{tuple(reversed(rebuilt))}, not {tau}"
+        )
     return RspecComponent(sigma=sigma, tau=tau, theta=theta, phi=phi, lam=lam)
 
 

@@ -46,7 +46,8 @@ def schur_dim(w: Sequence[int], n: int) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     dim = Fraction(num, den)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise AssertionError(f"GL({n}) weight {w}: Weyl dimension {dim} is not an integer")
     return int(dim)
 
 

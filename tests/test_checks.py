@@ -45,8 +45,8 @@ def test_suite_fails_under_python_O_when_a_formula_breaks():
 def test_generic_family_catches_a_broken_skew_pattern(monkeypatch):
     build = complexes.thm112_build
 
-    def negated_delta(r3, seed=None):
-        res = build(r3, seed)
+    def negated_delta(r3):
+        res = build(r3)
         delta = ExactMatrix([[-e for e in row] for row in res.delta.data])
         return dataclasses.replace(res, delta=delta)
 
@@ -66,6 +66,19 @@ def test_monomial_family_catches_a_wrong_generator_degree(monkeypatch):
     monkeypatch.setattr(complexes, "monomial_complex", extra_factor)
     with pytest.raises(CheckFailed, match=r"monomial family t=2: generator .* not of degree 2"):
         run_check("monomial-family")
+
+
+def test_d4_relation_catches_a_negated_product_entry(monkeypatch):
+    build = complexes.d4_split_model
+
+    def negated_b23():
+        m = build()
+        return dataclasses.replace(m, ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
+
+    monkeypatch.setattr(complexes, "d4_split_model", negated_b23)
+    with pytest.raises(CheckFailed, match=r"split D4: relation fails under the fixed normalization "
+                       r"\{'eps_c': 1, 'eps_p': 1, 'eps_v': 1, 'eps_split': -1\}; lhs .*, rhs "):
+        run_check("d4-relation")
 
 
 def test_ra_truncations_catch_a_repeated_component(monkeypatch):

@@ -150,3 +150,14 @@ def test_unread_options_are_not_accepted(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_d4_json_golden(capsys):
+    code, out = run(capsys, "verify-d4", "--json")
+    assert code == 0
+    assert out == (
+        '{"lhs": "b12*b34 - b13*b24 + b14*b23", '
+        '"normalization": {"eps_c": 1, "eps_p": 1, "eps_split": -1, "eps_v": 1}, '
+        '"ok": true, "pfaffian": "b12*b34 - b13*b24 + b14*b23", '
+        '"rhs": "b12*b34 - b13*b24 + b14*b23"}\n'
+    )

@@ -1,8 +1,12 @@
+import dataclasses
 from itertools import permutations
 
 import pytest
 
+from resatlas import complexes
 from resatlas.complexes import (
+    DELTA_SIGN_CONVENTION,
+    D4_NORMALIZATION,
     be_multipliers,
     be_rank_check,
     complex_to_json,
@@ -14,7 +18,7 @@ from resatlas.complexes import (
     thm112_build,
     verify_complex,
 )
-from resatlas.exact import MPoly, seeded_random_point
+from resatlas.exact import ExactMatrix, MPoly, seeded_random_point
 from resatlas.formats import derive_ranks
 
 
@@ -56,16 +60,29 @@ def test_thm112_family(r3):
     assert verify_complex(res.complex).ok
     rk = be_rank_check(res.complex, seed=11)
     assert rk.ok and rk.ranks == (1, 2, r3)
-    assert res.sign_convention == "(-1)^(i+j)"
+    assert DELTA_SIGN_CONVENTION == "(-1)^(i+j)"
     # Delta annihilates d_3 and is skew
     assert res.delta.matmul(res.complex.d(3)).is_zero()
     assert res.delta.add(res.delta.transpose()).is_zero()
 
 
 def test_thm112_seeded_build():
-    res = thm112_build(2, seed=5)
-    assert res.complex.differentials[0].is_numeric()
-    assert verify_complex(res.complex).ok
+    cx = thm112_build(2).complex
+    spec = cx.substitute(seeded_random_point(5, cx.variables))
+    assert spec.differentials[0].is_numeric()
+    assert verify_complex(spec).ok
+
+
+def test_thm112_rejects_a_delta_with_one_sign_flipped(monkeypatch):
+    minor = ExactMatrix.minor
+
+    def flip_first_rows(self, rows, cols):
+        value = minor(self, rows, cols)
+        return -value if list(rows) == [2] else value  # Delta_{01} negated
+
+    monkeypatch.setattr(ExactMatrix, "minor", flip_first_rows)
+    with pytest.raises(AssertionError, match=r"thm112\(r3=1\): Delta .* does not annihilate d_3"):
+        thm112_build(1)
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
@@ -104,8 +121,29 @@ def test_d4_split_model_tables():
 def test_d4_relation():
     rep = d4_relation_check()
     assert rep.ok
-    assert rep.normalization == {"eps_c": 1, "eps_p": 1, "eps_v": 1, "eps_split": -1}
+    assert rep.normalization == D4_NORMALIZATION
+    assert list(rep.normalization.items()) == [
+        ("eps_c", 1), ("eps_p", 1), ("eps_v", 1), ("eps_split", -1)
+    ]
     assert rep.lhs == rep.pfaffian and rep.rhs == rep.pfaffian
+
+
+def _negate_b23(m):
+    return dataclasses.replace(m, ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
+
+
+def _negate_c14(m):
+    return dataclasses.replace(m, ef={**m.ef, (4, 1): -m.ef[(4, 1)]})
+
+
+@pytest.mark.parametrize("break_model", [_negate_b23, _negate_c14], ids=["ee23", "ef41"])
+def test_d4_relation_fails_on_one_negated_table_entry(monkeypatch, break_model):
+    broken = break_model(d4_split_model())
+    monkeypatch.setattr(complexes, "d4_split_model", lambda: broken)
+    rep = d4_relation_check()
+    assert not rep.ok
+    assert rep.normalization == D4_NORMALIZATION
+    assert rep.lhs == rep.pfaffian and rep.rhs != rep.pfaffian
 
 
 def test_pfaffian_signed_s3_equivariance():

@@ -155,7 +155,7 @@ def test_ws_counts_d4():
 
 def test_kostant_anchor_t334():
     g = TpqrGraph(3, 3, 4)
-    weights = kostant_weights(g, g.S, 2)
+    weights = kostant_weights(g, g.S, 2)[2]
     dicts = sorted(
         (tuple(sorted((k, v) for k, v in g.labels_as_dict(w).items() if v)) for w in weights)
     )
