@@ -89,7 +89,7 @@ def _check_root_counts(budget: Budget) -> str:
 
 def _check_denominator_identity(budget: Budget) -> str:
     A = formats.tpqr_cartan_matrix(2, 3, 7)
-    mults = kacmoody.roots_by_denominator(A, 8)
+    mults = kacmoody.roots_by_peterson(A, 8)
     if not kacmoody.verify_denominator_identity(A, 8, mults):
         raise CheckFailed("T_{2,3,7}: denominator identity fails to height 8")
     return f"T_{{2,3,7}} multiplicities to height 8 re-verified ({len(mults)} roots)"

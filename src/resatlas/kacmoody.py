@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .formats import classify, tpqr_cartan_matrix
@@ -240,25 +241,94 @@ def _series_multiply_factor(
     return out
 
 
-def roots_by_denominator(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
-    """Positive-root multiplicities up to height H, solved recursively from
-    the truncated denominator identity."""
+def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
+    """Positive-root multiplicities up to height H by Peterson's recursion
+    (Kac, *Infinite-dimensional Lie algebras*, Ex. 11.11), height by height:
+
+        (beta|beta - 2 rho) c_beta = sum_{beta' + beta'' = beta} (beta'|beta'') c_beta' c_beta''
+
+    where c_beta = sum over d | beta of mult(beta/d)/d, for a symmetric A with
+    2 on the diagonal, so that (beta|2 rho) = 2 ht(beta).  The arithmetic is on
+    integers: L c_beta is stored for L = lcm(1..H).  Raises ArithmeticError
+    naming the root if a division is inexact or a multiplicity comes out
+    negative or non-integral.
+    """
     n = len(A)
-    target = weyl_denominator_sum(A, H)
-    product: Dict[Coords, int] = {(0,) * n: 1}
-    mults: Dict[Coords, int] = {}
-    for h in range(1, H + 1):
-        candidates = {b for b in product if sum(b) == h} | {b for b in target if sum(b) == h}
-        new_roots = []
-        for beta in sorted(candidates):
-            m = product.get(beta, 0) - target.get(beta, 0)
-            if m < 0:
-                raise AssertionError(f"negative multiplicity {m} at {beta}")
-            if m > 0:
+    if H < 1:
+        return {}
+    L = 1
+    for d in range(2, H + 1):
+        L = L * d // gcd(L, d)
+    # beta is keyed by sum beta_i B^i.  Up to height H every digit lies in
+    # [0, H] and B > 2H, so key(beta) - key(beta') is a key only when
+    # beta - beta' >= 0 componentwise: a borrowed difference matches none.
+    B = 2 * H + 2
+    unit = [B**i for i in range(n)]
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    mults: Dict[Coords, int] = {e: 1 for e in simple}
+    lc: Dict[int, int] = dict.fromkeys(unit, L)  # key -> L c_beta, on the support of c
+    # Per height: the support of c as (key, beta, (beta|beta), L c_beta), and the roots.
+    support: List[List[Tuple[int, Coords, int, int]]] = [[] for _ in range(H + 1)]
+    roots: List[List[Tuple[int, Coords]]] = [[] for _ in range(H + 1)]
+    support[1] = [(k, e, 2, L) for k, e in zip(unit, simple)]
+    roots[1] = list(zip(unit, simple))
+    for h in range(2, H + 1):
+        # A non-simple root is a root plus a simple root; c is also non-zero
+        # on the multiples d gamma of roots gamma.
+        candidates: Dict[int, Coords] = {}
+        for key, gamma in roots[h - 1]:
+            for i in range(n):
+                candidates[key + unit[i]] = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+        for d in range(2, h + 1):
+            if h % d == 0:
+                for key, gamma in roots[h // d]:
+                    candidates[d * key] = tuple(d * x for x in gamma)
+        # Each unequal pair is counted twice: once below h/2, or once from each side at h/2.
+        low = [
+            (k1, beta1, norm1, c1 if 2 * h1 == h else 2 * c1)
+            for h1 in range(1, h // 2 + 1)
+            for k1, beta1, norm1, c1 in support[h1]
+        ]
+        for key, beta in candidates.items():
+            a_beta = root_labels(A, beta)
+            rhs = 0
+            for k1, beta1, norm1, c1 in low:
+                c2 = lc.get(key - k1)
+                if c2 is not None:
+                    # (beta'|beta'') = (beta'|beta) - (beta'|beta')
+                    rhs += (sum(x * y for x, y in zip(beta1, a_beta)) - norm1) * c1 * c2
+            g = gcd(*beta)
+            multiple = sum(
+                L // d * mults.get(tuple(x // d for x in beta), 0)
+                for d in range(2, g + 1)
+                if g % d == 0
+            )
+            norm = sum(x * y for x, y in zip(beta, a_beta))
+            coef = norm - 2 * h
+            if coef == 0:
+                # Not a root: a non-simple root has (beta|beta) <= 2 < 2 ht(beta).
+                if rhs:
+                    raise ArithmeticError(
+                        f"Peterson recursion at {beta}: zero coefficient but pair sum {rhs}"
+                    )
+                c = multiple
+            else:
+                c, rem = divmod(rhs, coef * L)
+                if rem:
+                    raise ArithmeticError(
+                        f"Peterson recursion at {beta}: pair sum {rhs} not divisible by {coef * L}"
+                    )
+            m, rem = divmod(c - multiple, L)
+            if m < 0 or rem:
+                raise ArithmeticError(
+                    f"Peterson recursion at {beta}: multiplicity {Fraction(c - multiple, L)}"
+                )
+            if m:
                 mults[beta] = m
-                new_roots.append((beta, m))
-        for beta, m in new_roots:
-            product = _series_multiply_factor(product, beta, m, H)
+                roots[h].append((key, beta))
+            if c:
+                lc[key] = c
+                support[h].append((key, beta, norm, c))
     return mults
 
 
@@ -283,14 +353,14 @@ def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
 
     Finite type: the whole root system by reflection closure (all roots
     real, mult 1); H is ignored.  Otherwise H is required: the height cutoff
-    of the denominator-identity recursion.
+    of Peterson's recursion.
     """
     A = graph.cartan
     if graph.classify().finite:
         return [Root(c, 1) for c in finite_positive_roots(A)]
     if H is None:
         raise ValueError("non-finite type needs a height cutoff H")
-    mults = roots_by_denominator(A, H)
+    mults = roots_by_peterson(A, H)
     return [Root(c, mults[c]) for c in sorted(mults, key=lambda b: (sum(b), b))]
 
 
@@ -494,6 +564,11 @@ def character_series(
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)
+    # Per positive root alpha: (lam, alpha) and the labels A alpha.
+    root_data = [
+        (alpha, sum(lam[i] * alpha[i] for i in range(n)), root_labels(A, alpha))
+        for alpha in pos_roots
+    ]
     zero = (0,) * n
     mults: Dict[Coords, int] = {zero: 1}
     frontier = [zero]
@@ -512,7 +587,7 @@ def character_series(
             # alpha-strings through a weight are contiguous, so stop at the
             # first non-weight going up.
             num = 0
-            for alpha in pos_roots:
+            for alpha, lam_alpha, a_alpha in root_data:
                 k = 1
                 while True:
                     gamma = tuple(beta[j] - k * alpha[j] for j in range(n))
@@ -521,10 +596,7 @@ def character_series(
                     m = mults.get(gamma, 0)
                     if m == 0:
                         break
-                    a_alpha = [sum(A[i][j] * alpha[j] for j in range(n)) for i in range(n)]
-                    pairing = sum(lam[i] * alpha[i] for i in range(n)) - sum(
-                        gamma[i] * a_alpha[i] for i in range(n)
-                    )
+                    pairing = lam_alpha - sum(gamma[i] * a_alpha[i] for i in range(n))
                     num += pairing * m
                     k += 1
             if num == 0:

@@ -99,6 +99,32 @@ def test_be_multipliers_stop_when_no_seed_gives_full_rank(monkeypatch):
         run_check("be-multipliers")
 
 
+def test_denominator_identity_catches_one_wrong_multiplicity(monkeypatch):
+    assert run_check("denominator-identity") == (
+        "T_{2,3,7} multiplicities to height 8 re-verified (75 roots)"
+    )
+    solve = kacmoody.roots_by_peterson
+
+    def one_more(A, H):
+        mults = solve(A, H)
+        beta = next(b for b in mults if sum(b) > 1)
+        return {**mults, beta: mults[beta] + 1}
+
+    monkeypatch.setattr(kacmoody, "roots_by_peterson", one_more)
+    with pytest.raises(CheckFailed, match=r"T_\{2,3,7\}: denominator identity fails to height 8"):
+        run_check("denominator-identity")
+
+
+def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
+    assert run_check("root-counts") == (
+        "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
+    )
+    closure = kacmoody.finite_positive_roots
+    monkeypatch.setattr(kacmoody, "finite_positive_roots", lambda A: closure(A)[:-1])
+    with pytest.raises(CheckFailed, match=r"T_\{2,2,2\}: 11 positive roots, not 12"):
+        run_check("root-counts")
+
+
 def test_suite_reports_an_internal_error_as_that_checks_failure(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ValueError("internal boom")

@@ -161,3 +161,19 @@ def test_verify_d4_json_golden(capsys):
         '"ok": true, "pfaffian": "b12*b34 - b13*b24 + b14*b23", '
         '"rhs": "b12*b34 - b13*b24 + b14*b23"}\n'
     )
+
+
+def test_roots_and_defect_json_goldens_at_height_16(capsys):
+    code, out = run(capsys, "roots", "--pqr", "2", "3", "7", "--max-height", "16", "--json")
+    assert code == 0
+    assert out == (
+        '{"by_height": {"1": 10, "10": 10, "11": 11, "12": 11, "13": 12, "14": 12, '
+        '"15": 13, "16": 13, "2": 9, "3": 9, "4": 9, "5": 9, "6": 9, "7": 10, '
+        '"8": 10, "9": 10}, "class": "indefinite", "count": 167, "dim": null, '
+        '"max_mult": 1, "pqr": [2, 3, 7], "total_mult": 167}\n'
+    )
+    code, out = run(capsys, "defect", "--pqr", "2", "3", "7", "--max-height", "16", "--json")
+    assert code == 0
+    assert out == (
+        '{"dims": [60, 68, 14, 0], "exhaustive": false, "pqr": [2, 3, 7], "total": null}\n'
+    )

@@ -9,6 +9,7 @@ import pytest
 from resatlas.formats import tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
+    _series_multiply_factor,
     bgg_euler_check,
     bgg_initial_terms,
     character_series,
@@ -17,14 +18,16 @@ from resatlas.kacmoody import (
     dot_walk,
     enumerate_WS,
     enumerate_roots,
+    finite_positive_roots,
     fundamental_in_exterior_check,
     inversion_roots,
     kostant_weights,
     parabolic_verma_character,
     reflect,
     root_labels,
-    roots_by_denominator,
+    roots_by_peterson,
     verify_denominator_identity,
+    weyl_denominator_sum,
     weyl_dim,
     weyl_elements,
     weyl_kac_character,
@@ -46,10 +49,46 @@ def test_finite_root_counts():
     assert all(r.mult == 1 for r in enumerate_roots(TpqrGraph(5, 2, 3)))
 
 
+def roots_by_denominator(A, H):
+    """Positive-root multiplicities up to height H, solved height by height
+    from the truncated Weyl denominator identity; the oracle for
+    `roots_by_peterson`."""
+    n = len(A)
+    target = weyl_denominator_sum(A, H)
+    product = {(0,) * n: 1}
+    mults = {}
+    for h in range(1, H + 1):
+        candidates = {b for b in product if sum(b) == h} | {b for b in target if sum(b) == h}
+        new_roots = []
+        for beta in sorted(candidates):
+            m = product.get(beta, 0) - target.get(beta, 0)
+            assert m >= 0, (beta, m)
+            if m > 0:
+                mults[beta] = m
+                new_roots.append((beta, m))
+        for beta, m in new_roots:
+            product = _series_multiply_factor(product, beta, m, H)
+    return mults
+
+
+@pytest.mark.parametrize(
+    "pqr, H", [((2, 3, 7), 12), ((3, 3, 3), 12), ((2, 4, 5), 10), ((2, 4, 4), 10)]
+)
+def test_peterson_equals_the_denominator_oracle(pqr, H):
+    A = tpqr_cartan_matrix(*pqr)
+    assert roots_by_peterson(A, H) == roots_by_denominator(A, H)
+
+
 def test_recursion_agrees_with_closure_on_finite():
-    g = TpqrGraph(2, 2, 2)
-    closure = {r.coords: r.mult for r in enumerate_roots(g)}
-    assert closure == roots_by_denominator(g.cartan, 12)
+    # D4, E6, E7, E8; the highest roots have heights 5, 11, 17, 29.
+    for pqr, top in [((2, 2, 2), 5), ((3, 3, 2), 11), ((2, 3, 4), 17), ((5, 2, 3), 29)]:
+        A = TpqrGraph(*pqr).cartan
+        closure = {c: 1 for c in finite_positive_roots(A)}
+        assert max(sum(c) for c in closure) == top
+        for H in (top, top + 3):
+            assert roots_by_peterson(A, H) == closure, (pqr, H)
+    d4 = TpqrGraph(2, 2, 2).cartan
+    assert roots_by_denominator(d4, 12) == {c: 1 for c in finite_positive_roots(d4)}
 
 
 def test_finite_roots_ignore_the_height_cutoff():
@@ -59,11 +98,26 @@ def test_finite_roots_ignore_the_height_cutoff():
 
 def test_affine_null_root_multiplicity():
     g = TpqrGraph(3, 3, 3)
-    mults = roots_by_denominator(g.cartan, 12)
+    mults = roots_by_peterson(g.cartan, 12)
     # delta = alpha_u*3 + 2 on each arm-adjacent vertex + 1 on each arm end
     delta = (3, 2, 1, 2, 1, 2, 1)
     assert mults[delta] == 6
     assert verify_denominator_identity(g.cartan, 12, mults)
+
+
+@pytest.mark.parametrize(
+    "A, message",
+    [
+        ([[1, -3], [-3, 1]], r"at \(3, 1\): multiplicity 11/12"),
+        ([[1, -3], [-3, 3]], r"at \(3, 1\): pair sum -48000 not divisible by -840"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 4]], r"at \(2, 1, 1\): zero coefficient but pair sum"),
+    ],
+    ids=["non-integral", "inexact", "zero-coefficient"],
+)
+def test_peterson_names_the_root_where_the_recursion_breaks(A, message):
+    # None is symmetric with 2 on the diagonal, as (beta|2 rho) = 2 ht(beta) assumes.
+    with pytest.raises(ArithmeticError, match="Peterson recursion " + message):
+        roots_by_peterson(A, 6)
 
 
 def test_denominator_identity_rejects_a_negative_multiplicity():
@@ -75,7 +129,7 @@ def test_denominator_identity_rejects_a_negative_multiplicity():
 
 def test_indefinite_identity_verifies():
     A = tpqr_cartan_matrix(2, 3, 7)
-    mults = roots_by_denominator(A, 8)
+    mults = roots_by_peterson(A, 8)
     assert verify_denominator_identity(A, 8, mults)
     # all real roots at height 1 are simple
     n = len(A)
