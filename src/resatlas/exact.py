@@ -2,22 +2,30 @@
 
 Coefficients are Python ints (arbitrary precision) and `fractions.Fraction`
 (always reduced, positive denominator).  Polynomials are sparse dicts keyed by
-monomials; matrices support fraction-free elimination, symbolic determinants
-and rank at rational specializations.
+packed monomials; matrices support fraction-free elimination, symbolic
+determinants and rank at rational specializations.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from functools import reduce
+from operator import or_
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
-# A monomial is a sorted tuple of (variable index, positive exponent) pairs.
-Monomial = Tuple[Tuple[int, int], ...]
-
-_ONE_MONOMIAL: Monomial = ()
+# A monomial is one int of `_BITS`-wide fields: field 0 holds the total
+# degree and field i + 1 the exponent of registry variable i, so the product
+# of two monomials is their sum (Monagan and Pearce, "Sparse polynomial
+# multiplication and division in Maple 14", ISSAC 2009) and 0 is the
+# monomial 1.  No exponent exceeds the total degree, so keeping every degree
+# below `_DEGREE_LIMIT` keeps every field from carrying into the next one.
+_BITS = 16
+_DEGREE_LIMIT = 1 << _BITS
+_MASK = _DEGREE_LIMIT - 1
 
 
 class VarRegistry:
@@ -47,43 +55,68 @@ class VarRegistry:
 REGISTRY = VarRegistry()
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _unpack(m: int) -> List[Tuple[int, int]]:
+    """The (variable index, positive exponent) pairs of a monomial, in
+    registry order."""
+    pairs = []
+    idx = 0
+    m >>= _BITS
+    while m:
+        e = m & _MASK
+        if e:
+            pairs.append((idx, e))
+        m >>= _BITS
+        idx += 1
+    return pairs
 
 
-def _mono_key(m: Monomial):
+def _mono_key(m: int):
     # Graded lexicographic: compare total degree first, then exponents in
     # registry order (higher exponent on an earlier variable sorts first).
-    deg = _mono_degree(m)
-    expanded = []
-    for idx, e in m:
-        expanded.append((idx, -e))
-    return (-deg, tuple(expanded))
+    return (-(m & _MASK), tuple((idx, -e) for idx, e in _unpack(m)))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    merged = dict(a)
-    for idx, e in b:
-        merged[idx] = merged.get(idx, 0) + e
-    return tuple(sorted(merged.items()))
+def _max_degree(terms: Mapping[int, int]) -> int:
+    return max((m & _MASK for m in terms), default=0)
+
+
+def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: int = 1) -> None:
+    """Multiply-accumulate: add sign * a * b to the terms dict `out`.
+
+    `a` and `b` are terms dicts.  Coefficients that cancel to 0 stay in
+    `out` until `_poly` drops them.  Raises OverflowError before adding if a
+    product's degree could reach `_DEGREE_LIMIT`.
+    """
+    if _max_degree(a) + _max_degree(b) >= _DEGREE_LIMIT:
+        raise OverflowError(f"monomial degree would reach 2**{_BITS}")
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for ma, ca in a.items():
+        ca *= sign
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+
+
+def _poly(terms: Mapping[int, int]) -> "MPoly":
+    result = MPoly()
+    result.terms = {m: c for m, c in terms.items() if c}
+    return result
 
 
 class MPoly:
     """Sparse multivariate polynomial over the integers.
 
-    Terms are stored in a dict mapping monomial -> nonzero int coefficient.
-    Two polynomials are equal iff their term dicts are equal (canonical form:
-    no zero coefficients are ever stored).
+    Terms are stored in a dict mapping packed monomial -> nonzero int
+    coefficient.  Two polynomials are equal iff their term dicts are equal
+    (canonical form: no zero coefficients are ever stored).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None) -> None:
-        self.terms: Dict[Monomial, int] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None) -> None:
+        self.terms: Dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
@@ -93,16 +126,18 @@ class MPoly:
 
     @staticmethod
     def const(c: int) -> "MPoly":
-        return MPoly({_ONE_MONOMIAL: c} if c else {})
+        return MPoly({0: c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "MPoly":
         idx = REGISTRY.intern(name)
         if power < 0:
             raise ValueError("negative power")
+        if power >= _DEGREE_LIMIT:
+            raise OverflowError(f"power {power} of {name!r} reaches 2**{_BITS}")
         if power == 0:
             return MPoly.const(1)
-        return MPoly({((idx, power),): 1})
+        return MPoly({power << (_BITS * (idx + 1)) | power: 1})
 
     @staticmethod
     def coerce(value: "MPoly | int") -> "MPoly":
@@ -118,16 +153,12 @@ class MPoly:
         return not self.terms
 
     def variables(self) -> List[str]:
-        seen = set()
-        for mono in self.terms:
-            for idx, _ in mono:
-                seen.add(idx)
-        return sorted(REGISTRY.name(i) for i in seen)
+        # A field of the OR of all monomials is nonzero iff some monomial
+        # has that variable.
+        return sorted(REGISTRY.name(i) for i, _ in _unpack(reduce(or_, self.terms, 0)))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
+        return _max_degree(self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -158,23 +189,9 @@ class MPoly:
         return MPoly.coerce(other) + (-self)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
-        other = MPoly.coerce(other)
-        out: Dict[Monomial, int] = {}
-        if len(self.terms) > len(other.terms):
-            left, right = other, self
-        else:
-            left, right = self, other
-        for mono_a, coeff_a in left.terms.items():
-            for mono_b, coeff_b in right.terms.items():
-                mono = _mono_mul(mono_a, mono_b)
-                s = out.get(mono, 0) + coeff_a * coeff_b
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        result = MPoly()
-        result.terms = out
-        return result
+        out: Dict[int, int] = {}
+        _mac(out, self.terms, MPoly.coerce(other).terms)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -211,7 +228,7 @@ class MPoly:
         total = Fraction(0)
         for mono, coeff in self.terms.items():
             term = Fraction(coeff)
-            for idx, e in mono:
+            for idx, e in _unpack(mono):
                 if idx not in point:
                     raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
                 term *= point[idx] ** e
@@ -227,7 +244,7 @@ class MPoly:
         for mono in sorted(self.terms, key=_mono_key):
             coeff = self.terms[mono]
             factors = []
-            for idx, e in mono:
+            for idx, e in _unpack(mono):
                 name = REGISTRY.name(idx)
                 factors.append(name if e == 1 else f"{name}^{e}")
             if not factors:
@@ -254,6 +271,42 @@ def _is_numeric(value: Entry) -> bool:
     return isinstance(value, (int, Fraction))
 
 
+def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
+    """The sum of a * b over the pairs, as a running sum from int 0 would
+    give it, skipping pairs with an int 0 factor.  Products with an MPoly
+    factor accumulate into one terms dict; numeric ones stay int/Fraction,
+    and a Fraction does not mix with an MPoly (TypeError)."""
+    num: Entry = 0
+    terms: Optional[Dict[int, int]] = None
+    for a, b in pairs:
+        if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
+            continue
+        if isinstance(a, MPoly) or isinstance(b, MPoly):
+            if terms is None:
+                terms = {}
+            _mac(terms, MPoly.coerce(a).terms, MPoly.coerce(b).terms)
+        else:
+            num = num + a * b
+    if terms is None:
+        return num
+    _mac(terms, MPoly.coerce(num).terms, {0: 1})
+    return _poly(terms)
+
+
+def _entries_equal(a: Entry, b: Entry) -> bool:
+    """Exact equality of two matrix entries; an MPoly equals a number only
+    if it is that integer constant."""
+    if isinstance(b, MPoly):
+        a, b = b, a
+    if not isinstance(a, MPoly):
+        return Fraction(a) == Fraction(b)
+    if isinstance(b, Fraction):
+        if b.denominator != 1:
+            return False
+        b = b.numerator
+    return a == b
+
+
 class ExactMatrix:
     """Dense matrix with exact entries (int/Fraction or MPoly)."""
 
@@ -278,17 +331,11 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a, b = self.data[i][j], other.data[i][j]
-                if isinstance(a, MPoly) or isinstance(b, MPoly):
-                    if MPoly.coerce(a if isinstance(a, MPoly) else int(a)) != (
-                        b if isinstance(b, MPoly) else MPoly.const(int(b))
-                    ):
-                        return False
-                elif Fraction(a) != Fraction(b):
-                    return False
-        return True
+        return all(
+            _entries_equal(a, b)
+            for row_a, row_b in zip(self.data, other.data)
+            for a, b in zip(row_a, row_b)
+        )
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -296,20 +343,8 @@ class ExactMatrix:
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc: Entry = 0
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    b = other.data[k][j]
-                    if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out)
+        columns = [[row[j] for row in other.data] for j in range(other.cols)]
+        return ExactMatrix([[_dot(zip(row, col)) for col in columns] for row in self.data])
 
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -350,7 +385,7 @@ class ExactMatrix:
         for row in self.data:
             for e in row:
                 if isinstance(e, Fraction):
-                    denom = denom * e.denominator // _gcd(denom, e.denominator)
+                    denom = math.lcm(denom, e.denominator)
         m = [[int(Fraction(e) * denom) for e in row] for row in self.data]
         sign = 1
         prev = 1
@@ -386,14 +421,14 @@ class ExactMatrix:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-            acc = MPoly()
+            terms: Dict[int, int] = {}
             for pos, j in enumerate(cols):
                 coeff = entries[row][j]
                 if coeff.is_zero():
                     continue
                 rest = expand(row + 1, cols[:pos] + cols[pos + 1 :])
-                term = coeff * rest
-                acc = acc + term if pos % 2 == 0 else acc - term
+                _mac(terms, coeff.terms, rest.terms, -1 if pos % 2 else 1)
+            acc = _poly(terms)
             cache[key] = acc
             return acc
 
@@ -462,12 +497,6 @@ class ExactMatrix:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.data) + "]"
 
     __repr__ = __str__
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def seeded_random_point(seed: int, variables: Sequence[str]) -> Dict[str, Fraction]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,21 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
     assert out == (
         '{"dims": [60, 68, 14, 0], "exhaustive": false, "pqr": [2, 3, 7], "total": null}\n'
     )
+
+
+# Fresh-process stdout of symbolic commands, recorded before monomials were
+# packed into ints: printed term order must not change with the kernel.
+GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDENS))
+def test_fresh_process_stdout_matches_golden(command):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "resatlas.cli", *command.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDENS[command]

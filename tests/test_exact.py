@@ -1,7 +1,15 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from resatlas.exact import ExactMatrix, MPoly, seeded_random_point
+import pytest
+
+from resatlas import exact
+from resatlas.exact import _BITS, ExactMatrix, MPoly, seeded_random_point
 
 
 def test_mpoly_arithmetic_vs_substitution():
@@ -76,3 +84,210 @@ def test_matrix_ops():
     assert m.transpose().transpose() == m
     assert m.add(ExactMatrix([[-1, -2], [-3, -4]])).is_zero()
     assert not m.add(m).is_zero()
+
+
+def test_matrix_equality_is_exact_in_both_directions():
+    half = ExactMatrix([[Fraction(1, 2)]])
+    zero = ExactMatrix([[MPoly.const(0)]])
+    assert not half == zero
+    assert not zero == half
+    three = ExactMatrix([[Fraction(3)]])
+    assert three == ExactMatrix([[MPoly.const(3)]])
+    assert ExactMatrix([[MPoly.const(3)]]) == three
+    assert ExactMatrix([[MPoly.var("x")]]) != ExactMatrix([[1]])
+
+
+# -- oracle: the tuple-monomial kernel that packed monomials replaced -------
+#
+# A monomial is a sorted tuple of (registry index, positive exponent) pairs,
+# multiplied by merging through a dict and sorting.  Polynomials are dicts
+# monomial -> nonzero int coefficient.  `exact.REGISTRY` is read at call
+# time: the benchmark worker rebinds it between jobs.
+
+
+def _mono_mul(a, b):
+    merged = dict(a)
+    for idx, e in b:
+        merged[idx] = merged.get(idx, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _mono_key(m):
+    return (-sum(e for _, e in m), tuple((idx, -e) for idx, e in m))
+
+
+def _oracle_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_mul(p, q):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_str(p):
+    if not p:
+        return "0"
+    pieces = []
+    for mono in sorted(p, key=_mono_key):
+        coeff = p[mono]
+        factors = [
+            exact.REGISTRY.name(idx) if e == 1 else f"{exact.REGISTRY.name(idx)}^{e}" for idx, e in mono
+        ]
+        if not factors:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(coeff))] + factors)
+        pieces.append(("-" if coeff < 0 else "+", body))
+    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _oracle_substitute(p, point):
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        term = Fraction(coeff)
+        for idx, e in mono:
+            term *= point[exact.REGISTRY.name(idx)] ** e
+        total += term
+    return total
+
+
+# Interned out of name order, so registry order and name order differ.
+ORACLE_NAMES = ("ov3", "ov1", "ov4", "ov0", "ov2")
+
+
+def _random_pair(rng, max_terms=6, max_exp=11):
+    """A random polynomial built through the MPoly API, and the same
+    polynomial in the oracle's representation."""
+    poly = MPoly.const(0)
+    oracle = {}
+    for _ in range(rng.randint(0, max_terms)):
+        coeff = rng.randint(-4, 4)
+        term = MPoly.const(coeff)
+        mono = ()
+        for name in ORACLE_NAMES:
+            e = rng.choice((0, 0, 1, 2, max_exp))
+            if e:
+                term = term * MPoly.var(name, e)
+                mono = _mono_mul(mono, ((exact.REGISTRY.intern(name), e),))
+        poly = poly + term
+        oracle = _oracle_add(oracle, {mono: coeff})
+    return poly, oracle
+
+
+def test_packed_kernel_matches_the_tuple_oracle():
+    for name in ORACLE_NAMES:
+        MPoly.var(name)
+    rng = random.Random(20090728)
+    for _ in range(300):
+        p, op = _random_pair(rng)
+        q, oq = _random_pair(rng)
+        assert str(p) == _oracle_str(op)
+        assert str(p + q) == _oracle_str(_oracle_add(op, oq))
+        assert str(p * q) == _oracle_str(_oracle_mul(op, oq))
+        assert str(p * q - q * p) == "0"
+        assert (p * q).total_degree() == max((sum(e for _, e in m) for m in _oracle_mul(op, oq)), default=0)
+        assert p.variables() == sorted({exact.REGISTRY.name(i) for m in op for i, _ in m})
+        point = {name: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for name in ORACLE_NAMES}
+        assert (p * q).substitute(point) == _oracle_substitute(_oracle_mul(op, oq), point)
+
+
+def _random_entry(rng):
+    kind = rng.random()
+    if kind < 0.25:
+        return 0
+    if kind < 0.4:
+        return rng.randint(-3, 3)
+    return _random_pair(rng, max_terms=3, max_exp=2)[0]
+
+
+def test_matmul_and_det_match_sums_of_mpoly_products():
+    rng = random.Random(1402)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = [[_random_entry(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_random_entry(rng) for _ in range(m)] for _ in range(k)]
+        prod = ExactMatrix(a).matmul(ExactMatrix(b))
+        for i in range(n):
+            for j in range(m):
+                want = MPoly.const(0)
+                for t in range(k):
+                    want = want + MPoly.coerce(a[i][t]) * MPoly.coerce(b[t][j])
+                assert MPoly.coerce(prod.data[i][j]) == want
+        size = min(n, k)
+        sq = [[MPoly.coerce(e) for e in row[:size]] for row in a[:size]]
+        want = MPoly.const(0)
+        for perm in itertools.permutations(range(len(sq))):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+            term = MPoly.const(-1 if inversions % 2 else 1)
+            for i, j in enumerate(perm):
+                term = term * sq[i][j]
+            want = want + term
+        assert ExactMatrix(sq).det() == want
+
+
+def test_numeric_matmul_keeps_the_running_sum_types():
+    rng = random.Random(7)
+    pool = (0, 1, -2, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(0))
+    for _ in range(200):
+        a = [[rng.choice(pool) for _ in range(3)] for _ in range(2)]
+        b = [[rng.choice(pool) for _ in range(2)] for _ in range(3)]
+        prod = ExactMatrix(a).matmul(ExactMatrix(b))
+        for i in range(2):
+            for j in range(2):
+                acc = 0
+                for t in range(3):
+                    x, y = a[i][t], b[t][j]
+                    if (isinstance(x, int) and x == 0) or (isinstance(y, int) and y == 0):
+                        continue
+                    acc = acc + x * y
+                got = prod.data[i][j]
+                assert (type(got), got) == (type(acc), acc)
+
+
+# -- the degree field ---------------------------------------------------------
+
+
+def test_degree_past_the_field_raises():
+    with pytest.raises(OverflowError):
+        MPoly.var("x", 2**_BITS)
+    top = MPoly.var("x", 2**_BITS - 2) * MPoly.var("y")
+    assert top.total_degree() == 2**_BITS - 1
+    with pytest.raises(OverflowError):
+        top * MPoly.var("y")
+    with pytest.raises(OverflowError):
+        ExactMatrix([[top]]).matmul(ExactMatrix([[MPoly.var("y")]]))
+    with pytest.raises(OverflowError):
+        ExactMatrix([[top, MPoly.const(1)], [MPoly.const(1), MPoly.var("y")]]).det()
+
+
+def test_degree_overflow_raises_under_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from resatlas.exact import MPoly, _BITS\n"
+        "top = MPoly.var('x', 2**_BITS - 1)\n"
+        "try:\n"
+        "    top * MPoly.var('y')\n"
+        "except OverflowError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
