@@ -373,7 +373,6 @@ def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
 class WeylElem:
     word: Tuple[int, ...]        # leftmost letter first; acts right-to-left
     labels: Labels               # image of rho (canonical key)
-    inv_images: Tuple[Coords, ...]  # w^{-1}(alpha_j) in root coords, each j
 
     @property
     def length(self) -> int:
@@ -386,33 +385,33 @@ class WeylElem:
 
 def weyl_elements(graph: TpqrGraph, L: int) -> List[WeylElem]:
     """All elements of W of length <= L.  BFS by left multiplication,
-    canonicalized by the image of rho."""
-    A = graph.cartan
+    canonicalized by the image of rho: s_i w is longer than w exactly when
+    label i of w(rho) is positive.  Each edge applies s_i to the labels as
+    `reflect` does, from one adjacency read per call."""
+    adjacency = graph.adjacency
     n = graph.n
     rho = graph.rho()
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    identity = WeylElem(word=(), labels=rho, inv_images=tuple(simple))
-    seen: Dict[Labels, WeylElem] = {rho: identity}
+    identity = WeylElem(word=(), labels=rho)
+    seen: Set[Labels] = {rho}
     frontier = [identity]
     out = [identity]
     for _ in range(L):
         nxt = []
         for elem in frontier:
+            labels = elem.labels
             for i in range(n):
-                if elem.labels[i] <= 0:
+                old = labels[i]
+                if old <= 0:
                     continue  # s_i * w is shorter or equal
-                new_labels = reflect(graph, elem.labels, i)
+                new = list(labels)
+                new[i] = -old
+                for j in adjacency[i]:
+                    new[j] += old
+                new_labels = tuple(new)
                 if new_labels in seen:
                     continue
-                # (s_i w)^{-1} alpha_j = w^{-1}(s_i alpha_j)
-                #                      = inv_images[j] - A[i][j] * inv_images[i]
-                base = elem.inv_images
-                new_inv = tuple(
-                    tuple(base[j][k] - A[i][j] * base[i][k] for k in range(n))
-                    for j in range(n)
-                )
-                new_elem = WeylElem(word=(i,) + elem.word, labels=new_labels, inv_images=new_inv)
-                seen[new_labels] = new_elem
+                seen.add(new_labels)
+                new_elem = WeylElem(word=(i,) + elem.word, labels=new_labels)
                 out.append(new_elem)
                 nxt.append(new_elem)
         frontier = sorted(nxt, key=lambda e: e.labels)
@@ -439,9 +438,12 @@ def enumerate_WS(
     """Elements of W(S) (inversions all outside the Levi on S) up to length L,
     grouped by length.
 
-    Membership test: w^{-1}(alpha_j) > 0 for every j in S.  When `verify` is
-    set the inversion-set characterization (every root of Phi_w has positive
-    S-height) is checked too and must agree.
+    Membership test: label j of w(rho) is positive for every j in S.  That
+    is w^{-1}(alpha_j) > 0, because (w rho, alpha_j) = (rho, w^{-1} alpha_j)
+    and rho pairs to 1 with every simple root, so the label is the height of
+    the root w^{-1}(alpha_j), positive exactly when the root is.  When
+    `verify` is set the inversion-set characterization (every root of Phi_w
+    has positive S-height) is checked too and must agree.
     """
     S = set(S)
     if len(S) >= graph.n:
@@ -449,9 +451,7 @@ def enumerate_WS(
     outside = [i for i in range(graph.n) if i not in S]
     grouped: Dict[int, List[WeylElem]] = {}
     for elem in weyl_elements(graph, L):
-        member = all(
-            all(c >= 0 for c in elem.inv_images[j]) for j in S
-        )
+        member = all(elem.labels[j] > 0 for j in S)
         if verify:
             phi = inversion_roots(graph, elem.word)
             member2 = all(any(alpha[i] > 0 for i in outside) for alpha in phi)

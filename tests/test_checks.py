@@ -125,6 +125,35 @@ def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
         run_check("root-counts")
 
 
+def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
+    assert run_check("bgg-euler") == (
+        "D4 truncated BGG Euler identity holds for 0, w_z1, w_u (cutoff 4)"
+    )
+    enumerate_ws = kacmoody.enumerate_WS
+
+    def without_length_1(graph, S, L, verify=True):
+        grouped = enumerate_ws(graph, S, L, verify)
+        return {k: v for k, v in grouped.items() if k != 1}
+
+    monkeypatch.setattr(kacmoody, "enumerate_WS", without_length_1)
+    with pytest.raises(CheckFailed, match=r"D4 lambda \{'u': 0, 'x1': 0, 'y1': 0, 'z1': 0\}: "
+                       r"Euler identity fails at level 1"):
+        run_check("bgg-euler")
+
+
+def test_kostant_catches_a_dropped_length_2_element(monkeypatch):
+    assert run_check("kostant-length-2") == "T_{3,3,4} length-2 Kostant weights match both displays"
+    elements = kacmoody.weyl_elements
+
+    def without_s_z1_s_u(graph, L):
+        return [e for e in elements(graph, L) if e.word != (graph.z1, graph.u)]
+
+    monkeypatch.setattr(kacmoody, "weyl_elements", without_s_z1_s_u)
+    with pytest.raises(CheckFailed, match=r"T_\{3,3,4\} length-2 Kostant weights "
+                       r"\[\{'u': 2, 'z1': -3, 'z3': 1\}\], expected"):
+        run_check("kostant-length-2")
+
+
 def test_suite_reports_an_internal_error_as_that_checks_failure(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise ValueError("internal boom")

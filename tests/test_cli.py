@@ -183,8 +183,10 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
     )
 
 
-# Fresh-process stdout of symbolic commands, recorded before monomials were
-# packed into ints: printed term order must not change with the kernel.
+# Fresh-process stdout recorded before a kernel changed: the symbolic commands
+# before monomials were packed into ints (printed term order must not change
+# with the kernel), the E6 `bgg-check` and `kostant` before the Weyl BFS
+# dropped its per-element inverse images.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

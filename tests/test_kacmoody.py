@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from resatlas import kacmoody
 from resatlas.formats import tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
@@ -191,6 +192,65 @@ def test_dot_walk_drop_on_ws_d5():
                 check_walk(g, e.word, lam)
 
 
+def weyl_elements_with_inverse_images(graph, L):
+    """All (word, labels, inverse images) of W up to length L: the BFS of
+    `weyl_elements` with each element also carrying w^{-1}(alpha_j) for every
+    j, by (s_i w)^{-1} alpha_j = w^{-1} alpha_j - A[i][j] w^{-1} alpha_i, and
+    s_i acting on labels by the Cartan row, lambda - lambda_i A[i]; the oracle
+    for `weyl_elements` and for `enumerate_WS`'s label test."""
+    A = graph.cartan
+    n = graph.n
+    rho = graph.rho()
+    simple = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    identity = ((), rho, simple)
+    seen = {rho}
+    frontier = [identity]
+    out = [identity]
+    for _ in range(L):
+        nxt = []
+        for word, labels, inv in frontier:
+            for i in range(n):
+                if labels[i] <= 0:
+                    continue
+                new_labels = tuple(labels[k] - labels[i] * A[i][k] for k in range(n))
+                if new_labels in seen:
+                    continue
+                new_inv = tuple(
+                    tuple(inv[j][k] - A[i][j] * inv[i][k] for k in range(n)) for j in range(n)
+                )
+                seen.add(new_labels)
+                elem = ((i,) + word, new_labels, new_inv)
+                out.append(elem)
+                nxt.append(elem)
+        frontier = sorted(nxt, key=lambda e: e[1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "pqr, L",
+    [
+        ((2, 2, 2), None),
+        ((2, 2, 3), None),
+        ((3, 2, 2), None),
+        ((2, 2, 4), None),
+        ((3, 3, 2), None),
+        ((2, 3, 3), None),
+        ((3, 3, 3), 8),
+    ],
+    ids=["T222", "T223", "T322", "T224", "T332", "T233", "T333-L8"],
+)
+def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
+    g = TpqrGraph(*pqr)
+    if L is None:
+        L = len(enumerate_roots(g))  # the length of the longest element
+    oracle = weyl_elements_with_inverse_images(g, L)
+    assert [(e.word, e.labels) for e in weyl_elements(g, L)] == [(w, l) for w, l, _ in oracle]
+    for word, labels, inv in oracle:
+        for j in range(g.n):
+            # label j of w(rho) is the height of w^{-1}(alpha_j), a real root
+            assert (labels[j] > 0) == all(c >= 0 for c in inv[j]), (word, j)
+
+
 def test_inversion_roots_length():
     g = TpqrGraph(2, 2, 2)
     for e in weyl_elements(g, 4):
@@ -205,6 +265,15 @@ def test_ws_counts_d4():
     counts = [len(grouped.get(k, [])) for k in range(7)]
     assert counts == [1, 1, 1, 2, 1, 1, 1]
     assert sum(counts) == 8
+
+
+def test_enumerate_ws_verify_catches_a_dropped_inversion_root(monkeypatch):
+    g = TpqrGraph(2, 2, 2)
+    assert sum(len(v) for v in enumerate_WS(g, g.S, 12).values()) == 8
+    inversions = kacmoody.inversion_roots
+    monkeypatch.setattr(kacmoody, "inversion_roots", lambda graph, word: inversions(graph, word)[:-1])
+    with pytest.raises(AssertionError, match=r"W\(S\) membership tests disagree on word \(0,\)"):
+        enumerate_WS(g, g.S, 12)
 
 
 def test_kostant_anchor_t334():
