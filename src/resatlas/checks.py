@@ -92,6 +92,12 @@ def _check_denominator_identity(budget: Budget) -> str:
     mults = kacmoody.roots_by_peterson(A, 8)
     if not kacmoody.verify_denominator_identity(A, 8, mults):
         raise CheckFailed("T_{2,3,7}: denominator identity fails to height 8")
+    # An imaginary root: on affine E6^(1) = T_{3,3,3} the null root delta has
+    # multiplicity l = 6 (Kac, Cor. 7.4); T_{2,3,7} has none below height 8.
+    delta = (3, 2, 1, 2, 1, 2, 1)
+    m = kacmoody.roots_by_peterson(formats.tpqr_cartan_matrix(3, 3, 3), 12).get(delta, 0)
+    if m != 6:
+        raise CheckFailed(f"T_{{3,3,3}}: null root delta {delta} has multiplicity {m}, not 6")
     return f"T_{{2,3,7}} multiplicities to height 8 re-verified ({len(mults)} roots)"
 
 
@@ -122,7 +128,7 @@ def _check_defect_dims(budget: Budget) -> str:
 
 def _check_kostant(budget: Budget) -> str:
     graph = TpqrGraph(3, 3, 4)
-    weights = kacmoody.kostant_weights(graph, graph.S, 2)[2]
+    weights = kacmoody.kostant_weights(graph, 2)[2]
     dicts = [
         {k: v for k, v in graph.labels_as_dict(w).items() if v} for w in weights
     ]

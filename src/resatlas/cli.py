@@ -180,7 +180,7 @@ def cmd_kostant(args) -> int:
     graph = TpqrGraph(p, q, r)
     payload = {"pqr": [p, q, r], "layers": {}}
     lines = [f"Kostant homology weights for T_{{{p},{q},{r}}}, S = all but z1:"]
-    for k, weights in kacmoody.kostant_weights(graph, graph.S, args.length).items():
+    for k, weights in kacmoody.kostant_weights(graph, args.length).items():
         payload["layers"][str(k)] = [graph.labels_as_dict(w) for w in weights]
         lines.append(f"  length {k}: {len(weights)} component(s)")
         for w in weights:
@@ -193,11 +193,7 @@ def cmd_kostant(args) -> int:
 def cmd_bgg_check(args) -> int:
     p, q, r = args.pqr
     graph = TpqrGraph(p, q, r)
-    try:
-        lam = _parse_lam(graph, args.lam)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    lam = _parse_lam(graph, args.lam)
     layers = kacmoody.bgg_initial_terms(graph, lam)
     ok, bad = kacmoody.bgg_euler_check(graph, lam, args.cutoff)
     payload = {
@@ -406,17 +402,13 @@ def _parse_indices(raw: str) -> List[int]:
 
 def cmd_q1(args) -> int:
     fmt = derive_ranks(args.format)
-    try:
-        res = complexes.q1_coefficients(
-            fmt,
-            _parse_indices(args.I),
-            _parse_indices(args.J),
-            _parse_indices(args.K),
-            t=args.t,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    res = complexes.q1_coefficients(
+        fmt,
+        _parse_indices(args.I),
+        _parse_indices(args.J),
+        _parse_indices(args.K),
+        t=args.t,
+    )
     payload = {
         "format": list(fmt.f),
         "I": _parse_indices(args.I),

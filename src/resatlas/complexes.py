@@ -291,7 +291,8 @@ def thm112_build(r3: int) -> Thm112Result:
         raise AssertionError(
             f"thm112(r3={r3}): Delta with signs {DELTA_SIGN_CONVENTION} does not annihilate d_3"
         )
-    M = Bm.transpose().matmul(delta).matmul(Bm)
+    d2 = Bm.transpose().matmul(delta)
+    M = d2.matmul(Bm)
     x1 = M.data[1][2]
     x2 = M.data[2][0]
     x3 = M.data[0][1]
@@ -303,7 +304,6 @@ def thm112_build(r3: int) -> Thm112Result:
             raise AssertionError(
                 f"thm112(r3={r3}): B^T Delta B entry {(i, j)} is {M.data[i][j]}, expected {want}"
             )
-    d2 = Bm.transpose().matmul(delta)
     d1 = ExactMatrix([[a1 * x1, a1 * x2, a1 * x3]])
     fmt = derive_ranks([1, 3, f2, r3])
     variables = tuple(

@@ -3,8 +3,10 @@
 Everything lives on the tree T_{p,q,r}: a central vertex `u` with three arms
 of p-1, q-1, r-1 vertices.  Vertices are indexed 0-based internally in the
 order u, x_1..x_{p-1}, y_1..y_{q-1}, z_1..z_{r-1}; `z_1` (index p+q-1) is the
-distinguished vertex whose coefficient defines the S-height grading, where
-S = all vertices except z_1.
+distinguished vertex whose coefficient defines the S-height grading.  The
+parabolic subset is fixed: S = all vertices except z_1 (`TpqrGraph.S`), so
+W^S, Kostant weights, Levi characters and parabolic Vermas take it from the
+graph rather than as an argument.
 
 Weights are integer label tuples (fundamental-weight coordinates); roots are
 integer coefficient tuples over the simple roots.  The Cartan matrix is
@@ -378,10 +380,6 @@ class WeylElem:
     def length(self) -> int:
         return len(self.word)
 
-    @property
-    def sign(self) -> int:
-        return -1 if self.length % 2 else 1
-
 
 def weyl_elements(graph: TpqrGraph, L: int) -> List[WeylElem]:
     """All elements of W of length <= L.  BFS by left multiplication,
@@ -418,67 +416,37 @@ def weyl_elements(graph: TpqrGraph, L: int) -> List[WeylElem]:
     return out
 
 
-def inversion_roots(graph: TpqrGraph, word: Sequence[int]) -> List[Coords]:
-    """Phi_w = {alpha > 0 : w^{-1} alpha < 0} from a reduced word
-    w = s_{i1}...s_{il}: the roots s_{i1}...s_{i_{k-1}}(alpha_{i_k})."""
-    A = graph.cartan
-    n = graph.n
-    out = []
-    for k, ik in enumerate(word):
-        alpha = tuple(1 if j == ik else 0 for j in range(n))
-        for i in reversed(word[:k]):
-            alpha = reflect_root(A, alpha, i)
-        out.append(alpha)
-    return out
-
-
-def enumerate_WS(
-    graph: TpqrGraph, S: Sequence[int], L: int, verify: bool = True
-) -> Dict[int, List[WeylElem]]:
-    """Elements of W(S) (inversions all outside the Levi on S) up to length L,
+def enumerate_WS(graph: TpqrGraph, L: int) -> Dict[int, List[WeylElem]]:
+    """Elements of W^S (inversions all outside the Levi on S) up to length L,
     grouped by length.
 
     Membership test: label j of w(rho) is positive for every j in S.  That
     is w^{-1}(alpha_j) > 0, because (w rho, alpha_j) = (rho, w^{-1} alpha_j)
     and rho pairs to 1 with every simple root, so the label is the height of
-    the root w^{-1}(alpha_j), positive exactly when the root is.  When
-    `verify` is set the inversion-set characterization (every root of Phi_w
-    has positive S-height) is checked too and must agree.
+    the root w^{-1}(alpha_j), positive exactly when the root is
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4).
     """
-    S = set(S)
-    if len(S) >= graph.n:
-        raise ValueError("S must be a proper subset of the vertices")
-    outside = [i for i in range(graph.n) if i not in S]
+    S = graph.S
     grouped: Dict[int, List[WeylElem]] = {}
     for elem in weyl_elements(graph, L):
-        member = all(elem.labels[j] > 0 for j in S)
-        if verify:
-            phi = inversion_roots(graph, elem.word)
-            member2 = all(any(alpha[i] > 0 for i in outside) for alpha in phi)
-            if member != member2:
-                raise AssertionError(
-                    f"W(S) membership tests disagree on word {elem.word}"
-                )
-        if member:
+        if all(elem.labels[j] > 0 for j in S):
             grouped.setdefault(elem.length, []).append(elem)
     for bucket in grouped.values():
         bucket.sort(key=lambda e: e.labels)
     return grouped
 
 
-def kostant_weights(
-    graph: TpqrGraph, S: Sequence[int], L: int
-) -> Dict[int, List[Labels]]:
+def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
     """Highest weights of the Lie algebra homology of the nilradical, by
-    degree k = 0..L: {w rho - rho : w in W(S), l(w) = k}, each dominant on
+    degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, each dominant on
     S."""
-    grouped = enumerate_WS(graph, S, L)
+    grouped = enumerate_WS(graph, L)
     out: Dict[int, List[Labels]] = {}
     for k in range(L + 1):
         out[k] = []
         for elem in grouped.get(k, []):
             weight = tuple(x - 1 for x in elem.labels)
-            for j in S:
+            for j in graph.S:
                 if weight[j] < 0:
                     raise AssertionError(
                         f"{graph}: Kostant weight {weight} of word {elem.word} "
@@ -531,36 +499,29 @@ def defect_graded_dims(
 # ---------------------------------------------------------------------------
 
 
-def character_series(
-    graph: TpqrGraph, lam: Labels, levi: Optional[Sequence[int]] = None
-) -> Dict[Coords, int]:
+def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[Coords, int]:
     """Weight multiplicities of the irreducible with highest weight `lam`,
     keyed by the drop lam - weight in root coordinates, via Freudenthal's
     recursion (only touches actual weights of the representation).
 
     With `levi` set, computes the finite-dimensional irreducible of the Levi
-    subalgebra on those vertices (lam need only be dominant there).
+    subalgebra on S (lam need only be dominant there).
     """
     A = graph.cartan
     n = graph.n
-    if levi is None:
+    if levi:
+        gens = list(graph.S)
+    else:
         if not graph.classify().finite:
             raise ValueError("full characters require finite type")
         gens = list(range(n))
-    else:
-        gens = sorted(levi)
     for i in gens:
         if lam[i] < 0:
             raise ValueError(f"weight not dominant on vertex {i}")
-    if levi is None:
-        pos_roots = [root.coords for root in enumerate_roots(graph)]
+    if levi:
+        pos_roots = [c for c in finite_positive_roots(A) if c[graph.z1] == 0]
     else:
-        sub = set(gens)
-        pos_roots = [
-            c
-            for c in finite_positive_roots(A)
-            if all(c[i] == 0 for i in range(n) if i not in sub)
-        ]
+        pos_roots = [root.coords for root in enumerate_roots(graph)]
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)
@@ -631,9 +592,7 @@ def weyl_dim(graph: TpqrGraph, lam: Labels) -> int:
     return int(d)
 
 
-def weyl_kac_character(
-    graph: TpqrGraph, lam: Labels, cutoff: int, S: Optional[Sequence[int]] = None
-) -> Tuple[Tuple[int, ...], int]:
+def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tuple[int, ...], int]:
     """ht^S-graded dimensions (levels 0..cutoff) and total dimension of the
     finite-type irreducible V(lam); grading counts the z_1 coefficient of the
     drop from the highest weight."""
@@ -661,17 +620,12 @@ def _truncate_sheight(series: Dict[Coords, int], z1: int, cutoff: int) -> Dict[C
     return {b: c for b, c in series.items() if b[z1] <= cutoff}
 
 
-def parabolic_verma_series(
-    graph: TpqrGraph, S: Sequence[int], mu: Labels, cutoff: int
-) -> Dict[Coords, int]:
+def parabolic_verma_series(graph: TpqrGraph, mu: Labels, cutoff: int) -> Dict[Coords, int]:
     """Character of the parabolic Verma module with highest weight mu, as a
     series keyed by the drop mu - weight in root coords, truncated at
     S-height <= cutoff.  Finite type only (root set must be finite)."""
-    z1_set = [i for i in range(graph.n) if i not in set(S)]
-    if len(z1_set) != 1:
-        raise ValueError("S must omit exactly one vertex")
-    z1 = z1_set[0]
-    levi_char = character_series(graph, mu, levi=S)
+    z1 = graph.z1
+    levi_char = character_series(graph, mu, levi=True)
     roots = enumerate_roots(graph)
     nilradical = [root.coords for root in roots if root.coords[z1] > 0]
     series = levi_char
@@ -694,13 +648,11 @@ def parabolic_verma_series(
     return _truncate_sheight(series, z1, cutoff)
 
 
-def parabolic_verma_character(
-    graph: TpqrGraph, S: Sequence[int], mu: Labels, cutoff: int
-) -> Tuple[int, ...]:
+def parabolic_verma_character(graph: TpqrGraph, mu: Labels, cutoff: int) -> Tuple[int, ...]:
     """ht^S-graded dimensions (levels 0..cutoff) of the parabolic Verma
     module with highest weight mu."""
-    z1 = next(i for i in range(graph.n) if i not in set(S))
-    series = parabolic_verma_series(graph, S, mu, cutoff)
+    z1 = graph.z1
+    series = parabolic_verma_series(graph, mu, cutoff)
     dims = [0] * (cutoff + 1)
     for beta, c in series.items():
         dims[beta[z1]] += c
@@ -771,11 +723,10 @@ def bgg_euler_check(
     verdict and the first discrepant S-level (None if equal)."""
     if not graph.classify().finite:
         raise ValueError("finite type required")
-    S = graph.S
     z1 = graph.z1
     n = graph.n
     max_len = len(enumerate_roots(graph))  # longest element length bound
-    grouped = enumerate_WS(graph, S, max_len, verify=False)
+    grouped = enumerate_WS(graph, max_len)
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
@@ -783,7 +734,7 @@ def bgg_euler_check(
             mu, gamma = dot_walk(graph, elem.word, lam)
             if gamma[z1] > cutoff:
                 continue
-            series = parabolic_verma_series(graph, S, mu, cutoff - gamma[z1])
+            series = parabolic_verma_series(graph, mu, cutoff - gamma[z1])
             for beta, c in series.items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c

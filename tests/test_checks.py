@@ -115,6 +115,20 @@ def test_denominator_identity_catches_one_wrong_multiplicity(monkeypatch):
         run_check("denominator-identity")
 
 
+def test_denominator_identity_catches_a_wrong_imaginary_multiplicity(monkeypatch):
+    solve = kacmoody.roots_by_peterson
+
+    def one_more_on_imaginary_roots(A, H):
+        mults = solve(A, H)
+        norm = lambda b: sum(x * y for x, y in zip(b, kacmoody.root_labels(A, b)))
+        return {b: m + 1 if norm(b) <= 0 else m for b, m in mults.items()}
+
+    monkeypatch.setattr(kacmoody, "roots_by_peterson", one_more_on_imaginary_roots)
+    with pytest.raises(CheckFailed, match=r"T_\{3,3,3\}: null root delta \(3, 2, 1, 2, 1, 2, 1\) "
+                       r"has multiplicity 7, not 6"):
+        run_check("denominator-identity")
+
+
 def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
     assert run_check("root-counts") == (
         "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
@@ -131,8 +145,8 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
     )
     enumerate_ws = kacmoody.enumerate_WS
 
-    def without_length_1(graph, S, L, verify=True):
-        grouped = enumerate_ws(graph, S, L, verify)
+    def without_length_1(graph, L):
+        grouped = enumerate_ws(graph, L)
         return {k: v for k, v in grouped.items() if k != 1}
 
     monkeypatch.setattr(kacmoody, "enumerate_WS", without_length_1)

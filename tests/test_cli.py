@@ -59,8 +59,9 @@ def test_kostant_command(capsys):
 def test_bgg_check_pass_and_fail_codes(capsys):
     code, out = run(capsys, "bgg-check", "--pqr", "2", "2", "2", "--lam", "w:z1")
     assert code == 0 and "PASS" in out
-    code2, _ = run(capsys, "bgg-check", "--pqr", "2", "2", "2", "--lam", "w:bogus")
+    code2 = main(["bgg-check", "--pqr", "2", "2", "2", "--lam", "w:bogus"])
     assert code2 == 2
+    assert capsys.readouterr().err == "unknown vertex 'bogus'; choices: ['u', 'x1', 'y1', 'z1']\n"
 
 
 def test_ra_decompose(capsys):
@@ -100,6 +101,7 @@ def test_q1_command(capsys):
 def test_q1_command_bad_indices(capsys):
     code = main(["q1", "--format", "1", "4", "4", "1", "--I", "1", "--J", "3", "--K", "4"])
     assert code == 2
+    assert capsys.readouterr().err == "index sets have wrong sizes\n"
 
 
 def test_suite_json(capsys):
@@ -186,7 +188,8 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # Fresh-process stdout recorded before a kernel changed: the symbolic commands
 # before monomials were packed into ints (printed term order must not change
 # with the kernel), the E6 `bgg-check` and `kostant` before the Weyl BFS
-# dropped its per-element inverse images.
+# dropped its per-element inverse images, and the README's text-mode
+# `kostant` and `bgg-check` before S became fixed to the graph's.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

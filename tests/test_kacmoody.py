@@ -21,10 +21,10 @@ from resatlas.kacmoody import (
     enumerate_roots,
     finite_positive_roots,
     fundamental_in_exterior_check,
-    inversion_roots,
     kostant_weights,
     parabolic_verma_character,
     reflect,
+    reflect_root,
     root_labels,
     roots_by_peterson,
     verify_denominator_identity,
@@ -184,7 +184,7 @@ def test_dot_walk_drop_on_all_of_w_d4():
 
 def test_dot_walk_drop_on_ws_d5():
     g = TpqrGraph(2, 2, 3)
-    grouped = enumerate_WS(g, g.S, 6, verify=False)
+    grouped = enumerate_WS(g, 6)
     assert sum(len(v) for v in grouped.values()) == 20  # of |W(D5)| / |W(A3 x A1)| = 40
     for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.z(2))]:
         for elems in grouped.values():
@@ -251,34 +251,68 @@ def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
             assert (labels[j] > 0) == all(c >= 0 for c in inv[j]), (word, j)
 
 
-def test_inversion_roots_length():
+def inversion_roots(graph, word):
+    """Phi_w = {alpha > 0 : w^{-1} alpha < 0} from a reduced word
+    w = s_{i1}...s_{il}: the roots s_{i1}...s_{i_{k-1}}(alpha_{i_k})."""
+    A = graph.cartan
+    n = graph.n
+    out = []
+    for k, ik in enumerate(word):
+        alpha = tuple(1 if j == ik else 0 for j in range(n))
+        for i in reversed(word[:k]):
+            alpha = reflect_root(A, alpha, i)
+        out.append(alpha)
+    return out
+
+
+def ws_by_inversion_sets(graph, L):
+    """W^S up to length L by its definition, grouped and ordered as
+    `enumerate_WS` groups it: the w whose inversion roots all have a positive
+    z_1 coefficient, from the inverse-image BFS oracle."""
+    grouped = {}
+    for word, labels, _ in weyl_elements_with_inverse_images(graph, L):
+        if all(alpha[graph.z1] > 0 for alpha in inversion_roots(graph, word)):
+            grouped.setdefault(len(word), []).append((word, labels))
+    return {k: sorted(v, key=lambda e: e[1]) for k, v in grouped.items()}
+
+
+def ws_words(grouped):
+    return {k: [(e.word, e.labels) for e in v] for k, v in grouped.items()}
+
+
+@pytest.mark.parametrize(
+    "pqr, L", [((2, 2, 2), 12), ((2, 2, 3), 20), ((3, 3, 2), 8)], ids=["D4", "D5", "E6-L8"]
+)
+def test_enumerate_ws_equals_the_inversion_set_definition(pqr, L):
+    g = TpqrGraph(*pqr)
+    for word, _, _ in weyl_elements_with_inverse_images(g, L):
+        assert len(set(inversion_roots(g, word))) == len(word)  # |Phi_w| = l(w)
+    assert ws_words(enumerate_WS(g, L)) == ws_by_inversion_sets(g, L)
+
+
+def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     g = TpqrGraph(2, 2, 2)
-    for e in weyl_elements(g, 4):
-        phi = inversion_roots(g, e.word)
-        assert len(phi) == e.length
-        assert len(set(phi)) == e.length
+    elements = kacmoody.weyl_elements
+    monkeypatch.setattr(
+        kacmoody, "weyl_elements", lambda graph, L: [e for e in elements(graph, L) if e.word != (g.z1,)]
+    )
+    grouped = ws_words(enumerate_WS(g, 12))
+    oracle = ws_by_inversion_sets(g, 12)
+    assert grouped != oracle
+    assert [k for k in oracle if grouped.get(k) != oracle[k]] == [1]
 
 
 def test_ws_counts_d4():
     g = TpqrGraph(2, 2, 2)
-    grouped = enumerate_WS(g, g.S, 12)
+    grouped = enumerate_WS(g, 12)
     counts = [len(grouped.get(k, [])) for k in range(7)]
     assert counts == [1, 1, 1, 2, 1, 1, 1]
     assert sum(counts) == 8
 
 
-def test_enumerate_ws_verify_catches_a_dropped_inversion_root(monkeypatch):
-    g = TpqrGraph(2, 2, 2)
-    assert sum(len(v) for v in enumerate_WS(g, g.S, 12).values()) == 8
-    inversions = kacmoody.inversion_roots
-    monkeypatch.setattr(kacmoody, "inversion_roots", lambda graph, word: inversions(graph, word)[:-1])
-    with pytest.raises(AssertionError, match=r"W\(S\) membership tests disagree on word \(0,\)"):
-        enumerate_WS(g, g.S, 12)
-
-
 def test_kostant_anchor_t334():
     g = TpqrGraph(3, 3, 4)
-    weights = kostant_weights(g, g.S, 2)[2]
+    weights = kostant_weights(g, 2)[2]
     dicts = sorted(
         (tuple(sorted((k, v) for k, v in g.labels_as_dict(w).items() if v)) for w in weights)
     )
@@ -352,8 +386,8 @@ def test_weyl_dim_matches_series():
 def test_parabolic_verma_level_zero_is_levi():
     g = TpqrGraph(2, 2, 2)
     mu = g.fundamental_weight(g.u)
-    dims = parabolic_verma_character(g, g.S, mu, 2)
-    levi = character_series(g, mu, levi=g.S)
+    dims = parabolic_verma_character(g, mu, 2)
+    levi = character_series(g, mu, levi=True)
     assert dims[0] == sum(levi.values())
 
 

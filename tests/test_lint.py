@@ -1,7 +1,10 @@
-"""No module of the package contains an `assert` statement (`python -O`
-strips them); checks raise explicitly instead."""
+"""Source lints: no module of the package contains an `assert` statement
+(`python -O` strips them; checks raise explicitly instead), and every public
+function, method and property is used somewhere."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,3 +17,90 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def _docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def _references(tree):
+    """Counter of (kind, identifier) for every use in a tree: "name" for a
+    bare name, "attr" for an attribute, "str" for an identifier inside a
+    string constant other than a docstring (`monkeypatch.setattr(module,
+    "name", ...)`, code run by a subprocess)."""
+    docstrings = {id(n) for n in _docstrings(tree)}
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses["name", node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses["attr", node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                uses.update(("str", word) for word in re.findall(r"[A-Za-z_]\w*", node.value))
+    return uses
+
+
+def _public_definitions(tree):
+    """(qualified name, node, the kinds of use that count) for the public
+    module-level functions and the public methods and properties: a method
+    is used only as an attribute, so a local variable of the same name is
+    not a use."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, ("name", "attr", "str")
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, ("attr",)
+
+
+def dead_names(src=SRC, tests=SRC.parents[1] / "tests"):
+    """Public functions, methods and properties of the package that nothing in
+    the package or its tests uses, apart from their own definition and the
+    re-exports in `__init__`."""
+    modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    uses = Counter()
+    trees = {}
+    for path in modules + sorted(tests.glob("*.py")):
+        trees[path] = ast.parse(path.read_text(), filename=str(path))
+        uses += _references(trees[path])
+    dead = []
+    for path in modules:
+        for qualname, node, kinds in _public_definitions(trees[path]):
+            own = _references(node)
+            if not any(uses[kind, node.name] > own[kind, node.name] for kind in kinds):
+                dead.append(f"{path.stem}.{qualname}")
+    return dead
+
+
+def test_every_public_name_is_used():
+    assert dead_names() == []
+
+
+def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "__init__.py").write_text("from .mod import unused\n")
+    (src / "mod.py").write_text(
+        "class C:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        '        """unused: a docstring is not a use"""\n'
+        "        return self.size\n"
+        "\n"
+        "def used():\n"
+        "    size = 1\n"
+        "    return size\n"
+        "\n"
+        "def unused():\n"
+        "    return unused()\n"
+    )
+    (tests / "test_mod.py").write_text("from mod import used\n\ndef test_used():\n    used()\n")
+    assert dead_names(src, tests) == ["mod.C.size", "mod.unused"]
