@@ -4,8 +4,14 @@ Deterministic text and JSON reporting over the library: format analysis,
 root/defect/Kostant/BGG computations, coordinate-ring decompositions, the
 explicit complex builders, and the full verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.  A suite
-check that hits an internal error is reported as failed.
+Each subcommand `cmd_*` returns its payload, the dict that `--json` prints.
+Its renderer `text_*` builds the text lines from that payload alone, plus
+the options the command line echoes.  `main` prints one or the other and is
+the only place that sets the exit code.
+
+Exit codes: 0 success, 1 when the payload's verdict (`ok`, else `euler_ok`)
+is false, 2 invalid input.  A suite check that hits an internal error is
+reported as failed.
 """
 
 from __future__ import annotations
@@ -25,24 +31,10 @@ from .formats import derive_ranks
 from .kacmoody import TpqrGraph
 
 
-def _budget_from_env() -> Budget:
-    raw = os.environ.get("RESATLAS_BUDGET_MS")
-    return Budget(int(raw) if raw else None)
-
-
-def _emit(payload: Dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _fmt_or_exit(f: Sequence[int]):
+def _valid_format(f: Sequence[int]):
     fmt = derive_ranks(f)
     if not fmt.valid:
-        print(f"invalid format {tuple(f)}: {fmt.diagnosis}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"invalid format {tuple(f)}: {fmt.diagnosis}")
     return fmt
 
 
@@ -73,18 +65,36 @@ def _mu_json(mu: rings.MuIndex) -> Dict:
     }
 
 
+def _mu_text(mu: Dict, sep: str) -> str:
+    """`a=1<sep>...<sep>gamma=(2,)` from a `_mu_json` payload."""
+    return sep.join(f"{k}={tuple(v) if isinstance(v, list) else v}" for k, v in mu.items())
+
+
+def _family_json(g: rings.GeneratorFamily) -> Dict:
+    return {
+        "number": g.number,
+        "description": g.description,
+        "present": g.present,
+        "interpretation": g.interpretation,
+        "note": g.note,
+    }
+
+
+def _graph_name(pqr: Sequence[int]) -> str:
+    return "T_{%d,%d,%d}" % tuple(pqr)
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands and their text renderers
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    fmt = _fmt_or_exit(args.f)
+def cmd_analyze(args) -> Dict:
+    fmt = _valid_format(args.f)
     cls = formats.classify_format(fmt)
     p, q, r = fmt.pqr
     defect = kacmoody.defect_graded_dims(p, q, r, m_max=args.cutoff, max_height=args.max_height)
-    gens = rings.semigroup_generators(fmt)
-    payload = {
+    return {
         "format": list(fmt.f),
         "ranks": list(fmt.r),
         "r0": fmt.r0,
@@ -97,48 +107,40 @@ def cmd_analyze(args) -> int:
         "defect_total": defect.total,
         "defect_exhaustive": defect.exhaustive,
         "generator_families": [
-            {
-                "number": g.number,
-                "description": g.description,
-                "present": g.present,
-                "count": len(g.members),
-                "interpretation": g.interpretation,
-                "note": g.note,
-            }
-            for g in gens
+            {**_family_json(g), "count": len(g.members)} for g in rings.semigroup_generators(fmt)
         ],
     }
+
+
+def text_analyze(pl: Dict, args) -> List[str]:
     lines = [
-        f"format   {tuple(fmt.f)}  ranks r = {fmt.r}, r0 = {fmt.r0}",
-        f"graph    T_{{{p},{q},{r}}}  class {cls.kind}"
-        + (f" ({cls.dynkin})" if cls.dynkin else "")
-        + f"  signature {cls.signature}",
-        f"noetherian generic ring: {payload['noetherian']}",
-        f"defect dims (m = 1..{args.cutoff}): {list(defect.dims)}"
-        + (f"  total {defect.total}" if defect.exhaustive else "  (truncated)"),
+        f"format   {tuple(pl['format'])}  ranks r = {tuple(pl['ranks'])}, r0 = {pl['r0']}",
+        f"graph    {_graph_name(pl['pqr'])}  class {pl['class']}"
+        + (f" ({pl['dynkin']})" if pl["dynkin"] else "")
+        + f"  signature {tuple(pl['signature'])}",
+        f"noetherian generic ring: {pl['noetherian']}",
+        f"defect dims (m = 1..{args.cutoff}): {pl['defect_dims']}"
+        + (f"  total {pl['defect_total']}" if pl["defect_exhaustive"] else "  (truncated)"),
         "generator families:",
     ]
-    for g in gens:
-        status = f"{len(g.members)} members" if g.present else "absent"
-        lines.append(f"  [{g.number}] {g.description}: {status} -- {g.interpretation}")
-        if g.note:
-            lines.append(f"      note: {g.note}")
-    _emit(payload, args.json, lines)
-    return 0
+    for g in pl["generator_families"]:
+        status = f"{g['count']} members" if g["present"] else "absent"
+        lines.append(f"  [{g['number']}] {g['description']}: {status} -- {g['interpretation']}")
+        if g["note"]:
+            lines.append(f"      note: {g['note']}")
+    return lines
 
 
-def cmd_roots(args) -> int:
-    p, q, r = args.pqr
-    graph = TpqrGraph(p, q, r)
+def cmd_roots(args) -> Dict:
+    graph = TpqrGraph(*args.pqr)
     cls = graph.classify()
     roots = kacmoody.enumerate_roots(graph, H=args.max_height)
     by_height: Dict[int, int] = {}
-    total = 0
     for root in roots:
         by_height[root.height] = by_height.get(root.height, 0) + root.mult
-        total += root.mult
-    payload = {
-        "pqr": [p, q, r],
+    total = sum(by_height.values())
+    return {
+        "pqr": list(args.pqr),
         "class": cls.kind,
         "count": len(roots),
         "total_mult": total,
@@ -146,108 +148,111 @@ def cmd_roots(args) -> int:
         "by_height": {str(h): c for h, c in sorted(by_height.items())},
         "max_mult": max((root.mult for root in roots), default=0),
     }
-    lines = [
-        f"T_{{{p},{q},{r}}} ({cls.kind}): {len(roots)} positive roots, "
-        f"total multiplicity {total}"
-        + (f", dim g = {payload['dim']}" if cls.finite else f" up to height {args.max_height}"),
-        "mult by height: "
-        + " ".join(f"{h}:{c}" for h, c in sorted(by_height.items())),
+
+
+def text_roots(pl: Dict, args) -> List[str]:
+    return [
+        f"{_graph_name(pl['pqr'])} ({pl['class']}): {pl['count']} positive roots, "
+        f"total multiplicity {pl['total_mult']}"
+        + (f", dim g = {pl['dim']}" if pl["dim"] is not None
+           else f" up to height {args.max_height}"),
+        "mult by height: " + " ".join(f"{h}:{c}" for h, c in pl["by_height"].items()),
     ]
-    _emit(payload, args.json, lines)
-    return 0
 
 
-def cmd_defect(args) -> int:
-    p, q, r = args.pqr
-    defect = kacmoody.defect_graded_dims(p, q, r, m_max=args.cutoff, max_height=args.max_height)
-    payload = {
-        "pqr": [p, q, r],
+def cmd_defect(args) -> Dict:
+    defect = kacmoody.defect_graded_dims(*args.pqr, m_max=args.cutoff, max_height=args.max_height)
+    return {
+        "pqr": list(args.pqr),
         "dims": list(defect.dims),
         "total": defect.total,
         "exhaustive": defect.exhaustive,
     }
-    lines = [
-        f"defect graded dims for T_{{{p},{q},{r}}} (m = 1..{args.cutoff}): {list(defect.dims)}",
-        f"exhaustive: {defect.exhaustive}"
-        + (f", total dim {defect.total}" if defect.total is not None else ""),
+
+
+def text_defect(pl: Dict, args) -> List[str]:
+    return [
+        f"defect graded dims for {_graph_name(pl['pqr'])} (m = 1..{args.cutoff}): {pl['dims']}",
+        f"exhaustive: {pl['exhaustive']}"
+        + (f", total dim {pl['total']}" if pl["total"] is not None else ""),
     ]
-    _emit(payload, args.json, lines)
-    return 0
 
 
-def cmd_kostant(args) -> int:
-    p, q, r = args.pqr
-    graph = TpqrGraph(p, q, r)
-    payload = {"pqr": [p, q, r], "layers": {}}
-    lines = [f"Kostant homology weights for T_{{{p},{q},{r}}}, S = all but z1:"]
-    for k, weights in kacmoody.kostant_weights(graph, args.length).items():
-        payload["layers"][str(k)] = [graph.labels_as_dict(w) for w in weights]
+def cmd_kostant(args) -> Dict:
+    graph = TpqrGraph(*args.pqr)
+    layers = kacmoody.kostant_weights(graph, args.length)
+    return {
+        "pqr": list(args.pqr),
+        "layers": {str(k): [graph.labels_as_dict(w) for w in ws] for k, ws in layers.items()},
+    }
+
+
+def text_kostant(pl: Dict, args) -> List[str]:
+    lines = [f"Kostant homology weights for {_graph_name(pl['pqr'])}, S = all but z1:"]
+    for k, weights in pl["layers"].items():
         lines.append(f"  length {k}: {len(weights)} component(s)")
         for w in weights:
-            nz = {name: v for name, v in graph.labels_as_dict(w).items() if v}
+            nz = {name: v for name, v in w.items() if v}
             lines.append(f"    {nz if nz else '{0}'}")
-    _emit(payload, args.json, lines)
-    return 0
+    return lines
 
 
-def cmd_bgg_check(args) -> int:
-    p, q, r = args.pqr
-    graph = TpqrGraph(p, q, r)
+def cmd_bgg_check(args) -> Dict:
+    graph = TpqrGraph(*args.pqr)
     lam = _parse_lam(graph, args.lam)
     layers = kacmoody.bgg_initial_terms(graph, lam)
     ok, bad = kacmoody.bgg_euler_check(graph, lam, args.cutoff)
-    payload = {
-        "pqr": [p, q, r],
+    return {
+        "pqr": list(args.pqr),
         "lambda": graph.labels_as_dict(lam),
         "initial_terms": [[graph.labels_as_dict(w) for w in layer] for layer in layers],
         "euler_ok": ok,
         "first_bad_level": bad,
         "cutoff": args.cutoff,
     }
-    lines = [f"lambda = {graph.labels_as_dict(lam)}"]
-    for i, layer in enumerate(layers):
-        lines.append(f"  layer {i}: " + "; ".join(str(graph.labels_as_dict(w)) for w in layer))
+
+
+def text_bgg_check(pl: Dict, args) -> List[str]:
+    lines = [f"lambda = {pl['lambda']}"]
+    for i, layer in enumerate(pl["initial_terms"]):
+        lines.append(f"  layer {i}: " + "; ".join(str(w) for w in layer))
     lines.append(
-        f"Euler characteristic check (S-height <= {args.cutoff}): "
-        + ("PASS" if ok else f"FAIL at level {bad}")
+        f"Euler characteristic check (S-height <= {pl['cutoff']}): "
+        + ("PASS" if pl["euler_ok"] else f"FAIL at level {pl['first_bad_level']}")
     )
-    _emit(payload, args.json, lines)
-    return 0 if ok else 1
+    return lines
 
 
-def cmd_ra_decompose(args) -> int:
-    fmt = _fmt_or_exit(args.f)
+def cmd_ra_decompose(args) -> Dict:
+    fmt = _valid_format(args.f)
     comps = rings.ra_enumerate(fmt, args.cutoff)
-    payload = {
+    return {
         "format": list(fmt.f),
         "cutoff": args.cutoff,
         "count": len(comps),
         "components": [
-            {
-                "mu": _mu_json(mu),
-                "weights": [list(w) for w in quad.weights],
-            }
+            {"mu": _mu_json(mu), "weights": [list(w) for w in quad.weights]}
             for mu, quad in comps
         ],
     }
-    lines = [f"R_a components of format {tuple(fmt.f)} up to degree {args.cutoff}: {len(comps)}"]
-    for mu, quad in comps:
-        lines.append(
-            f"  mu=(a={mu.a},b={mu.b},c={mu.c},alpha={mu.alpha},beta={mu.beta},gamma={mu.gamma})"
-            f"  F3..F0: {quad.w3} {quad.w2} {quad.w1} {quad.w0}"
-        )
-    _emit(payload, args.json, lines)
-    return 0
 
 
-def cmd_rspec(args) -> int:
-    fmt = _fmt_or_exit(args.f)
+def text_ra_decompose(pl: Dict, args) -> List[str]:
+    head = f"R_a components of format {tuple(pl['format'])} up to degree {pl['cutoff']}"
+    return [f"{head}: {pl['count']}"] + [
+        f"  mu=({_mu_text(c['mu'], ',')})  F3..F0: " + " ".join(map(str, map(tuple, c["weights"])))
+        for c in pl["components"]
+    ]
+
+
+def cmd_rspec(args) -> Dict:
+    fmt = _valid_format(args.f)
     graph = TpqrGraph(*fmt.pqr)
     comps = []
     for mu in rings.mu_enumerate(fmt, args.cutoff):
         if rings.in_rspec(mu, fmt):
             comps.append((mu, rings.rspec_component(mu, fmt)))
-    payload = {
+    return {
         "format": list(fmt.f),
         "cutoff": args.cutoff,
         "count": len(comps),
@@ -261,204 +266,188 @@ def cmd_rspec(args) -> int:
             for mu, c in comps
         ],
     }
-    lines = [
-        f"special-fiber components of format {tuple(fmt.f)} up to degree {args.cutoff}: {len(comps)}"
+
+
+def text_rspec(pl: Dict, args) -> List[str]:
+    head = f"special-fiber components of format {tuple(pl['format'])} up to degree {pl['cutoff']}"
+    return [f"{head}: {pl['count']}"] + [
+        f"  {_mu_text(c['mu'], ' ')}"
+        f"  sigma={tuple(c['sigma'])} tau={tuple(c['tau'])} lambda={c['lambda']}"
+        for c in pl["components"]
     ]
-    for mu, c in comps:
-        lines.append(
-            f"  a={mu.a} b={mu.b} c={mu.c} alpha={mu.alpha} beta={mu.beta} gamma={mu.gamma}"
-            f"  sigma={c.sigma} tau={c.tau} lambda={graph.labels_as_dict(c.lam)}"
-        )
-    _emit(payload, args.json, lines)
-    return 0
 
 
-def cmd_generators(args) -> int:
-    fmt = _fmt_or_exit(args.f)
-    gens = rings.semigroup_generators(fmt)
-    payload = {
-        "format": list(fmt.f),
-        "families": [
-            {
-                "number": g.number,
-                "description": g.description,
-                "present": g.present,
-                "members": [_mu_json(m) for m in g.members],
-                "interpretation": g.interpretation,
-                "note": g.note,
-            }
-            for g in gens
-        ],
-    }
-    lines = [f"weight-semigroup generator families for {tuple(fmt.f)}:"]
-    for g in gens:
-        status = f"{len(g.members)} members" if g.present else "absent"
-        lines.append(f"  [{g.number}] {g.description}: {status}")
-        lines.append(f"      {g.interpretation}")
-        if g.note:
-            lines.append(f"      note: {g.note}")
-    _emit(payload, args.json, lines)
-    return 0
+def cmd_generators(args) -> Dict:
+    fmt = _valid_format(args.f)
+    families = [
+        {**_family_json(g), "members": [_mu_json(m) for m in g.members]}
+        for g in rings.semigroup_generators(fmt)
+    ]
+    return {"format": list(fmt.f), "families": families}
 
 
-def cmd_kstar_check(args) -> int:
-    fmt = _fmt_or_exit(args.f)
+def text_generators(pl: Dict, args) -> List[str]:
+    lines = [f"weight-semigroup generator families for {tuple(pl['format'])}:"]
+    for g in pl["families"]:
+        status = f"{len(g['members'])} members" if g["present"] else "absent"
+        lines.append(f"  [{g['number']}] {g['description']}: {status}")
+        lines.append(f"      {g['interpretation']}")
+        if g["note"]:
+            lines.append(f"      note: {g['note']}")
+    return lines
+
+
+def cmd_kstar_check(args) -> Dict:
+    fmt = _valid_format(args.f)
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.count):
         sigma, tau, t = random_sigma_tau(rng, fmt)
         ok = rings.dictionary_crosscheck(sigma, tau, t, fmt)
         results.append({"sigma": list(sigma), "tau": list(tau), "t": t, "ok": ok})
-    all_ok = all(r["ok"] for r in results)
-    payload = {"format": list(fmt.f), "seed": args.seed, "checks": results, "ok": all_ok}
-    lines = [
-        f"dictionary crosscheck on {tuple(fmt.f)}, {args.count} random (sigma,tau,t), seed {args.seed}: "
-        + ("PASS" if all_ok else "FAIL")
+    return {"format": list(fmt.f), "seed": args.seed, "checks": results,
+            "ok": all(r["ok"] for r in results)}
+
+
+def text_kstar_check(pl: Dict, args) -> List[str]:
+    head = f"dictionary crosscheck on {tuple(pl['format'])}, {args.count} random (sigma,tau,t)"
+    return [f"{head}, seed {pl['seed']}: " + ("PASS" if pl["ok"] else "FAIL")] + [
+        f"  sigma={tuple(r['sigma'])} tau={tuple(r['tau'])} t={r['t']}: "
+        + ("ok" if r["ok"] else "MISMATCH")
+        for r in pl["checks"]
     ]
-    for r in results:
-        lines.append(
-            f"  sigma={tuple(r['sigma'])} tau={tuple(r['tau'])} t={r['t']}: "
-            + ("ok" if r["ok"] else "MISMATCH")
-        )
-    _emit(payload, args.json, lines)
-    return 0 if all_ok else 1
 
 
-def cmd_verify_thm112(args) -> int:
-    res = complexes.thm112_build(args.r3)
-    rep = complexes.verify_complex(res.complex)
-    rk = complexes.be_rank_check(res.complex, seed=args.seed)
-    ok = rep.ok and rk.ok
-    payload = {
+def _complex_payload(complex_, seed: int) -> Dict:
+    """Compositions, seeded ranks, fixture and verdict of a built complex."""
+    rep = complexes.verify_complex(complex_)
+    rk = complexes.be_rank_check(complex_, seed=seed)
+    return {
+        "compositions_zero": rep.ok,
+        "ranks": list(rk.ranks),
+        "ranks_ok": rk.ok,
+        "fixture": complexes.complex_to_json(complex_),
+        "ok": rep.ok and rk.ok,
+    }
+
+
+def _complex_lines(pl: Dict, title: str, extra: str) -> List[str]:
+    expected = derive_ranks(pl["fixture"]["format"]).r
+    return [
+        title,
+        f"  symbolic d.d = 0: {pl['compositions_zero']}",
+        f"  seeded ranks {tuple(pl['ranks'])} (expected {expected}): {pl['ranks_ok']}",
+        extra,
+        "PASS" if pl["ok"] else "FAIL",
+    ]
+
+
+def cmd_verify_thm112(args) -> Dict:
+    complex_ = complexes.thm112_build(args.r3).complex
+    return {
         "r3": args.r3,
-        "compositions_zero": rep.ok,
-        "ranks": list(rk.ranks),
-        "expected_ranks": list(rk.expected),
-        "ranks_ok": rk.ok,
+        "expected_ranks": list(complex_.fmt.r),
         "sign_convention": complexes.DELTA_SIGN_CONVENTION,
-        "fixture": complexes.complex_to_json(res.complex),
-        "ok": ok,
+        **_complex_payload(complex_, args.seed),
     }
-    lines = [
-        f"format (1, 3, {args.r3 + 2}, {args.r3}) from generic d_3:",
-        f"  symbolic d.d = 0: {rep.ok}",
-        f"  seeded ranks {rk.ranks} (expected {rk.expected}): {rk.ok}",
-        f"  Delta sign convention: {complexes.DELTA_SIGN_CONVENTION}",
-        "PASS" if ok else "FAIL",
-    ]
-    _emit(payload, args.json, lines)
-    return 0 if ok else 1
 
 
-def cmd_verify_monomial(args) -> int:
+def text_verify_thm112(pl: Dict, args) -> List[str]:
+    r3 = pl["r3"]
+    return _complex_lines(
+        pl,
+        f"format (1, 3, {r3 + 2}, {r3}) from generic d_3:",
+        f"  Delta sign convention: {pl['sign_convention']}",
+    )
+
+
+def cmd_verify_monomial(args) -> Dict:
     res = complexes.monomial_complex(args.t)
-    rep = complexes.verify_complex(res.complex)
-    rk = complexes.be_rank_check(res.complex, seed=args.seed)
-    ok = rep.ok and rk.ok
-    payload = {
+    return {
         "t": args.t,
-        "compositions_zero": rep.ok,
-        "ranks": list(rk.ranks),
-        "ranks_ok": rk.ok,
         "generators": [str(g) for g in res.ideal_generators],
-        "fixture": complexes.complex_to_json(res.complex),
-        "ok": ok,
+        **_complex_payload(res.complex, args.seed),
     }
-    lines = [
-        f"monomial complex, format (1, {2 * args.t}, {2 * args.t}, 1):",
-        f"  symbolic d.d = 0: {rep.ok}",
-        f"  seeded ranks {rk.ranks} (expected {rk.expected}): {rk.ok}",
-        "  ideal generators: " + ", ".join(str(g) for g in res.ideal_generators),
-        "PASS" if ok else "FAIL",
-    ]
-    _emit(payload, args.json, lines)
-    return 0 if ok else 1
 
 
-def cmd_verify_d4(args) -> int:
+def text_verify_monomial(pl: Dict, args) -> List[str]:
+    t2 = 2 * pl["t"]
+    return _complex_lines(
+        pl,
+        f"monomial complex, format (1, {t2}, {t2}, 1):",
+        "  ideal generators: " + ", ".join(pl["generators"]),
+    )
+
+
+def cmd_verify_d4(args) -> Dict:
     rep = complexes.d4_relation_check()
-    payload = {
+    return {
         "ok": rep.ok,
         "normalization": rep.normalization,
         "lhs": str(rep.lhs),
         "rhs": str(rep.rhs),
         "pfaffian": str(rep.pfaffian),
     }
-    lines = [
+
+
+def text_verify_d4(pl: Dict, args) -> List[str]:
+    return [
         "split (1,4,4,1) model quadratic relation:",
-        f"  lhs = {rep.lhs}",
-        f"  rhs = {rep.rhs}",
-        f"  pfaffian = {rep.pfaffian}",
-        f"  sign normalization: {rep.normalization}",
-        "PASS" if rep.ok else "FAIL",
+        f"  lhs = {pl['lhs']}",
+        f"  rhs = {pl['rhs']}",
+        f"  pfaffian = {pl['pfaffian']}",
+        f"  sign normalization: {pl['normalization']}",
+        "PASS" if pl["ok"] else "FAIL",
     ]
-    _emit(payload, args.json, lines)
-    return 0 if rep.ok else 1
 
 
-def _parse_indices(raw: str) -> List[int]:
-    return [int(x) for x in raw.split(",") if x.strip()]
-
-
-def cmd_q1(args) -> int:
+def cmd_q1(args) -> Dict:
     fmt = derive_ranks(args.format)
-    res = complexes.q1_coefficients(
-        fmt,
-        _parse_indices(args.I),
-        _parse_indices(args.J),
-        _parse_indices(args.K),
-        t=args.t,
-    )
-    payload = {
+    I, J, K = ([int(x) for x in raw.split(",") if x.strip()] for raw in (args.I, args.J, args.K))
+    res = complexes.q1_coefficients(fmt, I, J, K, t=args.t)
+    return {
         "format": list(fmt.f),
-        "I": _parse_indices(args.I),
-        "J": _parse_indices(args.J),
-        "K": _parse_indices(args.K),
+        "I": I,
+        "J": J,
+        "K": K,
         "t": args.t if args.t is not None else fmt.r[2],
         "value": str(res.value),
     }
-    _emit(payload, args.json, [f"u_{{I,J,K}} = {res.value}"])
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# The verification suite (checks.CHECKS)
-# ---------------------------------------------------------------------------
+def text_q1(pl: Dict, args) -> List[str]:
+    return [f"u_{{I,J,K}} = {pl['value']}"]
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> Dict:
     if args.name != "paper-checks":
-        print(f"unknown suite {args.name!r}; available: paper-checks", file=sys.stderr)
-        return 2
-    budget = _budget_from_env()
+        raise ValueError(f"unknown suite {args.name!r}; available: paper-checks")
+    raw = os.environ.get("RESATLAS_BUDGET_MS")
+    budget = Budget(int(raw) if raw else None)
     results = []
-    all_ok = True
     for name, fn in CHECKS:
         start = time.monotonic()
+        ok = False
         try:
-            detail = fn(budget)
-            ok = True
+            detail, ok = fn(budget), True
         except BudgetExceeded as exc:
             detail = f"budget exceeded: {exc}"
-            ok = False
         except AssertionError as exc:
             detail = f"assertion failed: {exc}"
-            ok = False
         except Exception as exc:  # one broken check must not hide the others
             traceback.print_exc()
             detail = f"internal error: {type(exc).__name__}: {exc}"
-            ok = False
         elapsed = time.monotonic() - start
         results.append({"check": name, "ok": ok, "seconds": round(elapsed, 3), "detail": detail})
-        all_ok &= ok
-    if args.json:
-        print(json.dumps({"suite": args.name, "ok": all_ok, "results": results}, sort_keys=True))
-    else:
-        for r in results:
-            status = "PASS" if r["ok"] else "FAIL"
-            print(f"[{status}] {r['check']:<24s} {r['seconds']:7.2f}s  {r['detail']}")
-        print("suite:", "PASS" if all_ok else "FAIL")
-    return 0 if all_ok else 1
+    return {"suite": args.name, "ok": all(r["ok"] for r in results), "results": results}
+
+
+def text_suite(pl: Dict, args) -> List[str]:
+    lines = [
+        f"[{'PASS' if r['ok'] else 'FAIL'}] {r['check']:<24s} {r['seconds']:7.2f}s  {r['detail']}"
+        for r in pl["results"]
+    ]
+    return lines + ["suite: " + ("PASS" if pl["ok"] else "FAIL")]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pqr=False, fmt=False, seed=False, cutoff=False, max_height=False):
+    def common(name, summary, fn, text, pqr=False, fmt=False, seed=False, cutoff=False,
+               max_height=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn, text=text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -496,87 +488,59 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pqr", type=int, nargs=3, metavar=("P", "Q", "R"), required=True)
         if fmt:
             p.add_argument("f", type=int, nargs=4, metavar="f", help="format f0 f1 f2 f3")
+        return p
 
-    p = sub.add_parser("analyze", help="full report on a length-3 format")
-    common(p, fmt=True, cutoff=True, max_height=True)
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("roots", help="positive roots of T_{p,q,r}")
-    common(p, pqr=True, max_height=True)
-    p.set_defaults(fn=cmd_roots)
-
-    p = sub.add_parser("defect", help="graded dims of the defect algebra")
-    common(p, pqr=True, cutoff=True, max_height=True)
-    p.set_defaults(fn=cmd_defect)
-
-    p = sub.add_parser("kostant", help="nilradical homology weights")
-    common(p, pqr=True)
+    common("analyze", "full report on a length-3 format", cmd_analyze, text_analyze,
+           fmt=True, cutoff=True, max_height=True)
+    common("roots", "positive roots of T_{p,q,r}", cmd_roots, text_roots,
+           pqr=True, max_height=True)
+    common("defect", "graded dims of the defect algebra", cmd_defect, text_defect,
+           pqr=True, cutoff=True, max_height=True)
+    p = common("kostant", "nilradical homology weights", cmd_kostant, text_kostant, pqr=True)
     p.add_argument("--length", type=_nonnegative, default=2)
-    p.set_defaults(fn=cmd_kostant)
-
-    p = sub.add_parser("bgg-check", help="truncated BGG Euler identity")
-    common(p, pqr=True, cutoff=True)
+    p = common("bgg-check", "truncated BGG Euler identity", cmd_bgg_check, text_bgg_check,
+               pqr=True, cutoff=True)
     p.add_argument("--lam", default="zero", help="'zero', 'w:<vertex>', or 'u=1,z1=2'")
-    p.set_defaults(fn=cmd_bgg_check)
-
-    p = sub.add_parser("ra-decompose", help="R_a isotypic components")
-    common(p, fmt=True, cutoff=True)
-    p.set_defaults(fn=cmd_ra_decompose)
-
-    p = sub.add_parser("rspec", help="special-fiber components with T_{p,q,r} weights")
-    common(p, fmt=True, cutoff=True)
-    p.set_defaults(fn=cmd_rspec)
-
-    p = sub.add_parser("generators", help="weight-semigroup generator families")
-    common(p, fmt=True)
-    p.set_defaults(fn=cmd_generators)
-
-    p = sub.add_parser("kstar-check", help="random K*/BGG dictionary crosschecks")
-    common(p, fmt=True, seed=True)
+    common("ra-decompose", "R_a isotypic components", cmd_ra_decompose, text_ra_decompose,
+           fmt=True, cutoff=True)
+    common("rspec", "special-fiber components with T_{p,q,r} weights", cmd_rspec, text_rspec,
+           fmt=True, cutoff=True)
+    common("generators", "weight-semigroup generator families", cmd_generators,
+           text_generators, fmt=True)
+    p = common("kstar-check", "random K*/BGG dictionary crosschecks", cmd_kstar_check,
+               text_kstar_check, fmt=True, seed=True)
     p.add_argument("--count", type=_nonnegative, default=20)
-    p.set_defaults(fn=cmd_kstar_check)
-
-    p = sub.add_parser("verify-thm112", help="generic (1,3,r3+2,r3) family")
-    common(p, seed=True)
+    p = common("verify-thm112", "generic (1,3,r3+2,r3) family", cmd_verify_thm112,
+               text_verify_thm112, seed=True)
     p.add_argument("--r3", type=int, required=True)
-    p.set_defaults(fn=cmd_verify_thm112)
-
-    p = sub.add_parser("verify-monomial", help="monomial (1,2t,2t,1) family")
-    common(p, seed=True)
+    p = common("verify-monomial", "monomial (1,2t,2t,1) family", cmd_verify_monomial,
+               text_verify_monomial, seed=True)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(fn=cmd_verify_monomial)
-
-    p = sub.add_parser("verify-d4", help="split (1,4,4,1) quadratic relation")
-    common(p)
-    p.set_defaults(fn=cmd_verify_d4)
-
-    p = sub.add_parser("q1", help="generating-cycle coefficient u_{I,J,K}")
-    common(p)
+    common("verify-d4", "split (1,4,4,1) quadratic relation", cmd_verify_d4, text_verify_d4)
+    p = common("q1", "generating-cycle coefficient u_{I,J,K}", cmd_q1, text_q1)
     p.add_argument("--format", type=int, nargs=4, required=True)
     p.add_argument("--I", required=True, help="comma-separated 1-based indices")
     p.add_argument("--J", required=True)
     p.add_argument("--K", required=True)
     p.add_argument("--t", type=int, default=None)
-    p.set_defaults(fn=cmd_q1)
-
-    p = sub.add_parser("suite", help="run a verification suite")
-    common(p)
+    p = common("suite", "run a verification suite", cmd_suite, text_suite)
     p.add_argument("name", nargs="?", default="paper-checks")
-    p.set_defaults(fn=cmd_suite)
-
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
+        payload = args.fn(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for line in args.text(payload, args):
+            print(line)
+    return 0 if payload.get("ok", payload.get("euler_ok", True)) else 1
 
 
 if __name__ == "__main__":

@@ -15,10 +15,8 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -165,7 +163,10 @@ class Root:
         return sum(self.coords)
 
 
-def finite_positive_roots(A: Sequence[Sequence[int]], limit: int = 100000) -> List[Coords]:
+ROOT_CLOSURE_LIMIT = 100000
+
+
+def finite_positive_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
     """All positive roots by reflection-orbit closure (finite type only:
     terminates because the root system is finite; all roots real)."""
     n = len(A)
@@ -181,7 +182,7 @@ def finite_positive_roots(A: Sequence[Sequence[int]], limit: int = 100000) -> Li
                     seen.add(beta)
                     nxt.append(beta)
         frontier = nxt
-        if len(seen) > limit:
+        if len(seen) > ROOT_CLOSURE_LIMIT:
             raise RuntimeError("root closure exceeded limit; matrix not finite type?")
     return sorted(seen, key=lambda c: (sum(c), c))
 
@@ -473,14 +474,14 @@ def defect_graded_dims(
 ) -> DefectDims:
     """Graded dimensions of the positive part of the S-height grading at z_1.
 
-    Finite type: exhaustive via root closure.  Otherwise roots are truncated
-    at `max_height` (default 4*m_max) and the dims are lower bounds.
+    Finite type: exhaustive via root closure, and `max_height` is ignored.
+    Otherwise `max_height` is required: roots are truncated at that height
+    and the dims are lower bounds.
     """
     graph = TpqrGraph(p, q, r)
     z1 = graph.z1
     exhaustive = graph.classify().finite
-    H = max_height if max_height is not None else 4 * m_max
-    roots = enumerate_roots(graph, H=H)
+    roots = enumerate_roots(graph, H=max_height)
     dims = [0] * m_max
     total = 0
     for root in roots:
@@ -648,17 +649,6 @@ def parabolic_verma_series(graph: TpqrGraph, mu: Labels, cutoff: int) -> Dict[Co
     return _truncate_sheight(series, z1, cutoff)
 
 
-def parabolic_verma_character(graph: TpqrGraph, mu: Labels, cutoff: int) -> Tuple[int, ...]:
-    """ht^S-graded dimensions (levels 0..cutoff) of the parabolic Verma
-    module with highest weight mu."""
-    z1 = graph.z1
-    series = parabolic_verma_series(graph, mu, cutoff)
-    dims = [0] * (cutoff + 1)
-    for beta, c in series.items():
-        dims[beta[z1]] += c
-    return tuple(dims)
-
-
 # ---------------------------------------------------------------------------
 # BGG initial terms and Euler check
 # ---------------------------------------------------------------------------
@@ -746,36 +736,3 @@ def bgg_euler_check(
         {k[z1] for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0)}
     )
     return False, bad_levels[0]
-
-
-def fundamental_in_exterior_check(graph: TpqrGraph, arm: str, i: int) -> bool:
-    """Weight-level containment: does the i-th exterior power of the
-    fundamental representation at the far end of an arm contain the
-    fundamental representation i steps in from the end?"""
-    if not graph.classify().finite:
-        raise ValueError("finite type required")
-    arm_len = {"x": graph.p - 1, "y": graph.q - 1, "z": graph.r - 1}[arm]
-    if not 1 <= i <= arm_len:
-        raise IndexError(f"i = {i} out of range for arm {arm} of length {arm_len}")
-    vertex_of = {"x": graph.x, "y": graph.y, "z": graph.z}[arm]
-    end = vertex_of(arm_len)
-    inner = vertex_of(arm_len - i + 1) if i > 1 else end
-    A = graph.cartan
-
-    def weight_list(vertex: int) -> List[Labels]:
-        lam = graph.fundamental_weight(vertex)
-        series = character_series(graph, lam)
-        out = []
-        for beta, m in series.items():
-            drop_labels = root_labels(A, beta)
-            w = tuple(l - d for l, d in zip(lam, drop_labels))
-            out.extend([w] * m)
-        return sorted(out)
-
-    base = weight_list(end)
-    exterior = Counter()
-    for combo in combinations(range(len(base)), i):
-        total = tuple(sum(base[j][k] for j in combo) for k in range(graph.n))
-        exterior[total] += 1
-    target = Counter(weight_list(inner))
-    return all(exterior[w] >= c for w, c in target.items())

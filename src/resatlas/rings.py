@@ -468,8 +468,8 @@ def semigroup_generators(fmt: ResolutionFormat) -> List[GeneratorFamily]:
 @dataclass(frozen=True)
 class KStarComplex:
     """The four terms (bottom to top) of the dualized isotypic component,
-    each an (F_3 weight, F_1-dual weight) pair tensored with an opaque
-    universal-enveloping factor."""
+    each an (F_3 weight, F_1-dual weight) pair; the universal-enveloping
+    factor each term is tensored with is not modelled."""
 
     bottom: Tuple[Weight, Weight]
     middle: Tuple[Weight, Weight]
@@ -478,14 +478,6 @@ class KStarComplex:
     s: int
     u: int
     t: int
-    tensor_factor: str = "U(L)"
-
-    @property
-    def terms(self) -> List[Tuple[str, Tuple[Weight, Weight]]]:
-        out = [("bottom", self.bottom), ("middle", self.middle), ("top_u", self.top_u)]
-        if self.top_s is not None:
-            out.append(("top_s", self.top_s))
-        return out
 
 
 def kstar_terms(

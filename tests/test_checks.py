@@ -5,13 +5,14 @@ also under `python -O`."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from resatlas import checks, cli, complexes, kacmoody, rings
+from resatlas import checks, cli, complexes, formats, kacmoody, rings
 from resatlas.checks import CHECKS, Budget, CheckFailed
 from resatlas.exact import ExactMatrix, MPoly
 
@@ -166,6 +167,26 @@ def test_kostant_catches_a_dropped_length_2_element(monkeypatch):
     with pytest.raises(CheckFailed, match=r"T_\{3,3,4\} length-2 Kostant weights "
                        r"\[\{'u': 2, 'z1': -3, 'z3': 1\}\], expected"):
         run_check("kostant-length-2")
+
+
+def test_existence_predicates_catch_a_flipped_answer(monkeypatch):
+    assert run_check("existence-predicates") == (
+        "36 cyclic-existence cells and 344 Euler-zero formats checked"
+    )
+    format_exists, cyclic_exists = formats.format_exists, formats.cyclic_exists
+    monkeypatch.setattr(
+        formats, "format_exists", lambda f: format_exists(f) != (f == (1, 4, 4, 1))
+    )
+    with pytest.raises(CheckFailed, match=re.escape(
+        "format_exists(1, 4, 4, 1) disagrees with the ranks (1, 3, 1)"
+    )):
+        run_check("existence-predicates")
+    monkeypatch.setattr(formats, "format_exists", format_exists)
+    monkeypatch.setattr(
+        formats, "cyclic_exists", lambda n, l: cyclic_exists(n, l) != ((n, l) == (1, 2))
+    )
+    with pytest.raises(CheckFailed, match=re.escape("cyclic_exists(n=1, l=2) is not True")):
+        run_check("existence-predicates")
 
 
 def test_suite_reports_an_internal_error_as_that_checks_failure(monkeypatch, capsys):

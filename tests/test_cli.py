@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from resatlas import complexes, kacmoody, rings
 from resatlas.cli import main
 
 
@@ -23,9 +25,8 @@ def test_analyze_d4(capsys):
 
 
 def test_analyze_invalid_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "1", "1", "1", "1"])
-    assert exc.value.code == 2
+    assert main(["analyze", "1", "1", "1", "1"]) == 2
+    assert capsys.readouterr().err == "invalid format (1, 1, 1, 1): r_2 = 0 < 1\n"
 
 
 def test_analyze_indefinite(capsys):
@@ -91,6 +92,51 @@ def test_verify_commands(capsys):
     assert run(capsys, "verify-monomial", "--t", "2")[0] == 0
     code, out = run(capsys, "verify-d4")
     assert code == 0 and "eps_split" in out
+
+
+D4_RELATION = complexes.d4_relation_check
+BROKEN_COMPLEX = complexes.ComplexReport(ok=False, failures=((1, 0, 0, "x"),))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, module, name, fake, line, key",
+    [
+        (
+            ("bgg-check", "--pqr", "2", "2", "2", "--lam", "w:z1"),
+            kacmoody, "bgg_euler_check", lambda graph, lam, cutoff: (False, 2),
+            "Euler characteristic check (S-height <= 4): FAIL at level 2", "euler_ok",
+        ),
+        (
+            ("kstar-check", "1", "4", "4", "1", "--count", "1"),
+            rings, "dictionary_crosscheck", lambda sigma, tau, t, fmt: False,
+            "dictionary crosscheck on (1, 4, 4, 1), 1 random (sigma,tau,t), seed 0: FAIL", "ok",
+        ),
+        (
+            ("verify-thm112", "--r3", "1"),
+            complexes, "verify_complex", lambda complex_: BROKEN_COMPLEX, "FAIL", "ok",
+        ),
+        (
+            ("verify-monomial", "--t", "2"),
+            complexes, "verify_complex", lambda complex_: BROKEN_COMPLEX, "FAIL", "ok",
+        ),
+        (
+            ("verify-d4",),
+            complexes, "d4_relation_check", lambda: dataclasses.replace(D4_RELATION(), ok=False),
+            "FAIL", "ok",
+        ),
+    ],
+    ids=["bgg-check", "kstar-check", "verify-thm112", "verify-monomial", "verify-d4"],
+)
+def test_a_false_verdict_exits_1(capsys, monkeypatch, argv, module, name, fake, line, key, as_json):
+    monkeypatch.setattr(module, name, fake)
+    code, out = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code == 1
+    if as_json:
+        assert json.loads(out)[key] is False
+    else:
+        assert line in out.splitlines()
+        assert "PASS" not in out
 
 
 def test_q1_command(capsys):
