@@ -423,6 +423,8 @@ def cmd_suite(args) -> Dict:
     if args.name != "paper-checks":
         raise ValueError(f"unknown suite {args.name!r}; available: paper-checks")
     raw = os.environ.get("RESATLAS_BUDGET_MS")
+    if raw and not raw.isdecimal():
+        raise ValueError(f"RESATLAS_BUDGET_MS must be a non-negative integer, got {raw!r}")
     budget = Budget(int(raw) if raw else None)
     results = []
     for name, fn in CHECKS:
@@ -455,14 +457,19 @@ def text_suite(pl: Dict, args) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _nonnegative(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an int that is at least `low`."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,9 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if cutoff:
-            p.add_argument("--cutoff", type=_nonnegative, default=4)
+            p.add_argument("--cutoff", type=_at_least(0), default=4)
         if max_height:
-            p.add_argument("--max-height", type=_nonnegative, default=20)
+            p.add_argument("--max-height", type=_at_least(0), default=20)
         if pqr:
             p.add_argument("--pqr", type=int, nargs=3, metavar=("P", "Q", "R"), required=True)
         if fmt:
@@ -497,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     common("defect", "graded dims of the defect algebra", cmd_defect, text_defect,
            pqr=True, cutoff=True, max_height=True)
     p = common("kostant", "nilradical homology weights", cmd_kostant, text_kostant, pqr=True)
-    p.add_argument("--length", type=_nonnegative, default=2)
+    p.add_argument("--length", type=_at_least(0), default=2)
     p = common("bgg-check", "truncated BGG Euler identity", cmd_bgg_check, text_bgg_check,
                pqr=True, cutoff=True)
     p.add_argument("--lam", default="zero", help="'zero', 'w:<vertex>', or 'u=1,z1=2'")
@@ -509,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
            text_generators, fmt=True)
     p = common("kstar-check", "random K*/BGG dictionary crosschecks", cmd_kstar_check,
                text_kstar_check, fmt=True, seed=True)
-    p.add_argument("--count", type=_nonnegative, default=20)
+    p.add_argument("--count", type=_at_least(1), default=20)
     p = common("verify-thm112", "generic (1,3,r3+2,r3) family", cmd_verify_thm112,
                text_verify_thm112, seed=True)
     p.add_argument("--r3", type=int, required=True)

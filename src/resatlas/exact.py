@@ -375,35 +375,41 @@ class ExactMatrix:
         if self.rows == 0:
             return 1
         if self.is_numeric():
-            return self._det_bareiss()
+            rank, sign, last = self._bareiss()
+            return sign * last if rank == self.rows else Fraction(0)
         return self._det_expansion()
 
-    def _det_bareiss(self) -> Fraction:
-        """Fraction-free Bareiss elimination on a common-denominator lift."""
-        n = self.rows
-        denom = 1
-        for row in self.data:
-            for e in row:
-                if isinstance(e, Fraction):
-                    denom = math.lcm(denom, e.denominator)
-        m = [[int(Fraction(e) * denom) for e in row] for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], denom**n)
+    def _bareiss(self) -> Tuple[int, int, Fraction]:
+        """Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) on
+        the integer lift by the entries' common denominator: the rank, the
+        sign of the row swaps, and the last pivot over denom^rank.  After k
+        pivots every live entry is a (k+1)-minor of the lift, so each division
+        by the previous pivot is exact, also past a skipped column."""
+        denom = math.lcm(*(e.denominator for row in self.data for e in row))
+        m = [[e.numerator * (denom // e.denominator) for e in row] for row in self.data]
+        rows, cols = self.rows, self.cols
+        rank, sign, prev = 0, 1, 1
+        for col in range(cols):
+            pivot = rank
+            while pivot < rows and not m[pivot][col]:
+                pivot += 1
+            if pivot == rows:
+                continue
+            if pivot != rank:
+                m[rank], m[pivot] = m[pivot], m[rank]
+                sign = -sign
+            top = m[rank]
+            pv = top[col]
+            for i in range(rank + 1, rows):
+                row = m[i]
+                rc = row[col]
+                for j in range(col + 1, cols):
+                    row[j] = (row[j] * pv - rc * top[j]) // prev
+            prev = pv
+            rank += 1
+            if rank == rows:
+                break
+        return rank, sign, Fraction(prev, denom**rank)
 
     _SYMBOLIC_DET_LIMIT = 8
 
@@ -447,29 +453,7 @@ class ExactMatrix:
         """Rank over the rationals (numeric entries only)."""
         if not self.is_numeric():
             raise ValueError("rank requires numeric entries; substitute a point first")
-        m = [[Fraction(e) for e in row] for row in self.data]
-        rank = 0
-        row_idx = 0
-        for col in range(self.cols):
-            pivot = None
-            for i in range(row_idx, self.rows):
-                if m[i][col] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[row_idx], m[pivot] = m[pivot], m[row_idx]
-            pv = m[row_idx][col]
-            for i in range(row_idx + 1, self.rows):
-                if m[i][col]:
-                    factor = m[i][col] / pv
-                    for j in range(col, self.cols):
-                        m[i][j] -= factor * m[row_idx][j]
-            row_idx += 1
-            rank += 1
-            if row_idx == self.rows:
-                break
-        return rank
+        return self._bareiss()[0]
 
     def substitute(self, assignment: Mapping[str, Scalar]) -> "ExactMatrix":
         out = []

@@ -5,7 +5,7 @@ of p-1, q-1, r-1 vertices.  Vertices are indexed 0-based internally in the
 order u, x_1..x_{p-1}, y_1..y_{q-1}, z_1..z_{r-1}; `z_1` (index p+q-1) is the
 distinguished vertex whose coefficient defines the S-height grading.  The
 parabolic subset is fixed: S = all vertices except z_1 (`TpqrGraph.S`), so
-W^S, Kostant weights, Levi characters and parabolic Vermas take it from the
+W^S, Kostant weights, Levi characters and the BGG check take it from the
 graph rather than as an argument.
 
 Weights are integer label tuples (fundamental-weight coordinates); roots are
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .formats import classify, tpqr_cartan_matrix
 
@@ -226,18 +227,19 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
 
 
 def _series_multiply_factor(
-    series: Dict[Coords, int], alpha: Coords, count: int, H: int
+    series: Dict[Coords, int], alpha: Coords, count: int, bound: int, degree: Callable
 ) -> Dict[Coords, int]:
-    """Multiply a series truncated at height H by (1 - e^{-alpha})^count,
-    count >= 0."""
+    """Multiply a series by (1 - e^{-alpha})^count, count >= 0, dropping every
+    new term whose `degree` exceeds `bound`.  `degree` is additive: `sum` for
+    height, `itemgetter(z1)` for S-height."""
     out = dict(series)
-    ha = sum(alpha)
+    da = degree(alpha)
     n = len(alpha)
     for _ in range(count):
         nxt: Dict[Coords, int] = {}
         for beta, c in out.items():
             nxt[beta] = nxt.get(beta, 0) + c
-            if sum(beta) + ha <= H:
+            if degree(beta) + da <= bound:
                 shifted = tuple(beta[i] + alpha[i] for i in range(n))
                 nxt[shifted] = nxt.get(shifted, 0) - c
         out = {k: v for k, v in nxt.items() if v}
@@ -346,7 +348,7 @@ def verify_denominator_identity(
     for beta in sorted(mults, key=lambda b: (sum(b), b)):
         if mults[beta] < 0:
             raise ValueError(f"negative multiplicity {mults[beta]} at root {beta}")
-        product = _series_multiply_factor(product, beta, mults[beta], H)
+        product = _series_multiply_factor(product, beta, mults[beta], H, sum)
     target = weyl_denominator_sum(A, H)
     return product == target
 
@@ -519,10 +521,9 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
     for i in gens:
         if lam[i] < 0:
             raise ValueError(f"weight not dominant on vertex {i}")
+    pos_roots = [root.coords for root in enumerate_roots(graph)]
     if levi:
-        pos_roots = [c for c in finite_positive_roots(A) if c[graph.z1] == 0]
-    else:
-        pos_roots = [root.coords for root in enumerate_roots(graph)]
+        pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)
@@ -617,38 +618,6 @@ def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tupl
     return tuple(dims), total
 
 
-def _truncate_sheight(series: Dict[Coords, int], z1: int, cutoff: int) -> Dict[Coords, int]:
-    return {b: c for b, c in series.items() if b[z1] <= cutoff}
-
-
-def parabolic_verma_series(graph: TpqrGraph, mu: Labels, cutoff: int) -> Dict[Coords, int]:
-    """Character of the parabolic Verma module with highest weight mu, as a
-    series keyed by the drop mu - weight in root coords, truncated at
-    S-height <= cutoff.  Finite type only (root set must be finite)."""
-    z1 = graph.z1
-    levi_char = character_series(graph, mu, levi=True)
-    roots = enumerate_roots(graph)
-    nilradical = [root.coords for root in roots if root.coords[z1] > 0]
-    series = levi_char
-    # Multiply by the symmetric-algebra character of the (negative) nilradical.
-    for alpha in nilradical:
-        out = dict(series)
-        support: Set[Coords] = set(out)
-        for beta in list(out):
-            cur = beta
-            while cur[z1] + alpha[z1] <= cutoff:
-                cur = tuple(cur[i] + alpha[i] for i in range(graph.n))
-                support.add(cur)
-        q: Dict[Coords, int] = {}
-        for beta in sorted(support, key=lambda b: (sum(b), b)):
-            prev = tuple(beta[i] - alpha[i] for i in range(graph.n))
-            val = out.get(beta, 0) + (q.get(prev, 0) if all(x >= 0 for x in prev) else 0)
-            if val:
-                q[beta] = val
-        series = q
-    return _truncate_sheight(series, z1, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # BGG initial terms and Euler check
 # ---------------------------------------------------------------------------
@@ -705,18 +674,23 @@ def bgg_initial_terms(graph: TpqrGraph, lam: Labels) -> List[List[Labels]]:
     return [layer0, layer1, layer2]
 
 
-def bgg_euler_check(
-    graph: TpqrGraph, lam: Labels, cutoff: int
-) -> Tuple[bool, Optional[int]]:
-    """Alternating sum of parabolic Verma characters over W(S) equals the
-    irreducible character, truncated at S-height <= cutoff.  Returns the
-    verdict and the first discrepant S-level (None if equal)."""
+def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, Optional[int]]:
+    """The truncated BGG Euler identity: the alternating sum over W^S of the
+    parabolic Verma characters ch L_S(w.lam) / P equals ch L(lam) up to
+    S-height `cutoff`, where P = prod (1 - e^{-alpha}) over the nilradical
+    roots (Lepowsky, J. Algebra 1977).  It is checked with P cleared:
+
+        sum_w (-1)^l(w) e^{-gamma_w} ch L_S(w.lam) = [ch L(lam) P]_{level <= cutoff}
+
+    with gamma_w = lam - w.lam.  P is 1 plus terms of level >= 1, so both
+    forms agree or first differ at the same level.  Returns the verdict and
+    the first discrepant S-level (None if equal)."""
     if not graph.classify().finite:
         raise ValueError("finite type required")
     z1 = graph.z1
     n = graph.n
-    max_len = len(enumerate_roots(graph))  # longest element length bound
-    grouped = enumerate_WS(graph, max_len)
+    roots = enumerate_roots(graph)
+    grouped = enumerate_WS(graph, len(roots))  # longest element length bound
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
@@ -724,15 +698,14 @@ def bgg_euler_check(
             mu, gamma = dot_walk(graph, elem.word, lam)
             if gamma[z1] > cutoff:
                 continue
-            series = parabolic_verma_series(graph, mu, cutoff - gamma[z1])
-            for beta, c in series.items():
+            for beta, c in character_series(graph, mu, levi=True).items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c
     lhs = {k: v for k, v in lhs.items() if v}
-    rhs = _truncate_sheight(character_series(graph, lam), z1, cutoff)
+    rhs = {b: c for b, c in character_series(graph, lam).items() if b[z1] <= cutoff}
+    for root in roots:
+        if root.coords[z1] > 0:
+            rhs = _series_multiply_factor(rhs, root.coords, root.mult, cutoff, itemgetter(z1))
     if lhs == rhs:
         return True, None
-    bad_levels = sorted(
-        {k[z1] for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0)}
-    )
-    return False, bad_levels[0]
+    return False, min(k[z1] for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0))

@@ -140,6 +140,11 @@ def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
         run_check("root-counts")
 
 
+_D4_ZERO_FAILS_AT_LEVEL_1 = (
+    r"D4 lambda \{'u': 0, 'x1': 0, 'y1': 0, 'z1': 0\}: Euler identity fails at level 1"
+)
+
+
 def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
     assert run_check("bgg-euler") == (
         "D4 truncated BGG Euler identity holds for 0, w_z1, w_u (cutoff 4)"
@@ -151,8 +156,24 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
         return {k: v for k, v in grouped.items() if k != 1}
 
     monkeypatch.setattr(kacmoody, "enumerate_WS", without_length_1)
-    with pytest.raises(CheckFailed, match=r"D4 lambda \{'u': 0, 'x1': 0, 'y1': 0, 'z1': 0\}: "
-                       r"Euler identity fails at level 1"):
+    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
+        run_check("bgg-euler")
+
+
+def test_bgg_euler_catches_a_multiplier_that_does_nothing(monkeypatch):
+    monkeypatch.setattr(kacmoody, "_series_multiply_factor", lambda series, *args: series)
+    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
+        run_check("bgg-euler")
+
+
+def test_bgg_euler_catches_a_skipped_nilradical_factor(monkeypatch):
+    multiply = kacmoody._series_multiply_factor
+
+    def skip_one_root(series, alpha, *args):
+        return series if alpha == (1, 0, 0, 1) else multiply(series, alpha, *args)
+
+    monkeypatch.setattr(kacmoody, "_series_multiply_factor", skip_one_root)
+    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
         run_check("bgg-euler")
 
 

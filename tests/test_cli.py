@@ -187,6 +187,22 @@ def test_negative_or_non_integer_counts_exit_2(capsys, argv):
     assert "argument --" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_a_malformed_budget_names_the_variable_and_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("RESATLAS_BUDGET_MS", raw)
+    assert main(["suite", "paper-checks"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"RESATLAS_BUDGET_MS must be a non-negative integer, got {raw!r}\n"
+
+
+def test_a_count_of_zero_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kstar-check", "1", "4", "4", "1", "--count", "0"])
+    assert exc.value.code == 2
+    assert "argument --count: must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

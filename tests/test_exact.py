@@ -59,6 +59,51 @@ def test_rank_and_minor():
     assert m.minor([], []) == 1  # empty minor
 
 
+def _laplace_det(m):
+    """Fraction determinant by expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * m[0][j] * _laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _largest_nonvanishing_minor(m):
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if _laplace_det([[m[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+def test_bareiss_rank_and_det_match_minors():
+    rng = random.Random(1968)
+    entry = lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+    swaps = zero_cols = 0
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[entry() if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+             for _ in range(rows)]
+        if rng.random() < 0.3:
+            dead = rng.randrange(cols)
+            for row in m:
+                row[dead] = Fraction(0)
+        if rows > 1 and rng.random() < 0.3:
+            m[0][0] = Fraction(0)
+            m[1][0] = Fraction(1)
+        swaps += m[0][0] == 0 and any(row[0] for row in m)
+        zero_cols += any(all(row[j] == 0 for row in m) for j in range(cols))
+        matrix = ExactMatrix(m)
+        assert matrix.rank() == _largest_nonvanishing_minor(m), m
+        if rows == cols:
+            assert matrix.det() == _laplace_det(m), m
+    assert swaps >= 20 and zero_cols >= 20
+
+
 def test_rank_at_symbolic():
     x = MPoly.var("x")
     m = ExactMatrix([[x, MPoly.const(1)], [MPoly.const(1), x]])
