@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .formats import classify, tpqr_cartan_matrix
@@ -229,21 +229,22 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
 def _series_multiply_factor(
     series: Dict[Coords, int], alpha: Coords, count: int, bound: int, degree: Callable
 ) -> Dict[Coords, int]:
-    """Multiply a series by (1 - e^{-alpha})^count, count >= 0, dropping every
-    new term whose `degree` exceeds `bound`.  `degree` is additive: `sum` for
-    height, `itemgetter(z1)` for S-height."""
-    out = dict(series)
-    da = degree(alpha)
-    n = len(alpha)
+    """Multiply a series in place by (1 - e^{-alpha})^count, count >= 0,
+    dropping every new term whose `degree` exceeds `bound`, and return it.
+    `degree` is additive: `sum` for height, `itemgetter(z1)` for S-height.
+    Each power shifts the terms that stay within the bound, read before the
+    update; a coefficient that cancels to 0 is deleted, so a series without
+    zero coefficients stays without them."""
+    top = bound - degree(alpha)
     for _ in range(count):
-        nxt: Dict[Coords, int] = {}
-        for beta, c in out.items():
-            nxt[beta] = nxt.get(beta, 0) + c
-            if degree(beta) + da <= bound:
-                shifted = tuple(beta[i] + alpha[i] for i in range(n))
-                nxt[shifted] = nxt.get(shifted, 0) - c
-        out = {k: v for k, v in nxt.items() if v}
-    return out
+        for beta, c in [(b, c) for b, c in series.items() if degree(b) <= top]:
+            shifted = tuple(map(add, beta, alpha))
+            value = series.get(shifted, 0) - c
+            if value:
+                series[shifted] = value
+            else:
+                series.pop(shifted, None)
+    return series
 
 
 def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
@@ -253,7 +254,11 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
         (beta|beta - 2 rho) c_beta = sum_{beta' + beta'' = beta} (beta'|beta'') c_beta' c_beta''
 
     where c_beta = sum over d | beta of mult(beta/d)/d, for a symmetric A with
-    2 on the diagonal, so that (beta|2 rho) = 2 ht(beta).  The arithmetic is on
+    2 on the diagonal, so that (beta|2 rho) = 2 ht(beta).  The pair sum runs
+    as a convolution over the support of c: every beta' of height h1 <= h/2
+    meets every beta'' of height h - h1, and the pair's term goes to
+    beta' + beta'' when that is a candidate.  Each root carries its labels
+    A beta, so (beta'|beta) is one dot product.  The arithmetic is on
     integers: L c_beta is stored for L = lcm(1..H).  Raises ArithmeticError
     naming the root if a division is inexact or a multiplicity comes out
     negative or non-integral.
@@ -265,50 +270,60 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     for d in range(2, H + 1):
         L = L * d // gcd(L, d)
     # beta is keyed by sum beta_i B^i.  Up to height H every digit lies in
-    # [0, H] and B > 2H, so key(beta) - key(beta') is a key only when
-    # beta - beta' >= 0 componentwise: a borrowed difference matches none.
-    B = 2 * H + 2
+    # [0, H] and B > H, so key(beta') + key(beta'') = key(beta' + beta''):
+    # keys never carry.
+    B = H + 1
     unit = [B**i for i in range(n)]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    # The labels of alpha_i are column i of A.
+    columns = [tuple(A[j][i] for j in range(n)) for i in range(n)]
     mults: Dict[Coords, int] = {e: 1 for e in simple}
-    lc: Dict[int, int] = dict.fromkeys(unit, L)  # key -> L c_beta, on the support of c
-    # Per height: the support of c as (key, beta, (beta|beta), L c_beta), and the roots.
+    # Per height: the support of c as (key, beta, (beta|beta), L c_beta), and
+    # the roots as (key, beta, labels).
     support: List[List[Tuple[int, Coords, int, int]]] = [[] for _ in range(H + 1)]
-    roots: List[List[Tuple[int, Coords]]] = [[] for _ in range(H + 1)]
+    roots: List[List[Tuple[int, Coords, Labels]]] = [[] for _ in range(H + 1)]
     support[1] = [(k, e, 2, L) for k, e in zip(unit, simple)]
-    roots[1] = list(zip(unit, simple))
+    roots[1] = list(zip(unit, simple, columns))
     for h in range(2, H + 1):
         # A non-simple root is a root plus a simple root; c is also non-zero
-        # on the multiples d gamma of roots gamma.
-        candidates: Dict[int, Coords] = {}
-        for key, gamma in roots[h - 1]:
+        # on the multiples d gamma of roots gamma.  Each candidate is
+        # [beta, labels, pair sum].
+        candidates: Dict[int, list] = {}
+        for key, gamma, labels in roots[h - 1]:
             for i in range(n):
-                candidates[key + unit[i]] = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                k = key + unit[i]
+                if k not in candidates:
+                    candidates[k] = [
+                        gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :],
+                        tuple(map(add, labels, columns[i])),
+                        0,
+                    ]
         for d in range(2, h + 1):
             if h % d == 0:
-                for key, gamma in roots[h // d]:
-                    candidates[d * key] = tuple(d * x for x in gamma)
+                for key, gamma, labels in roots[h // d]:
+                    k = d * key
+                    if k not in candidates:
+                        candidates[k] = [
+                            tuple(d * x for x in gamma), tuple(d * x for x in labels), 0
+                        ]
         # Each unequal pair is counted twice: once below h/2, or once from each side at h/2.
-        low = [
-            (k1, beta1, norm1, c1 if 2 * h1 == h else 2 * c1)
-            for h1 in range(1, h // 2 + 1)
-            for k1, beta1, norm1, c1 in support[h1]
-        ]
-        for key, beta in candidates.items():
-            a_beta = root_labels(A, beta)
-            rhs = 0
-            for k1, beta1, norm1, c1 in low:
-                c2 = lc.get(key - k1)
-                if c2 is not None:
-                    # (beta'|beta'') = (beta'|beta) - (beta'|beta')
-                    rhs += (sum(x * y for x, y in zip(beta1, a_beta)) - norm1) * c1 * c2
+        for h1 in range(1, h // 2 + 1):
+            upper = [(k2, c2) for k2, _, _, c2 in support[h - h1]]
+            for k1, beta1, norm1, c1 in support[h1]:
+                if 2 * h1 < h:
+                    c1 *= 2
+                for k2, c2 in upper:
+                    entry = candidates.get(k1 + k2)
+                    if entry is not None:
+                        # (beta'|beta'') = (beta'|beta) - (beta'|beta')
+                        entry[2] += (sum(map(mul, beta1, entry[1])) - norm1) * c1 * c2
+        for key, (beta, labels, rhs) in candidates.items():
             g = gcd(*beta)
-            multiple = sum(
-                L // d * mults.get(tuple(x // d for x in beta), 0)
-                for d in range(2, g + 1)
-                if g % d == 0
-            )
-            norm = sum(x * y for x, y in zip(beta, a_beta))
+            multiple = 0
+            for d in range(2, g + 1):
+                if g % d == 0:
+                    multiple += L // d * mults.get(tuple(x // d for x in beta), 0)
+            norm = sum(map(mul, beta, labels))
             coef = norm - 2 * h
             if coef == 0:
                 # Not a root: a non-simple root has (beta|beta) <= 2 < 2 ht(beta).
@@ -330,9 +345,8 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
                 )
             if m:
                 mults[beta] = m
-                roots[h].append((key, beta))
+                roots[h].append((key, beta, labels))
             if c:
-                lc[key] = c
                 support[h].append((key, beta, norm, c))
     return mults
 
@@ -508,7 +522,10 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
     recursion (only touches actual weights of the representation).
 
     With `levi` set, computes the finite-dimensional irreducible of the Levi
-    subalgebra on S (lam need only be dominant there).
+    subalgebra on S (lam need only be dominant there), on any T_{p,q,r}.  A
+    root with z_1 coefficient 0 has connected support inside S, so it is a
+    root of the Levi A_{p+q-1} x A_{r-2}, of height at most n - 1: that
+    cutoff finds them all, and finite type ignores it.
     """
     A = graph.cartan
     n = graph.n
@@ -521,7 +538,7 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
     for i in gens:
         if lam[i] < 0:
             raise ValueError(f"weight not dominant on vertex {i}")
-    pos_roots = [root.coords for root in enumerate_roots(graph)]
+    pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
     if levi:
         pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j

@@ -250,8 +250,10 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # Fresh-process stdout recorded before a kernel changed: the symbolic commands
 # before monomials were packed into ints (printed term order must not change
 # with the kernel), the E6 `bgg-check` and `kostant` before the Weyl BFS
-# dropped its per-element inverse images, and the README's text-mode
-# `kostant` and `bgg-check` before S became fixed to the graph's.
+# dropped its per-element inverse images, the README's text-mode
+# `kostant` and `bgg-check` before S became fixed to the graph's, and
+# `roots`, `defect` and `analyze` on affine and indefinite graphs before
+# Peterson's pair sum became a convolution.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

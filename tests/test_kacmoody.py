@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,101 @@ def test_peterson_equals_the_denominator_oracle(pqr, H):
     assert roots_by_peterson(A, H) == roots_by_denominator(A, H)
 
 
+def roots_by_peterson_probes(A, H):
+    """Peterson's recursion with the pair sum in probe form: every candidate
+    beta looks up beta - beta' for each beta' of height <= h/2 in the
+    support of c, and takes its labels A beta densely; the oracle for the
+    pair convolution of `roots_by_peterson`, with the same arithmetic, the
+    same errors and the same insertion order."""
+    n = len(A)
+    if H < 1:
+        return {}
+    L = 1
+    for d in range(2, H + 1):
+        L = L * d // gcd(L, d)
+    # B > 2H: key(beta) - key(beta') is a key only when beta - beta' >= 0.
+    B = 2 * H + 2
+    unit = [B**i for i in range(n)]
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    mults = {e: 1 for e in simple}
+    lc = dict.fromkeys(unit, L)
+    support = [[] for _ in range(H + 1)]
+    roots = [[] for _ in range(H + 1)]
+    support[1] = [(k, e, 2, L) for k, e in zip(unit, simple)]
+    roots[1] = list(zip(unit, simple))
+    for h in range(2, H + 1):
+        candidates = {}
+        for key, gamma in roots[h - 1]:
+            for i in range(n):
+                candidates[key + unit[i]] = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+        for d in range(2, h + 1):
+            if h % d == 0:
+                for key, gamma in roots[h // d]:
+                    candidates[d * key] = tuple(d * x for x in gamma)
+        low = [
+            (k1, beta1, norm1, c1 if 2 * h1 == h else 2 * c1)
+            for h1 in range(1, h // 2 + 1)
+            for k1, beta1, norm1, c1 in support[h1]
+        ]
+        for key, beta in candidates.items():
+            a_beta = root_labels(A, beta)
+            rhs = 0
+            for k1, beta1, norm1, c1 in low:
+                c2 = lc.get(key - k1)
+                if c2 is not None:
+                    rhs += (sum(x * y for x, y in zip(beta1, a_beta)) - norm1) * c1 * c2
+            g = gcd(*beta)
+            multiple = sum(
+                L // d * mults.get(tuple(x // d for x in beta), 0)
+                for d in range(2, g + 1)
+                if g % d == 0
+            )
+            norm = sum(x * y for x, y in zip(beta, a_beta))
+            coef = norm - 2 * h
+            if coef == 0:
+                if rhs:
+                    raise ArithmeticError(
+                        f"Peterson recursion at {beta}: zero coefficient but pair sum {rhs}"
+                    )
+                c = multiple
+            else:
+                c, rem = divmod(rhs, coef * L)
+                if rem:
+                    raise ArithmeticError(
+                        f"Peterson recursion at {beta}: pair sum {rhs} not divisible by {coef * L}"
+                    )
+            m, rem = divmod(c - multiple, L)
+            if m < 0 or rem:
+                raise ArithmeticError(
+                    f"Peterson recursion at {beta}: multiplicity {Fraction(c - multiple, L)}"
+                )
+            if m:
+                mults[beta] = m
+                roots[h].append((key, beta))
+            if c:
+                lc[key] = c
+                support[h].append((key, beta, norm, c))
+    return mults
+
+
+# The ten affine and indefinite graphs that the `atlas` benchmark runs at height 8.
+ATLAS_GRAPHS = [
+    (3, 3, 3), (2, 4, 4), (2, 3, 6), (2, 3, 7), (2, 3, 8),
+    (2, 4, 5), (3, 3, 4), (2, 5, 5), (3, 4, 4), (3, 3, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "pqr, H", [(g, 8) for g in ATLAS_GRAPHS] + [((2, 3, 7), 16)], ids=lambda v: str(v)
+)
+def test_peterson_equals_the_probe_oracle(pqr, H):
+    A = tpqr_cartan_matrix(*pqr)
+    got = roots_by_peterson(A, H)
+    want = roots_by_peterson_probes(A, H)
+    assert got == want
+    assert list(got) == list(want)
+
+
 def test_recursion_agrees_with_closure_on_finite():
     # D4, E6, E7, E8; the highest roots have heights 5, 11, 17, 29.
     for pqr, top in [((2, 2, 2), 5), ((3, 3, 2), 11), ((2, 3, 4), 17), ((5, 2, 3), 29)]:
@@ -117,8 +213,12 @@ def test_affine_null_root_multiplicity():
 )
 def test_peterson_names_the_root_where_the_recursion_breaks(A, message):
     # None is symmetric with 2 on the diagonal, as (beta|2 rho) = 2 ht(beta) assumes.
-    with pytest.raises(ArithmeticError, match="Peterson recursion " + message):
-        roots_by_peterson(A, 6)
+    errors = []
+    for recursion in (roots_by_peterson, roots_by_peterson_probes):
+        with pytest.raises(ArithmeticError, match="Peterson recursion " + message) as exc:
+            recursion(A, 6)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 def test_denominator_identity_rejects_a_negative_multiplicity():
@@ -397,6 +497,37 @@ def test_level_zero_of_a_character_is_the_levi_character(pqr, vertices):
         lam = g.fundamental_weight(v)
         level0 = {b: c for b, c in character_series(g, lam).items() if b[g.z1] == 0}
         assert level0 == character_series(g, lam, levi=True), (pqr, v)
+
+
+def type_a_dim(labels):
+    """Weyl's dimension formula for A_m, labels read along the path:
+    prod over 1 <= i <= j <= m of (sum of lam_k + 1 for i <= k <= j) / (j - i + 1)."""
+    m = len(labels)
+    dim = Fraction(1)
+    for i in range(m):
+        for j in range(i, m):
+            dim *= Fraction(sum(a + 1 for a in labels[i : j + 1]), j - i + 1)
+    return dim
+
+
+@pytest.mark.parametrize(
+    "pqr, lam, dims",
+    [
+        # u x1 y1 y2 z1 z2..z6: A_4 on x1-u-y1-y2 and A_5 on z2..z6
+        ((2, 3, 7), (0, 1, 1, 0, -3, 0, 1, 0, 0, 0), (45, 15)),
+        # u x1 x2 y1 y2 z1 z2: A_5 on x2-x1-u-y1-y2 and A_1 on z2
+        ((3, 3, 3), (1, 0, 1, 0, 0, -1, 2), (105, 3)),
+    ],
+    ids=["T237", "T333"],
+)
+def test_levi_character_on_a_non_finite_graph(pqr, lam, dims):
+    g = TpqrGraph(*pqr)
+    head = [g.x(i) for i in range(g.p - 1, 0, -1)] + [g.u] + [g.y(i) for i in range(1, g.q)]
+    tail = [g.z(i) for i in range(2, g.r)]
+    assert (type_a_dim([lam[v] for v in head]), type_a_dim([lam[v] for v in tail])) == dims
+    series = character_series(g, lam, levi=True)
+    assert all(beta[g.z1] == 0 for beta in series)
+    assert sum(series.values()) == prod(dims)
 
 
 def test_bgg_initial_terms_zero_weight():
