@@ -23,7 +23,11 @@ Scalar = Union[int, Fraction]
 # multiplication and division in Maple 14", ISSAC 2009) and 0 is the
 # monomial 1.  No exponent exceeds the total degree, so keeping every degree
 # below `_DEGREE_LIMIT` keeps every field from carrying into the next one.
-_BITS = 16
+# Every add, hash and dict probe in `_mac` costs in proportion to the width
+# of the monomial, so fields are as narrow as the degrees allow: the paper's
+# complexes stay below total degree 16, and a degree of 2**8 raises.  A field
+# is one byte, so `_unpack` reads the fields as the bytes of the int.
+_BITS = 8
 _DEGREE_LIMIT = 1 << _BITS
 _MASK = _DEGREE_LIMIT - 1
 
@@ -58,22 +62,8 @@ REGISTRY = VarRegistry()
 def _unpack(m: int) -> List[Tuple[int, int]]:
     """The (variable index, positive exponent) pairs of a monomial, in
     registry order."""
-    pairs = []
-    idx = 0
-    m >>= _BITS
-    while m:
-        e = m & _MASK
-        if e:
-            pairs.append((idx, e))
-        m >>= _BITS
-        idx += 1
-    return pairs
-
-
-def _mono_key(m: int):
-    # Graded lexicographic: compare total degree first, then exponents in
-    # registry order (higher exponent on an earlier variable sorts first).
-    return (-(m & _MASK), tuple((idx, -e) for idx, e in _unpack(m)))
+    fields = m.to_bytes((m.bit_length() + 7) >> 3, "little")
+    return [(idx, e) for idx, e in enumerate(fields[1:]) if e]
 
 
 def _max_degree(terms: Mapping[int, int]) -> int:
@@ -97,6 +87,39 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
         for mb, cb in b.items():
             m = ma + mb
             out[m] = get(m, 0) + ca * cb
+
+
+def _lift(assignment: Mapping[str, Scalar]) -> Tuple[Dict[int, int], int]:
+    """A rational point as integers over one denominator D (the lcm of the
+    coordinates' denominators): registry index -> n with x = n / D, and D.
+    Names that were never interned occur in no polynomial and are skipped,
+    so evaluating never grows the registry."""
+    index = REGISTRY.index
+    point = {index[name]: Fraction(value) for name, value in assignment.items() if name in index}
+    denom = math.lcm(*(x.denominator for x in point.values()))
+    return {idx: x.numerator * (denom // x.denominator) for idx, x in point.items()}, denom
+
+
+def _weigh(
+    terms: Mapping[int, int], nums: Mapping[int, int], denom: int, top: int, weights: Dict[int, int]
+) -> int:
+    """D^top times the value of a terms dict of degree at most `top` at the
+    lifted point (`nums`, D): the integer sum of c * prod n_i^e_i *
+    D^(top - deg) over the terms.  `weights` caches each monomial's integer
+    across calls that share the point and `top`."""
+    total = 0
+    for mono, coeff in terms.items():
+        w = weights.get(mono)
+        if w is None:
+            w = denom ** (top - (mono & _MASK))
+            for idx, e in _unpack(mono):
+                n = nums.get(idx)
+                if n is None:
+                    raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
+                w *= n**e
+            weights[mono] = w
+        total += coeff * w
+    return total
 
 
 def _poly(terms: Mapping[int, int]) -> "MPoly":
@@ -204,8 +227,11 @@ class MPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            # No square past the top bit: it could reach the degree limit
+            # although the power itself stays below it.
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -222,31 +248,27 @@ class MPoly:
 
     def substitute(self, assignment: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a full rational point.  Raises on missing variables."""
-        point: Dict[int, Fraction] = {}
-        for name, value in assignment.items():
-            point[REGISTRY.intern(name)] = Fraction(value)
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for idx, e in _unpack(mono):
-                if idx not in point:
-                    raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
-                term *= point[idx] ** e
-            total += term
-        return total
+        nums, denom = _lift(assignment)
+        top = self.total_degree()
+        return Fraction(_weigh(self.terms, nums, denom, top, {}), denom**top)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        # Graded lexicographic: total degree first, then exponents in
+        # registry order (a higher exponent on an earlier variable sorts
+        # first).  The key determines the monomial, so the sort never
+        # compares coefficients, and it carries the exponents to print.
         pieces = []
-        for mono in sorted(self.terms, key=_mono_key):
-            coeff = self.terms[mono]
+        for _, key, coeff in sorted(
+            (-(m & _MASK), tuple((idx, -e) for idx, e in _unpack(m)), c) for m, c in self.terms.items()
+        ):
             factors = []
-            for idx, e in _unpack(mono):
+            for idx, neg in key:
                 name = REGISTRY.name(idx)
-                factors.append(name if e == 1 else f"{name}^{e}")
+                factors.append(name if neg == -1 else f"{name}^{-neg}")
             if not factors:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -456,14 +478,25 @@ class ExactMatrix:
         return self._bareiss()[0]
 
     def substitute(self, assignment: Mapping[str, Scalar]) -> "ExactMatrix":
+        """Every entry evaluated at a full rational point, as a Fraction.
+        The point is lifted to integers once; each MPoly entry is one integer
+        sum over the matrix's common denominator D^top, divided once."""
+        nums, denom = _lift(assignment)
+        top = max((e.total_degree() for row in self.data for e in row if isinstance(e, MPoly)), default=0)
+        scale = denom**top
+        weights: Dict[int, int] = {}
         out = []
-        for row in self.data:
+        for i, row in enumerate(self.data):
             new_row: List[Entry] = []
-            for e in row:
-                if isinstance(e, MPoly):
-                    new_row.append(e.substitute(assignment))
-                else:
+            for j, e in enumerate(row):
+                if not isinstance(e, MPoly):
                     new_row.append(Fraction(e))
+                    continue
+                try:
+                    total = _weigh(e.terms, nums, denom, top, weights)
+                except KeyError as err:
+                    raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
+                new_row.append(Fraction(total, scale))
             out.append(new_row)
         return ExactMatrix(out)
 

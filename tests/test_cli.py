@@ -253,7 +253,10 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # dropped its per-element inverse images, the README's text-mode
 # `kostant` and `bgg-check` before S became fixed to the graph's, and
 # `roots`, `defect` and `analyze` on affine and indefinite graphs before
-# Peterson's pair sum became a convolution.
+# Peterson's pair sum became a convolution, and `verify-thm112 --r3 3` and
+# `verify-monomial --t 8` (the first goldens of large printed polynomials)
+# before monomial fields narrowed to 8 bits and points were evaluated
+# fraction-free.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

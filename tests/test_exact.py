@@ -249,6 +249,83 @@ def test_packed_kernel_matches_the_tuple_oracle():
         assert (p * q).substitute(point) == _oracle_substitute(_oracle_mul(op, oq), point)
 
 
+def test_matrix_substitute_matches_the_oracle():
+    """`ExactMatrix.substitute` and `MPoly.substitute` give the oracle's
+    value, as a Fraction, on int, Fraction and MPoly entries, at int and
+    Fraction points with denominator 1 and at points with denominators up
+    to 7."""
+    for name in ORACLE_NAMES:
+        MPoly.var(name)
+    rng = random.Random(1968)
+    fractional = 0
+    for trial in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        entries, oracles = [], {}
+        for i in range(rows):
+            entries.append([])
+            for j in range(cols):
+                kind = rng.random()
+                if kind < 0.2:
+                    entries[i].append(rng.randint(-3, 3))
+                elif kind < 0.4:
+                    entries[i].append(Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                else:
+                    poly, oracles[i, j] = _random_pair(rng, max_terms=4, max_exp=3)
+                    entries[i].append(poly)
+        denoms = (1, 2, 3, 7) if trial % 2 else (1,)
+        point = {name: Fraction(rng.randint(-9, 9), rng.choice(denoms)) for name in ORACLE_NAMES}
+        if trial % 4 == 0:
+            point = {name: int(x) for name, x in point.items()}
+        fractional += any(Fraction(x).denominator > 1 for x in point.values())
+        got = ExactMatrix(entries).substitute(point)
+        for i, j in itertools.product(range(rows), range(cols)):
+            if (i, j) in oracles:
+                want = _oracle_substitute(oracles[i, j], point)
+                value = entries[i][j].substitute(point)
+                assert (type(value), value) == (Fraction, want)
+            else:
+                want = Fraction(entries[i][j])
+            assert (type(got.data[i][j]), got.data[i][j]) == (Fraction, want)
+    assert fractional >= 25
+
+
+def test_substitute_names_the_missing_variable_and_the_entry():
+    x, y = MPoly.var("x"), MPoly.var("y")
+    with pytest.raises(KeyError) as info:
+        ExactMatrix([[x, 1], [2, x * y + 1]]).substitute({"x": 3})
+    assert info.value.args == ("missing variable 'y' in entry (1, 1)",)
+    with pytest.raises(KeyError) as info:
+        (x * y).substitute({"x": 3})
+    assert info.value.args == ("missing variable 'y'",)
+
+
+def _run_fresh(code, *flags):
+    """The stdout of `code` run by a fresh interpreter that imports the
+    package from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_evaluating_at_an_unused_name_leaves_term_order_alone():
+    code = (
+        "from resatlas.exact import ExactMatrix, MPoly\n"
+        "z = MPoly.var('z')\n"
+        "z.substitute({'y': 1, 'z': 2})\n"
+        "ExactMatrix([[z]]).substitute({'w': 1, 'z': 2})\n"
+        "x, y, w = MPoly.var('x'), MPoly.var('y'), MPoly.var('w')\n"
+        "print(x * y + x * x + y * y)\n"
+        "print(w * x + w * w + x * x)\n"
+    )
+    assert _run_fresh(code) == "x^2 + x*y + y^2\nx^2 + x*w + w^2\n"
+
+
 def _random_entry(rng):
     kind = rng.random()
     if kind < 0.25:
@@ -308,6 +385,9 @@ def test_numeric_matmul_keeps_the_running_sum_types():
 def test_degree_past_the_field_raises():
     with pytest.raises(OverflowError):
         MPoly.var("x", 2**_BITS)
+    assert MPoly.var("x") ** (2**_BITS - 1) == MPoly.var("x", 2**_BITS - 1)
+    with pytest.raises(OverflowError):
+        MPoly.var("x") ** 2**_BITS
     top = MPoly.var("x", 2**_BITS - 2) * MPoly.var("y")
     assert top.total_degree() == 2**_BITS - 1
     with pytest.raises(OverflowError):
@@ -319,7 +399,6 @@ def test_degree_past_the_field_raises():
 
 
 def test_degree_overflow_raises_under_python_O():
-    src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from resatlas.exact import MPoly, _BITS\n"
         "top = MPoly.var('x', 2**_BITS - 1)\n"
@@ -328,11 +407,4 @@ def test_degree_overflow_raises_under_python_O():
         "except OverflowError:\n"
         "    print('raised')\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n"
+    assert _run_fresh(code, "-O") == "raised\n"

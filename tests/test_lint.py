@@ -1,6 +1,8 @@
 """Source lints: no module of the package contains an `assert` statement
-(`python -O` strips them; checks raise explicitly instead), and every public
-function, method and property is used somewhere."""
+(`python -O` strips them; checks raise explicitly instead), every public
+function, method and property is used somewhere, and only `MPoly.var` adds a
+name to the variable registry (printed term order follows the registry, so a
+lookup that interned would make output depend on call history)."""
 
 import ast
 import re
@@ -104,3 +106,44 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
     )
     (tests / "test_mod.py").write_text("from mod import used\n\ndef test_used():\n    used()\n")
     assert dead_names(src, tests) == ["mod.C.size", "mod.unused"]
+
+
+def callers(tree, method):
+    """The qualified name (classes and functions, dotted) of the innermost
+    definition around each call of `.method(...)` in a tree, in source
+    order; "" for a call at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                if child.func.attr == method:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_mpoly_var_interns_a_name():
+    found = [
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in callers(ast.parse(path.read_text(), filename=str(path)), "intern")
+    ]
+    assert found == ["exact.MPoly.var"]
+
+
+def test_intern_lint_finds_a_call_in_a_method_and_at_module_level():
+    tree = ast.parse(
+        "class M:\n"
+        "    def substitute(self, point):\n"
+        "        return [REGISTRY.intern(name) for name in point]\n"
+        "\n"
+        "REGISTRY.intern('x')\n"
+        "REGISTRY.index.get('y')\n"
+    )
+    assert callers(tree, "intern") == ["M.substitute", ""]
