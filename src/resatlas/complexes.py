@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import ExactMatrix, MPoly, seeded_random_point
+from .exact import DEGREE_LIMIT, ExactMatrix, MPoly, seeded_random_point
 from .formats import ResolutionFormat, derive_ranks
 
 
@@ -257,6 +257,17 @@ class Thm112Result:
     x: Tuple[MPoly, MPoly, MPoly]
 
 
+def _check_degree(label: str, degree: int, bound: str) -> None:
+    """Raise ValueError, before anything is built, if verifying a family
+    member multiplies up to total degree `degree`, which `exact` cannot
+    pack; `bound` names the largest parameter that fits."""
+    if degree >= DEGREE_LIMIT:
+        raise ValueError(
+            f"{label}: d_1 . d_2 has total degree {degree}, but exact packs only degrees "
+            f"below {DEGREE_LIMIT}; {bound} required"
+        )
+
+
 def thm112_build(r3: int) -> Thm112Result:
     """The format (1, 3, r3+2, r3) complex from generic d_3 and second
     structure map B.
@@ -269,6 +280,8 @@ def thm112_build(r3: int) -> Thm112Result:
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")
+    # d_1 has degree r3 + 3 and d_2 degree r3 + 1, so d_1 . d_2 has 2 r3 + 4.
+    _check_degree(f"thm112(r3={r3})", 2 * r3 + 4, f"r3 <= {(DEGREE_LIMIT - 5) // 2}")
     f2 = r3 + 2
     A = [[MPoly.var(f"A{i + 1}_{j + 1}") for j in range(r3)] for i in range(f2)]
     B = [[MPoly.var(f"b{i + 1}_{j + 1}") for j in range(3)] for i in range(f2)]
@@ -334,6 +347,8 @@ def monomial_complex(t: int) -> MonomialResult:
     """
     if t < 2:
         raise ValueError("t >= 2 required")
+    # d_1 has degree 2t - 2 and d_2 degree 1, so d_1 . d_2 has 2t - 1.
+    _check_degree(f"monomial complex t = {t}", 2 * t - 1, f"t <= {DEGREE_LIMIT // 2}")
     m = 2 * t
     X = [MPoly.var(f"X{i}") for i in range(1, m + 1)]
 

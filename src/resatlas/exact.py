@@ -22,14 +22,18 @@ Scalar = Union[int, Fraction]
 # of two monomials is their sum (Monagan and Pearce, "Sparse polynomial
 # multiplication and division in Maple 14", ISSAC 2009) and 0 is the
 # monomial 1.  No exponent exceeds the total degree, so keeping every degree
-# below `_DEGREE_LIMIT` keeps every field from carrying into the next one.
+# below `DEGREE_LIMIT` keeps every field from carrying into the next one.
 # Every add, hash and dict probe in `_mac` costs in proportion to the width
-# of the monomial, so fields are as narrow as the degrees allow: the paper's
-# complexes stay below total degree 16, and a degree of 2**8 raises.  A field
-# is one byte, so `_unpack` reads the fields as the bytes of the int.
+# of the monomial, so fields are one byte: a power or product of degree
+# 2**8 raises OverflowError, and the complex builders refuse, with a
+# ValueError, a family member whose d . d products would reach that degree.
+# `_unpack` reads the fields as the bytes of the int, so it holds only for
+# 8-bit fields.
 _BITS = 8
-_DEGREE_LIMIT = 1 << _BITS
-_MASK = _DEGREE_LIMIT - 1
+if _BITS != 8:
+    raise ImportError("exact._unpack reads one field per byte; _BITS must be 8")
+DEGREE_LIMIT = 1 << _BITS
+_MASK = DEGREE_LIMIT - 1
 
 
 class VarRegistry:
@@ -75,9 +79,9 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
 
     `a` and `b` are terms dicts.  Coefficients that cancel to 0 stay in
     `out` until `_poly` drops them.  Raises OverflowError before adding if a
-    product's degree could reach `_DEGREE_LIMIT`.
+    product's degree could reach `DEGREE_LIMIT`.
     """
-    if _max_degree(a) + _max_degree(b) >= _DEGREE_LIMIT:
+    if _max_degree(a) + _max_degree(b) >= DEGREE_LIMIT:
         raise OverflowError(f"monomial degree would reach 2**{_BITS}")
     if len(a) > len(b):
         a, b = b, a
@@ -100,24 +104,18 @@ def _lift(assignment: Mapping[str, Scalar]) -> Tuple[Dict[int, int], int]:
     return {idx: x.numerator * (denom // x.denominator) for idx, x in point.items()}, denom
 
 
-def _weigh(
-    terms: Mapping[int, int], nums: Mapping[int, int], denom: int, top: int, weights: Dict[int, int]
-) -> int:
+def _weigh(terms: Mapping[int, int], nums: Mapping[int, int], denom: int, top: int) -> int:
     """D^top times the value of a terms dict of degree at most `top` at the
     lifted point (`nums`, D): the integer sum of c * prod n_i^e_i *
-    D^(top - deg) over the terms.  `weights` caches each monomial's integer
-    across calls that share the point and `top`."""
+    D^(top - deg) over the terms."""
     total = 0
     for mono, coeff in terms.items():
-        w = weights.get(mono)
-        if w is None:
-            w = denom ** (top - (mono & _MASK))
-            for idx, e in _unpack(mono):
-                n = nums.get(idx)
-                if n is None:
-                    raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
-                w *= n**e
-            weights[mono] = w
+        w = denom ** (top - (mono & _MASK))
+        for idx, e in _unpack(mono):
+            n = nums.get(idx)
+            if n is None:
+                raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
+            w *= n**e
         total += coeff * w
     return total
 
@@ -156,7 +154,7 @@ class MPoly:
         idx = REGISTRY.intern(name)
         if power < 0:
             raise ValueError("negative power")
-        if power >= _DEGREE_LIMIT:
+        if power >= DEGREE_LIMIT:
             raise OverflowError(f"power {power} of {name!r} reaches 2**{_BITS}")
         if power == 0:
             return MPoly.const(1)
@@ -250,7 +248,7 @@ class MPoly:
         """Evaluate at a full rational point.  Raises on missing variables."""
         nums, denom = _lift(assignment)
         top = self.total_degree()
-        return Fraction(_weigh(self.terms, nums, denom, top, {}), denom**top)
+        return Fraction(_weigh(self.terms, nums, denom, top), denom**top)
 
     # -- printing ----------------------------------------------------------
 
@@ -484,7 +482,6 @@ class ExactMatrix:
         nums, denom = _lift(assignment)
         top = max((e.total_degree() for row in self.data for e in row if isinstance(e, MPoly)), default=0)
         scale = denom**top
-        weights: Dict[int, int] = {}
         out = []
         for i, row in enumerate(self.data):
             new_row: List[Entry] = []
@@ -493,7 +490,7 @@ class ExactMatrix:
                     new_row.append(Fraction(e))
                     continue
                 try:
-                    total = _weigh(e.terms, nums, denom, top, weights)
+                    total = _weigh(e.terms, nums, denom, top)
                 except KeyError as err:
                     raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
                 new_row.append(Fraction(total, scale))

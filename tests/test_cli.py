@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import complexes, kacmoody, rings
+from resatlas import complexes, exact, kacmoody, rings
 from resatlas.cli import main
 
 
@@ -148,6 +148,25 @@ def test_q1_command_bad_indices(capsys):
     code = main(["q1", "--format", "1", "4", "4", "1", "--I", "1", "--J", "3", "--K", "4"])
     assert code == 2
     assert capsys.readouterr().err == "index sets have wrong sizes\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-monomial", "--t", "129"],
+         "monomial complex t = 129: d_1 . d_2 has total degree 257, but exact packs only "
+         "degrees below 256; t <= 128 required\n"),
+        (["verify-thm112", "--r3", "126"],
+         "thm112(r3=126): d_1 . d_2 has total degree 256, but exact packs only "
+         "degrees below 256; r3 <= 125 required\n"),
+    ],
+)
+def test_a_family_past_the_degree_ceiling_exits_2(capsys, argv, message):
+    names = list(exact.REGISTRY.names)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+    assert exact.REGISTRY.names == names  # refused before any variable was made
 
 
 def test_suite_json(capsys):

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,25 @@ def test_monomial_family(t):
     assert verify_complex(res.complex).ok
     rk = be_rank_check(res.complex, seed=3)
     assert rk.ok and rk.ranks == (1, 2 * t - 1, 1)
+
+
+def test_monomial_family_at_the_degree_ceiling():
+    # t = 128 interns 256 variables, so it runs in a fresh interpreter and
+    # leaves this process's registry, and so its printing order, alone.
+    code = (
+        "from resatlas.complexes import monomial_complex, verify_complex\n"
+        "print(verify_complex(monomial_complex(128).complex).ok)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+    with pytest.raises(ValueError, match=r"t <= 128 required"):
+        monomial_complex(129)
 
 
 def test_monomial_generators_t2():
