@@ -240,7 +240,11 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # A constant equals its int (see __eq__), so it hashes as that int.
+        terms = self.terms
+        if not terms.keys() - {0}:
+            return hash(terms.get(0, 0))
+        return hash(frozenset(terms.items()))
 
     # -- evaluation --------------------------------------------------------
 

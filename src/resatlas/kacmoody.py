@@ -516,7 +516,9 @@ def defect_graded_dims(
 # ---------------------------------------------------------------------------
 
 
-def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[Coords, int]:
+def character_series(
+    graph: TpqrGraph, lam: Labels, levi: bool = False, max_level: Optional[int] = None
+) -> Dict[Coords, int]:
     """Weight multiplicities of the irreducible with highest weight `lam`,
     keyed by the drop lam - weight in root coordinates, via Freudenthal's
     recursion (only touches actual weights of the representation).
@@ -526,9 +528,24 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
     root with z_1 coefficient 0 has connected support inside S, so it is a
     root of the Levi A_{p+q-1} x A_{r-2}, of height at most n - 1: that
     cutoff finds them all, and finite type ignores it.
+
+    Freudenthal's root sum runs only at weights dominant for the reflecting
+    generators (every vertex, or S for `levi`).  Multiplicities are invariant
+    under the Weyl group those generators span, so a weight lam - beta with a
+    negative label l_j at a generator j has the multiplicity of its mirror
+    s_j(lam - beta) = lam - (beta - |l_j| alpha_j), whose drop has smaller
+    height: the frontier rises one simple root per step, so that mirror is
+    already in `mults` if it is a weight at all (it is not when
+    beta_j < |l_j|).
+
+    With `max_level`, only drops with z_1 coefficient at most `max_level`
+    are kept.  This is exact: Freudenthal at beta reads only beta - k alpha,
+    whose level is at most beta's, and a weight of level <= c is reached from
+    lam by subtracting simple roots through levels <= c.
     """
     A = graph.cartan
     n = graph.n
+    z1 = graph.z1
     if levi:
         gens = list(graph.S)
     else:
@@ -540,7 +557,7 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
             raise ValueError(f"weight not dominant on vertex {i}")
     pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
     if levi:
-        pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
+        pos_roots = [c for c in pos_roots if c[z1] == 0]
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)
@@ -560,8 +577,21 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
                 for i in gens
             }
         )
+        if max_level is not None:
+            candidates = [beta for beta in candidates if beta[z1] <= max_level]
         nxt = []
         for beta in candidates:
+            a_beta = [sum(A[i][j] * beta[j] for j in range(n)) for i in range(n)]
+            j = next((j for j in gens if a_beta[j] > lam[j]), None)
+            if j is not None:
+                # Label lam_j - (A beta)_j < 0: read the mirror's multiplicity.
+                mirror = list(beta)
+                mirror[j] -= a_beta[j] - lam[j]
+                m = mults.get(tuple(mirror), 0)
+                if m:
+                    mults[beta] = m
+                    nxt.append(beta)
+                continue
             # Freudenthal numerator: sum over alpha > 0 and k >= 1 of
             # (lam - beta + k alpha, alpha) * mult(lam - beta + k alpha);
             # alpha-strings through a weight are contiguous, so stop at the
@@ -581,7 +611,6 @@ def character_series(graph: TpqrGraph, lam: Labels, levi: bool = False) -> Dict[
                     k += 1
             if num == 0:
                 continue
-            a_beta = [sum(A[i][j] * beta[j] for j in range(n)) for i in range(n)]
             denom = 2 * sum(lam_rho[i] * beta[i] for i in range(n)) - sum(
                 beta[i] * a_beta[i] for i in range(n)
             )
@@ -719,7 +748,7 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c
     lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {b: c for b, c in character_series(graph, lam).items() if b[z1] <= cutoff}
+    rhs = character_series(graph, lam, max_level=cutoff)
     for root in roots:
         if root.coords[z1] > 0:
             rhs = _series_multiply_factor(rhs, root.coords, root.mult, cutoff, itemgetter(z1))

@@ -30,6 +30,17 @@ def test_mpoly_identities():
     assert (2 - x) == -(x - 2)
 
 
+def test_constant_mpoly_hashes_as_its_int():
+    # Equal values must hash alike: a constant polynomial equals its int.
+    x = MPoly.var("x")
+    assert 3 in {MPoly.const(3)} and MPoly.const(3) in {3}
+    assert 0 in {MPoly.const(0)} and (x - x) in {0}
+    table = {3: "three", 0: "zero"}
+    assert table[MPoly.const(3)] == "three" and table[x - x] == "zero"
+    assert len({MPoly.const(-2), -2, x + 1, 1 + x}) == 2
+    assert x not in {0, 1}
+
+
 def test_mpoly_str_canonical():
     x = MPoly.var("x")
     y = MPoly.var("y")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -484,19 +485,148 @@ def test_weyl_dim_matches_series():
 
 
 @pytest.mark.parametrize(
-    "pqr, vertices",
-    [((2, 2, 2), None), ((2, 2, 3), None), ((3, 3, 2), None), ((2, 3, 4), (3, 6))],
-    ids=["D4", "D5", "E6", "E7"],
+    "pqr", [(2, 2, 2), (2, 2, 3), (3, 3, 2), (2, 3, 4)], ids=["D4", "D5", "E6", "E7"]
 )
-def test_level_zero_of_a_character_is_the_levi_character(pqr, vertices):
+def test_level_zero_of_a_character_is_the_levi_character(pqr):
     # Branching to the Levi on S: the weights of V(lam) at S-height 0 are
-    # those of L_S(lam), with their multiplicities.  E7 runs on its adjoint
-    # and minuscule vertices; all seven take about 30 s, the branch vertex 20 s.
+    # those of L_S(lam), with their multiplicities.
     g = TpqrGraph(*pqr)
-    for v in range(g.n) if vertices is None else vertices:
+    for v in range(g.n):
         lam = g.fundamental_weight(v)
         level0 = {b: c for b, c in character_series(g, lam).items() if b[g.z1] == 0}
         assert level0 == character_series(g, lam, levi=True), (pqr, v)
+
+
+def character_series_all_weights(graph, lam, levi=False, max_level=None):
+    """Freudenthal's recursion with the root sum at every weight, and the
+    same frontier, candidate order and level cutoff as `character_series`;
+    the oracle for its dominant-weight engine."""
+    A = graph.cartan
+    n = graph.n
+    gens = list(graph.S) if levi else list(range(n))
+    pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
+    if levi:
+        pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
+    lam_rho = tuple(x + 1 for x in lam)
+    root_data = [
+        (alpha, sum(lam[i] * alpha[i] for i in range(n)), root_labels(A, alpha))
+        for alpha in pos_roots
+    ]
+    zero = (0,) * n
+    mults = {zero: 1}
+    frontier = [zero]
+    while frontier:
+        candidates = sorted(
+            {tuple(b[k] + (1 if k == i else 0) for k in range(n)) for b in frontier for i in gens}
+        )
+        if max_level is not None:
+            candidates = [beta for beta in candidates if beta[graph.z1] <= max_level]
+        nxt = []
+        for beta in candidates:
+            num = 0
+            for alpha, lam_alpha, a_alpha in root_data:
+                k = 1
+                while True:
+                    gamma = tuple(beta[j] - k * alpha[j] for j in range(n))
+                    if any(c < 0 for c in gamma):
+                        break
+                    m = mults.get(gamma, 0)
+                    if m == 0:
+                        break
+                    num += (lam_alpha - sum(gamma[i] * a_alpha[i] for i in range(n))) * m
+                    k += 1
+            if num == 0:
+                continue
+            a_beta = [sum(A[i][j] * beta[j] for j in range(n)) for i in range(n)]
+            denom = 2 * sum(lam_rho[i] * beta[i] for i in range(n)) - sum(
+                beta[i] * a_beta[i] for i in range(n)
+            )
+            assert denom > 0 and (2 * num) % denom == 0, (graph, lam, beta)
+            mults[beta] = 2 * num // denom
+            nxt.append(beta)
+        frontier = nxt
+    return mults
+
+
+def oracle_weights(g):
+    """Every fundamental weight, 0 and omega_u + omega_z1."""
+    u_z1 = tuple(a + b for a, b in zip(g.fundamental_weight(g.u), g.fundamental_weight(g.z1)))
+    return [g.fundamental_weight(v) for v in range(g.n)] + [(0,) * g.n, u_z1]
+
+
+@pytest.mark.parametrize(
+    "pqr",
+    [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 2, 4), (4, 2, 2), (3, 3, 2)],
+    ids=["D4", "D5", "D5-x", "D6", "D6-x", "E6"],
+)
+def test_character_series_matches_all_weights_freudenthal(pqr):
+    # Same dict in the same key order, for the full and the Levi character,
+    # at every level cutoff.  The full character of omega_u + omega_z1 on D6
+    # and E6 has thousands of weights and takes the oracle seconds: there the
+    # oracle runs to level 3, and the uncut engine is checked by its total.
+    g = TpqrGraph(*pqr)
+    heavy = g.n >= 6
+    for lam in oracle_weights(g):
+        for levi in (False, True):
+            top = 3 if heavy and not levi and lam[g.u] and lam[g.z1] else None
+            expected = character_series_all_weights(g, lam, levi, top)
+            for max_level in (0, 1, 2, 3, None):
+                got = character_series(g, lam, levi=levi, max_level=max_level)
+                if max_level is None and top is not None:
+                    assert sum(got.values()) == weyl_dim(g, lam), (pqr, lam)
+                    continue
+                want = [(b, c) for b, c in expected.items() if max_level is None or b[g.z1] <= max_level]
+                assert list(got.items()) == want, (pqr, lam, levi, max_level)
+
+
+@pytest.mark.parametrize("pqr", [(2, 3, 7), (3, 3, 3)], ids=["T237", "T333"])
+def test_levi_character_matches_all_weights_freudenthal_off_finite_type(pqr):
+    g = TpqrGraph(*pqr)
+    for lam in oracle_weights(g):
+        got = character_series(g, lam, levi=True)
+        assert list(got.items()) == list(character_series_all_weights(g, lam, levi=True).items()), lam
+
+
+def drop_highest_root(monkeypatch):
+    """Break the root supply: `enumerate_roots` loses its highest root."""
+    full = kacmoody.enumerate_roots
+
+    def short(graph, H=None):
+        roots = full(graph, H)
+        top = max(roots, key=lambda root: sum(root.coords))
+        return [root for root in roots if root is not top]
+
+    monkeypatch.setattr(kacmoody, "enumerate_roots", short)
+
+
+def test_a_missing_root_breaks_the_d4_vector_character(monkeypatch):
+    # The drop where the all-weights recursion went non-integral is not
+    # dominant, so it is read by reflection; the BGG identity and the
+    # dimension formula catch the missing root instead.
+    drop_highest_root(monkeypatch)
+    g = TpqrGraph(2, 2, 2)
+    lam = g.fundamental_weight(g.z1)
+    assert bgg_euler_check(g, lam, 2) == (False, 1)
+    with pytest.raises(AssertionError, match="Weyl dimension formula gives 20/3"):
+        weyl_kac_character(g, lam, 2)
+
+
+@pytest.mark.parametrize("pqr, vertex", [((2, 2, 2), "u"), ((3, 3, 2), "z1")], ids=["D4-u", "E6-z1"])
+def test_a_missing_root_makes_freudenthal_non_integral(monkeypatch, pqr, vertex):
+    drop_highest_root(monkeypatch)
+    g = TpqrGraph(*pqr)
+    lam = g.fundamental_weight(getattr(g, vertex))
+    for run in (lambda: bgg_euler_check(g, lam, 2), lambda: weyl_kac_character(g, lam, 2)):
+        with pytest.raises(AssertionError, match=re.escape(repr(g)) + " lam .*not a multiplicity"):
+            run()
+
+
+def test_e8_adjoint_graded_dimensions():
+    g = TpqrGraph(2, 3, 5)
+    assert weyl_kac_character(g, g.fundamental_weight(g.z(4)), 10) == (
+        (4, 10, 20, 30, 40, 40, 40, 30, 20, 10, 4),
+        248,
+    )
 
 
 def type_a_dim(labels):
