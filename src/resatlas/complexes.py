@@ -183,58 +183,41 @@ def be_multipliers(complex_: FreeComplex) -> MultiplierReport:
     for i, m in enumerate(mats, start=1):
         if m.rank() != fmt.r[i - 1]:
             raise ValueError(f"d_{i} has rank {m.rank()}, expected {fmt.r[i - 1]}")
+    # Every r_i-minor of d_i, once: a_i reads the first r_i columns with a
+    # nonzero minor (the first of rank r_i), and the check reads them all.
+    tables: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction]] = []
     multipliers: List[Tuple[Fraction, ...]] = []
-    for i in range(1, n + 1):
-        d = mats[i - 1]
-        r = fmt.r[i - 1]
-        if i == n:
-            cols: Tuple[int, ...] = tuple(range(d.cols))
-        else:
-            cols = next(
-                c
-                for c in combinations(range(d.cols), r)
-                if d.submatrix(range(d.rows), c).rank() == r
-            )
-        vec = tuple(
-            Fraction(d.minor(rows, cols)) for rows in combinations(range(d.rows), r)
-        )
-        multipliers.append(vec)
+    for d, r in zip(mats, fmt.r):
+        row_sets = list(combinations(range(d.rows), r))
+        col_sets = list(combinations(range(d.cols), r))
+        table = {(R, C): Fraction(d.minor(R, C)) for R in row_sets for C in col_sets}
+        cols = next(C for C in col_sets if any(table[R, C] for R in row_sets))
+        multipliers.append(tuple(table[R, cols] for R in row_sets))
+        tables.append(table)
     scalars: List[Optional[Fraction]] = []
     ok = True
     detail = ""
-    for i in range(1, n + 1):
-        d = mats[i - 1]
-        r = fmt.r[i - 1]
-        a_i = dict(zip(combinations(range(d.rows), r), multipliers[i - 1]))
+    for i, (d, table) in enumerate(zip(mats, tables), start=1):
+        a_i = dict(zip(combinations(range(d.rows), fmt.r[i - 1]), multipliers[i - 1]))
         if i == n:
             a_next = {(): Fraction(1)}
-            next_rows = d.cols
         else:
-            next_rows = d.cols
-            a_next = dict(
-                zip(combinations(range(next_rows), fmt.r[i]), multipliers[i])
-            )
+            a_next = dict(zip(combinations(range(d.cols), fmt.r[i]), multipliers[i]))
         s_i: Optional[Fraction] = None
-        for rows in combinations(range(d.rows), r):
-            for cols_sel in combinations(range(d.cols), r):
-                comp = tuple(j for j in range(next_rows) if j not in cols_sel)
-                rhs = (
-                    a_i[rows]
-                    * _complement_sign(cols_sel, next_rows)
-                    * a_next[comp]
-                )
-                lhs = Fraction(d.minor(rows, cols_sel))
-                if rhs == 0:
-                    if lhs != 0:
-                        ok = False
-                        detail = f"d_{i}: minor {rows}x{cols_sel} nonzero but product vanishes"
-                    continue
-                ratio = lhs / rhs
-                if s_i is None:
-                    s_i = ratio
-                elif ratio != s_i:
+        for (rows, cols_sel), lhs in table.items():
+            comp = tuple(j for j in range(d.cols) if j not in cols_sel)
+            rhs = a_i[rows] * _complement_sign(cols_sel, d.cols) * a_next[comp]
+            if rhs == 0:
+                if lhs != 0:
                     ok = False
-                    detail = f"d_{i}: inconsistent scalar at {rows}x{cols_sel}"
+                    detail = f"d_{i}: minor {rows}x{cols_sel} nonzero but product vanishes"
+                continue
+            ratio = lhs / rhs
+            if s_i is None:
+                s_i = ratio
+            elif ratio != s_i:
+                ok = False
+                detail = f"d_{i}: inconsistent scalar at {rows}x{cols_sel}"
         scalars.append(s_i)
     return MultiplierReport(
         ok=ok, multipliers=tuple(multipliers), scalars=tuple(scalars), detail=detail

@@ -9,10 +9,9 @@ type (finite/affine/indefinite) controls the structure theory downstream.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -100,22 +99,21 @@ def _check_pqr(p: int, q: int, r: int) -> None:
 
 
 def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Signature (n_+, n_0, n_-) of a symmetric matrix, exactly.
+    """Signature (n_+, n_0, n_-) of a symmetric matrix, exactly, by peeling
+    leaves of its off-diagonal graph.
 
-    Sparse minimum-degree congruence (LDL^T) elimination over the rationals.
-    Each row is a ``{col: value}`` dict of its nonzero entries (the input's
-    integers until an update makes them Fractions).  Each step
-    eliminates the live row with a nonzero diagonal and the fewest nonzeros
-    (ties to the lowest index), updating only its neighbours by the Schur
-    complement m[i][j] -= m[i][k] m[k][j] / m[k][k].  On a tree that order
-    eliminates leaves first with zero fill-in (Parter 1961), so a T_{p,q,r}
-    Cartan matrix costs O(n).  When every live diagonal is zero, the lowest
-    live row either is empty (one zero eigenvalue) or gets a neighbour's row
-    and column added to it, which makes its diagonal nonzero.  Every step is
-    a congruence, so by Sylvester's law of inertia the signs of the pivots
-    give the signature of A.
+    Each step removes a live row k with at most one live off-diagonal
+    nonzero A[k][j] by a congruence.  With no neighbour, A[k][k] gives one
+    sign.  With A[k][k] != 0, it gives one sign and the Schur complement
+    changes only A[j][j] -= A[k][j]^2 / A[k][k].  With A[k][k] = 0, the block
+    on {k, j} has determinant -A[k][j]^2 < 0: one + and one -, both rows go,
+    and the rest is unchanged because (K^-1)_jj = A[k][k] / det = 0.  By
+    Sylvester's law of inertia the signs counted are the signature.  Diagonals
+    stay the input's integers until an update makes them Fractions.  A forest,
+    such as a T_{p,q,r} Cartan matrix, peels with no fill-in (Parter 1961).
 
-    Raises ValueError if A is not square or not symmetric.
+    Raises ValueError if A is not square or not symmetric, or if no live row
+    is a leaf (the off-diagonal graph has a cycle).
     """
     n = len(A)
     if any(len(row) != n for row in A):
@@ -125,76 +123,40 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
         for j, a in row.items():
             if rows[j].get(i, 0) != a:
                 raise ValueError(f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]")
-    live = set(range(n))
-    heap = [(len(row), i) for i, row in enumerate(rows)]
-    heapq.heapify(heap)
+    diag = [row.pop(i, 0) for i, row in enumerate(rows)]
+    live = [True] * n
+    leaves = [k for k in range(n) if len(rows[k]) <= 1]
     plus = zero = minus = 0
-    while live:
-        k = _min_degree_pivot(rows, live, heap)
-        if k is None:
-            k = min(live)
-            if not rows[k]:
-                zero += 1
-                live.remove(k)
-                continue
-            for i in _add_neighbour_to_row(rows, k, min(rows[k])):
-                heapq.heappush(heap, (len(rows[i]), i))
+    while leaves:
+        k = leaves.pop()
+        if not live[k] or len(rows[k]) > 1:
             continue
-        row = rows[k]
-        pivot = row.pop(k)
-        live.remove(k)
+        live[k] = False
+        pivot = diag[k]
+        if rows[k] and not pivot:
+            (j,) = rows[k]
+            live[j] = False
+            plus += 1
+            minus += 1
+            for i in rows[j]:
+                if i != k:
+                    del rows[i][j]
+                    leaves.append(i)
+            continue
         if pivot > 0:
             plus += 1
-        else:
+        elif pivot:
             minus += 1
-        for i, a in row.items():
-            ri = rows[i]
-            del ri[k]
-            for j, b in row.items():
-                v = ri.get(j, 0) - Fraction(a * b, pivot)
-                if v:
-                    ri[j] = v
-                else:
-                    ri.pop(j, None)
-            heapq.heappush(heap, (len(ri), i))
-    return (plus, zero, minus)
-
-
-def _min_degree_pivot(
-    rows: List[Dict[int, Fraction]], live: Set[int], heap: List[Tuple[int, int]]
-) -> Optional[int]:
-    """Pop the live row with a nonzero diagonal and the fewest nonzeros.
-
-    The heap holds a (degree, index) entry for every row as it was after each
-    change to it; entries that no longer match their row are dropped.
-    """
-    while heap:
-        degree, k = heapq.heappop(heap)
-        row = rows[k]
-        if k in live and k in row and len(row) == degree:
-            return k
-    return None
-
-
-def _add_neighbour_to_row(rows: List[Dict[int, Fraction]], k: int, off: int) -> Set[int]:
-    """Add row and column `off` to row and column `k` (a congruence).
-
-    Returns the indices of the rows that changed.
-    """
-    old = rows[k]
-    new = dict(old)
-    for j, a in rows[off].items():
-        new[j] = new.get(j, 0) + a
-    new[k] = new.get(k, 0) + new.get(off, 0)
-    new = {j: a for j, a in new.items() if a}
-    rows[k] = new
-    changed = old.keys() | new.keys()
-    for j in changed - {k}:
-        if j in new:
-            rows[j][k] = new[j]
         else:
-            rows[j].pop(k, None)
-    return changed | {k}
+            zero += 1
+        for j, a in rows[k].items():
+            del rows[j][k]
+            diag[j] -= Fraction(a * a, pivot)
+            leaves.append(j)
+    if any(live):
+        stuck = [k for k in range(n) if live[k]]
+        raise ValueError(f"off-diagonal graph has a cycle: no leaf among rows {stuck}")
+    return (plus, zero, minus)
 
 
 def _finite_dynkin_name(p: int, q: int, r: int) -> str:
@@ -224,16 +186,14 @@ def classify(p: int, q: int, r: int) -> TpqrClass:
     else:
         kind, dynkin = "indefinite", None
 
-    sig = symmetric_signature(tpqr_cartan_matrix(p, q, r))
-    expected = {
-        "finite": (n, 0, 0),
-        "affine": (n - 1, 1, 0),
-        "indefinite": (n - 1, 0, 1),
-    }[kind]
+    mismatch = f"classification mismatch for T_{(p, q, r)}: case list says {kind}"
+    try:
+        sig = symmetric_signature(tpqr_cartan_matrix(p, q, r))
+    except ValueError as exc:  # only a broken Cartan builder gets here
+        raise AssertionError(f"{mismatch}, signature refused: {exc}") from exc
+    expected = {"finite": (n, 0, 0), "affine": (n - 1, 1, 0), "indefinite": (n - 1, 0, 1)}[kind]
     if sig != expected:
-        raise AssertionError(
-            f"classification mismatch for T_{(p, q, r)}: case list says {kind}, signature is {sig}"
-        )
+        raise AssertionError(f"{mismatch}, signature is {sig}")
     return TpqrClass(kind=kind, dynkin=dynkin, signature=sig)
 
 

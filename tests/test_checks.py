@@ -1,6 +1,8 @@
 """Must-fail twins for the paper checks in `resatlas.checks`: a broken
-input makes the check raise `CheckFailed` naming the object that broke,
-also under `python -O`."""
+input makes the check raise `CheckFailed`, or the `AssertionError` it
+extends from a cross-check inside the library (`formats.classify`,
+`kacmoody.weyl_kac_character`), naming the object that broke, also under
+`python -O`.  `tests/test_lint.py` fails when a check has no twin here."""
 
 import dataclasses
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import checks, cli, complexes, formats, kacmoody, rings
+from resatlas import checks, cli, complexes, formats, kacmoody, rings, schur
 from resatlas.checks import CHECKS, Budget, CheckFailed
 from resatlas.exact import ExactMatrix, MPoly
 
@@ -94,10 +96,76 @@ def test_ra_truncations_catch_a_repeated_component(monkeypatch):
         run_check("ra-truncations")
 
 
+def test_be_multipliers_catch_a_wrong_complement_sign(monkeypatch):
+    assert run_check("be-multipliers") == (
+        "factorization holds at 10 seeded points on each of 5 fixtures"
+    )
+    monkeypatch.setattr(complexes, "_complement_sign", lambda subset, n: 1)
+    with pytest.raises(CheckFailed, match=re.escape(
+        "koszul at seed 1: d_2: inconsistent scalar at (1, 2)x(0, 2)"
+    )):
+        run_check("be-multipliers")
+
+
 def test_be_multipliers_stop_when_no_seed_gives_full_rank(monkeypatch):
     monkeypatch.setattr(checks, "seeded_random_point", lambda seed, names: {v: 0 for v in names})
     with pytest.raises(CheckFailed, match=r"koszul: only 0 of seeds 1\.\.100 give a point of full rank"):
         run_check("be-multipliers")
+
+
+def test_classification_catches_a_dropped_edge(monkeypatch):
+    assert run_check("classification") == "576 triples, anchors D4/E8/affine/indefinite confirmed"
+    build = formats.tpqr_cartan_matrix
+
+    def without_u_z1(p, q, r):
+        A = build(p, q, r)
+        if (p, q, r) == (2, 3, 7):
+            A[0][4] = A[4][0] = 0
+        return A
+
+    monkeypatch.setattr(formats, "tpqr_cartan_matrix", without_u_z1)
+    with pytest.raises(AssertionError, match=re.escape(
+        "classification mismatch for T_(2, 3, 7): case list says indefinite, signature is (10, 0, 0)"
+    )):
+        run_check("classification")
+
+
+def test_defect_dims_catch_a_wrong_closed_formula(monkeypatch):
+    assert run_check("defect-dims") == "defect dims [6],[20,1],[12,1] = closed formulas = root counts"
+    g2 = schur.g2_dim_formula
+    monkeypatch.setattr(schur, "g2_dim_formula", lambda p, q, r: g2(p, q, r) + 1)
+    with pytest.raises(CheckFailed, match=re.escape("(2, 2, 2): closed formulas give (g1, g2) = (6, 1)")):
+        run_check("defect-dims")
+
+
+def test_spin_branching_catches_a_dropped_lowest_weight(monkeypatch):
+    assert run_check("spin-branching") == "V(w_z1) on D4 has S-graded dims (1, 6, 1)"
+    series = kacmoody.character_series
+
+    def without_lowest(graph, lam, *args, **kwargs):
+        mults = series(graph, lam, *args, **kwargs)
+        lowest = max(mults, key=sum)
+        return {beta: m for beta, m in mults.items() if beta != lowest}
+
+    monkeypatch.setattr(kacmoody, "character_series", without_lowest)
+    with pytest.raises(AssertionError, match="character total 7 disagrees with dimension formula 8"):
+        run_check("spin-branching")
+
+
+def test_dictionary_crosscheck_catches_a_shifted_layer_2_weight(monkeypatch):
+    assert run_check("dictionary-crosscheck") == "20 random K*/BGG matches each on the D4 and E6 formats"
+    terms = rings.bgg_initial_terms
+
+    def shifted(graph, lam):
+        layers = terms(graph, lam)
+        w = layers[2][0]
+        return layers[:2] + [[(w[0] + 1,) + w[1:]] + layers[2][1:]]
+
+    monkeypatch.setattr(rings, "bgg_initial_terms", shifted)
+    with pytest.raises(CheckFailed, match=re.escape(
+        "(1, 4, 4, 1): K*/BGG mismatch at sigma=(3,) tau=(2, 2, 2, 1) t=3"
+    )):
+        run_check("dictionary-crosscheck")
 
 
 def test_denominator_identity_catches_one_wrong_multiplicity(monkeypatch):

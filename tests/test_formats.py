@@ -61,14 +61,19 @@ def test_classification_dual_paths_agree_small():
     "pqr, edge, value, perturbed_sig",
     [
         ((2, 3, 7), (0, 4), 0, (10, 0, 0)),   # drop the u-z1 edge
-        ((2, 2, 2), (1, 2), -1, (3, 0, 1)),   # add an x1-y1 edge to D4
+        # add an x1-y1 edge to D4: the triangle u-x1-y1 is refused
+        ((2, 2, 2), (1, 2), -1, ValueError("graph has a cycle: no leaf among rows [0, 1, 2]")),
     ],
 )
 def test_classify_catches_a_wrong_cartan_matrix(monkeypatch, pqr, edge, value, perturbed_sig):
     A = tpqr_cartan_matrix(*pqr)
     i, j = edge
     A[i][j] = A[j][i] = value
-    assert symmetric_signature(A) == perturbed_sig
+    if isinstance(perturbed_sig, ValueError):
+        with pytest.raises(ValueError, match=re.escape(str(perturbed_sig))):
+            symmetric_signature(A)
+    else:
+        assert symmetric_signature(A) == perturbed_sig
     monkeypatch.setattr(formats, "tpqr_cartan_matrix", lambda p, q, r: A)
     with pytest.raises(AssertionError, match=re.escape(f"classification mismatch for T_{pqr}")):
         classify(*pqr)

@@ -35,6 +35,7 @@ from resatlas.kacmoody import (
     weyl_elements,
     weyl_kac_character,
 )
+from resatlas.schur import schur_dim
 
 
 def test_vertex_layout():
@@ -489,12 +490,34 @@ def test_weyl_dim_matches_series():
 )
 def test_level_zero_of_a_character_is_the_levi_character(pqr):
     # Branching to the Levi on S: the weights of V(lam) at S-height 0 are
-    # those of L_S(lam), with their multiplicities.
+    # those of L_S(lam), with their multiplicities.  Both sides come from the
+    # same engine, so the Levi character's total must also be its dimension
+    # by the GL Weyl formula, which does not use Freudenthal.
     g = TpqrGraph(*pqr)
     for v in range(g.n):
         lam = g.fundamental_weight(v)
+        levi = character_series(g, lam, levi=True)
         level0 = {b: c for b, c in character_series(g, lam).items() if b[g.z1] == 0}
-        assert level0 == character_series(g, lam, levi=True), (pqr, v)
+        assert level0 == levi, (pqr, v)
+        assert sum(levi.values()) == levi_dim(g, lam), (pqr, v)
+
+
+def levi_paths(g):
+    """The two type-A paths of the Levi on S, each read from one end:
+    x_{p-1} .. x_1 u y_1 .. y_{q-1} and z_2 .. z_{r-1}."""
+    head = [g.x(i) for i in range(g.p - 1, 0, -1)] + [g.u] + [g.y(i) for i in range(1, g.q)]
+    return head, [g.z(i) for i in range(2, g.r)]
+
+
+def levi_dim(g, lam):
+    """Dimension of the Levi irreducible on S by the GL Weyl dimension
+    formula (`schur_dim`, no Freudenthal): on each path the GL weight is the
+    suffix sums of the labels, closed by a 0."""
+    dim = 1
+    for path in levi_paths(g):
+        weight = [sum(lam[v] for v in path[i:]) for i in range(len(path))] + [0]
+        dim *= schur_dim(weight, len(weight))
+    return dim
 
 
 def character_series_all_weights(graph, lam, levi=False, max_level=None):
@@ -652,8 +675,7 @@ def type_a_dim(labels):
 )
 def test_levi_character_on_a_non_finite_graph(pqr, lam, dims):
     g = TpqrGraph(*pqr)
-    head = [g.x(i) for i in range(g.p - 1, 0, -1)] + [g.u] + [g.y(i) for i in range(1, g.q)]
-    tail = [g.z(i) for i in range(2, g.r)]
+    head, tail = levi_paths(g)
     assert (type_a_dim([lam[v] for v in head]), type_a_dim([lam[v] for v in tail])) == dims
     series = character_series(g, lam, levi=True)
     assert all(beta[g.z1] == 0 for beta in series)

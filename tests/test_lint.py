@@ -147,3 +147,35 @@ def test_intern_lint_finds_a_call_in_a_method_and_at_module_level():
         "REGISTRY.index.get('y')\n"
     )
     assert callers(tree, "intern") == ["M.substitute", ""]
+
+
+def run_check_names(tree):
+    """The string constants passed as the first argument of `run_check(...)`."""
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "run_check"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_every_check_has_a_must_fail_twin():
+    from resatlas.checks import CHECKS
+
+    path = SRC.parents[1] / "tests" / "test_checks.py"
+    named = run_check_names(ast.parse(path.read_text(), filename=str(path)))
+    assert [name for name, _ in CHECKS if name not in named] == []
+
+
+def test_twin_lint_reads_only_run_check_calls():
+    tree = ast.parse(
+        'def test_a(monkeypatch):\n'
+        '    run_check("classification")\n'
+        '    other("defect-dims")\n'
+        '    run_check(name)\n'
+        '    "spin-branching"\n'
+    )
+    assert run_check_names(tree) == {"classification"}

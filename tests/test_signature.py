@@ -1,11 +1,13 @@
 """symmetric_signature against a dense exact oracle.
 
-The oracle is the straightforward O(n^3) Fraction congruence diagonalization
-that the sparse minimum-degree elimination replaced; by Sylvester's law of
-inertia both must give the same (n_+, n_0, n_-) on every symmetric matrix.
+The oracle is the straightforward O(n^3) Fraction congruence diagonalization;
+by Sylvester's law of inertia it and the leaf peeling must give the same
+(n_+, n_0, n_-) on every symmetric matrix that the peeling does not refuse.
+The peeling refuses only a matrix whose off-diagonal graph has a cycle.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,14 +72,72 @@ def random_symmetric(rng, n):
     return A
 
 
+def has_cycle(A):
+    """Whether the graph of the off-diagonal nonzeros of A has a cycle."""
+    parent = list(range(len(A)))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(A)):
+        for j in range(i + 1, len(A)):
+            if A[i][j]:
+                a, b = root(i), root(j)
+                if a == b:
+                    return True
+                parent[a] = b
+    return False
+
+
+def random_forest(rng, n):
+    """A symmetric matrix whose off-diagonal graph is a random forest, on
+    vertices in shuffled order, with nonzero weights on its edges and a
+    diagonal that is often zero."""
+    order = list(range(n))
+    rng.shuffle(order)
+    A = [[0] * n for _ in range(n)]
+    for t in range(1, n):
+        if rng.random() < 0.85:
+            i, j = order[t], order[rng.randrange(t)]
+            A[i][j] = A[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+    zero_rate = rng.choice([0.0, 0.3, 0.7])
+    for i in range(n):
+        A[i][i] = 0 if rng.random() < zero_rate else rng.randint(-3, 3)
+    return A
+
+
 def test_matches_dense_oracle_on_random_symmetric_matrices():
     rng = random.Random(20161)
     seen = {"zero_diagonal": 0, "singular": 0, "indefinite": 0}
+    compared = 0
     for _ in range(3000):
         A = random_symmetric(rng, rng.randint(1, 8))
+        dense = dense_signature(A)
+        try:
+            sig = symmetric_signature(A)
+        except ValueError as exc:
+            assert "off-diagonal graph has a cycle" in str(exc)
+            assert has_cycle(A), A
+        else:
+            assert sig == dense, A
+            compared += 1
+        seen["zero_diagonal"] += any(A[i][i] == 0 for i in range(len(A)))
+        seen["singular"] += dense[1] > 0
+        seen["indefinite"] += dense[0] > 0 and dense[2] > 0
+    assert min(seen.values()) >= 300, seen
+    assert compared >= 1500, compared
+
+
+def test_matches_dense_oracle_on_random_forests():
+    rng = random.Random(1961)
+    seen = {"zero_diagonal": 0, "singular": 0, "indefinite": 0}
+    for _ in range(3000):
+        A = random_forest(rng, rng.randint(1, 12))
+        assert not has_cycle(A)
         sig = symmetric_signature(A)
         assert sig == dense_signature(A), A
-        assert sum(sig) == len(A)
         seen["zero_diagonal"] += any(A[i][i] == 0 for i in range(len(A)))
         seen["singular"] += sig[1] > 0
         seen["indefinite"] += sig[0] > 0 and sig[2] > 0
@@ -110,6 +170,30 @@ def test_long_arm_graph():
 )
 def test_exact_cases(A, expected):
     assert symmetric_signature(A) == expected
+
+
+@pytest.mark.parametrize(
+    "A, stuck",
+    [
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [0, 1, 2]),
+        # D4 with an x1-y1 edge: z1 peels, the triangle u-x1-y1 stays.
+        ([[2, -1, -1, -1], [-1, 2, -1, 0], [-1, -1, 2, 0], [-1, 0, 0, 2]], [0, 1, 2]),
+        # A 4-cycle 0-1-2-3 with a pendant 4 on row 0, all diagonals zero but 4's:
+        ([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 0, 1, 0, 0], [1, 0, 0, 0, 5]],
+         [0, 1, 2, 3]),
+    ],
+)
+def test_refuses_a_cycle_and_names_its_rows(A, stuck):
+    assert has_cycle(A)
+    with pytest.raises(ValueError, match=re.escape(f"graph has a cycle: no leaf among rows {stuck}")):
+        symmetric_signature(A)
+
+
+def test_a_zero_diagonal_leaf_can_break_a_cycle():
+    # Leaf 3 has a zero diagonal, so it leaves with its neighbour 0, and the
+    # triangle 0-1-2 loses a vertex: the rest peels.
+    A = [[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0], [1, 0, 0, 0]]
+    assert symmetric_signature(A) == dense_signature(A) == (3, 0, 1)
 
 
 def test_rejects_non_square():
