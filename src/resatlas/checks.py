@@ -14,7 +14,6 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from . import complexes, formats, kacmoody, rings, schur
-from .exact import seeded_random_point
 from .formats import derive_ranks
 from .kacmoody import TpqrGraph
 
@@ -259,7 +258,6 @@ def _check_d4_relation(budget: Budget) -> str:
 
 
 BE_POINTS = 10
-BE_MAX_SEED = 100  # seeded points tried per fixture before giving up
 
 
 def _check_be_multipliers(budget: Budget) -> str:
@@ -267,23 +265,11 @@ def _check_be_multipliers(budget: Budget) -> str:
     fixtures += [complexes.thm112_build(r3).complex for r3 in (1, 2)]
     fixtures += [complexes.monomial_complex(t).complex for t in (2, 3)]
     for cx in fixtures:
-        names = complexes.entry_variables(cx)
-        done = 0
-        for seed in range(1, BE_MAX_SEED + 1):
+        for seed in range(1, BE_POINTS + 1):
             budget.check("BE multipliers")
-            spec = cx.substitute(seeded_random_point(97 * seed, names))
-            if tuple(m.rank() for m in spec.differentials) != cx.fmt.r:
-                continue
-            rep = complexes.be_multipliers(spec)
+            rep = complexes.be_multipliers(cx, seed)
             if not rep.ok:
                 raise CheckFailed(f"{cx.label} at seed {seed}: {rep.detail}")
-            done += 1
-            if done == BE_POINTS:
-                break
-        else:
-            raise CheckFailed(
-                f"{cx.label}: only {done} of seeds 1..{BE_MAX_SEED} give a point of full rank"
-            )
     return f"factorization holds at {BE_POINTS} seeded points on each of {len(fixtures)} fixtures"
 
 

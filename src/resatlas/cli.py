@@ -248,10 +248,7 @@ def text_ra_decompose(pl: Dict, args) -> List[str]:
 def cmd_rspec(args) -> Dict:
     fmt = _valid_format(args.f)
     graph = TpqrGraph(*fmt.pqr)
-    comps = []
-    for mu in rings.mu_enumerate(fmt, args.cutoff):
-        if rings.in_rspec(mu, fmt):
-            comps.append((mu, rings.rspec_component(mu, fmt)))
+    comps = [(mu, rings.rspec_component(mu, fmt)) for mu in rings.mu_enumerate(fmt, args.cutoff)]
     return {
         "format": list(fmt.f),
         "cutoff": args.cutoff,

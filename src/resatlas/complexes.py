@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import DEGREE_LIMIT, ExactMatrix, MPoly, seeded_random_point
+from .exact import DEGREE_LIMIT, SYMBOLIC_DET_LIMIT, ExactMatrix, MPoly, seeded_random_point
 from .formats import ResolutionFormat, derive_ranks
 
 
@@ -66,8 +66,7 @@ def verify_complex(complex_: FreeComplex) -> ComplexReport:
         for r in range(prod.rows):
             for c in range(prod.cols):
                 e = prod.data[r][c]
-                nonzero = (not e.is_zero()) if isinstance(e, MPoly) else (e != 0)
-                if nonzero:
+                if e != 0:
                     failures.append((i, r, c, str(e)))
     return ComplexReport(ok=not failures, failures=tuple(failures))
 
@@ -93,8 +92,7 @@ def koszul_complex() -> FreeComplex:
 class RankReport:
     ok: bool
     ranks: Tuple[int, ...]
-    expected: Tuple[int, ...]
-    point: Dict[str, Fraction]
+    spec: FreeComplex  # the complex at the last point tried
 
 
 def entry_variables(complex_: FreeComplex) -> List[str]:
@@ -119,16 +117,13 @@ def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
     """At a seeded rational point, every differential has its expected rank
     r_i.  The point is retried (deterministically) until the top maximal
     minors are nonvanishing or the budget runs out."""
-    fmt = complex_.fmt
     names = entry_variables(complex_)
-    expected = fmt.r
     for attempt in range(50):
-        point = seeded_random_point(seed * 1000 + attempt, names)
-        spec = [d.substitute(point) for d in complex_.differentials]
-        ranks = tuple(m.rank() for m in spec)
-        if ranks == expected:
-            return RankReport(ok=True, ranks=ranks, expected=expected, point=point)
-    return RankReport(ok=False, ranks=ranks, expected=expected, point=point)
+        spec = complex_.substitute(seeded_random_point(seed * 1000 + attempt, names))
+        ranks = tuple(m.rank() for m in spec.differentials)
+        if ranks == complex_.fmt.r:
+            return RankReport(ok=True, ranks=ranks, spec=spec)
+    return RankReport(ok=False, ranks=ranks, spec=spec)
 
 
 def complex_to_json(complex_: FreeComplex) -> Dict:
@@ -166,8 +161,9 @@ class MultiplierReport:
     detail: str = ""
 
 
-def be_multipliers(complex_: FreeComplex) -> MultiplierReport:
-    """First-structure-theorem factorization at a numeric instance.
+def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
+    """First-structure-theorem factorization at the point of full rank that
+    `be_rank_check(complex_, seed)` finds; a failed report if it finds none.
 
     a_n is the vector of maximal minors of d_n.  For i < n, a_i is the
     Plucker coordinate vector of the column space of d_i (maximal minors of
@@ -177,12 +173,11 @@ def be_multipliers(complex_: FreeComplex) -> MultiplierReport:
     """
     fmt = complex_.fmt
     n = fmt.n
-    mats = [complex_.d(i) for i in range(1, n + 1)]
-    if not all(m.is_numeric() for m in mats):
-        raise ValueError("be_multipliers needs a numeric complex")
-    for i, m in enumerate(mats, start=1):
-        if m.rank() != fmt.r[i - 1]:
-            raise ValueError(f"d_{i} has rank {m.rank()}, expected {fmt.r[i - 1]}")
+    rk = be_rank_check(complex_, seed)
+    if not rk.ok:
+        detail = f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
+        return MultiplierReport(ok=False, multipliers=(), scalars=(), detail=detail)
+    mats = rk.spec.differentials
     # Every r_i-minor of d_i, once: a_i reads the first r_i columns with a
     # nonzero minor (the first of rank r_i), and the check reads them all.
     tables: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction]] = []
@@ -240,17 +235,6 @@ class Thm112Result:
     x: Tuple[MPoly, MPoly, MPoly]
 
 
-def _check_degree(label: str, degree: int, bound: str) -> None:
-    """Raise ValueError, before anything is built, if verifying a family
-    member multiplies up to total degree `degree`, which `exact` cannot
-    pack; `bound` names the largest parameter that fits."""
-    if degree >= DEGREE_LIMIT:
-        raise ValueError(
-            f"{label}: d_1 . d_2 has total degree {degree}, but exact packs only degrees "
-            f"below {DEGREE_LIMIT}; {bound} required"
-        )
-
-
 def thm112_build(r3: int) -> Thm112Result:
     """The format (1, 3, r3+2, r3) complex from generic d_3 and second
     structure map B.
@@ -263,8 +247,14 @@ def thm112_build(r3: int) -> Thm112Result:
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")
-    # d_1 has degree r3 + 3 and d_2 degree r3 + 1, so d_1 . d_2 has 2 r3 + 4.
-    _check_degree(f"thm112(r3={r3})", 2 * r3 + 4, f"r3 <= {(DEGREE_LIMIT - 5) // 2}")
+    # Refused before any variable is made.  Within the limit, d_1 . d_2 has
+    # degree 2 r3 + 4, far below `DEGREE_LIMIT`.
+    limit = SYMBOLIC_DET_LIMIT
+    if r3 > limit:
+        raise ValueError(
+            f"thm112(r3={r3}): Delta's entries are {r3}x{r3} minors, but exact expands "
+            f"symbolic determinants only up to {limit}x{limit}; r3 <= {limit} required"
+        )
     f2 = r3 + 2
     A = [[MPoly.var(f"A{i + 1}_{j + 1}") for j in range(r3)] for i in range(f2)]
     B = [[MPoly.var(f"b{i + 1}_{j + 1}") for j in range(3)] for i in range(f2)]
@@ -330,8 +320,13 @@ def monomial_complex(t: int) -> MonomialResult:
     """
     if t < 2:
         raise ValueError("t >= 2 required")
-    # d_1 has degree 2t - 2 and d_2 degree 1, so d_1 . d_2 has 2t - 1.
-    _check_degree(f"monomial complex t = {t}", 2 * t - 1, f"t <= {DEGREE_LIMIT // 2}")
+    # d_1 has degree 2t - 2 and d_2 degree 1, so d_1 . d_2 has 2t - 1, which
+    # `exact` must pack; refused before any variable is made.
+    if 2 * t - 1 >= DEGREE_LIMIT:
+        raise ValueError(
+            f"monomial complex t = {t}: d_1 . d_2 has total degree {2 * t - 1}, but exact packs "
+            f"only degrees below {DEGREE_LIMIT}; t <= {DEGREE_LIMIT // 2} required"
+        )
     m = 2 * t
     X = [MPoly.var(f"X{i}") for i in range(1, m + 1)]
 

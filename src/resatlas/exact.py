@@ -34,6 +34,8 @@ if _BITS != 8:
     raise ImportError("exact._unpack reads one field per byte; _BITS must be 8")
 DEGREE_LIMIT = 1 << _BITS
 _MASK = DEGREE_LIMIT - 1
+# The largest symbolic determinant `ExactMatrix.det` expands (n x n).
+SYMBOLIC_DET_LIMIT = 8
 
 
 class VarRegistry:
@@ -233,6 +235,11 @@ class MPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
+        # A number equals a polynomial only as an integer constant.
+        if isinstance(other, Fraction):
+            if other.denominator != 1:
+                return False
+            other = other.numerator
         if isinstance(other, int):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
@@ -317,20 +324,6 @@ def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
     return _poly(terms)
 
 
-def _entries_equal(a: Entry, b: Entry) -> bool:
-    """Exact equality of two matrix entries; an MPoly equals a number only
-    if it is that integer constant."""
-    if isinstance(b, MPoly):
-        a, b = b, a
-    if not isinstance(a, MPoly):
-        return Fraction(a) == Fraction(b)
-    if isinstance(b, Fraction):
-        if b.denominator != 1:
-            return False
-        b = b.numerator
-    return a == b
-
-
 class ExactMatrix:
     """Dense matrix with exact entries (int/Fraction or MPoly)."""
 
@@ -353,13 +346,7 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            _entries_equal(a, b)
-            for row_a, row_b in zip(self.data, other.data)
-            for a, b in zip(row_a, row_b)
-        )
+        return self.data == other.data
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -435,12 +422,10 @@ class ExactMatrix:
                 break
         return rank, sign, Fraction(prev, denom**rank)
 
-    _SYMBOLIC_DET_LIMIT = 8
-
     def _det_expansion(self) -> MPoly:
         n = self.rows
-        if n > self._SYMBOLIC_DET_LIMIT:
-            raise ValueError(f"symbolic determinant limited to {self._SYMBOLIC_DET_LIMIT}x{self._SYMBOLIC_DET_LIMIT}")
+        if n > SYMBOLIC_DET_LIMIT:
+            raise ValueError(f"symbolic determinant limited to {SYMBOLIC_DET_LIMIT}x{SYMBOLIC_DET_LIMIT}")
         entries = [[MPoly.coerce(e) if not isinstance(e, MPoly) else e for e in row] for row in self.data]
         cache: Dict[Tuple[int, Tuple[int, ...]], MPoly] = {}
 
@@ -502,14 +487,7 @@ class ExactMatrix:
         return ExactMatrix(out)
 
     def is_zero(self) -> bool:
-        for row in self.data:
-            for e in row:
-                if isinstance(e, MPoly):
-                    if not e.is_zero():
-                        return False
-                elif e != 0:
-                    return False
-        return True
+        return all(e == 0 for row in self.data for e in row)
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.data) + "]"

@@ -524,10 +524,9 @@ def character_series(
     recursion (only touches actual weights of the representation).
 
     With `levi` set, computes the finite-dimensional irreducible of the Levi
-    subalgebra on S (lam need only be dominant there), on any T_{p,q,r}.  A
-    root with z_1 coefficient 0 has connected support inside S, so it is a
-    root of the Levi A_{p+q-1} x A_{r-2}, of height at most n - 1: that
-    cutoff finds them all, and finite type ignores it.
+    subalgebra on S (lam need only be dominant there), on any T_{p,q,r}: its
+    roots are the positive roots of the Cartan matrix on S, of finite type
+    A_{p+q-1} x A_{r-2}, with a z_1 coefficient 0 inserted.
 
     Freudenthal's root sum runs only at weights dominant for the reflecting
     generators (every vertex, or S for `levi`).  Multiplicities are invariant
@@ -548,16 +547,16 @@ def character_series(
     z1 = graph.z1
     if levi:
         gens = list(graph.S)
+        block = finite_positive_roots([[A[i][j] for j in gens] for i in gens])
+        pos_roots = [c[:z1] + (0,) + c[z1:] for c in block]
     else:
         if not graph.classify().finite:
             raise ValueError("full characters require finite type")
         gens = list(range(n))
+        pos_roots = [root.coords for root in enumerate_roots(graph)]
     for i in gens:
         if lam[i] < 0:
             raise ValueError(f"weight not dominant on vertex {i}")
-    pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
-    if levi:
-        pos_roots = [c for c in pos_roots if c[z1] == 0]
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)

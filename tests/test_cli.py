@@ -156,9 +156,9 @@ def test_q1_command_bad_indices(capsys):
         (["verify-monomial", "--t", "129"],
          "monomial complex t = 129: d_1 . d_2 has total degree 257, but exact packs only "
          "degrees below 256; t <= 128 required\n"),
-        (["verify-thm112", "--r3", "126"],
-         "thm112(r3=126): d_1 . d_2 has total degree 256, but exact packs only "
-         "degrees below 256; r3 <= 125 required\n"),
+        (["verify-thm112", "--r3", "9"],
+         "thm112(r3=9): Delta's entries are 9x9 minors, but exact expands symbolic "
+         "determinants only up to 8x8; r3 <= 8 required\n"),
     ],
 )
 def test_a_family_past_the_degree_ceiling_exits_2(capsys, argv, message):

@@ -50,11 +50,7 @@ def test_verify_complex_reports_failures():
 def test_be_multipliers_koszul():
     cx = koszul_complex()
     for seed in range(1, 11):
-        point = seeded_random_point(seed, list(cx.variables))
-        spec = cx.substitute(point)
-        if tuple(m.rank() for m in spec.differentials) != cx.fmt.r:
-            continue
-        rep = be_multipliers(spec)
+        rep = be_multipliers(cx, seed)
         assert rep.ok, rep.detail
 
 

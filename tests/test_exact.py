@@ -151,6 +151,9 @@ def test_matrix_equality_is_exact_in_both_directions():
     assert three == ExactMatrix([[MPoly.const(3)]])
     assert ExactMatrix([[MPoly.const(3)]]) == three
     assert ExactMatrix([[MPoly.var("x")]]) != ExactMatrix([[1]])
+    assert MPoly.const(3) == Fraction(3) and Fraction(3) == MPoly.const(3)
+    assert MPoly.const(3) != Fraction(7, 2) and Fraction(7, 2) != MPoly.const(3)
+    assert hash(MPoly.const(3)) == hash(Fraction(3)) == hash(3)
 
 
 # -- oracle: the tuple-monomial kernel that packed monomials replaced -------
