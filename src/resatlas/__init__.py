@@ -36,8 +36,6 @@ from .rings import (
     dictionary_crosscheck,
     hilbert_truncation,
     homology_weights,
-    in_ra,
-    in_rspec,
     kstar_terms,
     ra_component,
     ra_enumerate,
@@ -90,8 +88,6 @@ __all__ = [
     "g2_dim_formula",
     "hilbert_truncation",
     "homology_weights",
-    "in_ra",
-    "in_rspec",
     "koszul_complex",
     "kostant_weights",
     "kstar_terms",

@@ -194,57 +194,79 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     n = len(A)
     rho = (1,) * n
     zero = (0,) * n
-    # state: labels of w(rho) -> (drop coords, sign)
-    states: Dict[Labels, Tuple[Coords, int]] = {rho: (zero, 1)}
-    frontier = [(rho, zero, 1)]
+    # state: labels of w(rho), drop coords, sign, height of the drop
+    seen: Set[Labels] = {rho}
+    frontier = [(rho, zero, 1, 0)]
     out: Dict[Coords, int] = {zero: 1}
     adjacency = [[j for j in range(n) if i != j and A[i][j] != 0] for i in range(n)]
     while frontier:
         nxt = []
-        for labels, drop, sign in frontier:
+        for labels, drop, sign, height in frontier:
             for i in range(n):
                 li = labels[i]
                 if li <= 0:
                     continue  # length would not increase
-                if sum(drop) + li > H:
+                if height + li > H:
                     continue
                 new_labels = list(labels)
                 new_labels[i] = -li
                 for j in adjacency[i]:
                     new_labels[j] += li
                 new_labels = tuple(new_labels)
-                if new_labels in states:
+                if new_labels in seen:
                     continue
+                seen.add(new_labels)
                 new_drop = list(drop)
                 new_drop[i] += li
                 new_drop = tuple(new_drop)
-                new_sign = -sign
-                states[new_labels] = (new_drop, new_sign)
-                out[new_drop] = out.get(new_drop, 0) + new_sign
-                nxt.append((new_labels, new_drop, new_sign))
+                out[new_drop] = out.get(new_drop, 0) - sign
+                nxt.append((new_labels, new_drop, -sign, height + li))
         frontier = nxt
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _series_multiply_factor(
-    series: Dict[Coords, int], alpha: Coords, count: int, bound: int, degree: Callable
+def _truncated_product(
+    series: Dict[Coords, int], factors: Sequence[Tuple[Coords, int]], bound: int, degree: Callable
 ) -> Dict[Coords, int]:
-    """Multiply a series in place by (1 - e^{-alpha})^count, count >= 0,
-    dropping every new term whose `degree` exceeds `bound`, and return it.
-    `degree` is additive: `sum` for height, `itemgetter(z1)` for S-height.
-    Each power shifts the terms that stay within the bound, read before the
-    update; a coefficient that cancels to 0 is deleted, so a series without
-    zero coefficients stays without them."""
-    top = bound - degree(alpha)
-    for _ in range(count):
-        for beta, c in [(b, c) for b, c in series.items() if degree(b) <= top]:
-            shifted = tuple(map(add, beta, alpha))
-            value = series.get(shifted, 0) - c
-            if value:
-                series[shifted] = value
-            else:
-                series.pop(shifted, None)
-    return series
+    """series * prod (1 - e^{-alpha})^count over the (alpha, count) factors,
+    without the terms whose `degree` exceeds `bound`; `series` is not
+    modified.  `degree` is additive (`sum` for height, `itemgetter(z1)` for
+    S-height) and must be >= 1 on every factor; coordinates are >= 0.
+
+    The terms sit in one bucket per degree 0..bound, keyed by
+    sum beta_i B^i.  A kept term is a series term plus at most `bound`
+    factors, so with B = 1 + (largest series coordinate) + bound (largest
+    factor coordinate) no digit carries and a shift is one integer add.
+    Each power of a factor of degree d sweeps h from `bound` down to d and
+    subtracts bucket h - d, shifted, into bucket h, reading the lower bucket
+    before it is updated.  A coefficient that cancels to 0 is deleted."""
+    for alpha, _ in factors:
+        if degree(alpha) < 1:
+            raise ValueError(f"factor {alpha} has degree {degree(alpha)}, not >= 1")
+    n = len(next(iter(series), ()))
+    B = 1 + max((max(beta) for beta in series), default=0)
+    B += bound * max((max(alpha) for alpha, _ in factors), default=0)
+    unit = [B**i for i in range(n)]
+    buckets: List[Dict[int, int]] = [{} for _ in range(bound + 1)]
+    for beta, c in series.items():
+        if c and degree(beta) <= bound:
+            buckets[degree(beta)][sum(map(mul, beta, unit))] = c
+    for alpha, count in factors:
+        d = degree(alpha)
+        shift = sum(map(mul, alpha, unit))
+        for _ in range(count):
+            for h in range(bound, d - 1, -1):
+                target = buckets[h]
+                for key, c in buckets[h - d].items():
+                    key += shift
+                    value = target.get(key, 0) - c
+                    if value:
+                        target[key] = value
+                    else:
+                        del target[key]
+    return {
+        tuple(key // b % B for b in unit): c for bucket in buckets for key, c in bucket.items()
+    }
 
 
 def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
@@ -357,14 +379,12 @@ def verify_denominator_identity(
     """Independent check: re-expand the product side from scratch and compare
     against the Weyl alternating sum, both truncated at height H.  Raises
     ValueError on a negative multiplicity."""
-    n = len(A)
-    product: Dict[Coords, int] = {(0,) * n: 1}
-    for beta in sorted(mults, key=lambda b: (sum(b), b)):
-        if mults[beta] < 0:
-            raise ValueError(f"negative multiplicity {mults[beta]} at root {beta}")
-        product = _series_multiply_factor(product, beta, mults[beta], H, sum)
-    target = weyl_denominator_sum(A, H)
-    return product == target
+    factors = [(beta, mults[beta]) for beta in sorted(mults, key=lambda b: (sum(b), b))]
+    for beta, m in factors:
+        if m < 0:
+            raise ValueError(f"negative multiplicity {m} at root {beta}")
+    product = _truncated_product({(0,) * len(A): 1}, factors, H, sum)
+    return product == weyl_denominator_sum(A, H)
 
 
 def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
@@ -747,10 +767,9 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c
     lhs = {k: v for k, v in lhs.items() if v}
+    nilradical = [(root.coords, root.mult) for root in roots if root.coords[z1] > 0]
     rhs = character_series(graph, lam, max_level=cutoff)
-    for root in roots:
-        if root.coords[z1] > 0:
-            rhs = _series_multiply_factor(rhs, root.coords, root.mult, cutoff, itemgetter(z1))
+    rhs = _truncated_product(rhs, nilradical, cutoff, itemgetter(z1))
     if lhs == rhs:
         return True, None
     return False, min(k[z1] for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0))

@@ -114,19 +114,6 @@ def ra_component(mu: MuIndex, fmt: ResolutionFormat) -> GLWeightQuadruple:
     return quad
 
 
-def in_ra(mu: MuIndex, fmt: ResolutionFormat) -> bool:
-    """Membership in the weight semigroup of R_a: all weights weakly
-    decreasing and the F_3 weight polynomial (last entry a-b+c >= 0)."""
-    quad = ra_component(mu, fmt)
-    return quad.dominant and (mu.a - mu.b + mu.c) >= 0
-
-
-def in_rspec(mu: MuIndex, fmt: ResolutionFormat) -> bool:
-    """Membership in the weight semigroup of the special-fiber ring: a >= 0."""
-    _check_mu(mu, fmt)
-    return mu.a >= 0
-
-
 def ra_general_component(
     x: Sequence[int], partitions: Sequence[Sequence[int]], fmt: ResolutionFormat
 ) -> List[Weight]:

@@ -200,6 +200,18 @@ def test_denominator_identity_catches_a_wrong_imaginary_multiplicity(monkeypatch
         run_check("denominator-identity")
 
 
+def test_denominator_identity_catches_a_dropped_factor(monkeypatch):
+    product = kacmoody._truncated_product
+
+    def without_one_height_3_root(series, factors, *args):
+        dropped = next(alpha for alpha, _ in factors if sum(alpha) == 3)
+        return product(series, [f for f in factors if f[0] != dropped], *args)
+
+    monkeypatch.setattr(kacmoody, "_truncated_product", without_one_height_3_root)
+    with pytest.raises(CheckFailed, match=r"T_\{2,3,7\}: denominator identity fails to height 8"):
+        run_check("denominator-identity")
+
+
 def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
     assert run_check("root-counts") == (
         "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
@@ -231,18 +243,18 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
 
 
 def test_bgg_euler_catches_a_multiplier_that_does_nothing(monkeypatch):
-    monkeypatch.setattr(kacmoody, "_series_multiply_factor", lambda series, *args: series)
+    monkeypatch.setattr(kacmoody, "_truncated_product", lambda series, *args: series)
     with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
         run_check("bgg-euler")
 
 
 def test_bgg_euler_catches_a_skipped_nilradical_factor(monkeypatch):
-    multiply = kacmoody._series_multiply_factor
+    product = kacmoody._truncated_product
 
-    def skip_one_root(series, alpha, *args):
-        return series if alpha == (1, 0, 0, 1) else multiply(series, alpha, *args)
+    def skip_one_root(series, factors, *args):
+        return product(series, [f for f in factors if f[0] != (1, 0, 0, 1)], *args)
 
-    monkeypatch.setattr(kacmoody, "_series_multiply_factor", skip_one_root)
+    monkeypatch.setattr(kacmoody, "_truncated_product", skip_one_root)
     with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
         run_check("bgg-euler")
 

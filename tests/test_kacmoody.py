@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
+from operator import add, itemgetter
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from resatlas import kacmoody
 from resatlas.formats import tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
-    _series_multiply_factor,
+    _truncated_product,
     bgg_euler_check,
     bgg_initial_terms,
     character_series,
@@ -70,9 +72,27 @@ def roots_by_denominator(A, H):
             if m > 0:
                 mults[beta] = m
                 new_roots.append((beta, m))
-        for beta, m in new_roots:
-            product = _series_multiply_factor(product, beta, m, H, sum)
+        product = kacmoody._truncated_product(product, new_roots, H, sum)
     return mults
+
+
+def product_oracle(series, factors, bound, degree):
+    """series * prod (1 - e^{-alpha})^count, one factor and one power at a
+    time: each power snapshots the terms whose shift stays within `bound`,
+    then shifts them, so no new term passes the bound (the series' own
+    terms above it stay).  The per-factor oracle for `_truncated_product`."""
+    series = dict(series)
+    for alpha, count in factors:
+        top = bound - degree(alpha)
+        for _ in range(count):
+            for beta, c in [(b, c) for b, c in series.items() if degree(b) <= top]:
+                shifted = tuple(map(add, beta, alpha))
+                value = series.get(shifted, 0) - c
+                if value:
+                    series[shifted] = value
+                else:
+                    series.pop(shifted, None)
+    return series
 
 
 @pytest.mark.parametrize(
@@ -176,6 +196,99 @@ def test_peterson_equals_the_probe_oracle(pqr, H):
     want = roots_by_peterson_probes(A, H)
     assert got == want
     assert list(got) == list(want)
+
+
+def denominator_factors(A, H):
+    mults = roots_by_peterson(A, H)
+    return [(beta, mults[beta]) for beta in sorted(mults, key=lambda b: (sum(b), b))]
+
+
+@pytest.mark.parametrize(
+    "pqr, H", [(g, 8) for g in ATLAS_GRAPHS] + [((2, 3, 7), 12)], ids=lambda v: str(v)
+)
+def test_truncated_product_equals_the_oracle_and_the_weyl_sum(pqr, H):
+    A = tpqr_cartan_matrix(*pqr)
+    factors = denominator_factors(A, H)
+    one = {(0,) * len(A): 1}
+    got = _truncated_product(one, factors, H, sum)
+    assert one == {(0,) * len(A): 1}
+    assert got == product_oracle(one, factors, H, sum)
+    assert got == weyl_denominator_sum(A, H)
+    random.Random(H).shuffle(factors)
+    assert _truncated_product(one, factors, H, sum) == got
+
+
+@pytest.mark.parametrize(
+    "pqr, vertex, cutoff",
+    [((2, 2, 2), None, 4), ((2, 2, 2), "z1", 4), ((2, 2, 2), "u", 4),
+     ((3, 3, 2), "z1", 2), ((3, 3, 2), "z1", 3)],
+)
+def test_truncated_product_equals_the_oracle_on_bgg_right_sides(pqr, vertex, cutoff):
+    g = TpqrGraph(*pqr)
+    lam = (0,) * g.n if vertex is None else g.fundamental_weight(getattr(g, vertex))
+    series = character_series(g, lam, max_level=cutoff)
+    nilradical = [(r.coords, r.mult) for r in enumerate_roots(g) if r.coords[g.z1] > 0]
+    level = itemgetter(g.z1)
+    got = _truncated_product(series, nilradical, cutoff, level)
+    assert got == product_oracle(series, nilradical, cutoff, level)
+    assert got != series
+
+
+def random_product_case(rng):
+    """A sparse series with negative coefficients, factors of degree >= 1
+    with counts 1-3, and terms placed to cancel against a factor's shift."""
+    n = rng.randint(1, 4)
+    degree = sum if rng.random() < 0.5 else itemgetter(0)
+    bound = rng.randint(1, 6)
+    factors = []
+    for _ in range(rng.randint(0, 5)):
+        alpha = tuple(rng.randint(0, 3) for _ in range(n))
+        if degree(alpha) < 1:
+            alpha = (rng.randint(1, 2),) + alpha[1:]
+        factors.append((alpha, rng.randint(1, 3)))
+    series = {}
+    for _ in range(rng.randint(1, 8)):
+        beta = tuple(rng.randint(0, 5) for _ in range(n))
+        series[beta] = rng.choice([-3, -2, -1, 1, 2, 3])
+        if factors and rng.random() < 0.5:
+            alpha = rng.choice(factors)[0]
+            series[tuple(map(add, beta, alpha))] = series[beta]
+    return series, factors, bound, degree
+
+
+def test_truncated_product_equals_the_oracle_on_random_series():
+    rng = random.Random(17)
+    for case in range(200):
+        series, factors, bound, degree = random_product_case(rng)
+        before = dict(series)
+        got = _truncated_product(series, factors, bound, degree)
+        assert series == before, case
+        # The oracle keeps the series terms above the bound; the product drops them.
+        want = {b: c for b, c in product_oracle(series, factors, bound, degree).items()
+                if degree(b) <= bound}
+        assert got == want, case
+        shuffled = factors[:]
+        rng.shuffle(shuffled)
+        assert _truncated_product(series, shuffled, bound, degree) == got, case
+
+
+def test_truncated_product_refuses_a_factor_of_degree_0():
+    factors = [((1, 0), 1), ((0, 2), 1)]
+    with pytest.raises(ValueError, match=r"factor \(0, 2\) has degree 0"):
+        _truncated_product({(0, 0): 1}, factors, 3, itemgetter(0))
+
+
+def test_roots_by_denominator_takes_one_product_per_height(monkeypatch):
+    calls = []
+    product = kacmoody._truncated_product
+
+    def counted(series, factors, bound, degree):
+        calls.append(sorted({sum(alpha) for alpha, _ in factors}))
+        return product(series, factors, bound, degree)
+
+    monkeypatch.setattr(kacmoody, "_truncated_product", counted)
+    roots_by_denominator(tpqr_cartan_matrix(3, 3, 3), 6)
+    assert calls == [[h] for h in range(1, 7)]
 
 
 def test_recursion_agrees_with_closure_on_finite():

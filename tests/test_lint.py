@@ -2,7 +2,8 @@
 (`python -O` strips them; checks raise explicitly instead), every public
 function, method and property is used somewhere, and only `MPoly.var` adds a
 name to the variable registry (printed term order follows the registry, so a
-lookup that interned would make output depend on call history)."""
+lookup that interned would make output depend on call history).  The
+package's `__all__` lists exactly the names its `__init__` imports."""
 
 import ast
 import re
@@ -106,6 +107,41 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
     )
     (tests / "test_mod.py").write_text("from mod import used\n\ndef test_used():\n    used()\n")
     assert dead_names(src, tests) == ["mod.C.size", "mod.unused"]
+
+
+def export_mismatch(init=SRC / "__init__.py"):
+    """The names `__all__` lists that `__init__` does not import from the
+    package (stale), and those it imports but does not list (unlisted)."""
+    tree = ast.parse(init.read_text(), filename=str(init))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    listed = {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for element in node.value.elts
+    }
+    return {"stale": sorted(listed - imported), "unlisted": sorted(imported - listed)}
+
+
+def test_all_lists_exactly_the_imported_names():
+    assert export_mismatch() == {"stale": [], "unlisted": []}
+
+
+def test_export_lint_flags_a_stale_and_an_unlisted_name(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text(
+        "from .mod import kept, hidden as shown\n"
+        "from .other import unlisted\n"
+        "__version__ = '1'\n"
+        "__all__ = ['kept', 'shown', 'removed']\n"
+    )
+    assert export_mismatch(init) == {"stale": ["removed"], "unlisted": ["unlisted"]}
 
 
 def callers(tree, method):

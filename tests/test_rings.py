@@ -9,8 +9,6 @@ from resatlas.rings import (
     dictionary_crosscheck,
     hilbert_truncation,
     homology_weights,
-    in_ra,
-    in_rspec,
     kstar_terms,
     lambda_from_sigma_tau,
     mu_enumerate,
@@ -25,6 +23,20 @@ FMT_D4 = derive_ranks([1, 4, 4, 1])
 FMT_E6 = derive_ranks([2, 6, 5, 1])
 
 
+def in_ra(mu, fmt):
+    """Membership in the weight semigroup of R_a: all weights weakly
+    decreasing and the F_3 weight polynomial (last entry a-b+c >= 0); the
+    oracle for the components `ra_enumerate` keeps."""
+    quad = ra_component(mu, fmt)
+    return quad.dominant and (mu.a - mu.b + mu.c) >= 0
+
+
+def in_rspec(mu, fmt):
+    """Membership in the weight semigroup of the special-fiber ring: a >= 0."""
+    rings._check_mu(mu, fmt)
+    return mu.a >= 0
+
+
 def test_ra_component_a1_anchor():
     quad = ra_component(MuIndex(a=1, b=0, c=0), FMT_D4)
     assert quad.weights == ((1,), (0, 0, 0, -1), (0, 0, 0, 0), (0,))
@@ -35,6 +47,13 @@ def test_b1_in_rspec_not_ra():
     mu = MuIndex(a=0, b=1, c=0)
     assert not in_ra(mu, FMT_D4)   # A = -1
     assert in_rspec(mu, FMT_D4)
+
+
+def test_ra_enumerate_keeps_exactly_the_members_of_ra():
+    for fmt, cutoff in ((FMT_D4, 4), (FMT_E6, 3)):
+        kept = [mu for mu, _ in ra_enumerate(fmt, cutoff)]
+        assert kept == [mu for mu in mu_enumerate(fmt, cutoff) if in_ra(mu, fmt)]
+        assert len(kept) < len(mu_enumerate(fmt, cutoff))
 
 
 def test_dominance_iff_a_nonnegative():
