@@ -115,8 +115,9 @@ def entry_variables(complex_: FreeComplex) -> List[str]:
 
 def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
     """At a seeded rational point, every differential has its expected rank
-    r_i.  The point is retried (deterministically) until the top maximal
-    minors are nonvanishing or the budget runs out."""
+    r_i.  Up to 50 points, seeded seed * 1000 + attempt, are tried in turn
+    until the ranks of all differentials equal (r_1, ..., r_n); otherwise
+    the report is not ok and carries the last point's ranks."""
     names = entry_variables(complex_)
     for attempt in range(50):
         spec = complex_.substitute(seeded_random_point(seed * 1000 + attempt, names))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, itemgetter, mul
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .formats import classify, tpqr_cartan_matrix
 
@@ -116,24 +116,44 @@ def reflect(graph: TpqrGraph, labels: Sequence[int], i: int) -> Labels:
     return tuple(out)
 
 
-def dot_walk(
-    graph: TpqrGraph, word: Sequence[int], labels: Sequence[int]
-) -> Tuple[Labels, Coords]:
-    """w . lambda = w(lambda + rho) - rho and the drop lambda - w . lambda in
-    root coordinates, for w = s_{i1} s_{i2} ... s_{il} (word = (i1,...,il),
-    applied right to left).  Each s_i lowers the current w'(lambda + rho) by
-    its label i times alpha_i."""
-    current = tuple(x + 1 for x in labels)
-    drop = [0] * graph.n
-    for i in reversed(word):
-        drop[i] += current[i]
-        current = reflect(graph, current, i)
-    return tuple(x - 1 for x in current), tuple(drop)
-
-
 def dot_action(graph: TpqrGraph, word: Sequence[int], labels: Sequence[int]) -> Labels:
-    """w . lambda = w(lambda + rho) - rho."""
-    return dot_walk(graph, word, labels)[0]
+    """w . lambda = w(lambda + rho) - rho, for w = s_{i1} s_{i2} ... s_{il}
+    (word = (i1,...,il), applied right to left)."""
+    current = tuple(x + 1 for x in labels)
+    for i in reversed(word):
+        current = reflect(graph, current, i)
+    return tuple(x - 1 for x in current)
+
+
+def _weyl_walk(
+    adjacency: Sequence[Sequence[int]], top: Sequence[int], max_height: Optional[int] = None
+) -> Iterator[Dict[Labels, Coords]]:
+    """The Weyl group by length: layer k maps the labels of w(top) to the
+    drop top - w(top) in root coordinates, over the w of length k.  Every
+    label of `top` is >= 1, so w(top) determines w, and s_i w is longer
+    than w exactly when label i of w(top) is positive (Björner–Brenti,
+    *Combinatorics of Coxeter Groups*, §1.6, §2.4): s_i then negates that
+    label l_i, adds it to the labels of the neighbours of i and adds it to
+    drop i.  So layer k + 1 is reached from layer k alone, and the drop only
+    grows, so leaving out the w with ht(drop) > `max_height` is exact.  On an
+    infinite W an unbounded walk never ends; the caller stops taking layers."""
+    layer: Dict[Labels, Coords] = {tuple(top): (0,) * len(top)}
+    while layer:
+        yield layer
+        nxt: Dict[Labels, Coords] = {}
+        for labels, drop in layer.items():
+            room = None if max_height is None else max_height - sum(drop)
+            for i, li in enumerate(labels):
+                if li <= 0 or (room is not None and li > room):
+                    continue
+                new = list(labels)
+                new[i] = -li
+                for j in adjacency[i]:
+                    new[j] += li
+                new = tuple(new)
+                if new not in nxt:
+                    nxt[new] = drop[:i] + (drop[i] + li,) + drop[i + 1 :]
+        layer = nxt
 
 
 def reflect_root(A: Sequence[Sequence[int]], coords: Sequence[int], i: int) -> Coords:
@@ -192,36 +212,12 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     """Signed count of Weyl elements keyed by rho - w(rho) in root coords,
     over all w with ht(rho - w rho) <= H."""
     n = len(A)
-    rho = (1,) * n
-    zero = (0,) * n
-    # state: labels of w(rho), drop coords, sign, height of the drop
-    seen: Set[Labels] = {rho}
-    frontier = [(rho, zero, 1, 0)]
-    out: Dict[Coords, int] = {zero: 1}
     adjacency = [[j for j in range(n) if i != j and A[i][j] != 0] for i in range(n)]
-    while frontier:
-        nxt = []
-        for labels, drop, sign, height in frontier:
-            for i in range(n):
-                li = labels[i]
-                if li <= 0:
-                    continue  # length would not increase
-                if height + li > H:
-                    continue
-                new_labels = list(labels)
-                new_labels[i] = -li
-                for j in adjacency[i]:
-                    new_labels[j] += li
-                new_labels = tuple(new_labels)
-                if new_labels in seen:
-                    continue
-                seen.add(new_labels)
-                new_drop = list(drop)
-                new_drop[i] += li
-                new_drop = tuple(new_drop)
-                out[new_drop] = out.get(new_drop, 0) - sign
-                nxt.append((new_labels, new_drop, -sign, height + li))
-        frontier = nxt
+    out: Dict[Coords, int] = {}
+    for length, layer in enumerate(_weyl_walk(adjacency, (1,) * n, H)):
+        sign = -1 if length % 2 else 1
+        for drop in layer.values():
+            out[drop] = out.get(drop, 0) + sign
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -408,64 +404,47 @@ def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylElem:
-    word: Tuple[int, ...]        # leftmost letter first; acts right-to-left
-    labels: Labels               # image of rho (canonical key)
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
+class WeylElem(NamedTuple):
+    length: int
+    labels: Labels               # w(lam + rho) (canonical key)
+    drop: Coords                 # lam - w.lam in root coordinates
 
 
-def weyl_elements(graph: TpqrGraph, L: int) -> List[WeylElem]:
-    """All elements of W of length <= L.  BFS by left multiplication,
-    canonicalized by the image of rho: s_i w is longer than w exactly when
-    label i of w(rho) is positive.  Each edge applies s_i to the labels as
-    `reflect` does, from one adjacency read per call."""
-    adjacency = graph.adjacency
-    n = graph.n
-    rho = graph.rho()
-    identity = WeylElem(word=(), labels=rho)
-    seen: Set[Labels] = {rho}
-    frontier = [identity]
-    out = [identity]
-    for _ in range(L):
-        nxt = []
-        for elem in frontier:
-            labels = elem.labels
-            for i in range(n):
-                old = labels[i]
-                if old <= 0:
-                    continue  # s_i * w is shorter or equal
-                new = list(labels)
-                new[i] = -old
-                for j in adjacency[i]:
-                    new[j] += old
-                new_labels = tuple(new)
-                if new_labels in seen:
-                    continue
-                seen.add(new_labels)
-                new_elem = WeylElem(word=(i,) + elem.word, labels=new_labels)
-                out.append(new_elem)
-                nxt.append(new_elem)
-        frontier = sorted(nxt, key=lambda e: e.labels)
-    return out
+def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
+    """All elements of W of length <= L, by `_weyl_walk` from lam + rho
+    (lam = 0 by default).  lam must be dominant: then every label of
+    lam + rho is >= 1, and label i of w(lam + rho) is (lam + rho,
+    w^{-1} alpha_i), positive exactly when the real root w^{-1} alpha_i is,
+    so the walk's length test holds for lam + rho as it does for rho."""
+    top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
+    for name, x in zip(graph.vertex_names, top):
+        if x < 1:
+            raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
+    walk = _weyl_walk(graph.adjacency, top)
+    return [
+        WeylElem(length, labels, drop)
+        for length, layer in zip(range(L + 1), walk)
+        for labels, drop in layer.items()
+    ]
 
 
-def enumerate_WS(graph: TpqrGraph, L: int) -> Dict[int, List[WeylElem]]:
+def enumerate_WS(
+    graph: TpqrGraph, L: int, lam: Optional[Labels] = None
+) -> Dict[int, List[WeylElem]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
-    grouped by length.
+    grouped by length, each carrying w(lam + rho) and its drop as
+    `weyl_elements` gives them.
 
-    Membership test: label j of w(rho) is positive for every j in S.  That
-    is w^{-1}(alpha_j) > 0, because (w rho, alpha_j) = (rho, w^{-1} alpha_j)
-    and rho pairs to 1 with every simple root, so the label is the height of
-    the root w^{-1}(alpha_j), positive exactly when the root is
-    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4).
+    Membership test: label j of w(lam + rho) is positive for every j in S.
+    That is w^{-1}(alpha_j) > 0, because (w(lam + rho), alpha_j) =
+    (lam + rho, w^{-1} alpha_j), and lam + rho pairs to at least 1 with
+    every simple root (lam is dominant), so the label is positive exactly
+    when the real root w^{-1}(alpha_j) is (Björner–Brenti, *Combinatorics of
+    Coxeter Groups*, §1.6, §2.4).
     """
     S = graph.S
     grouped: Dict[int, List[WeylElem]] = {}
-    for elem in weyl_elements(graph, L):
+    for elem in weyl_elements(graph, L, lam):
         if all(elem.labels[j] > 0 for j in S):
             grouped.setdefault(elem.length, []).append(elem)
     for bucket in grouped.values():
@@ -475,22 +454,10 @@ def enumerate_WS(graph: TpqrGraph, L: int) -> Dict[int, List[WeylElem]]:
 
 def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
     """Highest weights of the Lie algebra homology of the nilradical, by
-    degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, each dominant on
-    S."""
+    degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, each dominant on S
+    because the labels of w(rho) are positive there."""
     grouped = enumerate_WS(graph, L)
-    out: Dict[int, List[Labels]] = {}
-    for k in range(L + 1):
-        out[k] = []
-        for elem in grouped.get(k, []):
-            weight = tuple(x - 1 for x in elem.labels)
-            for j in graph.S:
-                if weight[j] < 0:
-                    raise AssertionError(
-                        f"{graph}: Kostant weight {weight} of word {elem.word} "
-                        f"not dominant at S vertex {j}"
-                    )
-            out[k].append(weight)
-    return out
+    return {k: [tuple(x - 1 for x in e.labels) for e in grouped.get(k, [])] for k in range(L + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -755,14 +722,14 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
     z1 = graph.z1
     n = graph.n
     roots = enumerate_roots(graph)
-    grouped = enumerate_WS(graph, len(roots))  # longest element length bound
+    grouped = enumerate_WS(graph, len(roots), lam)  # longest element length bound
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
-        for elem in elems:
-            mu, gamma = dot_walk(graph, elem.word, lam)
+        for _, labels, gamma in elems:
             if gamma[z1] > cutoff:
                 continue
+            mu = tuple(x - 1 for x in labels)
             for beta, c in character_series(graph, mu, levi=True).items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c

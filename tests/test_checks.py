@@ -233,11 +233,13 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
     )
     enumerate_ws = kacmoody.enumerate_WS
 
-    def without_length_1(graph, L):
-        grouped = enumerate_ws(graph, L)
-        return {k: v for k, v in grouped.items() if k != 1}
+    def without_s_z1(graph, L, lam):
+        # s_z1 lowers lam + rho by its z1 label times alpha_z1
+        drop = tuple(lam[j] + 1 if j == graph.z1 else 0 for j in range(graph.n))
+        grouped = enumerate_ws(graph, L, lam)
+        return {k: [e for e in v if e.drop != drop] for k, v in grouped.items()}
 
-    monkeypatch.setattr(kacmoody, "enumerate_WS", without_length_1)
+    monkeypatch.setattr(kacmoody, "enumerate_WS", without_s_z1)
     with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
         run_check("bgg-euler")
 
@@ -263,8 +265,10 @@ def test_kostant_catches_a_dropped_length_2_element(monkeypatch):
     assert run_check("kostant-length-2") == "T_{3,3,4} length-2 Kostant weights match both displays"
     elements = kacmoody.weyl_elements
 
-    def without_s_z1_s_u(graph, L):
-        return [e for e in elements(graph, L) if e.word != (graph.z1, graph.u)]
+    def without_s_z1_s_u(graph, L, lam=None):
+        # s_z1 s_u lowers rho by alpha_u, then by 2 alpha_z1
+        drop = tuple({graph.u: 1, graph.z1: 2}.get(j, 0) for j in range(graph.n))
+        return [e for e in elements(graph, L, lam) if e.drop != drop]
 
     monkeypatch.setattr(kacmoody, "weyl_elements", without_s_z1_s_u)
     with pytest.raises(CheckFailed, match=r"T_\{3,3,4\} length-2 Kostant weights "

@@ -22,7 +22,6 @@ from resatlas.kacmoody import (
     character_series,
     defect_graded_dims,
     dot_action,
-    dot_walk,
     enumerate_WS,
     enumerate_roots,
     finite_positive_roots,
@@ -377,7 +376,25 @@ def solve_coords(A, labels):
     return tuple(m[i][n] / m[i][i] for i in range(n))
 
 
+def dot_walk(graph, word, labels):
+    """w . lambda = w(lambda + rho) - rho and the drop lambda - w . lambda in
+    root coordinates, for w = s_{i1} s_{i2} ... s_{il} (word = (i1,...,il),
+    applied right to left).  Each s_i lowers the current w'(lambda + rho) by
+    its label i times alpha_i, acting on labels by the Cartan row; the
+    word-replay oracle for the weights and drops of `weyl_elements`."""
+    A = graph.cartan
+    current = [x + 1 for x in labels]
+    drop = [0] * graph.n
+    for i in reversed(word):
+        li = current[i]
+        drop[i] += li
+        current = [c - li * a for c, a in zip(current, A[i])]
+    return tuple(x - 1 for x in current), tuple(drop)
+
+
 def check_walk(g, word, lam):
+    """`dot_walk` on one word, checked against `reflect`, `dot_action` and
+    the drop solved from A drop = lam - w.lam."""
     weight, drop = dot_walk(g, word, lam)
     moved = tuple(x + 1 for x in lam)
     for i in reversed(word):
@@ -386,25 +403,59 @@ def check_walk(g, word, lam):
     lowered = tuple(l - w for l, w in zip(lam, weight))
     assert root_labels(g.cartan, drop) == lowered, word
     assert drop == solve_coords(g.cartan, lowered), word
+    return weight, drop
 
 
-def test_dot_walk_drop_on_all_of_w_d4():
+def walk_pairs(elems):
+    """(length, w.lam, drop) of each element, sorted."""
+    return sorted((e.length, tuple(x - 1 for x in e.labels), e.drop) for e in elems)
+
+
+def test_walk_equals_the_word_replay_on_all_of_w_d4():
     g = TpqrGraph(2, 2, 2)
-    elems = weyl_elements(g, 12)
-    assert len(elems) == 192
+    words = [word for word, _, _ in weyl_elements_with_inverse_images(g, 12)]
+    assert len(words) == 192
     for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.u)]:
-        for e in elems:
-            check_walk(g, e.word, lam)
+        replayed = sorted((len(word),) + check_walk(g, word, lam) for word in words)
+        assert walk_pairs(weyl_elements(g, 12, lam)) == replayed
 
 
-def test_dot_walk_drop_on_ws_d5():
+def test_walk_equals_the_word_replay_on_ws_d5():
     g = TpqrGraph(2, 2, 3)
-    grouped = enumerate_WS(g, 6)
-    assert sum(len(v) for v in grouped.values()) == 20  # of |W(D5)| / |W(A3 x A1)| = 40
+    words = [word for word, _ in ws_oracle(g, 20)]
+    assert len(words) == 40  # |W(D5)| / |W(A3 x A1)|
     for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.z(2))]:
-        for elems in grouped.values():
-            for e in elems:
-                check_walk(g, e.word, lam)
+        replayed = sorted((len(word),) + check_walk(g, word, lam) for word in words)
+        grouped = enumerate_WS(g, 20, lam)
+        assert walk_pairs(e for v in grouped.values() for e in v) == replayed
+
+
+def test_walk_equals_the_word_replay_on_all_of_w_e6():
+    g = TpqrGraph(3, 3, 2)
+    lam = g.fundamental_weight(g.z1)
+    words = [word for word, _, _ in weyl_elements_with_inverse_images(g, 36)]
+    assert len(words) == 51840
+    replayed = sorted((len(word),) + dot_walk(g, word, lam) for word in words)
+    assert walk_pairs(weyl_elements(g, 36, lam)) == replayed
+
+
+def test_weyl_elements_refuse_a_negative_lam():
+    g = TpqrGraph(2, 2, 3)
+    lam = tuple(-x for x in g.fundamental_weight(g.z(2)))
+    with pytest.raises(ValueError, match="lam has label -1 < 0 at vertex z2"):
+        weyl_elements(g, 2, lam)
+    with pytest.raises(ValueError, match="lam has label -1 < 0 at vertex z2"):
+        enumerate_WS(g, 2, lam)
+
+
+@pytest.mark.parametrize("pqr, H", [((2, 2, 2), 20), ((3, 3, 2), 30)], ids=["D4-H20", "E6-H30"])
+def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
+    g = TpqrGraph(*pqr)
+    signed = Counter()
+    for e in weyl_elements(g, len(enumerate_roots(g))):
+        if sum(e.drop) <= H:
+            signed[e.drop] += -1 if e.length % 2 else 1
+    assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
 
 
 def weyl_elements_with_inverse_images(graph, L):
@@ -437,7 +488,7 @@ def weyl_elements_with_inverse_images(graph, L):
                 elem = ((i,) + word, new_labels, new_inv)
                 out.append(elem)
                 nxt.append(elem)
-        frontier = sorted(nxt, key=lambda e: e[1])
+        frontier = nxt
     return out
 
 
@@ -459,7 +510,9 @@ def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
     if L is None:
         L = len(enumerate_roots(g))  # the length of the longest element
     oracle = weyl_elements_with_inverse_images(g, L)
-    assert [(e.word, e.labels) for e in weyl_elements(g, L)] == [(w, l) for w, l, _ in oracle]
+    assert sorted((e.length, e.labels) for e in weyl_elements(g, L)) == sorted(
+        (len(w), l) for w, l, _ in oracle
+    )
     for word, labels, inv in oracle:
         for j in range(g.n):
             # label j of w(rho) is the height of w^{-1}(alpha_j), a real root
@@ -480,19 +533,28 @@ def inversion_roots(graph, word):
     return out
 
 
+def ws_oracle(graph, L):
+    """(word, labels) of W^S up to length L by its definition: the w whose
+    inversion roots all have a positive z_1 coefficient, from the
+    inverse-image BFS oracle."""
+    return [
+        (word, labels)
+        for word, labels, _ in weyl_elements_with_inverse_images(graph, L)
+        if all(alpha[graph.z1] > 0 for alpha in inversion_roots(graph, word))
+    ]
+
+
 def ws_by_inversion_sets(graph, L):
-    """W^S up to length L by its definition, grouped and ordered as
-    `enumerate_WS` groups it: the w whose inversion roots all have a positive
-    z_1 coefficient, from the inverse-image BFS oracle."""
+    """`ws_oracle` as sorted (length, labels), grouped by length as
+    `enumerate_WS` groups it."""
     grouped = {}
-    for word, labels, _ in weyl_elements_with_inverse_images(graph, L):
-        if all(alpha[graph.z1] > 0 for alpha in inversion_roots(graph, word)):
-            grouped.setdefault(len(word), []).append((word, labels))
-    return {k: sorted(v, key=lambda e: e[1]) for k, v in grouped.items()}
+    for word, labels in ws_oracle(graph, L):
+        grouped.setdefault(len(word), []).append((len(word), labels))
+    return {k: sorted(v) for k, v in grouped.items()}
 
 
 def ws_words(grouped):
-    return {k: [(e.word, e.labels) for e in v] for k, v in grouped.items()}
+    return {k: sorted((e.length, e.labels) for e in v) for k, v in grouped.items()}
 
 
 @pytest.mark.parametrize(
@@ -508,8 +570,11 @@ def test_enumerate_ws_equals_the_inversion_set_definition(pqr, L):
 def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     g = TpqrGraph(2, 2, 2)
     elements = kacmoody.weyl_elements
+    s_z1_drop = tuple(1 if j == g.z1 else 0 for j in range(g.n))  # rho - s_z1 rho = alpha_z1
     monkeypatch.setattr(
-        kacmoody, "weyl_elements", lambda graph, L: [e for e in elements(graph, L) if e.word != (g.z1,)]
+        kacmoody,
+        "weyl_elements",
+        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e.drop != s_z1_drop],
     )
     grouped = ws_words(enumerate_WS(g, 12))
     oracle = ws_by_inversion_sets(g, 12)

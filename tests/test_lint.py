@@ -1,6 +1,9 @@
 """Source lints: no module of the package contains an `assert` statement
 (`python -O` strips them; checks raise explicitly instead), every public
-function, method and property is used somewhere, and only `MPoly.var` adds a
+function, method and property is used somewhere, no module-level public
+function is a generator (the benchmark's tracer wraps every public function
+of a layer module, and on a generator it would time only the generator's
+creation, not the work done as it is consumed), and only `MPoly.var` adds a
 name to the variable registry (printed term order follows the registry, so a
 lookup that interned would make output depend on call history).  The
 package's `__all__` lists exactly the names its `__init__` imports."""
@@ -107,6 +110,52 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
     )
     (tests / "test_mod.py").write_text("from mod import used\n\ndef test_used():\n    used()\n")
     assert dead_names(src, tests) == ["mod.C.size", "mod.unused"]
+
+
+def public_generators(tree):
+    """The public module-level functions whose own body yields; a yield
+    inside a nested function or lambda belongs to that one."""
+    found = []
+
+    def yields(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, (ast.Yield, ast.YieldFrom)) or yields(child):
+                return True
+        return False
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and yields(node):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_public_generator_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert public_generators(tree) == [], f"{path.name}: public generator functions"
+
+
+def test_generator_lint_flags_only_a_public_generator():
+    tree = ast.parse(
+        "def walk(n):\n"
+        "    for i in range(n):\n"
+        "        if i:\n"
+        "            yield i\n"
+        "\n"
+        "def _walk(n):\n"
+        "    yield from range(n)\n"
+        "\n"
+        "def listed(n):\n"
+        "    def gen():\n"
+        "        yield n\n"
+        "    return list(gen())\n"
+        "\n"
+        "def squares(n):\n"
+        "    return [i * i for i in range(n)]\n"
+    )
+    assert public_generators(tree) == ["walk"]
 
 
 def export_mismatch(init=SRC / "__init__.py"):
