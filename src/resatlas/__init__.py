@@ -34,8 +34,6 @@ from .rings import (
     GLWeightQuadruple,
     MuIndex,
     dictionary_crosscheck,
-    hilbert_truncation,
-    homology_weights,
     kstar_terms,
     ra_component,
     ra_enumerate,
@@ -86,8 +84,6 @@ __all__ = [
     "format_exists",
     "g1_dim_formula",
     "g2_dim_formula",
-    "hilbert_truncation",
-    "homology_weights",
     "koszul_complex",
     "kostant_weights",
     "kstar_terms",

@@ -199,12 +199,18 @@ def _check_dictionary(budget: Budget) -> str:
     return "20 random K*/BGG matches each on the D4 and E6 formats"
 
 
+def _first_nonzero(rep: complexes.ComplexReport) -> str:
+    i, row, col, entry = rep.failures[0]
+    return f"a composition d.d is nonzero: d_{i}.d_{i + 1} entry {(row, col)} is {entry}"
+
+
 def _check_thm112(budget: Budget) -> str:
     for r3 in (1, 2, 3):
         budget.check("generic family")
         res = complexes.thm112_build(r3)
-        if not complexes.verify_complex(res.complex).ok:
-            raise CheckFailed(f"generic family r3={r3}: a composition d.d is nonzero")
+        rep = complexes.verify_complex(res.complex)
+        if not rep.ok:
+            raise CheckFailed(f"generic family r3={r3}: {_first_nonzero(rep)}")
         rk = complexes.be_rank_check(res.complex, seed=11)
         if not rk.ok or rk.ranks != (1, 2, r3):
             raise CheckFailed(f"generic family r3={r3}: ranks {rk.ranks}, expected {(1, 2, r3)}")
@@ -223,8 +229,9 @@ def _check_monomial(budget: Budget) -> str:
     for t in (2, 3, 4, 5):
         budget.check("monomial family")
         res = complexes.monomial_complex(t)
-        if not complexes.verify_complex(res.complex).ok:
-            raise CheckFailed(f"monomial family t={t}: a composition d.d is nonzero")
+        rep = complexes.verify_complex(res.complex)
+        if not rep.ok:
+            raise CheckFailed(f"monomial family t={t}: {_first_nonzero(rep)}")
         for g in res.ideal_generators:
             if g.total_degree() != 2 * t - 2:
                 raise CheckFailed(f"monomial family t={t}: generator {g} not of degree {2 * t - 2}")

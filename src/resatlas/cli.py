@@ -401,14 +401,14 @@ def text_verify_d4(pl: Dict, args) -> List[str]:
 def cmd_q1(args) -> Dict:
     fmt = derive_ranks(args.format)
     I, J, K = ([int(x) for x in raw.split(",") if x.strip()] for raw in (args.I, args.J, args.K))
-    res = complexes.q1_coefficients(fmt, I, J, K, t=args.t)
+    value = complexes.q1_coefficients(fmt, I, J, K, t=args.t)
     return {
         "format": list(fmt.f),
         "I": I,
         "J": J,
         "K": K,
         "t": args.t if args.t is not None else fmt.r[2],
-        "value": str(res.value),
+        "value": str(value),
     }
 
 

@@ -157,8 +157,6 @@ def _complement_sign(subset: Sequence[int], n: int) -> int:
 @dataclass(frozen=True)
 class MultiplierReport:
     ok: bool
-    multipliers: Tuple[Tuple[Fraction, ...], ...]  # a_1 .. a_n (a_i over row subsets of d_i)
-    scalars: Tuple[Optional[Fraction], ...]
     detail: str = ""
 
 
@@ -177,7 +175,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
     rk = be_rank_check(complex_, seed)
     if not rk.ok:
         detail = f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
-        return MultiplierReport(ok=False, multipliers=(), scalars=(), detail=detail)
+        return MultiplierReport(ok=False, detail=detail)
     mats = rk.spec.differentials
     # Every r_i-minor of d_i, once: a_i reads the first r_i columns with a
     # nonzero minor (the first of rank r_i), and the check reads them all.
@@ -190,7 +188,6 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
         cols = next(C for C in col_sets if any(table[R, C] for R in row_sets))
         multipliers.append(tuple(table[R, cols] for R in row_sets))
         tables.append(table)
-    scalars: List[Optional[Fraction]] = []
     ok = True
     detail = ""
     for i, (d, table) in enumerate(zip(mats, tables), start=1):
@@ -214,10 +211,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
             elif ratio != s_i:
                 ok = False
                 detail = f"d_{i}: inconsistent scalar at {rows}x{cols_sel}"
-        scalars.append(s_i)
-    return MultiplierReport(
-        ok=ok, multipliers=tuple(multipliers), scalars=tuple(scalars), detail=detail
-    )
+    return MultiplierReport(ok=ok, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +366,7 @@ class SplitD4Model:
     eee: Dict[Tuple[int, int, int], MPoly]    # g-coefficient of e_i e_j e_k
     v2: Tuple[MPoly, MPoly, MPoly, MPoly]
     pfaffian: MPoly
-    d1: ExactMatrix
     d2: ExactMatrix
-    d3: ExactMatrix
 
 
 def d4_split_model() -> SplitD4Model:
@@ -415,10 +407,8 @@ def d4_split_model() -> SplitD4Model:
     }
     pf = b[(1, 2)] * b[(3, 4)] - b[(1, 3)] * b[(2, 4)] + b[(1, 4)] * b[(2, 3)]
     v2 = (b[(2, 3)], -b[(1, 3)], b[(1, 2)], pf)
-    d3 = ExactMatrix([[0], [0], [0], [1]])
     d2 = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-    d1 = ExactMatrix([[0, 0, 0, 1]])
-    return SplitD4Model(b=b, ee=ee, ef=ef, eee=eee, v2=v2, pfaffian=pf, d1=d1, d2=d2, d3=d3)
+    return SplitD4Model(b=b, ee=ee, ef=ef, eee=eee, v2=v2, pfaffian=pf, d2=d2)
 
 
 # The literal table reading with c^1_4 negated: e_4 is the split basis
@@ -462,20 +452,13 @@ def d4_relation_check() -> D4RelationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Q1Result:
-    value: MPoly
-    d3: ExactMatrix
-    d2: ExactMatrix
-
-
 def q1_coefficients(
     fmt: ResolutionFormat,
     I: Sequence[int],
     J: Sequence[int],
     K: Sequence[int],
     t: Optional[int] = None,
-) -> Q1Result:
+) -> MPoly:
     """The coefficient u_{I,J,K} of the generating cycle, over generic
     symbolic d_3 and d_2:
 
@@ -503,7 +486,7 @@ def q1_coefficients(
     d2 = ExactMatrix([[MPoly.var(f"D2_{i}_{j}") for j in range(1, f2 + 1)] for i in range(1, f1 + 1)])
     zero = MPoly.const(0)
     if len(set(I)) != len(I) or len(set(J)) != len(J) or len(set(K)) != len(K):
-        return Q1Result(value=zero, d3=d3, d2=d2)
+        return zero
     cols3 = [j - 1 for j in range(1, r3 + 1) if j != t]
     rows2 = [i - 1 for i in range(1, f1 + 1) if i not in set(I)]
     total = zero
@@ -517,4 +500,4 @@ def q1_coefficients(
             d2.minor(rows2, cols2)
         )
         total = total + term if s % 2 == 1 else total - term
-    return Q1Result(value=total, d3=d3, d2=d2)
+    return total

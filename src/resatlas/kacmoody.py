@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, itemgetter, mul
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .formats import classify, tpqr_cartan_matrix
+from .formats import _check_pqr, classify, tpqr_cartan_matrix
 
 Labels = Tuple[int, ...]
 Coords = Tuple[int, ...]
@@ -32,6 +32,9 @@ class TpqrGraph:
     p: int
     q: int
     r: int
+
+    def __post_init__(self) -> None:
+        _check_pqr(self.p, self.q, self.r)
 
     @property
     def n(self) -> int:

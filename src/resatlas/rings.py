@@ -11,12 +11,11 @@ and bookkeeping; no ring structure is modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .formats import ResolutionFormat, classify_format
-from .kacmoody import TpqrGraph, bgg_initial_terms, weyl_dim
-from .schur import is_dominant, partitions_bounded, schur_dim
+from .formats import ResolutionFormat
+from .kacmoody import TpqrGraph, bgg_initial_terms
+from .schur import is_dominant, partitions_bounded
 
 Weight = Tuple[int, ...]
 
@@ -206,87 +205,6 @@ def ra_enumerate(
 
 
 # ---------------------------------------------------------------------------
-# Homology of the almost-acyclic complex
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HomologyReport:
-    components: List[Tuple[Weight, ...]]
-    minimal_generator: Optional[Tuple[Weight, ...]]
-
-
-def _homology_weights_for(
-    fmt: ResolutionFormat, j: int, y: Sequence[int], partitions: Sequence[Sequence[int]]
-) -> Tuple[Weight, ...]:
-    """Weights on F_0..F_n of the homology candidate: the generic display
-    with one box added at position r_{j-1}+1 of the F_{j-1} weight."""
-    weights = ra_general_component(y, partitions, fmt)
-    target = list(weights[j - 1])
-    pos = (fmt.r0 if j - 1 == 0 else fmt.r[j - 2])  # length of the first block
-    target[pos] += 1
-    weights[j - 1] = tuple(target)
-    return tuple(weights)
-
-
-def homology_weights(fmt: ResolutionFormat, j: int, cutoff: int) -> HomologyReport:
-    """Components of H_{j-1} of the almost-acyclic complex of the format,
-    within the cutoff on sum of degrees and partition sizes.
-
-    H_n and H_{n-1} vanish; for 1 <= j-1 <= n-2 the components are indexed by
-    degrees y^(1..n) with y^(j+1) = 0 and partitions, subject to dominance of
-    all weights.
-    """
-    n = fmt.n
-    if j - 1 > n or j < 1:
-        raise ValueError(f"j = {j} out of range")
-    if j - 1 in (n, n - 1):
-        return HomologyReport(components=[], minimal_generator=None)
-    if not 1 <= j - 1 <= n - 2:
-        raise ValueError(f"j = {j} out of range (need 1 <= j-1 <= n-2)")
-    r = (0,) + fmt.r
-    components = []
-    part_lists = [list(partitions_bounded(r[i] - 1, cutoff)) for i in range(1, n + 1)]
-    degree_ranges = [
-        [0] if i == j + 1 else list(range(cutoff + 1)) for i in range(1, n + 1)
-    ]
-    for ys in iproduct(*degree_ranges):
-        if sum(ys) > cutoff:
-            continue
-        budget = cutoff - sum(ys)
-        for parts in iproduct(*part_lists):
-            if sum(sum(p) for p in parts) > budget:
-                continue
-            weights = _homology_weights_for(fmt, j, ys, parts)
-            if all(is_dominant(w) for w in weights):
-                components.append(weights)
-    components.sort()
-    # Minimal generator: beta = 0, psi^(i) = (-1)^{j-1-i} for i <= j-1, else 0.
-    psi = [0] * (n + 1)
-    for i in range(1, j):
-        psi[i] = (-1) ** (j - 1 - i)
-    ys_min = [psi[i] + psi[i - 1] if i >= 2 else psi[1] for i in range(1, n + 1)]
-    if any(v < 0 for v in ys_min) or ys_min[j] != 0:  # y^(j+1) = 0
-        raise AssertionError(f"{tuple(fmt.f)} H_{j - 1}: minimal generator degrees {ys_min}")
-    gen = _homology_weights_for(fmt, j, ys_min, [()] * n)
-    # Up to maximal exterior powers of the other F_i, the generator is the
-    # (r_{j-1}+1)-st exterior power of F_{j-1}.
-    f_len = len(gen[j - 1])
-    expected = (1,) * (fmt.r[j - 2] + 1) + (0,) * (f_len - fmt.r[j - 2] - 1)
-    if gen[j - 1] != expected:
-        raise AssertionError(
-            f"{tuple(fmt.f)} H_{j - 1}: minimal generator weight {gen[j - 1]} "
-            f"on F_{j - 1}, expected {expected}"
-        )
-    for idx, w in enumerate(gen):
-        if idx != j - 1 and len(set(w)) > 2:
-            raise AssertionError(
-                f"{tuple(fmt.f)} H_{j - 1}: non-exterior twist on F_{idx}: {w}"
-            )
-    return HomologyReport(components=components, minimal_generator=gen)
-
-
-# ---------------------------------------------------------------------------
 # The special-fiber decomposition and the lambda-dictionary
 # ---------------------------------------------------------------------------
 
@@ -295,8 +213,6 @@ def homology_weights(fmt: ResolutionFormat, j: int, cutoff: int) -> HomologyRepo
 class RspecComponent:
     sigma: Weight
     tau: Weight
-    theta: Weight
-    phi: Weight
     lam: Tuple[int, ...]  # labels on T_{p,q,r} vertices (internal 0-based order)
 
 
@@ -331,13 +247,13 @@ def lambda_from_sigma_tau(
 
 
 def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
-    """The (sigma, tau, theta, phi) weights and the T_{p,q,r} weight lambda
-    of the special-fiber component indexed by mu (requires a >= 0)."""
+    """The (sigma, tau) weights and the T_{p,q,r} weight lambda of the
+    special-fiber component indexed by mu (requires a >= 0)."""
     _check_mu(mu, fmt)
     if mu.a < 0:
         raise ValueError("membership requires a >= 0")
     quad = ra_component(mu, fmt)
-    sigma, theta, tau, phi = quad.w3, quad.w2, quad.w1, quad.w0
+    sigma, tau = quad.w3, quad.w1
     graph = TpqrGraph(*fmt.pqr)
     lam = lambda_from_sigma_tau(graph, sigma, tau, mu.a)
     if any(v < 0 for v in lam):
@@ -360,7 +276,7 @@ def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
             f"{tuple(fmt.f)} {mu}: tau rebuilt from lambda {lam} is "
             f"{tuple(reversed(rebuilt))}, not {tau}"
         )
-    return RspecComponent(sigma=sigma, tau=tau, theta=theta, phi=phi, lam=lam)
+    return RspecComponent(sigma=sigma, tau=tau, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +444,8 @@ def dictionary_crosscheck(
     ascending-sigma orientation, under which the match is exact for all arm
     lengths.
     """
-    ks = kstar_terms(sigma, tau, t, fmt)
     graph = TpqrGraph(*fmt.pqr)
+    ks = kstar_terms(sigma, tau, t, fmt)
     a = t - 1
     lam = lambda_from_sigma_tau(graph, tuple(sigma), tau, a, z_arm_ascending=True)
     layers = bgg_initial_terms(graph, lam)
@@ -545,29 +461,3 @@ def dictionary_crosscheck(
             return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# Hilbert-series truncation
-# ---------------------------------------------------------------------------
-
-
-def hilbert_truncation(
-    fmt: ResolutionFormat, cutoff: int
-) -> Dict[Tuple[int, int, int, int, int, int], int]:
-    """Graded dimensions of the special-fiber ring by multidegree
-    (a, b, c, |alpha|, |beta|, |gamma|), each cell the product
-    dim S_phi(F_0) * dim S_theta(F_2) * dim V(lambda).  Finite class only."""
-    if not classify_format(fmt).finite:
-        raise ValueError("Finite class required")
-    graph = TpqrGraph(*fmt.pqr)
-    table: Dict[Tuple[int, int, int, int, int, int], int] = {}
-    for mu in mu_enumerate(fmt, cutoff):
-        comp = rspec_component(mu, fmt)
-        d = (
-            schur_dim(comp.phi, fmt.f[0])
-            * schur_dim(comp.theta, fmt.f[2])
-            * weyl_dim(graph, comp.lam)
-        )
-        key = (mu.a, mu.b, mu.c, sum(mu.alpha), sum(mu.beta), sum(mu.gamma))
-        table[key] = table.get(key, 0) + d
-    return table

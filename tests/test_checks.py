@@ -71,6 +71,33 @@ def test_monomial_family_catches_a_wrong_generator_degree(monkeypatch):
         run_check("monomial-family")
 
 
+@pytest.mark.parametrize(
+    "check, builder, message",
+    [
+        ("generic-family", "thm112_build",
+         "generic family r3=1: a composition d.d is nonzero: "
+         "d_2.d_3 entry (0, 0) is -A2_1*b3_1 + A3_1*b2_1"),
+        ("monomial-family", "monomial_complex",
+         "monomial family t=2: a composition d.d is nonzero: d_2.d_3 entry (0, 0) is X3"),
+    ],
+    ids=["generic-family", "monomial-family"],
+)
+def test_families_name_the_entry_of_a_nonzero_composition(monkeypatch, check, builder, message):
+    build = getattr(complexes, builder)
+
+    def one_added_to_d3(arg):
+        res = build(arg)
+        d1, d2, d3 = res.complex.differentials
+        data = [list(row) for row in d3.data]
+        data[0][0] = data[0][0] + 1
+        broken = dataclasses.replace(res.complex, differentials=[d1, d2, ExactMatrix(data)])
+        return dataclasses.replace(res, complex=broken)
+
+    monkeypatch.setattr(complexes, builder, one_added_to_d3)
+    with pytest.raises(CheckFailed, match=re.escape(message)):
+        run_check(check)
+
+
 def test_d4_relation_catches_a_negated_product_entry(monkeypatch):
     build = complexes.d4_split_model
 

@@ -29,6 +29,21 @@ def test_analyze_invalid_exits_2(capsys):
     assert capsys.readouterr().err == "invalid format (1, 1, 1, 1): r_2 = 0 < 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "1", "2", "2", "1"),
+        ("rspec", "1", "2", "2", "1"),
+        ("kstar-check", "1", "2", "2", "1", "--count", "1"),
+    ],
+    ids=["analyze", "rspec", "kstar-check"],
+)
+def test_a_format_without_a_graph_exits_2(capsys, argv):
+    # r_2 = 1 gives q = 0: no T_{p,q,r} exists, and every command says so.
+    assert main(list(argv)) == 2
+    assert capsys.readouterr() == ("", "require p >= 2, q >= 1, r >= 2, got (2, 0, 2)\n")
+
+
 def test_analyze_indefinite(capsys):
     code, out = run(capsys, "analyze", "2", "6", "7", "3", "--max-height", "8")
     assert code == 0

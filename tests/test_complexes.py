@@ -191,13 +191,13 @@ FMT_D4 = derive_ranks([1, 4, 4, 1])
 
 
 def test_q1_degenerate_r3_1():
-    res = q1_coefficients(FMT_D4, I=[1, 2], J=[3], K=[4])
-    assert str(res.value) == "D2_3_1*D2_4_2 - D2_3_2*D2_4_1"
+    value = q1_coefficients(FMT_D4, I=[1, 2], J=[3], K=[4])
+    assert str(value) == "D2_3_1*D2_4_2 - D2_3_2*D2_4_1"
 
 
 def test_q1_vanishing_cases():
-    assert q1_coefficients(FMT_D4, I=[1, 1], J=[3], K=[4]).value.is_zero()
-    assert q1_coefficients(FMT_D4, I=[1, 2], J=[4], K=[4]).value.is_zero()
+    assert q1_coefficients(FMT_D4, I=[1, 1], J=[3], K=[4]).is_zero()
+    assert q1_coefficients(FMT_D4, I=[1, 2], J=[4], K=[4]).is_zero()
 
 
 def test_q1_index_validation():
@@ -211,8 +211,8 @@ def test_q1_index_validation():
 
 def test_q1_antisymmetrization_nonzero():
     fmt = derive_ranks([1, 5, 5, 2])
-    a = q1_coefficients(fmt, [1, 3, 4], [2, 4], [3, 5]).value
-    b = q1_coefficients(fmt, [1, 3, 4], [3, 5], [2, 4]).value
+    a = q1_coefficients(fmt, [1, 3, 4], [2, 4], [3, 5])
+    b = q1_coefficients(fmt, [1, 3, 4], [3, 5], [2, 4])
     names = sorted(set(a.variables()) | set(b.variables()))
     pt = seeded_random_point(42, names)
     assert a.substitute(pt) - b.substitute(pt) != 0

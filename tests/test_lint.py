@@ -1,6 +1,8 @@
 """Source lints: no module of the package contains an `assert` statement
 (`python -O` strips them; checks raise explicitly instead), every public
-function, method and property is used somewhere, no module-level public
+function, method and property is used somewhere in the package (a test
+alone does not keep a name), every dataclass field is read somewhere in
+the package, no module-level public
 function is a generator (the benchmark's tracer wraps every public function
 of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed), and only `MPoly.var` adds a
@@ -66,14 +68,14 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}", item, ("attr",)
 
 
-def dead_names(src=SRC, tests=SRC.parents[1] / "tests"):
+def dead_names(src=SRC):
     """Public functions, methods and properties of the package that nothing in
-    the package or its tests uses, apart from their own definition and the
-    re-exports in `__init__`."""
+    the package uses, apart from their own definition and the re-exports in
+    `__init__`."""
     modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
     uses = Counter()
     trees = {}
-    for path in modules + sorted(tests.glob("*.py")):
+    for path in modules:
         trees[path] = ast.parse(path.read_text(), filename=str(path))
         uses += _references(trees[path])
     dead = []
@@ -90,11 +92,8 @@ def test_every_public_name_is_used():
 
 
 def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
-    src, tests = tmp_path / "src", tmp_path / "tests"
-    src.mkdir()
-    tests.mkdir()
-    (src / "__init__.py").write_text("from .mod import unused\n")
-    (src / "mod.py").write_text(
+    (tmp_path / "__init__.py").write_text("from .mod import tested, unused\n")
+    (tmp_path / "mod.py").write_text(
         "class C:\n"
         "    @property\n"
         "    def size(self):\n"
@@ -105,11 +104,71 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
         "    size = 1\n"
         "    return size\n"
         "\n"
+        "def tested():\n"
+        '    """Called by a test only."""\n'
+        "    return used()\n"
+        "\n"
         "def unused():\n"
         "    return unused()\n"
     )
-    (tests / "test_mod.py").write_text("from mod import used\n\ndef test_used():\n    used()\n")
-    assert dead_names(src, tests) == ["mod.C.size", "mod.unused"]
+    assert dead_names(tmp_path) == ["mod.C.size", "mod.tested", "mod.unused"]
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass"
+
+
+def unread_fields(src=SRC):
+    """The fields of the package's dataclasses that nothing in the package
+    reads as an attribute (`obj.field`); a keyword to the constructor is
+    not a read."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in reads
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_field_lint_flags_an_unread_field(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "\n"
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    ok: bool\n"
+        "    detail: str = ''\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int\n"
+        "\n"
+        "class Plain:\n"
+        "    z: int\n"
+        "\n"
+        "def check(p):\n"
+        "    p.y = 1\n"
+        "    return Report(ok=p.x > 0, detail='x')\n"
+    )
+    (tmp_path / "cli.py").write_text("def main(rep):\n    return rep.ok\n")
+    assert unread_fields(tmp_path) == ["mod.Report.detail", "mod.Point.y"]
 
 
 def public_generators(tree):

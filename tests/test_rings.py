@@ -7,8 +7,6 @@ from resatlas.kacmoody import TpqrGraph
 from resatlas.rings import (
     MuIndex,
     dictionary_crosscheck,
-    hilbert_truncation,
-    homology_weights,
     kstar_terms,
     lambda_from_sigma_tau,
     mu_enumerate,
@@ -90,17 +88,6 @@ def test_mu_enumerate_deterministic():
     assert all(m.a >= 0 for m in a)
 
 
-def test_homology_minimal_generator():
-    rep = homology_weights(FMT_D4, 2, 4)  # H_{j-1} = H_1
-    assert rep.minimal_generator == ((-1,), (1, 1, 0, 0), (0, 0, 0, 0), (0,))
-    assert len(rep.components) == 24
-
-
-def test_homology_dominance_filter():
-    rep0 = homology_weights(FMT_D4, 2, 0)
-    assert rep0.components == []
-
-
 def test_rspec_component_anchor():
     mu = MuIndex(a=2, b=1, c=3, beta=(2, 1))
     comp = rspec_component(mu, FMT_D4)
@@ -164,8 +151,17 @@ def test_dictionary_crosscheck_detects_breakage(monkeypatch):
     assert not dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
 
 
-def test_hilbert_truncation_anchors():
-    table = hilbert_truncation(FMT_D4, 2)
-    assert table[(1, 0, 0, 0, 0, 0)] == 32
-    assert table[(0, 1, 0, 0, 0, 0)] == 8
-    assert table[(0, 0, 0, 0, 0, 0)] == 1
+def test_rspec_component_degree_one_weights():
+    # The special fiber of (1, 4, 4, 1) in degrees mu = 0, b = 1 and a = 1:
+    # dim V(lambda) = 1, 8, 8 times the F_2 Schur dimension 1, 1, 4, so the
+    # graded dimensions 1, 8 and 32.
+    g = TpqrGraph(2, 2, 2)
+    lams = {
+        mu: g.labels_as_dict(rspec_component(mu, FMT_D4).lam)
+        for mu in (MuIndex(0, 0, 0), MuIndex(0, 1, 0), MuIndex(1, 0, 0))
+    }
+    assert lams == {
+        MuIndex(0, 0, 0): {"u": 0, "x1": 0, "y1": 0, "z1": 0},
+        MuIndex(0, 1, 0): {"u": 0, "x1": 1, "y1": 0, "z1": 0},
+        MuIndex(1, 0, 0): {"u": 0, "x1": 0, "y1": 0, "z1": 1},
+    }
