@@ -54,8 +54,22 @@ def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
         name = name.strip()
         if name not in names:
             raise ValueError(f"unknown vertex {name!r}; choices: {names}")
-        labels[names.index(name)] = int(val)
+        try:
+            labels[names.index(name)] = int(val)
+        except ValueError:
+            raise ValueError(f"--lam entry {chunk!r} is not <vertex>=<int>") from None
     return tuple(labels)
+
+
+def _parse_ints(option: str, raw: str) -> List[int]:
+    """Comma-separated ints; blank entries are skipped."""
+    out = []
+    for chunk in filter(str.strip, raw.split(",")):
+        try:
+            out.append(int(chunk))
+        except ValueError:
+            raise ValueError(f"{option} entry {chunk!r} is not an int") from None
+    return out
 
 
 def _mu_json(mu: rings.MuIndex) -> Dict:
@@ -399,8 +413,8 @@ def text_verify_d4(pl: Dict, args) -> List[str]:
 
 
 def cmd_q1(args) -> Dict:
-    fmt = derive_ranks(args.format)
-    I, J, K = ([int(x) for x in raw.split(",") if x.strip()] for raw in (args.I, args.J, args.K))
+    fmt = _valid_format(args.format)
+    I, J, K = _parse_ints("--I", args.I), _parse_ints("--J", args.J), _parse_ints("--K", args.K)
     value = complexes.q1_coefficients(fmt, I, J, K, t=args.t)
     return {
         "format": list(fmt.f),

@@ -10,7 +10,6 @@ q_1 cycle coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,7 +20,7 @@ from .formats import ResolutionFormat, derive_ranks
 @dataclass
 class FreeComplex:
     """A length-n free complex: d[i] is the matrix of d_{i+1} (f_i columns,
-    f_{i-1} rows); entries are MPoly or exact scalars."""
+    f_{i-1} rows); entries are MPoly or int."""
 
     fmt: ResolutionFormat
     differentials: List[ExactMatrix]
@@ -114,7 +113,7 @@ def entry_variables(complex_: FreeComplex) -> List[str]:
 
 
 def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
-    """At a seeded rational point, every differential has its expected rank
+    """At a seeded integer point, every differential has its expected rank
     r_i.  Up to 50 points, seeded seed * 1000 + attempt, are tried in turn
     until the ranks of all differentials equal (r_1, ..., r_n); otherwise
     the report is not ok and carries the last point's ranks."""
@@ -168,10 +167,10 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
     Plucker coordinate vector of the column space of d_i (maximal minors of
     r_i independent columns).  The check: for every row set R and column set
     C of size r_i, minor_{R,C}(d_i) = s_i * a_i[R] * eps(C) * a_{i+1}[C'],
-    with one scalar s_i per i and C' the complement of C among the columns.
+    with one scalar s_i per i, C' the complement of C among the columns
+    and a_{n+1}[()] = 1.
     """
     fmt = complex_.fmt
-    n = fmt.n
     rk = be_rank_check(complex_, seed)
     if not rk.ok:
         detail = f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
@@ -179,36 +178,33 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
     mats = rk.spec.differentials
     # Every r_i-minor of d_i, once: a_i reads the first r_i columns with a
     # nonzero minor (the first of rank r_i), and the check reads them all.
-    tables: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Fraction]] = []
-    multipliers: List[Tuple[Fraction, ...]] = []
+    tables: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]] = []
+    a: List[Dict[Tuple[int, ...], int]] = []
     for d, r in zip(mats, fmt.r):
         row_sets = list(combinations(range(d.rows), r))
         col_sets = list(combinations(range(d.cols), r))
-        table = {(R, C): Fraction(d.minor(R, C)) for R in row_sets for C in col_sets}
+        table = {(R, C): d.minor(R, C) for R in row_sets for C in col_sets}
         cols = next(C for C in col_sets if any(table[R, C] for R in row_sets))
-        multipliers.append(tuple(table[R, cols] for R in row_sets))
+        a.append({R: table[R, cols] for R in row_sets})
         tables.append(table)
+    a.append({(): 1})
     ok = True
     detail = ""
     for i, (d, table) in enumerate(zip(mats, tables), start=1):
-        a_i = dict(zip(combinations(range(d.rows), fmt.r[i - 1]), multipliers[i - 1]))
-        if i == n:
-            a_next = {(): Fraction(1)}
-        else:
-            a_next = dict(zip(combinations(range(d.cols), fmt.r[i]), multipliers[i]))
-        s_i: Optional[Fraction] = None
+        # s_i = lhs / rhs is one scalar iff every pair cross-multiplies
+        # equal with the first pair whose product is nonzero.
+        first: Optional[Tuple[int, int]] = None
         for (rows, cols_sel), lhs in table.items():
             comp = tuple(j for j in range(d.cols) if j not in cols_sel)
-            rhs = a_i[rows] * _complement_sign(cols_sel, d.cols) * a_next[comp]
+            rhs = a[i - 1][rows] * _complement_sign(cols_sel, d.cols) * a[i][comp]
             if rhs == 0:
                 if lhs != 0:
                     ok = False
                     detail = f"d_{i}: minor {rows}x{cols_sel} nonzero but product vanishes"
                 continue
-            ratio = lhs / rhs
-            if s_i is None:
-                s_i = ratio
-            elif ratio != s_i:
+            if first is None:
+                first = (lhs, rhs)
+            elif lhs * first[1] != first[0] * rhs:
                 ok = False
                 detail = f"d_{i}: inconsistent scalar at {rows}x{cols_sel}"
     return MultiplierReport(ok=ok, detail=detail)

@@ -1,21 +1,17 @@
 """Exact arithmetic kernel: sparse integer polynomials and exact matrices.
 
-Coefficients are Python ints (arbitrary precision) and `fractions.Fraction`
-(always reduced, positive denominator).  Polynomials are sparse dicts keyed by
-packed monomials; matrices support fraction-free elimination, symbolic
-determinants and rank at rational specializations.
+Coefficients, points and numeric entries are Python ints (arbitrary
+precision).  Polynomials are sparse dicts keyed by packed monomials; matrices
+support fraction-free elimination, symbolic determinants and rank at integer
+specializations.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-Scalar = Union[int, Fraction]
 
 # A monomial is one int of `_BITS`-wide fields: field 0 holds the total
 # degree and field i + 1 the exponent of registry variable i, so the product
@@ -24,8 +20,8 @@ Scalar = Union[int, Fraction]
 # monomial 1.  No exponent exceeds the total degree, so keeping every degree
 # below `DEGREE_LIMIT` keeps every field from carrying into the next one.
 # Every add, hash and dict probe in `_mac` costs in proportion to the width
-# of the monomial, so fields are one byte: a power or product of degree
-# 2**8 raises OverflowError, and the complex builders refuse, with a
+# of the monomial, so fields are one byte: a product of degree 2**8
+# raises OverflowError, and the complex builders refuse, with a
 # ValueError, a family member whose d . d products would reach that degree.
 # `_unpack` reads the fields as the bytes of the int, so it holds only for
 # 8-bit fields.
@@ -95,30 +91,29 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
             out[m] = get(m, 0) + ca * cb
 
 
-def _lift(assignment: Mapping[str, Scalar]) -> Tuple[Dict[int, int], int]:
-    """A rational point as integers over one denominator D (the lcm of the
-    coordinates' denominators): registry index -> n with x = n / D, and D.
+def _point(assignment: Mapping[str, int]) -> Dict[int, int]:
+    """An integer point keyed by registry index.  Every coordinate must be
+    an int, so Bareiss's exact division never meets a rational entry.
     Names that were never interned occur in no polynomial and are skipped,
     so evaluating never grows the registry."""
+    for name, value in assignment.items():
+        if not isinstance(value, int):
+            raise TypeError(f"coordinate {name!r} is {value!r}, not an int")
     index = REGISTRY.index
-    point = {index[name]: Fraction(value) for name, value in assignment.items() if name in index}
-    denom = math.lcm(*(x.denominator for x in point.values()))
-    return {idx: x.numerator * (denom // x.denominator) for idx, x in point.items()}, denom
+    return {index[name]: value for name, value in assignment.items() if name in index}
 
 
-def _weigh(terms: Mapping[int, int], nums: Mapping[int, int], denom: int, top: int) -> int:
-    """D^top times the value of a terms dict of degree at most `top` at the
-    lifted point (`nums`, D): the integer sum of c * prod n_i^e_i *
-    D^(top - deg) over the terms."""
+def _weigh(terms: Mapping[int, int], point: Mapping[int, int]) -> int:
+    """The value of a terms dict at an integer point: the sum of
+    c * prod x_i^e_i over the terms."""
     total = 0
     for mono, coeff in terms.items():
-        w = denom ** (top - (mono & _MASK))
         for idx, e in _unpack(mono):
-            n = nums.get(idx)
-            if n is None:
+            x = point.get(idx)
+            if x is None:
                 raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
-            w *= n**e
-        total += coeff * w
+            coeff *= x**e
+        total += coeff
     return total
 
 
@@ -152,15 +147,8 @@ class MPoly:
         return MPoly({0: c} if c else {})
 
     @staticmethod
-    def var(name: str, power: int = 1) -> "MPoly":
-        idx = REGISTRY.intern(name)
-        if power < 0:
-            raise ValueError("negative power")
-        if power >= DEGREE_LIMIT:
-            raise OverflowError(f"power {power} of {name!r} reaches 2**{_BITS}")
-        if power == 0:
-            return MPoly.const(1)
-        return MPoly({power << (_BITS * (idx + 1)) | power: 1})
+    def var(name: str) -> "MPoly":
+        return MPoly({1 << (_BITS * (REGISTRY.intern(name) + 1)) | 1: 1})
 
     @staticmethod
     def coerce(value: "MPoly | int") -> "MPoly":
@@ -218,28 +206,8 @@ class MPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "MPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = MPoly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            # No square past the top bit: it could reach the degree limit
-            # although the power itself stays below it.
-            if e:
-                base = base * base
-        return result
-
     def __eq__(self, other: object) -> bool:
-        # A number equals a polynomial only as an integer constant.
-        if isinstance(other, Fraction):
-            if other.denominator != 1:
-                return False
-            other = other.numerator
+        # An int equals a polynomial only as its constant.
         if isinstance(other, int):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
@@ -252,14 +220,6 @@ class MPoly:
         if not terms.keys() - {0}:
             return hash(terms.get(0, 0))
         return hash(frozenset(terms.items()))
-
-    # -- evaluation --------------------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, Scalar]) -> Fraction:
-        """Evaluate at a full rational point.  Raises on missing variables."""
-        nums, denom = _lift(assignment)
-        top = self.total_degree()
-        return Fraction(_weigh(self.terms, nums, denom, top), denom**top)
 
     # -- printing ----------------------------------------------------------
 
@@ -295,18 +255,13 @@ class MPoly:
     __repr__ = __str__
 
 
-Entry = Union[int, Fraction, MPoly]
-
-
-def _is_numeric(value: Entry) -> bool:
-    return isinstance(value, (int, Fraction))
+Entry = Union[int, MPoly]
 
 
 def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
     """The sum of a * b over the pairs, as a running sum from int 0 would
     give it, skipping pairs with an int 0 factor.  Products with an MPoly
-    factor accumulate into one terms dict; numeric ones stay int/Fraction,
-    and a Fraction does not mix with an MPoly (TypeError)."""
+    factor accumulate into one terms dict; int ones stay an int."""
     num: Entry = 0
     terms: Optional[Dict[int, int]] = None
     for a, b in pairs:
@@ -325,7 +280,7 @@ def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
 
 
 class ExactMatrix:
-    """Dense matrix with exact entries (int/Fraction or MPoly)."""
+    """Dense matrix with exact entries (int or MPoly)."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -338,7 +293,7 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
 
     def is_numeric(self) -> bool:
-        return all(_is_numeric(e) for row in self.data for e in row)
+        return all(isinstance(e, int) for row in self.data for e in row)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
@@ -387,17 +342,16 @@ class ExactMatrix:
             return 1
         if self.is_numeric():
             rank, sign, last = self._bareiss()
-            return sign * last if rank == self.rows else Fraction(0)
+            return sign * last if rank == self.rows else 0
         return self._det_expansion()
 
-    def _bareiss(self) -> Tuple[int, int, Fraction]:
+    def _bareiss(self) -> Tuple[int, int, int]:
         """Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) on
-        the integer lift by the entries' common denominator: the rank, the
-        sign of the row swaps, and the last pivot over denom^rank.  After k
-        pivots every live entry is a (k+1)-minor of the lift, so each division
-        by the previous pivot is exact, also past a skipped column."""
-        denom = math.lcm(*(e.denominator for row in self.data for e in row))
-        m = [[e.numerator * (denom // e.denominator) for e in row] for row in self.data]
+        the integer entries: the rank, the sign of the row swaps, and the
+        last pivot.  After k pivots every live entry is a (k+1)-minor of the
+        matrix, so each division by the previous pivot is exact, also past a
+        skipped column."""
+        m = [list(row) for row in self.data]
         rows, cols = self.rows, self.cols
         rank, sign, prev = 0, 1, 1
         for col in range(cols):
@@ -420,7 +374,7 @@ class ExactMatrix:
             rank += 1
             if rank == rows:
                 break
-        return rank, sign, Fraction(prev, denom**rank)
+        return rank, sign, prev
 
     def _det_expansion(self) -> MPoly:
         n = self.rows
@@ -459,30 +413,24 @@ class ExactMatrix:
     # -- rank --------------------------------------------------------------
 
     def rank(self) -> int:
-        """Rank over the rationals (numeric entries only)."""
+        """Rank over the rationals (int entries only)."""
         if not self.is_numeric():
             raise ValueError("rank requires numeric entries; substitute a point first")
         return self._bareiss()[0]
 
-    def substitute(self, assignment: Mapping[str, Scalar]) -> "ExactMatrix":
-        """Every entry evaluated at a full rational point, as a Fraction.
-        The point is lifted to integers once; each MPoly entry is one integer
-        sum over the matrix's common denominator D^top, divided once."""
-        nums, denom = _lift(assignment)
-        top = max((e.total_degree() for row in self.data for e in row if isinstance(e, MPoly)), default=0)
-        scale = denom**top
+    def substitute(self, assignment: Mapping[str, int]) -> "ExactMatrix":
+        """Every entry evaluated at a full integer point, as an int."""
+        point = _point(assignment)
         out = []
         for i, row in enumerate(self.data):
             new_row: List[Entry] = []
             for j, e in enumerate(row):
-                if not isinstance(e, MPoly):
-                    new_row.append(Fraction(e))
-                    continue
-                try:
-                    total = _weigh(e.terms, nums, denom, top)
-                except KeyError as err:
-                    raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
-                new_row.append(Fraction(total, scale))
+                if isinstance(e, MPoly):
+                    try:
+                        e = _weigh(e.terms, point)
+                    except KeyError as err:
+                        raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
+                new_row.append(e)
             out.append(new_row)
         return ExactMatrix(out)
 
@@ -495,8 +443,8 @@ class ExactMatrix:
     __repr__ = __str__
 
 
-def seeded_random_point(seed: int, variables: Sequence[str]) -> Dict[str, Fraction]:
-    """Deterministic rational point: integer coordinates drawn from
-    [-1000, 1000], one per name in the order of `variables`."""
+def seeded_random_point(seed: int, variables: Sequence[str]) -> Dict[str, int]:
+    """Deterministic integer point: coordinates drawn from [-1000, 1000],
+    one per name in the order of `variables`."""
     rng = random.Random(seed)
-    return {name: Fraction(rng.randint(-1000, 1000)) for name in variables}
+    return {name: rng.randint(-1000, 1000) for name in variables}

@@ -166,6 +166,35 @@ def test_q1_command_bad_indices(capsys):
 
 
 @pytest.mark.parametrize(
+    "fmt, message",
+    [
+        (("1", "4", "3", "1", "--I", "1,2,3"), "invalid format (1, 4, 3, 1): r_0 = -1 < 0\n"),
+        (("1", "1", "1", "1", "--I", "1,1"), "invalid format (1, 1, 1, 1): r_2 = 0 < 1\n"),
+    ],
+    ids=["r0-negative", "r2-zero"],
+)
+def test_q1_refuses_an_invalid_format(capsys, fmt, message):
+    names = list(exact.REGISTRY.names)
+    assert main(["q1", "--format", *fmt, "--J", "1", "--K", "2"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert exact.REGISTRY.names == names  # refused before any variable was made
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bgg-check", "--pqr", "2", "2", "2", "--lam", "u"], "--lam entry 'u' is not <vertex>=<int>\n"),
+        (["q1", "--format", "1", "4", "4", "1", "--I", "1,x", "--J", "3", "--K", "4"],
+         "--I entry 'x' is not an int\n"),
+    ],
+    ids=["lam", "q1"],
+)
+def test_a_malformed_entry_is_named_and_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["verify-monomial", "--t", "129"],

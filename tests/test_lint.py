@@ -8,7 +8,9 @@ of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed), and only `MPoly.var` adds a
 name to the variable registry (printed term order follows the registry, so a
 lookup that interned would make output depend on call history).  The
-package's `__all__` lists exactly the names its `__init__` imports."""
+package's `__all__` lists exactly the names its `__init__` imports.  The
+exact kernel (`exact` and `complexes`) imports nothing from `fractions`:
+its points, entries, determinants and ranks are ints."""
 
 import ast
 import re
@@ -291,6 +293,43 @@ def test_intern_lint_finds_a_call_in_a_method_and_at_module_level():
         "REGISTRY.index.get('y')\n"
     )
     assert callers(tree, "intern") == ["M.substitute", ""]
+
+
+def fractions_imports(tree):
+    """The lines, ascending, where a tree imports the `fractions` module or
+    a name from it, at any depth; a relative import is not that module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] == "fractions" for m in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", ["exact", "complexes"])
+def test_the_exact_kernel_imports_nothing_from_fractions(name):
+    path = SRC / f"{name}.py"
+    lines = fractions_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert lines == [], f"{path.name}: imports from fractions at lines {lines}"
+
+
+def test_fractions_lint_flags_every_import_of_the_module():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "import math, fractions as fr\n"
+        "def f():\n"
+        "    from fractions import Fraction as Q\n"
+        "from .fractions import helper\n"
+        "import math\n"
+        "Fraction = int\n"
+    )
+    assert fractions_imports(tree) == [1, 2, 3, 5]
 
 
 def run_check_names(tree):
