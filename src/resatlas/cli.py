@@ -17,6 +17,7 @@ reported as failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -39,7 +40,8 @@ def _valid_format(f: Sequence[int]):
 
 
 def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
-    """Weight spec: 'zero', 'w:<vertex>' (fundamental), or 'u=1,z1=2'."""
+    """Weight spec: 'zero', 'w:<vertex>' (fundamental), or 'u=1,z1=2'
+    (a blank entry is refused)."""
     if spec == "zero":
         return (0,) * graph.n
     names = graph.vertex_names
@@ -49,7 +51,7 @@ def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
             raise ValueError(f"unknown vertex {name!r}; choices: {names}")
         return graph.fundamental_weight(names.index(name))
     labels = [0] * graph.n
-    for chunk in spec.split(","):
+    for chunk in _entries("--lam", spec):
         name, _, val = chunk.partition("=")
         name = name.strip()
         if name not in names:
@@ -61,10 +63,19 @@ def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
     return tuple(labels)
 
 
+def _entries(option: str, raw: str) -> List[str]:
+    """The entries of a comma-separated option value; a blank or
+    whitespace-only entry is refused, naming the option and the raw value."""
+    chunks = raw.split(",")
+    if not all(map(str.strip, chunks)):
+        raise ValueError(f"{option} has a blank entry in {raw!r}")
+    return chunks
+
+
 def _parse_ints(option: str, raw: str) -> List[int]:
-    """Comma-separated ints; blank entries are skipped."""
+    """Comma-separated ints; a blank entry is refused, as by `_parse_lam`."""
     out = []
-    for chunk in filter(str.strip, raw.split(",")):
+    for chunk in _entries(option, raw):
         try:
             out.append(int(chunk))
         except ValueError:
@@ -483,7 +494,11 @@ def _at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built on the first call in a process and
+    shared by every later `main`.  Reuse is safe: no action appends, no
+    default is mutable, and each parse makes a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="resatlas",
         description="Exact analysis of length-3 free-resolution formats via "

@@ -54,6 +54,18 @@ def test_be_multipliers_koszul():
         assert rep.ok, rep.detail
 
 
+def test_be_multipliers_name_a_minor_whose_product_vanishes():
+    # With d_3's last entry 0 the ranks stay (1, 2, 1), but a_3 vanishes on
+    # the complement of columns (0, 1) while d_2's minor there does not.
+    cx = koszul_complex()
+    d3 = ExactMatrix([list(row) for row in cx.d(3).data[:-1]] + [[0]])
+    broken = dataclasses.replace(cx, differentials=[cx.d(1), cx.d(2), d3])
+    for seed in range(1, 6):
+        assert be_multipliers(cx, seed).ok
+        rep = be_multipliers(broken, seed)
+        assert (rep.ok, rep.detail) == (False, "d_2: minor (1, 2)x(0, 1) nonzero but product vanishes")
+
+
 @pytest.mark.parametrize("r3", [1, 2, 3])
 def test_thm112_family(r3):
     res = thm112_build(r3)

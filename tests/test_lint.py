@@ -10,7 +10,9 @@ name to the variable registry (printed term order follows the registry, so a
 lookup that interned would make output depend on call history).  The
 package's `__all__` lists exactly the names its `__init__` imports.  The
 exact kernel (`exact` and `complexes`) imports nothing from `fractions`:
-its points, entries, determinants and ranks are ints."""
+its points, entries, determinants and ranks are ints.  A `functools.cache`
+or `lru_cache` decorates only functions without parameters: output must not
+depend on call history, and a repeated job pays for its own mathematics."""
 
 import ast
 import re
@@ -362,3 +364,68 @@ def test_twin_lint_reads_only_run_check_calls():
         '    "spin-branching"\n'
     )
     assert run_check_names(tree) == {"classification"}
+
+
+def _is_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) in {"cache", "lru_cache"}
+
+
+def memoized_with_parameters(tree):
+    """The qualified names of the functions and methods, at any depth, that a
+    `cache` or `lru_cache` decorator memoizes on their parameters (`self`
+    included)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = scope + (child.name,)
+                if not isinstance(child, ast.ClassDef) and any(map(_is_cache, child.decorator_list)):
+                    a = child.args
+                    if a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg:
+                        found.append(".".join(name))
+                visit(child, name)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_memoized_mathematics(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert memoized_with_parameters(tree) == [], f"{path.name}: memoized on arguments"
+
+
+def test_cache_lint_flags_only_a_function_with_parameters():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "\n"
+        "@lru_cache\n"
+        "def f(x):\n"
+        "    return x\n"
+        "\n"
+        "@cache\n"
+        "def g():\n"
+        "    return 1\n"
+        "\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def h(*, n):\n"
+        "    return n\n"
+        "\n"
+        "class C:\n"
+        "    @functools.cache\n"
+        "    def m(self):\n"
+        "        return 2\n"
+        "\n"
+        "def outer():\n"
+        "    @cache\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner\n"
+        "\n"
+        "def plain(z):\n"
+        "    return z\n"
+    )
+    assert memoized_with_parameters(tree) == ["f", "h", "C.m", "outer.inner"]
