@@ -24,7 +24,7 @@ import random
 import sys
 import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import complexes, formats, kacmoody, rings
 from .checks import CHECKS, Budget, BudgetExceeded, random_sigma_tau
@@ -41,7 +41,7 @@ def _valid_format(f: Sequence[int]):
 
 def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
     """Weight spec: 'zero', 'w:<vertex>' (fundamental), or 'u=1,z1=2'
-    (a blank entry is refused)."""
+    (a blank entry or a repeated vertex is refused)."""
     if spec == "zero":
         return (0,) * graph.n
     names = graph.vertex_names
@@ -51,11 +51,15 @@ def _parse_lam(graph: TpqrGraph, spec: str) -> Tuple[int, ...]:
             raise ValueError(f"unknown vertex {name!r}; choices: {names}")
         return graph.fundamental_weight(names.index(name))
     labels = [0] * graph.n
+    given: Set[str] = set()
     for chunk in _entries("--lam", spec):
         name, _, val = chunk.partition("=")
         name = name.strip()
         if name not in names:
             raise ValueError(f"unknown vertex {name!r}; choices: {names}")
+        if name in given:
+            raise ValueError(f"--lam gives vertex {name!r} twice in {spec!r}")
+        given.add(name)
         try:
             labels[names.index(name)] = int(val)
         except ValueError:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import add, itemgetter, mul
+from math import lcm
+from operator import add, itemgetter, le, mul
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .formats import _check_pqr, classify, tpqr_cartan_matrix
@@ -269,107 +269,116 @@ def _truncated_product(
 
 
 def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
-    """Positive-root multiplicities up to height H by Peterson's recursion
-    (Kac, *Infinite-dimensional Lie algebras*, Ex. 11.11), height by height:
+    """Positive-root multiplicities up to height H, height by height, for a
+    symmetric A with 2 on the diagonal and no positive entry off it, so that
+    (beta|2 rho) = 2 ht(beta).  Any other A raises ValueError naming an entry.
+
+    A non-simple root is beta = gamma + alpha_i for a root gamma one height
+    lower.  Multiplicities are W-invariant (Kac, *Infinite-dimensional Lie
+    algebras*, Prop. 5.1) and s_j permutes the positive roots other than
+    alpha_j.  So if a label r = (beta|alpha_j) is positive, beta is a root
+    exactly when s_j beta = beta - r alpha_j >= 0 is one, and of its
+    multiplicity.  Label i of beta is (gamma|alpha_i) + 2; when it is
+    positive, beta's tuple and labels are built only if beta is a root.  The
+    chamber candidates, every label <= 0, are the imaginary roots of the
+    fundamental set and non-roots with disconnected support (Kac, Thm. 5.4).
+    Only they take Peterson's recursion (Ex. 11.11):
 
         (beta|beta - 2 rho) c_beta = sum_{beta' + beta'' = beta} (beta'|beta'') c_beta' c_beta''
 
-    where c_beta = sum over d | beta of mult(beta/d)/d, for a symmetric A with
-    2 on the diagonal, so that (beta|2 rho) = 2 ht(beta).  The pair sum runs
-    as a convolution over the support of c: every beta' of height h1 <= h/2
-    meets every beta'' of height h - h1, and the pair's term goes to
-    beta' + beta'' when that is a candidate.  Each root carries its labels
-    A beta, so (beta'|beta) is one dot product.  The arithmetic is on
-    integers: L c_beta is stored for L = lcm(1..H).  Raises ArithmeticError
-    naming the root if a division is inexact or a multiplicity comes out
-    negative or non-integral.
+    where c_beta = sum over d | beta of mult(beta/d)/d.  The pair sum probes
+    beta - beta' for each beta' <= beta of height <= h/2 in the support of
+    c.  The arithmetic is on integers: L c_beta is stored for
+    L = lcm(1..H).  Raises ArithmeticError naming the root if a division is
+    inexact or a multiplicity comes out negative or non-integral.
     """
     n = len(A)
+    for i in range(n):
+        for j in range(n):
+            if A[i][j] != A[j][i]:
+                raise ValueError(f"A[{i}][{j}] = {A[i][j]} but A[{j}][{i}] = {A[j][i]}")
+            if i == j and A[i][i] != 2 or i != j and A[i][j] > 0:
+                raise ValueError(f"A[{i}][{j}] = {A[i][j]}, not {2 if i == j else '<= 0'}")
     if H < 1:
         return {}
-    L = 1
-    for d in range(2, H + 1):
-        L = L * d // gcd(L, d)
+    L = lcm(*range(1, H + 1))
     # beta is keyed by sum beta_i B^i.  Up to height H every digit lies in
-    # [0, H] and B > H, so key(beta') + key(beta'') = key(beta' + beta''):
-    # keys never carry.
+    # [0, H] and B > H, so key(beta') + key(beta'') = key(beta' + beta'')
+    # and, when beta' <= beta, key(beta) - key(beta') = key(beta - beta').
     B = H + 1
     unit = [B**i for i in range(n)]
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # The labels of alpha_i are column i of A.
-    columns = [tuple(A[j][i] for j in range(n)) for i in range(n)]
-    mults: Dict[Coords, int] = {e: 1 for e in simple}
-    # Per height: the support of c as (key, beta, (beta|beta), L c_beta), and
-    # the roots as (key, beta, labels).
-    support: List[List[Tuple[int, Coords, int, int]]] = [[] for _ in range(H + 1)]
-    roots: List[List[Tuple[int, Coords, Labels]]] = [[] for _ in range(H + 1)]
-    support[1] = [(k, e, 2, L) for k, e in zip(unit, simple)]
-    roots[1] = list(zip(unit, simple, columns))
-    for h in range(2, H + 1):
-        # A non-simple root is a root plus a simple root; c is also non-zero
-        # on the multiples d gamma of roots gamma.  Each candidate is
-        # [beta, labels, pair sum].
-        candidates: Dict[int, list] = {}
-        for key, gamma, labels in roots[h - 1]:
-            for i in range(n):
-                k = key + unit[i]
-                if k not in candidates:
-                    candidates[k] = [
-                        gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :],
-                        tuple(map(add, labels, columns[i])),
-                        0,
-                    ]
+    mults: Dict[Coords, int] = dict.fromkeys(simple, 1)
+    by_key = dict.fromkeys(unit, 1)
+    # Per height: the roots as (key, beta, labels, (beta|beta)), and the
+    # support of c as key -> [beta, (beta|beta), L c_beta].  The labels of
+    # alpha_i are row i of the symmetric A.
+    roots: List[List[Tuple[int, Coords, Labels, int]]] = [[] for _ in range(H + 1)]
+    support: List[Dict[int, list]] = [{} for _ in range(H + 1)]
+    roots[1] = [(k, e, tuple(row), 2) for k, e, row in zip(unit, simple, A)]
+    for h in range(1, H + 1):
+        # c is also non-zero on the multiples d gamma of lower roots gamma.
+        here = support[h]
         for d in range(2, h + 1):
             if h % d == 0:
-                for key, gamma, labels in roots[h // d]:
-                    k = d * key
-                    if k not in candidates:
-                        candidates[k] = [
-                            tuple(d * x for x in gamma), tuple(d * x for x in labels), 0
-                        ]
-        # Each unequal pair is counted twice: once below h/2, or once from each side at h/2.
-        for h1 in range(1, h // 2 + 1):
-            upper = [(k2, c2) for k2, _, _, c2 in support[h - h1]]
-            for k1, beta1, norm1, c1 in support[h1]:
-                if 2 * h1 < h:
-                    c1 *= 2
-                for k2, c2 in upper:
-                    entry = candidates.get(k1 + k2)
-                    if entry is not None:
-                        # (beta'|beta'') = (beta'|beta) - (beta'|beta')
-                        entry[2] += (sum(map(mul, beta1, entry[1])) - norm1) * c1 * c2
-        for key, (beta, labels, rhs) in candidates.items():
-            g = gcd(*beta)
-            multiple = 0
-            for d in range(2, g + 1):
-                if g % d == 0:
-                    multiple += L // d * mults.get(tuple(x // d for x in beta), 0)
-            norm = sum(map(mul, beta, labels))
-            coef = norm - 2 * h
-            if coef == 0:
-                # Not a root: a non-simple root has (beta|beta) <= 2 < 2 ht(beta).
-                if rhs:
-                    raise ArithmeticError(
-                        f"Peterson recursion at {beta}: zero coefficient but pair sum {rhs}"
-                    )
-                c = multiple
-            else:
-                c, rem = divmod(rhs, coef * L)
-                if rem:
-                    raise ArithmeticError(
-                        f"Peterson recursion at {beta}: pair sum {rhs} not divisible by {coef * L}"
-                    )
-            m, rem = divmod(c - multiple, L)
-            if m < 0 or rem:
-                raise ArithmeticError(
-                    f"Peterson recursion at {beta}: multiplicity {Fraction(c - multiple, L)}"
-                )
-            if m:
-                mults[beta] = m
-                roots[h].append((key, beta, labels))
-            if c:
-                support[h].append((key, beta, norm, c))
+                for key, gamma, _, norm in roots[h // d]:
+                    entry = here.setdefault(d * key, [tuple(d * x for x in gamma), d * d * norm, 0])
+                    entry[2] += L // d * by_key[key]
+        seen: Set[int] = set()
+        for key, gamma, labels, norm in roots[h - 1]:
+            for i, l in enumerate(labels):
+                k = key + unit[i]
+                if k in seen:
+                    continue
+                seen.add(k)
+                j, r, a_beta, beta = i, l + 2, None, None
+                if r <= 0:
+                    a_beta = tuple(map(add, labels, A[i]))
+                    j = next((j for j, x in enumerate(a_beta) if x > 0), i)
+                    r = a_beta[j]
+                if r > 0:
+                    # Coordinate j of beta is gamma_j + [i = j].
+                    m = by_key.get(k - r * unit[j], 0) if gamma[j] + (i == j) >= r else 0
+                else:
+                    beta = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                    coef = norm + 2 * l + 2 - 2 * h
+                    rhs = _pair_sum(support, h, k, beta, a_beta)
+                    c, rem = divmod(rhs, coef * L)
+                    if rem:
+                        raise ArithmeticError(
+                            f"Peterson recursion at {beta}: pair sum {rhs} not divisible by {coef * L}"
+                        )
+                    multiple = here.get(k, (0, 0, 0))[2]
+                    m, rem = divmod(c - multiple, L)
+                    if m < 0 or rem:
+                        raise ArithmeticError(
+                            f"Peterson recursion at {beta}: multiplicity {Fraction(c - multiple, L)}"
+                        )
+                if m:
+                    beta = beta or gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                    a_beta = a_beta or tuple(map(add, labels, A[i]))
+                    mults[beta] = by_key[k] = m
+                    roots[h].append((k, beta, a_beta, norm + 2 * l + 2))
+        for k, beta, _, norm in roots[h]:
+            here.setdefault(k, [beta, norm, 0])[2] += L * by_key[k]
     return mults
+
+
+def _pair_sum(
+    support: List[Dict[int, list]], h: int, k: int, beta: Coords, labels: Labels
+) -> int:
+    """sum over beta' + beta'' = beta of (beta'|beta'') L c_beta' L c_beta'',
+    probing beta - beta' for each beta' <= beta of height <= h/2; an unequal
+    pair is counted once from each side."""
+    rhs = 0
+    for h1 in range(1, h // 2 + 1):
+        for k1, (beta1, norm1, c1) in support[h1].items():
+            other = support[h - h1].get(k - k1)
+            if other and all(map(le, beta1, beta)):
+                # (beta'|beta'') = (beta'|beta) - (beta'|beta')
+                term = (sum(map(mul, beta1, labels)) - norm1) * c1 * other[2]
+                rhs += term if 2 * h1 == h else 2 * term
+    return rhs
 
 
 def verify_denominator_identity(

@@ -193,8 +193,10 @@ def test_q1_refuses_an_invalid_format(capsys, fmt, message):
          "--I has a blank entry in '1,,2'\n"),
         (["q1", "--format", "1", "4", "4", "1", "--I", "1,2", "--J", "3", "--K", "4, "],
          "--K has a blank entry in '4, '\n"),
+        (["bgg-check", "--pqr", "2", "2", "2", "--lam", "u=1,u=0", "--cutoff", "2"],
+         "--lam gives vertex 'u' twice in 'u=1,u=0'\n"),
     ],
-    ids=["lam", "q1", "lam-blank", "q1-blank", "q1-whitespace"],
+    ids=["lam", "q1", "lam-blank", "q1-blank", "q1-whitespace", "lam-repeated"],
 )
 def test_a_malformed_entry_is_named_and_exits_2(capsys, argv, message):
     assert main(argv) == 2

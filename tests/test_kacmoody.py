@@ -7,7 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from pathlib import Path
 
 import pytest
@@ -186,8 +186,15 @@ ATLAS_GRAPHS = [
 ]
 
 
+# Heights with imaginary roots, so that the pair sum runs: its candidates
+# are delta on the three affine graphs, 2 delta on T_{3,3,3}, and on
+# E10 = T_{2,3,7} the null root of its affine E8 subgraph.
+CHAMBER_CASES = [((3, 3, 3), 24), ((2, 4, 4), 18), ((2, 3, 6), 30), ((2, 3, 7), 31)]
+
+
 @pytest.mark.parametrize(
-    "pqr, H", [(g, 8) for g in ATLAS_GRAPHS] + [((2, 3, 7), 16)], ids=lambda v: str(v)
+    "pqr, H", [(g, 8) for g in ATLAS_GRAPHS] + [((2, 3, 7), 16)] + CHAMBER_CASES,
+    ids=lambda v: str(v),
 )
 def test_peterson_equals_the_probe_oracle(pqr, H):
     A = tpqr_cartan_matrix(*pqr)
@@ -195,6 +202,114 @@ def test_peterson_equals_the_probe_oracle(pqr, H):
     want = roots_by_peterson_probes(A, H)
     assert got == want
     assert list(got) == list(want)
+
+
+# Null roots of the affine graphs E6^(1), E7^(1) and E8^(1) in TpqrGraph's
+# vertex order (Kac, *Infinite-dimensional Lie algebras*, Table Aff 1).  The
+# last vertex, the end of the z arm, has mark 1.
+NULL_ROOTS = {
+    (3, 3, 3): (3, 2, 1, 2, 1, 2, 1),
+    (2, 4, 4): (4, 2, 3, 2, 1, 3, 2, 1),
+    (2, 3, 6): (6, 3, 4, 2, 5, 4, 3, 2, 1),
+}
+
+
+def affine_mismatches(pqr, H, mults):
+    """(root, mult, closed form) wherever `mults` differs from the affine
+    closed form up to height H (Kac, Sec. 5.10 and Cor. 7.4): the real roots
+    are alpha + k delta (k >= 0) and -alpha + k delta (k >= 1) over the
+    positive roots alpha of the finite graph left when the last vertex goes,
+    each of multiplicity 1, and k delta (k >= 1) has multiplicity n - 1."""
+    A = tpqr_cartan_matrix(*pqr)
+    n = len(A)
+    delta = NULL_ROOTS[pqr]
+    assert root_labels(A, delta) == (0,) * n and delta[-1] == 1
+    finite = [alpha + (0,) for alpha in finite_positive_roots([row[:-1] for row in A[:-1]])]
+    want = {}
+    for k in range(H // sum(delta) + 1):
+        k_delta = tuple(k * x for x in delta)
+        if k:
+            want[k_delta] = n - 1
+        for alpha in finite:
+            for sign in (1, -1) if k else (1,):
+                beta = tuple(x + sign * a for x, a in zip(k_delta, alpha))
+                if sum(beta) <= H:
+                    want[beta] = 1
+    return [
+        (beta, mults.get(beta, 0), want.get(beta, 0))
+        for beta in sorted(mults.keys() | want.keys())
+        if mults.get(beta, 0) != want.get(beta, 0)
+    ]
+
+
+def norm(A, beta):
+    """(beta|beta)."""
+    return sum(map(mul, beta, root_labels(A, beta)))
+
+
+def coloured_partitions(colours, k):
+    """Partitions of k in `colours` colours: the coefficient of q^k in
+    prod_{n >= 1} (1 - q^n)^(-colours)."""
+    p = [1] + [0] * k
+    for part in range(1, k + 1):
+        for _ in range(colours):
+            for total in range(part, k + 1):
+                p[total] += p[total - part]
+    return p[k]
+
+
+def e10_mismatches(mults):
+    """(root, mult, p_8(1 - (beta|beta)/2)) for each root of E10 = T_{2,3,7}
+    that breaks Frenkel's bound mult <= p_8(1 - (beta|beta)/2) (Frenkel,
+    1985), or that has coefficient 1 at z6, the end of the long arm, and
+    misses the bound, where Kac-Moody-Wakimoto (1988) give equality."""
+    A = tpqr_cartan_matrix(2, 3, 7)
+    out = []
+    for beta, m in mults.items():
+        bound = coloured_partitions(8, 1 - norm(A, beta) // 2)
+        if m > bound or (beta[-1] == 1 and m != bound):
+            out.append((beta, m, bound))
+    return out
+
+
+def test_coloured_partitions_are_the_eta_power_coefficients():
+    # prod (1 - q^n)^-8 = 1 + 8 q + 44 q^2 + 192 q^3 + 726 q^4 + ...
+    assert [coloured_partitions(8, k) for k in range(5)] == [1, 8, 44, 192, 726]
+    assert [coloured_partitions(1, k) for k in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+
+
+@pytest.mark.parametrize("pqr, H", CHAMBER_CASES[:3], ids=lambda v: str(v))
+def test_affine_multiplicities_equal_the_closed_form(pqr, H):
+    mults = roots_by_peterson(tpqr_cartan_matrix(*pqr), H)
+    assert affine_mismatches(pqr, H, mults) == []
+
+
+@pytest.mark.parametrize("pqr, H", CHAMBER_CASES[:3], ids=lambda v: str(v))
+def test_affine_closed_form_names_a_wrong_multiplicity(pqr, H):
+    A = tpqr_cartan_matrix(*pqr)
+    mults = roots_by_peterson(A, H)
+    delta = NULL_ROOTS[pqr]
+    n = len(delta)
+    real = next(beta for beta in reversed(mults) if norm(A, beta) == 2)
+    assert affine_mismatches(pqr, H, {**mults, delta: n}) == [(delta, n, n - 1)]
+    assert affine_mismatches(pqr, H, {**mults, real: 2}) == [(real, 2, 1)]
+
+
+def test_e10_multiplicities_keep_frenkels_bound():
+    mults = roots_by_peterson(tpqr_cartan_matrix(2, 3, 7), 31)
+    assert e10_mismatches(mults) == []
+    # The bound is reached: the null root of the E8^(1) subgraph has mult 8.
+    delta = (6, 3, 4, 2, 5, 4, 3, 2, 1, 0)
+    assert mults[delta] == 8 and mults[delta[:-1] + (1,)] == 8
+
+
+def test_e10_bound_names_a_wrong_multiplicity():
+    A = tpqr_cartan_matrix(2, 3, 7)
+    mults = roots_by_peterson(A, 31)
+    delta = (6, 3, 4, 2, 5, 4, 3, 2, 1, 0)
+    real = next(beta for beta in reversed(mults) if norm(A, beta) == 2)
+    assert e10_mismatches({**mults, delta: 9}) == [(delta, 9, 8)]
+    assert e10_mismatches({**mults, real: 2}) == [(real, 2, 1)]
 
 
 def denominator_factors(A, H):
@@ -317,22 +432,39 @@ def test_affine_null_root_multiplicity():
 
 
 @pytest.mark.parametrize(
-    "A, message",
+    "A, message, entry",
     [
-        ([[1, -3], [-3, 1]], r"at \(3, 1\): multiplicity 11/12"),
-        ([[1, -3], [-3, 3]], r"at \(3, 1\): pair sum -48000 not divisible by -840"),
-        ([[2, -1, 0], [-1, 2, -1], [0, -1, 4]], r"at \(2, 1, 1\): zero coefficient but pair sum"),
+        ([[1, -3], [-3, 1]], r"at \(3, 1\): multiplicity 11/12", r"A\[0\]\[0\] = 1, not 2"),
+        ([[1, -3], [-3, 3]], r"at \(3, 1\): pair sum -48000 not divisible by -840",
+         r"A\[0\]\[0\] = 1, not 2"),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 4]], r"at \(2, 1, 1\): zero coefficient but pair sum",
+         r"A\[2\]\[2\] = 4, not 2"),
     ],
     ids=["non-integral", "inexact", "zero-coefficient"],
 )
-def test_peterson_names_the_root_where_the_recursion_breaks(A, message):
-    # None is symmetric with 2 on the diagonal, as (beta|2 rho) = 2 ht(beta) assumes.
-    errors = []
-    for recursion in (roots_by_peterson, roots_by_peterson_probes):
-        with pytest.raises(ArithmeticError, match="Peterson recursion " + message) as exc:
-            recursion(A, 6)
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1]
+def test_peterson_names_the_root_where_the_recursion_breaks(A, message, entry):
+    # None has 2 on the diagonal, as (beta|2 rho) = 2 ht(beta) assumes: the
+    # probe oracle breaks inside the recursion, and the engine, which also
+    # reflects, refuses the matrix before it starts.
+    with pytest.raises(ArithmeticError, match="Peterson recursion " + message):
+        roots_by_peterson_probes(A, 6)
+    with pytest.raises(ValueError, match="^" + entry + "$"):
+        roots_by_peterson(A, 6)
+
+
+@pytest.mark.parametrize(
+    "A, entry",
+    [
+        ([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], r"A\[0\]\[1\] = -1 but A\[1\]\[0\] = -2"),
+        ([[2, 1, 0], [1, 2, -1], [0, -1, 2]], r"A\[0\]\[1\] = 1, not <= 0"),
+    ],
+    ids=["asymmetric", "positive-off-diagonal"],
+)
+def test_peterson_refuses_a_matrix_it_cannot_reflect_with(A, entry):
+    with pytest.raises(ValueError, match="^" + entry + "$"):
+        roots_by_peterson(A, 6)
+    with pytest.raises(ValueError, match="^" + entry + "$"):
+        roots_by_peterson(A, 0)
 
 
 def test_denominator_identity_rejects_a_negative_multiplicity():
