@@ -10,7 +10,7 @@ type (finite/affine/indefinite) controls the structure theory downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -77,7 +77,9 @@ def tpqr_cartan_matrix(p: int, q: int, r: int) -> List[List[int]]:
     """
     _check_pqr(p, q, r)
     n = p + q + r - 2
-    A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = 2
 
     def link(i: int, j: int) -> None:
         A[i][j] = A[j][i] = -1
@@ -108,9 +110,11 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     changes only A[j][j] -= A[k][j]^2 / A[k][k].  With A[k][k] = 0, the block
     on {k, j} has determinant -A[k][j]^2 < 0: one + and one -, both rows go,
     and the rest is unchanged because (K^-1)_jj = A[k][k] / det = 0.  By
-    Sylvester's law of inertia the signs counted are the signature.  Diagonals
-    stay the input's integers until an update makes them Fractions.  A forest,
-    such as a T_{p,q,r} Cartan matrix, peels with no fill-in (Parter 1961).
+    Sylvester's law of inertia the signs counted are the signature.  A live
+    diagonal is an integer pair num[j] / den[j] with den[j] > 0; with a = A[k][j]
+    and s the sign of num[k], num[j] <- s*(num[j]*num[k] - a^2*den[k]*den[j])
+    and den[j] <- s*num[k]*den[j].  A forest, such as a T_{p,q,r} Cartan
+    matrix, peels with no fill-in (Parter 1961).
 
     Raises ValueError if A is not square or not symmetric, or if no live row
     is a leaf (the off-diagonal graph has a cycle).
@@ -118,12 +122,13 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError(f"matrix is not square: {n} rows, row lengths {[len(row) for row in A]}")
-    rows = [{j: a for j, a in enumerate(row) if a} for row in A]
+    rows = [dict(filter(itemgetter(1), enumerate(row))) for row in A]
     for i, row in enumerate(rows):
         for j, a in row.items():
             if rows[j].get(i, 0) != a:
                 raise ValueError(f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]")
-    diag = [row.pop(i, 0) for i, row in enumerate(rows)]
+    num = [row.pop(i, 0) for i, row in enumerate(rows)]
+    den = [1] * n
     live = [True] * n
     leaves = [k for k in range(n) if len(rows[k]) <= 1]
     plus = zero = minus = 0
@@ -132,7 +137,7 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
         if not live[k] or len(rows[k]) > 1:
             continue
         live[k] = False
-        pivot = diag[k]
+        pivot = num[k]
         if rows[k] and not pivot:
             (j,) = rows[k]
             live[j] = False
@@ -149,9 +154,11 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
             minus += 1
         else:
             zero += 1
+        s = 1 if pivot > 0 else -1
         for j, a in rows[k].items():
             del rows[j][k]
-            diag[j] -= Fraction(a * a, pivot)
+            num[j] = s * (num[j] * pivot - a * a * den[k] * den[j])
+            den[j] *= s * pivot
             leaves.append(j)
     if any(live):
         stuck = [k for k in range(n) if live[k]]
@@ -178,10 +185,11 @@ def classify(p: int, q: int, r: int) -> TpqrClass:
     """
     _check_pqr(p, q, r)
     n = p + q + r - 2
-    harmonic = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
-    if harmonic > 1:
+    # 1/p + 1/q + 1/r against 1, times pqr.
+    harmonic, one = q * r + p * r + p * q, p * q * r
+    if harmonic > one:
         kind, dynkin = "finite", _finite_dynkin_name(p, q, r)
-    elif harmonic == 1:
+    elif harmonic == one:
         kind, dynkin = "affine", None
     else:
         kind, dynkin = "indefinite", None

@@ -16,8 +16,7 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, itemgetter, le, mul
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -351,9 +350,9 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
                     multiple = here.get(k, (0, 0, 0))[2]
                     m, rem = divmod(c - multiple, L)
                     if m < 0 or rem:
-                        raise ArithmeticError(
-                            f"Peterson recursion at {beta}: multiplicity {Fraction(c - multiple, L)}"
-                        )
+                        g = gcd(c - multiple, L)
+                        ratio = f"{(c - multiple) // g}" + (f"/{L // g}" if L > g else "")
+                        raise ArithmeticError(f"Peterson recursion at {beta}: multiplicity {ratio}")
                 if m:
                     beta = beta or gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
                     a_beta = a_beta or tuple(map(add, labels, A[i]))
@@ -632,10 +631,11 @@ def weyl_dim(graph: TpqrGraph, lam: Labels) -> int:
     for root in roots:
         num *= sum(l * k for l, k in zip(lam_rho, root.coords))
         den *= sum(root.coords)
-    d = Fraction(num, den)
-    if d.denominator != 1:
-        raise AssertionError(f"{graph} lam {lam}: Weyl dimension formula gives {d}")
-    return int(d)
+    d, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
+        raise AssertionError(f"{graph} lam {lam}: Weyl dimension formula gives {num // g}/{den // g}")
+    return d
 
 
 def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tuple[int, ...], int]:

@@ -7,8 +7,7 @@ the Weyl dimension formula for GL, which is exact for any dominant weight.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Sequence, Tuple
 
 
@@ -45,10 +44,11 @@ def schur_dim(w: Sequence[int], n: int) -> int:
         for j in range(i + 1, n):
             num *= w[i] - w[j] + j - i
             den *= j - i
-    dim = Fraction(num, den)
-    if dim.denominator != 1:
-        raise AssertionError(f"GL({n}) weight {w}: Weyl dimension {dim} is not an integer")
-    return int(dim)
+    dim, rem = divmod(num, den)
+    if rem:
+        g = gcd(num, den)
+        raise AssertionError(f"GL({n}) weight {w}: Weyl dimension {num // g}/{den // g} is not an integer")
+    return dim
 
 
 def g2_dim_formula(p: int, q: int, r: int) -> int:

@@ -8,11 +8,12 @@ of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed), and only `MPoly.var` adds a
 name to the variable registry (printed term order follows the registry, so a
 lookup that interned would make output depend on call history).  The
-package's `__all__` lists exactly the names its `__init__` imports.  The
-exact kernel (`exact` and `complexes`) imports nothing from `fractions`:
-its points, entries, determinants and ranks are ints.  A `functools.cache`
-or `lru_cache` decorates only functions without parameters: output must not
-depend on call history, and a repeated job pays for its own mathematics."""
+package's `__all__` lists exactly the names its `__init__` imports.  No
+module imports anything from `fractions`: the exact kernel's points, entries,
+determinants and ranks, the signature's diagonal pairs and the dimension
+quotients are all ints.  A `functools.cache` or `lru_cache` decorates only
+functions without parameters: output must not depend on call history, and a
+repeated job pays for its own mathematics."""
 
 import ast
 import re
@@ -313,9 +314,8 @@ def fractions_imports(tree):
     return sorted(lines)
 
 
-@pytest.mark.parametrize("name", ["exact", "complexes"])
-def test_the_exact_kernel_imports_nothing_from_fractions(name):
-    path = SRC / f"{name}.py"
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_the_exact_kernel_imports_nothing_from_fractions(path):
     lines = fractions_imports(ast.parse(path.read_text(), filename=str(path)))
     assert lines == [], f"{path.name}: imports from fractions at lines {lines}"
 

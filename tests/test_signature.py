@@ -9,10 +9,11 @@ The peeling refuses only a matrix whose off-diagonal graph has a cycle.
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from resatlas.formats import symmetric_signature, tpqr_cartan_matrix
+from resatlas.formats import classify, symmetric_signature, tpqr_cartan_matrix
 
 
 def dense_signature(A):
@@ -208,3 +209,90 @@ def test_rejects_non_symmetric():
         symmetric_signature([[2, -1], [0, 2]])
     with pytest.raises(ValueError, match="not symmetric"):
         symmetric_signature([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+
+
+def weighted_caterpillar(rng, n, legs):
+    """A symmetric matrix whose off-diagonal graph is a caterpillar: a spine
+    path with `legs` pendant vertices, weights in +-1..+-3 and diagonals in
+    -3..3, zero at a rate drawn per matrix.  Each spine vertex comes after its
+    own legs, so the dense oracle eliminates leaves first; with no legs it is
+    a weighted path in its natural order."""
+    spine = n - legs
+    feet = sorted(rng.randrange(spine) for _ in range(legs))
+    order = []
+    for v in range(spine):
+        order += [("leg", t) for t, f in enumerate(feet) if f == v] + [("spine", v)]
+    at = {vertex: i for i, vertex in enumerate(order)}
+    A = [[0] * n for _ in range(n)]
+
+    def edge(u, v):
+        i, j = at[u], at[v]
+        A[i][j] = A[j][i] = rng.choice([-3, -2, -1, 1, 2, 3])
+
+    for v in range(1, spine):
+        edge(("spine", v - 1), ("spine", v))
+    for t, f in enumerate(feet):
+        edge(("leg", t), ("spine", f))
+    zero_rate = rng.choice([0.0, 0.1, 0.5])
+    for i in range(n):
+        A[i][i] = 0 if rng.random() < zero_rate else rng.choice([-3, -2, -1, 1, 2, 3])
+    return A
+
+
+def first_zero_pivot_is_updated(A):
+    """For a weighted path in its natural order, peeled from its last row:
+    whether the first zero pivot is one that an update made.  While no pivot
+    has been zero, the pivot of row k is D_k / D_{k+1}, with D_k the trailing
+    principal minor det A[k:, k:], so the first zero pivot is at the first
+    k from the end with D_k = 0; below n - 1 it is an updated diagonal."""
+    n = len(A)
+    d_next, d = 1, A[n - 1][n - 1]
+    for k in range(n - 2, -1, -1):
+        if d == 0:
+            return False
+        d, d_next = A[k][k] * d - A[k][k + 1] ** 2 * d_next, d
+        if d == 0:
+            return True
+    return False
+
+
+def test_matches_dense_oracle_on_long_weighted_paths_and_caterpillars():
+    # At n = 40..60 the updates compound, so each live diagonal's integer
+    # pair grows far past those of the small forests above, and a zero pivot
+    # can appear after an update as well as on the input's diagonal.
+    rng = random.Random(1968)
+    seen = {"zero_diagonal": 0, "updated_zero_pivot": 0, "singular": 0, "indefinite": 0}
+    for case in range(90):
+        n = rng.randint(40, 60)
+        legs = 0 if case % 2 == 0 else rng.randint(1, n // 2)
+        A = weighted_caterpillar(rng, n, legs)
+        assert not has_cycle(A)
+        sig = symmetric_signature(A)
+        assert sig == dense_signature(A), A
+        seen["zero_diagonal"] += any(A[i][i] == 0 for i in range(n))
+        seen["updated_zero_pivot"] += legs == 0 and first_zero_pivot_is_updated(A)
+        seen["singular"] += sig[1] > 0
+        seen["indefinite"] += sig[0] > 0 and sig[2] > 0
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize(
+    "arms, kind",
+    [((3, 3, 3), "affine"), ((2, 4, 4), "affine"), ((2, 3, 6), "affine"),
+     ((2, 3, 5), "finite"), ((2, 3, 7), "indefinite")],
+    ids=["333", "244", "236", "235", "237"],
+)
+def test_case_list_boundary_is_exact_in_every_order(arms, kind):
+    for pqr in set(permutations(arms)):
+        cls = classify(*pqr)
+        assert cls.kind == kind, pqr
+        assert cls.dynkin == ("E8" if kind == "finite" else None), pqr
+
+
+def test_case_list_matches_a_fraction_harmonic_sum_on_the_table():
+    for p in range(2, 10):
+        for q in range(1, 10):
+            for r in range(2, 10):
+                harmonic = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
+                kind = "finite" if harmonic > 1 else "affine" if harmonic == 1 else "indefinite"
+                assert classify(p, q, r).kind == kind, (p, q, r)
