@@ -214,8 +214,8 @@ def _check_thm112(budget: Budget) -> str:
         rk = complexes.be_rank_check(res.complex, seed=11)
         if not rk.ok or rk.ranks != (1, 2, r3):
             raise CheckFailed(f"generic family r3={r3}: ranks {rk.ranks}, expected {(1, 2, r3)}")
-        # B^T Delta B = [[0, x3, -x2], [-x3, 0, x1], [x2, -x1, 0]]
-        M = res.B.transpose().matmul(res.delta).matmul(res.B)
+        # B^T (Delta B) = [[0, x3, -x2], [-x3, 0, x1], [x2, -x1, 0]]; thm112_build formed (B^T Delta) B
+        M = res.B.transpose().matmul(res.delta.matmul(res.B))
         x1, x2, x3 = res.x
         for (i, j), x in (((0, 1), x3), ((1, 2), x1), ((2, 0), x2)):
             if M.data[i][j] != x:

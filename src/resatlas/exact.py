@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 # A monomial is one int of `_BITS`-wide fields: field 0 holds the total
 # degree and field i + 1 the exponent of registry variable i, so the product
@@ -25,6 +25,13 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 # ValueError, a family member whose d . d products would reach that degree.
 # `_unpack` reads the fields as the bytes of the int, so it holds only for
 # 8-bit fields.
+#
+# Monomials add as ints, so (ma + mb) mod K = (ma mod K + mb mod K) mod K.
+# `_sum_products` fills a large sum of products one output residue class mod
+# a prime K at a time, so only one class's terms are live; `_classes` picks K
+# from the number of term products alone.  K must not divide 255 or 256, or
+# m mod K reads only the total degree and a homogeneous product lands in
+# one class.
 _BITS = 8
 if _BITS != 8:
     raise ImportError("exact._unpack reads one field per byte; _BITS must be 8")
@@ -72,15 +79,8 @@ def _max_degree(terms: Mapping[int, int]) -> int:
     return max((m & _MASK for m in terms), default=0)
 
 
-def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: int = 1) -> None:
-    """Multiply-accumulate: add sign * a * b to the terms dict `out`.
-
-    `a` and `b` are terms dicts.  Coefficients that cancel to 0 stay in
-    `out` until `_poly` drops them.  Raises OverflowError before adding if a
-    product's degree could reach `DEGREE_LIMIT`.
-    """
-    if _max_degree(a) + _max_degree(b) >= DEGREE_LIMIT:
-        raise OverflowError(f"monomial degree would reach 2**{_BITS}")
+def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: int) -> None:
+    """Multiply-accumulate sign * a * b into the terms dict `out`, zeros included."""
     if len(a) > len(b):
         a, b = b, a
     get = out.get
@@ -89,6 +89,50 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
         for mb, cb in b.items():
             m = ma + mb
             out[m] = get(m, 0) + ca * cb
+
+
+Products = List[Tuple[Mapping[int, int], Mapping[int, int], int]]
+
+
+def _classes(work: int) -> int:
+    """K for a sum of `work` term products: about 2**15 to 2**17 per class."""
+    return 127 if work >= 1 << 22 else 31 if work >= 1 << 18 else 7 if work >= 1 << 16 else 1
+
+
+def _split(terms: Mapping[int, int], k: int) -> Dict[int, Dict[int, int]]:
+    classes: Dict[int, Dict[int, int]] = {}
+    for m, c in terms.items():
+        classes.setdefault(m % k, {})[m] = c
+    return classes
+
+
+def _sum_products(pairs: Products) -> Dict[int, int]:
+    """The terms dict of the sum of sign * a * b over the (a, b, sign)
+    pairs.  Raises OverflowError, before any product, if a product's degree
+    could reach `DEGREE_LIMIT`.  With K = `_classes(sum |a| |b|)` = 1, every
+    pair accumulates into one dict, zeros included.  Otherwise class t of
+    the output is the sum over pairs and i of A_i * B_{(t - i) mod K}, A_i
+    being the terms of a with monomial = i mod K, and only its nonzero terms
+    are kept before the next class starts."""
+    for a, b, _ in pairs:
+        if _max_degree(a) + _max_degree(b) >= DEGREE_LIMIT:
+            raise OverflowError(f"monomial degree would reach 2**{_BITS}")
+    k = _classes(sum(len(a) * len(b) for a, b, _ in pairs))
+    out: Dict[int, int] = {}
+    if k == 1:
+        for a, b, sign in pairs:
+            _mac(out, a, b, sign)
+        return out
+    split = [(_split(a, k), _split(b, k), sign) for a, b, sign in pairs]
+    for t in range(k):
+        acc: Dict[int, int] = {}
+        for sa, sb, sign in split:
+            for i, ai in sa.items():
+                bj = sb.get((t - i) % k)
+                if bj:
+                    _mac(acc, ai, bj, sign)
+        out.update((m, c) for m, c in acc.items() if c)
+    return out
 
 
 def _point(assignment: Mapping[str, int]) -> Dict[int, int]:
@@ -200,9 +244,7 @@ class MPoly:
         return MPoly.coerce(other) + (-self)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
-        out: Dict[int, int] = {}
-        _mac(out, self.terms, MPoly.coerce(other).terms)
-        return _poly(out)
+        return _poly(_sum_products([(self.terms, MPoly.coerce(other).terms, 1)]))
 
     __rmul__ = __mul__
 
@@ -261,22 +303,20 @@ Entry = Union[int, MPoly]
 def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
     """The sum of a * b over the pairs, as a running sum from int 0 would
     give it, skipping pairs with an int 0 factor.  Products with an MPoly
-    factor accumulate into one terms dict; int ones stay an int."""
+    factor form one `_sum_products`; int ones stay an int."""
     num: Entry = 0
-    terms: Optional[Dict[int, int]] = None
+    products: Products = []
     for a, b in pairs:
         if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
             continue
         if isinstance(a, MPoly) or isinstance(b, MPoly):
-            if terms is None:
-                terms = {}
-            _mac(terms, MPoly.coerce(a).terms, MPoly.coerce(b).terms)
+            products.append((MPoly.coerce(a).terms, MPoly.coerce(b).terms, 1))
         else:
             num = num + a * b
-    if terms is None:
+    if not products:
         return num
-    _mac(terms, MPoly.coerce(num).terms, {0: 1})
-    return _poly(terms)
+    products.append((MPoly.coerce(num).terms, {0: 1}, 1))
+    return _poly(_sum_products(products))
 
 
 class ExactMatrix:
@@ -390,14 +430,14 @@ class ExactMatrix:
             hit = cache.get(key)
             if hit is not None:
                 return hit
-            terms: Dict[int, int] = {}
+            products: Products = []
             for pos, j in enumerate(cols):
                 coeff = entries[row][j]
                 if coeff.is_zero():
                     continue
                 rest = expand(row + 1, cols[:pos] + cols[pos + 1 :])
-                _mac(terms, coeff.terms, rest.terms, -1 if pos % 2 else 1)
-            acc = _poly(terms)
+                products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
+            acc = _poly(_sum_products(products))
             cache[key] = acc
             return acc
 

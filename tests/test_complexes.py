@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import complexes
+from resatlas import complexes, exact
 from resatlas.complexes import (
     DELTA_SIGN_CONVENTION,
     D4_NORMALIZATION,
@@ -237,3 +237,17 @@ def test_complex_to_json_roundtrippable_strings():
     assert fx["format"] == [1, 3, 3, 1]
     assert fx["variables"] == ["x", "y", "z"]
     assert fx["matrices"][0] == [["x", "y", "z"]]
+
+
+def test_verify_complex_names_one_negated_term_on_the_split_path():
+    # Each d_1 . d_2 entry at r3 = 4 is a sum of products large enough to
+    # split into residue classes.
+    res = thm112_build(4)
+    d1, d2, d3 = res.complex.differentials
+    assert exact._classes(sum(len(d1.data[0][k].terms) * len(d2.data[k][0].terms) for k in range(3))) > 1
+    m, c = next(iter(d2.data[0][0].terms.items()))
+    data = [list(row) for row in d2.data]
+    data[0][0] = data[0][0] + MPoly({m: -2 * c})
+    broken = dataclasses.replace(res.complex, differentials=[d1, ExactMatrix(data), d3])
+    want = str(d1.data[0][0] * MPoly({m: -2 * c}))
+    assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]

@@ -443,3 +443,104 @@ def test_degree_overflow_raises_under_python_O():
         "    print('raised')\n"
     )
     assert _run_fresh(code, "-O") == "raised\n"
+
+
+# -- residue classes: sums of products large enough to split ------------------
+
+
+def _sized_pair(rng, size, residue=None):
+    """A random polynomial of `size` terms in ORACLE_NAMES, built through
+    the MPoly API, and the same polynomial in the oracle's representation.
+    With `residue` = (k, r), every packed monomial is r mod k."""
+    packed = {name: next(iter(MPoly.var(name).terms)) for name in ORACLE_NAMES}
+    poly, oracle = MPoly.const(0), {}
+    for _ in range(100 * size):
+        if len(oracle) == size:
+            break
+        exps = [rng.randint(0, 4) for _ in ORACLE_NAMES]
+        m = sum(e * packed[name] for name, e in zip(ORACLE_NAMES, exps))
+        if residue and m % residue[0] != residue[1]:
+            continue
+        mono = tuple(sorted((exact.REGISTRY.intern(name), e) for name, e in zip(ORACLE_NAMES, exps) if e))
+        if mono in oracle:
+            continue
+        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+        term = MPoly.const(coeff)
+        for name, e in zip(ORACLE_NAMES, exps):
+            term = term * _power(MPoly.var(name), e)
+        poly = poly + term
+        oracle[mono] = coeff
+    assert len(oracle) == size, f"only {len(oracle)} monomials are {residue[1]} mod {residue[0]}"
+    return poly, oracle
+
+
+def _as_oracle(p):
+    """The terms of `p` in the oracle's representation."""
+    return {tuple(exact._unpack(m)): c for m, c in p.terms.items()}
+
+
+def _assert_oracle(p, want):
+    # Terms first: pytest explains a mismatch of two long strings by a
+    # character diff, which takes minutes at this size.
+    assert _as_oracle(p) == want
+    assert str(p) == _oracle_str(want)
+
+
+def test_a_split_product_matches_the_tuple_oracle():
+    rng = random.Random(2009)
+    (p, op), (q, oq) = _sized_pair(rng, 260), _sized_pair(rng, 290)
+    assert exact._classes(len(p.terms) * len(q.terms)) > 1
+    _assert_oracle(p * q, _oracle_mul(op, oq))
+
+
+def test_a_product_in_one_residue_class_matches_the_tuple_oracle():
+    rng = random.Random(14)
+    k = exact._classes(260 * 260)
+    assert k > 1
+    (p, op), (q, oq) = _sized_pair(rng, 260, (k, k - 1)), _sized_pair(rng, 260, (k, k - 2))
+    pq = p * q
+    assert {m % k for m in pq.terms} == {k - 3}
+    _assert_oracle(pq, _oracle_mul(op, oq))
+
+
+def test_a_split_commutator_prints_zero():
+    rng = random.Random(7)
+    (p, _), (q, _) = _sized_pair(rng, 200), _sized_pair(rng, 200)
+    assert exact._classes(2 * 200 * 200) > 1
+    prod = ExactMatrix([[p, q]]).matmul(ExactMatrix([[q], [-p]]))
+    assert str(prod.data[0][0]) == "0"
+
+
+def test_split_matmul_and_det_match_oracle_sums_with_laplace_signs():
+    rng = random.Random(1968)
+    (a, oa), (b, ob), (c, oc), (d, od) = (_sized_pair(rng, 200) for _ in range(4))
+    assert exact._classes(2 * 200 * 200) > 1
+    prod = ExactMatrix([[a, b]]).matmul(ExactMatrix([[c], [d]]))
+    assert _as_oracle(prod.data[0][0]) == _oracle_add(_oracle_mul(oa, oc), _oracle_mul(ob, od))
+    minus_b = {m: -coeff for m, coeff in ob.items()}
+    det = ExactMatrix([[a, b], [c, d]]).det()
+    assert _as_oracle(det) == _oracle_add(_oracle_mul(oa, od), _oracle_mul(minus_b, oc))
+
+
+# tracemalloc's peak for the product below when one dict held every output
+# monomial at once, as the kernel did before residue classes.
+UNSPLIT_PEAK = 6_093_000
+
+
+def test_a_cancelling_dot_product_holds_one_residue_class_at_a_time():
+    # p and q are homogeneous, so a K dividing 255 would put every product
+    # in one class.
+    code = (
+        "import tracemalloc\n"
+        "from resatlas.exact import ExactMatrix, MPoly\n"
+        "u = sum((MPoly.var(f'u{i}') for i in range(10)), MPoly.const(0))\n"
+        "v = sum((MPoly.var(f'v{i}') for i in range(10)), MPoly.const(0))\n"
+        "p, q = u * u * u, v * v * v\n"
+        "a, b = ExactMatrix([[p, -p]]), ExactMatrix([[q], [q]])\n"
+        "tracemalloc.start()\n"
+        "prod = a.matmul(b)\n"
+        "print(prod, len(p.terms), len(q.terms), tracemalloc.get_traced_memory()[1])\n"
+    )
+    shown, p_terms, q_terms, peak = _run_fresh(code).split()
+    assert (shown, p_terms, q_terms) == ("[0]", "220", "220")
+    assert int(peak) < UNSPLIT_PEAK // 4
