@@ -9,34 +9,42 @@ q_1 cycle coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exact import DEGREE_LIMIT, SYMBOLIC_DET_LIMIT, ExactMatrix, MPoly, seeded_random_point
 from .formats import ResolutionFormat, derive_ranks
 
 
-@dataclass
-class FreeComplex:
+# The fields live on a private NamedTuple base, whose body cannot define
+# `__new__`; the public class checks the shapes as it is built.
+class _FreeComplex(NamedTuple):
+    fmt: ResolutionFormat
+    differentials: List[ExactMatrix]
+    variables: Tuple[str, ...]
+    label: str
+
+
+class FreeComplex(_FreeComplex):
     """A length-n free complex: d[i] is the matrix of d_{i+1} (f_i columns,
     f_{i-1} rows); entries are MPoly or int."""
 
-    fmt: ResolutionFormat
-    differentials: List[ExactMatrix]
-    variables: Tuple[str, ...] = ()
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.fmt.n
-        if len(self.differentials) != n:
+    def __new__(
+        cls, fmt: ResolutionFormat, differentials: List[ExactMatrix],
+        variables: Tuple[str, ...] = (), label: str = "",
+    ) -> "FreeComplex":
+        n = fmt.n
+        if len(differentials) != n:
             raise ValueError(f"need {n} differentials")
-        for i, d in enumerate(self.differentials, start=1):
-            if (d.rows, d.cols) != (self.fmt.f[i - 1], self.fmt.f[i]):
+        for i, d in enumerate(differentials, start=1):
+            if (d.rows, d.cols) != (fmt.f[i - 1], fmt.f[i]):
                 raise ValueError(
                     f"d_{i} has shape {(d.rows, d.cols)}, expected "
-                    f"{(self.fmt.f[i - 1], self.fmt.f[i])}"
+                    f"{(fmt.f[i - 1], fmt.f[i])}"
                 )
+        return super().__new__(cls, fmt, differentials, variables, label)
 
     def d(self, i: int) -> ExactMatrix:
         """The matrix of d_i (1-based)."""
@@ -51,8 +59,7 @@ class FreeComplex:
         )
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(NamedTuple):
     ok: bool
     failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
 
@@ -87,8 +94,7 @@ def koszul_complex() -> FreeComplex:
     )
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     ok: bool
     ranks: Tuple[int, ...]
     spec: FreeComplex  # the complex at the last point tried
@@ -153,8 +159,7 @@ def _complement_sign(subset: Sequence[int], n: int) -> int:
     return -1 if (s - r * (r - 1) // 2) % 2 else 1
 
 
-@dataclass(frozen=True)
-class MultiplierReport:
+class MultiplierReport(NamedTuple):
     ok: bool
     detail: str = ""
 
@@ -218,8 +223,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
 DELTA_SIGN_CONVENTION = "(-1)^(i+j)"
 
 
-@dataclass(frozen=True)
-class Thm112Result:
+class Thm112Result(NamedTuple):
     complex: FreeComplex
     delta: ExactMatrix
     B: ExactMatrix
@@ -295,8 +299,7 @@ def thm112_build(r3: int) -> Thm112Result:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialResult:
+class MonomialResult(NamedTuple):
     complex: FreeComplex
     ideal_generators: Tuple[MPoly, ...]
 
@@ -354,8 +357,7 @@ def monomial_complex(t: int) -> MonomialResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitD4Model:
+class SplitD4Model(NamedTuple):
     b: Dict[Tuple[int, int], MPoly]           # b_{ij}, i < j in 1..4
     ee: Dict[Tuple[int, int], Tuple[MPoly, ...]]   # e_i . e_j in F_2 coords
     ef: Dict[Tuple[int, int], MPoly]          # g-coefficient of e_k . f_l
@@ -412,8 +414,7 @@ def d4_split_model() -> SplitD4Model:
 D4_NORMALIZATION = {"eps_c": 1, "eps_p": 1, "eps_v": 1, "eps_split": -1}
 
 
-@dataclass(frozen=True)
-class D4RelationReport:
+class D4RelationReport(NamedTuple):
     ok: bool
     normalization: Dict[str, int]
     lhs: MPoly

@@ -286,13 +286,12 @@ class MPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            if pieces:
+                pieces.append(" - " if coeff < 0 else " + ")
+            elif coeff < 0:
+                pieces.append("-")
+            pieces.append(body)
+        return "".join(pieces)
 
     __repr__ = __str__
 

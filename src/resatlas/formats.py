@@ -9,13 +9,11 @@ type (finite/affine/indefinite) controls the structure theory downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
-class ResolutionFormat:
+class ResolutionFormat(NamedTuple):
     f: Tuple[int, ...]          # (f_0, ..., f_n)
     r: Tuple[int, ...]          # (r_1, ..., r_n)
     r0: int
@@ -58,8 +56,7 @@ def derive_ranks(f: Sequence[int]) -> ResolutionFormat:
     return ResolutionFormat(f=f, r=r, r0=r0, valid=diagnosis is None, diagnosis=diagnosis)
 
 
-@dataclass(frozen=True)
-class TpqrClass:
+class TpqrClass(NamedTuple):
     kind: str                       # "finite" | "affine" | "indefinite"
     dynkin: Optional[str]           # e.g. "D4", "E8", "A5" (finite only)
     signature: Tuple[int, int, int]  # (n_plus, n_zero, n_minus)

@@ -15,7 +15,6 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -26,14 +25,20 @@ Labels = Tuple[int, ...]
 Coords = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TpqrGraph:
+# A NamedTuple body cannot define `__new__`, so the fields live on a private
+# base and the public class validates its arguments as it is built.
+class _TpqrGraph(NamedTuple):
     p: int
     q: int
     r: int
 
-    def __post_init__(self) -> None:
-        _check_pqr(self.p, self.q, self.r)
+
+class TpqrGraph(_TpqrGraph):
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int) -> "TpqrGraph":
+        _check_pqr(p, q, r)
+        return super().__new__(cls, p, q, r)
 
     @property
     def n(self) -> int:
@@ -176,8 +181,7 @@ def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     coords: Coords
     mult: int
 
@@ -476,8 +480,7 @@ def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DefectDims:
+class DefectDims(NamedTuple):
     dims: Tuple[int, ...]        # dims[m-1] = dim L_m
     total: Optional[int]         # total dim L (finite type only)
     exhaustive: bool
@@ -738,10 +741,11 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
-        for _, labels, gamma in elems:
+        for elem in elems:
+            gamma = elem.drop
             if gamma[z1] > cutoff:
                 continue
-            mu = tuple(x - 1 for x in labels)
+            mu = tuple(x - 1 for x in elem.labels)
             for beta, c in character_series(graph, mu, levi=True).items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c

@@ -10,8 +10,7 @@ and bookkeeping; no ring structure is modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .formats import ResolutionFormat
 from .kacmoody import TpqrGraph, bgg_initial_terms
@@ -20,8 +19,7 @@ from .schur import is_dominant, partitions_bounded
 Weight = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MuIndex:
+class MuIndex(NamedTuple):
     a: int
     b: int
     c: int
@@ -53,8 +51,7 @@ def _padded(part: Sequence[int], length: int) -> Tuple[int, ...]:
     return tuple(part) + (0,) * (length - len(part))
 
 
-@dataclass(frozen=True)
-class GLWeightQuadruple:
+class GLWeightQuadruple(NamedTuple):
     """Weights on F_3, F_2, F_1, F_0 (in that order)."""
 
     w3: Weight
@@ -209,8 +206,7 @@ def ra_enumerate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RspecComponent:
+class RspecComponent(NamedTuple):
     sigma: Weight
     tau: Weight
     lam: Tuple[int, ...]  # labels on T_{p,q,r} vertices (internal 0-based order)
@@ -284,8 +280,7 @@ def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(NamedTuple):
     number: int
     description: str
     members: Tuple[MuIndex, ...]
@@ -365,8 +360,7 @@ def semigroup_generators(fmt: ResolutionFormat) -> List[GeneratorFamily]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KStarComplex:
+class KStarComplex(NamedTuple):
     """The four terms (bottom to top) of the dualized isotypic component,
     each an (F_3 weight, F_1-dual weight) pair; the universal-enveloping
     factor each term is tensored with is not modelled."""

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -138,7 +137,7 @@ BROKEN_COMPLEX = complexes.ComplexReport(ok=False, failures=((1, 0, 0, "x"),))
         ),
         (
             ("verify-d4",),
-            complexes, "d4_relation_check", lambda: dataclasses.replace(D4_RELATION(), ok=False),
+            complexes, "d4_relation_check", lambda: D4_RELATION()._replace(ok=False),
             "FAIL", "ok",
         ),
     ],
@@ -343,7 +342,48 @@ def test_fresh_process_stdout_matches_golden(command):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == GOLDENS[command]
+    assert_same_text(proc.stdout, GOLDENS[command])
+
+
+def assert_same_text(got, want):
+    """Exact comparison that fails at once, naming the first differing
+    offset and about 80 characters around it on each side: pytest's own
+    explanation of two unequal single-line JSON goldens (up to 134,752
+    bytes) is a character diff that can run for minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo, hi = max(0, at - 40), at + 40
+    pytest.fail(
+        f"stdout differs from the golden at offset {at} (lengths {len(got)} and {len(want)}): "
+        f"got {got[lo:hi]!r}, want {want[lo:hi]!r}",
+        pytrace=False,
+    )
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    # Each CLI answer is one process, which pays for the package's import.
+    # Records are NamedTuples: `dataclasses` would generate and exec each
+    # record class's methods and bring in `inspect` and `ast`.  Under -S no
+    # site hook can load them first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import resatlas.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "got, offset",
+    [("abcXef", 3), ("abc", 3), ("abcdefg", 6)],
+    ids=["changed", "shorter", "longer"],
+)
+def test_a_golden_mismatch_names_the_first_differing_offset(got, offset):
+    assert_same_text("abcdef", "abcdef")
+    with pytest.raises(pytest.fail.Exception, match=rf"at offset {offset} \(lengths {len(got)} and 6\)"):
+        assert_same_text(got, "abcdef")
 
 
 # The goldens whose output does not follow the process-global variable

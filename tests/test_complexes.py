@@ -1,5 +1,5 @@
-import dataclasses
 import os
+import re
 import subprocess
 import sys
 from itertools import permutations
@@ -11,6 +11,7 @@ from resatlas import complexes, exact
 from resatlas.complexes import (
     DELTA_SIGN_CONVENTION,
     D4_NORMALIZATION,
+    FreeComplex,
     be_multipliers,
     be_rank_check,
     complex_to_json,
@@ -33,15 +34,24 @@ def test_koszul_is_complex_with_expected_ranks():
     assert rk.ok and rk.ranks == (1, 2, 1)
 
 
+def test_a_complex_refuses_the_wrong_number_of_differentials():
+    cx = koszul_complex()
+    with pytest.raises(ValueError, match=r"^need 3 differentials$"):
+        FreeComplex(cx.fmt, cx.differentials[:2], cx.variables, cx.label)
+
+
+def test_a_complex_refuses_a_differential_of_the_wrong_shape():
+    cx = koszul_complex()
+    d2 = ExactMatrix([row[:2] for row in cx.d(2).data])
+    with pytest.raises(ValueError, match=re.escape("d_2 has shape (3, 2), expected (3, 3)")):
+        FreeComplex(fmt=cx.fmt, differentials=[cx.d(1), d2, cx.d(3)])
+
+
 def test_verify_complex_reports_failures():
     cx = koszul_complex()
     data = [list(row) for row in cx.differentials[1].data]
     data[0][0] = data[0][0] + MPoly.var("x")
-    from resatlas.exact import ExactMatrix
-
     broken = ExactMatrix(data)
-    from resatlas.complexes import FreeComplex
-
     bad = FreeComplex(fmt=cx.fmt, differentials=[cx.differentials[0], broken, cx.differentials[2]])
     rep = verify_complex(bad)
     assert not rep.ok and len(rep.failures) > 0
@@ -59,7 +69,7 @@ def test_be_multipliers_name_a_minor_whose_product_vanishes():
     # the complement of columns (0, 1) while d_2's minor there does not.
     cx = koszul_complex()
     d3 = ExactMatrix([list(row) for row in cx.d(3).data[:-1]] + [[0]])
-    broken = dataclasses.replace(cx, differentials=[cx.d(1), cx.d(2), d3])
+    broken = FreeComplex(cx.fmt, [cx.d(1), cx.d(2), d3], cx.variables, cx.label)
     for seed in range(1, 6):
         assert be_multipliers(cx, seed).ok
         rep = be_multipliers(broken, seed)
@@ -160,11 +170,11 @@ def test_d4_relation():
 
 
 def _negate_b23(m):
-    return dataclasses.replace(m, ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
+    return m._replace(ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
 
 
 def _negate_c14(m):
-    return dataclasses.replace(m, ef={**m.ef, (4, 1): -m.ef[(4, 1)]})
+    return m._replace(ef={**m.ef, (4, 1): -m.ef[(4, 1)]})
 
 
 @pytest.mark.parametrize("break_model", [_negate_b23, _negate_c14], ids=["ee23", "ef41"])
@@ -248,6 +258,7 @@ def test_verify_complex_names_one_negated_term_on_the_split_path():
     m, c = next(iter(d2.data[0][0].terms.items()))
     data = [list(row) for row in d2.data]
     data[0][0] = data[0][0] + MPoly({m: -2 * c})
-    broken = dataclasses.replace(res.complex, differentials=[d1, ExactMatrix(data), d3])
+    cx = res.complex
+    broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label)
     want = str(d1.data[0][0] * MPoly({m: -2 * c}))
     assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]

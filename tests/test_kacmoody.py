@@ -39,6 +39,17 @@ from resatlas.kacmoody import (
 from resatlas.schur import schur_dim
 
 
+def test_a_graph_refuses_a_short_arm():
+    with pytest.raises(ValueError, match=r"^require p >= 2, q >= 1, r >= 2, got \(2, 0, 2\)$"):
+        TpqrGraph(2, 0, 2)
+
+
+def test_a_graph_prints_its_fields():
+    # Failure messages embed the graph as it prints.
+    g = TpqrGraph(p=2, q=3, r=7)
+    assert repr(g) == str(g) == "TpqrGraph(p=2, q=3, r=7)"
+
+
 def test_vertex_layout():
     g = TpqrGraph(3, 3, 4)
     assert g.n == 8

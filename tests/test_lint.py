@@ -1,8 +1,9 @@
 """Source lints: no module of the package contains an `assert` statement
 (`python -O` strips them; checks raise explicitly instead), every public
 function, method and property is used somewhere in the package (a test
-alone does not keep a name), every dataclass field is read somewhere in
-the package, no module-level public
+alone does not keep a name), every record field (of a NamedTuple class,
+private bases included, or of a dataclass) is read somewhere in the
+package as an attribute, no module-level public
 function is a generator (the benchmark's tracer wraps every public function
 of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed), and only `MPoly.var` adds a
@@ -11,7 +12,9 @@ lookup that interned would make output depend on call history).  The
 package's `__all__` lists exactly the names its `__init__` imports.  No
 module imports anything from `fractions`: the exact kernel's points, entries,
 determinants and ranks, the signature's diagonal pairs and the dimension
-quotients are all ints.  A `functools.cache` or `lru_cache` decorates only
+quotients are all ints.  No module imports `dataclasses`: its generated
+methods cost about 1 ms of import per record class, and records are
+NamedTuples.  A `functools.cache` or `lru_cache` decorates only
 functions without parameters: output must not depend on call history, and a
 repeated job pays for its own mathematics."""
 
@@ -119,15 +122,24 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
     assert dead_names(tmp_path) == ["mod.C.size", "mod.tested", "mod.unused"]
 
 
-def _is_dataclass(decorator):
-    target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return (getattr(target, "id", None) or getattr(target, "attr", None)) == "dataclass"
+def _named(node, name):
+    """`name` or `module.name`, called or not."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) == name
+
+
+def _is_record(node):
+    """A dataclass, or a NamedTuple class such as the private base that
+    holds a validated record's fields."""
+    return any(_named(d, "dataclass") for d in node.decorator_list) or any(
+        _named(b, "NamedTuple") for b in node.bases
+    )
 
 
 def unread_fields(src=SRC):
-    """The fields of the package's dataclasses that nothing in the package
-    reads as an attribute (`obj.field`); a keyword to the constructor is
-    not a read."""
+    """The fields of the package's records (NamedTuple classes and
+    dataclasses) that nothing in the package reads as an attribute
+    (`obj.field`); a keyword to the constructor is not a read."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
     reads = {
         node.attr
@@ -139,14 +151,14 @@ def unread_fields(src=SRC):
         f"{path.stem}.{node.name}.{item.target.id}"
         for path, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        if isinstance(node, ast.ClassDef) and _is_record(node)
         for item in node.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
         and item.target.id not in reads
     ]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     assert unread_fields() == []
 
 
@@ -154,6 +166,19 @@ def test_field_lint_flags_an_unread_field(tmp_path):
     (tmp_path / "mod.py").write_text(
         "from dataclasses import dataclass\n"
         "import dataclasses\n"
+        "import typing\n"
+        "from typing import NamedTuple\n"
+        "\n"
+        "class Root(NamedTuple):\n"
+        "    coords: tuple\n"
+        "    mult: int\n"
+        "\n"
+        "class _Graph(typing.NamedTuple):\n"
+        "    p: int\n"
+        "    q: int\n"
+        "\n"
+        "class Graph(_Graph):\n"
+        "    __slots__ = ()\n"
         "\n"
         "@dataclass(frozen=True)\n"
         "class Report:\n"
@@ -168,12 +193,12 @@ def test_field_lint_flags_an_unread_field(tmp_path):
         "class Plain:\n"
         "    z: int\n"
         "\n"
-        "def check(p):\n"
+        "def check(p, g):\n"
         "    p.y = 1\n"
-        "    return Report(ok=p.x > 0, detail='x')\n"
+        "    return Report(ok=p.x > 0 and g.p > 0, detail='x')\n"
     )
-    (tmp_path / "cli.py").write_text("def main(rep):\n    return rep.ok\n")
-    assert unread_fields(tmp_path) == ["mod.Report.detail", "mod.Point.y"]
+    (tmp_path / "cli.py").write_text("def main(rep, root):\n    return rep.ok, root.mult\n")
+    assert unread_fields(tmp_path) == ["mod.Root.coords", "mod._Graph.q", "mod.Report.detail", "mod.Point.y"]
 
 
 def public_generators(tree):
@@ -298,9 +323,9 @@ def test_intern_lint_finds_a_call_in_a_method_and_at_module_level():
     assert callers(tree, "intern") == ["M.substitute", ""]
 
 
-def fractions_imports(tree):
-    """The lines, ascending, where a tree imports the `fractions` module or
-    a name from it, at any depth; a relative import is not that module."""
+def module_imports(tree, module):
+    """The lines, ascending, where a tree imports `module` or a name from
+    it, at any depth; a relative import is not that module."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -309,29 +334,37 @@ def fractions_imports(tree):
             modules = [node.module]
         else:
             continue
-        if any(m.split(".")[0] == "fractions" for m in modules):
+        if any(m.split(".")[0] == module for m in modules):
             lines.append(node.lineno)
     return sorted(lines)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_the_exact_kernel_imports_nothing_from_fractions(path):
-    lines = fractions_imports(ast.parse(path.read_text(), filename=str(path)))
+    lines = module_imports(ast.parse(path.read_text(), filename=str(path)), "fractions")
     assert lines == [], f"{path.name}: imports from fractions at lines {lines}"
 
 
-def test_fractions_lint_flags_every_import_of_the_module():
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_the_package_imports_nothing_from_dataclasses(path):
+    lines = module_imports(ast.parse(path.read_text(), filename=str(path)), "dataclasses")
+    assert lines == [], f"{path.name}: imports from dataclasses at lines {lines}"
+
+
+@pytest.mark.parametrize("module", ["fractions", "dataclasses"])
+def test_import_lint_flags_every_import_of_the_module(module):
     tree = ast.parse(
-        "import fractions\n"
-        "from fractions import Fraction\n"
-        "import math, fractions as fr\n"
+        "import {m}\n"
+        "from {m} import Name\n"
+        "import math, {m} as alias\n"
         "def f():\n"
-        "    from fractions import Fraction as Q\n"
-        "from .fractions import helper\n"
+        "    from {m} import Name as Q\n"
+        "from .{m} import helper\n"
         "import math\n"
-        "Fraction = int\n"
+        "Name = int\n".format(m=module)
     )
-    assert fractions_imports(tree) == [1, 2, 3, 5]
+    assert module_imports(tree, module) == [1, 2, 3, 5]
+    assert module_imports(tree, "math") == [3, 7]
 
 
 def run_check_names(tree):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 from resatlas import rings
@@ -145,7 +144,7 @@ def test_dictionary_crosscheck_detects_breakage(monkeypatch):
 
     def off_by_one_u(sigma, tau, t, fmt):
         ks = terms(sigma, tau, t, fmt)
-        return dataclasses.replace(ks, u=ks.u + 1)
+        return ks._replace(u=ks.u + 1)
 
     monkeypatch.setattr(rings, "kstar_terms", off_by_one_u)
     assert not dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
