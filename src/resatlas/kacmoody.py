@@ -16,7 +16,7 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import add, itemgetter, le, mul
+from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .formats import _check_pqr, classify, tpqr_cartan_matrix
@@ -163,14 +163,6 @@ def _weyl_walk(
         layer = nxt
 
 
-def reflect_root(A: Sequence[Sequence[int]], coords: Sequence[int], i: int) -> Coords:
-    """Simple reflection on root coordinates: only k_i changes."""
-    pairing = sum(A[i][j] * coords[j] for j in range(len(coords)))
-    out = list(coords)
-    out[i] -= pairing
-    return tuple(out)
-
-
 def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
     n = len(coords)
     return tuple(sum(A[i][j] * coords[j] for j in range(n)) for i in range(n))
@@ -194,24 +186,49 @@ ROOT_CLOSURE_LIMIT = 100000
 
 
 def finite_positive_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
-    """All positive roots by reflection-orbit closure (finite type only:
-    terminates because the root system is finite; all roots real)."""
+    """All positive roots of a finite-type symmetric A, sorted by (height,
+    coords), built height by height by the root-string rule (Humphreys,
+    *Introduction to Lie Algebras and Representation Theory*, §9.4).  Each
+    root beta carries its labels A beta.  The alpha_i-string through beta is
+    beta - p alpha_i, ..., beta + q alpha_i with p - q = (A beta)_i, so
+    beta + alpha_i is a root exactly when p > (A beta)_i, where p counts how
+    many times alpha_i can be subtracted from beta inside the roots of lower
+    height, all of them found already.  Its labels are A beta + A[i].  Raises
+    RuntimeError once more than ROOT_CLOSURE_LIMIT roots are found, as they
+    are on a matrix not of finite type."""
     n = len(A)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen: Set[Coords] = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for i in range(n):
-                beta = reflect_root(A, alpha, i)
-                if all(c >= 0 for c in beta) and beta not in seen:
-                    seen.add(beta)
-                    nxt.append(beta)
-        frontier = nxt
-        if len(seen) > ROOT_CLOSURE_LIMIT:
+    # beta is keyed by sum beta_i B^i.  Every height up to the current one
+    # holds a root, so while at most ROOT_CLOSURE_LIMIT roots are found no
+    # coefficient reaches B and a key plus or minus B^i carries no digit.
+    B = ROOT_CLOSURE_LIMIT + 2
+    unit = [B**i for i in range(n)]
+    layer: Dict[int, Tuple[Coords, Labels]] = {
+        unit[i]: (tuple(1 if j == i else 0 for j in range(n)), tuple(A[i])) for i in range(n)
+    }
+    found: Set[int] = set()
+    roots: List[Coords] = []
+    while layer:
+        found.update(layer)
+        roots += [beta for beta, _ in layer.values()]
+        if len(found) > ROOT_CLOSURE_LIMIT:
             raise RuntimeError("root closure exceeded limit; matrix not finite type?")
-    return sorted(seen, key=lambda c: (sum(c), c))
+        nxt: Dict[int, Tuple[Coords, Labels]] = {}
+        for key, (beta, labels) in layer.items():
+            for i, l in enumerate(labels):
+                k = key + unit[i]
+                if k in nxt:
+                    continue
+                p, gamma = 0, key
+                while p <= l and p < beta[i]:
+                    gamma -= unit[i]
+                    if gamma not in found:
+                        break
+                    p += 1
+                if p > l:
+                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    nxt[k] = (new, tuple(map(add, labels, A[i])))
+        layer = nxt
+    return sorted(roots, key=lambda c: (sum(c), c))
 
 
 def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
@@ -401,7 +418,7 @@ def verify_denominator_identity(
 def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
     """Positive roots with multiplicities.
 
-    Finite type: the whole root system by reflection closure (all roots
+    Finite type: the whole root system by the root-string rule (all roots
     real, mult 1); H is ignored.  Otherwise H is required: the height cutoff
     of Peterson's recursion.
     """
@@ -427,17 +444,20 @@ class WeylElem(NamedTuple):
 
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
     """All elements of W of length <= L, by `_weyl_walk` from lam + rho
-    (lam = 0 by default).  lam must be dominant: then every label of
-    lam + rho is >= 1, and label i of w(lam + rho) is (lam + rho,
-    w^{-1} alpha_i), positive exactly when the real root w^{-1} alpha_i is,
-    so the walk's length test holds for lam + rho as it does for rho."""
+    (lam = 0 by default), in the walk's order.  lam must be dominant: then
+    every label of lam + rho is >= 1, and label i of w(lam + rho) is
+    (lam + rho, w^{-1} alpha_i), positive exactly when the real root
+    w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
+    does for rho.  Each record is built by `tuple.__new__`, without the
+    Python frame of `WeylElem.__new__`: E6 has 51,840 of them."""
     top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
     for name, x in zip(graph.vertex_names, top):
         if x < 1:
             raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
     walk = _weyl_walk(graph.adjacency, top)
+    new = tuple.__new__
     return [
-        WeylElem(length, labels, drop)
+        new(WeylElem, (length, labels, drop))
         for length, layer in zip(range(L + 1), walk)
         for labels, drop in layer.items()
     ]
@@ -450,18 +470,17 @@ def enumerate_WS(
     grouped by length, each carrying w(lam + rho) and its drop as
     `weyl_elements` gives them.
 
-    Membership test: label j of w(lam + rho) is positive for every j in S.
-    That is w^{-1}(alpha_j) > 0, because (w(lam + rho), alpha_j) =
-    (lam + rho, w^{-1} alpha_j), and lam + rho pairs to at least 1 with
-    every simple root (lam is dominant), so the label is positive exactly
-    when the real root w^{-1}(alpha_j) is (Björner–Brenti, *Combinatorics of
-    Coxeter Groups*, §1.6, §2.4).
+    Membership test: label j of w(lam + rho) is positive for every j in S,
+    every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
+    (w(lam + rho), alpha_j) = (lam + rho, w^{-1} alpha_j), and lam + rho
+    pairs to at least 1 with every simple root (lam is dominant), so the
+    label is positive exactly when the real root w^{-1}(alpha_j) is
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4).
     """
-    S = graph.S
+    on_S = itemgetter(*graph.S)  # S has at least two vertices
     grouped: Dict[int, List[WeylElem]] = {}
-    for elem in weyl_elements(graph, L, lam):
-        if all(elem.labels[j] > 0 for j in S):
-            grouped.setdefault(elem.length, []).append(elem)
+    for elem in [e for e in weyl_elements(graph, L, lam) if min(on_S(e.labels)) > 0]:
+        grouped.setdefault(elem.length, []).append(elem)
     for bucket in grouped.values():
         bucket.sort(key=lambda e: e.labels)
     return grouped
@@ -491,7 +510,8 @@ def defect_graded_dims(
 ) -> DefectDims:
     """Graded dimensions of the positive part of the S-height grading at z_1.
 
-    Finite type: exhaustive via root closure, and `max_height` is ignored.
+    Finite type: exhaustive via the root-string rule, and `max_height` is
+    ignored.
     Otherwise `max_height` is required: roots are truncated at that height
     and the dims are lower bounds.
     """
@@ -522,7 +542,15 @@ def character_series(
 ) -> Dict[Coords, int]:
     """Weight multiplicities of the irreducible with highest weight `lam`,
     keyed by the drop lam - weight in root coordinates, via Freudenthal's
-    recursion (only touches actual weights of the representation).
+    recursion (Humphreys, *Introduction to Lie Algebras and Representation
+    Theory*, §22.3; only touches actual weights of the representation).
+
+    Every drop beta carries its labels A beta: a candidate beta = b +
+    alpha_i takes A b + A[i] from the first frontier drop b that reaches it.
+    At lam - gamma with gamma = beta - k alpha, Freudenthal's pairing is
+    (lam - gamma, alpha) = (lam, alpha) - (beta, alpha) + k (alpha, alpha),
+    and (beta, alpha) = alpha . A beta (A is symmetric) is summed over
+    alpha's support, where the nonnegativity of gamma is also tested.
 
     With `levi` set, computes the finite-dimensional irreducible of the Levi
     subalgebra on S (lam need only be dominant there), on any T_{p,q,r}: its
@@ -561,27 +589,31 @@ def character_series(
     # Simply-laced normalization: (sum l_i omega_i, sum k_j alpha_j) = sum l_j k_j
     # and (beta, gamma) = beta^T A gamma for root-coordinate vectors.
     lam_rho = tuple(x + 1 for x in lam)
-    # Per positive root alpha: (lam, alpha) and the labels A alpha.
+    # Per positive root alpha: its support as (i, alpha_i), (lam, alpha) and
+    # (alpha, alpha).
     root_data = [
-        (alpha, sum(lam[i] * alpha[i] for i in range(n)), root_labels(A, alpha))
+        (
+            alpha,
+            [(i, a) for i, a in enumerate(alpha) if a],
+            sum(map(mul, lam, alpha)),
+            sum(map(mul, alpha, root_labels(A, alpha))),
+        )
         for alpha in pos_roots
     ]
     zero = (0,) * n
     mults: Dict[Coords, int] = {zero: 1}
-    frontier = [zero]
+    # The frontier maps each drop beta to its labels A beta.
+    frontier: Dict[Coords, Labels] = {zero: zero}
     while frontier:
-        candidates = sorted(
-            {
-                tuple(b[k] + (1 if k == i else 0) for k in range(n))
-                for b in frontier
-                for i in gens
-            }
-        )
-        if max_level is not None:
-            candidates = [beta for beta in candidates if beta[z1] <= max_level]
-        nxt = []
-        for beta in candidates:
-            a_beta = [sum(A[i][j] * beta[j] for j in range(n)) for i in range(n)]
+        candidates: Dict[Coords, Labels] = {}
+        for b, a_b in frontier.items():
+            for i in gens:
+                beta = b[:i] + (b[i] + 1,) + b[i + 1 :]
+                if beta not in candidates and (max_level is None or beta[z1] <= max_level):
+                    candidates[beta] = tuple(map(add, a_b, A[i]))
+        nxt: Dict[Coords, Labels] = {}
+        for beta in sorted(candidates):
+            a_beta = candidates[beta]
             j = next((j for j in gens if a_beta[j] > lam[j]), None)
             if j is not None:
                 # Label lam_j - (A beta)_j < 0: read the mirror's multiplicity.
@@ -590,37 +622,36 @@ def character_series(
                 m = mults.get(tuple(mirror), 0)
                 if m:
                     mults[beta] = m
-                    nxt.append(beta)
+                    nxt[beta] = a_beta
                 continue
             # Freudenthal numerator: sum over alpha > 0 and k >= 1 of
             # (lam - beta + k alpha, alpha) * mult(lam - beta + k alpha);
             # alpha-strings through a weight are contiguous, so stop at the
-            # first non-weight going up.
+            # first k past `top` or where lam - beta + k alpha is no weight.
             num = 0
-            for alpha, lam_alpha, a_alpha in root_data:
-                k = 1
-                while True:
-                    gamma = tuple(beta[j] - k * alpha[j] for j in range(n))
-                    if any(c < 0 for c in gamma):
+            for alpha, support, lam_alpha, norm in root_data:
+                top = min([beta[i] // a for i, a in support])
+                if not top:
+                    continue
+                pairing = lam_alpha - sum(a * a_beta[i] for i, a in support)
+                gamma = beta
+                for _ in range(top):
+                    gamma = tuple(map(sub, gamma, alpha))
+                    m = mults.get(gamma)
+                    if not m:
                         break
-                    m = mults.get(gamma, 0)
-                    if m == 0:
-                        break
-                    pairing = lam_alpha - sum(gamma[i] * a_alpha[i] for i in range(n))
+                    pairing += norm
                     num += pairing * m
-                    k += 1
             if num == 0:
                 continue
-            denom = 2 * sum(lam_rho[i] * beta[i] for i in range(n)) - sum(
-                beta[i] * a_beta[i] for i in range(n)
-            )
+            denom = 2 * sum(map(mul, lam_rho, beta)) - sum(map(mul, beta, a_beta))
             if denom <= 0 or (2 * num) % denom:
                 raise AssertionError(
                     f"{graph} lam {lam}: Freudenthal step at drop {beta} gives "
                     f"2*{num} over {denom}, not a multiplicity"
                 )
             mults[beta] = 2 * num // denom
-            nxt.append(beta)
+            nxt[beta] = a_beta
         frontier = nxt
     return mults
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from resatlas import kacmoody
-from resatlas.formats import tpqr_cartan_matrix
+from resatlas.formats import classify, tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
     _truncated_product,
@@ -27,7 +27,6 @@ from resatlas.kacmoody import (
     finite_positive_roots,
     kostant_weights,
     reflect,
-    reflect_root,
     root_labels,
     roots_by_peterson,
     verify_denominator_identity,
@@ -63,6 +62,63 @@ def test_finite_root_counts():
     assert len(enumerate_roots(TpqrGraph(2, 3, 4))) == 63   # E7
     assert len(enumerate_roots(TpqrGraph(5, 2, 3))) == 120  # E8
     assert all(r.mult == 1 for r in enumerate_roots(TpqrGraph(5, 2, 3)))
+
+
+def reflect_root(A, coords, i):
+    """Simple reflection on root coordinates: only k_i changes."""
+    pairing = sum(A[i][j] * coords[j] for j in range(len(coords)))
+    out = list(coords)
+    out[i] -= pairing
+    return tuple(out)
+
+
+def positive_roots_by_closure(A):
+    """All positive roots of a finite-type A by closing the simple roots
+    under the simple reflections, sorted by (height, coords); the oracle for
+    the string rule of `finite_positive_roots`."""
+    n = len(A)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for alpha in frontier:
+            for i in range(n):
+                beta = reflect_root(A, alpha, i)
+                if all(c >= 0 for c in beta) and beta not in seen:
+                    seen.add(beta)
+                    nxt.append(beta)
+        frontier = nxt
+    return sorted(seen, key=lambda c: (sum(c), c))
+
+
+# The classification table of the `classification` check: 576 triples.
+TABLE = [(p, q, r) for p in range(2, 10) for q in range(1, 10) for r in range(2, 10)]
+
+
+def test_the_string_rule_equals_the_closure_on_every_finite_graph_of_the_table():
+    finite = [pqr for pqr in TABLE if classify(*pqr).finite]
+    assert len(finite) == 101
+    for pqr in finite:
+        A = tpqr_cartan_matrix(*pqr)
+        assert finite_positive_roots(A) == positive_roots_by_closure(A), pqr
+
+
+def test_the_string_rule_equals_the_closure_on_levi_blocks():
+    # The block on S is A_{p+q-1} x A_{r-2} in the graph's vertex order, in
+    # which the path x_{p-1} .. x_1 u y_1 .. y_{q-1} starts at its middle.
+    for pqr in TABLE:
+        if sum(pqr) <= 15:
+            g = TpqrGraph(*pqr)
+            A = g.cartan
+            block = [[A[i][j] for j in g.S] for i in g.S]
+            assert finite_positive_roots(block) == positive_roots_by_closure(block), pqr
+
+
+def test_the_root_supply_refuses_the_smallest_affine_graph():
+    # T_{3,3,3} = E6^(1) has a root alpha + k delta for every k.
+    with pytest.raises(RuntimeError, match=r"^root closure exceeded limit; matrix not finite type\?$"):
+        finite_positive_roots(tpqr_cartan_matrix(3, 3, 3))
 
 
 def roots_by_denominator(A, H):
@@ -844,11 +900,16 @@ def levi_dim(g, lam):
 def character_series_all_weights(graph, lam, levi=False, max_level=None):
     """Freudenthal's recursion with the root sum at every weight, and the
     same frontier, candidate order and level cutoff as `character_series`;
-    the oracle for its dominant-weight engine."""
+    the oracle for its dominant-weight engine.  Its roots come from the
+    reflection closure on finite type, and from Peterson's recursion
+    elsewhere, where only the Levi character is defined."""
     A = graph.cartan
     n = graph.n
     gens = list(graph.S) if levi else list(range(n))
-    pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
+    if graph.classify().finite:
+        pos_roots = positive_roots_by_closure(A)
+    else:
+        pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
     if levi:
         pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
     lam_rho = tuple(x + 1 for x in lam)
@@ -921,6 +982,13 @@ def test_character_series_matches_all_weights_freudenthal(pqr):
                     continue
                 want = [(b, c) for b, c in expected.items() if max_level is None or b[g.z1] <= max_level]
                 assert list(got.items()) == want, (pqr, lam, levi, max_level)
+
+
+def test_e7_character_to_level_2_matches_all_weights_freudenthal():
+    g = TpqrGraph(2, 3, 4)
+    lam = tuple(a + b for a, b in zip(g.fundamental_weight(g.u), g.fundamental_weight(g.z1)))
+    got = character_series(g, lam, max_level=2)
+    assert list(got.items()) == list(character_series_all_weights(g, lam, max_level=2).items())
 
 
 @pytest.mark.parametrize("pqr", [(2, 3, 7), (3, 3, 3)], ids=["T237", "T333"])

@@ -9,7 +9,7 @@ of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed), and only `MPoly.var` adds a
 name to the variable registry (printed term order follows the registry, so a
 lookup that interned would make output depend on call history).  The
-package's `__all__` lists exactly the names its `__init__` imports.  No
+package's `__init__` binds no names: it re-exports nothing.  No
 module imports anything from `fractions`: the exact kernel's points, entries,
 determinants and ranks, the signature's diagonal pairs and the dimension
 quotients are all ints.  No module imports `dataclasses`: its generated
@@ -78,8 +78,7 @@ def _public_definitions(tree):
 
 def dead_names(src=SRC):
     """Public functions, methods and properties of the package that nothing in
-    the package uses, apart from their own definition and the re-exports in
-    `__init__`."""
+    the package uses, apart from their own definition."""
     modules = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
     uses = Counter()
     trees = {}
@@ -247,39 +246,45 @@ def test_generator_lint_flags_only_a_public_generator():
     assert public_generators(tree) == ["walk"]
 
 
-def export_mismatch(init=SRC / "__init__.py"):
-    """The names `__all__` lists that `__init__` does not import from the
-    package (stale), and those it imports but does not list (unlisted)."""
+def init_bindings(init=SRC / "__init__.py"):
+    """The names that the package's `__init__` binds at module level, by
+    import, assignment, definition or any other statement.  The package
+    re-exports nothing: every caller imports the module that defines a
+    name, so the re-export layer cannot grow back."""
     tree = ast.parse(init.read_text(), filename=str(init))
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level
-        for alias in node.names
-    }
-    listed = {
-        element.value
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        for element in node.value.elts
-    }
-    return {"stale": sorted(listed - imported), "unlisted": sorted(imported - listed)}
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            names += [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return names
 
 
-def test_all_lists_exactly_the_imported_names():
-    assert export_mismatch() == {"stale": [], "unlisted": []}
+def test_the_package_init_binds_no_names():
+    assert init_bindings() == []
 
 
-def test_export_lint_flags_a_stale_and_an_unlisted_name(tmp_path):
+def test_init_lint_flags_every_binding(tmp_path):
     init = tmp_path / "__init__.py"
     init.write_text(
+        '"""Docstring."""\n'
         "from .mod import kept, hidden as shown\n"
-        "from .other import unlisted\n"
+        "import os.path\n"
         "__version__ = '1'\n"
-        "__all__ = ['kept', 'shown', 'removed']\n"
+        "__all__: list = ['kept']\n"
+        "def helper():\n"
+        "    local = 1\n"
+        "    return local\n"
+        "class Record:\n"
+        "    field = 0\n"
+        "for i in range(1):\n"
+        "    pass\n"
+        "'a string statement'\n"
     )
-    assert export_mismatch(init) == {"stale": ["removed"], "unlisted": ["unlisted"]}
+    assert init_bindings(init) == ["kept", "shown", "os", "__version__", "__all__", "helper", "Record", "i"]
 
 
 def callers(tree, method):
