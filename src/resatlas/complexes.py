@@ -9,11 +9,17 @@ q_1 cycle coefficients.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import exact
 from .exact import DEGREE_LIMIT, SYMBOLIC_DET_LIMIT, ExactMatrix, MPoly, seeded_random_point
 from .formats import ResolutionFormat, derive_ranks
+
+
+Factors = Dict[int, Tuple[ExactMatrix, ExactMatrix]]
 
 
 # The fields live on a private NamedTuple base, whose body cannot define
@@ -23,17 +29,22 @@ class _FreeComplex(NamedTuple):
     differentials: List[ExactMatrix]
     variables: Tuple[str, ...]
     label: str
+    factored: Factors
 
 
 class FreeComplex(_FreeComplex):
     """A length-n free complex: d[i] is the matrix of d_{i+1} (f_i columns,
-    f_{i-1} rows); entries are MPoly or int."""
+    f_{i-1} rows); entries are MPoly or int.
+
+    `factored` maps i to a pair (F, G) of matrices the builder multiplied
+    to get d_i = F . G.  It is a hint for `verify_complex`, which re-checks
+    it; only the shapes are checked here."""
 
     __slots__ = ()
 
     def __new__(
         cls, fmt: ResolutionFormat, differentials: List[ExactMatrix],
-        variables: Tuple[str, ...] = (), label: str = "",
+        variables: Tuple[str, ...] = (), label: str = "", factored: Optional[Factors] = None,
     ) -> "FreeComplex":
         n = fmt.n
         if len(differentials) != n:
@@ -44,13 +55,18 @@ class FreeComplex(_FreeComplex):
                     f"d_{i} has shape {(d.rows, d.cols)}, expected "
                     f"{(fmt.f[i - 1], fmt.f[i])}"
                 )
-        return super().__new__(cls, fmt, differentials, variables, label)
+        factored = dict(factored or {})
+        for i, (F, G) in factored.items():
+            if not 1 <= i <= n or (F.rows, F.cols, G.cols) != (fmt.f[i - 1], G.rows, fmt.f[i]):
+                raise ValueError(f"the factors recorded for d_{i} do not multiply to its shape")
+        return super().__new__(cls, fmt, differentials, variables, label, factored)
 
     def d(self, i: int) -> ExactMatrix:
         """The matrix of d_i (1-based)."""
         return self.differentials[i - 1]
 
     def substitute(self, assignment) -> "FreeComplex":
+        """The complex at an integer point; it records no factorization."""
         return FreeComplex(
             fmt=self.fmt,
             differentials=[d.substitute(assignment) for d in self.differentials],
@@ -64,11 +80,62 @@ class ComplexReport(NamedTuple):
     failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
 
 
+def _work(left: ExactMatrix, right: ExactMatrix) -> int:
+    """The term products of `left.matmul(right)`, an int entry counting as
+    one term."""
+    size = [[len(e.terms) if isinstance(e, MPoly) else int(e != 0) for e in row] for row in right.data]
+    return sum(
+        (len(a.terms) if isinstance(a, MPoly) else int(a != 0)) * sum(size[k])
+        for row in left.data
+        for k, a in enumerate(row)
+    )
+
+
+def _compose(
+    left: ExactMatrix,
+    right: ExactMatrix,
+    left_factors: Optional[Tuple[ExactMatrix, ExactMatrix]],
+    right_factors: Optional[Tuple[ExactMatrix, ExactMatrix]],
+) -> ExactMatrix:
+    """left . right, as (left . F) . G for right = F . G or as F . (G . right)
+    for left = F . G when that route multiplies fewer term products.  The
+    inner product is formed first, and dropped if the route does not pay."""
+    direct = _work(left, right)
+    if right_factors is not None:
+        F, G = right_factors
+        first = _work(left, F)
+        if first < direct:
+            inner = left.matmul(F)
+            if first + _work(inner, G) < direct:
+                return inner.matmul(G)
+    if left_factors is not None:
+        F, G = left_factors
+        first = _work(G, right)
+        if first < direct:
+            inner = G.matmul(right)
+            if first + _work(F, inner) < direct:
+                return F.matmul(inner)
+    return left.matmul(right)
+
+
 def verify_complex(complex_: FreeComplex) -> ComplexReport:
-    """Check every composition d_i . d_{i+1} = 0 symbolically."""
+    """Check every composition d_i . d_{i+1} = 0 symbolically.
+
+    A factorization d_i = F . G recorded in `complex_.factored` is used
+    only after F . G is checked to equal d_i exactly; a record that does
+    not reproduce d_i is ignored.  With it, d_{i-1} . d_i is multiplied as
+    (d_{i-1} . F) . G and d_i . d_{i+1} as F . (G . d_{i+1}) where that
+    needs fewer term products than the direct product (Cormen et al.,
+    Introduction to Algorithms, section 15.2, on the order of a matrix
+    chain).  Products are exact, so
+    every association gives the same polynomial, and a failure names the
+    entry of d_i . d_{i+1} as the direct product prints it."""
+    factored = {
+        i: (F, G) for i, (F, G) in complex_.factored.items() if F.matmul(G) == complex_.d(i)
+    }
     failures = []
     for i in range(1, complex_.fmt.n):
-        prod = complex_.d(i).matmul(complex_.d(i + 1))
+        prod = _compose(complex_.d(i), complex_.d(i + 1), factored.get(i), factored.get(i + 1))
         for r in range(prod.rows):
             for c in range(prod.cols):
                 e = prod.data[r][c]
@@ -106,16 +173,22 @@ def entry_variables(complex_: FreeComplex) -> List[str]:
     Seeded points draw one coordinate per name in this order.  It is not the
     order of `complex_.variables`: X10 sorts before X2.
     """
-    return sorted(
-        {
-            v
+    # A field of the OR of every monomial is nonzero iff some entry has
+    # that variable.  The registry is read through its module, which may
+    # bind a fresh one.
+    support = reduce(
+        or_,
+        (
+            m
             for d in complex_.differentials
             for row in d.data
             for e in row
             if isinstance(e, MPoly)
-            for v in e.variables()
-        }
+            for m in e.terms
+        ),
+        0,
     )
+    return sorted(exact.REGISTRY.name(i) for i, _ in exact._unpack(support))
 
 
 def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
@@ -237,8 +310,11 @@ def thm112_build(r3: int) -> Thm112Result:
     Delta is the skew matrix of complementary maximal minors of d_3,
     Delta_{ij} = (-1)^(i+j) * minor(d_3 without rows i, j) for i < j;
     d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the x_k read from the
-    displayed skew pattern of B^T Delta B.  Raises AssertionError, naming
-    r3, if Delta . d_3 != 0 or B^T Delta B is off the pattern.
+    displayed skew pattern of B^T Delta B.  The complex records d_2 =
+    B^T . Delta, so `verify_complex` can form d_1 . d_2 as
+    (d_1 . B^T) . Delta, whose middle factor cancels to fewer terms, and
+    d_2 . d_3 as B^T . (Delta . d_3).  Raises AssertionError, naming r3, if
+    Delta . d_3 != 0 or B^T Delta B is off the pattern.
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")
@@ -272,7 +348,8 @@ def thm112_build(r3: int) -> Thm112Result:
         raise AssertionError(
             f"thm112(r3={r3}): Delta with signs {DELTA_SIGN_CONVENTION} does not annihilate d_3"
         )
-    d2 = Bm.transpose().matmul(delta)
+    Bt = Bm.transpose()
+    d2 = Bt.matmul(delta)
     M = d2.matmul(Bm)
     x1 = M.data[1][2]
     x2 = M.data[2][0]
@@ -290,7 +367,10 @@ def thm112_build(r3: int) -> Thm112Result:
     variables = tuple(
         sorted({v for row in A + B for e in row for v in e.variables()} | {"a1"})
     )
-    cx = FreeComplex(fmt=fmt, differentials=[d1, d2, d3], variables=variables, label=f"thm112(r3={r3})")
+    cx = FreeComplex(
+        fmt=fmt, differentials=[d1, d2, d3], variables=variables, label=f"thm112(r3={r3})",
+        factored={2: (Bt, delta)},
+    )
     return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3))
 
 

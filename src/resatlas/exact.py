@@ -95,7 +95,10 @@ Products = List[Tuple[Mapping[int, int], Mapping[int, int], int]]
 
 
 def _classes(work: int) -> int:
-    """K for a sum of `work` term products: about 2**15 to 2**17 per class."""
+    """K for a sum of `work` term products.  A class holds about 2**13 to
+    2**17 of them: K = 7 starts at 2**16 and K = 31 at 2**18, each about
+    2**13 per class.  K = 127 is the largest, so a class grows past 2**17
+    once `work` passes about 2**24."""
     return 127 if work >= 1 << 22 else 31 if work >= 1 << 18 else 7 if work >= 1 << 16 else 1
 
 

@@ -327,8 +327,10 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # Peterson's pair sum became a convolution, and `verify-thm112 --r3 3` and
 # `verify-monomial --t 8` (the first goldens of large printed polynomials)
 # before monomial fields narrowed to 8 bits and points were evaluated
-# fraction-free, and `verify-thm112 --r3 4` before the exact kernel's sums
-# of products were split into residue classes.
+# fraction-free, `verify-thm112 --r3 4` before the exact kernel's sums
+# of products were split into residue classes, and the text-mode
+# `verify-thm112 --r3 3` before `verify_complex` associated d_1 . d_2
+# through the recorded factorization d_2 = B^T . Delta.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

@@ -262,3 +262,103 @@ def test_verify_complex_names_one_negated_term_on_the_split_path():
     broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label)
     want = str(d1.data[0][0] * MPoly({m: -2 * c}))
     assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]
+
+
+def _without_record(cx):
+    return FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label)
+
+
+def _negate_one_d1_term(cx):
+    d1, d2, d3 = cx.differentials
+    m, c = next(iter(d1.data[0][0].terms.items()))
+    data = [list(row) for row in d1.data]
+    data[0][0] = data[0][0] + MPoly({m: -2 * c})
+    return FreeComplex(cx.fmt, [ExactMatrix(data), d2, d3], cx.variables, cx.label, cx.factored)
+
+
+def _d3_plus_one(cx):
+    d1, d2, d3 = cx.differentials
+    data = [[e + 1 for e in row] for row in d3.data]
+    return FreeComplex(cx.fmt, [d1, d2, ExactMatrix(data)], cx.variables, cx.label, cx.factored)
+
+
+@pytest.mark.parametrize(
+    "r3, breaks",
+    [(1, None), (2, None), (3, None), (4, None), (4, _negate_one_d1_term), (1, _d3_plus_one)],
+    ids=["r3=1", "r3=2", "r3=3", "r3=4", "r3=4-negated-d1-term", "r3=1-d3-plus-1"],
+)
+def test_the_recorded_factorization_leaves_the_report_unchanged(r3, breaks):
+    cx = thm112_build(r3).complex
+    assert set(cx.factored) == {2}
+    if breaks is not None:
+        cx = breaks(cx)
+    got = verify_complex(cx)
+    assert got == verify_complex(_without_record(cx))
+    assert got.ok == (breaks is None)
+    if breaks is _negate_one_d1_term:
+        # Large enough to split into residue classes: the failures are d_1 . d_2's.
+        assert {f[0] for f in got.failures} == {1}
+    if breaks is _d3_plus_one:
+        assert {f[0] for f in got.failures} == {2}
+
+
+def test_a_stale_record_never_hides_a_nonzero_composition():
+    # d_2 perturbed in one entry, with the record of the unperturbed d_2 kept.
+    cx = thm112_build(2).complex
+    d1, d2, d3 = cx.differentials
+    data = [list(row) for row in d2.data]
+    data[0][0] = data[0][0] + MPoly.var("a1")
+    broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label, cx.factored)
+    rep = verify_complex(broken)
+    assert not rep.ok and {f[0] for f in rep.failures} == {1, 2}
+    direct = [(i, d.matmul(e)) for i, (d, e) in enumerate(((d1, broken.d(2)), (broken.d(2), d3)), start=1)]
+    want = [(i, r, c, str(e)) for i, p in direct for r, row in enumerate(p.data) for c, e in enumerate(row) if e != 0]
+    assert list(rep.failures) == want
+
+
+def test_a_record_is_followed_only_where_it_saves_term_products(monkeypatch):
+    products = []
+    matmul = ExactMatrix.matmul
+
+    def logged(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "matmul", logged)
+
+    def direct(cx):
+        d1, d2, d3 = cx.differentials
+        return [any(a is d and b is e for a, b in products) for d, e in ((d1, d2), (d2, d3))]
+
+    cx = thm112_build(2).complex
+    assert verify_complex(cx).ok and direct(cx) == [False, False]
+    # d_2 = 1 . d_2 pays on neither side: (d_1 . 1) . d_2 multiplies more
+    # term products than d_1 . d_2, and 1 . (d_2 . d_3) as many as d_2 . d_3.
+    cx = koszul_complex()
+    one = ExactMatrix([[int(i == j) for j in range(3)] for i in range(3)])
+    recorded = FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (one, cx.d(2))})
+    products.clear()
+    assert verify_complex(recorded).ok and direct(recorded) == [True, True]
+
+
+def test_a_record_of_the_wrong_shape_is_refused_and_a_point_drops_the_record():
+    cx = thm112_build(2).complex
+    F, G = cx.factored[2]
+    with pytest.raises(ValueError, match=r"^the factors recorded for d_2 do not multiply to its shape$"):
+        FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (G, F)})
+    with pytest.raises(ValueError, match=r"^the factors recorded for d_4 do not"):
+        FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {4: (F, G)})
+    assert cx.substitute(seeded_random_point(5, cx.variables)).factored == {}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [koszul_complex]
+    + [lambda r3=r3: thm112_build(r3).complex for r3 in range(1, 5)]
+    + [lambda t=t: monomial_complex(t).complex for t in range(2, 9)],
+    ids=["koszul"] + [f"thm112-{r3}" for r3 in range(1, 5)] + [f"monomial-{t}" for t in range(2, 9)],
+)
+def test_entry_variables_is_the_union_of_each_entrys_variables(build):
+    cx = build()
+    names = {v for d in cx.differentials for row in d.data for e in row if isinstance(e, MPoly) for v in e.variables()}
+    assert complexes.entry_variables(cx) == sorted(names)
