@@ -9,9 +9,7 @@ q_1 cycle coefficients.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import exact
@@ -37,8 +35,8 @@ class FreeComplex(_FreeComplex):
     f_{i-1} rows); entries are MPoly or int.
 
     `factored` maps i to a pair (F, G) of matrices the builder multiplied
-    to get d_i = F . G.  It is a hint for `verify_complex`, which re-checks
-    it; only the shapes are checked here."""
+    to get d_i = F . G.  `verify_complex` re-checks F . G == d_i and then
+    multiplies through the record; only the shapes are checked here."""
 
     __slots__ = ()
 
@@ -80,62 +78,30 @@ class ComplexReport(NamedTuple):
     failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
 
 
-def _work(left: ExactMatrix, right: ExactMatrix) -> int:
-    """The term products of `left.matmul(right)`, an int entry counting as
-    one term."""
-    size = [[len(e.terms) if isinstance(e, MPoly) else int(e != 0) for e in row] for row in right.data]
-    return sum(
-        (len(a.terms) if isinstance(a, MPoly) else int(a != 0)) * sum(size[k])
-        for row in left.data
-        for k, a in enumerate(row)
-    )
-
-
-def _compose(
-    left: ExactMatrix,
-    right: ExactMatrix,
-    left_factors: Optional[Tuple[ExactMatrix, ExactMatrix]],
-    right_factors: Optional[Tuple[ExactMatrix, ExactMatrix]],
-) -> ExactMatrix:
-    """left . right, as (left . F) . G for right = F . G or as F . (G . right)
-    for left = F . G when that route multiplies fewer term products.  The
-    inner product is formed first, and dropped if the route does not pay."""
-    direct = _work(left, right)
-    if right_factors is not None:
-        F, G = right_factors
-        first = _work(left, F)
-        if first < direct:
-            inner = left.matmul(F)
-            if first + _work(inner, G) < direct:
-                return inner.matmul(G)
-    if left_factors is not None:
-        F, G = left_factors
-        first = _work(G, right)
-        if first < direct:
-            inner = G.matmul(right)
-            if first + _work(F, inner) < direct:
-                return F.matmul(inner)
-    return left.matmul(right)
-
-
 def verify_complex(complex_: FreeComplex) -> ComplexReport:
     """Check every composition d_i . d_{i+1} = 0 symbolically.
 
     A factorization d_i = F . G recorded in `complex_.factored` is used
     only after F . G is checked to equal d_i exactly; a record that does
-    not reproduce d_i is ignored.  With it, d_{i-1} . d_i is multiplied as
-    (d_{i-1} . F) . G and d_i . d_{i+1} as F . (G . d_{i+1}) where that
-    needs fewer term products than the direct product (Cormen et al.,
-    Introduction to Algorithms, section 15.2, on the order of a matrix
-    chain).  Products are exact, so
-    every association gives the same polynomial, and a failure names the
-    entry of d_i . d_{i+1} as the direct product prints it."""
+    not reproduce d_i is ignored.  A verified record is always followed:
+    d_i . d_{i+1} is multiplied as (d_i . F) . G when d_{i+1} = F . G is
+    recorded, else as F . (G . d_{i+1}) when d_i = F . G is, else
+    directly.  Products are exact, so every association gives the same
+    polynomial, and a failure names the entry of d_i . d_{i+1} as the
+    direct product prints it."""
     factored = {
         i: (F, G) for i, (F, G) in complex_.factored.items() if F.matmul(G) == complex_.d(i)
     }
     failures = []
     for i in range(1, complex_.fmt.n):
-        prod = _compose(complex_.d(i), complex_.d(i + 1), factored.get(i), factored.get(i + 1))
+        if i + 1 in factored:
+            F, G = factored[i + 1]
+            prod = complex_.d(i).matmul(F).matmul(G)
+        elif i in factored:
+            F, G = factored[i]
+            prod = F.matmul(G.matmul(complex_.d(i + 1)))
+        else:
+            prod = complex_.d(i).matmul(complex_.d(i + 1))
         for r in range(prod.rows):
             for c in range(prod.cols):
                 e = prod.data[r][c]
@@ -167,36 +133,12 @@ class RankReport(NamedTuple):
     spec: FreeComplex  # the complex at the last point tried
 
 
-def entry_variables(complex_: FreeComplex) -> List[str]:
-    """The variables occurring in the entries of `complex_`, sorted by name.
-
-    Seeded points draw one coordinate per name in this order.  It is not the
-    order of `complex_.variables`: X10 sorts before X2.
-    """
-    # A field of the OR of every monomial is nonzero iff some entry has
-    # that variable.  The registry is read through its module, which may
-    # bind a fresh one.
-    support = reduce(
-        or_,
-        (
-            m
-            for d in complex_.differentials
-            for row in d.data
-            for e in row
-            if isinstance(e, MPoly)
-            for m in e.terms
-        ),
-        0,
-    )
-    return sorted(exact.REGISTRY.name(i) for i, _ in exact._unpack(support))
-
-
 def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
     """At a seeded integer point, every differential has its expected rank
     r_i.  Up to 50 points, seeded seed * 1000 + attempt, are tried in turn
     until the ranks of all differentials equal (r_1, ..., r_n); otherwise
     the report is not ok and carries the last point's ranks."""
-    names = entry_variables(complex_)
+    names = exact.variables(e for d in complex_.differentials for row in d.data for e in row)
     for attempt in range(50):
         spec = complex_.substitute(seeded_random_point(seed * 1000 + attempt, names))
         ranks = tuple(m.rank() for m in spec.differentials)
@@ -224,9 +166,10 @@ def complex_to_json(complex_: FreeComplex) -> Dict:
 # ---------------------------------------------------------------------------
 
 
-def _complement_sign(subset: Sequence[int], n: int) -> int:
-    """Sign of the permutation (subset, complement) of range(n), subset and
-    complement each ascending (0-based indices)."""
+def _complement_sign(subset: Sequence[int]) -> int:
+    """Sign of the permutation that lists `subset`, then the rest of
+    0, 1, ..., n - 1, each ascending (0-based indices).  It is the same for
+    every n > max(subset), so n is not needed."""
     s = sum(subset)
     r = len(subset)
     return -1 if (s - r * (r - 1) // 2) % 2 else 1
@@ -274,7 +217,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
         first: Optional[Tuple[int, int]] = None
         for (rows, cols_sel), lhs in table.items():
             comp = tuple(j for j in range(d.cols) if j not in cols_sel)
-            rhs = a[i - 1][rows] * _complement_sign(cols_sel, d.cols) * a[i][comp]
+            rhs = a[i - 1][rows] * _complement_sign(cols_sel) * a[i][comp]
             if rhs == 0:
                 if lhs != 0:
                     ok = False
@@ -311,7 +254,7 @@ def thm112_build(r3: int) -> Thm112Result:
     Delta_{ij} = (-1)^(i+j) * minor(d_3 without rows i, j) for i < j;
     d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the x_k read from the
     displayed skew pattern of B^T Delta B.  The complex records d_2 =
-    B^T . Delta, so `verify_complex` can form d_1 . d_2 as
+    B^T . Delta, so `verify_complex` forms d_1 . d_2 as
     (d_1 . B^T) . Delta, whose middle factor cancels to fewer terms, and
     d_2 . d_3 as B^T . (Delta . d_3).  Raises AssertionError, naming r3, if
     Delta . d_3 != 0 or B^T Delta B is off the pattern.
@@ -364,9 +307,7 @@ def thm112_build(r3: int) -> Thm112Result:
             )
     d1 = ExactMatrix([[a1 * x1, a1 * x2, a1 * x3]])
     fmt = derive_ranks([1, 3, f2, r3])
-    variables = tuple(
-        sorted({v for row in A + B for e in row for v in e.variables()} | {"a1"})
-    )
+    variables = tuple(exact.variables(e for row in A + B + [[a1]] for e in row))
     cx = FreeComplex(
         fmt=fmt, differentials=[d1, d2, d3], variables=variables, label=f"thm112(r3={r3})",
         factored={2: (Bt, delta)},

@@ -210,11 +210,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def variables(self) -> List[str]:
-        # A field of the OR of all monomials is nonzero iff some monomial
-        # has that variable.
-        return sorted(REGISTRY.name(i) for i, _ in _unpack(reduce(or_, self.terms, 0)))
-
     def total_degree(self) -> int:
         return _max_degree(self.terms)
 
@@ -300,6 +295,16 @@ class MPoly:
 
 
 Entry = Union[int, MPoly]
+
+
+def variables(entries: Iterable[Entry]) -> List[str]:
+    """The names of the variables occurring in the entries, sorted; an int
+    entry has none.  Seeded points draw one coordinate per name in this
+    order, which is not registry order, and X10 sorts before X2."""
+    # A field of the OR of every monomial is nonzero iff some entry has
+    # that variable.
+    support = reduce(or_, (m for e in entries if isinstance(e, MPoly) for m in e.terms), 0)
+    return sorted(REGISTRY.name(i) for i, _ in _unpack(support))
 
 
 def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:

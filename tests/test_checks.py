@@ -128,7 +128,7 @@ def test_be_multipliers_catch_a_wrong_complement_sign(monkeypatch):
     assert run_check("be-multipliers") == (
         "factorization holds at 10 seeded points on each of 5 fixtures"
     )
-    monkeypatch.setattr(complexes, "_complement_sign", lambda subset, n: 1)
+    monkeypatch.setattr(complexes, "_complement_sign", lambda subset: 1)
     with pytest.raises(CheckFailed, match=re.escape(
         "koszul at seed 1: d_2: inconsistent scalar at (1, 2)x(0, 2)"
     )):

@@ -236,7 +236,7 @@ def test_q1_antisymmetrization_nonzero():
     fmt = derive_ranks([1, 5, 5, 2])
     a = q1_coefficients(fmt, [1, 3, 4], [2, 4], [3, 5])
     b = q1_coefficients(fmt, [1, 3, 4], [3, 5], [2, 4])
-    names = sorted(set(a.variables()) | set(b.variables()))
+    names = exact.variables([a, b])
     pt = seeded_random_point(42, names)
     values = ExactMatrix([[a, b]]).substitute(pt).data[0]
     assert values[0] - values[1] != 0
@@ -316,7 +316,7 @@ def test_a_stale_record_never_hides_a_nonzero_composition():
     assert list(rep.failures) == want
 
 
-def test_a_record_is_followed_only_where_it_saves_term_products(monkeypatch):
+def test_a_verified_record_is_always_followed(monkeypatch):
     products = []
     matmul = ExactMatrix.matmul
 
@@ -331,14 +331,18 @@ def test_a_record_is_followed_only_where_it_saves_term_products(monkeypatch):
         return [any(a is d and b is e for a, b in products) for d, e in ((d1, d2), (d2, d3))]
 
     cx = thm112_build(2).complex
+    products.clear()
     assert verify_complex(cx).ok and direct(cx) == [False, False]
-    # d_2 = 1 . d_2 pays on neither side: (d_1 . 1) . d_2 multiplies more
-    # term products than d_1 . d_2, and 1 . (d_2 . d_3) as many as d_2 . d_3.
+    # d_2 = 1 . G, G a copy of d_2, saves nothing, yet d_1 . d_2 is formed
+    # as (d_1 . 1) . G and d_2 . d_3 as 1 . (G . d_3).
     cx = koszul_complex()
     one = ExactMatrix([[int(i == j) for j in range(3)] for i in range(3)])
-    recorded = FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (one, cx.d(2))})
+    G = ExactMatrix(cx.d(2).data)
+    recorded = FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (one, G)})
     products.clear()
-    assert verify_complex(recorded).ok and direct(recorded) == [True, True]
+    rep = verify_complex(recorded)
+    assert rep.ok and direct(recorded) == [False, False]
+    assert rep == verify_complex(cx)
 
 
 def test_a_record_of_the_wrong_shape_is_refused_and_a_point_drops_the_record():
@@ -359,6 +363,16 @@ def test_a_record_of_the_wrong_shape_is_refused_and_a_point_drops_the_record():
     ids=["koszul"] + [f"thm112-{r3}" for r3 in range(1, 5)] + [f"monomial-{t}" for t in range(2, 9)],
 )
 def test_entry_variables_is_the_union_of_each_entrys_variables(build):
+    # The names each builder makes, written out.
     cx = build()
-    names = {v for d in cx.differentials for row in d.data for e in row if isinstance(e, MPoly) for v in e.variables()}
-    assert complexes.entry_variables(cx) == sorted(names)
+    if cx.label == "koszul":
+        names = ["x", "y", "z"]
+    elif cx.label.startswith("thm112"):
+        r3 = cx.fmt.f[3]
+        names = [f"A{i}_{j}" for i in range(1, r3 + 3) for j in range(1, r3 + 1)]
+        names += [f"b{i}_{j}" for i in range(1, r3 + 3) for j in range(1, 4)] + ["a1"]
+    else:
+        names = [f"X{i}" for i in range(1, cx.fmt.f[1] + 1)]
+    entries = [e for d in cx.differentials for row in d.data for e in row]
+    assert exact.variables(entries) == sorted(names)
+    assert exact.variables(cx.substitute(seeded_random_point(1, names)).d(2).data[0]) == []

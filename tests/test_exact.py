@@ -287,7 +287,7 @@ def test_packed_kernel_matches_the_tuple_oracle():
         assert str(p * q) == _oracle_str(_oracle_mul(op, oq))
         assert str(p * q - q * p) == "0"
         assert (p * q).total_degree() == max((sum(e for _, e in m) for m in _oracle_mul(op, oq)), default=0)
-        assert p.variables() == sorted({exact.REGISTRY.name(i) for m in op for i, _ in m})
+        assert exact.variables([p]) == sorted({exact.REGISTRY.name(i) for m in op for i, _ in m})
         point = {name: rng.randint(-9, 9) for name in ORACLE_NAMES}
         assert _value(p * q, point) == _oracle_substitute(_oracle_mul(op, oq), point)
 

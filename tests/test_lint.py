@@ -16,7 +16,9 @@ quotients are all ints.  No module imports `dataclasses`: its generated
 methods cost about 1 ms of import per record class, and records are
 NamedTuples.  A `functools.cache` or `lru_cache` decorates only
 functions without parameters: output must not depend on call history, and a
-repeated job pays for its own mathematics."""
+repeated job pays for its own mathematics.  Outside `exact`, no module reads
+`exact.REGISTRY` or a private name of `exact`, or imports either: only
+`exact` knows how monomials are packed and where variable names live."""
 
 import ast
 import re
@@ -370,6 +372,56 @@ def test_import_lint_flags_every_import_of_the_module(module):
     )
     assert module_imports(tree, module) == [1, 2, 3, 5]
     assert module_imports(tree, "math") == [3, 7]
+
+
+def _exact_internal(name):
+    return name == "REGISTRY" or name.startswith("_")
+
+
+def exact_internals(tree):
+    """The lines, ascending, where a tree reads the variable registry or a
+    private name of `exact`: `exact.REGISTRY` or `exact._name` on a name
+    bound to the module, or either name imported from it."""
+    modules = {"exact"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "exact"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _exact_internal(node.attr):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact":
+            if any(_exact_internal(alias.name) for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "exact"], ids=lambda p: p.stem
+)
+def test_only_exact_reads_its_registry_and_private_names(path):
+    lines = exact_internals(ast.parse(path.read_text(), filename=str(path)))
+    assert lines == [], f"{path.name}: reads exact's registry or private names at lines {lines}"
+
+
+def test_exact_internals_lint_flags_every_read_of_the_registry_or_a_private_name():
+    tree = ast.parse(
+        "from . import exact\n"
+        "from .exact import MPoly, _unpack\n"
+        "from resatlas.exact import REGISTRY as R\n"
+        "from resatlas import exact as ex\n"
+        "def f(m):\n"
+        "    return [exact.REGISTRY.name(i) for i, _ in exact._unpack(m)]\n"
+        "ex._BITS\n"
+        "exact.variables([])\n"
+        "other._unpack(0)\n"
+        "MPoly._private\n"
+    )
+    assert exact_internals(tree) == [2, 3, 6, 6, 7]
 
 
 def run_check_names(tree):
