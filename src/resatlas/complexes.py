@@ -113,16 +113,15 @@ def verify_complex(complex_: FreeComplex) -> ComplexReport:
 def koszul_complex() -> FreeComplex:
     """The Koszul complex on three variables: the standard acyclic fixture
     of format (1, 3, 3, 1)."""
-    x = MPoly.var("x")
-    y = MPoly.var("y")
-    z = MPoly.var("z")
+    names = ("x", "y", "z")
+    x, y, z = exact.ring(names)
     d1 = ExactMatrix([[x, y, z]])
     d2 = ExactMatrix([[-y, -z, 0], [x, 0, -z], [0, x, y]])
     d3 = ExactMatrix([[z], [-y], [x]])
     return FreeComplex(
         fmt=derive_ranks([1, 3, 3, 1]),
         differentials=[d1, d2, d3],
-        variables=("x", "y", "z"),
+        variables=names,
         label="koszul",
     )
 
@@ -270,9 +269,12 @@ def thm112_build(r3: int) -> Thm112Result:
             f"symbolic determinants only up to {limit}x{limit}; r3 <= {limit} required"
         )
     f2 = r3 + 2
-    A = [[MPoly.var(f"A{i + 1}_{j + 1}") for j in range(r3)] for i in range(f2)]
-    B = [[MPoly.var(f"b{i + 1}_{j + 1}") for j in range(3)] for i in range(f2)]
-    a1 = MPoly.var("a1")
+    names = [f"A{i}_{j}" for i in range(1, f2 + 1) for j in range(1, r3 + 1)]
+    names += [f"b{i}_{j}" for i in range(1, f2 + 1) for j in range(1, 4)] + ["a1"]
+    gens = iter(exact.ring(names))
+    A = [[next(gens) for _ in range(r3)] for _ in range(f2)]
+    B = [[next(gens) for _ in range(3)] for _ in range(f2)]
+    a1 = next(gens)
     d3 = ExactMatrix(A)
     Bm = ExactMatrix(B)
     # Entry (i, c) of Delta . d_3 is, up to one sign per row i, the Laplace
@@ -307,9 +309,8 @@ def thm112_build(r3: int) -> Thm112Result:
             )
     d1 = ExactMatrix([[a1 * x1, a1 * x2, a1 * x3]])
     fmt = derive_ranks([1, 3, f2, r3])
-    variables = tuple(exact.variables(e for row in A + B + [[a1]] for e in row))
     cx = FreeComplex(
-        fmt=fmt, differentials=[d1, d2, d3], variables=variables, label=f"thm112(r3={r3})",
+        fmt=fmt, differentials=[d1, d2, d3], variables=tuple(sorted(names)), label=f"thm112(r3={r3})",
         factored={2: (Bt, delta)},
     )
     return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3))
@@ -343,7 +344,8 @@ def monomial_complex(t: int) -> MonomialResult:
             f"only degrees below {DEGREE_LIMIT}; t <= {DEGREE_LIMIT // 2} required"
         )
     m = 2 * t
-    X = [MPoly.var(f"X{i}") for i in range(1, m + 1)]
+    names = tuple(f"X{i}" for i in range(1, m + 1))
+    X = exact.ring(names)
 
     def xv(i: int) -> MPoly:
         return X[(i - 1) % m]  # 1-based cyclic
@@ -367,7 +369,7 @@ def monomial_complex(t: int) -> MonomialResult:
     cx = FreeComplex(
         fmt=fmt,
         differentials=[d1, d2, d3],
-        variables=tuple(f"X{i}" for i in range(1, m + 1)),
+        variables=names,
         label=f"monomial(t={t})",
     )
     return MonomialResult(complex=cx, ideal_generators=tuple(ps))
@@ -391,9 +393,8 @@ class SplitD4Model(NamedTuple):
 def d4_split_model() -> SplitD4Model:
     """The split resolution of format (1, 4, 4, 1) with generic
     multiplication, built verbatim from its defining tables."""
-    b = {
-        (i, j): MPoly.var(f"b{i}{j}") for i in range(1, 5) for j in range(i + 1, 5)
-    }
+    keys = list(combinations(range(1, 5), 2))
+    b = dict(zip(keys, exact.ring(f"b{i}{j}" for i, j in keys)))
     zero = MPoly.const(0)
     one = MPoly.const(1)
     ee: Dict[Tuple[int, int], Tuple[MPoly, ...]] = {}
@@ -500,8 +501,11 @@ def q1_coefficients(
     for name, idx, bound in (("I", I, f1), ("J", J, f2), ("K", K, f2)):
         if any(not 1 <= v <= bound for v in idx):
             raise ValueError(f"{name} out of range")
-    d3 = ExactMatrix([[MPoly.var(f"D3_{i}_{j}") for j in range(1, f3 + 1)] for i in range(1, f2 + 1)])
-    d2 = ExactMatrix([[MPoly.var(f"D2_{i}_{j}") for j in range(1, f2 + 1)] for i in range(1, f1 + 1)])
+    names = [f"D3_{i}_{j}" for i in range(1, f2 + 1) for j in range(1, f3 + 1)]
+    names += [f"D2_{i}_{j}" for i in range(1, f1 + 1) for j in range(1, f2 + 1)]
+    gens = iter(exact.ring(names))
+    d3 = ExactMatrix([[next(gens) for _ in range(f3)] for _ in range(f2)])
+    d2 = ExactMatrix([[next(gens) for _ in range(f2)] for _ in range(f1)])
     zero = MPoly.const(0)
     if len(set(I)) != len(I) or len(set(J)) != len(J) or len(set(K)) != len(K):
         return zero

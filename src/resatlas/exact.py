@@ -1,20 +1,23 @@
 """Exact arithmetic kernel: sparse integer polynomials and exact matrices.
 
 Coefficients, points and numeric entries are Python ints (arbitrary
-precision).  Polynomials are sparse dicts keyed by packed monomials; matrices
-support fraction-free elimination, symbolic determinants and rank at integer
-specializations.
+precision).  `ring(names)` makes the variables of one polynomial ring; a
+polynomial is a sparse dict keyed by packed monomials plus its ring's names,
+so its printed term order depends on its ring alone, never on what else the
+process built.  Matrices support fraction-free elimination, symbolic
+determinants and rank at integer specializations.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import reduce
 from operator import or_
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 # A monomial is one int of `_BITS`-wide fields: field 0 holds the total
-# degree and field i + 1 the exponent of registry variable i, so the product
+# degree and field i + 1 the exponent of the ring's i-th name, so the product
 # of two monomials is their sum (Monagan and Pearce, "Sparse polynomial
 # multiplication and division in Maple 14", ISSAC 2009) and 0 is the
 # monomial 1.  No exponent exceeds the total degree, so keeping every degree
@@ -41,36 +44,9 @@ _MASK = DEGREE_LIMIT - 1
 SYMBOLIC_DET_LIMIT = 8
 
 
-class VarRegistry:
-    """Global registry fixing a total order on variable names.
-
-    The registry index determines the lexicographic component of the graded
-    lexicographic monomial order, so creating variables in a fixed order keeps
-    printing and term order reproducible.
-    """
-
-    def __init__(self) -> None:
-        self.names: List[str] = []
-        self.index: Dict[str, int] = {}
-
-    def intern(self, name: str) -> int:
-        idx = self.index.get(name)
-        if idx is None:
-            idx = len(self.names)
-            self.names.append(name)
-            self.index[name] = idx
-        return idx
-
-    def name(self, idx: int) -> str:
-        return self.names[idx]
-
-
-REGISTRY = VarRegistry()
-
-
 def _unpack(m: int) -> List[Tuple[int, int]]:
-    """The (variable index, positive exponent) pairs of a monomial, in
-    registry order."""
+    """The (variable index, positive exponent) pairs of a monomial, in the
+    order of its ring's names."""
     fields = m.to_bytes((m.bit_length() + 7) >> 3, "little")
     return [(idx, e) for idx, e in enumerate(fields[1:]) if e]
 
@@ -138,64 +114,65 @@ def _sum_products(pairs: Products) -> Dict[int, int]:
     return out
 
 
-def _point(assignment: Mapping[str, int]) -> Dict[int, int]:
-    """An integer point keyed by registry index.  Every coordinate must be
-    an int, so Bareiss's exact division never meets a rational entry.
-    Names that were never interned occur in no polynomial and are skipped,
-    so evaluating never grows the registry."""
-    for name, value in assignment.items():
-        if not isinstance(value, int):
-            raise TypeError(f"coordinate {name!r} is {value!r}, not an int")
-    index = REGISTRY.index
-    return {index[name]: value for name, value in assignment.items() if name in index}
-
-
-def _weigh(terms: Mapping[int, int], point: Mapping[int, int]) -> int:
-    """The value of a terms dict at an integer point: the sum of
-    c * prod x_i^e_i over the terms."""
+def _weigh(p: "MPoly", point: Mapping[str, int]) -> int:
+    """The value of a polynomial at a point keyed by name: the sum of
+    c * prod x_i^e_i over its terms."""
     total = 0
-    for mono, coeff in terms.items():
+    for mono, coeff in p.terms.items():
         for idx, e in _unpack(mono):
-            x = point.get(idx)
+            x = point.get(p.names[idx])
             if x is None:
-                raise KeyError(f"missing variable {REGISTRY.name(idx)!r}")
+                raise KeyError(f"missing variable {p.names[idx]!r}")
             coeff *= x**e
         total += coeff
     return total
 
 
-def _poly(terms: Mapping[int, int]) -> "MPoly":
-    result = MPoly()
-    result.terms = {m: c for m, c in terms.items() if c}
-    return result
+def _ring(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The names of a result whose operands have the names a and b; a
+    constant's () fits any ring."""
+    if a is b or not b:
+        return a
+    if not a or a == b:
+        return b
+    raise ValueError(f"operands from two rings: {a} and {b}")
+
+
+def ring(names: Iterable[str]) -> List["MPoly"]:
+    """The variables of one polynomial ring, in the order of `names`.  That
+    order fixes their monomial fields, and so the printed term order of
+    every polynomial in the ring.  A repeated name raises ValueError."""
+    names = tuple(names)
+    repeated = sorted(name for name, k in Counter(names).items() if k > 1)
+    if repeated:
+        raise ValueError(f"a ring names each variable once; repeated: {', '.join(repeated)}")
+    return [MPoly({1 << (_BITS * (i + 1)) | 1: 1}, names) for i in range(len(names))]
 
 
 class MPoly:
     """Sparse multivariate polynomial over the integers.
 
     Terms are stored in a dict mapping packed monomial -> nonzero int
-    coefficient.  Two polynomials are equal iff their term dicts are equal
-    (canonical form: no zero coefficients are ever stored).
+    coefficient, and `names` names the variables of the polynomial's ring:
+    field i + 1 of a monomial is the exponent of names[i].  A constant's
+    names are (), and it fits any ring; an arithmetic result takes the
+    names its operands share, and operands from two rings raise ValueError.
+    Two polynomials are equal iff their term dicts are equal and they are
+    constants or share a ring (canonical form: no zero coefficients are
+    ever stored).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "names")
 
-    def __init__(self, terms: Mapping[int, int] | None = None) -> None:
-        self.terms: Dict[int, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    self.terms[mono] = coeff
+    def __init__(self, terms: Mapping[int, int] | None = None, names: Tuple[str, ...] = ()) -> None:
+        self.terms: Dict[int, int] = {m: c for m, c in terms.items() if c} if terms else {}
+        self.names = names
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(c: int) -> "MPoly":
         return MPoly({0: c} if c else {})
-
-    @staticmethod
-    def var(name: str) -> "MPoly":
-        return MPoly({1 << (_BITS * (REGISTRY.intern(name) + 1)) | 1: 1})
 
     @staticmethod
     def coerce(value: "MPoly | int") -> "MPoly":
@@ -226,14 +203,13 @@ class MPoly:
                 out.pop(mono, None)
         result = MPoly()
         result.terms = out
+        result.names = _ring(self.names, other.names)
         return result
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        result = MPoly()
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return MPoly({m: -c for m, c in self.terms.items()}, self.names)
 
     def __sub__(self, other: "MPoly | int") -> "MPoly":
         return self + (-MPoly.coerce(other))
@@ -242,7 +218,9 @@ class MPoly:
         return MPoly.coerce(other) + (-self)
 
     def __mul__(self, other: "MPoly | int") -> "MPoly":
-        return _poly(_sum_products([(self.terms, MPoly.coerce(other).terms, 1)]))
+        other = MPoly.coerce(other)
+        names = _ring(self.names, other.names)
+        return MPoly(_sum_products([(self.terms, other.terms, 1)]), names)
 
     __rmul__ = __mul__
 
@@ -252,7 +230,8 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.terms == other.terms
+        terms = self.terms
+        return terms == other.terms and (self.names == other.names or not terms.keys() - {0})
 
     def __hash__(self) -> int:
         # A constant equals its int (see __eq__), so it hashes as that int.
@@ -266,9 +245,9 @@ class MPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        # Graded lexicographic: total degree first, then exponents in
-        # registry order (a higher exponent on an earlier variable sorts
-        # first).  The key determines the monomial, so the sort never
+        # Graded lexicographic: total degree first, then exponents in the
+        # order of the ring's names (a higher exponent on an earlier variable
+        # sorts first).  The key determines the monomial, so the sort never
         # compares coefficients, and it carries the exponents to print.
         pieces = []
         for _, key, coeff in sorted(
@@ -276,7 +255,7 @@ class MPoly:
         ):
             factors = []
             for idx, neg in key:
-                name = REGISTRY.name(idx)
+                name = self.names[idx]
                 factors.append(name if neg == -1 else f"{name}^{-neg}")
             if not factors:
                 body = str(abs(coeff))
@@ -299,12 +278,15 @@ Entry = Union[int, MPoly]
 
 def variables(entries: Iterable[Entry]) -> List[str]:
     """The names of the variables occurring in the entries, sorted; an int
-    entry has none.  Seeded points draw one coordinate per name in this
-    order, which is not registry order, and X10 sorts before X2."""
+    entry has none, and entries from two rings raise ValueError.  Seeded
+    points draw one coordinate per name in this order, which is not ring
+    order, and X10 sorts before X2."""
+    polys = [e for e in entries if isinstance(e, MPoly)]
+    names = reduce(_ring, (p.names for p in polys), ())
     # A field of the OR of every monomial is nonzero iff some entry has
     # that variable.
-    support = reduce(or_, (m for e in entries if isinstance(e, MPoly) for m in e.terms), 0)
-    return sorted(REGISTRY.name(i) for i, _ in _unpack(support))
+    support = reduce(or_, (m for p in polys for m in p.terms), 0)
+    return sorted(names[i] for i, _ in _unpack(support))
 
 
 def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
@@ -312,18 +294,21 @@ def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
     give it, skipping pairs with an int 0 factor.  Products with an MPoly
     factor form one `_sum_products`; int ones stay an int."""
     num: Entry = 0
+    names: Tuple[str, ...] = ()
     products: Products = []
     for a, b in pairs:
         if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
             continue
         if isinstance(a, MPoly) or isinstance(b, MPoly):
-            products.append((MPoly.coerce(a).terms, MPoly.coerce(b).terms, 1))
+            a, b = MPoly.coerce(a), MPoly.coerce(b)
+            names = _ring(_ring(names, a.names), b.names)
+            products.append((a.terms, b.terms, 1))
         else:
             num = num + a * b
     if not products:
         return num
     products.append((MPoly.coerce(num).terms, {0: 1}, 1))
-    return _poly(_sum_products(products))
+    return MPoly(_sum_products(products), names)
 
 
 class ExactMatrix:
@@ -427,7 +412,8 @@ class ExactMatrix:
         n = self.rows
         if n > SYMBOLIC_DET_LIMIT:
             raise ValueError(f"symbolic determinant limited to {SYMBOLIC_DET_LIMIT}x{SYMBOLIC_DET_LIMIT}")
-        entries = [[MPoly.coerce(e) if not isinstance(e, MPoly) else e for e in row] for row in self.data]
+        entries = [[MPoly.coerce(e) for e in row] for row in self.data]
+        names = reduce(_ring, (e.names for row in entries for e in row), ())
         cache: Dict[Tuple[int, Tuple[int, ...]], MPoly] = {}
 
         def expand(row: int, cols: Tuple[int, ...]) -> MPoly:
@@ -444,7 +430,7 @@ class ExactMatrix:
                     continue
                 rest = expand(row + 1, cols[:pos] + cols[pos + 1 :])
                 products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
-            acc = _poly(_sum_products(products))
+            acc = MPoly(_sum_products(products), names)
             cache[key] = acc
             return acc
 
@@ -466,15 +452,19 @@ class ExactMatrix:
         return self._bareiss()[0]
 
     def substitute(self, assignment: Mapping[str, int]) -> "ExactMatrix":
-        """Every entry evaluated at a full integer point, as an int."""
-        point = _point(assignment)
+        """Every entry evaluated at a full integer point, as an int.  Every
+        coordinate must be an int, so Bareiss's exact division never meets
+        a rational entry."""
+        for name, value in assignment.items():
+            if not isinstance(value, int):
+                raise TypeError(f"coordinate {name!r} is {value!r}, not an int")
         out = []
         for i, row in enumerate(self.data):
             new_row: List[Entry] = []
             for j, e in enumerate(row):
                 if isinstance(e, MPoly):
                     try:
-                        e = _weigh(e.terms, point)
+                        e = _weigh(e, assignment)
                     except KeyError as err:
                         raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
                 new_row.append(e)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterator, Sequence, Tuple
 
+from .formats import _check_pqr
+
 
 def is_dominant(w: Sequence[int]) -> bool:
     return all(w[i] >= w[i + 1] for i in range(len(w) - 1))
@@ -58,8 +60,7 @@ def g2_dim_formula(p: int, q: int, r: int) -> int:
     C(r-1,2)*[C(N+1,2) - dim S_{2^p}] + C(r,2)*[C(N,2) - dim S_{2^{p-1},1,1}]
     with N = C(p+q, p) and Schur dimensions over rank p+q.
     """
-    if p < 2 or q < 1 or r < 2:
-        raise ValueError("require p >= 2, q >= 1, r >= 2")
+    _check_pqr(p, q, r)
     n = p + q
     N = comb(n, p)
 
@@ -73,6 +74,5 @@ def g2_dim_formula(p: int, q: int, r: int) -> int:
 
 def g1_dim_formula(p: int, q: int, r: int) -> int:
     """Dimension of the first graded piece: C^{r-1} tensor Lambda^p C^{p+q}."""
-    if p < 2 or q < 1 or r < 2:
-        raise ValueError("require p >= 2, q >= 1, r >= 2")
+    _check_pqr(p, q, r)
     return (r - 1) * comb(p + q, p)

@@ -16,7 +16,7 @@ import pytest
 from resatlas import cli, complexes, formats, kacmoody, rings, schur
 from resatlas.checks import CHECKS, Budget, CheckFailed
 from resatlas.complexes import FreeComplex
-from resatlas.exact import ExactMatrix, MPoly
+from resatlas.exact import ExactMatrix
 
 
 def run_check(name):
@@ -64,7 +64,8 @@ def test_monomial_family_catches_a_wrong_generator_degree(monkeypatch):
     def extra_factor(t):
         res = build(t)
         gens = res.ideal_generators
-        return res._replace(ideal_generators=(gens[0] * MPoly.var("X1"),) + gens[1:])
+        x1 = res.complex.d(3).data[1][0]  # d_3 = (X_2t, X_1, ..., X_2t-1)^T
+        return res._replace(ideal_generators=(gens[0] * x1,) + gens[1:])
 
     monkeypatch.setattr(complexes, "monomial_complex", extra_factor)
     with pytest.raises(CheckFailed, match=r"monomial family t=2: generator .* not of degree 2"):

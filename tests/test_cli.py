@@ -17,6 +17,19 @@ def run(capsys, *argv):
     return code, out
 
 
+def record_rings(monkeypatch):
+    """The names of every ring `exact.ring` makes from now on, in order."""
+    made = []
+    ring = exact.ring
+
+    def recording(names):
+        made.append(tuple(names))
+        return ring(made[-1])
+
+    monkeypatch.setattr(exact, "ring", recording)
+    return made
+
+
 def test_analyze_d4(capsys):
     code, out = run(capsys, "analyze", "1", "4", "4", "1")
     assert code == 0
@@ -173,11 +186,13 @@ def test_q1_command_bad_indices(capsys):
     ],
     ids=["r0-negative", "r2-zero"],
 )
-def test_q1_refuses_an_invalid_format(capsys, fmt, message):
-    names = list(exact.REGISTRY.names)
+def test_q1_refuses_an_invalid_format(capsys, monkeypatch, fmt, message):
+    made = record_rings(monkeypatch)
     assert main(["q1", "--format", *fmt, "--J", "1", "--K", "2"]) == 2
     assert capsys.readouterr() == ("", message)
-    assert exact.REGISTRY.names == names  # refused before any variable was made
+    assert made == []  # refused before any variable was made
+    assert main(["q1", "--format", "1", "4", "4", "1", "--I", "1,2", "--J", "3", "--K", "4"]) == 0
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize(
@@ -213,12 +228,12 @@ def test_a_malformed_entry_is_named_and_exits_2(capsys, argv, message):
          "determinants only up to 8x8; r3 <= 8 required\n"),
     ],
 )
-def test_a_family_past_the_degree_ceiling_exits_2(capsys, argv, message):
-    names = list(exact.REGISTRY.names)
+def test_a_family_past_the_degree_ceiling_exits_2(capsys, monkeypatch, argv, message):
+    made = record_rings(monkeypatch)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
-    assert exact.REGISTRY.names == names  # refused before any variable was made
+    assert made == []  # refused before any variable was made
 
 
 def test_suite_json(capsys):
@@ -388,11 +403,19 @@ def test_a_golden_mismatch_names_the_first_differing_offset(got, offset):
         assert_same_text(got, "abcdef")
 
 
-# The goldens whose output does not follow the process-global variable
-# registry: the symbolic commands (`verify-*`, `q1`) print terms in the
-# order their variables were first interned in the process.  The E6
-# `bgg-check` (0.45 s) is left to the fresh-process test.
+# The goldens rerun in one process, forwards and then reversed: no output
+# may depend on what ran before it.  The symbolic commands (`verify-*`,
+# `q1`) print terms in the order of their builder's own ring, whichever
+# rings earlier commands made.  The E6 `bgg-check` (0.45 s) is left to the
+# fresh-process test.
 IN_PROCESS = [
+    "verify-thm112 --r3 2 --json",
+    "verify-monomial --t 4 --json",
+    "q1 --format 2 5 5 2 --I 1,2,3 --J 1,2 --K 3,4 --json",
+    "verify-thm112 --r3 3 --json",
+    "verify-monomial --t 8 --json",
+    "verify-thm112 --r3 4 --json",
+    "verify-thm112 --r3 3",
     "roots --pqr 2 3 7 --max-height 16",
     "roots --pqr 3 3 3 --max-height 12 --json",
     "defect --pqr 2 4 5 --max-height 8 --cutoff 5 --json",

@@ -1,9 +1,5 @@
-import os
 import re
-import subprocess
-import sys
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -50,7 +46,8 @@ def test_a_complex_refuses_a_differential_of_the_wrong_shape():
 def test_verify_complex_reports_failures():
     cx = koszul_complex()
     data = [list(row) for row in cx.differentials[1].data]
-    data[0][0] = data[0][0] + MPoly.var("x")
+    x = cx.d(1).data[0][0]
+    data[0][0] = data[0][0] + x
     broken = ExactMatrix(data)
     bad = FreeComplex(fmt=cx.fmt, differentials=[cx.differentials[0], broken, cx.differentials[2]])
     rep = verify_complex(bad)
@@ -116,20 +113,7 @@ def test_monomial_family(t):
 
 
 def test_monomial_family_at_the_degree_ceiling():
-    # t = 128 interns 256 variables, so it runs in a fresh interpreter and
-    # leaves this process's registry, and so its printing order, alone.
-    code = (
-        "from resatlas.complexes import monomial_complex, verify_complex\n"
-        "print(verify_complex(monomial_complex(128).complex).ok)\n"
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
+    assert verify_complex(monomial_complex(128).complex).ok
     with pytest.raises(ValueError, match=r"t <= 128 required"):
         monomial_complex(129)
 
@@ -257,10 +241,11 @@ def test_verify_complex_names_one_negated_term_on_the_split_path():
     assert exact._classes(sum(len(d1.data[0][k].terms) * len(d2.data[k][0].terms) for k in range(3))) > 1
     m, c = next(iter(d2.data[0][0].terms.items()))
     data = [list(row) for row in d2.data]
-    data[0][0] = data[0][0] + MPoly({m: -2 * c})
+    term = MPoly({m: -2 * c}, data[0][0].names)
+    data[0][0] = data[0][0] + term
     cx = res.complex
     broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label)
-    want = str(d1.data[0][0] * MPoly({m: -2 * c}))
+    want = str(d1.data[0][0] * term)
     assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]
 
 
@@ -272,7 +257,7 @@ def _negate_one_d1_term(cx):
     d1, d2, d3 = cx.differentials
     m, c = next(iter(d1.data[0][0].terms.items()))
     data = [list(row) for row in d1.data]
-    data[0][0] = data[0][0] + MPoly({m: -2 * c})
+    data[0][0] = data[0][0] + MPoly({m: -2 * c}, data[0][0].names)
     return FreeComplex(cx.fmt, [ExactMatrix(data), d2, d3], cx.variables, cx.label, cx.factored)
 
 
@@ -307,7 +292,8 @@ def test_a_stale_record_never_hides_a_nonzero_composition():
     cx = thm112_build(2).complex
     d1, d2, d3 = cx.differentials
     data = [list(row) for row in d2.data]
-    data[0][0] = data[0][0] + MPoly.var("a1")
+    a1 = exact.ring(d2.data[0][0].names)[-1]  # the ring's last name
+    data[0][0] = data[0][0] + a1
     broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label, cx.factored)
     rep = verify_complex(broken)
     assert not rep.ok and {f[0] for f in rep.failures} == {1, 2}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from resatlas import exact
-from resatlas.exact import _BITS, ExactMatrix, MPoly, seeded_random_point
+from resatlas.exact import _BITS, ExactMatrix, MPoly, ring, seeded_random_point
 
 
 def _value(p, point):
@@ -26,15 +26,13 @@ def _power(p, e):
 
 
 def test_mpoly_arithmetic_vs_substitution():
-    x = MPoly.var("x")
-    y = MPoly.var("y")
+    x, y = ring(["x", "y"])
     expr = (x + 2 * y) * (x - y) + 3
     assert _value(expr, {"x": 5, "y": -2}) == (5 - 4) * (5 + 2) + 3
 
 
 def test_mpoly_identities():
-    x = MPoly.var("x")
-    y = MPoly.var("y")
+    x, y = ring(["x", "y"])
     assert ((x + y) * (x + y) - (x * x + 2 * x * y + y * y)).is_zero()
     assert (x - x).is_zero()
     assert x * 0 == MPoly.const(0)
@@ -44,7 +42,7 @@ def test_mpoly_identities():
 
 def test_constant_mpoly_hashes_as_its_int():
     # Equal values must hash alike: a constant polynomial equals its int.
-    x = MPoly.var("x")
+    (x,) = ring(["x"])
     assert 3 in {MPoly.const(3)} and MPoly.const(3) in {3}
     assert 0 in {MPoly.const(0)} and (x - x) in {0}
     table = {3: "three", 0: "zero"}
@@ -54,8 +52,7 @@ def test_constant_mpoly_hashes_as_its_int():
 
 
 def test_mpoly_str_canonical():
-    x = MPoly.var("x")
-    y = MPoly.var("y")
+    x, y = ring(["x", "y"])
     assert str(x * y - y * x) == "0"
     assert str(x + y) == str(y + x)
 
@@ -70,7 +67,7 @@ def test_det_bareiss_matches_expansion():
 
 
 def test_symbolic_det_vandermonde():
-    a, b, c = MPoly.var("a"), MPoly.var("b"), MPoly.var("c")
+    a, b, c = ring(["a", "b", "c"])
     one = MPoly.const(1)
     m = ExactMatrix([[one, a, a * a], [one, b, b * b], [one, c, c * c]])
     expected = (b - a) * (c - a) * (c - b)
@@ -129,7 +126,7 @@ def test_bareiss_rank_and_det_match_minors():
 
 
 def test_rank_at_symbolic():
-    x = MPoly.var("x")
+    (x,) = ring(["x"])
     m = ExactMatrix([[x, MPoly.const(1)], [MPoly.const(1), x]])
     assert m.substitute({"x": 1}).rank() == 1
     assert m.substitute({"x": 2}).rank() == 2
@@ -164,14 +161,14 @@ def test_matrix_equality_is_exact_in_both_directions():
     three = ExactMatrix([[3]])
     assert three == ExactMatrix([[MPoly.const(3)]])
     assert ExactMatrix([[MPoly.const(3)]]) == three
-    assert ExactMatrix([[MPoly.var("x")]]) != ExactMatrix([[1]])
+    assert ExactMatrix([ring(["x"])]) != ExactMatrix([[1]])
     assert MPoly.const(3) == 3 and 3 == MPoly.const(3)
     assert MPoly.const(3) != 4 and 4 != MPoly.const(3)
     assert hash(MPoly.const(3)) == hash(3)
 
 
 def test_substitute_refuses_a_rational_coordinate():
-    x = MPoly.var("x")
+    (x,) = ring(["x"])
     with pytest.raises(TypeError) as info:
         ExactMatrix([[x, 1]]).substitute({"x": Fraction(1, 2)})
     assert "'x'" in str(info.value)
@@ -187,10 +184,9 @@ def test_rank_and_det_refuse_a_rational_entry():
 
 # -- oracle: the tuple-monomial kernel that packed monomials replaced -------
 #
-# A monomial is a sorted tuple of (registry index, positive exponent) pairs,
-# multiplied by merging through a dict and sorting.  Polynomials are dicts
-# monomial -> nonzero int coefficient.  `exact.REGISTRY` is read at call
-# time: the benchmark worker rebinds it between jobs.
+# A monomial is a sorted tuple of (index in ORACLE_NAMES, positive exponent)
+# pairs, multiplied by merging through a dict and sorting.  Polynomials are
+# dicts monomial -> nonzero int coefficient.
 
 
 def _mono_mul(a, b):
@@ -226,9 +222,7 @@ def _oracle_str(p):
     pieces = []
     for mono in sorted(p, key=_mono_key):
         coeff = p[mono]
-        factors = [
-            exact.REGISTRY.name(idx) if e == 1 else f"{exact.REGISTRY.name(idx)}^{e}" for idx, e in mono
-        ]
+        factors = [ORACLE_NAMES[idx] if e == 1 else f"{ORACLE_NAMES[idx]}^{e}" for idx, e in mono]
         if not factors:
             body = str(abs(coeff))
         elif abs(coeff) == 1:
@@ -247,13 +241,14 @@ def _oracle_substitute(p, point):
     for mono, coeff in p.items():
         term = coeff
         for idx, e in mono:
-            term *= point[exact.REGISTRY.name(idx)] ** e
+            term *= point[ORACLE_NAMES[idx]] ** e
         total += term
     return total
 
 
-# Interned out of name order, so registry order and name order differ.
+# Out of name order, so ring order and name order differ.
 ORACLE_NAMES = ("ov3", "ov1", "ov4", "ov0", "ov2")
+ORACLE_RING = ring(ORACLE_NAMES)
 
 
 def _random_pair(rng, max_terms=6, max_exp=11):
@@ -265,19 +260,17 @@ def _random_pair(rng, max_terms=6, max_exp=11):
         coeff = rng.randint(-4, 4)
         term = MPoly.const(coeff)
         mono = ()
-        for name in ORACLE_NAMES:
+        for idx, var in enumerate(ORACLE_RING):
             e = rng.choice((0, 0, 1, 2, max_exp))
             if e:
-                term = term * _power(MPoly.var(name), e)
-                mono = _mono_mul(mono, ((exact.REGISTRY.intern(name), e),))
+                term = term * _power(var, e)
+                mono = _mono_mul(mono, ((idx, e),))
         poly = poly + term
         oracle = _oracle_add(oracle, {mono: coeff})
     return poly, oracle
 
 
 def test_packed_kernel_matches_the_tuple_oracle():
-    for name in ORACLE_NAMES:
-        MPoly.var(name)
     rng = random.Random(20090728)
     for _ in range(300):
         p, op = _random_pair(rng)
@@ -287,7 +280,7 @@ def test_packed_kernel_matches_the_tuple_oracle():
         assert str(p * q) == _oracle_str(_oracle_mul(op, oq))
         assert str(p * q - q * p) == "0"
         assert (p * q).total_degree() == max((sum(e for _, e in m) for m in _oracle_mul(op, oq)), default=0)
-        assert exact.variables([p]) == sorted({exact.REGISTRY.name(i) for m in op for i, _ in m})
+        assert exact.variables([p]) == sorted({ORACLE_NAMES[i] for m in op for i, _ in m})
         point = {name: rng.randint(-9, 9) for name in ORACLE_NAMES}
         assert _value(p * q, point) == _oracle_substitute(_oracle_mul(op, oq), point)
 
@@ -295,8 +288,6 @@ def test_packed_kernel_matches_the_tuple_oracle():
 def test_matrix_substitute_matches_the_oracle():
     """`ExactMatrix.substitute` gives the oracle's value, as an int, on int
     and MPoly entries at integer points."""
-    for name in ORACLE_NAMES:
-        MPoly.var(name)
     rng = random.Random(1968)
     nonzero = 0
     for trial in range(60):
@@ -324,10 +315,54 @@ def test_matrix_substitute_matches_the_oracle():
 
 
 def test_substitute_names_the_missing_variable_and_the_entry():
-    x, y = MPoly.var("x"), MPoly.var("y")
+    x, y = ring(["x", "y"])
     with pytest.raises(KeyError) as info:
         ExactMatrix([[x, 1], [2, x * y + 1]]).substitute({"x": 3})
     assert info.value.args == ("missing variable 'y' in entry (1, 1)",)
+
+
+# -- rings ----------------------------------------------------------------------
+
+
+def test_ring_refuses_a_repeated_name():
+    with pytest.raises(ValueError, match=r"^a ring names each variable once; repeated: x, z$"):
+        ring(["x", "y", "z", "x", "z"])
+
+
+def test_arithmetic_across_two_rings_raises():
+    x, y = ring(["x", "y"])
+    (u,) = ring(["u"])
+    for across in (
+        lambda: x + u,
+        lambda: u - y,
+        lambda: x * u,
+        lambda: ExactMatrix([[x, y]]).matmul(ExactMatrix([[1], [u]])),
+        lambda: ExactMatrix([[x, 1], [1, u]]).det(),
+        lambda: exact.variables([x, 2, u]),
+    ):
+        with pytest.raises(ValueError, match=r"^operands from two rings: "):
+            across()
+    # A constant fits any ring, and equal names make one ring.
+    _, y2 = ring(["x", "y"])
+    assert str(ExactMatrix([[x, 2]]).matmul(ExactMatrix([[y2], [MPoly.const(3)]])).data[0][0]) == "x*y + 6"
+
+
+def test_equal_terms_in_two_rings_are_equal_only_as_constants():
+    x, y = ring(["x", "y"])
+    y2, x2 = ring(["y", "x"])
+    assert x.terms == y2.terms and x != y2 and str(x) != str(y2)
+    assert x - x == y2 - y2 == 0 and x + 1 - x == MPoly.const(1)
+
+
+def test_a_ring_prints_alike_whatever_other_rings_exist():
+    def shown():
+        x, y, w = ring(["x", "y", "w"])
+        return str(w * x + w * w + x * x + y)
+
+    first = shown()
+    ring(["w", "y", "x"])
+    ring([f"n{i}" for i in range(300)])
+    assert first == shown() == "x^2 + x*w + w^2 + y"
 
 
 def _run_fresh(code, *flags):
@@ -345,15 +380,11 @@ def _run_fresh(code, *flags):
 
 
 def test_evaluating_at_an_unused_name_leaves_term_order_alone():
-    code = (
-        "from resatlas.exact import ExactMatrix, MPoly\n"
-        "z = MPoly.var('z')\n"
-        "ExactMatrix([[z]]).substitute({'w': 1, 'z': 2})\n"
-        "x, y, w = MPoly.var('x'), MPoly.var('y'), MPoly.var('w')\n"
-        "print(x * y + x * x + y * y)\n"
-        "print(w * x + w * w + x * x)\n"
-    )
-    assert _run_fresh(code) == "x^2 + x*y + y^2\nx^2 + x*w + w^2\n"
+    (z,) = ring(["z"])
+    ExactMatrix([[z]]).substitute({"w": 1, "z": 2})
+    x, y, w = ring(["x", "y", "w"])
+    assert str(x * y + x * x + y * y) == "x^2 + x*y + y^2"
+    assert str(w * x + w * w + x * x) == "x^2 + x*w + w^2"
 
 
 def _random_entry(rng):
@@ -416,29 +447,30 @@ def test_numeric_matmul_keeps_the_running_sum_types():
 
 
 def test_degree_past_the_field_raises():
-    x = MPoly.var("x")
+    x, y = ring(["x", "y"])
     highest = _power(x, 2**_BITS - 1)
     assert highest.total_degree() == 2**_BITS - 1 and str(highest) == f"x^{2**_BITS - 1}"
     with pytest.raises(OverflowError):
         highest * x
-    top = _power(x, 2**_BITS - 2) * MPoly.var("y")
+    top = _power(x, 2**_BITS - 2) * y
     assert top.total_degree() == 2**_BITS - 1
     with pytest.raises(OverflowError):
-        top * MPoly.var("y")
+        top * y
     with pytest.raises(OverflowError):
-        ExactMatrix([[top]]).matmul(ExactMatrix([[MPoly.var("y")]]))
+        ExactMatrix([[top]]).matmul(ExactMatrix([[y]]))
     with pytest.raises(OverflowError):
-        ExactMatrix([[top, MPoly.const(1)], [MPoly.const(1), MPoly.var("y")]]).det()
+        ExactMatrix([[top, MPoly.const(1)], [MPoly.const(1), y]]).det()
 
 
 def test_degree_overflow_raises_under_python_O():
     code = (
-        "from resatlas.exact import MPoly, _BITS\n"
+        "from resatlas.exact import MPoly, _BITS, ring\n"
+        "x, y = ring(['x', 'y'])\n"
         "top = MPoly.const(1)\n"
         "for _ in range(2**_BITS - 1):\n"
-        "    top = top * MPoly.var('x')\n"
+        "    top = top * x\n"
         "try:\n"
-        "    top * MPoly.var('y')\n"
+        "    top * y\n"
         "except OverflowError:\n"
         "    print('raised')\n"
     )
@@ -452,22 +484,22 @@ def _sized_pair(rng, size, residue=None):
     """A random polynomial of `size` terms in ORACLE_NAMES, built through
     the MPoly API, and the same polynomial in the oracle's representation.
     With `residue` = (k, r), every packed monomial is r mod k."""
-    packed = {name: next(iter(MPoly.var(name).terms)) for name in ORACLE_NAMES}
+    packed = [next(iter(var.terms)) for var in ORACLE_RING]
     poly, oracle = MPoly.const(0), {}
     for _ in range(100 * size):
         if len(oracle) == size:
             break
         exps = [rng.randint(0, 4) for _ in ORACLE_NAMES]
-        m = sum(e * packed[name] for name, e in zip(ORACLE_NAMES, exps))
+        m = sum(e * mono for mono, e in zip(packed, exps))
         if residue and m % residue[0] != residue[1]:
             continue
-        mono = tuple(sorted((exact.REGISTRY.intern(name), e) for name, e in zip(ORACLE_NAMES, exps) if e))
+        mono = tuple((idx, e) for idx, e in enumerate(exps) if e)
         if mono in oracle:
             continue
         coeff = rng.choice((-3, -2, -1, 1, 2, 3))
         term = MPoly.const(coeff)
-        for name, e in zip(ORACLE_NAMES, exps):
-            term = term * _power(MPoly.var(name), e)
+        for var, e in zip(ORACLE_RING, exps):
+            term = term * _power(var, e)
         poly = poly + term
         oracle[mono] = coeff
     assert len(oracle) == size, f"only {len(oracle)} monomials are {residue[1]} mod {residue[0]}"
@@ -532,9 +564,9 @@ def test_a_cancelling_dot_product_holds_one_residue_class_at_a_time():
     # in one class.
     code = (
         "import tracemalloc\n"
-        "from resatlas.exact import ExactMatrix, MPoly\n"
-        "u = sum((MPoly.var(f'u{i}') for i in range(10)), MPoly.const(0))\n"
-        "v = sum((MPoly.var(f'v{i}') for i in range(10)), MPoly.const(0))\n"
+        "from resatlas.exact import ExactMatrix, MPoly, ring\n"
+        "uv = ring([f'u{i}' for i in range(10)] + [f'v{i}' for i in range(10)])\n"
+        "u, v = sum(uv[:10], MPoly.const(0)), sum(uv[10:], MPoly.const(0))\n"
         "p, q = u * u * u, v * v * v\n"
         "a, b = ExactMatrix([[p, -p]]), ExactMatrix([[q], [q]])\n"
         "tracemalloc.start()\n"

@@ -6,19 +6,17 @@ private bases included, or of a dataclass) is read somewhere in the
 package as an attribute, no module-level public
 function is a generator (the benchmark's tracer wraps every public function
 of a layer module, and on a generator it would time only the generator's
-creation, not the work done as it is consumed), and only `MPoly.var` adds a
-name to the variable registry (printed term order follows the registry, so a
-lookup that interned would make output depend on call history).  The
-package's `__init__` binds no names: it re-exports nothing.  No
-module imports anything from `fractions`: the exact kernel's points, entries,
-determinants and ranks, the signature's diagonal pairs and the dimension
-quotients are all ints.  No module imports `dataclasses`: its generated
-methods cost about 1 ms of import per record class, and records are
-NamedTuples.  A `functools.cache` or `lru_cache` decorates only
-functions without parameters: output must not depend on call history, and a
-repeated job pays for its own mathematics.  Outside `exact`, no module reads
-`exact.REGISTRY` or a private name of `exact`, or imports either: only
-`exact` knows how monomials are packed and where variable names live."""
+creation, not the work done as it is consumed).  The package's `__init__`
+binds no names: it re-exports nothing.  No module imports anything from
+`fractions`: the exact kernel's points, entries, determinants and ranks,
+the signature's diagonal pairs and the dimension quotients are all ints.
+No module imports `dataclasses`: its generated methods cost about 1 ms of
+import per record class, and records are NamedTuples.  A `functools.cache`
+or `lru_cache` decorates only functions without parameters: output must
+not depend on call history, and a repeated job pays for its own
+mathematics.  Outside `exact`, no module reads a private name of `exact`,
+or imports one: only `exact` knows how monomials are packed and how a
+polynomial's ring names their fields."""
 
 import ast
 import re
@@ -289,47 +287,6 @@ def test_init_lint_flags_every_binding(tmp_path):
     assert init_bindings(init) == ["kept", "shown", "os", "__version__", "__all__", "helper", "Record", "i"]
 
 
-def callers(tree, method):
-    """The qualified name (classes and functions, dotted) of the innermost
-    definition around each call of `.method(...)` in a tree, in source
-    order; "" for a call at module level."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-                if child.func.attr == method:
-                    found.append(".".join(scope))
-            visit(child, scope)
-
-    visit(tree, ())
-    return found
-
-
-def test_only_mpoly_var_interns_a_name():
-    found = [
-        f"{path.stem}.{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name in callers(ast.parse(path.read_text(), filename=str(path)), "intern")
-    ]
-    assert found == ["exact.MPoly.var"]
-
-
-def test_intern_lint_finds_a_call_in_a_method_and_at_module_level():
-    tree = ast.parse(
-        "class M:\n"
-        "    def substitute(self, point):\n"
-        "        return [REGISTRY.intern(name) for name in point]\n"
-        "\n"
-        "REGISTRY.intern('x')\n"
-        "REGISTRY.index.get('y')\n"
-    )
-    assert callers(tree, "intern") == ["M.substitute", ""]
-
-
 def module_imports(tree, module):
     """The lines, ascending, where a tree imports `module` or a name from
     it, at any depth; a relative import is not that module."""
@@ -374,14 +331,10 @@ def test_import_lint_flags_every_import_of_the_module(module):
     assert module_imports(tree, "math") == [3, 7]
 
 
-def _exact_internal(name):
-    return name == "REGISTRY" or name.startswith("_")
-
-
 def exact_internals(tree):
-    """The lines, ascending, where a tree reads the variable registry or a
-    private name of `exact`: `exact.REGISTRY` or `exact._name` on a name
-    bound to the module, or either name imported from it."""
+    """The lines, ascending, where a tree reads a private name of `exact`:
+    `exact._name` on a name bound to the module, or `_name` imported from
+    it."""
     modules = {"exact"} | {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -392,10 +345,10 @@ def exact_internals(tree):
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in modules and _exact_internal(node.attr):
+            if node.value.id in modules and node.attr.startswith("_"):
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact":
-            if any(_exact_internal(alias.name) for alias in node.names):
+            if any(alias.name.startswith("_") for alias in node.names):
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -405,17 +358,17 @@ def exact_internals(tree):
 )
 def test_only_exact_reads_its_registry_and_private_names(path):
     lines = exact_internals(ast.parse(path.read_text(), filename=str(path)))
-    assert lines == [], f"{path.name}: reads exact's registry or private names at lines {lines}"
+    assert lines == [], f"{path.name}: reads exact's private names at lines {lines}"
 
 
 def test_exact_internals_lint_flags_every_read_of_the_registry_or_a_private_name():
     tree = ast.parse(
         "from . import exact\n"
         "from .exact import MPoly, _unpack\n"
-        "from resatlas.exact import REGISTRY as R\n"
+        "from resatlas.exact import ring, _BITS as B\n"
         "from resatlas import exact as ex\n"
         "def f(m):\n"
-        "    return [exact.REGISTRY.name(i) for i, _ in exact._unpack(m)]\n"
+        "    return [exact._MASK & e for _, e in exact._unpack(m)]\n"
         "ex._BITS\n"
         "exact.variables([])\n"
         "other._unpack(0)\n"

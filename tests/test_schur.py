@@ -1,7 +1,9 @@
+import re
 from math import comb
 
 import pytest
 
+from resatlas.kacmoody import TpqrGraph
 from resatlas.schur import (
     g1_dim_formula,
     g2_dim_formula,
@@ -93,3 +95,13 @@ def test_defect_dim_formulas():
     assert g2_dim_formula(2, 2, 2) == 0
     assert g2_dim_formula(3, 3, 2) == 1
     assert g2_dim_formula(2, 2, 3) == 1
+
+
+@pytest.mark.parametrize("formula", [g1_dim_formula, g2_dim_formula], ids=["g1", "g2"])
+@pytest.mark.parametrize("pqr", [(1, 2, 2), (2, 0, 2), (2, 2, 1)])
+def test_the_dimension_formulas_refuse_a_bad_triple_as_the_graph_does(formula, pqr):
+    message = f"require p >= 2, q >= 1, r >= 2, got {pqr}"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        formula(*pqr)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        TpqrGraph(*pqr)
