@@ -88,7 +88,10 @@ def verify_complex(complex_: FreeComplex) -> ComplexReport:
     recorded, else as F . (G . d_{i+1}) when d_i = F . G is, else
     directly.  Products are exact, so every association gives the same
     polynomial, and a failure names the entry of d_i . d_{i+1} as the
-    direct product prints it."""
+    direct product prints it.  The association pays through
+    `ExactMatrix.matmul`, which multiplies each coefficient vector repeated
+    in a row once: the row d_1 . B^T of the generic family at r3 = 4 is 120
+    monomials outside Delta's variables times 20 vectors up to sign."""
     factored = {
         i: (F, G) for i, (F, G) in complex_.factored.items() if F.matmul(G) == complex_.d(i)
     }
@@ -254,9 +257,10 @@ def thm112_build(r3: int) -> Thm112Result:
     d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the x_k read from the
     displayed skew pattern of B^T Delta B.  The complex records d_2 =
     B^T . Delta, so `verify_complex` forms d_1 . d_2 as
-    (d_1 . B^T) . Delta, whose middle factor cancels to fewer terms, and
-    d_2 . d_3 as B^T . (Delta . d_3).  Raises AssertionError, naming r3, if
-    Delta . d_3 != 0 or B^T Delta B is off the pattern.
+    (d_1 . B^T) . Delta, whose row repeats a few coefficient vectors
+    that Delta annihilates, and d_2 . d_3 as B^T . (Delta . d_3).  Raises
+    AssertionError, naming r3, if Delta . d_3 != 0 or B^T Delta B is off
+    the pattern.
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")

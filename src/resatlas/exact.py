@@ -85,17 +85,21 @@ def _split(terms: Mapping[int, int], k: int) -> Dict[int, Dict[int, int]]:
     return classes
 
 
+def _check_degree(degree: int) -> None:
+    """Raise OverflowError if a product of this degree would carry out of
+    the degree field.  Every caller of `_sum_products` checks each pair's
+    degree first."""
+    if degree >= DEGREE_LIMIT:
+        raise OverflowError(f"monomial degree would reach 2**{_BITS}")
+
+
 def _sum_products(pairs: Products) -> Dict[int, int]:
     """The terms dict of the sum of sign * a * b over the (a, b, sign)
-    pairs.  Raises OverflowError, before any product, if a product's degree
-    could reach `DEGREE_LIMIT`.  With K = `_classes(sum |a| |b|)` = 1, every
-    pair accumulates into one dict, zeros included.  Otherwise class t of
-    the output is the sum over pairs and i of A_i * B_{(t - i) mod K}, A_i
-    being the terms of a with monomial = i mod K, and only its nonzero terms
-    are kept before the next class starts."""
-    for a, b, _ in pairs:
-        if _max_degree(a) + _max_degree(b) >= DEGREE_LIMIT:
-            raise OverflowError(f"monomial degree would reach 2**{_BITS}")
+    pairs.  With K = `_classes(sum |a| |b|)` = 1, every pair accumulates
+    into one dict, zeros included.  Otherwise class t of the output is the
+    sum over pairs and i of A_i * B_{(t - i) mod K}, A_i being the terms of
+    a with monomial = i mod K, and only its nonzero terms are kept before
+    the next class starts."""
     k = _classes(sum(len(a) * len(b) for a, b, _ in pairs))
     out: Dict[int, int] = {}
     if k == 1:
@@ -220,6 +224,7 @@ class MPoly:
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         other = MPoly.coerce(other)
         names = _ring(self.names, other.names)
+        _check_degree(self.total_degree() + other.total_degree())
         return MPoly(_sum_products([(self.terms, other.terms, 1)]), names)
 
     __rmul__ = __mul__
@@ -289,26 +294,63 @@ def variables(entries: Iterable[Entry]) -> List[str]:
     return sorted(names[i] for i, _ in _unpack(support))
 
 
-def _dot(pairs: Iterable[Tuple[Entry, Entry]]) -> Entry:
-    """The sum of a * b over the pairs, as a running sum from int 0 would
-    give it, skipping pairs with an int 0 factor.  Products with an MPoly
-    factor form one `_sum_products`; int ones stay an int."""
-    num: Entry = 0
-    names: Tuple[str, ...] = ()
-    products: Products = []
-    for a, b in pairs:
-        if (isinstance(a, int) and a == 0) or (isinstance(b, int) and b == 0):
+def _terms(e: Entry) -> Mapping[int, int]:
+    return e.terms if isinstance(e, MPoly) else {0: e} if e else {}
+
+
+def _kind(pairs: Iterable[Tuple[Entry, Entry]]) -> Tuple[str, ...] | None:
+    """The names of the sum of a * b over the pairs, as a running sum from
+    int 0 would give it, or None if that sum is an int: pairs with an int 0
+    factor are skipped, and a product with an MPoly factor is an MPoly."""
+    polys = [
+        e
+        for pair in pairs
+        if not any(isinstance(e, int) and e == 0 for e in pair)
+        for e in pair
+        if isinstance(e, MPoly)
+    ]
+    return reduce(_ring, (p.names for p in polys), ()) if polys else None
+
+
+# A vector of polynomials: its nonzero components as (index, terms).
+Vector = List[Tuple[int, Dict[int, int]]]
+
+
+def _split_row(row: Sequence[Entry], mask: int) -> Tuple[List[Tuple[Vector, Dict[int, int]]], Vector]:
+    """The row as sum_o x^o C_o: each monomial m splits as outer + inner,
+    inner = m & mask.  Each C_o met more than once up to sign comes once,
+    signed so that its first component's term of least monomial is
+    positive, with its outer monomials and their signs.  The terms of the
+    rest of the row come last, with their own monomials: a vector met once
+    saves nothing."""
+    # outer -> t -> inner -> coefficient.
+    vectors: Dict[int, Dict[int, Dict[int, int]]] = {}
+    for t, e in enumerate(row):
+        for m, c in _terms(e).items():
+            inner = m & mask
+            vectors.setdefault(m - inner, {}).setdefault(t, {})[inner] = c
+    # A key holds each component's sorted monomials and coefficients as two
+    # tuples: a tuple per term would leave up to 2,000 freed pairs on
+    # CPython's tuple free list, about 0.1 MB of resident memory.
+    groups: Dict[tuple, Dict[int, int]] = {}
+    for outer, vector in vectors.items():
+        key = []
+        sign = 0
+        for t, terms in vector.items():
+            ms = sorted(terms)
+            sign = sign or (1 if terms[ms[0]] > 0 else -1)
+            key.append((t, tuple(ms), tuple([sign * terms[m] for m in ms])))
+        groups.setdefault(tuple(key), {})[outer] = sign
+    shared = []
+    once: Dict[int, Dict[int, int]] = {}
+    for key, outers in groups.items():
+        if len(outers) > 1:
+            shared.append(([(t, dict(zip(ms, cs))) for t, ms, cs in key], outers))
             continue
-        if isinstance(a, MPoly) or isinstance(b, MPoly):
-            a, b = MPoly.coerce(a), MPoly.coerce(b)
-            names = _ring(_ring(names, a.names), b.names)
-            products.append((a.terms, b.terms, 1))
-        else:
-            num = num + a * b
-    if not products:
-        return num
-    products.append((MPoly.coerce(num).terms, {0: 1}, 1))
-    return MPoly(_sum_products(products), names)
+        (outer,) = outers
+        for t, terms in vectors[outer].items():
+            once.setdefault(t, {}).update((outer + m, c) for m, c in terms.items())
+    return shared, list(once.items())
 
 
 class ExactMatrix:
@@ -339,10 +381,44 @@ class ExactMatrix:
         raise TypeError("unhashable")
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Entry (i, j) is the sum of a * b over the pairs (self[i][t],
+        other[t][j]), as a running sum from int 0 would give it, skipping
+        pairs with an int 0 factor: an int if every product is of ints, else
+        an MPoly.  Raises OverflowError, before any product, if a product's
+        degree could reach `DEGREE_LIMIT`.
+
+        `_split_row` writes each row as sum_o x^o C_o, x^o free of the
+        variables occurring in `other` and C_o a vector of polynomials in
+        them.  Each C_o met more than once, up to sign, is multiplied by
+        each column of `other` once, and entry (i, j) is one `_sum_products`
+        over the pairs (sum of +-x^o, C . column j) and the pairs of the
+        rest of the row with column j.  The monomials of C lack the total
+        degree, so they never leave this method."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        right = [[_terms(e) for e in row] for row in other.data]
+        for t, terms in enumerate(right):
+            left = max((_max_degree(_terms(row[t])) for row in self.data), default=0)
+            _check_degree(left + max(map(_max_degree, terms), default=0))
         columns = [[row[j] for row in other.data] for j in range(other.cols)]
-        return ExactMatrix([[_dot(zip(row, col)) for col in columns] for row in self.data])
+        kinds = [[_kind(zip(row, col)) for col in columns] for row in self.data]
+        support = reduce(or_, (m for row in right for terms in row for m in terms), 0)
+        mask = sum(_MASK << (_BITS * (i + 1)) for i, _ in _unpack(support))
+        out = []
+        for row, row_kinds in zip(self.data, kinds):
+            shared, once = _split_row(row, mask)
+            new_row: List[Entry] = []
+            for j, names in enumerate(row_kinds):
+                pairs: Products = [(terms, right[t][j], 1) for t, terms in once]
+                for vector, outers in shared:
+                    prod = _sum_products([(terms, right[t][j], 1) for t, terms in vector])
+                    prod = {m: c for m, c in prod.items() if c}
+                    if prod:
+                        pairs.append((outers, prod, 1))
+                terms = _sum_products(pairs)
+                new_row.append(terms.get(0, 0) if names is None else MPoly(terms, names))
+            out.append(new_row)
+        return ExactMatrix(out)
 
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -429,6 +505,7 @@ class ExactMatrix:
                 if coeff.is_zero():
                     continue
                 rest = expand(row + 1, cols[:pos] + cols[pos + 1 :])
+                _check_degree(coeff.total_degree() + rest.total_degree())
                 products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
             acc = MPoly(_sum_products(products), names)
             cache[key] = acc

@@ -343,9 +343,12 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # `verify-monomial --t 8` (the first goldens of large printed polynomials)
 # before monomial fields narrowed to 8 bits and points were evaluated
 # fraction-free, `verify-thm112 --r3 4` before the exact kernel's sums
-# of products were split into residue classes, and the text-mode
+# of products were split into residue classes, the text-mode
 # `verify-thm112 --r3 3` before `verify_complex` associated d_1 . d_2
-# through the recorded factorization d_2 = B^T . Delta.
+# through the recorded factorization d_2 = B^T . Delta, and
+# `verify-thm112 --r3 5 --json` (a few seconds, so it is left out of
+# `IN_PROCESS`) before a matrix product multiplied each repeated
+# coefficient vector of a row once.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

@@ -234,10 +234,14 @@ def test_complex_to_json_roundtrippable_strings():
 
 
 def test_verify_complex_names_one_negated_term_on_the_split_path():
-    # Each d_1 . d_2 entry at r3 = 4 is a sum of products large enough to
-    # split into residue classes.
+    # d_1 is a_1 times polynomials in d_2's variables, all of one degree, so
+    # matmul splits its row into one coefficient vector, met once, and
+    # multiplies it directly: each d_1 . d_2 entry at r3 = 4 is one sum of
+    # products large enough to split into residue classes.
     res = thm112_build(4)
     d1, d2, d3 = res.complex.differentials
+    outside = set(exact.variables(d1.data[0])) - set(exact.variables(e for row in d2.data for e in row))
+    assert outside == {"a1"} and len({m & exact._MASK for e in d1.data[0] for m in e.terms}) == 1
     assert exact._classes(sum(len(d1.data[0][k].terms) * len(d2.data[k][0].terms) for k in range(3))) > 1
     m, c = next(iter(d2.data[0][0].terms.items()))
     data = [list(row) for row in d2.data]
@@ -247,6 +251,27 @@ def test_verify_complex_names_one_negated_term_on_the_split_path():
     broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label)
     want = str(d1.data[0][0] * term)
     assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]
+
+
+# Term products of `verify_complex(thm112_build(4))` when each entry of a
+# matrix product multiplied its own pairs.
+PER_ENTRY_TERM_PRODUCTS = 1_054_800
+
+
+def test_verify_complex_multiplies_each_shared_coefficient_vector_once(monkeypatch):
+    # The 120 outer monomials of d_1 . B^T share 20 coefficient vectors up
+    # to sign, and each is multiplied by Delta once.
+    cx = thm112_build(4).complex
+    products = [0]
+    mac = exact._mac
+
+    def counted(out, a, b, sign):
+        products[0] += len(a) * len(b)
+        mac(out, a, b, sign)
+
+    monkeypatch.setattr(exact, "_mac", counted)
+    assert verify_complex(cx).ok
+    assert 0 < products[0] <= PER_ENTRY_TERM_PRODUCTS // 4
 
 
 def _without_record(cx):
@@ -281,7 +306,7 @@ def test_the_recorded_factorization_leaves_the_report_unchanged(r3, breaks):
     assert got == verify_complex(_without_record(cx))
     assert got.ok == (breaks is None)
     if breaks is _negate_one_d1_term:
-        # Large enough to split into residue classes: the failures are d_1 . d_2's.
+        # The failures are d_1 . d_2's.
         assert {f[0] for f in got.failures} == {1}
     if breaks is _d3_plus_one:
         assert {f[0] for f in got.failures} == {2}

@@ -443,6 +443,47 @@ def test_numeric_matmul_keeps_the_running_sum_types():
     assert 100 <= ints <= 700  # both int and MPoly results occur
 
 
+def test_matmul_matches_mpoly_sums_on_rows_that_share_coefficient_vectors():
+    # Each row is a sum of x^o times a coefficient vector in the right
+    # factor's variables.  The vectors of one trial differ only in sign
+    # (overall or in one component) or in one coefficient, so a memo key
+    # that dropped either would give a wrong entry.
+    x1, x2, x3, y1, y2, y3 = ring(["x1", "x2", "x3", "y1", "y2", "y3"])
+    outers = [MPoly.const(1), x1, x2, x3, x1 * x2, x2 * x3, x1 * x1, x3 * x3 * x1]
+    rng = random.Random(2024)
+
+    def inner():
+        return y1 * rng.randint(1, 3) - y2 * y3 * rng.randint(1, 3) + rng.randint(-2, 2)
+
+    nonzero = 0
+    for _ in range(30):
+        k, m = rng.randint(2, 4), rng.randint(1, 3)
+        base = [inner() for _ in range(k)]
+        flipped = [-e if t == 0 else e for t, e in enumerate(base)]
+        tweaked = [e + y1 if t == k - 1 else e for t, e in enumerate(base)]
+        vectors = [base, [-e for e in base], flipped, tweaked, [-e for e in tweaked]]
+        a = []
+        for _ in range(rng.randint(1, 3)):
+            # Five outer monomials on three vectors up to sign: some share one.
+            row = [MPoly.const(0)] * k
+            for outer in rng.sample(outers, 5):
+                row = [e + outer * v for e, v in zip(row, rng.choice(vectors))]
+            a.append([rng.choice((0, 2, -3)) if rng.random() < 0.2 else e for e in row])
+        b = [[rng.choice((0, 1, -2, y1, y2 - y3, y1 * y3 + 1)) for _ in range(m)] for _ in range(k)]
+        prod = ExactMatrix(a).matmul(ExactMatrix(b))
+        for i, row in enumerate(a):
+            for j in range(m):
+                want = 0
+                for t, p in enumerate(row):
+                    q = b[t][j]
+                    if not ((isinstance(p, int) and p == 0) or (isinstance(q, int) and q == 0)):
+                        want = want + p * q
+                got = prod.data[i][j]
+                assert (type(got), got) == (type(want), want)
+                nonzero += got != 0
+    assert nonzero > 100
+
+
 # -- the degree field ---------------------------------------------------------
 
 
@@ -475,6 +516,27 @@ def test_degree_overflow_raises_under_python_O():
         "    print('raised')\n"
     )
     assert _run_fresh(code, "-O") == "raised\n"
+
+
+def test_matmul_guards_full_degrees_before_it_splits_a_row():
+    # Each row times the column overflows the degree field, and its terms
+    # cancel.  Split off y, the first row is one vector met once, and the
+    # second shares the vector (y^254, -y^254) between the outer monomials
+    # x and z: a guard that read only the split parts would see no
+    # product, or inner fields that carry.
+    code = (
+        "from resatlas.exact import ExactMatrix, MPoly, _BITS, ring\n"
+        "x, z, y = ring(['x', 'z', 'y'])\n"
+        "p = MPoly.const(1)\n"
+        "for _ in range(2**_BITS - 2):\n"
+        "    p = p * y\n"
+        "for row in ([p * y, -p * y], [x * p + z * p, -x * p - z * p]):\n"
+        "    try:\n"
+        "        ExactMatrix([row]).matmul(ExactMatrix([[y], [y]]))\n"
+        "    except OverflowError:\n"
+        "        print('raised')\n"
+    )
+    assert _run_fresh(code) == _run_fresh(code, "-O") == "raised\nraised\n"
 
 
 # -- residue classes: sums of products large enough to split ------------------
@@ -561,14 +623,16 @@ UNSPLIT_PEAK = 6_093_000
 
 def test_a_cancelling_dot_product_holds_one_residue_class_at_a_time():
     # p and q are homogeneous, so a K dividing 255 would put every product
-    # in one class.
+    # in one class.  The pair (0, u) is skipped, but it puts p's variables
+    # in the right factor, so the row is one coefficient vector, met once,
+    # and its products form one sum.
     code = (
         "import tracemalloc\n"
         "from resatlas.exact import ExactMatrix, MPoly, ring\n"
         "uv = ring([f'u{i}' for i in range(10)] + [f'v{i}' for i in range(10)])\n"
         "u, v = sum(uv[:10], MPoly.const(0)), sum(uv[10:], MPoly.const(0))\n"
         "p, q = u * u * u, v * v * v\n"
-        "a, b = ExactMatrix([[p, -p]]), ExactMatrix([[q], [q]])\n"
+        "a, b = ExactMatrix([[p, -p, 0]]), ExactMatrix([[q], [q], [u]])\n"
         "tracemalloc.start()\n"
         "prod = a.matmul(b)\n"
         "print(prod, len(p.terms), len(q.terms), tracemalloc.get_traced_memory()[1])\n"
