@@ -3,8 +3,9 @@
 Builders for the three concrete families — the A-type family with generic
 d_3 and second structure map (generic ring a polynomial ring), the monomial
 family of formats (1, 2t, 2t, 1), and the split D_4 model with its quadratic
-relation — plus Buchsbaum-Eisenbud multiplier factorization checks and the
-q_1 cycle coefficients.
+relation — plus a certificate of d.d = 0 for the generic family,
+Buchsbaum-Eisenbud multiplier factorization checks and the q_1 cycle
+coefficients.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .exact import DEGREE_LIMIT, SYMBOLIC_DET_LIMIT, ExactMatrix, MPoly, seeded_
 from .formats import ResolutionFormat, derive_ranks
 
 
-Factors = Dict[int, Tuple[ExactMatrix, ExactMatrix]]
-
-
 # The fields live on a private NamedTuple base, whose body cannot define
 # `__new__`; the public class checks the shapes as it is built.
 class _FreeComplex(NamedTuple):
@@ -27,22 +25,17 @@ class _FreeComplex(NamedTuple):
     differentials: List[ExactMatrix]
     variables: Tuple[str, ...]
     label: str
-    factored: Factors
 
 
 class FreeComplex(_FreeComplex):
     """A length-n free complex: d[i] is the matrix of d_{i+1} (f_i columns,
-    f_{i-1} rows); entries are MPoly or int.
-
-    `factored` maps i to a pair (F, G) of matrices the builder multiplied
-    to get d_i = F . G.  `verify_complex` re-checks F . G == d_i and then
-    multiplies through the record; only the shapes are checked here."""
+    f_{i-1} rows); entries are MPoly or int."""
 
     __slots__ = ()
 
     def __new__(
         cls, fmt: ResolutionFormat, differentials: List[ExactMatrix],
-        variables: Tuple[str, ...] = (), label: str = "", factored: Optional[Factors] = None,
+        variables: Tuple[str, ...] = (), label: str = "",
     ) -> "FreeComplex":
         n = fmt.n
         if len(differentials) != n:
@@ -53,18 +46,14 @@ class FreeComplex(_FreeComplex):
                     f"d_{i} has shape {(d.rows, d.cols)}, expected "
                     f"{(fmt.f[i - 1], fmt.f[i])}"
                 )
-        factored = dict(factored or {})
-        for i, (F, G) in factored.items():
-            if not 1 <= i <= n or (F.rows, F.cols, G.cols) != (fmt.f[i - 1], G.rows, fmt.f[i]):
-                raise ValueError(f"the factors recorded for d_{i} do not multiply to its shape")
-        return super().__new__(cls, fmt, differentials, variables, label, factored)
+        return super().__new__(cls, fmt, differentials, variables, label)
 
     def d(self, i: int) -> ExactMatrix:
         """The matrix of d_i (1-based)."""
         return self.differentials[i - 1]
 
     def substitute(self, assignment) -> "FreeComplex":
-        """The complex at an integer point; it records no factorization."""
+        """The complex at an integer point."""
         return FreeComplex(
             fmt=self.fmt,
             differentials=[d.substitute(assignment) for d in self.differentials],
@@ -78,38 +67,21 @@ class ComplexReport(NamedTuple):
     failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
 
 
-def verify_complex(complex_: FreeComplex) -> ComplexReport:
-    """Check every composition d_i . d_{i+1} = 0 symbolically.
+def _nonzero_entries(m: ExactMatrix) -> List[Tuple[int, int, str]]:
+    """The (row, col, printed entry) of every nonzero entry, row by row."""
+    return [(r, c, str(e)) for r, row in enumerate(m.data) for c, e in enumerate(row) if e != 0]
 
-    A factorization d_i = F . G recorded in `complex_.factored` is used
-    only after F . G is checked to equal d_i exactly; a record that does
-    not reproduce d_i is ignored.  A verified record is always followed:
-    d_i . d_{i+1} is multiplied as (d_i . F) . G when d_{i+1} = F . G is
-    recorded, else as F . (G . d_{i+1}) when d_i = F . G is, else
-    directly.  Products are exact, so every association gives the same
-    polynomial, and a failure names the entry of d_i . d_{i+1} as the
-    direct product prints it.  The association pays through
-    `ExactMatrix.matmul`, which multiplies each coefficient vector repeated
-    in a row once: the row d_1 . B^T of the generic family at r3 = 4 is 120
-    monomials outside Delta's variables times 20 vectors up to sign."""
-    factored = {
-        i: (F, G) for i, (F, G) in complex_.factored.items() if F.matmul(G) == complex_.d(i)
-    }
-    failures = []
-    for i in range(1, complex_.fmt.n):
-        if i + 1 in factored:
-            F, G = factored[i + 1]
-            prod = complex_.d(i).matmul(F).matmul(G)
-        elif i in factored:
-            F, G = factored[i]
-            prod = F.matmul(G.matmul(complex_.d(i + 1)))
-        else:
-            prod = complex_.d(i).matmul(complex_.d(i + 1))
-        for r in range(prod.rows):
-            for c in range(prod.cols):
-                e = prod.data[r][c]
-                if e != 0:
-                    failures.append((i, r, c, str(e)))
+
+def verify_complex(complex_: FreeComplex) -> ComplexReport:
+    """Check every composition d_i . d_{i+1} = 0 by exact symbolic
+    expansion; each failure names an entry of d_i . d_{i+1} and prints it.
+    The generic family has its own certificate, `thm112_certificate`, which
+    expands no composition."""
+    failures = [
+        (i, r, c, e)
+        for i in range(1, complex_.fmt.n)
+        for r, c, e in _nonzero_entries(complex_.d(i).matmul(complex_.d(i + 1)))
+    ]
     return ComplexReport(ok=not failures, failures=tuple(failures))
 
 
@@ -246,6 +218,7 @@ class Thm112Result(NamedTuple):
     delta: ExactMatrix
     B: ExactMatrix
     x: Tuple[MPoly, MPoly, MPoly]
+    a1: MPoly
 
 
 def thm112_build(r3: int) -> Thm112Result:
@@ -255,12 +228,10 @@ def thm112_build(r3: int) -> Thm112Result:
     Delta is the skew matrix of complementary maximal minors of d_3,
     Delta_{ij} = (-1)^(i+j) * minor(d_3 without rows i, j) for i < j;
     d_2 := B^T Delta, d_1 := a_1 (x_1, x_2, x_3) with the x_k read from the
-    displayed skew pattern of B^T Delta B.  The complex records d_2 =
-    B^T . Delta, so `verify_complex` forms d_1 . d_2 as
-    (d_1 . B^T) . Delta, whose row repeats a few coefficient vectors
-    that Delta annihilates, and d_2 . d_3 as B^T . (Delta . d_3).  Raises
-    AssertionError, naming r3, if Delta . d_3 != 0 or B^T Delta B is off
-    the pattern.
+    displayed skew pattern of B^T Delta B.  The result keeps Delta, B, the
+    x_k and a_1, from which `thm112_certificate` proves d . d = 0 without
+    expanding a composition.  Raises AssertionError, naming r3, if
+    Delta . d_3 != 0 or B^T Delta B is off the pattern.
     """
     if r3 < 1:
         raise ValueError("r3 >= 1 required")
@@ -315,9 +286,64 @@ def thm112_build(r3: int) -> Thm112Result:
     fmt = derive_ranks([1, 3, f2, r3])
     cx = FreeComplex(
         fmt=fmt, differentials=[d1, d2, d3], variables=tuple(sorted(names)), label=f"thm112(r3={r3})",
-        factored={2: (Bt, delta)},
     )
-    return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3))
+    return Thm112Result(complex=cx, delta=delta, B=Bm, x=(x1, x2, x3), a1=a1)
+
+
+class CertificateReport(NamedTuple):
+    ok: bool
+    detail: str = ""
+
+
+def thm112_certificate(res: Thm112Result) -> CertificateReport:
+    """d_1 . d_2 = 0 and d_2 . d_3 = 0 for a complex built as the generic
+    family is, from five facts checked exactly, none of them a composition:
+
+    (a) d_2 = B^T Delta;
+    (b) Delta is skew;
+    (c) Delta . d_3 = 0;
+    (d) some r3 x r3 minor of d_3 is nonzero;
+    (e) d_1 = a_1 (x_1, x_2, x_3), x_1 = (d_2 B)_{23}, x_2 = (d_2 B)_{31}
+        and x_3 = (d_2 B)_{12}, only these three entries formed.
+
+    Over the fraction field, (c) and (d) give Delta rank <= f_2 - r3 = 2,
+    so by (b) Delta = u v^T - v u^T (Buchsbaum and Eisenbud, Amer. J.
+    Math. 99, 1977).  With p = B^T u and q = B^T v, B^T Delta B = p q^T -
+    q p^T, so x = p x q and x^T B^T Delta = (x.p) v^T - (x.q) u^T = 0.
+    Then (a) and (e) give d_1 . d_2 = a_1 x^T B^T Delta = 0, and
+    d_2 . d_3 = B^T (Delta . d_3) = 0.  A failure names the first fact
+    that fails and, for (a), (b), (c) and (e), its first nonzero entry."""
+    detail = next(_thm112_failures(res), "")
+    return CertificateReport(ok=not detail, detail=detail)
+
+
+def _thm112_failures(res: Thm112Result):
+    """The failure of each fact of `thm112_certificate`, in order, each
+    checked only once the ones before it hold."""
+    d1, d2, d3 = res.complex.differentials
+    delta, B = res.delta, res.B
+    r3 = d3.cols
+    if tuple(res.complex.fmt.f) != (1, 3, r3 + 2, r3):
+        raise ValueError(f"the certificate needs format (1, 3, r3 + 2, r3), not {tuple(res.complex.fmt.f)}")
+
+    def failure(name: str, m: ExactMatrix):
+        for r, c, e in _nonzero_entries(m)[:1]:
+            yield f"fact {name} fails: entry {(r, c)} is {e}"
+
+    def minus(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
+        return p.add(ExactMatrix([[-e for e in row] for row in q.data]))
+
+    yield from failure("(a) d_2 - B^T.Delta", minus(d2, B.transpose().matmul(delta)))
+    yield from failure("(b) Delta + Delta^T", delta.add(delta.transpose()))
+    yield from failure("(c) Delta.d_3", delta.matmul(d3))
+    if all(d3.minor(rows, range(r3)) == 0 for rows in combinations(range(d3.rows), r3)):
+        yield f"fact (d) fails: every {r3}x{r3} minor of d_3 is 0"
+    # Entry (i, j) of d_2 . B, and no other.
+    x = [
+        ExactMatrix([d2.data[i]]).matmul(ExactMatrix([[row[j]] for row in B.data])).data[0][0]
+        for i, j in ((1, 2), (2, 0), (0, 1))
+    ]
+    yield from failure("(e) d_1 - a_1.x", minus(d1, ExactMatrix([[res.a1 * xk for xk in x]])))
 
 
 # ---------------------------------------------------------------------------

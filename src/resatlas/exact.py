@@ -312,45 +312,32 @@ def _kind(pairs: Iterable[Tuple[Entry, Entry]]) -> Tuple[str, ...] | None:
     return reduce(_ring, (p.names for p in polys), ()) if polys else None
 
 
-# A vector of polynomials: its nonzero components as (index, terms).
-Vector = List[Tuple[int, Dict[int, int]]]
-
-
-def _split_row(row: Sequence[Entry], mask: int) -> Tuple[List[Tuple[Vector, Dict[int, int]]], Vector]:
-    """The row as sum_o x^o C_o: each monomial m splits as outer + inner,
-    inner = m & mask.  Each C_o met more than once up to sign comes once,
-    signed so that its first component's term of least monomial is
-    positive, with its outer monomials and their signs.  The terms of the
-    rest of the row come last, with their own monomials: a vector met once
-    saves nothing."""
-    # outer -> t -> inner -> coefficient.
-    vectors: Dict[int, Dict[int, Dict[int, int]]] = {}
-    for t, e in enumerate(row):
-        for m, c in _terms(e).items():
-            inner = m & mask
-            vectors.setdefault(m - inner, {}).setdefault(t, {})[inner] = c
-    # A key holds each component's sorted monomials and coefficients as two
-    # tuples: a tuple per term would leave up to 2,000 freed pairs on
-    # CPython's tuple free list, about 0.1 MB of resident memory.
-    groups: Dict[tuple, Dict[int, int]] = {}
-    for outer, vector in vectors.items():
-        key = []
-        sign = 0
-        for t, terms in vector.items():
-            ms = sorted(terms)
-            sign = sign or (1 if terms[ms[0]] > 0 else -1)
-            key.append((t, tuple(ms), tuple([sign * terms[m] for m in ms])))
-        groups.setdefault(tuple(key), {})[outer] = sign
-    shared = []
-    once: Dict[int, Dict[int, int]] = {}
-    for key, outers in groups.items():
-        if len(outers) > 1:
-            shared.append(([(t, dict(zip(ms, cs))) for t, ms, cs in key], outers))
+def _expand(
+    entries: List[List[MPoly]], names: Tuple[str, ...], cache: Dict[Tuple[int, Tuple[int, ...]], MPoly],
+    row: int, cols: Tuple[int, ...],
+) -> MPoly:
+    """The minor of `entries` on the rows from `row` on and the columns
+    `cols`, by Laplace expansion along its first row, each minor once in
+    `cache`.  It recurses through the module, not a closure, so a
+    determinant leaves no reference cycle and its minors are freed when it
+    returns."""
+    if not cols:
+        return MPoly.const(1)
+    key = (row, cols)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    products: Products = []
+    for pos, j in enumerate(cols):
+        coeff = entries[row][j]
+        if coeff.is_zero():
             continue
-        (outer,) = outers
-        for t, terms in vectors[outer].items():
-            once.setdefault(t, {}).update((outer + m, c) for m, c in terms.items())
-    return shared, list(once.items())
+        rest = _expand(entries, names, cache, row + 1, cols[:pos] + cols[pos + 1 :])
+        _check_degree(coeff.total_degree() + rest.total_degree())
+        products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
+    acc = MPoly(_sum_products(products), names)
+    cache[key] = acc
+    return acc
 
 
 class ExactMatrix:
@@ -384,37 +371,23 @@ class ExactMatrix:
         """Entry (i, j) is the sum of a * b over the pairs (self[i][t],
         other[t][j]), as a running sum from int 0 would give it, skipping
         pairs with an int 0 factor: an int if every product is of ints, else
-        an MPoly.  Raises OverflowError, before any product, if a product's
-        degree could reach `DEGREE_LIMIT`.
-
-        `_split_row` writes each row as sum_o x^o C_o, x^o free of the
-        variables occurring in `other` and C_o a vector of polynomials in
-        them.  Each C_o met more than once, up to sign, is multiplied by
-        each column of `other` once, and entry (i, j) is one `_sum_products`
-        over the pairs (sum of +-x^o, C . column j) and the pairs of the
-        rest of the row with column j.  The monomials of C lack the total
-        degree, so they never leave this method."""
+        an MPoly.  Each entry is one `_sum_products` over its own pairs.
+        Raises OverflowError, before any product, if a product's degree
+        could reach `DEGREE_LIMIT`."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        left = [[_terms(e) for e in row] for row in self.data]
         right = [[_terms(e) for e in row] for row in other.data]
         for t, terms in enumerate(right):
-            left = max((_max_degree(_terms(row[t])) for row in self.data), default=0)
-            _check_degree(left + max(map(_max_degree, terms), default=0))
+            top = max((_max_degree(row[t]) for row in left), default=0)
+            _check_degree(top + max(map(_max_degree, terms), default=0))
         columns = [[row[j] for row in other.data] for j in range(other.cols)]
-        kinds = [[_kind(zip(row, col)) for col in columns] for row in self.data]
-        support = reduce(or_, (m for row in right for terms in row for m in terms), 0)
-        mask = sum(_MASK << (_BITS * (i + 1)) for i, _ in _unpack(support))
         out = []
-        for row, row_kinds in zip(self.data, kinds):
-            shared, once = _split_row(row, mask)
+        for row, row_terms in zip(self.data, left):
             new_row: List[Entry] = []
-            for j, names in enumerate(row_kinds):
-                pairs: Products = [(terms, right[t][j], 1) for t, terms in once]
-                for vector, outers in shared:
-                    prod = _sum_products([(terms, right[t][j], 1) for t, terms in vector])
-                    prod = {m: c for m, c in prod.items() if c}
-                    if prod:
-                        pairs.append((outers, prod, 1))
+            for j, col in enumerate(columns):
+                names = _kind(zip(row, col))
+                pairs: Products = [(a, right[t][j], 1) for t, a in enumerate(row_terms) if a and right[t][j]]
                 terms = _sum_products(pairs)
                 new_row.append(terms.get(0, 0) if names is None else MPoly(terms, names))
             out.append(new_row)
@@ -490,28 +463,7 @@ class ExactMatrix:
             raise ValueError(f"symbolic determinant limited to {SYMBOLIC_DET_LIMIT}x{SYMBOLIC_DET_LIMIT}")
         entries = [[MPoly.coerce(e) for e in row] for row in self.data]
         names = reduce(_ring, (e.names for row in entries for e in row), ())
-        cache: Dict[Tuple[int, Tuple[int, ...]], MPoly] = {}
-
-        def expand(row: int, cols: Tuple[int, ...]) -> MPoly:
-            if not cols:
-                return MPoly.const(1)
-            key = (row, cols)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            products: Products = []
-            for pos, j in enumerate(cols):
-                coeff = entries[row][j]
-                if coeff.is_zero():
-                    continue
-                rest = expand(row + 1, cols[:pos] + cols[pos + 1 :])
-                _check_degree(coeff.total_degree() + rest.total_degree())
-                products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
-            acc = MPoly(_sum_products(products), names)
-            cache[key] = acc
-            return acc
-
-        return expand(0, tuple(range(n)))
+        return _expand(entries, names, {}, 0, tuple(range(n)))
 
     def minor(self, rows: Iterable[int], cols: Iterable[int]) -> Entry:
         rows = sorted(rows)

@@ -124,6 +124,7 @@ def test_verify_commands(capsys):
 
 D4_RELATION = complexes.d4_relation_check
 BROKEN_COMPLEX = complexes.ComplexReport(ok=False, failures=((1, 0, 0, "x"),))
+BROKEN_CERTIFICATE = complexes.CertificateReport(ok=False, detail="fact (c) Delta.d_3 fails: entry (1, 0) is x")
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -142,7 +143,7 @@ BROKEN_COMPLEX = complexes.ComplexReport(ok=False, failures=((1, 0, 0, "x"),))
         ),
         (
             ("verify-thm112", "--r3", "1"),
-            complexes, "verify_complex", lambda complex_: BROKEN_COMPLEX, "FAIL", "ok",
+            complexes, "thm112_certificate", lambda res: BROKEN_CERTIFICATE, "FAIL", "ok",
         ),
         (
             ("verify-monomial", "--t", "2"),
@@ -343,12 +344,10 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # `verify-monomial --t 8` (the first goldens of large printed polynomials)
 # before monomial fields narrowed to 8 bits and points were evaluated
 # fraction-free, `verify-thm112 --r3 4` before the exact kernel's sums
-# of products were split into residue classes, the text-mode
-# `verify-thm112 --r3 3` before `verify_complex` associated d_1 . d_2
-# through the recorded factorization d_2 = B^T . Delta, and
-# `verify-thm112 --r3 5 --json` (a few seconds, so it is left out of
-# `IN_PROCESS`) before a matrix product multiplied each repeated
-# coefficient vector of a row once.
+# of products were split into residue classes, and the text-mode
+# `verify-thm112 --r3 3` and `verify-thm112 --r3 5 --json` while the
+# generic family's d.d = 0 was still checked by expanding its
+# compositions.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 
@@ -363,6 +362,28 @@ def test_fresh_process_stdout_matches_golden(command):
     )
     assert proc.returncode == 0, proc.stderr
     assert_same_text(proc.stdout, GOLDENS[command])
+
+
+def test_verify_thm112_r3_5_peaks_under_64_mb():
+    # The certificate's products stay small: 28 MB on a 2-core x86-64
+    # machine under CPython 3.11, where expanding d_1 . d_2 took 37 MB.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, resource\n"
+        "from resatlas.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify-thm112', '--r3', '5'])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    code, peak_kb = proc.stdout.split()
+    assert (proc.returncode, code) == (0, "0"), proc.stderr
+    assert int(peak_kb) < 64 * 1024
 
 
 def assert_same_text(got, want):
@@ -418,6 +439,7 @@ IN_PROCESS = [
     "verify-thm112 --r3 3 --json",
     "verify-monomial --t 8 --json",
     "verify-thm112 --r3 4 --json",
+    "verify-thm112 --r3 5 --json",
     "verify-thm112 --r3 3",
     "roots --pqr 2 3 7 --max-height 16",
     "roots --pqr 3 3 3 --max-height 12 --json",

@@ -1,5 +1,5 @@
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,8 +15,10 @@ from resatlas.complexes import (
     d4_split_model,
     koszul_complex,
     monomial_complex,
+    Thm112Result,
     q1_coefficients,
     thm112_build,
+    thm112_certificate,
     verify_complex,
 )
 from resatlas.exact import ExactMatrix, MPoly, seeded_random_point
@@ -234,14 +236,10 @@ def test_complex_to_json_roundtrippable_strings():
 
 
 def test_verify_complex_names_one_negated_term_on_the_split_path():
-    # d_1 is a_1 times polynomials in d_2's variables, all of one degree, so
-    # matmul splits its row into one coefficient vector, met once, and
-    # multiplies it directly: each d_1 . d_2 entry at r3 = 4 is one sum of
-    # products large enough to split into residue classes.
+    # Each d_1 . d_2 entry at r3 = 4 is one sum of products large enough to
+    # split into residue classes.
     res = thm112_build(4)
     d1, d2, d3 = res.complex.differentials
-    outside = set(exact.variables(d1.data[0])) - set(exact.variables(e for row in d2.data for e in row))
-    assert outside == {"a1"} and len({m & exact._MASK for e in d1.data[0] for m in e.terms}) == 1
     assert exact._classes(sum(len(d1.data[0][k].terms) * len(d2.data[k][0].terms) for k in range(3))) > 1
     m, c = next(iter(d2.data[0][0].terms.items()))
     data = [list(row) for row in d2.data]
@@ -253,15 +251,14 @@ def test_verify_complex_names_one_negated_term_on_the_split_path():
     assert [f for f in verify_complex(broken).failures if f[0] == 1] == [(1, 0, 0, want)]
 
 
-# Term products of `verify_complex(thm112_build(4))` when each entry of a
-# matrix product multiplied its own pairs.
-PER_ENTRY_TERM_PRODUCTS = 1_054_800
+# Term products of `verify_complex(thm112_build(4))` when d_1 . d_2 was
+# formed as (d_1 . B^T) . Delta, each repeated coefficient vector of the
+# row d_1 . B^T multiplied by Delta once.
+EXPANDED_TERM_PRODUCTS = 187_020
 
 
-def test_verify_complex_multiplies_each_shared_coefficient_vector_once(monkeypatch):
-    # The 120 outer monomials of d_1 . B^T share 20 coefficient vectors up
-    # to sign, and each is multiplied by Delta once.
-    cx = thm112_build(4).complex
+def test_the_certificate_multiplies_a_tenth_of_the_expanded_products(monkeypatch):
+    res = thm112_build(4)
     products = [0]
     mac = exact._mac
 
@@ -270,26 +267,28 @@ def test_verify_complex_multiplies_each_shared_coefficient_vector_once(monkeypat
         mac(out, a, b, sign)
 
     monkeypatch.setattr(exact, "_mac", counted)
-    assert verify_complex(cx).ok
-    assert 0 < products[0] <= PER_ENTRY_TERM_PRODUCTS // 4
+    assert thm112_certificate(res).ok
+    assert 0 < products[0] <= EXPANDED_TERM_PRODUCTS // 10
 
 
-def _without_record(cx):
-    return FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label)
+def _with_complex(res, d1=None, d2=None, d3=None):
+    cx = res.complex
+    old = cx.differentials
+    new = [d if d is not None else o for d, o in zip((d1, d2, d3), old)]
+    return res._replace(complex=FreeComplex(cx.fmt, new, cx.variables, cx.label))
 
 
-def _negate_one_d1_term(cx):
-    d1, d2, d3 = cx.differentials
+def _negate_one_d1_term(res):
+    d1 = res.complex.d(1)
     m, c = next(iter(d1.data[0][0].terms.items()))
     data = [list(row) for row in d1.data]
     data[0][0] = data[0][0] + MPoly({m: -2 * c}, data[0][0].names)
-    return FreeComplex(cx.fmt, [ExactMatrix(data), d2, d3], cx.variables, cx.label, cx.factored)
+    return _with_complex(res, d1=ExactMatrix(data))
 
 
-def _d3_plus_one(cx):
-    d1, d2, d3 = cx.differentials
-    data = [[e + 1 for e in row] for row in d3.data]
-    return FreeComplex(cx.fmt, [d1, d2, ExactMatrix(data)], cx.variables, cx.label, cx.factored)
+def _d3_plus_one(res):
+    data = [[e + 1 for e in row] for row in res.complex.d(3).data]
+    return _with_complex(res, d3=ExactMatrix(data))
 
 
 @pytest.mark.parametrize(
@@ -298,72 +297,101 @@ def _d3_plus_one(cx):
     ids=["r3=1", "r3=2", "r3=3", "r3=4", "r3=4-negated-d1-term", "r3=1-d3-plus-1"],
 )
 def test_the_recorded_factorization_leaves_the_report_unchanged(r3, breaks):
-    cx = thm112_build(r3).complex
-    assert set(cx.factored) == {2}
+    # The result records d_2 = B^T . Delta; the certificate that reads the
+    # record gives the verdict of the direct expansion of d_1 . d_2 and
+    # d_2 . d_3.
+    res = thm112_build(r3)
     if breaks is not None:
-        cx = breaks(cx)
-    got = verify_complex(cx)
-    assert got == verify_complex(_without_record(cx))
-    assert got.ok == (breaks is None)
+        res = breaks(res)
+    direct = verify_complex(res.complex)
+    cert = thm112_certificate(res)
+    assert cert.ok == direct.ok == (breaks is None)
     if breaks is _negate_one_d1_term:
-        # The failures are d_1 . d_2's.
-        assert {f[0] for f in got.failures} == {1}
+        assert {f[0] for f in direct.failures} == {1}
+        assert cert.detail.startswith("fact (e) d_1 - a_1.x fails: entry (0, 0) is ")
     if breaks is _d3_plus_one:
-        assert {f[0] for f in got.failures} == {2}
+        assert {f[0] for f in direct.failures} == {2}
+        assert cert.detail == "fact (c) Delta.d_3 fails: entry (0, 0) is A2_1 - A3_1"
 
 
 def test_a_stale_record_never_hides_a_nonzero_composition():
     # d_2 perturbed in one entry, with the record of the unperturbed d_2 kept.
-    cx = thm112_build(2).complex
-    d1, d2, d3 = cx.differentials
+    res = thm112_build(2)
+    d1, d2, d3 = res.complex.differentials
     data = [list(row) for row in d2.data]
-    a1 = exact.ring(d2.data[0][0].names)[-1]  # the ring's last name
-    data[0][0] = data[0][0] + a1
-    broken = FreeComplex(cx.fmt, [d1, ExactMatrix(data), d3], cx.variables, cx.label, cx.factored)
-    rep = verify_complex(broken)
+    data[0][0] = data[0][0] + res.a1
+    broken = _with_complex(res, d2=ExactMatrix(data))
+    rep = verify_complex(broken.complex)
     assert not rep.ok and {f[0] for f in rep.failures} == {1, 2}
-    direct = [(i, d.matmul(e)) for i, (d, e) in enumerate(((d1, broken.d(2)), (broken.d(2), d3)), start=1)]
+    direct = [(i, d.matmul(e)) for i, (d, e) in enumerate(((d1, broken.complex.d(2)), (broken.complex.d(2), d3)), start=1)]
     want = [(i, r, c, str(e)) for i, p in direct for r, row in enumerate(p.data) for c, e in enumerate(row) if e != 0]
     assert list(rep.failures) == want
+    assert thm112_certificate(broken) == (False, "fact (a) d_2 - B^T.Delta fails: entry (0, 0) is a1")
 
 
-def test_a_verified_record_is_always_followed(monkeypatch):
-    products = []
-    matmul = ExactMatrix.matmul
-
-    def logged(self, other):
-        products.append((self, other))
-        return matmul(self, other)
-
-    monkeypatch.setattr(ExactMatrix, "matmul", logged)
-
-    def direct(cx):
-        d1, d2, d3 = cx.differentials
-        return [any(a is d and b is e for a, b in products) for d, e in ((d1, d2), (d2, d3))]
-
-    cx = thm112_build(2).complex
-    products.clear()
-    assert verify_complex(cx).ok and direct(cx) == [False, False]
-    # d_2 = 1 . G, G a copy of d_2, saves nothing, yet d_1 . d_2 is formed
-    # as (d_1 . 1) . G and d_2 . d_3 as 1 . (G . d_3).
-    cx = koszul_complex()
-    one = ExactMatrix([[int(i == j) for j in range(3)] for i in range(3)])
-    G = ExactMatrix(cx.d(2).data)
-    recorded = FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (one, G)})
-    products.clear()
-    rep = verify_complex(recorded)
-    assert rep.ok and direct(recorded) == [False, False]
-    assert rep == verify_complex(cx)
+def _flip_delta_01(res):
+    # Delta_{01} negated, Delta_{10} kept, and d_2 and d_1 rebuilt from it
+    # as the builder builds them, so facts (a) and (e) still hold.
+    data = [list(row) for row in res.delta.data]
+    data[0][1] = -data[0][1]
+    delta = ExactMatrix(data)
+    d2 = res.B.transpose().matmul(delta)
+    M = d2.matmul(res.B)
+    d1 = ExactMatrix([[res.a1 * M.data[1][2], res.a1 * M.data[2][0], res.a1 * M.data[0][1]]])
+    return _with_complex(res, d1=d1, d2=d2)._replace(delta=delta)
 
 
-def test_a_record_of_the_wrong_shape_is_refused_and_a_point_drops_the_record():
-    cx = thm112_build(2).complex
-    F, G = cx.factored[2]
-    with pytest.raises(ValueError, match=r"^the factors recorded for d_2 do not multiply to its shape$"):
-        FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {2: (G, F)})
-    with pytest.raises(ValueError, match=r"^the factors recorded for d_4 do not"):
-        FreeComplex(cx.fmt, cx.differentials, cx.variables, cx.label, {4: (F, G)})
-    assert cx.substitute(seeded_random_point(5, cx.variables)).factored == {}
+def _swap_x1_x2(res):
+    d1 = res.complex.d(1)
+    return _with_complex(res, d1=ExactMatrix([[d1.data[0][1], d1.data[0][0], d1.data[0][2]]]))
+
+
+@pytest.mark.parametrize(
+    "r3, breaks, fact",
+    [(r3, _flip_delta_01, "(b) Delta + Delta^T") for r3 in (1, 2, 3)]
+    + [(r3, _swap_x1_x2, "(e) d_1 - a_1.x") for r3 in (1, 2, 3)],
+    ids=[f"flip-delta-r3={r3}" for r3 in (1, 2, 3)] + [f"swap-x-r3={r3}" for r3 in (1, 2, 3)],
+)
+def test_the_certificate_names_the_fact_a_broken_family_fails(r3, breaks, fact):
+    res = breaks(thm112_build(r3))
+    cert = thm112_certificate(res)
+    entry = (0, 1) if breaks is _flip_delta_01 else (0, 0)
+    assert not cert.ok and cert.detail.startswith(f"fact {fact} fails: entry {entry} is ")
+    assert not verify_complex(res.complex).ok
+
+
+def test_the_certificate_needs_d3_of_full_rank():
+    # A generic skew Delta of rank 4 at r3 = 2, d_3 = 0, and d_2 = B^T Delta
+    # and d_1 = a_1 x built from it: facts (a), (b), (c) and (e) hold, and
+    # d_1 . d_2 is nonzero, so fact (d) carries the proof.
+    names = [f"v{i}{j}" for i, j in combinations(range(4), 2)]
+    names += [f"b{i}_{j}" for i in range(4) for j in range(3)] + ["a1"]
+    gens = iter(exact.ring(names))
+    delta_data = [[MPoly.const(0)] * 4 for _ in range(4)]
+    for i, j in combinations(range(4), 2):
+        v = next(gens)
+        delta_data[i][j], delta_data[j][i] = v, -v
+    delta = ExactMatrix(delta_data)
+    B = ExactMatrix([[next(gens) for _ in range(3)] for _ in range(4)])
+    a1 = next(gens)
+    d2 = B.transpose().matmul(delta)
+    M = d2.matmul(B)
+    x = (M.data[1][2], M.data[2][0], M.data[0][1])
+    d1 = ExactMatrix([[a1 * xk for xk in x]])
+    d3 = ExactMatrix([[0, 0] for _ in range(4)])
+    cx = FreeComplex(derive_ranks([1, 3, 4, 2]), [d1, d2, d3], tuple(sorted(names)), "rank-4 Delta")
+    res = Thm112Result(complex=cx, delta=delta, B=B, x=x, a1=a1)
+    assert thm112_certificate(res) == (False, "fact (d) fails: every 2x2 minor of d_3 is 0")
+    assert not d1.matmul(d2).is_zero()
+    assert [f[0] for f in verify_complex(cx).failures] == [1] * 4
+
+
+def test_the_certificate_refuses_another_format():
+    # Its rank argument needs f_2 = r3 + 2: the monomial complex (1, 4, 4, 1)
+    # has r3 = 1 but f_2 = 4.
+    res = thm112_build(1)._replace(complex=monomial_complex(2).complex)
+    with pytest.raises(ValueError, match=re.escape("needs format (1, 3, r3 + 2, r3), not (1, 4, 4, 1)")):
+        thm112_certificate(res)
 
 
 @pytest.mark.parametrize(

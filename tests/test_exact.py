@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -72,6 +73,20 @@ def test_symbolic_det_vandermonde():
     m = ExactMatrix([[one, a, a * a], [one, b, b * b], [one, c, c * c]])
     expected = (b - a) * (c - a) * (c - b)
     assert (MPoly.coerce(m.det()) - expected).is_zero()
+
+
+def test_a_symbolic_det_leaves_no_reference_cycle():
+    # Its minors must be freed when it returns, not when the cyclic
+    # collector next runs.
+    gens = iter(ring([f"m{i}{j}" for i in range(6) for j in range(6)]))
+    m = ExactMatrix([[next(gens) for _ in range(6)] for _ in range(6)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(MPoly.coerce(m.det()).terms) == 720
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rank_and_minor():
@@ -446,8 +461,8 @@ def test_numeric_matmul_keeps_the_running_sum_types():
 def test_matmul_matches_mpoly_sums_on_rows_that_share_coefficient_vectors():
     # Each row is a sum of x^o times a coefficient vector in the right
     # factor's variables.  The vectors of one trial differ only in sign
-    # (overall or in one component) or in one coefficient, so a memo key
-    # that dropped either would give a wrong entry.
+    # (overall or in one component) or in one coefficient, so many
+    # products cancel or nearly cancel.
     x1, x2, x3, y1, y2, y3 = ring(["x1", "x2", "x3", "y1", "y2", "y3"])
     outers = [MPoly.const(1), x1, x2, x3, x1 * x2, x2 * x3, x1 * x1, x3 * x3 * x1]
     rng = random.Random(2024)
@@ -518,12 +533,11 @@ def test_degree_overflow_raises_under_python_O():
     assert _run_fresh(code, "-O") == "raised\n"
 
 
-def test_matmul_guards_full_degrees_before_it_splits_a_row():
+def test_matmul_guards_full_degrees_for_each_contracted_index():
     # Each row times the column overflows the degree field, and its terms
-    # cancel.  Split off y, the first row is one vector met once, and the
-    # second shares the vector (y^254, -y^254) between the outer monomials
-    # x and z: a guard that read only the split parts would see no
-    # product, or inner fields that carry.
+    # cancel, so an unguarded product would carry silently and print 0.
+    # The first row is y^255 twice; the second is (x + z) y^254 twice, so
+    # the degree to guard is x's or z's field plus y's.
     code = (
         "from resatlas.exact import ExactMatrix, MPoly, _BITS, ring\n"
         "x, z, y = ring(['x', 'z', 'y'])\n"
@@ -623,9 +637,8 @@ UNSPLIT_PEAK = 6_093_000
 
 def test_a_cancelling_dot_product_holds_one_residue_class_at_a_time():
     # p and q are homogeneous, so a K dividing 255 would put every product
-    # in one class.  The pair (0, u) is skipped, but it puts p's variables
-    # in the right factor, so the row is one coefficient vector, met once,
-    # and its products form one sum.
+    # in one class.  The pair (0, u) is skipped, and the other two form one
+    # sum of products.
     code = (
         "import tracemalloc\n"
         "from resatlas.exact import ExactMatrix, MPoly, ring\n"
