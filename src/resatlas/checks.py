@@ -208,14 +208,6 @@ def _check_thm112(budget: Budget) -> str:
     for r3 in (1, 2, 3):
         budget.check("generic family")
         res = complexes.thm112_build(r3)
-        # B^T (Delta B) = [[0, x3, -x2], [-x3, 0, x1], [x2, -x1, 0]]; thm112_build formed (B^T Delta) B
-        M = res.B.transpose().matmul(res.delta.matmul(res.B))
-        x1, x2, x3 = res.x
-        for (i, j), x in (((0, 1), x3), ((1, 2), x1), ((2, 0), x2)):
-            if M.data[i][j] != x:
-                raise CheckFailed(f"generic family r3={r3}: B^T Delta B entry {(i, j)} off pattern")
-        if not M.add(M.transpose()).is_zero():
-            raise CheckFailed(f"generic family r3={r3}: B^T Delta B is not skew")
         cert = complexes.thm112_certificate(res)
         if not cert.ok:
             raise CheckFailed(f"generic family r3={r3}: d.d = 0 is not certified: {cert.detail}")

@@ -28,13 +28,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 # ValueError, a family member whose d . d products would reach that degree.
 # `_unpack` reads the fields as the bytes of the int, so it holds only for
 # 8-bit fields.
-#
-# Monomials add as ints, so (ma + mb) mod K = (ma mod K + mb mod K) mod K.
-# `_sum_products` fills a large sum of products one output residue class mod
-# a prime K at a time, so only one class's terms are live; `_classes` picks K
-# from the number of term products alone.  K must not divide 255 or 256, or
-# m mod K reads only the total degree and a homogeneous product lands in
-# one class.
 _BITS = 8
 if _BITS != 8:
     raise ImportError("exact._unpack reads one field per byte; _BITS must be 8")
@@ -70,21 +63,6 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
 Products = List[Tuple[Mapping[int, int], Mapping[int, int], int]]
 
 
-def _classes(work: int) -> int:
-    """K for a sum of `work` term products.  A class holds about 2**13 to
-    2**17 of them: K = 7 starts at 2**16 and K = 31 at 2**18, each about
-    2**13 per class.  K = 127 is the largest, so a class grows past 2**17
-    once `work` passes about 2**24."""
-    return 127 if work >= 1 << 22 else 31 if work >= 1 << 18 else 7 if work >= 1 << 16 else 1
-
-
-def _split(terms: Mapping[int, int], k: int) -> Dict[int, Dict[int, int]]:
-    classes: Dict[int, Dict[int, int]] = {}
-    for m, c in terms.items():
-        classes.setdefault(m % k, {})[m] = c
-    return classes
-
-
 def _check_degree(degree: int) -> None:
     """Raise OverflowError if a product of this degree would carry out of
     the degree field.  Every caller of `_sum_products` checks each pair's
@@ -95,26 +73,10 @@ def _check_degree(degree: int) -> None:
 
 def _sum_products(pairs: Products) -> Dict[int, int]:
     """The terms dict of the sum of sign * a * b over the (a, b, sign)
-    pairs.  With K = `_classes(sum |a| |b|)` = 1, every pair accumulates
-    into one dict, zeros included.  Otherwise class t of the output is the
-    sum over pairs and i of A_i * B_{(t - i) mod K}, A_i being the terms of
-    a with monomial = i mod K, and only its nonzero terms are kept before
-    the next class starts."""
-    k = _classes(sum(len(a) * len(b) for a, b, _ in pairs))
+    pairs, every pair accumulated into one dict, zeros included."""
     out: Dict[int, int] = {}
-    if k == 1:
-        for a, b, sign in pairs:
-            _mac(out, a, b, sign)
-        return out
-    split = [(_split(a, k), _split(b, k), sign) for a, b, sign in pairs]
-    for t in range(k):
-        acc: Dict[int, int] = {}
-        for sa, sb, sign in split:
-            for i, ai in sa.items():
-                bj = sb.get((t - i) % k)
-                if bj:
-                    _mac(acc, ai, bj, sign)
-        out.update((m, c) for m, c in acc.items() if c)
+    for a, b, sign in pairs:
+        _mac(out, a, b, sign)
     return out
 
 

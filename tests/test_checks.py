@@ -54,7 +54,10 @@ def test_generic_family_catches_a_broken_skew_pattern(monkeypatch):
         return res._replace(delta=delta)
 
     monkeypatch.setattr(complexes, "thm112_build", negated_delta)
-    with pytest.raises(CheckFailed, match=r"generic family r3=1: B\^T Delta B entry \(0, 1\)"):
+    with pytest.raises(CheckFailed, match=re.escape(
+        "generic family r3=1: d.d = 0 is not certified: "
+        "fact (a) d_2 - B^T.Delta fails: entry (0, 0) is -2*A2_1*b3_1 + 2*A3_1*b2_1"
+    )):
         run_check("generic-family")
 
 

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -94,16 +98,31 @@ def test_thm112_seeded_build():
     assert verify_complex(spec).ok
 
 
-def test_thm112_rejects_a_delta_with_one_sign_flipped(monkeypatch):
-    minor = ExactMatrix.minor
-
-    def flip_first_rows(self, rows, cols):
-        value = minor(self, rows, cols)
-        return -value if list(rows) == [2] else value  # Delta_{01} negated
-
-    monkeypatch.setattr(ExactMatrix, "minor", flip_first_rows)
-    with pytest.raises(AssertionError, match=r"thm112\(r3=1\): Delta .* does not annihilate d_3"):
-        thm112_build(1)
+def test_thm112_rejects_a_delta_with_one_sign_flipped():
+    # The build checks nothing, so the certificate must catch the flip, also
+    # under `python -O`.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from resatlas.complexes import thm112_build, thm112_certificate\n"
+        "from resatlas.exact import ExactMatrix\n"
+        "minor = ExactMatrix.minor\n"
+        "def flip_first_rows(self, rows, cols):\n"
+        "    value = minor(self, rows, cols)\n"
+        "    return -value if list(rows) == [2] else value  # Delta_{01} negated\n"
+        "ExactMatrix.minor = flip_first_rows\n"
+        "print(thm112_certificate(thm112_build(1)))\n"
+    )
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "CertificateReport(ok=False, detail='fact (c) Delta.d_3 fails: entry (0, 0) is 2*A2_1*A3_1')\n"
+        )
 
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
@@ -235,12 +254,9 @@ def test_complex_to_json_roundtrippable_strings():
     assert fx["matrices"][0] == [["x", "y", "z"]]
 
 
-def test_verify_complex_names_one_negated_term_on_the_split_path():
-    # Each d_1 . d_2 entry at r3 = 4 is one sum of products large enough to
-    # split into residue classes.
+def test_verify_complex_names_one_negated_term_at_r3_4():
     res = thm112_build(4)
     d1, d2, d3 = res.complex.differentials
-    assert exact._classes(sum(len(d1.data[0][k].terms) * len(d2.data[k][0].terms) for k in range(3))) > 1
     m, c = next(iter(d2.data[0][0].terms.items()))
     data = [list(row) for row in d2.data]
     term = MPoly({m: -2 * c}, data[0][0].names)
@@ -376,11 +392,10 @@ def test_the_certificate_needs_d3_of_full_rank():
     a1 = next(gens)
     d2 = B.transpose().matmul(delta)
     M = d2.matmul(B)
-    x = (M.data[1][2], M.data[2][0], M.data[0][1])
-    d1 = ExactMatrix([[a1 * xk for xk in x]])
+    d1 = ExactMatrix([[a1 * M.data[1][2], a1 * M.data[2][0], a1 * M.data[0][1]]])
     d3 = ExactMatrix([[0, 0] for _ in range(4)])
     cx = FreeComplex(derive_ranks([1, 3, 4, 2]), [d1, d2, d3], tuple(sorted(names)), "rank-4 Delta")
-    res = Thm112Result(complex=cx, delta=delta, B=B, x=x, a1=a1)
+    res = Thm112Result(complex=cx, delta=delta, B=B, a1=a1)
     assert thm112_certificate(res) == (False, "fact (d) fails: every 2x2 minor of d_3 is 0")
     assert not d1.matmul(d2).is_zero()
     assert [f[0] for f in verify_complex(cx).failures] == [1] * 4

@@ -553,22 +553,17 @@ def test_matmul_guards_full_degrees_for_each_contracted_index():
     assert _run_fresh(code) == _run_fresh(code, "-O") == "raised\nraised\n"
 
 
-# -- residue classes: sums of products large enough to split ------------------
+# -- large operands: sums of tens of thousands of term products ---------------
 
 
-def _sized_pair(rng, size, residue=None):
+def _sized_pair(rng, size):
     """A random polynomial of `size` terms in ORACLE_NAMES, built through
-    the MPoly API, and the same polynomial in the oracle's representation.
-    With `residue` = (k, r), every packed monomial is r mod k."""
-    packed = [next(iter(var.terms)) for var in ORACLE_RING]
+    the MPoly API, and the same polynomial in the oracle's representation."""
     poly, oracle = MPoly.const(0), {}
     for _ in range(100 * size):
         if len(oracle) == size:
             break
         exps = [rng.randint(0, 4) for _ in ORACLE_NAMES]
-        m = sum(e * mono for mono, e in zip(packed, exps))
-        if residue and m % residue[0] != residue[1]:
-            continue
         mono = tuple((idx, e) for idx, e in enumerate(exps) if e)
         if mono in oracle:
             continue
@@ -578,7 +573,7 @@ def _sized_pair(rng, size, residue=None):
             term = term * _power(var, e)
         poly = poly + term
         oracle[mono] = coeff
-    assert len(oracle) == size, f"only {len(oracle)} monomials are {residue[1]} mod {residue[0]}"
+    assert len(oracle) == size
     return poly, oracle
 
 
@@ -594,35 +589,22 @@ def _assert_oracle(p, want):
     assert str(p) == _oracle_str(want)
 
 
-def test_a_split_product_matches_the_tuple_oracle():
+def test_a_large_product_matches_the_tuple_oracle():
     rng = random.Random(2009)
     (p, op), (q, oq) = _sized_pair(rng, 260), _sized_pair(rng, 290)
-    assert exact._classes(len(p.terms) * len(q.terms)) > 1
     _assert_oracle(p * q, _oracle_mul(op, oq))
 
 
-def test_a_product_in_one_residue_class_matches_the_tuple_oracle():
-    rng = random.Random(14)
-    k = exact._classes(260 * 260)
-    assert k > 1
-    (p, op), (q, oq) = _sized_pair(rng, 260, (k, k - 1)), _sized_pair(rng, 260, (k, k - 2))
-    pq = p * q
-    assert {m % k for m in pq.terms} == {k - 3}
-    _assert_oracle(pq, _oracle_mul(op, oq))
-
-
-def test_a_split_commutator_prints_zero():
+def test_a_large_commutator_prints_zero():
     rng = random.Random(7)
     (p, _), (q, _) = _sized_pair(rng, 200), _sized_pair(rng, 200)
-    assert exact._classes(2 * 200 * 200) > 1
     prod = ExactMatrix([[p, q]]).matmul(ExactMatrix([[q], [-p]]))
     assert str(prod.data[0][0]) == "0"
 
 
-def test_split_matmul_and_det_match_oracle_sums_with_laplace_signs():
+def test_large_matmul_and_det_match_oracle_sums_with_laplace_signs():
     rng = random.Random(1968)
     (a, oa), (b, ob), (c, oc), (d, od) = (_sized_pair(rng, 200) for _ in range(4))
-    assert exact._classes(2 * 200 * 200) > 1
     prod = ExactMatrix([[a, b]]).matmul(ExactMatrix([[c], [d]]))
     assert _as_oracle(prod.data[0][0]) == _oracle_add(_oracle_mul(oa, oc), _oracle_mul(ob, od))
     minus_b = {m: -coeff for m, coeff in ob.items()}
@@ -630,26 +612,11 @@ def test_split_matmul_and_det_match_oracle_sums_with_laplace_signs():
     assert _as_oracle(det) == _oracle_add(_oracle_mul(oa, od), _oracle_mul(minus_b, oc))
 
 
-# tracemalloc's peak for the product below when one dict held every output
-# monomial at once, as the kernel did before residue classes.
-UNSPLIT_PEAK = 6_093_000
-
-
-def test_a_cancelling_dot_product_holds_one_residue_class_at_a_time():
-    # p and q are homogeneous, so a K dividing 255 would put every product
-    # in one class.  The pair (0, u) is skipped, and the other two form one
-    # sum of products.
-    code = (
-        "import tracemalloc\n"
-        "from resatlas.exact import ExactMatrix, MPoly, ring\n"
-        "uv = ring([f'u{i}' for i in range(10)] + [f'v{i}' for i in range(10)])\n"
-        "u, v = sum(uv[:10], MPoly.const(0)), sum(uv[10:], MPoly.const(0))\n"
-        "p, q = u * u * u, v * v * v\n"
-        "a, b = ExactMatrix([[p, -p, 0]]), ExactMatrix([[q], [q], [u]])\n"
-        "tracemalloc.start()\n"
-        "prod = a.matmul(b)\n"
-        "print(prod, len(p.terms), len(q.terms), tracemalloc.get_traced_memory()[1])\n"
-    )
-    shown, p_terms, q_terms, peak = _run_fresh(code).split()
-    assert (shown, p_terms, q_terms) == ("[0]", "220", "220")
-    assert int(peak) < UNSPLIT_PEAK // 4
+def test_a_cancelling_dot_product_prints_zero():
+    # The pair (0, u) is skipped, and the other two form one sum of
+    # products that cancels to 0.
+    uv = exact.ring([f"u{i}" for i in range(10)] + [f"v{i}" for i in range(10)])
+    u, v = sum(uv[:10], MPoly.const(0)), sum(uv[10:], MPoly.const(0))
+    p, q = u * u * u, v * v * v
+    prod = ExactMatrix([[p, -p, 0]]).matmul(ExactMatrix([[q], [q], [u]]))
+    assert (str(prod), len(p.terms), len(q.terms)) == ("[0]", 220, 220)
