@@ -10,8 +10,8 @@ coefficients.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import combinations, islice
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import exact
 from .exact import DEGREE_LIMIT, SYMBOLIC_DET_LIMIT, ExactMatrix, MPoly, seeded_random_point
@@ -67,9 +67,10 @@ class ComplexReport(NamedTuple):
     failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
 
 
-def _nonzero_entries(m: ExactMatrix) -> List[Tuple[int, int, str]]:
-    """The (row, col, printed entry) of every nonzero entry, row by row."""
-    return [(r, c, str(e)) for r, row in enumerate(m.data) for c, e in enumerate(row) if e != 0]
+def _nonzero_entries(m: ExactMatrix) -> Iterator[Tuple[int, int, str]]:
+    """The (row, col, printed entry) of each nonzero entry, row by row, each
+    printed only when it is reached."""
+    return ((r, c, str(e)) for r, row in enumerate(m.data) for c, e in enumerate(row) if e != 0)
 
 
 def verify_complex(complex_: FreeComplex) -> ComplexReport:
@@ -318,7 +319,7 @@ def _thm112_failures(res: Thm112Result):
         raise ValueError(f"the certificate needs format (1, 3, r3 + 2, r3), not {tuple(res.complex.fmt.f)}")
 
     def failure(name: str, m: ExactMatrix):
-        for r, c, e in _nonzero_entries(m)[:1]:
+        for r, c, e in islice(_nonzero_entries(m), 1):
             yield f"fact {name} fails: entry {(r, c)} is {e}"
 
     def minus(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import reduce
+from itertools import compress
+from math import prod
 from operator import or_
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -26,22 +28,15 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 # of the monomial, so fields are one byte: a product of degree 2**8
 # raises OverflowError, and the complex builders refuse, with a
 # ValueError, a family member whose d . d products would reach that degree.
-# `_unpack` reads the fields as the bytes of the int, so it holds only for
-# 8-bit fields.
+# Printing, evaluation and `variables` read the fields as the bytes of the
+# int, one field per byte, so they hold only for 8-bit fields.
 _BITS = 8
 if _BITS != 8:
-    raise ImportError("exact._unpack reads one field per byte; _BITS must be 8")
+    raise ImportError("exact reads one monomial field per byte; _BITS must be 8")
 DEGREE_LIMIT = 1 << _BITS
 _MASK = DEGREE_LIMIT - 1
 # The largest symbolic determinant `ExactMatrix.det` expands (n x n).
 SYMBOLIC_DET_LIMIT = 8
-
-
-def _unpack(m: int) -> List[Tuple[int, int]]:
-    """The (variable index, positive exponent) pairs of a monomial, in the
-    order of its ring's names."""
-    fields = m.to_bytes((m.bit_length() + 7) >> 3, "little")
-    return [(idx, e) for idx, e in enumerate(fields[1:]) if e]
 
 
 def _max_degree(terms: Mapping[int, int]) -> int:
@@ -80,18 +75,38 @@ def _sum_products(pairs: Products) -> Dict[int, int]:
     return out
 
 
-def _weigh(p: "MPoly", point: Mapping[str, int]) -> int:
-    """The value of a polynomial at a point keyed by name: the sum of
-    c * prod x_i^e_i over its terms."""
-    total = 0
-    for mono, coeff in p.terms.items():
-        for idx, e in _unpack(mono):
-            x = point.get(p.names[idx])
-            if x is None:
-                raise KeyError(f"missing variable {p.names[idx]!r}")
-            coeff *= x**e
-        total += coeff
-    return total
+class _Values(dict):
+    """The values at one point of the half monomials of one ring, each
+    computed when first met.  A half is a monomial with its degree field
+    and either its high fields (mask `low`) or its low fields (mask `high`)
+    cleared; field i + 1 holds the exponent of names[i], whose coordinate
+    is vals[i], or None if the point has no such name."""
+
+    __slots__ = ("names", "vals", "low", "high")
+
+    def __missing__(self, half: int) -> int:
+        exps = (half >> _BITS).to_bytes(len(self.vals), "little")
+        try:
+            value = self[half] = prod(map(pow, compress(self.vals, exps), compress(exps, exps)))
+        except TypeError:
+            name = next(n for n, x, e in zip(self.names, self.vals, exps) if e and x is None)
+            raise KeyError(f"missing variable {name!r}") from None
+        return value
+
+
+def _values(names: Tuple[str, ...], point: Mapping[str, int]) -> _Values:
+    """The `_Values` of a ring at a point.  The low half holds the fields of
+    the first ceil(n/2) names, the high half the rest: across the terms of a
+    matrix the halves repeat far more than whole monomials do.  The halves
+    of no name and of one name to the first power are filled at once."""
+    vals = [point.get(name) for name in names]
+    out = _Values({1 << _BITS * k: x for k, x in enumerate(vals, 1) if x is not None})
+    out[0] = 1
+    shift = _BITS * ((len(names) + 3) // 2)
+    out.names, out.vals = names, vals
+    out.low = (1 << shift) - DEGREE_LIMIT
+    out.high = (1 << _BITS * (len(names) + 1)) - (1 << shift)
+    return out
 
 
 def _ring(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
@@ -214,16 +229,20 @@ class MPoly:
             return "0"
         # Graded lexicographic: total degree first, then exponents in the
         # order of the ring's names (a higher exponent on an earlier variable
-        # sorts first).  The key determines the monomial, so the sort never
-        # compares coefficients, and it carries the exponents to print.
+        # sorts first).  Byte 0 of a monomial's n + 1 bytes is its degree and
+        # byte i + 1 the exponent of names[i], so that order is the bytes
+        # sorted highest first; they determine the monomial, so the sort
+        # never compares coefficients.
+        names = self.names
+        width = len(names) + 1
         pieces = []
-        for _, key, coeff in sorted(
-            (-(m & _MASK), tuple((idx, -e) for idx, e in _unpack(m)), c) for m, c in self.terms.items()
+        for key, coeff in sorted(
+            ((m.to_bytes(width, "little"), c) for m, c in self.terms.items()), reverse=True
         ):
-            factors = []
-            for idx, neg in key:
-                name = self.names[idx]
-                factors.append(name if neg == -1 else f"{name}^{-neg}")
+            exps = key[1:]
+            factors = list(compress(names, exps))
+            if exps.translate(None, b"\0\1"):
+                factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(factors, filter(None, exps))]
             if not factors:
                 body = str(abs(coeff))
             elif abs(coeff) == 1:
@@ -253,7 +272,7 @@ def variables(entries: Iterable[Entry]) -> List[str]:
     # A field of the OR of every monomial is nonzero iff some entry has
     # that variable.
     support = reduce(or_, (m for p in polys for m in p.terms), 0)
-    return sorted(names[i] for i, _ in _unpack(support))
+    return sorted(compress(names, support.to_bytes(len(names) + 1, "little")[1:]))
 
 
 def _terms(e: Entry) -> Mapping[int, int]:
@@ -264,14 +283,15 @@ def _kind(pairs: Iterable[Tuple[Entry, Entry]]) -> Tuple[str, ...] | None:
     """The names of the sum of a * b over the pairs, as a running sum from
     int 0 would give it, or None if that sum is an int: pairs with an int 0
     factor are skipped, and a product with an MPoly factor is an MPoly."""
-    polys = [
-        e
-        for pair in pairs
-        if not any(isinstance(e, int) and e == 0 for e in pair)
-        for e in pair
-        if isinstance(e, MPoly)
-    ]
-    return reduce(_ring, (p.names for p in polys), ()) if polys else None
+    names = None
+    for pair in pairs:
+        a, b = pair
+        if isinstance(a, int) and not a or isinstance(b, int) and not b:
+            continue
+        for e in pair:
+            if isinstance(e, MPoly):
+                names = e.names if names is None else _ring(names, e.names)
+    return names
 
 
 def _expand(
@@ -365,59 +385,14 @@ class ExactMatrix:
             ]
         )
 
-    def submatrix(self, rows: Iterable[int], cols: Iterable[int]) -> "ExactMatrix":
-        rows = sorted(rows)
-        cols = sorted(cols)
-        for i in rows:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row {i} out of range")
-        for j in cols:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"col {j} out of range")
-        return ExactMatrix([[self.data[i][j] for j in cols] for i in rows])
-
     # -- determinants ------------------------------------------------------
 
     def det(self) -> Entry:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        if self.rows == 0:
-            return 1
         if self.is_numeric():
-            rank, sign, last = self._bareiss()
-            return sign * last if rank == self.rows else 0
+            return _int_det([list(row) for row in self.data])
         return self._det_expansion()
-
-    def _bareiss(self) -> Tuple[int, int, int]:
-        """Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) on
-        the integer entries: the rank, the sign of the row swaps, and the
-        last pivot.  After k pivots every live entry is a (k+1)-minor of the
-        matrix, so each division by the previous pivot is exact, also past a
-        skipped column."""
-        m = [list(row) for row in self.data]
-        rows, cols = self.rows, self.cols
-        rank, sign, prev = 0, 1, 1
-        for col in range(cols):
-            pivot = rank
-            while pivot < rows and not m[pivot][col]:
-                pivot += 1
-            if pivot == rows:
-                continue
-            if pivot != rank:
-                m[rank], m[pivot] = m[pivot], m[rank]
-                sign = -sign
-            top = m[rank]
-            pv = top[col]
-            for i in range(rank + 1, rows):
-                row = m[i]
-                rc = row[col]
-                for j in range(col + 1, cols):
-                    row[j] = (row[j] * pv - rc * top[j]) // prev
-            prev = pv
-            rank += 1
-            if rank == rows:
-                break
-        return rank, sign, prev
 
     def _det_expansion(self) -> MPoly:
         n = self.rows
@@ -432,7 +407,16 @@ class ExactMatrix:
         cols = sorted(cols)
         if len(rows) != len(cols):
             raise ValueError("minor needs equally many rows and columns")
-        return self.submatrix(rows, cols).det()
+        for i in rows:
+            if not 0 <= i < self.rows:
+                raise IndexError(f"row {i} out of range")
+        for j in cols:
+            if not 0 <= j < self.cols:
+                raise IndexError(f"col {j} out of range")
+        m = [[self.data[i][j] for j in cols] for i in rows]
+        if all(isinstance(e, int) for row in m for e in row):
+            return _int_det(m)
+        return ExactMatrix(m).det()
 
     # -- rank --------------------------------------------------------------
 
@@ -440,7 +424,7 @@ class ExactMatrix:
         """Rank over the rationals (int entries only)."""
         if not self.is_numeric():
             raise ValueError("rank requires numeric entries; substitute a point first")
-        return self._bareiss()[0]
+        return _bareiss([list(row) for row in self.data])[0]
 
     def substitute(self, assignment: Mapping[str, int]) -> "ExactMatrix":
         """Every entry evaluated at a full integer point, as an int.  Every
@@ -449,15 +433,26 @@ class ExactMatrix:
         for name, value in assignment.items():
             if not isinstance(value, int):
                 raise TypeError(f"coordinate {name!r} is {value!r}, not an int")
+        # A term's value is the product of the values of its two halves.
+        # The entries of one ring share one `_Values`; a constant (names ())
+        # evaluates to its coefficient under any ring.
+        names = None
         out = []
         for i, row in enumerate(self.data):
             new_row: List[Entry] = []
             for j, e in enumerate(row):
                 if isinstance(e, MPoly):
+                    if e.names is not names and (e.names or names is None):
+                        names = e.names
+                        values = _values(names, assignment)
+                        low, high = values.low, values.high
+                    total = 0
                     try:
-                        e = _weigh(e, assignment)
+                        for m, c in e.terms.items():
+                            total += c * values[m & low] * values[m & high]
                     except KeyError as err:
                         raise KeyError(f"{err.args[0]} in entry ({i}, {j})") from None
+                    e = total
                 new_row.append(e)
             out.append(new_row)
         return ExactMatrix(out)
@@ -469,6 +464,44 @@ class ExactMatrix:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.data) + "]"
 
     __repr__ = __str__
+
+
+def _int_det(m: List[List[int]]) -> int:
+    """The determinant of the square matrix with the int rows `m`, which
+    Bareiss overwrites."""
+    rank, sign, last = _bareiss(m)
+    return sign * last if rank == len(m) else 0
+
+
+def _bareiss(m: List[List[int]]) -> Tuple[int, int, int]:
+    """Fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968) on the
+    rows `m` of integer entries, in place: the rank, the sign of the row
+    swaps, and the last pivot.  After k pivots every live entry is a
+    (k+1)-minor of the matrix, so each division by the previous pivot is
+    exact, also past a skipped column."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        pivot = rank
+        while pivot < rows and not m[pivot][col]:
+            pivot += 1
+        if pivot == rows:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        pv = top[col]
+        for i in range(rank + 1, rows):
+            row = m[i]
+            rc = row[col]
+            for j in range(col + 1, cols):
+                row[j] = (row[j] * pv - rc * top[j]) // prev
+        prev = pv
+        rank += 1
+        if rank == rows:
+            break
+    return rank, sign, prev
 
 
 def seeded_random_point(seed: int, variables: Sequence[str]) -> Dict[str, int]:

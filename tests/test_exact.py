@@ -93,7 +93,16 @@ def test_rank_and_minor():
     m = ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.rank() == 2
     assert m.minor([0, 2], [0, 1]) == 1
+    assert m.minor([2, 0], (1, 0)) == 1  # indices are sorted first
     assert m.minor([], []) == 1  # empty minor
+    with pytest.raises(ValueError, match="^minor needs equally many rows and columns$"):
+        m.minor([0, 1], [0])
+    with pytest.raises(IndexError, match="^row 3 out of range$"):
+        m.minor([3], [0])
+    with pytest.raises(IndexError, match="^col -1 out of range$"):
+        m.minor([0], [-1])
+    (x,) = ring(["x"])
+    assert str(ExactMatrix([[x, 1, 0], [2, x, 0]]).minor([0, 1], [0, 1])) == "x^2 - 2"
 
 
 def _laplace_det(m):
@@ -137,6 +146,10 @@ def test_bareiss_rank_and_det_match_minors():
         assert matrix.rank() == _largest_nonvanishing_minor(m), m
         if rows == cols:
             assert matrix.det() == _laplace_det(m), m
+        k = rng.randint(1, min(rows, cols))
+        rs, cs = rng.sample(range(rows), k), rng.sample(range(cols), k)
+        want = _laplace_det([[m[i][j] for j in sorted(cs)] for i in sorted(rs)])
+        assert matrix.minor(rs, cs) == want and matrix.data == m, m
     assert swaps >= 20 and zero_cols >= 20
 
 
@@ -231,13 +244,14 @@ def _oracle_mul(p, q):
     return {m: c for m, c in out.items() if c}
 
 
-def _oracle_str(p):
+def _oracle_str(p, names=None):
+    names = names or ORACLE_NAMES
     if not p:
         return "0"
     pieces = []
     for mono in sorted(p, key=_mono_key):
         coeff = p[mono]
-        factors = [ORACLE_NAMES[idx] if e == 1 else f"{ORACLE_NAMES[idx]}^{e}" for idx, e in mono]
+        factors = [names[idx] if e == 1 else f"{names[idx]}^{e}" for idx, e in mono]
         if not factors:
             body = str(abs(coeff))
         elif abs(coeff) == 1:
@@ -251,12 +265,13 @@ def _oracle_str(p):
     return out
 
 
-def _oracle_substitute(p, point):
+def _oracle_substitute(p, point, names=None):
+    names = names or ORACLE_NAMES
     total = 0
     for mono, coeff in p.items():
         term = coeff
         for idx, e in mono:
-            term *= point[ORACLE_NAMES[idx]] ** e
+            term *= point[names[idx]] ** e
         total += term
     return total
 
@@ -334,6 +349,72 @@ def test_substitute_names_the_missing_variable_and_the_entry():
     with pytest.raises(KeyError) as info:
         ExactMatrix([[x, 1], [2, x * y + 1]]).substitute({"x": 3})
     assert info.value.args == ("missing variable 'y' in entry (1, 1)",)
+
+
+def _sparse_pair(rng, variables, max_terms=5, max_vars=6):
+    """A random polynomial in the ring of `variables`, each term on at most
+    `max_vars` of them with exponents 1, 2 or 11, built through the MPoly
+    API, and the same polynomial in the oracle's representation."""
+    poly, oracle = MPoly.const(0), {}
+    for _ in range(rng.randint(0, max_terms)):
+        coeff = rng.randint(-4, 4)
+        term, mono = MPoly.const(coeff), ()
+        for idx in sorted(rng.sample(range(len(variables)), rng.randint(0, min(max_vars, len(variables))))):
+            e = rng.choice((1, 1, 2, 11))
+            term = term * _power(variables[idx], e)
+            mono += ((idx, e),)
+        poly = poly + term
+        oracle = _oracle_add(oracle, {mono: coeff})
+    return poly, oracle
+
+
+@pytest.mark.parametrize("size", [1, 43])
+def test_str_variables_and_substitute_match_the_tuple_oracle_on_one_name_and_on_43(size):
+    # 43 names is the generic family's ring at r3 = 4.  Ring order is not
+    # name order, and evaluation splits the 43 fields into halves of 22
+    # and 21.
+    names = tuple(f"w{(17 * i) % size}" for i in range(size))
+    variables = ring(names)
+    rng = random.Random(size)
+    for _ in range(40):
+        entries, oracles = [[], []], {}
+        for i, j in itertools.product(range(2), range(3)):
+            if rng.random() < 0.2:
+                entries[i].append(rng.randint(-3, 3))
+                continue
+            entry, oracles[i, j] = _sparse_pair(rng, variables)
+            assert str(entry) == _oracle_str(oracles[i, j], names)
+            entries[i].append(entry)
+        used = {names[idx] for o in oracles.values() for mono in o for idx, _ in mono}
+        assert exact.variables(e for row in entries for e in row) == sorted(used)
+        point = {name: rng.randint(-9, 9) for name in names}
+        got = ExactMatrix(entries).substitute(point)
+        for i, j in itertools.product(range(2), range(3)):
+            want = _oracle_substitute(oracles[i, j], point, names) if (i, j) in oracles else entries[i][j]
+            assert (type(got.data[i][j]), got.data[i][j]) == (int, want)
+    constants = ExactMatrix([[2, MPoly.const(-3)], [MPoly.const(0), 0]])
+    assert constants.substitute(point).data == [[2, -3], [0, 0]]
+    assert exact.variables(e for row in constants.data for e in row) == []
+
+
+def test_substitute_names_a_missing_variable_in_either_half():
+    names = [f"v{i}" for i in range(43)]
+    v = ring(names)
+    m = ExactMatrix([[v[0], 1], [2, v[1] * _power(v[3], 2) + v[40] * v[41]]])
+    point = dict.fromkeys(names, 2)
+    for missing, named in ((["v3"], "v3"), (["v40"], "v40"), (["v41", "v40"], "v40")):
+        with pytest.raises(KeyError) as info:
+            m.substitute({k: x for k, x in point.items() if k not in missing})
+        assert info.value.args == (f"missing variable {named!r} in entry (1, 1)",)
+    # A name that no entry uses may be missing.
+    assert m.substitute({k: x for k, x in point.items() if k != "v42"}).data == [[2, 1], [2, 12]]
+
+
+def test_substitute_evaluates_each_entry_in_its_own_ring():
+    x, y = ring(["x", "y"])
+    (u,) = ring(["u"])
+    m = ExactMatrix([[MPoly.const(5), x * y], [u * u, y + 1]])
+    assert m.substitute({"x": 2, "y": 3, "u": 7}).data == [[5, 6], [49, 4]]
 
 
 # -- rings ----------------------------------------------------------------------
@@ -577,9 +658,16 @@ def _sized_pair(rng, size):
     return poly, oracle
 
 
+def _decode(m, n):
+    """A packed monomial of a ring of n names in the oracle's
+    representation, read one field at a time by shift and mask."""
+    fields = [(m >> (_BITS * (i + 1))) & ((1 << _BITS) - 1) for i in range(n)]
+    return tuple((idx, e) for idx, e in enumerate(fields) if e)
+
+
 def _as_oracle(p):
     """The terms of `p` in the oracle's representation."""
-    return {tuple(exact._unpack(m)): c for m, c in p.terms.items()}
+    return {_decode(m, len(p.names)): c for m, c in p.terms.items()}
 
 
 def _assert_oracle(p, want):
