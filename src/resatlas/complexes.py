@@ -322,15 +322,22 @@ def _thm112_failures(res: Thm112Result):
         for r, c, e in islice(_nonzero_entries(m), 1):
             yield f"fact {name} fails: entry {(r, c)} is {e}"
 
-    def minus(p: ExactMatrix, q: ExactMatrix) -> ExactMatrix:
-        return p.add(ExactMatrix([[-e for e in row] for row in q.data]))
+    def unequal(name: str, p: ExactMatrix, q: ExactMatrix):
+        # Only the first unequal entry's difference is formed and printed.
+        if (p.rows, p.cols) != (q.rows, q.cols):
+            raise ValueError("shape mismatch")
+        for r, (p_row, q_row) in enumerate(zip(p.data, q.data)):
+            for c, (a, b) in enumerate(zip(p_row, q_row)):
+                if a != b:
+                    yield f"fact {name} fails: entry {(r, c)} is {a - b}"
+                    return
 
-    yield from failure("(a) d_2 - B^T.Delta", minus(d2, B.transpose().matmul(delta)))
+    yield from unequal("(a) d_2 - B^T.Delta", d2, B.transpose().matmul(delta))
     yield from failure("(b) Delta + Delta^T", delta.add(delta.transpose()))
     yield from failure("(c) Delta.d_3", delta.matmul(d3))
     if all(d3.minor(rows, range(r3)) == 0 for rows in combinations(range(d3.rows), r3)):
         yield f"fact (d) fails: every {r3}x{r3} minor of d_3 is 0"
-    yield from failure("(e) d_1 - a_1.x", minus(d1, ExactMatrix([[res.a1 * xk for xk in _pattern(d2, B)]])))
+    yield from unequal("(e) d_1 - a_1.x", d1, ExactMatrix([[res.a1 * xk for xk in _pattern(d2, B)]]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -141,26 +141,61 @@ def _weyl_walk(
     than w exactly when label i of w(top) is positive (Björner–Brenti,
     *Combinatorics of Coxeter Groups*, §1.6, §2.4): s_i then negates that
     label l_i, adds it to the labels of the neighbours of i and adds it to
-    drop i.  So layer k + 1 is reached from layer k alone, and the drop only
-    grows, so leaving out the w with ht(drop) > `max_height` is exact.  On an
-    infinite W an unbounded walk never ends; the caller stops taking layers."""
-    layer: Dict[Labels, Coords] = {tuple(top): (0,) * len(top)}
+    drop i.  The first descent of w is the index f of the first negative
+    label of w(top), or n for the identity.
+
+    Each w' != e is built once, from its canonical parent s_d w', d the
+    first descent of w'.  From w, an ascent i < f has first descent i, so
+    it is built without a test; an ascent i > f is built only when i is a
+    neighbour of f with l_f + l_i > 0 and every negative label between f
+    and i sits at a neighbour of i that l_i lifts above 0.  The parent
+    s_d w' of any w' either has f > d, so d is in the first branch, or has
+    its first negative label at a neighbour f < d of d that l_d lifts back
+    above 0, so d is in the second.  So layer k + 1 is reached from layer k
+    alone, and since the parent's drop is at most the child's in every
+    coordinate, leaving out the w with ht(drop) > `max_height` is exact.
+    Raises RuntimeError if a layer is built a different number of times
+    than it has elements.  On an infinite W an unbounded walk never ends;
+    the caller stops taking layers."""
+    n = len(top)
+    # Per f: the ascents i < f, and the neighbours of f after it.
+    heads = [list(range(f)) for f in range(n + 1)]
+    later = [[i for i in adjacency[f] if i > f] for f in range(n)] + [[]]
+    near = [frozenset(a) for a in adjacency]
+    layer: Dict[Labels, Coords] = {tuple(top): (0,) * n}
+    firsts = [n]
     while layer:
         yield layer
         nxt: Dict[Labels, Coords] = {}
-        for labels, drop in layer.items():
-            room = None if max_height is None else max_height - sum(drop)
-            for i, li in enumerate(labels):
-                if li <= 0 or (room is not None and li > room):
-                    continue
+        built: List[int] = []
+        for (labels, drop), f in zip(layer.items(), firsts):
+            if max_height is None:
+                room = inf
+                kids = heads[f][:]
+            else:
+                room = max_height - sum(drop)
+                kids = [i for i in heads[f] if labels[i] <= room]
+            for i in later[f]:
+                li = labels[i]
+                if 0 < li <= room and labels[f] + li > 0:
+                    for j in range(f + 1, i):
+                        if labels[j] < 0 and (j not in near[i] or labels[j] + li <= 0):
+                            break
+                    else:
+                        kids.append(i)
+            for i in kids:
+                li = labels[i]
                 new = list(labels)
                 new[i] = -li
                 for j in adjacency[i]:
                     new[j] += li
-                new = tuple(new)
-                if new not in nxt:
-                    nxt[new] = drop[:i] + (drop[i] + li,) + drop[i + 1 :]
-        layer = nxt
+                d = list(drop)
+                d[i] += li
+                nxt[tuple(new)] = tuple(d)
+            built += kids
+        if len(built) != len(nxt):
+            raise RuntimeError(f"{len(built)} builds for a layer of {len(nxt)} elements")
+        layer, firsts = nxt, built
 
 
 def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
@@ -231,9 +266,25 @@ def finite_positive_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
+def _check_cartan(A: Sequence[Sequence[int]], off_ok: Callable[[int], bool], off: str) -> None:
+    """Raise ValueError naming the first entry of A that breaks its symmetry,
+    is not 2 on the diagonal, or off it fails `off_ok`, which `off` names."""
+    n = len(A)
+    for i in range(n):
+        for j in range(n):
+            if A[i][j] != A[j][i]:
+                raise ValueError(f"A[{i}][{j}] = {A[i][j]} but A[{j}][{i}] = {A[j][i]}")
+            if i == j and A[i][i] != 2 or i != j and not off_ok(A[i][j]):
+                raise ValueError(f"A[{i}][{j}] = {A[i][j]}, not {2 if i == j else off}")
+
+
 def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     """Signed count of Weyl elements keyed by rho - w(rho) in root coords,
-    over all w with ht(rho - w rho) <= H."""
+    over all w with ht(rho - w rho) <= H.  `_weyl_walk` adds a label to
+    each neighbour, which is s_i only for off-diagonal entries 0 and -1, so
+    any other symmetric A, or a diagonal entry other than 2, raises
+    ValueError naming the entry."""
+    _check_cartan(A, lambda a: a in (0, -1), "0 or -1")
     n = len(A)
     adjacency = [[j for j in range(n) if i != j and A[i][j] != 0] for i in range(n)]
     out: Dict[Coords, int] = {}
@@ -312,15 +363,10 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     L = lcm(1..H).  Raises ArithmeticError naming the root if a division is
     inexact or a multiplicity comes out negative or non-integral.
     """
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] != A[j][i]:
-                raise ValueError(f"A[{i}][{j}] = {A[i][j]} but A[{j}][{i}] = {A[j][i]}")
-            if i == j and A[i][i] != 2 or i != j and A[i][j] > 0:
-                raise ValueError(f"A[{i}][{j}] = {A[i][j]}, not {2 if i == j else '<= 0'}")
+    _check_cartan(A, lambda a: a <= 0, "<= 0")
     if H < 1:
         return {}
+    n = len(A)
     L = lcm(*range(1, H + 1))
     # beta is keyed by sum beta_i B^i.  Up to height H every digit lies in
     # [0, H] and B > H, so key(beta') + key(beta'') = key(beta' + beta'')
@@ -406,7 +452,9 @@ def verify_denominator_identity(
 ) -> bool:
     """Independent check: re-expand the product side from scratch and compare
     against the Weyl alternating sum, both truncated at height H.  Raises
-    ValueError on a negative multiplicity."""
+    ValueError on a negative multiplicity, and on an A that
+    `weyl_denominator_sum` refuses: one that is not symmetric with 2 on the
+    diagonal and 0 or -1 off it."""
     factors = [(beta, mults[beta]) for beta in sorted(mults, key=lambda b: (sum(b), b))]
     for beta, m in factors:
         if m < 0:
@@ -444,12 +492,13 @@ class WeylElem(NamedTuple):
 
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
     """All elements of W of length <= L, by `_weyl_walk` from lam + rho
-    (lam = 0 by default), in the walk's order.  lam must be dominant: then
+    (lam = 0 by default), by length and, within a length, in the order the
+    walk builds them from their first descents.  lam must be dominant: then
     every label of lam + rho is >= 1, and label i of w(lam + rho) is
     (lam + rho, w^{-1} alpha_i), positive exactly when the real root
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
     does for rho.  Each record is built by `tuple.__new__`, without the
-    Python frame of `WeylElem.__new__`: E6 has 51,840 of them."""
+    Python frame of `WeylElem.__new__`, one per element the walk builds."""
     top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
     for name, x in zip(graph.vertex_names, top):
         if x < 1:

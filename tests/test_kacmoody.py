@@ -5,7 +5,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, prod
 from operator import add, itemgetter, mul
 from pathlib import Path
@@ -534,6 +534,30 @@ def test_peterson_refuses_a_matrix_it_cannot_reflect_with(A, entry):
         roots_by_peterson(A, 0)
 
 
+@pytest.mark.parametrize(
+    "A, entry",
+    [
+        ([[2, -1, 0], [-2, 2, -1], [0, -1, 2]], r"A\[0\]\[1\] = -1 but A\[1\]\[0\] = -2"),
+        ([[2, -1], [-1, 1]], r"A\[1\]\[1\] = 1, not 2"),
+        ([[2, -2], [-2, 2]], r"A\[0\]\[1\] = -2, not 0 or -1"),
+    ],
+    ids=["asymmetric", "diagonal-1", "affine-A1"],
+)
+def test_the_denominator_sum_refuses_a_matrix_its_walk_cannot_reflect_with(A, entry):
+    with pytest.raises(ValueError, match="^" + entry + "$"):
+        weyl_denominator_sum(A, 6)
+
+
+def test_the_identity_refuses_affine_a1_rather_than_failing_it():
+    # roots_by_peterson accepts A_1^(1); walking its -2 as -1 would make the
+    # true identity read False.
+    A = [[2, -2], [-2, 2]]
+    mults = roots_by_peterson(A, 6)
+    assert mults[(1, 1)] == 1 and mults[(3, 2)] == 1
+    with pytest.raises(ValueError, match=r"^A\[0\]\[1\] = -2, not 0 or -1$"):
+        verify_denominator_identity(A, 6, mults)
+
+
 def test_denominator_identity_rejects_a_negative_multiplicity():
     A = tpqr_cartan_matrix(2, 2, 2)
     mults = {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}
@@ -655,6 +679,69 @@ def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
         if sum(e.drop) <= H:
             signed[e.drop] += -1 if e.length % 2 else 1
     assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
+
+
+def dedupe_walk(adjacency, top, max_height=None):
+    """The Weyl group by length as `_weyl_walk` yields it, by trying every
+    ascent i of every element (label i of w(top) positive) and keeping the
+    first build of each s_i w(top) in the next layer: the oracle for
+    `_weyl_walk`, which builds each element once, from its first descent."""
+    layer = {tuple(top): (0,) * len(top)}
+    while layer:
+        yield layer
+        nxt = {}
+        for labels, drop in layer.items():
+            room = None if max_height is None else max_height - sum(drop)
+            for i, li in enumerate(labels):
+                if li <= 0 or (room is not None and li > room):
+                    continue
+                new = list(labels)
+                new[i] = -li
+                for j in adjacency[i]:
+                    new[j] += li
+                new = tuple(new)
+                if new not in nxt:
+                    nxt[new] = drop[:i] + (drop[i] + li,) + drop[i + 1 :]
+        layer = nxt
+
+
+@pytest.mark.parametrize(
+    "pqr, lam, H, layers",
+    [
+        ((2, 2, 2), None, None, None),
+        ((2, 2, 3), None, None, None),
+        ((4, 2, 2), None, None, None),
+        ((2, 2, 4), None, None, None),
+        ((3, 3, 2), None, None, None),
+        ((3, 3, 2), "z1", None, None),
+        ((3, 3, 2), "u", None, None),
+        ((3, 2, 3), None, None, None),
+        ((2, 3, 7), None, 8, None),
+        ((2, 3, 7), None, 14, None),
+        ((2, 4, 5), None, 14, None),
+        ((3, 3, 3), None, 16, None),
+        ((2, 3, 6), None, 12, None),
+        ((2, 3, 7), None, None, 10),
+        ((3, 3, 3), None, None, 12),
+        ((2, 4, 5), None, None, 10),
+    ],
+    ids=[
+        "D4", "D5", "D6-422", "D6-224", "E6", "E6-z1", "E6-u", "E6-323", "T237-H8", "T237-H14",
+        "T245-H14", "T333-H16", "T236-H12", "T237-L10", "T333-L12", "T245-L10",
+    ],
+)
+def test_the_walk_equals_the_dedupe_walk_layer_by_layer(pqr, lam, H, layers):
+    # Equal as dicts: the same labels and drops, in any order.  The walk
+    # itself raises RuntimeError if it builds an element twice.
+    g = TpqrGraph(*pqr)
+    top = g.rho()
+    if lam is not None:
+        top = tuple(x + 1 for x in g.fundamental_weight(g.vertex_names.index(lam)))
+    got = list(islice(kacmoody._weyl_walk(g.adjacency, top, H), layers))
+    want = list(islice(dedupe_walk(g.adjacency, top, H), layers))
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert a == b, (pqr, lam, H, k)
 
 
 def weyl_elements_with_inverse_images(graph, L):

@@ -119,9 +119,11 @@ def quotient_series(graph, L):
     return divide(weyl_series(graph, L), poincare(parabolic_degrees(graph, set(graph.S)), L))
 
 
-def walk_counts(graph, L):
-    """The layer sizes of `_weyl_walk` from rho, lengths 0..L."""
-    walk = kacmoody._weyl_walk(graph.adjacency, graph.rho())
+def walk_counts(graph, L, lam=None):
+    """The layer sizes of `_weyl_walk` from lam + rho (lam = 0 by default),
+    lengths 0..L."""
+    top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
+    walk = kacmoody._weyl_walk(graph.adjacency, top)
     counts = [len(layer) for layer in islice(walk, L + 1)]
     return counts + [0] * (L + 1 - len(counts))
 
@@ -153,8 +155,13 @@ def test_the_degree_table_holds_the_group_orders():
 )
 def test_the_walk_has_steinbergs_counts(pqr, L):
     # D4 and E6 to past their longest element: all 192 and 51,840 elements.
+    # W acts freely on a regular weight, so the counts from rho + lam, for
+    # lam = w_u + 2 w_z1 dominant, are the counts from rho.
     g = TpqrGraph(*pqr)
-    assert first_difference(walk_counts(g, L), weyl_series(g, L)) is None
+    series = weyl_series(g, L)
+    assert first_difference(walk_counts(g, L), series) is None
+    lam = tuple(1 if i == g.u else 2 if i == g.z1 else 0 for i in range(g.n))
+    assert first_difference(walk_counts(g, L, lam), series) is None
 
 
 @pytest.mark.parametrize(
