@@ -160,11 +160,21 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
     `be_rank_check(complex_, seed)` finds; a failed report if it finds none.
 
     a_n is the vector of maximal minors of d_n.  For i < n, a_i is the
-    Plucker coordinate vector of the column space of d_i (maximal minors of
-    r_i independent columns).  The check: for every row set R and column set
-    C of size r_i, minor_{R,C}(d_i) = s_i * a_i[R] * eps(C) * a_{i+1}[C'],
-    with one scalar s_i per i, C' the complement of C among the columns
-    and a_{n+1}[()] = 1.
+    Plucker coordinate vector of the column space of d_i: the r_i-minors on
+    the first r_i columns C0 where they are not all 0.  The factorization:
+    for every row set R and column set C of size r_i,
+    minor_{R,C}(d_i) = s_i * a_i[R] * eps(C) * a_{i+1}[C'], with one scalar
+    s_i per i, C' the complement of C among the columns and
+    a_{n+1}[()] = 1.
+
+    At the point d_i has rank r_i, so d_i = X Y with X of r_i columns and Y
+    of r_i rows, and by Cauchy-Binet minor_{R,C}(d_i) = det X_R * det Y_C:
+    the table of r_i-minors has rank 1.  Its column C0 is a_i, so with R0
+    the first row set where a_i is not 0, minor_{R,C} = a_i[R] *
+    minor_{R0,C} / a_i[R0].  The factorization therefore holds for every R
+    and C exactly when the row minor_{R0,C} equals eps(C) * a_{i+1}[C'] up
+    to one scalar, and only the minors of that column and that row are
+    computed.  A failure names the minor R0 x C where the row first breaks.
     """
     fmt = complex_.fmt
     rk = be_rank_check(complex_, seed)
@@ -172,38 +182,33 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
         detail = f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
         return MultiplierReport(ok=False, detail=detail)
     mats = rk.spec.differentials
-    # Every r_i-minor of d_i, once: a_i reads the first r_i columns with a
-    # nonzero minor (the first of rank r_i), and the check reads them all.
-    tables: List[Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]] = []
     a: List[Dict[Tuple[int, ...], int]] = []
     for d, r in zip(mats, fmt.r):
         row_sets = list(combinations(range(d.rows), r))
-        col_sets = list(combinations(range(d.cols), r))
-        table = {(R, C): d.minor(R, C) for R in row_sets for C in col_sets}
-        cols = next(C for C in col_sets if any(table[R, C] for R in row_sets))
-        a.append({R: table[R, cols] for R in row_sets})
-        tables.append(table)
+        for cols in combinations(range(d.cols), r):
+            column = {R: d.minor(R, cols) for R in row_sets}
+            if any(column.values()):
+                break
+        a.append(column)
     a.append({(): 1})
-    ok = True
-    detail = ""
-    for i, (d, table) in enumerate(zip(mats, tables), start=1):
-        # s_i = lhs / rhs is one scalar iff every pair cross-multiplies
-        # equal with the first pair whose product is nonzero.
+    for i, (d, r) in enumerate(zip(mats, fmt.r), start=1):
+        rows0 = next(R for R, m in a[i - 1].items() if m)
+        # s_i is one scalar iff every pair cross-multiplies equal with the
+        # first pair whose product is nonzero.
         first: Optional[Tuple[int, int]] = None
-        for (rows, cols_sel), lhs in table.items():
-            comp = tuple(j for j in range(d.cols) if j not in cols_sel)
-            rhs = a[i - 1][rows] * _complement_sign(cols_sel) * a[i][comp]
+        for cols in combinations(range(d.cols), r):
+            lhs = d.minor(rows0, cols)
+            comp = tuple(j for j in range(d.cols) if j not in cols)
+            rhs = _complement_sign(cols) * a[i][comp]
             if rhs == 0:
                 if lhs != 0:
-                    ok = False
-                    detail = f"d_{i}: minor {rows}x{cols_sel} nonzero but product vanishes"
-                continue
-            if first is None:
+                    detail = f"d_{i}: minor {rows0}x{cols} nonzero but product vanishes"
+                    return MultiplierReport(ok=False, detail=detail)
+            elif first is None:
                 first = (lhs, rhs)
             elif lhs * first[1] != first[0] * rhs:
-                ok = False
-                detail = f"d_{i}: inconsistent scalar at {rows}x{cols_sel}"
-    return MultiplierReport(ok=ok, detail=detail)
+                return MultiplierReport(ok=False, detail=f"d_{i}: inconsistent scalar at {rows0}x{cols}")
+    return MultiplierReport(ok=True)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ type (finite/affine/indefinite) controls the structure theory downstream.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 
 class ResolutionFormat(NamedTuple):
@@ -66,29 +65,32 @@ class TpqrClass(NamedTuple):
         return self.kind == "finite"
 
 
-def tpqr_cartan_matrix(p: int, q: int, r: int) -> List[List[int]]:
-    """Symmetric generalized Cartan matrix of the star graph T_{p,q,r}.
+def tpqr_cartan_rows(p: int, q: int, r: int) -> List[Dict[int, int]]:
+    """Sparse rows of the symmetric generalized Cartan matrix of the star
+    graph T_{p,q,r}: row i maps each column j with A[i][j] != 0 to that
+    entry, the diagonal 2 included.  Built from the arms in O(n).
 
     Vertex order (1-based in the docs, 0-based here): u, x_1..x_{p-1},
     y_1..y_{q-1}, z_1..z_{r-1}; u is adjacent to the first vertex of each arm.
     """
     _check_pqr(p, q, r)
-    n = p + q + r - 2
-    A = [[0] * n for _ in range(n)]
-    for i in range(n):
-        A[i][i] = 2
-
-    def link(i: int, j: int) -> None:
-        A[i][j] = A[j][i] = -1
-
-    arms = [p - 1, q - 1, r - 1]
-    pos = 1
-    for arm_len in arms:
+    rows: List[Dict[int, int]] = [{0: 2}]
+    for arm_len in (p - 1, q - 1, r - 1):
         prev = 0  # u
-        for k in range(arm_len):
-            link(prev, pos)
+        for pos in range(len(rows), len(rows) + arm_len):
+            rows[prev][pos] = -1
+            rows.append({prev: -1, pos: 2})
             prev = pos
-            pos += 1
+    return rows
+
+
+def tpqr_cartan_matrix(p: int, q: int, r: int) -> List[List[int]]:
+    """The dense form of `tpqr_cartan_rows(p, q, r)`."""
+    rows = tpqr_cartan_rows(p, q, r)
+    A = [[0] * len(rows) for _ in rows]
+    for dense, row in zip(A, rows):
+        for j, a in row.items():
+            dense[j] = a
     return A
 
 
@@ -97,11 +99,13 @@ def _check_pqr(p: int, q: int, r: int) -> None:
         raise ValueError(f"require p >= 2, q >= 1, r >= 2, got {(p, q, r)}")
 
 
-def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
-    """Signature (n_+, n_0, n_-) of a symmetric matrix, exactly, by peeling
-    leaves of its off-diagonal graph.
+def symmetric_signature(rows: Sequence[Mapping[int, int]]) -> Tuple[int, int, int]:
+    """Signature (n_+, n_0, n_-) of a symmetric n x n matrix A, exactly, by
+    peeling leaves of its off-diagonal graph.
 
-    Each step removes a live row k with at most one live off-diagonal
+    A is given by its n sparse rows: row i maps each column j with
+    A[i][j] != 0 to that entry, as `tpqr_cartan_rows` builds them.  Each step
+    removes a live row k with at most one live off-diagonal
     nonzero A[k][j] by a congruence.  With no neighbour, A[k][k] gives one
     sign.  With A[k][k] != 0, it gives one sign and the Schur complement
     changes only A[j][j] -= A[k][j]^2 / A[k][k].  With A[k][k] = 0, the block
@@ -111,56 +115,87 @@ def symmetric_signature(A: Sequence[Sequence[int]]) -> Tuple[int, int, int]:
     diagonal is an integer pair num[j] / den[j] with den[j] > 0; with a = A[k][j]
     and s the sign of num[k], num[j] <- s*(num[j]*num[k] - a^2*den[k]*den[j])
     and den[j] <- s*num[k]*den[j].  A forest, such as a T_{p,q,r} Cartan
-    matrix, peels with no fill-in (Parter 1961).
+    matrix, peels with no fill-in (Parter 1961), so the work is linear in
+    the number of nonzero entries.
 
-    Raises ValueError if A is not square or not symmetric, or if no live row
+    The rows are read, not modified.  Each off-diagonal entry is checked
+    against its mirror as the peel removes it, so a peel that removes every
+    row has checked them all; only a peel that finds a bad entry or stalls
+    scans the rows to name it.  Raises ValueError, naming the first entry,
+    row by row, that holds a column outside 0..n-1, a zero off the diagonal
+    or a value its mirror does not; and, if there is none, when no live row
     is a leaf (the off-diagonal graph has a cycle).
     """
-    n = len(A)
-    if any(len(row) != n for row in A):
-        raise ValueError(f"matrix is not square: {n} rows, row lengths {[len(row) for row in A]}")
-    rows = [dict(filter(itemgetter(1), enumerate(row))) for row in A]
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            if rows[j].get(i, 0) != a:
-                raise ValueError(f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]")
-    num = [row.pop(i, 0) for i, row in enumerate(rows)]
+    n = len(rows)
+    work = list(map(dict, rows))
+    num = [row.pop(i, 0) for i, row in enumerate(work)]
     den = [1] * n
     live = [True] * n
-    leaves = [k for k in range(n) if len(rows[k]) <= 1]
+    # A row joins `leaves` once, when it has at most one neighbour left; it
+    # can only lose neighbours after that.
+    leaves = [k for k, row in enumerate(work) if len(row) < 2]
     plus = zero = minus = 0
     while leaves:
         k = leaves.pop()
-        if not live[k] or len(rows[k]) > 1:
+        if not live[k]:
             continue
         live[k] = False
         pivot = num[k]
-        if rows[k] and not pivot:
-            (j,) = rows[k]
+        row = work[k]
+        if not row:
+            if pivot > 0:
+                plus += 1
+            elif pivot:
+                minus += 1
+            else:
+                zero += 1
+            continue
+        ((j, a),) = row.items()
+        if not (0 <= j < n and a and work[j].pop(k, None) == a):
+            raise ValueError(_entry_error(rows))
+        other = work[j]
+        if not pivot:
             live[j] = False
             plus += 1
             minus += 1
-            for i in rows[j]:
-                if i != k:
-                    del rows[i][j]
+            for i, b in other.items():
+                if not (0 <= i < n and b and work[i].pop(j, None) == b):
+                    raise ValueError(_entry_error(rows))
+                if len(work[i]) == 1:
                     leaves.append(i)
             continue
         if pivot > 0:
             plus += 1
-        elif pivot:
-            minus += 1
+            num[j] = num[j] * pivot - a * a * den[k] * den[j]
+            den[j] *= pivot
         else:
-            zero += 1
-        s = 1 if pivot > 0 else -1
-        for j, a in rows[k].items():
-            del rows[j][k]
-            num[j] = s * (num[j] * pivot - a * a * den[k] * den[j])
-            den[j] *= s * pivot
+            minus += 1
+            num[j] = a * a * den[k] * den[j] - num[j] * pivot
+            den[j] *= -pivot
+        if len(other) == 1:
             leaves.append(j)
     if any(live):
+        error = _entry_error(rows)
+        if error:
+            raise ValueError(error)
         stuck = [k for k in range(n) if live[k]]
         raise ValueError(f"off-diagonal graph has a cycle: no leaf among rows {stuck}")
     return (plus, zero, minus)
+
+
+def _entry_error(rows: Sequence[Mapping[int, int]]) -> Optional[str]:
+    """The first entry, row by row, that `symmetric_signature` refuses,
+    named; None if there is none."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if not 0 <= j < n:
+                return f"column out of range: A[{i}][{j}] in a matrix of {n} rows"
+            if not a and j != i:
+                return f"a zero is stored off the diagonal: A[{i}][{j}] = {a}"
+            if rows[j].get(i) != a:
+                return f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]"
+    return None
 
 
 def _finite_dynkin_name(p: int, q: int, r: int) -> str:
@@ -178,28 +213,30 @@ def classify(p: int, q: int, r: int) -> TpqrClass:
     """Type of T_{p,q,r}, computed two independent ways which must agree.
 
     Path 1: harmonic-sum / case-list rule (1/p + 1/q + 1/r vs 1).
-    Path 2: exact signature of the symmetric Cartan matrix.
+    Path 2: exact signature of the symmetric Cartan matrix, peeled from
+    its sparse rows (`tpqr_cartan_rows`) with no dense matrix formed.
     """
     _check_pqr(p, q, r)
     n = p + q + r - 2
     # 1/p + 1/q + 1/r against 1, times pqr.
     harmonic, one = q * r + p * r + p * q, p * q * r
     if harmonic > one:
-        kind, dynkin = "finite", _finite_dynkin_name(p, q, r)
+        kind, dynkin, expected = "finite", _finite_dynkin_name(p, q, r), (n, 0, 0)
     elif harmonic == one:
-        kind, dynkin = "affine", None
+        kind, dynkin, expected = "affine", None, (n - 1, 1, 0)
     else:
-        kind, dynkin = "indefinite", None
-
-    mismatch = f"classification mismatch for T_{(p, q, r)}: case list says {kind}"
+        kind, dynkin, expected = "indefinite", None, (n - 1, 0, 1)
     try:
-        sig = symmetric_signature(tpqr_cartan_matrix(p, q, r))
+        sig = symmetric_signature(tpqr_cartan_rows(p, q, r))
     except ValueError as exc:  # only a broken Cartan builder gets here
-        raise AssertionError(f"{mismatch}, signature refused: {exc}") from exc
-    expected = {"finite": (n, 0, 0), "affine": (n - 1, 1, 0), "indefinite": (n - 1, 0, 1)}[kind]
+        raise AssertionError(f"{_mismatch(p, q, r, kind)}, signature refused: {exc}") from exc
     if sig != expected:
-        raise AssertionError(f"{mismatch}, signature is {sig}")
-    return TpqrClass(kind=kind, dynkin=dynkin, signature=sig)
+        raise AssertionError(f"{_mismatch(p, q, r, kind)}, signature is {sig}")
+    return TpqrClass(kind, dynkin, sig)
+
+
+def _mismatch(p: int, q: int, r: int, kind: str) -> str:
+    return f"classification mismatch for T_{(p, q, r)}: case list says {kind}"
 
 
 def classify_format(fmt: ResolutionFormat) -> TpqrClass:

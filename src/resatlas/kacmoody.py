@@ -309,7 +309,13 @@ def _truncated_product(
     factor coordinate) no digit carries and a shift is one integer add.
     Each power of a factor of degree d sweeps h from `bound` down to d and
     subtracts bucket h - d, shifted, into bucket h, reading the lower bucket
-    before it is updated.  A coefficient that cancels to 0 is deleted."""
+    before it is updated.  A coefficient that cancels to 0 is deleted.
+
+    The order of the factors changes the cost, not the result: truncation
+    by degree is a ring map, so every order gives the same product.  A
+    factor of degree d reads only buckets 0..bound - d; taken first, the
+    tallest factors read them while they hold few terms, before the short
+    factors fill them."""
     for alpha, _ in factors:
         if degree(alpha) < 1:
             raise ValueError(f"factor {alpha} has degree {degree(alpha)}, not >= 1")
@@ -459,7 +465,8 @@ def verify_denominator_identity(
     for beta, m in factors:
         if m < 0:
             raise ValueError(f"negative multiplicity {m} at root {beta}")
-    product = _truncated_product({(0,) * len(A): 1}, factors, H, sum)
+    # Tallest first: see `_truncated_product`.
+    product = _truncated_product({(0,) * len(A): 1}, factors[::-1], H, sum)
     return product == weyl_denominator_sum(A, H)
 
 

@@ -134,7 +134,7 @@ def test_be_multipliers_catch_a_wrong_complement_sign(monkeypatch):
     )
     monkeypatch.setattr(complexes, "_complement_sign", lambda subset: 1)
     with pytest.raises(CheckFailed, match=re.escape(
-        "koszul at seed 1: d_2: inconsistent scalar at (1, 2)x(0, 2)"
+        "koszul at seed 1: d_1: inconsistent scalar at (0,)x(1,)"
     )):
         run_check("be-multipliers")
 
@@ -149,19 +149,33 @@ def test_be_multipliers_stop_when_no_seed_gives_full_rank(monkeypatch):
 
 def test_classification_catches_a_dropped_edge(monkeypatch):
     assert run_check("classification") == "576 triples, anchors D4/E8/affine/indefinite confirmed"
-    build = formats.tpqr_cartan_matrix
+    build = formats.tpqr_cartan_rows
 
     def without_u_z1(p, q, r):
-        A = build(p, q, r)
+        rows = build(p, q, r)
         if (p, q, r) == (2, 3, 7):
-            A[0][4] = A[4][0] = 0
-        return A
+            del rows[0][4], rows[4][0]
+        return rows
 
-    monkeypatch.setattr(formats, "tpqr_cartan_matrix", without_u_z1)
+    monkeypatch.setattr(formats, "tpqr_cartan_rows", without_u_z1)
     with pytest.raises(AssertionError, match=re.escape(
         "classification mismatch for T_(2, 3, 7): case list says indefinite, signature is (10, 0, 0)"
     )):
         run_check("classification")
+
+
+def test_classification_builds_no_dense_cartan_matrix(monkeypatch):
+    calls = []
+    build = formats.tpqr_cartan_matrix
+
+    def counted(p, q, r):
+        calls.append((p, q, r))
+        return build(p, q, r)
+
+    monkeypatch.setattr(formats, "tpqr_cartan_matrix", counted)
+    monkeypatch.setattr(kacmoody, "tpqr_cartan_matrix", counted)
+    assert run_check("classification") == "576 triples, anchors D4/E8/affine/indefinite confirmed"
+    assert calls == []
 
 
 def test_defect_dims_catch_a_wrong_closed_formula(monkeypatch):

@@ -364,6 +364,25 @@ def test_fresh_process_stdout_matches_golden(command):
     assert_same_text(proc.stdout, GOLDENS[command])
 
 
+def test_fresh_process_suite_json_matches_golden_without_seconds():
+    # `suite_golden.json` holds `suite paper-checks --json` with each
+    # result's `seconds`, which varies run to run, removed: every check's
+    # name, verdict and detail line, in order.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "RESATLAS_BUDGET_MS"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "resatlas.cli", "suite", "paper-checks", "--json"],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    for result in payload["results"]:
+        del result["seconds"]
+    assert payload == json.loads(Path(__file__).with_name("suite_golden.json").read_text())
+
+
 def test_verify_thm112_r3_5_peaks_under_64_mb():
     # The certificate's products stay small: 23 MB on a 2-core x86-64
     # machine under CPython 3.11, where expanding d_1 . d_2 took 37 MB.  The

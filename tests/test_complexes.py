@@ -76,7 +76,72 @@ def test_be_multipliers_name_a_minor_whose_product_vanishes():
     for seed in range(1, 6):
         assert be_multipliers(cx, seed).ok
         rep = be_multipliers(broken, seed)
-        assert (rep.ok, rep.detail) == (False, "d_2: minor (1, 2)x(0, 1) nonzero but product vanishes")
+        assert (rep.ok, rep.detail) == (False, "d_2: minor (0, 1)x(0, 1) nonzero but product vanishes")
+
+
+def full_table_be_multipliers(complex_, seed):
+    """Whether the factorization holds on every r_i-minor of every d_i: the
+    package's own check before it read one row and one column of each
+    table."""
+    fmt = complex_.fmt
+    rk = be_rank_check(complex_, seed)
+    if not rk.ok:
+        return False
+    mats = rk.spec.differentials
+    tables = []
+    a = []
+    for d, r in zip(mats, fmt.r):
+        row_sets = list(combinations(range(d.rows), r))
+        col_sets = list(combinations(range(d.cols), r))
+        table = {(R, C): d.minor(R, C) for R in row_sets for C in col_sets}
+        cols = next(C for C in col_sets if any(table[R, C] for R in row_sets))
+        a.append({R: table[R, cols] for R in row_sets})
+        tables.append(table)
+    a.append({(): 1})
+    ok = True
+    for i, (d, table) in enumerate(zip(mats, tables), start=1):
+        first = None
+        for (rows, cols_sel), lhs in table.items():
+            comp = tuple(j for j in range(d.cols) if j not in cols_sel)
+            rhs = a[i - 1][rows] * complexes._complement_sign(cols_sel) * a[i][comp]
+            if rhs == 0:
+                ok = ok and lhs == 0
+                continue
+            if first is None:
+                first = (lhs, rhs)
+            elif lhs * first[1] != first[0] * rhs:
+                ok = False
+    return ok
+
+
+def be_fixtures():
+    """The `be-multipliers` suite check's fixtures, and the Koszul complex
+    with d_3's last entry 0."""
+    fixtures = [koszul_complex()]
+    fixtures += [thm112_build(r3).complex for r3 in (1, 2)]
+    fixtures += [monomial_complex(t).complex for t in (2, 3)]
+    cx = fixtures[0]
+    d3 = ExactMatrix([list(row) for row in cx.d(3).data[:-1]] + [[0]])
+    return fixtures + [FreeComplex(cx.fmt, [cx.d(1), cx.d(2), d3], cx.variables, "koszul, d_3 zeroed")]
+
+
+def test_be_multipliers_agree_with_the_full_minor_table(monkeypatch):
+    fixtures = be_fixtures()
+    passed = 0
+    for cx in fixtures:
+        for seed in range(1, 11):
+            ok = be_multipliers(cx, seed).ok
+            assert ok == full_table_be_multipliers(cx, seed), (cx.label, seed)
+            passed += ok
+    assert passed == 50, passed  # all but the zeroed d_3
+    monkeypatch.setattr(complexes, "_complement_sign", lambda subset: 1)
+    failed = 0
+    for cx in fixtures:
+        for seed in range(1, 11):
+            ok = be_multipliers(cx, seed).ok
+            assert ok == full_table_be_multipliers(cx, seed), (cx.label, seed, "constant sign")
+            failed += not ok
+    assert failed == 10 * len(fixtures), failed
 
 
 @pytest.mark.parametrize("r3", [1, 2, 3])

@@ -16,6 +16,7 @@ from resatlas.formats import (
     noetherian_generic_ring,
     symmetric_signature,
     tpqr_cartan_matrix,
+    tpqr_cartan_rows,
 )
 
 
@@ -66,15 +67,18 @@ def test_classification_dual_paths_agree_small():
     ],
 )
 def test_classify_catches_a_wrong_cartan_matrix(monkeypatch, pqr, edge, value, perturbed_sig):
-    A = tpqr_cartan_matrix(*pqr)
+    rows = tpqr_cartan_rows(*pqr)
     i, j = edge
-    A[i][j] = A[j][i] = value
+    if value:
+        rows[i][j] = rows[j][i] = value
+    else:
+        del rows[i][j], rows[j][i]
     if isinstance(perturbed_sig, ValueError):
         with pytest.raises(ValueError, match=re.escape(str(perturbed_sig))):
-            symmetric_signature(A)
+            symmetric_signature(rows)
     else:
-        assert symmetric_signature(A) == perturbed_sig
-    monkeypatch.setattr(formats, "tpqr_cartan_matrix", lambda p, q, r: A)
+        assert symmetric_signature(rows) == perturbed_sig
+    monkeypatch.setattr(formats, "tpqr_cartan_rows", lambda p, q, r: rows)
     with pytest.raises(AssertionError, match=re.escape(f"classification mismatch for T_{pqr}")):
         classify(*pqr)
 
@@ -96,7 +100,40 @@ def test_cartan_matrix_shape():
     A = tpqr_cartan_matrix(2, 2, 2)
     assert len(A) == 4
     assert A[0] == [2, -1, -1, -1]
-    assert symmetric_signature(A) == (4, 0, 0)
+    rows = tpqr_cartan_rows(2, 2, 2)
+    assert rows == [{0: 2, 1: -1, 2: -1, 3: -1}, {0: -1, 1: 2}, {0: -1, 2: 2}, {0: -1, 3: 2}]
+    assert symmetric_signature(rows) == (4, 0, 0)
+
+
+def dense_cartan_oracle(p, q, r):
+    """The dense Cartan matrix of T_{p,q,r}, linked arm by arm: the
+    package's own builder before it derived the matrix from sparse rows."""
+    n = p + q + r - 2
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        A[i][i] = 2
+
+    def link(i, j):
+        A[i][j] = A[j][i] = -1
+
+    pos = 1
+    for arm_len in (p - 1, q - 1, r - 1):
+        prev = 0  # u
+        for _ in range(arm_len):
+            link(prev, pos)
+            prev = pos
+            pos += 1
+    return A
+
+
+def test_cartan_rows_and_matrix_equal_the_dense_oracle_on_the_table():
+    for p in range(2, 10):
+        for q in range(1, 10):
+            for r in range(2, 10):
+                A = dense_cartan_oracle(p, q, r)
+                assert tpqr_cartan_matrix(p, q, r) == A, (p, q, r)
+                rows = [{j: a for j, a in enumerate(row) if a} for row in A]
+                assert tpqr_cartan_rows(p, q, r) == rows, (p, q, r)
 
 
 def test_noetherian():

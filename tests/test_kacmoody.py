@@ -563,6 +563,11 @@ def test_denominator_identity_rejects_a_negative_multiplicity():
     mults = {(1, 0, 0, 0): 1, (0, 1, 0, 0): -1}
     with pytest.raises(ValueError, match=r"negative multiplicity -1 at root \(0, 1, 0, 0\)"):
         verify_denominator_identity(A, 4, mults)
+    # With two, the lowest root is named, though the product is formed
+    # tallest first.
+    mults = {(1, 1, 0, 0): -2, (1, 0, 0, 0): 1, (0, 1, 0, 0): -1}
+    with pytest.raises(ValueError, match=r"negative multiplicity -1 at root \(0, 1, 0, 0\)"):
+        verify_denominator_identity(A, 4, mults)
 
 
 def test_indefinite_identity_verifies():

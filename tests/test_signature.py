@@ -1,9 +1,13 @@
 """symmetric_signature against a dense exact oracle.
 
-The oracle is the straightforward O(n^3) Fraction congruence diagonalization;
-by Sylvester's law of inertia it and the leaf peeling must give the same
-(n_+, n_0, n_-) on every symmetric matrix that the peeling does not refuse.
-The peeling refuses only a matrix whose off-diagonal graph has a cycle.
+The matrices are built dense and passed as their sparse rows (`sparse`),
+the form symmetric_signature takes.  The oracle is the straightforward
+O(n^3) Fraction congruence diagonalization; by Sylvester's law of inertia it
+and the leaf peeling must give the same (n_+, n_0, n_-) on every symmetric
+matrix that the peeling does not refuse.  The peeling refuses a symmetric
+matrix only when its off-diagonal graph has a cycle.  Rows that hold no
+symmetric matrix are refused by naming their first bad entry, which
+`first_bad_entry` finds by reading every entry, row by row.
 """
 
 import random
@@ -13,7 +17,12 @@ from itertools import permutations
 
 import pytest
 
-from resatlas.formats import classify, symmetric_signature, tpqr_cartan_matrix
+from resatlas.formats import classify, symmetric_signature, tpqr_cartan_matrix, tpqr_cartan_rows
+
+
+def sparse(A):
+    """The sparse rows of a dense matrix: row i maps j to A[i][j] != 0."""
+    return [{j: a for j, a in enumerate(row) if a} for row in A]
 
 
 def dense_signature(A):
@@ -117,7 +126,7 @@ def test_matches_dense_oracle_on_random_symmetric_matrices():
         A = random_symmetric(rng, rng.randint(1, 8))
         dense = dense_signature(A)
         try:
-            sig = symmetric_signature(A)
+            sig = symmetric_signature(sparse(A))
         except ValueError as exc:
             assert "off-diagonal graph has a cycle" in str(exc)
             assert has_cycle(A), A
@@ -137,8 +146,10 @@ def test_matches_dense_oracle_on_random_forests():
     for _ in range(3000):
         A = random_forest(rng, rng.randint(1, 12))
         assert not has_cycle(A)
-        sig = symmetric_signature(A)
+        rows = sparse(A)
+        sig = symmetric_signature(rows)
         assert sig == dense_signature(A), A
+        assert rows == sparse(A), "the rows were modified"
         seen["zero_diagonal"] += any(A[i][i] == 0 for i in range(len(A)))
         seen["singular"] += sig[1] > 0
         seen["indefinite"] += sig[0] > 0 and sig[2] > 0
@@ -149,13 +160,13 @@ def test_matches_dense_oracle_on_the_tpqr_table():
     for p in range(2, 10):
         for q in range(1, 10):
             for r in range(2, 10):
-                A = tpqr_cartan_matrix(p, q, r)
-                assert symmetric_signature(A) == dense_signature(A), (p, q, r)
+                sig = symmetric_signature(tpqr_cartan_rows(p, q, r))
+                assert sig == dense_signature(tpqr_cartan_matrix(p, q, r)), (p, q, r)
 
 
 def test_long_arm_graph():
-    A = tpqr_cartan_matrix(2, 3, 40)
-    assert symmetric_signature(A) == dense_signature(A) == (42, 0, 1)
+    sig = symmetric_signature(tpqr_cartan_rows(2, 3, 40))
+    assert sig == dense_signature(tpqr_cartan_matrix(2, 3, 40)) == (42, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -170,7 +181,7 @@ def test_long_arm_graph():
     ],
 )
 def test_exact_cases(A, expected):
-    assert symmetric_signature(A) == expected
+    assert symmetric_signature(sparse(A)) == expected
 
 
 @pytest.mark.parametrize(
@@ -187,28 +198,91 @@ def test_exact_cases(A, expected):
 def test_refuses_a_cycle_and_names_its_rows(A, stuck):
     assert has_cycle(A)
     with pytest.raises(ValueError, match=re.escape(f"graph has a cycle: no leaf among rows {stuck}")):
-        symmetric_signature(A)
+        symmetric_signature(sparse(A))
 
 
 def test_a_zero_diagonal_leaf_can_break_a_cycle():
     # Leaf 3 has a zero diagonal, so it leaves with its neighbour 0, and the
     # triangle 0-1-2 loses a vertex: the rest peels.
     A = [[2, -1, -1, 1], [-1, 2, -1, 0], [-1, -1, 2, 0], [1, 0, 0, 0]]
-    assert symmetric_signature(A) == dense_signature(A) == (3, 0, 1)
+    assert symmetric_signature(sparse(A)) == dense_signature(A) == (3, 0, 1)
 
 
 def test_rejects_non_square():
-    with pytest.raises(ValueError, match="not square"):
-        symmetric_signature([[2, -1], [-1, 2, 0]])
-    with pytest.raises(ValueError, match="not square"):
-        symmetric_signature([[2, -1]])
+    # A column at or past the number of rows, or below 0, names its entry.
+    with pytest.raises(ValueError, match=re.escape("column out of range: A[0][1] in a matrix of 1 rows")):
+        symmetric_signature([{0: 2, 1: -1}])
+    with pytest.raises(ValueError, match=re.escape("column out of range: A[1][2] in a matrix of 2 rows")):
+        symmetric_signature([{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}])
+    # Read as a list index, column -1 would be row 1, whose entry mirrors it.
+    with pytest.raises(ValueError, match=re.escape("column out of range: A[0][-1] in a matrix of 2 rows")):
+        symmetric_signature([{0: 2, -1: -1}, {0: -1, 1: 2}])
 
 
 def test_rejects_non_symmetric():
-    with pytest.raises(ValueError, match=r"not symmetric: A\[0\]\[1\]"):
-        symmetric_signature([[2, -1], [0, 2]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        symmetric_signature([[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
+    with pytest.raises(ValueError, match=re.escape("not symmetric: A[0][1] != A[1][0]")):
+        symmetric_signature([{0: 2, 1: -1}, {1: 2}])
+    with pytest.raises(ValueError, match=re.escape("not symmetric: A[1][2] != A[2][1]")):
+        symmetric_signature([{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -2, 2: 2}])
+    # A path: the peel never stalls, and its own mirror check finds the entry.
+    rows = [{0: 2, 1: -1}, {0: -1, 1: 2, 2: -1}, {1: -1, 2: 2, 3: -1}, {2: -1, 3: 2}, {3: -1, 4: 2}]
+    with pytest.raises(ValueError, match=re.escape("not symmetric: A[4][3] != A[3][4]")):
+        symmetric_signature(rows)
+
+
+def test_rejects_a_zero_stored_off_the_diagonal():
+    with pytest.raises(ValueError, match=re.escape("a zero is stored off the diagonal: A[0][1] = 0")):
+        symmetric_signature([{0: 2, 1: 0}, {0: 0, 1: 2}])
+    # A zero stored on the diagonal is the diagonal's value.
+    assert symmetric_signature([{0: 0, 1: 1}, {0: 1, 1: 0}]) == (1, 0, 1)
+
+
+def first_bad_entry(rows):
+    """The refusal, naming the entry, for the first entry, row by row, that
+    no symmetric matrix in sparse rows holds; None if every entry is good."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if j not in range(n):
+                return f"column out of range: A[{i}][{j}] in a matrix of {n} rows"
+            if a == 0 and i != j:
+                return f"a zero is stored off the diagonal: A[{i}][{j}] = 0"
+            if i != j and (i not in rows[j] or rows[j][i] != a):
+                return f"matrix is not symmetric: A[{i}][{j}] != A[{j}][{i}]"
+    return None
+
+
+def test_names_the_first_bad_entry_of_randomly_broken_rows():
+    # On a forest the peel does not stall, so its own mirror checks must
+    # find the broken entry; a dense matrix often stalls on a cycle first.
+    rng = random.Random(1977)
+    seen = {"range": 0, "zero": 0, "symmetric": 0, "forest": 0, "dense": 0}
+    for case in range(3000):
+        n = rng.randint(1, 10)
+        A = random_forest(rng, n) if case % 2 else random_symmetric(rng, n)
+        rows = sparse(A)
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            how = rng.choice(["drop", "value", "one-sided", "range", "zero"])
+            if how == "drop":
+                rows[i].pop(j, None)
+            elif how == "value":
+                rows[i][j] = rng.choice([-2, -1, 1, 2]) + rows[i].get(j, 0) * 2
+            elif how == "one-sided":
+                rows[i][j] = rng.choice([-1, 1])
+            elif how == "range":
+                rows[i][rng.choice([-2, -1, n, n + 1])] = rng.choice([-1, 1])
+            elif i != j:
+                rows[i][j] = rows[j][i] = 0
+        want = first_bad_entry(rows)
+        if want is None:
+            continue
+        with pytest.raises(ValueError) as refused:
+            symmetric_signature(rows)
+        assert str(refused.value) == want, (rows, want)
+        seen[{"column": "range", "a": "zero", "matrix": "symmetric"}[want.split()[0]]] += 1
+        seen["forest" if case % 2 else "dense"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def weighted_caterpillar(rng, n, legs):
@@ -267,7 +341,7 @@ def test_matches_dense_oracle_on_long_weighted_paths_and_caterpillars():
         legs = 0 if case % 2 == 0 else rng.randint(1, n // 2)
         A = weighted_caterpillar(rng, n, legs)
         assert not has_cycle(A)
-        sig = symmetric_signature(A)
+        sig = symmetric_signature(sparse(A))
         assert sig == dense_signature(A), A
         seen["zero_diagonal"] += any(A[i][i] == 0 for i in range(n))
         seen["updated_zero_pivot"] += legs == 0 and first_zero_pivot_is_updated(A)
