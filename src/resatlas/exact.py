@@ -18,29 +18,26 @@ from math import prod
 from operator import or_
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-# A monomial is one int of `_BITS`-wide fields: field 0 holds the total
-# degree and field i + 1 the exponent of the ring's i-th name, so the product
-# of two monomials is their sum (Monagan and Pearce, "Sparse polynomial
-# multiplication and division in Maple 14", ISSAC 2009) and 0 is the
-# monomial 1.  No exponent exceeds the total degree, so keeping every degree
-# below `DEGREE_LIMIT` keeps every field from carrying into the next one.
-# Every add, hash and dict probe in `_mac` costs in proportion to the width
-# of the monomial, so fields are one byte: a product of degree 2**8
-# raises OverflowError, and the complex builders refuse, with a
-# ValueError, a family member whose d . d products would reach that degree.
-# Printing, evaluation and `variables` read the fields as the bytes of the
-# int, one field per byte, so they hold only for 8-bit fields.
+# A monomial of a ring of n names is one int of `_BITS`-wide fields: field
+# n - 1 - i holds the exponent of the ring's i-th name and the top field, n,
+# the total degree, so the product of two monomials is their sum and int
+# order is graded lexicographic order, degree first and then the exponents
+# in name order (Monagan and Pearce, "Sparse polynomial multiplication and
+# division in Maple 14", ISSAC 2009); 0 is the monomial 1.  No exponent
+# exceeds the total degree, so while every degree stays below
+# `DEGREE_LIMIT` no field carries into the next one.  Every add, hash and
+# dict probe in `_mac` costs in proportion to the width of the monomial, so
+# fields are one byte: a product of degree 2**8 raises OverflowError, and
+# the complex builders refuse, with a ValueError, a family member whose
+# d . d products would reach that degree.  Printing, evaluation and
+# `variables` read the fields as the bytes of the int, one field per byte,
+# so they hold only for 8-bit fields.
 _BITS = 8
 if _BITS != 8:
     raise ImportError("exact reads one monomial field per byte; _BITS must be 8")
 DEGREE_LIMIT = 1 << _BITS
-_MASK = DEGREE_LIMIT - 1
 # The largest symbolic determinant `ExactMatrix.det` expands (n x n).
 SYMBOLIC_DET_LIMIT = 8
-
-
-def _max_degree(terms: Mapping[int, int]) -> int:
-    return max((m & _MASK for m in terms), default=0)
 
 
 def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: int) -> None:
@@ -58,20 +55,18 @@ def _mac(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int], sign: 
 Products = List[Tuple[Mapping[int, int], Mapping[int, int], int]]
 
 
-def _check_degree(degree: int) -> None:
-    """Raise OverflowError if a product of this degree would carry out of
-    the degree field.  Every caller of `_sum_products` checks each pair's
-    degree first."""
-    if degree >= DEGREE_LIMIT:
-        raise OverflowError(f"monomial degree would reach 2**{_BITS}")
-
-
-def _sum_products(pairs: Products) -> Dict[int, int]:
+def _sum_products(pairs: Products, n: int) -> Dict[int, int]:
     """The terms dict of the sum of sign * a * b over the (a, b, sign)
-    pairs, every pair accumulated into one dict, zeros included."""
+    pairs of monomials of a ring of n names, every pair accumulated into one
+    dict, zeros included.  Raises OverflowError if a term product reaches
+    degree `DEGREE_LIMIT`: its fields may have carried, but carries only
+    add, so its key's top field reads at least that degree, and the key
+    stays in the dict even when its coefficient cancels to 0."""
     out: Dict[int, int] = {}
     for a, b, sign in pairs:
         _mac(out, a, b, sign)
+    if out and max(out) >> _BITS * n >= DEGREE_LIMIT:
+        raise OverflowError(f"monomial degree reached 2**{_BITS}")
     return out
 
 
@@ -79,13 +74,13 @@ class _Values(dict):
     """The values at one point of the half monomials of one ring, each
     computed when first met.  A half is a monomial with its degree field
     and either its high fields (mask `low`) or its low fields (mask `high`)
-    cleared; field i + 1 holds the exponent of names[i], whose coordinate
-    is vals[i], or None if the point has no such name."""
+    cleared; byte i of its n big-endian bytes is the exponent of names[i],
+    whose coordinate is vals[i], or None if the point has no such name."""
 
     __slots__ = ("names", "vals", "low", "high")
 
     def __missing__(self, half: int) -> int:
-        exps = (half >> _BITS).to_bytes(len(self.vals), "little")
+        exps = half.to_bytes(len(self.vals), "big")
         try:
             value = self[half] = prod(map(pow, compress(self.vals, exps), compress(exps, exps)))
         except TypeError:
@@ -95,17 +90,18 @@ class _Values(dict):
 
 
 def _values(names: Tuple[str, ...], point: Mapping[str, int]) -> _Values:
-    """The `_Values` of a ring at a point.  The low half holds the fields of
-    the first ceil(n/2) names, the high half the rest: across the terms of a
-    matrix the halves repeat far more than whole monomials do.  The halves
+    """The `_Values` of a ring at a point.  The high half holds the fields
+    of the first ceil(n/2) names, the low half the rest: across the terms of
+    a matrix the halves repeat far more than whole monomials do.  The halves
     of no name and of one name to the first power are filled at once."""
+    n = len(names)
     vals = [point.get(name) for name in names]
-    out = _Values({1 << _BITS * k: x for k, x in enumerate(vals, 1) if x is not None})
+    out = _Values({1 << _BITS * (n - 1 - i): x for i, x in enumerate(vals) if x is not None})
     out[0] = 1
-    shift = _BITS * ((len(names) + 3) // 2)
+    shift = _BITS * (n // 2)
     out.names, out.vals = names, vals
-    out.low = (1 << shift) - DEGREE_LIMIT
-    out.high = (1 << _BITS * (len(names) + 1)) - (1 << shift)
+    out.low = (1 << shift) - 1
+    out.high = (1 << _BITS * n) - (1 << shift)
     return out
 
 
@@ -127,7 +123,8 @@ def ring(names: Iterable[str]) -> List["MPoly"]:
     repeated = sorted(name for name, k in Counter(names).items() if k > 1)
     if repeated:
         raise ValueError(f"a ring names each variable once; repeated: {', '.join(repeated)}")
-    return [MPoly({1 << (_BITS * (i + 1)) | 1: 1}, names) for i in range(len(names))]
+    n = len(names)
+    return [MPoly({1 << _BITS * n | 1 << _BITS * (n - 1 - i): 1}, names) for i in range(n)]
 
 
 class MPoly:
@@ -135,7 +132,8 @@ class MPoly:
 
     Terms are stored in a dict mapping packed monomial -> nonzero int
     coefficient, and `names` names the variables of the polynomial's ring:
-    field i + 1 of a monomial is the exponent of names[i].  A constant's
+    field n - 1 - i of a monomial is the exponent of names[i], and its top
+    field, n, its total degree.  A constant's
     names are (), and it fits any ring; an arithmetic result takes the
     names its operands share, and operands from two rings raise ValueError.
     Two polynomials are equal iff their term dicts are equal and they are
@@ -169,7 +167,7 @@ class MPoly:
         return not self.terms
 
     def total_degree(self) -> int:
-        return _max_degree(self.terms)
+        return max(self.terms, default=0) >> _BITS * len(self.names)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -201,8 +199,7 @@ class MPoly:
     def __mul__(self, other: "MPoly | int") -> "MPoly":
         other = MPoly.coerce(other)
         names = _ring(self.names, other.names)
-        _check_degree(self.total_degree() + other.total_degree())
-        return MPoly(_sum_products([(self.terms, other.terms, 1)]), names)
+        return MPoly(_sum_products([(self.terms, other.terms, 1)], len(names)), names)
 
     __rmul__ = __mul__
 
@@ -229,17 +226,15 @@ class MPoly:
             return "0"
         # Graded lexicographic: total degree first, then exponents in the
         # order of the ring's names (a higher exponent on an earlier variable
-        # sorts first).  Byte 0 of a monomial's n + 1 bytes is its degree and
-        # byte i + 1 the exponent of names[i], so that order is the bytes
-        # sorted highest first; they determine the monomial, so the sort
-        # never compares coefficients.
+        # sorts first), which is int order of the monomials, highest first;
+        # they are distinct, so the sort never compares coefficients.  Byte
+        # 0 of a monomial's n + 1 big-endian bytes is its degree and byte
+        # i + 1 the exponent of names[i].
         names = self.names
         width = len(names) + 1
         pieces = []
-        for key, coeff in sorted(
-            ((m.to_bytes(width, "little"), c) for m, c in self.terms.items()), reverse=True
-        ):
-            exps = key[1:]
+        for m, coeff in sorted(self.terms.items(), reverse=True):
+            exps = m.to_bytes(width, "big")[1:]
             factors = list(compress(names, exps))
             if exps.translate(None, b"\0\1"):
                 factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(factors, filter(None, exps))]
@@ -272,7 +267,7 @@ def variables(entries: Iterable[Entry]) -> List[str]:
     # A field of the OR of every monomial is nonzero iff some entry has
     # that variable.
     support = reduce(or_, (m for p in polys for m in p.terms), 0)
-    return sorted(compress(names, support.to_bytes(len(names) + 1, "little")[1:]))
+    return sorted(compress(names, support.to_bytes(len(names) + 1, "big")[1:]))
 
 
 def _terms(e: Entry) -> Mapping[int, int]:
@@ -315,9 +310,8 @@ def _expand(
         if coeff.is_zero():
             continue
         rest = _expand(entries, names, cache, row + 1, cols[:pos] + cols[pos + 1 :])
-        _check_degree(coeff.total_degree() + rest.total_degree())
         products.append((coeff.terms, rest.terms, -1 if pos % 2 else 1))
-    acc = MPoly(_sum_products(products), names)
+    acc = MPoly(_sum_products(products, len(names)), names)
     cache[key] = acc
     return acc
 
@@ -353,16 +347,13 @@ class ExactMatrix:
         """Entry (i, j) is the sum of a * b over the pairs (self[i][t],
         other[t][j]), as a running sum from int 0 would give it, skipping
         pairs with an int 0 factor: an int if every product is of ints, else
-        an MPoly.  Each entry is one `_sum_products` over its own pairs.
-        Raises OverflowError, before any product, if a product's degree
-        could reach `DEGREE_LIMIT`."""
+        an MPoly.  Each entry is one `_sum_products` over its own pairs, so
+        an entry one of whose term products reaches degree `DEGREE_LIMIT`
+        raises OverflowError, even if those products cancel."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         left = [[_terms(e) for e in row] for row in self.data]
         right = [[_terms(e) for e in row] for row in other.data]
-        for t, terms in enumerate(right):
-            top = max((_max_degree(row[t]) for row in left), default=0)
-            _check_degree(top + max(map(_max_degree, terms), default=0))
         columns = [[row[j] for row in other.data] for j in range(other.cols)]
         out = []
         for row, row_terms in zip(self.data, left):
@@ -370,7 +361,7 @@ class ExactMatrix:
             for j, col in enumerate(columns):
                 names = _kind(zip(row, col))
                 pairs: Products = [(a, right[t][j], 1) for t, a in enumerate(row_terms) if a and right[t][j]]
-                terms = _sum_products(pairs)
+                terms = _sum_products(pairs, len(names or ()))
                 new_row.append(terms.get(0, 0) if names is None else MPoly(terms, names))
             out.append(new_row)
         return ExactMatrix(out)

@@ -52,6 +52,15 @@ def test_constant_mpoly_hashes_as_its_int():
     assert x not in {0, 1}
 
 
+def test_a_constant_has_total_degree_zero():
+    # The degree field's shift depends on the ring's size; a constant's
+    # ring may be () or the ring of its operands.
+    x, _ = ring(["x", "y"])
+    for constant in (MPoly.const(0), x - x, MPoly.const(3), x - x + 3):
+        assert constant.total_degree() == 0
+    assert (x - x + 3).names == ("x", "y") and MPoly.const(3).names == ()
+
+
 def test_mpoly_str_canonical():
     x, y = ring(["x", "y"])
     assert str(x * y - y * x) == "0"
@@ -310,6 +319,10 @@ def test_packed_kernel_matches_the_tuple_oracle():
         assert str(p * q) == _oracle_str(_oracle_mul(op, oq))
         assert str(p * q - q * p) == "0"
         assert (p * q).total_degree() == max((sum(e for _, e in m) for m in _oracle_mul(op, oq)), default=0)
+        # Int order is print order: the largest monomial is the first term.
+        for poly, oracle in ((p, op), (p * q, _oracle_mul(op, oq))):
+            if oracle:
+                assert _decode(max(poly.terms), len(ORACLE_NAMES)) == min(oracle, key=_mono_key)
         assert exact.variables([p]) == sorted({ORACLE_NAMES[i] for m in op for i, _ in m})
         point = {name: rng.randint(-9, 9) for name in ORACLE_NAMES}
         assert _value(p * q, point) == _oracle_substitute(_oracle_mul(op, oq), point)
@@ -614,6 +627,28 @@ def test_degree_overflow_raises_under_python_O():
     assert _run_fresh(code, "-O") == "raised\n"
 
 
+def test_a_det_whose_overflowing_products_cancel_raises():
+    # top * top - top * top is 0, but each product has degree 2 * 255, so
+    # its fields carried; the check after the products must still see it.
+    x, y = ring(["x", "y"])
+    top = _power(x, 2**_BITS - 2) * y
+    with pytest.raises(OverflowError):
+        ExactMatrix([[top, top], [top, top]]).det()
+    code = (
+        "from resatlas.exact import ExactMatrix, MPoly, _BITS, ring\n"
+        "x, y = ring(['x', 'y'])\n"
+        "top = MPoly.const(1)\n"
+        "for _ in range(2**_BITS - 2):\n"
+        "    top = top * x\n"
+        "top = top * y\n"
+        "try:\n"
+        "    ExactMatrix([[top, top], [top, top]]).det()\n"
+        "except OverflowError:\n"
+        "    print('raised')\n"
+    )
+    assert _run_fresh(code, "-O") == "raised\n"
+
+
 def test_matmul_guards_full_degrees_for_each_contracted_index():
     # Each row times the column overflows the degree field, and its terms
     # cancel, so an unguarded product would carry silently and print 0.
@@ -658,16 +693,21 @@ def _sized_pair(rng, size):
     return poly, oracle
 
 
-def _decode(m, n):
+def _decode(m, n, fields=None):
     """A packed monomial of a ring of n names in the oracle's
-    representation, read one field at a time by shift and mask."""
-    fields = [(m >> (_BITS * (i + 1))) & ((1 << _BITS) - 1) for i in range(n)]
-    return tuple((idx, e) for idx, e in enumerate(fields) if e)
+    representation, read one field at a time by shift and mask: the
+    exponent of name i from field fields[i], by default n - 1 - i.  The
+    top field, n, must hold the total degree."""
+    if fields is None:
+        fields = [n - 1 - i for i in range(n)]
+    exps = [(m >> (_BITS * f)) & ((1 << _BITS) - 1) for f in fields]
+    assert m >> (_BITS * n) == sum(exps)
+    return tuple((idx, e) for idx, e in enumerate(exps) if e)
 
 
-def _as_oracle(p):
+def _as_oracle(p, fields=None):
     """The terms of `p` in the oracle's representation."""
-    return {_decode(m, len(p.names)): c for m, c in p.terms.items()}
+    return {_decode(m, len(p.names), fields): c for m, c in p.terms.items()}
 
 
 def _assert_oracle(p, want):
@@ -681,6 +721,18 @@ def test_a_large_product_matches_the_tuple_oracle():
     rng = random.Random(2009)
     (p, op), (q, oq) = _sized_pair(rng, 260), _sized_pair(rng, 290)
     _assert_oracle(p * q, _oracle_mul(op, oq))
+
+
+def test_decoding_two_swapped_fields_disagrees_with_the_oracle():
+    # The layout check can fail: read with the fields of names 0 and 1
+    # swapped, the same product no longer matches the oracle.
+    rng = random.Random(2009)
+    (p, op), (q, oq) = _sized_pair(rng, 20), _sized_pair(rng, 30)
+    n = len(ORACLE_NAMES)
+    swapped = [n - 2, n - 1] + [n - 1 - i for i in range(2, n)]
+    want = _oracle_mul(op, oq)
+    assert _as_oracle(p * q) == want
+    assert _as_oracle(p * q, swapped) != want
 
 
 def test_a_large_commutator_prints_zero():
