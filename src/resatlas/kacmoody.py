@@ -283,16 +283,16 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     over all w with ht(rho - w rho) <= H.  `_weyl_walk` adds a label to
     each neighbour, which is s_i only for off-diagonal entries 0 and -1, so
     any other symmetric A, or a diagonal entry other than 2, raises
-    ValueError naming the entry."""
+    ValueError naming the entry.  Every label of rho is 1, so w(rho)
+    determines w and no two elements share a drop: each count is
+    (-1)^l(w), and none cancels."""
     _check_cartan(A, lambda a: a in (0, -1), "0 or -1")
     n = len(A)
     adjacency = [[j for j in range(n) if i != j and A[i][j] != 0] for i in range(n)]
     out: Dict[Coords, int] = {}
     for length, layer in enumerate(_weyl_walk(adjacency, (1,) * n, H)):
-        sign = -1 if length % 2 else 1
-        for drop in layer.values():
-            out[drop] = out.get(drop, 0) + sign
-    return {k: v for k, v in out.items() if v != 0}
+        out.update(dict.fromkeys(layer.values(), -1 if length % 2 else 1))
+    return out
 
 
 def _truncated_product(
@@ -491,10 +491,8 @@ def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
 # ---------------------------------------------------------------------------
 
 
-class WeylElem(NamedTuple):
-    length: int
-    labels: Labels               # w(lam + rho) (canonical key)
-    drop: Coords                 # lam - w.lam in root coordinates
+# (length, w(lam + rho), lam - w.lam in root coordinates)
+WeylElem = Tuple[int, Labels, Coords]
 
 
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
@@ -504,16 +502,21 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
     every label of lam + rho is >= 1, and label i of w(lam + rho) is
     (lam + rho, w^{-1} alpha_i), positive exactly when the real root
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
-    does for rho.  Each record is built by `tuple.__new__`, without the
-    Python frame of `WeylElem.__new__`, one per element the walk builds."""
+    does for rho.
+
+    Each element is the plain tuple (length, labels, drop): labels is
+    w(lam + rho) and drop is lam - w.lam in root coordinates.  It must stay
+    an exact tuple of ints and int tuples.  CPython's cyclic collector
+    untracks such a tuple at the first pass that finds its items untracked,
+    but never a tuple subclass such as a NamedTuple, so every later full
+    collection would rescan all the elements kept (2,903,040 on E7)."""
     top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
     for name, x in zip(graph.vertex_names, top):
         if x < 1:
             raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
     walk = _weyl_walk(graph.adjacency, top)
-    new = tuple.__new__
     return [
-        new(WeylElem, (length, labels, drop))
+        (length, labels, drop)
         for length, layer in zip(range(L + 1), walk)
         for labels, drop in layer.items()
     ]
@@ -523,8 +526,8 @@ def enumerate_WS(
     graph: TpqrGraph, L: int, lam: Optional[Labels] = None
 ) -> Dict[int, List[WeylElem]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
-    grouped by length, each carrying w(lam + rho) and its drop as
-    `weyl_elements` gives them.
+    grouped by length, each the (length, labels, drop) tuple that
+    `weyl_elements` gives, sorted by labels within a length.
 
     Membership test: label j of w(lam + rho) is positive for every j in S,
     every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
@@ -535,19 +538,23 @@ def enumerate_WS(
     """
     on_S = itemgetter(*graph.S)  # S has at least two vertices
     grouped: Dict[int, List[WeylElem]] = {}
-    for elem in [e for e in weyl_elements(graph, L, lam) if min(on_S(e.labels)) > 0]:
-        grouped.setdefault(elem.length, []).append(elem)
+    for elem in [e for e in weyl_elements(graph, L, lam) if min(on_S(e[1])) > 0]:
+        grouped.setdefault(elem[0], []).append(elem)
     for bucket in grouped.values():
-        bucket.sort(key=lambda e: e.labels)
+        bucket.sort()  # one length per bucket and distinct labels: by labels
     return grouped
 
 
 def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
     """Highest weights of the Lie algebra homology of the nilradical, by
-    degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, each dominant on S
-    because the labels of w(rho) are positive there."""
+    degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, read off the labels
+    of the (length, labels, drop) tuples of `enumerate_WS`, each dominant on
+    S because the labels of w(rho) are positive there."""
     grouped = enumerate_WS(graph, L)
-    return {k: [tuple(x - 1 for x in e.labels) for e in grouped.get(k, [])] for k in range(L + 1)}
+    return {
+        k: [tuple(x - 1 for x in labels) for _, labels, _ in grouped.get(k, [])]
+        for k in range(L + 1)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +835,10 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
-        for elem in elems:
-            gamma = elem.drop
+        for _, labels, gamma in elems:
             if gamma[z1] > cutoff:
                 continue
-            mu = tuple(x - 1 for x in elem.labels)
+            mu = tuple(x - 1 for x in labels)
             for beta, c in character_series(graph, mu, levi=True).items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c

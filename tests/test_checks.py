@@ -283,7 +283,7 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
         # s_z1 lowers lam + rho by its z1 label times alpha_z1
         drop = tuple(lam[j] + 1 if j == graph.z1 else 0 for j in range(graph.n))
         grouped = enumerate_ws(graph, L, lam)
-        return {k: [e for e in v if e.drop != drop] for k, v in grouped.items()}
+        return {k: [e for e in v if e[2] != drop] for k, v in grouped.items()}
 
     monkeypatch.setattr(kacmoody, "enumerate_WS", without_s_z1)
     with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
@@ -314,7 +314,7 @@ def test_kostant_catches_a_dropped_length_2_element(monkeypatch):
     def without_s_z1_s_u(graph, L, lam=None):
         # s_z1 s_u lowers rho by alpha_u, then by 2 alpha_z1
         drop = tuple({graph.u: 1, graph.z1: 2}.get(j, 0) for j in range(graph.n))
-        return [e for e in elements(graph, L, lam) if e.drop != drop]
+        return [e for e in elements(graph, L, lam) if e[2] != drop]
 
     monkeypatch.setattr(kacmoody, "weyl_elements", without_s_z1_s_u)
     with pytest.raises(CheckFailed, match=r"T_\{3,3,4\} length-2 Kostant weights "

@@ -1,4 +1,6 @@
+import gc
 import os
+import platform
 import random
 import re
 import subprocess
@@ -585,7 +587,7 @@ def test_weyl_group_order_d4():
     g = TpqrGraph(2, 2, 2)
     elems = weyl_elements(g, 12)  # longest element has length 12
     assert len(elems) == 192
-    assert max(e.length for e in elems) == 12
+    assert max(length for length, _, _ in elems) == 12
 
 
 def solve_coords(A, labels):
@@ -636,7 +638,7 @@ def check_walk(g, word, lam):
 
 def walk_pairs(elems):
     """(length, w.lam, drop) of each element, sorted."""
-    return sorted((e.length, tuple(x - 1 for x in e.labels), e.drop) for e in elems)
+    return sorted((length, tuple(x - 1 for x in labels), drop) for length, labels, drop in elems)
 
 
 def test_walk_equals_the_word_replay_on_all_of_w_d4():
@@ -667,6 +669,27 @@ def test_walk_equals_the_word_replay_on_all_of_w_e6():
     assert walk_pairs(weyl_elements(g, 36, lam)) == replayed
 
 
+@pytest.mark.parametrize(
+    "pqr, L, count", [((2, 2, 2), 12, 192 + 8), ((3, 3, 2), 36, 51840 + 72)], ids=["D4", "E6"]
+)
+def test_weyl_records_are_plain_tuples_the_collector_untracks(pqr, L, count):
+    # CPython's collector untracks an exact tuple of untracked items when it
+    # visits it, but never a tuple subclass such as a NamedTuple, so each
+    # full collection would rescan every element of W kept.  One pass may
+    # visit a record before its labels (finding what is reachable reorders
+    # the list it walks), so a second pass untracks what the first left.
+    g = TpqrGraph(*pqr)
+    lam = g.fundamental_weight(g.z1)
+    grouped = enumerate_WS(g, L, lam)
+    records = weyl_elements(g, L, lam) + [e for v in grouped.values() for e in v]
+    assert len(records) == count
+    assert all(type(e) is tuple for e in records)
+    if platform.python_implementation() == "CPython":
+        gc.collect()
+        gc.collect()
+        assert not any(map(gc.is_tracked, records))
+
+
 def test_weyl_elements_refuse_a_negative_lam():
     g = TpqrGraph(2, 2, 3)
     lam = tuple(-x for x in g.fundamental_weight(g.z(2)))
@@ -680,9 +703,9 @@ def test_weyl_elements_refuse_a_negative_lam():
 def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
     g = TpqrGraph(*pqr)
     signed = Counter()
-    for e in weyl_elements(g, len(enumerate_roots(g))):
-        if sum(e.drop) <= H:
-            signed[e.drop] += -1 if e.length % 2 else 1
+    for length, _, drop in weyl_elements(g, len(enumerate_roots(g))):
+        if sum(drop) <= H:
+            signed[drop] += -1 if length % 2 else 1
     assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
 
 
@@ -801,7 +824,7 @@ def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
     if L is None:
         L = len(enumerate_roots(g))  # the length of the longest element
     oracle = weyl_elements_with_inverse_images(g, L)
-    assert sorted((e.length, e.labels) for e in weyl_elements(g, L)) == sorted(
+    assert sorted((length, labels) for length, labels, _ in weyl_elements(g, L)) == sorted(
         (len(w), l) for w, l, _ in oracle
     )
     for word, labels, inv in oracle:
@@ -845,7 +868,7 @@ def ws_by_inversion_sets(graph, L):
 
 
 def ws_words(grouped):
-    return {k: sorted((e.length, e.labels) for e in v) for k, v in grouped.items()}
+    return {k: sorted((length, labels) for length, labels, _ in v) for k, v in grouped.items()}
 
 
 @pytest.mark.parametrize(
@@ -865,7 +888,7 @@ def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     monkeypatch.setattr(
         kacmoody,
         "weyl_elements",
-        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e.drop != s_z1_drop],
+        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[2] != s_z1_drop],
     )
     grouped = ws_words(enumerate_WS(g, 12))
     oracle = ws_by_inversion_sets(g, 12)
