@@ -217,55 +217,6 @@ class Root(NamedTuple):
         return sum(self.coords)
 
 
-ROOT_CLOSURE_LIMIT = 100000
-
-
-def finite_positive_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
-    """All positive roots of a finite-type symmetric A, sorted by (height,
-    coords), built height by height by the root-string rule (Humphreys,
-    *Introduction to Lie Algebras and Representation Theory*, §9.4).  Each
-    root beta carries its labels A beta.  The alpha_i-string through beta is
-    beta - p alpha_i, ..., beta + q alpha_i with p - q = (A beta)_i, so
-    beta + alpha_i is a root exactly when p > (A beta)_i, where p counts how
-    many times alpha_i can be subtracted from beta inside the roots of lower
-    height, all of them found already.  Its labels are A beta + A[i].  Raises
-    RuntimeError once more than ROOT_CLOSURE_LIMIT roots are found, as they
-    are on a matrix not of finite type."""
-    n = len(A)
-    # beta is keyed by sum beta_i B^i.  Every height up to the current one
-    # holds a root, so while at most ROOT_CLOSURE_LIMIT roots are found no
-    # coefficient reaches B and a key plus or minus B^i carries no digit.
-    B = ROOT_CLOSURE_LIMIT + 2
-    unit = [B**i for i in range(n)]
-    layer: Dict[int, Tuple[Coords, Labels]] = {
-        unit[i]: (tuple(1 if j == i else 0 for j in range(n)), tuple(A[i])) for i in range(n)
-    }
-    found: Set[int] = set()
-    roots: List[Coords] = []
-    while layer:
-        found.update(layer)
-        roots += [beta for beta, _ in layer.values()]
-        if len(found) > ROOT_CLOSURE_LIMIT:
-            raise RuntimeError("root closure exceeded limit; matrix not finite type?")
-        nxt: Dict[int, Tuple[Coords, Labels]] = {}
-        for key, (beta, labels) in layer.items():
-            for i, l in enumerate(labels):
-                k = key + unit[i]
-                if k in nxt:
-                    continue
-                p, gamma = 0, key
-                while p <= l and p < beta[i]:
-                    gamma -= unit[i]
-                    if gamma not in found:
-                        break
-                    p += 1
-                if p > l:
-                    new = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    nxt[k] = (new, tuple(map(add, labels, A[i])))
-        layer = nxt
-    return sorted(roots, key=lambda c: (sum(c), c))
-
-
 def _check_cartan(A: Sequence[Sequence[int]], off_ok: Callable[[int], bool], off: str) -> None:
     """Raise ValueError naming the first entry of A that breaks its symmetry,
     is not 2 on the diagonal, or off it fails `off_ok`, which `off` names."""
@@ -351,8 +302,10 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     (beta|2 rho) = 2 ht(beta).  Any other A raises ValueError naming an entry.
 
     A non-simple root is beta = gamma + alpha_i for a root gamma one height
-    lower.  Multiplicities are W-invariant (Kac, *Infinite-dimensional Lie
-    algebras*, Prop. 5.1) and s_j permutes the positive roots other than
+    lower.  So height h is built from height h - 1 alone, and once a height
+    holds no root no greater height does: the loop stops there, and H is
+    only a cap.  Multiplicities are W-invariant (Kac, *Infinite-dimensional
+    Lie algebras*, Prop. 5.1) and s_j permutes the positive roots other than
     alpha_j.  So if a label r = (beta|alpha_j) is positive, beta is a root
     exactly when s_j beta = beta - r alpha_j >= 0 is one, and of its
     multiplicity.  Label i of beta is (gamma|alpha_i) + 2; when it is
@@ -365,7 +318,10 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
 
     where c_beta = sum over d | beta of mult(beta/d)/d.  The pair sum probes
     beta - beta' for each beta' <= beta of height <= h/2 in the support of
-    c.  The arithmetic is on integers: L c_beta is stored for
+    c, which is built only as far as the latest chamber candidate's height.
+    On finite type no chamber candidate arises: a beta >= 0 with every
+    (beta|alpha_j) <= 0 has (beta|beta) = sum beta_j (beta|alpha_j) <= 0,
+    which a positive-definite A forbids.  The arithmetic is on integers: L c_beta is stored for
     L = lcm(1..H).  Raises ArithmeticError naming the root if a division is
     inexact or a multiplicity comes out negative or non-integral.
     """
@@ -383,19 +339,17 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     mults: Dict[Coords, int] = dict.fromkeys(simple, 1)
     by_key = dict.fromkeys(unit, 1)
     # Per height: the roots as (key, beta, labels, (beta|beta)), and the
-    # support of c as key -> [beta, (beta|beta), L c_beta].  The labels of
-    # alpha_i are row i of the symmetric A.
-    roots: List[List[Tuple[int, Coords, Labels, int]]] = [[] for _ in range(H + 1)]
-    support: List[Dict[int, list]] = [{} for _ in range(H + 1)]
-    roots[1] = [(k, e, tuple(row), 2) for k, e, row in zip(unit, simple, A)]
-    for h in range(1, H + 1):
-        # c is also non-zero on the multiples d gamma of lower roots gamma.
-        here = support[h]
-        for d in range(2, h + 1):
-            if h % d == 0:
-                for key, gamma, _, norm in roots[h // d]:
-                    entry = here.setdefault(d * key, [tuple(d * x for x in gamma), d * d * norm, 0])
-                    entry[2] += L // d * by_key[key]
+    # support of c as key -> [beta, (beta|beta), L c_beta], built to height
+    # 0 so far.  The labels of alpha_i are row i of the symmetric A.
+    roots: List[List[Tuple[int, Coords, Labels, int]]] = [
+        [], [(k, e, tuple(row), 2) for k, e, row in zip(unit, simple, A)]
+    ]
+    support: List[Dict[int, list]] = [{}]
+    for h in range(2, H + 1):
+        if not roots[h - 1]:
+            break
+        layer: List[Tuple[int, Coords, Labels, int]] = []
+        roots.append(layer)
         seen: Set[int] = set()
         for key, gamma, labels, norm in roots[h - 1]:
             for i, l in enumerate(labels):
@@ -412,6 +366,7 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
                     # Coordinate j of beta is gamma_j + [i = j].
                     m = by_key.get(k - r * unit[j], 0) if gamma[j] + (i == j) >= r else 0
                 else:
+                    _grow(support, roots, by_key, L, h)
                     beta = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
                     coef = norm + 2 * l + 2 - 2 * h
                     rhs = _pair_sum(support, h, k, beta, a_beta)
@@ -420,7 +375,7 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
                         raise ArithmeticError(
                             f"Peterson recursion at {beta}: pair sum {rhs} not divisible by {coef * L}"
                         )
-                    multiple = here.get(k, (0, 0, 0))[2]
+                    multiple = support[h].get(k, (0, 0, 0))[2]
                     m, rem = divmod(c - multiple, L)
                     if m < 0 or rem:
                         g = gcd(c - multiple, L)
@@ -430,10 +385,29 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
                     beta = beta or gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
                     a_beta = a_beta or tuple(map(add, labels, A[i]))
                     mults[beta] = by_key[k] = m
-                    roots[h].append((k, beta, a_beta, norm + 2 * l + 2))
-        for k, beta, _, norm in roots[h]:
-            here.setdefault(k, [beta, norm, 0])[2] += L * by_key[k]
+                    layer.append((k, beta, a_beta, norm + 2 * l + 2))
     return mults
+
+
+def _grow(
+    support: List[Dict[int, list]], roots: List[list], by_key: Dict[int, int], L: int, h: int
+) -> None:
+    """Extend the support of c from height len(support) - 1 to height h,
+    whose roots are still being found.  Each step adds L mult(beta) for the
+    roots beta of the top height, which are complete, then opens height g
+    one above with L mult(gamma)/d at each multiple d gamma, d >= 2, of a
+    root gamma of height g/d."""
+    while len(support) <= h:
+        g = len(support)
+        for k, beta, _, norm in roots[g - 1]:
+            support[g - 1].setdefault(k, [beta, norm, 0])[2] += L * by_key[k]
+        here: Dict[int, list] = {}
+        for d in range(2, g + 1):
+            if g % d == 0:
+                for key, gamma, _, norm in roots[g // d]:
+                    entry = here.setdefault(d * key, [tuple(d * x for x in gamma), d * d * norm, 0])
+                    entry[2] += L // d * by_key[key]
+        support.append(here)
 
 
 def _pair_sum(
@@ -470,16 +444,31 @@ def verify_denominator_identity(
     return product == weyl_denominator_sum(A, H)
 
 
-def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
-    """Positive roots with multiplicities.
+def _finite_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
+    """All positive roots of a finite-type A of rank n >= 2, sorted by
+    (height, coords), from `roots_by_peterson` capped at n(n+1)/2.  That
+    cap is above the height of the highest root on every ADE type of rank
+    n >= 2 (A_n: n, D_n: 2n - 3, E6/E7/E8: 11/17/29), so the recursion
+    stops at an empty height below it.  Raises RuntimeError if height
+    n(n+1)/2 still holds a root, as it does on a matrix not of finite
+    type."""
+    n = len(A)
+    H = n * (n + 1) // 2
+    roots = sorted(roots_by_peterson(A, H), key=lambda c: (sum(c), c))
+    if sum(roots[-1]) == H:
+        raise RuntimeError(f"a root at height {H} on rank {n}; matrix not finite type?")
+    return roots
 
-    Finite type: the whole root system by the root-string rule (all roots
-    real, mult 1); H is ignored.  Otherwise H is required: the height cutoff
-    of Peterson's recursion.
+
+def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
+    """Positive roots with multiplicities, from Peterson's recursion.
+
+    Finite type: the whole root system (all roots real, mult 1); H is
+    ignored.  Otherwise H is required: the height cutoff.
     """
     A = graph.cartan
     if graph.classify().finite:
-        return [Root(c, 1) for c in finite_positive_roots(A)]
+        return [Root(c, 1) for c in _finite_roots(A)]
     if H is None:
         raise ValueError("non-finite type needs a height cutoff H")
     mults = roots_by_peterson(A, H)
@@ -573,8 +562,8 @@ def defect_graded_dims(
 ) -> DefectDims:
     """Graded dimensions of the positive part of the S-height grading at z_1.
 
-    Finite type: exhaustive via the root-string rule, and `max_height` is
-    ignored.
+    Finite type: exhaustive, the whole root system of `enumerate_roots`,
+    and `max_height` is ignored.
     Otherwise `max_height` is required: roots are truncated at that height
     and the dims are lower bounds.
     """
@@ -618,7 +607,8 @@ def character_series(
     With `levi` set, computes the finite-dimensional irreducible of the Levi
     subalgebra on S (lam need only be dominant there), on any T_{p,q,r}: its
     roots are the positive roots of the Cartan matrix on S, of finite type
-    A_{p+q-1} x A_{r-2}, with a z_1 coefficient 0 inserted.
+    A_{p+q-1} x A_{r-2}, from `roots_by_peterson` as `_finite_roots` takes
+    them, with a z_1 coefficient 0 inserted.
 
     Freudenthal's root sum runs only at weights dominant for the reflecting
     generators (every vertex, or S for `levi`).  Multiplicities are invariant
@@ -639,7 +629,7 @@ def character_series(
     z1 = graph.z1
     if levi:
         gens = list(graph.S)
-        block = finite_positive_roots([[A[i][j] for j in gens] for i in gens])
+        block = _finite_roots([[A[i][j] for j in gens] for i in gens])
         pos_roots = [c[:z1] + (0,) + c[z1:] for c in block]
     else:
         if not graph.classify().finite:

@@ -187,7 +187,8 @@ def ra_enumerate(
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     quads = [(mu, ra_component(mu, fmt)) for mu in mu_enumerate(fmt, cutoff)]
-    out = [(mu, q) for mu, q in quads if q.dominant and mu.a - mu.b + mu.c >= 0]
+    # Every mu has a >= 0, so `ra_component` has checked that q is dominant.
+    out = [(mu, q) for mu, q in quads if mu.a - mu.b + mu.c >= 0]
     for what, keys in (
         ("weight quadruple", [q.weights for _, q in out]),
         ("even projection (F_0, F_2)", [q.even for _, q in out]),

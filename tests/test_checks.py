@@ -262,8 +262,8 @@ def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
     assert run_check("root-counts") == (
         "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
     )
-    closure = kacmoody.finite_positive_roots
-    monkeypatch.setattr(kacmoody, "finite_positive_roots", lambda A: closure(A)[:-1])
+    supply = kacmoody._finite_roots
+    monkeypatch.setattr(kacmoody, "_finite_roots", lambda A: supply(A)[:-1])
     with pytest.raises(CheckFailed, match=r"T_\{2,2,2\}: 11 positive roots, not 12"):
         run_check("root-counts")
 

@@ -18,6 +18,7 @@ from resatlas import kacmoody
 from resatlas.formats import classify, tpqr_cartan_matrix
 from resatlas.kacmoody import (
     TpqrGraph,
+    _finite_roots,
     _truncated_product,
     bgg_euler_check,
     bgg_initial_terms,
@@ -26,7 +27,6 @@ from resatlas.kacmoody import (
     dot_action,
     enumerate_WS,
     enumerate_roots,
-    finite_positive_roots,
     kostant_weights,
     reflect,
     root_labels,
@@ -77,7 +77,7 @@ def reflect_root(A, coords, i):
 def positive_roots_by_closure(A):
     """All positive roots of a finite-type A by closing the simple roots
     under the simple reflections, sorted by (height, coords); the oracle for
-    the string rule of `finite_positive_roots`."""
+    the finite roots of `roots_by_peterson`."""
     n = len(A)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen = set(simple)
@@ -98,15 +98,32 @@ def positive_roots_by_closure(A):
 TABLE = [(p, q, r) for p in range(2, 10) for q in range(1, 10) for r in range(2, 10)]
 
 
-def test_the_string_rule_equals_the_closure_on_every_finite_graph_of_the_table():
-    finite = [pqr for pqr in TABLE if classify(*pqr).finite]
-    assert len(finite) == 101
-    for pqr in finite:
+@pytest.fixture(scope="module")
+def finite_graphs():
+    return [pqr for pqr in TABLE if classify(*pqr).finite]
+
+
+def test_the_finite_supply_equals_the_closure_on_every_finite_graph_of_the_table(finite_graphs):
+    assert len(finite_graphs) == 101
+    for pqr in finite_graphs:
         A = tpqr_cartan_matrix(*pqr)
-        assert finite_positive_roots(A) == positive_roots_by_closure(A), pqr
+        assert _finite_roots(A) == positive_roots_by_closure(A), pqr
 
 
-def test_the_string_rule_equals_the_closure_on_levi_blocks():
+def test_peterson_stops_at_the_first_empty_height_on_every_finite_graph_of_the_table(
+    finite_graphs,
+):
+    # Past the highest root theta no height holds a root, so any cap at or
+    # above ht(theta) gives the whole root system.
+    for pqr in finite_graphs:
+        A = tpqr_cartan_matrix(*pqr)
+        closure = positive_roots_by_closure(A)
+        top = sum(closure[-1])
+        for H in (top, 4 * top):
+            assert roots_by_peterson(A, H) == dict.fromkeys(closure, 1), (pqr, H)
+
+
+def test_the_finite_supply_equals_the_closure_on_levi_blocks():
     # The block on S is A_{p+q-1} x A_{r-2} in the graph's vertex order, in
     # which the path x_{p-1} .. x_1 u y_1 .. y_{q-1} starts at its middle.
     for pqr in TABLE:
@@ -114,13 +131,13 @@ def test_the_string_rule_equals_the_closure_on_levi_blocks():
             g = TpqrGraph(*pqr)
             A = g.cartan
             block = [[A[i][j] for j in g.S] for i in g.S]
-            assert finite_positive_roots(block) == positive_roots_by_closure(block), pqr
+            assert _finite_roots(block) == positive_roots_by_closure(block), pqr
 
 
 def test_the_root_supply_refuses_the_smallest_affine_graph():
     # T_{3,3,3} = E6^(1) has a root alpha + k delta for every k.
-    with pytest.raises(RuntimeError, match=r"^root closure exceeded limit; matrix not finite type\?$"):
-        finite_positive_roots(tpqr_cartan_matrix(3, 3, 3))
+    with pytest.raises(RuntimeError, match=r"^a root at height 28 on rank 7; matrix not finite type\?$"):
+        _finite_roots(tpqr_cartan_matrix(3, 3, 3))
 
 
 def roots_by_denominator(A, H):
@@ -293,7 +310,7 @@ def affine_mismatches(pqr, H, mults):
     n = len(A)
     delta = NULL_ROOTS[pqr]
     assert root_labels(A, delta) == (0,) * n and delta[-1] == 1
-    finite = [alpha + (0,) for alpha in finite_positive_roots([row[:-1] for row in A[:-1]])]
+    finite = [alpha + (0,) for alpha in positive_roots_by_closure([row[:-1] for row in A[:-1]])]
     want = {}
     for k in range(H // sum(delta) + 1):
         k_delta = tuple(k * x for x in delta)
@@ -478,17 +495,19 @@ def test_recursion_agrees_with_closure_on_finite():
     # D4, E6, E7, E8; the highest roots have heights 5, 11, 17, 29.
     for pqr, top in [((2, 2, 2), 5), ((3, 3, 2), 11), ((2, 3, 4), 17), ((5, 2, 3), 29)]:
         A = TpqrGraph(*pqr).cartan
-        closure = {c: 1 for c in finite_positive_roots(A)}
+        closure = dict.fromkeys(positive_roots_by_closure(A), 1)
         assert max(sum(c) for c in closure) == top
         for H in (top, top + 3):
             assert roots_by_peterson(A, H) == closure, (pqr, H)
     d4 = TpqrGraph(2, 2, 2).cartan
-    assert roots_by_denominator(d4, 12) == {c: 1 for c in finite_positive_roots(d4)}
+    assert roots_by_denominator(d4, 12) == dict.fromkeys(positive_roots_by_closure(d4), 1)
 
 
 def test_finite_roots_ignore_the_height_cutoff():
-    g = TpqrGraph(2, 2, 2)
-    assert enumerate_roots(g, H=3) == enumerate_roots(g)
+    # 20 is the CLI's default --max-height, below E8's ht(theta) = 29.
+    g = TpqrGraph(5, 2, 3)
+    assert len(enumerate_roots(g, H=20)) == 120
+    assert enumerate_roots(g, H=20) == enumerate_roots(g)
 
 
 def test_affine_null_root_multiplicity():
