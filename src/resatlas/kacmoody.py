@@ -15,9 +15,10 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 
 from __future__ import annotations
 
-from math import gcd, inf, lcm
-from operator import add, itemgetter, le, mul, sub
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, gt, itemgetter, le, mul, sub
+from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .formats import _check_pqr, classify, tpqr_cartan_matrix
 
@@ -132,70 +133,136 @@ def dot_action(graph: TpqrGraph, word: Sequence[int], labels: Sequence[int]) -> 
     return tuple(x - 1 for x in current)
 
 
+def _leaves_first(adjacency: Sequence[Sequence[int]]) -> List[int]:
+    """The vertices in reverse breadth-first order from the vertex of highest
+    degree, ties to the smallest index, and likewise for each further
+    component.  On a tree every vertex but the root then comes before its
+    one later neighbour, its parent; on T_{p,q,r} the leaves come first and
+    u last."""
+    n = len(adjacency)
+    seen = [False] * n
+    order: List[int] = []
+    while len(order) < n:
+        root = max((v for v in range(n) if not seen[v]), key=lambda v: len(adjacency[v]))
+        seen[root] = True
+        queue = [root]
+        for v in queue:
+            for j in adjacency[v]:
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        order += queue
+    return order[::-1]
+
+
+def _reflect_into(
+    out: Dict[Labels, Coords], i: int, adj: Sequence[int], elems: Collection[Tuple[Labels, Coords]]
+) -> int:
+    """Put s_i w into `out` for each (labels, drop) of w in `elems`, label i
+    positive, and return how many were built."""
+    for labels, drop in elems:
+        li = labels[i]
+        new = list(labels)
+        new[i] = -li
+        for j in adj:
+            new[j] += li
+        d = list(drop)
+        d[i] += li
+        out[tuple(new)] = tuple(d)
+    return len(elems)
+
+
 def _weyl_walk(
     adjacency: Sequence[Sequence[int]], top: Sequence[int], max_height: Optional[int] = None
 ) -> Iterator[Dict[Labels, Coords]]:
     """The Weyl group by length: layer k maps the labels of w(top) to the
     drop top - w(top) in root coordinates, over the w of length k.  Every
-    label of `top` is >= 1, so w(top) determines w, and s_i w is longer
-    than w exactly when label i of w(top) is positive (Björner–Brenti,
-    *Combinatorics of Coxeter Groups*, §1.6, §2.4): s_i then negates that
-    label l_i, adds it to the labels of the neighbours of i and adds it to
-    drop i.  The first descent of w is the index f of the first negative
-    label of w(top), or n for the identity.
+    label of `top` must be >= 1 (else ValueError naming the position and
+    the label), so w(top) determines w, and s_i w is longer than w exactly
+    when label i of w(top) is positive (Björner–Brenti, *Combinatorics of
+    Coxeter Groups*, §1.6, §2.4): s_i then negates that label l_i, adds it
+    to the labels of the neighbours of i and adds it to drop i.
 
-    Each w' != e is built once, from its canonical parent s_d w', d the
-    first descent of w'.  From w, an ascent i < f has first descent i, so
-    it is built without a test; an ascent i > f is built only when i is a
-    neighbour of f with l_f + l_i > 0 and every negative label between f
-    and i sits at a neighbour of i that l_i lifts above 0.  The parent
-    s_d w' of any w' either has f > d, so d is in the first branch, or has
-    its first negative label at a neighbour f < d of d that l_d lifts back
-    above 0, so d is in the second.  So layer k + 1 is reached from layer k
-    alone, and since the parent's drop is at most the child's in every
-    coordinate, leaving out the w with ht(drop) > `max_height` is exact.
-    Raises RuntimeError if a layer is built a different number of times
-    than it has elements.  On an infinite W an unbounded walk never ends;
-    the caller stops taking layers."""
+    The vertices are taken in the order of `_leaves_first`, and "before",
+    "after" and "between" below refer to it.  The first descent of w is
+    the first vertex f with a negative label in w(top), or none for the
+    identity.  Each w' != e is built once, from its canonical parent
+    s_d w', d the first descent of w'.  From w, an ascent i before f has
+    first descent i, since the labels before f are positive and s_i only
+    raises its neighbours' labels, so it is built without a test; an ascent
+    i after f is built only when i is a neighbour of f with l_f + l_i > 0
+    and every negative label between f and i sits at a neighbour of i that
+    l_i lifts above 0, which is to say when s_i w has first descent i.  The
+    parent s_d w' of any w' either has f after d, so d is in the first
+    branch, or has its first negative label at a neighbour f of d before d
+    that l_d lifts back above 0, so d is in the second.  So layer k + 1 is
+    reached from layer k alone, and since the parent's drop is at most the
+    child's in every coordinate, leaving out the w with ht(drop) >
+    `max_height` is exact.  The proof holds for any total order; in this
+    one every vertex of a tree but the last has a single later neighbour,
+    its parent, so the second branch runs about once per element where
+    index order ran it about twice.
+
+    Each layer is held as one dict per first descent, with the identity
+    after the last vertex, and the yielded layer merges them.  Vertex i
+    acts on every later group with no test, and the second branch runs
+    once per group and later neighbour of its first descent.  Since the
+    labels fix the first descent, a repeat lands in the group of its first
+    build; RuntimeError is raised if a layer is built a different number of
+    times than it has elements.  On an infinite W an unbounded walk never
+    ends; the caller stops taking layers."""
     n = len(top)
-    # Per f: the ascents i < f, and the neighbours of f after it.
-    heads = [list(range(f)) for f in range(n + 1)]
-    later = [[i for i in adjacency[f] if i > f] for f in range(n)] + [[]]
+    for k, x in enumerate(top):
+        if x < 1:
+            raise ValueError(f"top has label {x} < 1 at position {k}")
+    order = _leaves_first(adjacency)
+    place = [0] * n
+    for k, v in enumerate(order):
+        place[v] = k
     near = [frozenset(a) for a in adjacency]
-    layer: Dict[Labels, Coords] = {tuple(top): (0,) * n}
-    firsts = [n]
-    while layer:
+    # Per place f of a first descent: (i, its place k, the vertices between
+    # them) over the neighbours i of the vertex at f that come after it.
+    later = []
+    for f, v in enumerate(order):
+        after = sorted(k for k in map(place.__getitem__, adjacency[v]) if k > f)
+        later.append([(order[k], k, order[f + 1 : k]) for k in after])
+    groups: List[Dict[Labels, Coords]] = [{} for _ in range(n)] + [{tuple(top): (0,) * n}]
+    while True:
+        layer: Dict[Labels, Coords] = {}
+        for group in groups:
+            layer.update(group)
+        if not layer:
+            return
         yield layer
-        nxt: Dict[Labels, Coords] = {}
-        built: List[int] = []
-        for (labels, drop), f in zip(layer.items(), firsts):
-            if max_height is None:
-                room = inf
-                kids = heads[f][:]
-            else:
-                room = max_height - sum(drop)
-                kids = [i for i in heads[f] if labels[i] <= room]
-            for i in later[f]:
-                li = labels[i]
-                if 0 < li <= room and labels[f] + li > 0:
-                    for j in range(f + 1, i):
-                        if labels[j] < 0 and (j not in near[i] or labels[j] + li <= 0):
+        nxt: List[Dict[Labels, Coords]] = [{} for _ in range(n + 1)]
+        built = 0
+        for k, i in enumerate(order):
+            for group in groups[k + 1 :]:
+                kids = group.items()
+                if max_height is not None:
+                    kids = [e for e in kids if sum(e[1]) + e[0][i] <= max_height]
+                built += _reflect_into(nxt[k], i, adjacency[i], kids)
+        for f, group, ascents in zip(order, groups, later):
+            for i, k, between in ascents:
+                near_i = near[i]
+                kids = []
+                for e in group.items():
+                    labels = e[0]
+                    li = labels[i]
+                    if li <= 0 or labels[f] + li <= 0:
+                        continue
+                    if max_height is not None and sum(e[1]) + li > max_height:
+                        continue
+                    for j in between:
+                        if labels[j] < 0 and (j not in near_i or labels[j] + li <= 0):
                             break
                     else:
-                        kids.append(i)
-            for i in kids:
-                li = labels[i]
-                new = list(labels)
-                new[i] = -li
-                for j in adjacency[i]:
-                    new[j] += li
-                d = list(drop)
-                d[i] += li
-                nxt[tuple(new)] = tuple(d)
-            built += kids
-        if len(built) != len(nxt):
-            raise RuntimeError(f"{len(built)} builds for a layer of {len(nxt)} elements")
-        layer, firsts = nxt, built
+                        kids.append(e)
+                built += _reflect_into(nxt[k], i, adjacency[i], kids)
+        size = sum(map(len, nxt))
+        if built != size:
+            raise RuntimeError(f"{built} builds for a layer of {size} elements")
+        groups = nxt
 
 
 def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
@@ -486,8 +553,9 @@ WeylElem = Tuple[int, Labels, Coords]
 
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
     """All elements of W of length <= L, by `_weyl_walk` from lam + rho
-    (lam = 0 by default), by length and, within a length, in the order the
-    walk builds them from their first descents.  lam must be dominant: then
+    (lam = 0 by default), by length and, within a length, by first-descent
+    group in the walk's vertex order, the identity's group last; nothing
+    relies on that order within a length.  lam must be dominant: then
     every label of lam + rho is >= 1, and label i of w(lam + rho) is
     (lam + rho, w^{-1} alpha_i), positive exactly when the real root
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
@@ -503,12 +571,10 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
     for name, x in zip(graph.vertex_names, top):
         if x < 1:
             raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
-    walk = _weyl_walk(graph.adjacency, top)
-    return [
-        (length, labels, drop)
-        for length, layer in zip(range(L + 1), walk)
-        for labels, drop in layer.items()
-    ]
+    out: List[WeylElem] = []
+    for length, layer in zip(range(L + 1), _weyl_walk(graph.adjacency, top)):
+        out += zip(repeat(length), layer, layer.values())
+    return out
 
 
 def enumerate_WS(
@@ -526,8 +592,9 @@ def enumerate_WS(
     (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4).
     """
     on_S = itemgetter(*graph.S)  # S has at least two vertices
+    elems = weyl_elements(graph, L, lam)
     grouped: Dict[int, List[WeylElem]] = {}
-    for elem in [e for e in weyl_elements(graph, L, lam) if min(on_S(e[1])) > 0]:
+    for elem in compress(elems, map(gt, map(min, map(on_S, map(itemgetter(1), elems))), repeat(0))):
         grouped.setdefault(elem[0], []).append(elem)
     for bucket in grouped.values():
         bucket.sort()  # one length per bucket and distinct labels: by labels

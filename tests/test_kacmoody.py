@@ -728,6 +728,12 @@ def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
     assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
 
 
+# Graphs that are not a T_{p,q,r}, by adjacency: the affine A_3^(1), a
+# 4-cycle, where a vertex has two later neighbours in the walk's order, and
+# A_1 + A_2, whose two components the order takes one after the other.
+OTHER_GRAPHS = {"A3^(1)": [[1, 3], [0, 2], [1, 3], [0, 2]], "A1+A2": [[], [2], [1]]}
+
+
 def dedupe_walk(adjacency, top, max_height=None):
     """The Weyl group by length as `_weyl_walk` yields it, by trying every
     ascent i of every element (label i of w(top) positive) and keeping the
@@ -771,24 +777,79 @@ def dedupe_walk(adjacency, top, max_height=None):
         ((2, 3, 7), None, None, 10),
         ((3, 3, 3), None, None, 12),
         ((2, 4, 5), None, None, 10),
+        ((2, 1, 4), None, None, None),
+        ("A3^(1)", None, 10, None),
+        ("A3^(1)", None, 12, None),
+        ("A1+A2", None, None, None),
     ],
     ids=[
         "D4", "D5", "D6-422", "D6-224", "E6", "E6-z1", "E6-u", "E6-323", "T237-H8", "T237-H14",
-        "T245-H14", "T333-H16", "T236-H12", "T237-L10", "T333-L12", "T245-L10",
+        "T245-H14", "T333-H16", "T236-H12", "T237-L10", "T333-L12", "T245-L10", "T214",
+        "cycle4-H10", "cycle4-H12", "A1+A2",
     ],
 )
 def test_the_walk_equals_the_dedupe_walk_layer_by_layer(pqr, lam, H, layers):
     # Equal as dicts: the same labels and drops, in any order.  The walk
-    # itself raises RuntimeError if it builds an element twice.
-    g = TpqrGraph(*pqr)
-    top = g.rho()
-    if lam is not None:
-        top = tuple(x + 1 for x in g.fundamental_weight(g.vertex_names.index(lam)))
-    got = list(islice(kacmoody._weyl_walk(g.adjacency, top, H), layers))
-    want = list(islice(dedupe_walk(g.adjacency, top, H), layers))
+    # itself raises RuntimeError if it builds an element twice.  T_{2,1,4}
+    # ties u with z_1 and z_2 for the highest degree.
+    if pqr in OTHER_GRAPHS:
+        adjacency = OTHER_GRAPHS[pqr]
+        top = (1,) * len(adjacency)
+    else:
+        g = TpqrGraph(*pqr)
+        adjacency, top = g.adjacency, g.rho()
+        if lam is not None:
+            top = tuple(x + 1 for x in g.fundamental_weight(g.vertex_names.index(lam)))
+    got = list(islice(kacmoody._weyl_walk(adjacency, top, H), layers))
+    want = list(islice(dedupe_walk(adjacency, top, H), layers))
     assert len(got) == len(want)
     for k, (a, b) in enumerate(zip(got, want)):
         assert a == b, (pqr, lam, H, k)
+
+
+@pytest.mark.parametrize("H", [10, 12])
+def test_the_denominator_sum_on_a_cycle_equals_the_dedupe_count(H):
+    cycle = OTHER_GRAPHS["A3^(1)"]
+    A = [[2 if i == j else -1 if j in cycle[i] else 0 for j in range(4)] for i in range(4)]
+    signed = {}
+    for length, layer in enumerate(dedupe_walk(cycle, (1,) * 4, H)):
+        signed.update(dict.fromkeys(layer.values(), -1 if length % 2 else 1))
+    assert weyl_denominator_sum(A, H) == signed
+
+
+@pytest.mark.parametrize(
+    "pqr, lam, H", [((3, 3, 2), "z1", None), ((2, 3, 7), None, 10)], ids=["E6-z1", "T237-H10"]
+)
+def test_the_walk_does_not_depend_on_the_vertex_numbering(pqr, lam, H):
+    # Vertex v is renumbered sigma[v]; walking the renumbered graph and
+    # reading each layer back in the old numbering gives the same layers.
+    g = TpqrGraph(*pqr)
+    n = g.n
+    top = g.rho() if lam is None else tuple(x + 1 for x in g.fundamental_weight(g.z1))
+    sigma = [(3 - v) % n for v in range(n)]
+    adjacency = [None] * n
+    moved = [None] * n
+    for v in range(n):
+        adjacency[sigma[v]] = sorted(sigma[j] for j in g.adjacency[v])
+        moved[sigma[v]] = top[v]
+    back = itemgetter(*sigma)
+    want = list(kacmoody._weyl_walk(g.adjacency, top, H))
+    got = [
+        {back(labels): back(drop) for labels, drop in layer.items()}
+        for layer in kacmoody._weyl_walk(adjacency, moved, H)
+    ]
+    assert sorted(sigma) != sigma and sorted(sigma) == list(range(n))
+    assert got == want
+
+
+def test_the_walk_refuses_a_top_with_a_label_below_one():
+    # A zero label makes w(top) singular: w no longer determines it, and
+    # the labels before the first descent need not be positive.
+    g = TpqrGraph(2, 2, 2)
+    with pytest.raises(ValueError, match=r"top has label 0 < 1 at position 0"):
+        next(kacmoody._weyl_walk(g.adjacency, (0, 1, 1, 1)))
+    with pytest.raises(ValueError, match=r"top has label -2 < 1 at position 3"):
+        next(kacmoody._weyl_walk(g.adjacency, (1, 1, 1, -2), 5))
 
 
 def weyl_elements_with_inverse_images(graph, L):
