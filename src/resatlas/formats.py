@@ -209,23 +209,28 @@ def _finite_dynkin_name(p: int, q: int, r: int) -> str:
     return f"E{arms[2] + 3}"
 
 
+def tpqr_kind(p: int, q: int, r: int) -> str:
+    """"finite", "affine" or "indefinite": the case-list rule, 1/p + 1/q + 1/r
+    against 1, in O(1).  Every finite-type decision reads this; `classify`
+    also checks it against the signature."""
+    _check_pqr(p, q, r)
+    # 1/p + 1/q + 1/r against 1, times pqr.
+    harmonic, one = q * r + p * r + p * q, p * q * r
+    return "finite" if harmonic > one else "affine" if harmonic == one else "indefinite"
+
+
 def classify(p: int, q: int, r: int) -> TpqrClass:
     """Type of T_{p,q,r}, computed two independent ways which must agree.
 
-    Path 1: harmonic-sum / case-list rule (1/p + 1/q + 1/r vs 1).
+    Path 1: the case-list rule of `tpqr_kind`.
     Path 2: exact signature of the symmetric Cartan matrix, peeled from
     its sparse rows (`tpqr_cartan_rows`) with no dense matrix formed.
+    Run it where a class is printed; a finite-type test reads `tpqr_kind`.
     """
-    _check_pqr(p, q, r)
+    kind = tpqr_kind(p, q, r)
     n = p + q + r - 2
-    # 1/p + 1/q + 1/r against 1, times pqr.
-    harmonic, one = q * r + p * r + p * q, p * q * r
-    if harmonic > one:
-        kind, dynkin, expected = "finite", _finite_dynkin_name(p, q, r), (n, 0, 0)
-    elif harmonic == one:
-        kind, dynkin, expected = "affine", None, (n - 1, 1, 0)
-    else:
-        kind, dynkin, expected = "indefinite", None, (n - 1, 0, 1)
+    dynkin = _finite_dynkin_name(p, q, r) if kind == "finite" else None
+    expected = {"finite": (n, 0, 0), "affine": (n - 1, 1, 0), "indefinite": (n - 1, 0, 1)}[kind]
     try:
         sig = symmetric_signature(tpqr_cartan_rows(p, q, r))
     except ValueError as exc:  # only a broken Cartan builder gets here
@@ -245,10 +250,11 @@ def classify_format(fmt: ResolutionFormat) -> TpqrClass:
 
 def noetherian_generic_ring(fmt: ResolutionFormat) -> bool:
     """The generic ring attached to a valid length-3 format is Noetherian
-    exactly when the associated graph is a Dynkin diagram (finite type)."""
+    exactly when the associated graph is a Dynkin diagram (finite type),
+    read from the case list (`tpqr_kind`) with no signature."""
     if not fmt.valid or fmt.n != 3:
         raise ValueError("requires a valid length-3 format")
-    return classify_format(fmt).finite
+    return tpqr_kind(*fmt.pqr) == "finite"
 
 
 def cyclic_exists(n_param: int, l_param: int) -> bool:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from operator import add, gt, itemgetter, le, mul, sub
 from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .formats import _check_pqr, classify, tpqr_cartan_matrix
+from .formats import _check_pqr, classify, tpqr_cartan_matrix, tpqr_kind
 
 Labels = Tuple[int, ...]
 Coords = Tuple[int, ...]
@@ -375,9 +375,13 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     Lie algebras*, Prop. 5.1) and s_j permutes the positive roots other than
     alpha_j.  So if a label r = (beta|alpha_j) is positive, beta is a root
     exactly when s_j beta = beta - r alpha_j >= 0 is one, and of its
-    multiplicity.  Label i of beta is (gamma|alpha_i) + 2; when it is
-    positive, beta's tuple and labels are built only if beta is a root.  The
-    chamber candidates, every label <= 0, are the imaginary roots of the
+    multiplicity.  No root has (beta|beta) > 2 (Kac, §5.1-5.2: real roots
+    have norm 2, imaginary ones norm <= 0), and (beta|beta) = (gamma|gamma)
+    + 2 (gamma|alpha_i) + 2 depends on beta alone: only the i with
+    (gamma|gamma) + 2 (gamma|alpha_i) <= 0 are tried, from every gamma.
+    Label i of beta is (gamma|alpha_i) + 2; when it is positive, beta's
+    tuple and labels are built only if beta is a root.  The chamber
+    candidates, every label <= 0, are the imaginary roots of the
     fundamental set and non-roots with disconnected support (Kac, Thm. 5.4).
     Only they take Peterson's recursion (Ex. 11.11):
 
@@ -419,7 +423,8 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
         roots.append(layer)
         seen: Set[int] = set()
         for key, gamma, labels, norm in roots[h - 1]:
-            for i, l in enumerate(labels):
+            # (beta|beta) = norm + 2 l + 2 <= 2; norm is even.
+            for i, l in compress(enumerate(labels), map(le, labels, repeat(-norm // 2))):
                 k = key + unit[i]
                 if k in seen:
                     continue
@@ -511,34 +516,39 @@ def verify_denominator_identity(
     return product == weyl_denominator_sum(A, H)
 
 
-def _finite_roots(A: Sequence[Sequence[int]]) -> List[Coords]:
-    """All positive roots of a finite-type A of rank n >= 2, sorted by
-    (height, coords), from `roots_by_peterson` capped at n(n+1)/2.  That
-    cap is above the height of the highest root on every ADE type of rank
-    n >= 2 (A_n: n, D_n: 2n - 3, E6/E7/E8: 11/17/29), so the recursion
-    stops at an empty height below it.  Raises RuntimeError if height
-    n(n+1)/2 still holds a root, as it does on a matrix not of finite
-    type."""
+def _finite_roots(A: Sequence[Sequence[int]]) -> Dict[Coords, int]:
+    """All positive roots of a finite-type A of rank n >= 2, each mapped to
+    its multiplicity 1, by height, from `roots_by_peterson` capped at
+    n(n+1)/2.  That cap is above the height of the highest root on every
+    ADE type of rank n >= 2 (A_n: n, D_n: 2n - 3, E6/E7/E8: 11/17/29), so
+    the recursion stops at an empty height below it.  Raises RuntimeError
+    if height n(n+1)/2 still holds a root, as it does on a matrix not of
+    finite type."""
     n = len(A)
     H = n * (n + 1) // 2
-    roots = sorted(roots_by_peterson(A, H), key=lambda c: (sum(c), c))
-    if sum(roots[-1]) == H:
+    mults = roots_by_peterson(A, H)
+    if sum(next(reversed(mults))) == H:
         raise RuntimeError(f"a root at height {H} on rank {n}; matrix not finite type?")
-    return roots
+    return mults
+
+
+def _root_mults(graph: TpqrGraph, H: Optional[int]) -> Tuple[Dict[Coords, int], bool]:
+    """The positive roots of `graph` mapped to their multiplicities, and
+    whether that is all of them: on finite type, by `tpqr_kind`, the whole
+    root system; otherwise those up to height H, which is then required."""
+    A = graph.cartan
+    if tpqr_kind(*graph) == "finite":
+        return _finite_roots(A), True
+    if H is None:
+        raise ValueError("non-finite type needs a height cutoff H")
+    return roots_by_peterson(A, H), False
 
 
 def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
-    """Positive roots with multiplicities, from Peterson's recursion.
-
-    Finite type: the whole root system (all roots real, mult 1); H is
-    ignored.  Otherwise H is required: the height cutoff.
-    """
-    A = graph.cartan
-    if graph.classify().finite:
-        return [Root(c, 1) for c in _finite_roots(A)]
-    if H is None:
-        raise ValueError("non-finite type needs a height cutoff H")
-    mults = roots_by_peterson(A, H)
+    """Positive roots with multiplicities by (height, coords), from
+    `_root_mults`: on finite type, by the case list, the whole root system
+    (all roots real, mult 1) and H ignored; otherwise up to height H."""
+    mults, _ = _root_mults(graph, H)
     return [Root(c, mults[c]) for c in sorted(mults, key=lambda b: (sum(b), b))]
 
 
@@ -629,25 +639,23 @@ def defect_graded_dims(
 ) -> DefectDims:
     """Graded dimensions of the positive part of the S-height grading at z_1.
 
-    Finite type: exhaustive, the whole root system of `enumerate_roots`,
-    and `max_height` is ignored.
+    Finite type, by the case list: exhaustive, the whole root system, and
+    `max_height` is ignored.
     Otherwise `max_height` is required: roots are truncated at that height
-    and the dims are lower bounds.
+    and the dims are lower bounds.  The multiplicities are summed by level
+    straight from the roots' dict, unsorted.
     """
     graph = TpqrGraph(p, q, r)
-    z1 = graph.z1
-    exhaustive = graph.classify().finite
-    roots = enumerate_roots(graph, H=max_height)
-    dims = [0] * m_max
+    mults, exhaustive = _root_mults(graph, max_height)
+    dims = [0] * (m_max + 1)  # dims[m] = dim L_m; dims[0] is dropped
     total = 0
-    for root in roots:
-        m = root.coords[z1]
-        if m >= 1:
-            total += root.mult
+    for m, mult in zip(map(itemgetter(graph.z1), mults), mults.values()):
+        if m:
+            total += mult
             if m <= m_max:
-                dims[m - 1] += root.mult
+                dims[m] += mult
     return DefectDims(
-        dims=tuple(dims), total=total if exhaustive else None, exhaustive=exhaustive
+        dims=tuple(dims[1:]), total=total if exhaustive else None, exhaustive=exhaustive
     )
 
 
@@ -699,7 +707,7 @@ def character_series(
         block = _finite_roots([[A[i][j] for j in gens] for i in gens])
         pos_roots = [c[:z1] + (0,) + c[z1:] for c in block]
     else:
-        if not graph.classify().finite:
+        if tpqr_kind(*graph) != "finite":
             raise ValueError("full characters require finite type")
         gens = list(range(n))
         pos_roots = [root.coords for root in enumerate_roots(graph)]
@@ -883,7 +891,7 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
     with gamma_w = lam - w.lam.  P is 1 plus terms of level >= 1, so both
     forms agree or first differ at the same level.  Returns the verdict and
     the first discrepant S-level (None if equal)."""
-    if not graph.classify().finite:
+    if tpqr_kind(*graph) != "finite":
         raise ValueError("finite type required")
     z1 = graph.z1
     n = graph.n

@@ -263,7 +263,8 @@ def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
         "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
     )
     supply = kacmoody._finite_roots
-    monkeypatch.setattr(kacmoody, "_finite_roots", lambda A: supply(A)[:-1])
+    # The supply is by height, so its last root is the highest.
+    monkeypatch.setattr(kacmoody, "_finite_roots", lambda A: dict(list(supply(A).items())[:-1]))
     with pytest.raises(CheckFailed, match=r"T_\{2,2,2\}: 11 positive roots, not 12"):
         run_check("root-counts")
 

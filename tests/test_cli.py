@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import cli, complexes, exact, kacmoody, rings
+from resatlas import cli, complexes, exact, formats, kacmoody, rings
 from resatlas.cli import main
 
 
@@ -71,6 +71,30 @@ def test_json_output_and_determinism(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["count"] == 36 and payload["dim"] == 78
+
+
+@pytest.mark.parametrize(
+    "argv, signatures",
+    [
+        (("analyze", "1", "9", "10", "2"), 1),
+        (("roots", "--pqr", "2", "3", "7", "--max-height", "8"), 1),
+        (("defect", "--pqr", "2", "3", "7", "--max-height", "8"), 0),
+    ],
+    ids=["analyze", "roots", "defect"],
+)
+def test_a_command_classifies_its_graph_at_most_once(capsys, monkeypatch, argv, signatures):
+    # Only a printed class pays for the signature; every finite-type
+    # decision reads the case list.
+    calls = []
+    signature = formats.symmetric_signature
+
+    def counting(rows):
+        calls.append(len(rows))
+        return signature(rows)
+
+    monkeypatch.setattr(formats, "symmetric_signature", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [10] * signatures
 
 
 def test_defect_command(capsys):

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from math import gcd, prod
 from operator import add, itemgetter, mul
 from pathlib import Path
@@ -107,7 +107,9 @@ def test_the_finite_supply_equals_the_closure_on_every_finite_graph_of_the_table
     assert len(finite_graphs) == 101
     for pqr in finite_graphs:
         A = tpqr_cartan_matrix(*pqr)
-        assert _finite_roots(A) == positive_roots_by_closure(A), pqr
+        roots = _finite_roots(A)
+        assert roots == dict.fromkeys(positive_roots_by_closure(A), 1), pqr
+        assert list(map(sum, roots)) == sorted(map(sum, roots)), pqr
 
 
 def test_peterson_stops_at_the_first_empty_height_on_every_finite_graph_of_the_table(
@@ -131,7 +133,7 @@ def test_the_finite_supply_equals_the_closure_on_levi_blocks():
             g = TpqrGraph(*pqr)
             A = g.cartan
             block = [[A[i][j] for j in g.S] for i in g.S]
-            assert _finite_roots(block) == positive_roots_by_closure(block), pqr
+            assert _finite_roots(block) == dict.fromkeys(positive_roots_by_closure(block), 1), pqr
 
 
 def test_the_root_supply_refuses_the_smallest_affine_graph():
@@ -272,6 +274,10 @@ ATLAS_GRAPHS = [
 ]
 
 
+# The other arm orders of each atlas graph, which the benchmark also runs.
+ATLAS_ORDERS = sorted({pqr for g in ATLAS_GRAPHS for pqr in permutations(g)} - set(ATLAS_GRAPHS))
+
+
 # Heights with imaginary roots, so that the pair sum runs: its candidates
 # are delta on the three affine graphs, 2 delta on T_{3,3,3}, and on
 # E10 = T_{2,3,7} the null root of its affine E8 subgraph.
@@ -279,7 +285,8 @@ CHAMBER_CASES = [((3, 3, 3), 24), ((2, 4, 4), 18), ((2, 3, 6), 30), ((2, 3, 7), 
 
 
 @pytest.mark.parametrize(
-    "pqr, H", [(g, 8) for g in ATLAS_GRAPHS] + [((2, 3, 7), 16)] + CHAMBER_CASES,
+    "pqr, H",
+    [(g, 8) for g in ATLAS_GRAPHS + ATLAS_ORDERS] + [((2, 3, 7), 16)] + CHAMBER_CASES,
     ids=lambda v: str(v),
 )
 def test_peterson_equals_the_probe_oracle(pqr, H):
@@ -1004,6 +1011,27 @@ def test_defect_dims_finite():
     d = defect_graded_dims(3, 3, 2, m_max=4)
     assert d.dims == (20, 1, 0, 0) and d.total == 21 and d.exhaustive
     assert defect_graded_dims(2, 2, 3, m_max=4).dims == (12, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "pqr, H",
+    [(g, 8) for g in ATLAS_GRAPHS] + [((2, 2, 2), None), ((3, 3, 2), None), ((5, 2, 3), None)],
+    ids=lambda v: str(v),
+)
+def test_defect_dims_are_the_level_sums_of_the_roots(pqr, H):
+    graph = TpqrGraph(*pqr)
+    roots = enumerate_roots(graph, H)
+    m_max = max(root.coords[graph.z1] for root in roots) + 1
+    want = [0] * m_max
+    for root in roots:
+        if root.coords[graph.z1]:
+            want[root.coords[graph.z1] - 1] += root.mult
+    got = defect_graded_dims(*pqr, m_max=m_max, max_height=H)
+    assert got.dims == tuple(want) and want[-1] == 0
+    assert got.exhaustive == (H is None)
+    assert got.total == (sum(want) if H is None else None)
+    cut = defect_graded_dims(*pqr, m_max=1, max_height=H)
+    assert cut.dims == (want[0],) and cut.total == got.total
 
 
 def test_defect_dims_truncated_nonfinite():

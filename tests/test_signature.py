@@ -17,7 +17,13 @@ from itertools import permutations
 
 import pytest
 
-from resatlas.formats import classify, symmetric_signature, tpqr_cartan_matrix, tpqr_cartan_rows
+from resatlas.formats import (
+    classify,
+    symmetric_signature,
+    tpqr_cartan_matrix,
+    tpqr_cartan_rows,
+    tpqr_kind,
+)
 
 
 def sparse(A):
@@ -369,4 +375,7 @@ def test_case_list_matches_a_fraction_harmonic_sum_on_the_table():
             for r in range(2, 10):
                 harmonic = Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
                 kind = "finite" if harmonic > 1 else "affine" if harmonic == 1 else "indefinite"
-                assert classify(p, q, r).kind == kind, (p, q, r)
+                cls = classify(p, q, r)
+                assert cls.kind == kind, (p, q, r)
+                assert tpqr_kind(p, q, r) == kind, (p, q, r)
+                assert (tpqr_kind(p, q, r) == "finite") == cls.finite, (p, q, r)
