@@ -15,9 +15,10 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, gt, itemgetter, le, mul, sub
+from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .formats import _check_pqr, classify, tpqr_cartan_matrix, tpqr_kind
@@ -133,17 +134,20 @@ def dot_action(graph: TpqrGraph, word: Sequence[int], labels: Sequence[int]) -> 
     return tuple(x - 1 for x in current)
 
 
-def _leaves_first(adjacency: Sequence[Sequence[int]]) -> List[int]:
-    """The vertices in reverse breadth-first order from the vertex of highest
-    degree, ties to the smallest index, and likewise for each further
-    component.  On a tree every vertex but the root then comes before its
-    one later neighbour, its parent; on T_{p,q,r} the leaves come first and
-    u last."""
+def _leaves_first(adjacency: Sequence[Sequence[int]], last: Optional[int] = None) -> List[int]:
+    """The vertices in reverse breadth-first order from a root: `last` if
+    given, else the vertex of highest degree, ties to the smallest index;
+    then likewise for each further component, from its vertex of highest
+    degree.  So the first root comes last, and on a tree every vertex but
+    the root comes before its one later neighbour, its parent.  On
+    T_{p,q,r} the leaves come first, and u last unless `last` is given."""
     n = len(adjacency)
     seen = [False] * n
     order: List[int] = []
     while len(order) < n:
         root = max((v for v in range(n) if not seen[v]), key=lambda v: len(adjacency[v]))
+        if last is not None:
+            root, last = last, None
         seen[root] = True
         queue = [root]
         for v in queue:
@@ -173,7 +177,10 @@ def _reflect_into(
 
 
 def _weyl_walk(
-    adjacency: Sequence[Sequence[int]], top: Sequence[int], max_height: Optional[int] = None
+    adjacency: Sequence[Sequence[int]],
+    top: Sequence[int],
+    max_height: Optional[int] = None,
+    last: Optional[int] = None,
 ) -> Iterator[Dict[Labels, Coords]]:
     """The Weyl group by length: layer k maps the labels of w(top) to the
     drop top - w(top) in root coordinates, over the w of length k.  Every
@@ -183,7 +190,8 @@ def _weyl_walk(
     Coxeter Groups*, §1.6, §2.4): s_i then negates that label l_i, adds it
     to the labels of the neighbours of i and adds it to drop i.
 
-    The vertices are taken in the order of `_leaves_first`, and "before",
+    The vertices are taken in the order of `_leaves_first(adjacency, last)`,
+    which ends with `last` (by default u on T_{p,q,r}), and "before",
     "after" and "between" below refer to it.  The first descent of w is
     the first vertex f with a negative label in w(top), or none for the
     identity.  Each w' != e is built once, from its canonical parent
@@ -204,18 +212,20 @@ def _weyl_walk(
     index order ran it about twice.
 
     Each layer is held as one dict per first descent, with the identity
-    after the last vertex, and the yielded layer merges them.  Vertex i
-    acts on every later group with no test, and the second branch runs
-    once per group and later neighbour of its first descent.  Since the
-    labels fix the first descent, a repeat lands in the group of its first
-    build; RuntimeError is raised if a layer is built a different number of
-    times than it has elements.  On an infinite W an unbounded walk never
-    ends; the caller stops taking layers."""
+    after the last vertex, and the yielded layer merges them in that order,
+    so it ends with the elements whose first descent is the last vertex,
+    then the identity.  Vertex i acts on every later group with no test,
+    and the second branch runs once per group and later neighbour of its
+    first descent.  Since the labels fix the first descent, a repeat lands
+    in the group of its first build; RuntimeError is raised if a layer is
+    built a different number of times than it has elements.  On an
+    infinite W an unbounded walk never ends; the caller stops taking
+    layers."""
     n = len(top)
     for k, x in enumerate(top):
         if x < 1:
             raise ValueError(f"top has label {x} < 1 at position {k}")
-    order = _leaves_first(adjacency)
+    order = _leaves_first(adjacency, last)
     place = [0] * n
     for k, v in enumerate(order):
         place[v] = k
@@ -564,8 +574,9 @@ WeylElem = Tuple[int, Labels, Coords]
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
     """All elements of W of length <= L, by `_weyl_walk` from lam + rho
     (lam = 0 by default), by length and, within a length, by first-descent
-    group in the walk's vertex order, the identity's group last; nothing
-    relies on that order within a length.  lam must be dominant: then
+    group in the walk's vertex order, which puts z_1 last, the identity's
+    group after it.  So each length ends with its elements of W^S, which
+    `enumerate_WS` reads off that end.  lam must be dominant: then
     every label of lam + rho is >= 1, and label i of w(lam + rho) is
     (lam + rho, w^{-1} alpha_i), positive exactly when the real root
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
@@ -582,7 +593,7 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
         if x < 1:
             raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
     out: List[WeylElem] = []
-    for length, layer in zip(range(L + 1), _weyl_walk(graph.adjacency, top)):
+    for length, layer in zip(range(L + 1), _weyl_walk(graph.adjacency, top, last=graph.z1)):
         out += zip(repeat(length), layer, layer.values())
     return out
 
@@ -592,7 +603,8 @@ def enumerate_WS(
 ) -> Dict[int, List[WeylElem]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
     grouped by length, each the (length, labels, drop) tuple that
-    `weyl_elements` gives, sorted by labels within a length.
+    `weyl_elements` gives, sorted by labels within a length; a length with
+    no element has no key.
 
     Membership test: label j of w(lam + rho) is positive for every j in S,
     every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
@@ -600,14 +612,25 @@ def enumerate_WS(
     pairs to at least 1 with every simple root (lam is dominant), so the
     label is positive exactly when the real root w^{-1}(alpha_j) is
     (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4).
+
+    The test runs only on the end of each length of `weyl_elements`.  No
+    label of w(lam + rho) is 0, since lam + rho is regular, so the first
+    descent of w is z_1, the walk's last vertex, exactly when z_1 is its
+    only negative label: the group of z_1 and the identity, which end each
+    length, are that length's W^S.  Each length is found by bisection and
+    read back from its end to the first element that fails the test.
     """
     on_S = itemgetter(*graph.S)  # S has at least two vertices
     elems = weyl_elements(graph, L, lam)
     grouped: Dict[int, List[WeylElem]] = {}
-    for elem in compress(elems, map(gt, map(min, map(on_S, map(itemgetter(1), elems))), repeat(0))):
-        grouped.setdefault(elem[0], []).append(elem)
-    for bucket in grouped.values():
-        bucket.sort()  # one length per bucket and distinct labels: by labels
+    start = 0
+    while start < len(elems):
+        end = first = bisect_right(elems, elems[start][0], start, key=itemgetter(0))
+        while first > start and min(on_S(elems[first - 1][1])) > 0:
+            first -= 1
+        if first < end:  # one length and distinct labels: sorted by labels
+            grouped[elems[start][0]] = sorted(elems[first:end])
+        start = end
     return grouped
 
 
@@ -615,7 +638,8 @@ def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
     """Highest weights of the Lie algebra homology of the nilradical, by
     degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, read off the labels
     of the (length, labels, drop) tuples of `enumerate_WS`, each dominant on
-    S because the labels of w(rho) are positive there."""
+    S because the labels of w(rho) are positive there; a degree with no
+    weight maps to [].  Every element of W of length <= L is built."""
     grouped = enumerate_WS(graph, L)
     return {
         k: [tuple(x - 1 for x in labels) for _, labels, _ in grouped.get(k, [])]

@@ -371,7 +371,8 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # of products were split into residue classes, and the text-mode
 # `verify-thm112 --r3 3` and `verify-thm112 --r3 5 --json` while the
 # generic family's d.d = 0 was still checked by expanding its
-# compositions.
+# compositions, and `kostant` on T_{2,3,7} (z_1 has two neighbours) and on
+# E7 before `enumerate_WS` read W^S off the end of each length.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

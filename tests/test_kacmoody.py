@@ -7,9 +7,9 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, compress, islice, permutations, repeat
 from math import gcd, prod
-from operator import add, itemgetter, mul
+from operator import add, gt, itemgetter, mul
 from pathlib import Path
 
 import pytest
@@ -739,6 +739,9 @@ def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
 # 4-cycle, where a vertex has two later neighbours in the walk's order, and
 # A_1 + A_2, whose two components the order takes one after the other.
 OTHER_GRAPHS = {"A3^(1)": [[1, 3], [0, 2], [1, 3], [0, 2]], "A1+A2": [[], [2], [1]]}
+# A vertex to put last in the walk's order on each, other than its default
+# last vertex: on A_1 + A_2 it moves the lone A_1 to the end.
+OTHER_LAST = {"A3^(1)": 2, "A1+A2": 0}
 
 
 def dedupe_walk(adjacency, top, max_height=None):
@@ -798,20 +801,26 @@ def dedupe_walk(adjacency, top, max_height=None):
 def test_the_walk_equals_the_dedupe_walk_layer_by_layer(pqr, lam, H, layers):
     # Equal as dicts: the same labels and drops, in any order.  The walk
     # itself raises RuntimeError if it builds an element twice.  T_{2,1,4}
-    # ties u with z_1 and z_2 for the highest degree.
+    # ties u with z_1 and z_2 for the highest degree.  Each graph is walked
+    # in its default order and again with a named last vertex: z_1, as
+    # `weyl_elements` walks, on a T_{p,q,r}.
     if pqr in OTHER_GRAPHS:
         adjacency = OTHER_GRAPHS[pqr]
         top = (1,) * len(adjacency)
+        last = OTHER_LAST[pqr]
     else:
         g = TpqrGraph(*pqr)
-        adjacency, top = g.adjacency, g.rho()
+        adjacency, top, last = g.adjacency, g.rho(), g.z1
         if lam is not None:
             top = tuple(x + 1 for x in g.fundamental_weight(g.vertex_names.index(lam)))
-    got = list(islice(kacmoody._weyl_walk(adjacency, top, H), layers))
+    assert kacmoody._leaves_first(adjacency)[-1] != last
+    assert kacmoody._leaves_first(adjacency, last)[-1] == last
     want = list(islice(dedupe_walk(adjacency, top, H), layers))
-    assert len(got) == len(want)
-    for k, (a, b) in enumerate(zip(got, want)):
-        assert a == b, (pqr, lam, H, k)
+    for order_last in (None, last):
+        got = list(islice(kacmoody._weyl_walk(adjacency, top, H, order_last), layers))
+        assert len(got) == len(want)
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert a == b, (pqr, lam, H, order_last, k)
 
 
 @pytest.mark.parametrize("H", [10, 12])
@@ -981,6 +990,71 @@ def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     oracle = ws_by_inversion_sets(g, 12)
     assert grouped != oracle
     assert [k for k in oracle if grouped.get(k) != oracle[k]] == [1]
+
+
+def ws_by_testing_every_element(graph, L, lam=None):
+    """W^S up to length L as `enumerate_WS` groups it, by testing the labels
+    on S of every element of `weyl_elements`: the oracle for
+    `enumerate_WS`, which tests only the end of each length."""
+    on_S = itemgetter(*graph.S)
+    elems = weyl_elements(graph, L, lam)
+    grouped = {}
+    kept = map(gt, map(min, map(on_S, map(itemgetter(1), elems))), repeat(0))
+    for elem in compress(elems, kept):
+        grouped.setdefault(elem[0], []).append(elem)
+    return {k: sorted(v) for k, v in grouped.items()}
+
+
+# (p, q, r) -> the lengths L at which the suffix read is checked: 0..3 and
+# |Phi+| on finite type (E7 to 8 only), 0..4 on the others.
+SUFFIX_CASES = {
+    (2, 2, 2): (0, 1, 2, 3, 12),
+    (2, 2, 3): (0, 1, 2, 3, 20),
+    (3, 2, 2): (0, 1, 2, 3, 20),
+    (2, 2, 4): (0, 1, 2, 3, 30),
+    (4, 2, 2): (0, 1, 2, 3, 30),
+    (3, 3, 2): (0, 1, 2, 3, 36),
+    (2, 3, 3): (0, 1, 2, 3, 36),
+    (4, 3, 2): (0, 1, 2, 3, 8),
+    (2, 3, 4): (0, 1, 2, 3, 8),
+    (3, 3, 3): (0, 1, 2, 3, 4),
+    (3, 3, 4): (0, 1, 2, 3, 4),
+    (2, 3, 7): (0, 1, 2, 3, 4),
+}
+
+
+@pytest.mark.parametrize("pqr", list(SUFFIX_CASES), ids=lambda v: "T%d%d%d" % v)
+def test_enumerate_ws_equals_the_test_on_every_element(pqr):
+    # Equal as dicts with the same key order.  z_1 is a leaf on T_{p,q,2}
+    # and has two neighbours otherwise; D5, D6, E6 and E7 are each taken in
+    # both arm orders.  lam: 0, each fundamental weight and one mixed.
+    g = TpqrGraph(*pqr)
+    mixed = tuple(k % 3 for k in range(g.n))
+    for lam in [None] + [g.fundamental_weight(v) for v in range(g.n)] + [mixed]:
+        for L in SUFFIX_CASES[pqr]:
+            want = ws_by_testing_every_element(g, L, lam)
+            assert list(enumerate_WS(g, L, lam).items()) == list(want.items()), (lam, L)
+    assert len(enumerate_WS(g, SUFFIX_CASES[pqr][-1])[1]) == 1  # s_z1 alone
+
+
+@pytest.mark.parametrize(
+    "pqr, L, lengths", [((2, 2, 2), 12, 7), ((2, 3, 7), 4, 5)], ids=["D4", "T237"]
+)
+def test_the_suffix_read_fails_when_z1_is_not_last(monkeypatch, pqr, L, lengths):
+    # With u last, as the walk's default order has it, each length from 1
+    # on ends with elements that have u as a descent: the read finds none,
+    # while testing every element still finds W^S at every length.
+    g = TpqrGraph(*pqr)
+    want = ws_by_testing_every_element(g, L)
+    assert list(want) == list(range(lengths))
+    leaves_first = kacmoody._leaves_first
+
+    def u_last(adjacency, last=None):
+        return leaves_first(adjacency)
+
+    monkeypatch.setattr(kacmoody, "_leaves_first", u_last)
+    assert ws_by_testing_every_element(g, L) == want
+    assert enumerate_WS(g, L) == {0: want[0]}
 
 
 def test_ws_counts_d4():

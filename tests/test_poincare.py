@@ -128,8 +128,8 @@ def walk_counts(graph, L, lam=None):
     return counts + [0] * (L + 1 - len(counts))
 
 
-def ws_counts(graph, L):
-    grouped = enumerate_WS(graph, L)
+def ws_counts(graph, L, lam=None):
+    grouped = enumerate_WS(graph, L, lam)
     return [len(grouped.get(k, [])) for k in range(L + 1)]
 
 
@@ -165,14 +165,26 @@ def test_the_walk_has_steinbergs_counts(pqr, L):
 
 
 @pytest.mark.parametrize(
-    "pqr, size", [((2, 2, 2), 8), ((2, 2, 3), 40), ((3, 3, 2), 72)], ids=["D4", "D5", "E6"]
+    "pqr, L, size",
+    [
+        ((2, 2, 2), 14, 8),
+        ((2, 2, 3), 22, 40),
+        ((3, 3, 2), 38, 72),
+        ((3, 3, 3), 14, None),
+        ((2, 3, 7), 10, None),
+    ],
+    ids=["D4", "D5", "E6", "T333", "T237"],
 )
-def test_the_ws_filter_has_steinbergs_counts(pqr, size):
+def test_the_ws_filter_has_steinbergs_counts(pqr, L, size):
+    # Past the longest element of W on finite type.  W^S does not depend on
+    # lam, so the counts from rho + lam, for lam = w_u + 2 w_z1, are the
+    # counts from rho.
     g = TpqrGraph(*pqr)
-    L = len(enumerate_roots(g)) + 2
-    counts = ws_counts(g, L)
-    assert sum(counts) == size
-    assert first_difference(counts, quotient_series(g, L)) is None
+    series = quotient_series(g, L)
+    lam = tuple(1 if i == g.u else 2 if i == g.z1 else 0 for i in range(g.n))
+    for counts in (ws_counts(g, L), ws_counts(g, L, lam)):
+        assert size is None or sum(counts) == size
+        assert first_difference(counts, series) is None
 
 
 @pytest.mark.parametrize("pqr", [(3, 3, 2), (2, 3, 4), (2, 3, 5)], ids=["E6", "E7", "E8"])
