@@ -78,10 +78,10 @@ def _check_root_counts(budget: Budget) -> str:
     expected = {(2, 2, 2): 24, (3, 3, 2): 72, (5, 2, 3): 240}
     for (p, q, r), half in expected.items():
         budget.check("root enumeration")
-        roots = kacmoody.enumerate_roots(TpqrGraph(p, q, r))
-        if 2 * len(roots) != half:
-            raise CheckFailed(f"T_{{{p},{q},{r}}}: {len(roots)} positive roots, not {half // 2}")
-        if any(root.mult != 1 for root in roots):
+        mults, _ = kacmoody.root_multiplicities(TpqrGraph(p, q, r))
+        if 2 * len(mults) != half:
+            raise CheckFailed(f"T_{{{p},{q},{r}}}: {len(mults)} positive roots, not {half // 2}")
+        if any(m != 1 for m in mults.values()):
             raise CheckFailed(f"T_{{{p},{q},{r}}}: a finite root has multiplicity != 1")
     return "positive-root counts 12/36/120 (24/72/240 roots), all mult 1"
 
@@ -117,9 +117,9 @@ def _check_defect_dims(budget: Budget) -> str:
             raise CheckFailed(f"{pqr}: closed formulas give (g1, g2) = {formula}")
         graph = TpqrGraph(p, q, r)
         counts = [0] * 6
-        for root in kacmoody.enumerate_roots(graph):
-            if root.coords[graph.z1] >= 1:
-                counts[root.coords[graph.z1] - 1] += root.mult
+        for coords, m in kacmoody.root_multiplicities(graph)[0].items():
+            if coords[graph.z1] >= 1:
+                counts[coords[graph.z1] - 1] += m
         if counts != expect:
             raise CheckFailed(f"{pqr}: root counts by z1-level {counts}, expected {expect}")
     return "defect dims [6],[20,1],[12,1] = closed formulas = root counts"

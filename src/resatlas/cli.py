@@ -163,19 +163,20 @@ def text_analyze(pl: Dict, args) -> List[str]:
 def cmd_roots(args) -> Dict:
     graph = TpqrGraph(*args.pqr)
     cls = graph.classify()
-    roots = kacmoody.enumerate_roots(graph, H=args.max_height)
+    mults, _ = kacmoody.root_multiplicities(graph, H=args.max_height)
     by_height: Dict[int, int] = {}
-    for root in roots:
-        by_height[root.height] = by_height.get(root.height, 0) + root.mult
+    for coords, m in mults.items():
+        h = sum(coords)
+        by_height[h] = by_height.get(h, 0) + m
     total = sum(by_height.values())
     return {
         "pqr": list(args.pqr),
         "class": cls.kind,
-        "count": len(roots),
+        "count": len(mults),
         "total_mult": total,
         "dim": graph.n + 2 * total if cls.finite else None,
         "by_height": {str(h): c for h, c in sorted(by_height.items())},
-        "max_mult": max((root.mult for root in roots), default=0),
+        "max_mult": max(mults.values(), default=0),
     }
 
 

@@ -285,15 +285,6 @@ def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
 # ---------------------------------------------------------------------------
 
 
-class Root(NamedTuple):
-    coords: Coords
-    mult: int
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
-
-
 def _check_cartan(A: Sequence[Sequence[int]], off_ok: Callable[[int], bool], off: str) -> None:
     """Raise ValueError naming the first entry of A that breaks its symmetry,
     is not 2 on the diagonal, or off it fails `off_ok`, which `off` names."""
@@ -542,10 +533,12 @@ def _finite_roots(A: Sequence[Sequence[int]]) -> Dict[Coords, int]:
     return mults
 
 
-def _root_mults(graph: TpqrGraph, H: Optional[int]) -> Tuple[Dict[Coords, int], bool]:
-    """The positive roots of `graph` mapped to their multiplicities, and
-    whether that is all of them: on finite type, by `tpqr_kind`, the whole
-    root system; otherwise those up to height H, which is then required."""
+def root_multiplicities(graph: TpqrGraph, H: Optional[int] = None) -> Tuple[Dict[Coords, int], bool]:
+    """The positive roots of `graph` mapped to their multiplicities, by
+    height, and whether that is all of them: on finite type, by
+    `tpqr_kind`, the whole root system and H ignored; otherwise those up to
+    height H, which is then required (else ValueError).  With `levi_roots`,
+    the one source of the roots that the engines below take."""
     A = graph.cartan
     if tpqr_kind(*graph) == "finite":
         return _finite_roots(A), True
@@ -554,12 +547,14 @@ def _root_mults(graph: TpqrGraph, H: Optional[int]) -> Tuple[Dict[Coords, int], 
     return roots_by_peterson(A, H), False
 
 
-def enumerate_roots(graph: TpqrGraph, H: Optional[int] = None) -> List[Root]:
-    """Positive roots with multiplicities by (height, coords), from
-    `_root_mults`: on finite type, by the case list, the whole root system
-    (all roots real, mult 1) and H ignored; otherwise up to height H."""
-    mults, _ = _root_mults(graph, H)
-    return [Root(c, mults[c]) for c in sorted(mults, key=lambda b: (sum(b), b))]
+def levi_roots(graph: TpqrGraph) -> Dict[Coords, int]:
+    """The positive roots of the Levi subalgebra on S, each mapped to its
+    multiplicity 1, on any T_{p,q,r}: those of the Cartan matrix on S, of
+    finite type A_{p+q-1} x A_{r-2}, by `_finite_roots`, with a z_1
+    coefficient 0 inserted."""
+    A, S, z1 = graph.cartan, graph.S, graph.z1
+    block = _finite_roots([[A[i][j] for j in S] for i in S])
+    return {c[:z1] + (0,) + c[z1:]: m for c, m in block.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +662,10 @@ def defect_graded_dims(
     `max_height` is ignored.
     Otherwise `max_height` is required: roots are truncated at that height
     and the dims are lower bounds.  The multiplicities are summed by level
-    straight from the roots' dict, unsorted.
+    straight from `root_multiplicities`.
     """
     graph = TpqrGraph(p, q, r)
-    mults, exhaustive = _root_mults(graph, max_height)
+    mults, exhaustive = root_multiplicities(graph, max_height)
     dims = [0] * (m_max + 1)  # dims[m] = dim L_m; dims[0] is dropped
     total = 0
     for m, mult in zip(map(itemgetter(graph.z1), mults), mults.values()):
@@ -689,12 +684,20 @@ def defect_graded_dims(
 
 
 def character_series(
-    graph: TpqrGraph, lam: Labels, levi: bool = False, max_level: Optional[int] = None
+    graph: TpqrGraph, lam: Labels, roots: Collection[Coords], max_level: Optional[int] = None
 ) -> Dict[Coords, int]:
     """Weight multiplicities of the irreducible with highest weight `lam`,
     keyed by the drop lam - weight in root coordinates, via Freudenthal's
     recursion (Humphreys, *Introduction to Lie Algebras and Representation
     Theory*, §22.3; only touches actual weights of the representation).
+
+    `roots` holds the positive roots, in any order: the keys of
+    `root_multiplicities` for the whole algebra of a finite type, or of
+    `levi_roots` for the Levi on S, whose irreducibles are
+    finite-dimensional on any T_{p,q,r}.  Every such root has multiplicity
+    1, and no multiplicity is read.  The generators are the vertices whose
+    simple roots are in `roots`, and lam need only be dominant on them
+    (else ValueError).
 
     Every drop beta carries its labels A beta: a candidate beta = b +
     alpha_i takes A b + A[i] from the first frontier drop b that reaches it.
@@ -703,16 +706,10 @@ def character_series(
     and (beta, alpha) = alpha . A beta (A is symmetric) is summed over
     alpha's support, where the nonnegativity of gamma is also tested.
 
-    With `levi` set, computes the finite-dimensional irreducible of the Levi
-    subalgebra on S (lam need only be dominant there), on any T_{p,q,r}: its
-    roots are the positive roots of the Cartan matrix on S, of finite type
-    A_{p+q-1} x A_{r-2}, from `roots_by_peterson` as `_finite_roots` takes
-    them, with a z_1 coefficient 0 inserted.
-
-    Freudenthal's root sum runs only at weights dominant for the reflecting
-    generators (every vertex, or S for `levi`).  Multiplicities are invariant
-    under the Weyl group those generators span, so a weight lam - beta with a
-    negative label l_j at a generator j has the multiplicity of its mirror
+    Freudenthal's root sum runs only at weights dominant for the
+    generators.  Multiplicities are invariant under the Weyl group the
+    generators span, so a weight lam - beta with a negative label l_j at a
+    generator j has the multiplicity of its mirror
     s_j(lam - beta) = lam - (beta - |l_j| alpha_j), whose drop has smaller
     height: the frontier rises one simple root per step, so that mirror is
     already in `mults` if it is a weight at all (it is not when
@@ -726,15 +723,7 @@ def character_series(
     A = graph.cartan
     n = graph.n
     z1 = graph.z1
-    if levi:
-        gens = list(graph.S)
-        block = _finite_roots([[A[i][j] for j in gens] for i in gens])
-        pos_roots = [c[:z1] + (0,) + c[z1:] for c in block]
-    else:
-        if tpqr_kind(*graph) != "finite":
-            raise ValueError("full characters require finite type")
-        gens = list(range(n))
-        pos_roots = [root.coords for root in enumerate_roots(graph)]
+    gens = [i for i in range(n) if tuple(int(j == i) for j in range(n)) in roots]
     for i in gens:
         if lam[i] < 0:
             raise ValueError(f"weight not dominant on vertex {i}")
@@ -750,7 +739,7 @@ def character_series(
             sum(map(mul, lam, alpha)),
             sum(map(mul, alpha, root_labels(A, alpha))),
         )
-        for alpha in pos_roots
+        for alpha in roots
     ]
     zero = (0,) * n
     mults: Dict[Coords, int] = {zero: 1}
@@ -808,15 +797,15 @@ def character_series(
     return mults
 
 
-def weyl_dim(graph: TpqrGraph, lam: Labels) -> int:
-    """Total dimension via the Weyl dimension formula (finite type)."""
-    roots = enumerate_roots(graph)
+def weyl_dim(graph: TpqrGraph, lam: Labels, roots: Collection[Coords]) -> int:
+    """Total dimension via the Weyl dimension formula over the positive
+    roots `roots` of a finite type."""
     lam_rho = tuple(x + 1 for x in lam)
     num = 1
     den = 1
-    for root in roots:
-        num *= sum(l * k for l, k in zip(lam_rho, root.coords))
-        den *= sum(root.coords)
+    for alpha in roots:
+        num *= sum(map(mul, lam_rho, alpha))
+        den *= sum(alpha)
     d, rem = divmod(num, den)
     if rem:
         g = gcd(num, den)
@@ -827,11 +816,13 @@ def weyl_dim(graph: TpqrGraph, lam: Labels) -> int:
 def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tuple[int, ...], int]:
     """ht^S-graded dimensions (levels 0..cutoff) and total dimension of the
     finite-type irreducible V(lam); grading counts the z_1 coefficient of the
-    drop from the highest weight."""
+    drop from the highest weight.  Off finite type `root_multiplicities`
+    refuses."""
     if any(x < 0 for x in lam):
         raise ValueError("lam must be dominant")
     z1 = graph.z1
-    series = character_series(graph, lam)
+    roots, _ = root_multiplicities(graph)
+    series = character_series(graph, lam, roots)
     dims = [0] * (cutoff + 1)
     total = 0
     for beta, m in series.items():
@@ -839,7 +830,7 @@ def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tupl
         s = beta[z1]
         if s <= cutoff:
             dims[s] += m
-    dim = weyl_dim(graph, lam)
+    dim = weyl_dim(graph, lam, roots)
     if total != dim:
         raise AssertionError(
             f"{graph} lam {lam}: character total {total} disagrees with "
@@ -919,7 +910,8 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
         raise ValueError("finite type required")
     z1 = graph.z1
     n = graph.n
-    roots = enumerate_roots(graph)
+    roots, _ = root_multiplicities(graph)
+    levi = levi_roots(graph)
     grouped = enumerate_WS(graph, len(roots), lam)  # longest element length bound
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
@@ -928,12 +920,12 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
             if gamma[z1] > cutoff:
                 continue
             mu = tuple(x - 1 for x in labels)
-            for beta, c in character_series(graph, mu, levi=True).items():
+            for beta, c in character_series(graph, mu, levi).items():
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c
     lhs = {k: v for k, v in lhs.items() if v}
-    nilradical = [(root.coords, root.mult) for root in roots if root.coords[z1] > 0]
-    rhs = character_series(graph, lam, max_level=cutoff)
+    nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[z1] > 0]
+    rhs = character_series(graph, lam, roots, max_level=cutoff)
     rhs = _truncated_product(rhs, nilradical, cutoff, itemgetter(z1))
     if lhs == rhs:
         return True, None

@@ -295,7 +295,10 @@ class GeneratorFamily(NamedTuple):
 
 def semigroup_generators(fmt: ResolutionFormat) -> List[GeneratorFamily]:
     """The six generator families of the weight semigroup, with empty-range
-    families reported as absent."""
+    families reported as absent.  Their N-combinations are meant to be the
+    sextuples with a >= 0 of `mu_enumerate`, which `rspec` lists (the tests
+    check five formats to degree 4); R_a also needs a - b + c >= 0, so
+    family 4 (b = 1) lies outside it."""
     if fmt.n != 3 or not fmt.valid:
         raise ValueError("valid length-3 formats only")
     r1, r2, r3 = fmt.r
@@ -340,7 +343,7 @@ def semigroup_generators(fmt: ResolutionFormat) -> List[GeneratorFamily]:
         GeneratorFamily(
             5,
             "gamma = (1^k), 1 <= k <= r_1-1",
-            tuple(MuIndex(0, 0, 1, gamma=(1,) * k) for k in range(1, r1)),
+            tuple(MuIndex(0, 0, 0, gamma=(1,) * k) for k in range(1, r1)),
             "F_0^* against V(omega_{x_{p-1}})",
             note=None if r1 > 1 else "absent: r_1 = 1",
         )

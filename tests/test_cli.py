@@ -371,8 +371,12 @@ def test_roots_and_defect_json_goldens_at_height_16(capsys):
 # of products were split into residue classes, and the text-mode
 # `verify-thm112 --r3 3` and `verify-thm112 --r3 5 --json` while the
 # generic family's d.d = 0 was still checked by expanding its
-# compositions, and `kostant` on T_{2,3,7} (z_1 has two neighbours) and on
-# E7 before `enumerate_WS` read W^S off the end of each length.
+# compositions, `kostant` on T_{2,3,7} (z_1 has two neighbours) and on
+# E7 before `enumerate_WS` read W^S off the end of each length, and `roots`
+# on E8 below ht(theta) = 29 and `defect` on E6 (the finite branch of the
+# root supply, which ignores the height cap) before every engine took its
+# roots from one supply.  `generators 2 6 5 1 --json` was recorded after
+# family 5 moved to c = 0.
 GOLDENS = json.loads(Path(__file__).with_name("cli_goldens.json").read_text())
 
 

@@ -26,10 +26,11 @@ from resatlas.kacmoody import (
     defect_graded_dims,
     dot_action,
     enumerate_WS,
-    enumerate_roots,
     kostant_weights,
+    levi_roots,
     reflect,
     root_labels,
+    root_multiplicities,
     roots_by_peterson,
     verify_denominator_identity,
     weyl_denominator_sum,
@@ -59,11 +60,11 @@ def test_vertex_layout():
 
 
 def test_finite_root_counts():
-    assert len(enumerate_roots(TpqrGraph(2, 2, 2))) == 12   # D4
-    assert len(enumerate_roots(TpqrGraph(3, 3, 2))) == 36   # E6
-    assert len(enumerate_roots(TpqrGraph(2, 3, 4))) == 63   # E7
-    assert len(enumerate_roots(TpqrGraph(5, 2, 3))) == 120  # E8
-    assert all(r.mult == 1 for r in enumerate_roots(TpqrGraph(5, 2, 3)))
+    assert len(root_multiplicities(TpqrGraph(2, 2, 2))[0]) == 12   # D4
+    assert len(root_multiplicities(TpqrGraph(3, 3, 2))[0]) == 36   # E6
+    assert len(root_multiplicities(TpqrGraph(2, 3, 4))[0]) == 63   # E7
+    assert len(root_multiplicities(TpqrGraph(5, 2, 3))[0]) == 120  # E8
+    assert set(root_multiplicities(TpqrGraph(5, 2, 3))[0].values()) == {1}
 
 
 def reflect_root(A, coords, i):
@@ -433,8 +434,9 @@ def test_truncated_product_equals_the_oracle_and_the_weyl_sum(pqr, H):
 def test_truncated_product_equals_the_oracle_on_bgg_right_sides(pqr, vertex, cutoff):
     g = TpqrGraph(*pqr)
     lam = (0,) * g.n if vertex is None else g.fundamental_weight(getattr(g, vertex))
-    series = character_series(g, lam, max_level=cutoff)
-    nilradical = [(r.coords, r.mult) for r in enumerate_roots(g) if r.coords[g.z1] > 0]
+    roots, _ = root_multiplicities(g)
+    series = character_series(g, lam, roots, max_level=cutoff)
+    nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[g.z1] > 0]
     level = itemgetter(g.z1)
     got = _truncated_product(series, nilradical, cutoff, level)
     assert got == product_oracle(series, nilradical, cutoff, level)
@@ -513,8 +515,9 @@ def test_recursion_agrees_with_closure_on_finite():
 def test_finite_roots_ignore_the_height_cutoff():
     # 20 is the CLI's default --max-height, below E8's ht(theta) = 29.
     g = TpqrGraph(5, 2, 3)
-    assert len(enumerate_roots(g, H=20)) == 120
-    assert enumerate_roots(g, H=20) == enumerate_roots(g)
+    roots, exhaustive = root_multiplicities(g, H=20)
+    assert len(roots) == 120 and exhaustive
+    assert list(roots.items()) == list(root_multiplicities(g)[0].items())
 
 
 def test_affine_null_root_multiplicity():
@@ -729,7 +732,7 @@ def test_weyl_elements_refuse_a_negative_lam():
 def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
     g = TpqrGraph(*pqr)
     signed = Counter()
-    for length, _, drop in weyl_elements(g, len(enumerate_roots(g))):
+    for length, _, drop in weyl_elements(g, len(root_multiplicities(g)[0])):
         if sum(drop) <= H:
             signed[drop] += -1 if length % 2 else 1
     assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
@@ -918,7 +921,7 @@ def weyl_elements_with_inverse_images(graph, L):
 def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
     g = TpqrGraph(*pqr)
     if L is None:
-        L = len(enumerate_roots(g))  # the length of the longest element
+        L = len(root_multiplicities(g)[0])  # the length of the longest element
     oracle = weyl_elements_with_inverse_images(g, L)
     assert sorted((length, labels) for length, labels, _ in weyl_elements(g, L)) == sorted(
         (len(w), l) for w, l, _ in oracle
@@ -1094,12 +1097,12 @@ def test_defect_dims_finite():
 )
 def test_defect_dims_are_the_level_sums_of_the_roots(pqr, H):
     graph = TpqrGraph(*pqr)
-    roots = enumerate_roots(graph, H)
-    m_max = max(root.coords[graph.z1] for root in roots) + 1
+    mults, _ = root_multiplicities(graph, H)
+    m_max = max(coords[graph.z1] for coords in mults) + 1
     want = [0] * m_max
-    for root in roots:
-        if root.coords[graph.z1]:
-            want[root.coords[graph.z1] - 1] += root.mult
+    for coords, m in mults.items():
+        if coords[graph.z1]:
+            want[coords[graph.z1] - 1] += m
     got = defect_graded_dims(*pqr, m_max=m_max, max_height=H)
     assert got.dims == tuple(want) and want[-1] == 0
     assert got.exhaustive == (H is None)
@@ -1137,7 +1140,7 @@ def test_character_total_check_holds_under_python_O():
         "from resatlas import kacmoody\n"
         "from resatlas.kacmoody import TpqrGraph\n"
         "dim = kacmoody.weyl_dim\n"
-        "kacmoody.weyl_dim = lambda graph, lam: dim(graph, lam) + 1\n"
+        "kacmoody.weyl_dim = lambda graph, lam, roots: dim(graph, lam, roots) + 1\n"
         "g = TpqrGraph(2, 2, 2)\n"
         "kacmoody.weyl_kac_character(g, g.fundamental_weight(g.z1), 2)\n"
     )
@@ -1155,8 +1158,9 @@ def test_character_total_check_holds_under_python_O():
 def test_weyl_dim_matches_series():
     g = TpqrGraph(2, 2, 2)
     lam = (1, 0, 1, 0)
-    series = character_series(g, lam)
-    assert sum(series.values()) == weyl_dim(g, lam)
+    roots, _ = root_multiplicities(g)
+    series = character_series(g, lam, roots)
+    assert sum(series.values()) == weyl_dim(g, lam, roots)
 
 
 @pytest.mark.parametrize(
@@ -1168,12 +1172,24 @@ def test_level_zero_of_a_character_is_the_levi_character(pqr):
     # same engine, so the Levi character's total must also be its dimension
     # by the GL Weyl formula, which does not use Freudenthal.
     g = TpqrGraph(*pqr)
+    roots, _ = root_multiplicities(g)
     for v in range(g.n):
         lam = g.fundamental_weight(v)
-        levi = character_series(g, lam, levi=True)
-        level0 = {b: c for b, c in character_series(g, lam).items() if b[g.z1] == 0}
+        levi = character_series(g, lam, levi_roots(g))
+        level0 = {b: c for b, c in character_series(g, lam, roots).items() if b[g.z1] == 0}
         assert level0 == levi, (pqr, v)
         assert sum(levi.values()) == levi_dim(g, lam), (pqr, v)
+
+
+@pytest.mark.parametrize(
+    "pqr", [(2, 2, 2), (3, 3, 2), (5, 2, 3), (2, 3, 7), (3, 3, 3)], ids=["D4", "E6", "E8", "T237", "T333"]
+)
+def test_levi_roots_are_the_level_0_roots(pqr):
+    # The Levi's roots are the positive roots with z_1 coefficient 0; none of
+    # them is above height n - 1, the rank of S.
+    g = TpqrGraph(*pqr)
+    level0 = {c: m for c, m in roots_by_peterson(g.cartan, g.n).items() if c[g.z1] == 0}
+    assert levi_roots(g) == level0
 
 
 def levi_paths(g):
@@ -1206,7 +1222,7 @@ def character_series_all_weights(graph, lam, levi=False, max_level=None):
     if graph.classify().finite:
         pos_roots = positive_roots_by_closure(A)
     else:
-        pos_roots = [root.coords for root in enumerate_roots(graph, H=n - 1)]
+        pos_roots = list(roots_by_peterson(A, n - 1))
     if levi:
         pos_roots = [c for c in pos_roots if c[graph.z1] == 0]
     lam_rho = tuple(x + 1 for x in lam)
@@ -1268,14 +1284,15 @@ def test_character_series_matches_all_weights_freudenthal(pqr):
     # oracle runs to level 3, and the uncut engine is checked by its total.
     g = TpqrGraph(*pqr)
     heavy = g.n >= 6
+    roots, _ = root_multiplicities(g)
     for lam in oracle_weights(g):
         for levi in (False, True):
             top = 3 if heavy and not levi and lam[g.u] and lam[g.z1] else None
             expected = character_series_all_weights(g, lam, levi, top)
             for max_level in (0, 1, 2, 3, None):
-                got = character_series(g, lam, levi=levi, max_level=max_level)
+                got = character_series(g, lam, levi_roots(g) if levi else roots, max_level=max_level)
                 if max_level is None and top is not None:
-                    assert sum(got.values()) == weyl_dim(g, lam), (pqr, lam)
+                    assert sum(got.values()) == weyl_dim(g, lam, roots), (pqr, lam)
                     continue
                 want = [(b, c) for b, c in expected.items() if max_level is None or b[g.z1] <= max_level]
                 assert list(got.items()) == want, (pqr, lam, levi, max_level)
@@ -1284,7 +1301,7 @@ def test_character_series_matches_all_weights_freudenthal(pqr):
 def test_e7_character_to_level_2_matches_all_weights_freudenthal():
     g = TpqrGraph(2, 3, 4)
     lam = tuple(a + b for a, b in zip(g.fundamental_weight(g.u), g.fundamental_weight(g.z1)))
-    got = character_series(g, lam, max_level=2)
+    got = character_series(g, lam, root_multiplicities(g)[0], max_level=2)
     assert list(got.items()) == list(character_series_all_weights(g, lam, max_level=2).items())
 
 
@@ -1298,20 +1315,20 @@ def test_levi_character_matches_all_weights_freudenthal_off_finite_type(pqr):
     ends = (g.x(g.p - 1), g.y(g.q - 1), g.z(2), g.z(g.r - 1))
     adjoint = tuple(sum(g.fundamental_weight(v)[k] for v in ends) for k in range(g.n))
     for lam in oracle_weights(g) + [adjoint]:
-        got = character_series(g, lam, levi=True)
+        got = character_series(g, lam, levi_roots(g))
         assert list(got.items()) == list(character_series_all_weights(g, lam, levi=True).items()), lam
 
 
 def drop_highest_root(monkeypatch):
-    """Break the root supply: `enumerate_roots` loses its highest root."""
-    full = kacmoody.enumerate_roots
+    """Break the root supply: `root_multiplicities` loses its highest root,
+    the last of its dict by height.  The Levi supply is left whole."""
+    full = kacmoody.root_multiplicities
 
     def short(graph, H=None):
-        roots = full(graph, H)
-        top = max(roots, key=lambda root: sum(root.coords))
-        return [root for root in roots if root is not top]
+        mults, exhaustive = full(graph, H)
+        return dict(list(mults.items())[:-1]), exhaustive
 
-    monkeypatch.setattr(kacmoody, "enumerate_roots", short)
+    monkeypatch.setattr(kacmoody, "root_multiplicities", short)
 
 
 def test_a_missing_root_breaks_the_d4_vector_character(monkeypatch):
@@ -1369,7 +1386,7 @@ def test_levi_character_on_a_non_finite_graph(pqr, lam, dims):
     g = TpqrGraph(*pqr)
     head, tail = levi_paths(g)
     assert (type_a_dim([lam[v] for v in head]), type_a_dim([lam[v] for v in tail])) == dims
-    series = character_series(g, lam, levi=True)
+    series = character_series(g, lam, levi_roots(g))
     assert all(beta[g.z1] == 0 for beta in series)
     assert sum(series.values()) == prod(dims)
 
@@ -1389,6 +1406,29 @@ def test_bgg_euler_d4():
         assert ok, (lam, bad)
 
 
+@pytest.mark.parametrize(
+    "pqr, vertex, cutoff",
+    [((2, 2, 2), "z1", 2), ((2, 2, 2), "y1", 4), ((3, 3, 2), "z1", 2), ((3, 3, 2), None, 3)],
+    ids=["D4-z1", "D4-y1", "E6-z1", "E6-zero"],
+)
+def test_the_bgg_check_builds_each_root_supply_once(monkeypatch, pqr, vertex, cutoff):
+    # One Peterson run for the positive roots and one for the Levi on S.
+    # With a supply built in each engine, and the Levi's for each kept W^S
+    # element, these cases took 4, 7, 4 and 7 runs.
+    g = TpqrGraph(*pqr)
+    lam = (0,) * g.n if vertex is None else g.fundamental_weight(g.vertex_names.index(vertex))
+    ranks = []
+    solve = kacmoody.roots_by_peterson
+
+    def counted(A, H):
+        ranks.append(len(A))
+        return solve(A, H)
+
+    monkeypatch.setattr(kacmoody, "roots_by_peterson", counted)
+    assert bgg_euler_check(g, lam, cutoff) == (True, None)
+    assert sorted(ranks) == [g.n - 1, g.n]
+
+
 def fundamental_in_exterior_check(graph: TpqrGraph, arm: str, i: int) -> bool:
     """Weight-level containment: does the i-th exterior power of the
     fundamental representation at the far end of an arm contain the
@@ -1398,10 +1438,12 @@ def fundamental_in_exterior_check(graph: TpqrGraph, arm: str, i: int) -> bool:
     end = vertex_of(arm_len)
     inner = vertex_of(arm_len - i + 1) if i > 1 else end
 
+    roots, _ = root_multiplicities(graph)
+
     def weight_list(vertex: int):
         lam = graph.fundamental_weight(vertex)
         out = []
-        for beta, m in character_series(graph, lam).items():
+        for beta, m in character_series(graph, lam, roots).items():
             drop_labels = root_labels(graph.cartan, beta)
             out.extend([tuple(l - d for l, d in zip(lam, drop_labels))] * m)
         return sorted(out)

@@ -16,7 +16,10 @@ or `lru_cache` decorates only functions without parameters: output must
 not depend on call history, and a repeated job pays for its own
 mathematics.  Outside `exact`, no module reads a private name of `exact`,
 or imports one: only `exact` knows how monomials are packed and how a
-polynomial's ring names their fields."""
+polynomial's ring names their fields.  `kacmoody` reads the finite-type
+case list, `formats.tpqr_kind`, only where the root supply is made and
+where the BGG check refuses a type; every other engine takes its roots as
+an argument."""
 
 import ast
 import re
@@ -472,3 +475,59 @@ def test_cache_lint_flags_only_a_function_with_parameters():
         "    return z\n"
     )
     assert memoized_with_parameters(tree) == ["f", "h", "C.m", "outer.inner"]
+
+
+def readers(tree, name):
+    """The top-level functions and methods, sorted, whose code reads `name`
+    as a bare name or an attribute; "<module>" for a read outside them.
+    An import binds the name but does not read it."""
+    found = set()
+
+    def reads(node):
+        return any(
+            isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name
+            for n in ast.walk(node)
+        )
+
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scope = [(f"{node.name}.", item) for item in node.body]
+        else:
+            scope = [("", node)]
+        for prefix, item in scope:
+            if reads(item):
+                is_def = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                found.add(prefix + item.name if is_def else "<module>")
+    return sorted(found)
+
+
+def test_kacmoody_reads_the_case_list_only_where_the_supply_is_made_and_the_bgg_check_refuses():
+    # A ratchet: a place that stops reading `tpqr_kind` leaves this list,
+    # and none joins it.
+    path = SRC / "kacmoody.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert readers(tree, "tpqr_kind") == ["bgg_euler_check", "root_multiplicities"]
+
+
+def test_reader_lint_flags_a_new_reader():
+    tree = ast.parse(
+        "from .formats import tpqr_kind\n"
+        "from . import formats\n"
+        "\n"
+        "def root_multiplicities(graph):\n"
+        "    return tpqr_kind(*graph)\n"
+        "\n"
+        "def character_series(graph):\n"
+        "    if formats.tpqr_kind(*graph) != 'finite':\n"
+        "        raise ValueError(graph)\n"
+        "\n"
+        "class Graph:\n"
+        "    def kind(self):\n"
+        "        return tpqr_kind(*self)\n"
+        "\n"
+        "    def name(self):\n"
+        "        return self.kind()\n"
+        "\n"
+        "KIND = tpqr_kind\n"
+    )
+    assert readers(tree, "tpqr_kind") == ["<module>", "Graph.kind", "character_series", "root_multiplicities"]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from resatlas import rings
 from resatlas.formats import derive_ranks
 from resatlas.kacmoody import TpqrGraph
@@ -109,6 +111,58 @@ def test_generator_families_d4():
     assert not by_num[1].present and not by_num[5].present  # r_3 = r_1 = 1
     assert by_num[2].present and by_num[4].present and by_num[6].present
     assert len(by_num[3].members) == 2  # beta = (1), (1,1)
+
+
+def generated(members, fmt, degree):
+    """The N-combinations of `members` of total degree <= `degree`, as
+    sextuples.  `ra_component` is linear in (a, b, c, alpha, beta, gamma),
+    each partition padded with zeros, so combinations add in that padded
+    form; an empty combination gives the zero sextuple."""
+    r1, r2, r3 = fmt.r
+    cuts = (3, 3 + r3 - 1, 3 + r3 - 1 + r2 - 1)
+
+    def padded(mu):
+        pad = lambda part, size: tuple(part) + (0,) * (size - len(part))
+        return (mu.a, mu.b, mu.c) + pad(mu.alpha, r3 - 1) + pad(mu.beta, r2 - 1) + pad(mu.gamma, r1 - 1)
+
+    def sextuple(v):
+        parts = [tuple(x for x in v[i:j] if x) for i, j in zip(cuts, cuts[1:] + (len(v),))]
+        return MuIndex(*v[:3], *parts)
+
+    steps = [padded(mu) for mu in members]
+    reached = frontier = {(0,) * len(padded(MuIndex(0, 0, 0)))}
+    while frontier:
+        frontier = {
+            tuple(map(sum, zip(v, step))) for v in frontier for step in steps if sum(v) + sum(step) <= degree
+        } - reached
+        reached = reached | frontier
+    return sorted(map(sextuple, reached), key=MuIndex.sort_key)
+
+
+GENERATOR_FORMATS = [(2, 6, 5, 1), (2, 5, 5, 2), (3, 6, 4, 1), (1, 5, 6, 2), (1, 4, 4, 1)]
+
+
+@pytest.mark.parametrize("f", GENERATOR_FORMATS, ids=str)
+def test_generator_families_span_every_component_to_degree_4(f):
+    # `mu_enumerate` lists the sextuples with a >= 0, the components `rspec`
+    # lists; family 4 (b = 1) lies outside R_a, which also needs a - b + c >= 0.
+    fmt = derive_ranks(list(f))
+    members = [mu for fam in semigroup_generators(fmt) for mu in fam.members]
+    assert generated(members, fmt, 4) == mu_enumerate(fmt, 4)
+
+
+def test_family_5_at_c_1_leaves_gamma_at_c_0_ungenerated():
+    # A member (0, 0, 1, gamma) is (0, 0, 1) + (0, 0, 0, gamma): with family
+    # 5 at c = 1, no gamma != 0 is reached at c = 0.
+    fmt = derive_ranks([2, 6, 5, 1])
+    members = [
+        mu._replace(c=1) if fam.number == 5 else mu
+        for fam in semigroup_generators(fmt)
+        for mu in fam.members
+    ]
+    span = generated(members, fmt, 4)
+    missing = [mu for mu in mu_enumerate(fmt, 4) if mu not in span]
+    assert len(missing) == 46 and missing[0] == MuIndex(0, 0, 0, gamma=(1,))
 
 
 def test_kstar_terms_structure():
