@@ -14,8 +14,7 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from . import complexes, formats, kacmoody, rings, schur
-from .formats import derive_ranks
-from .kacmoody import TpqrGraph
+from .formats import TpqrGraph, derive_ranks
 
 
 class BudgetExceeded(Exception):

@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import complexes, formats, kacmoody, rings
 from .checks import CHECKS, Budget, BudgetExceeded, random_sigma_tau
-from .formats import derive_ranks
-from .kacmoody import TpqrGraph
+from .formats import TpqrGraph, derive_ranks
 
 
 def _valid_format(f: Sequence[int]):
@@ -120,7 +119,7 @@ def _graph_name(pqr: Sequence[int]) -> str:
 
 def cmd_analyze(args) -> Dict:
     fmt = _valid_format(args.f)
-    cls = formats.classify_format(fmt)
+    cls = formats.classify(*fmt.pqr)
     p, q, r = fmt.pqr
     defect = kacmoody.defect_graded_dims(p, q, r, m_max=args.cutoff, max_height=args.max_height)
     return {
@@ -162,7 +161,7 @@ def text_analyze(pl: Dict, args) -> List[str]:
 
 def cmd_roots(args) -> Dict:
     graph = TpqrGraph(*args.pqr)
-    cls = graph.classify()
+    cls = formats.classify(*graph)
     mults, _ = kacmoody.root_multiplicities(graph, H=args.max_height)
     by_height: Dict[int, int] = {}
     for coords, m in mults.items():

@@ -1,4 +1,4 @@
-"""Resolution formats, derived map ranks, and T_{p,q,r} classification.
+"""Resolution formats, derived map ranks, and the T_{p,q,r} graph and its class.
 
 A *format* is the rank vector (f_0, ..., f_n) of a length-n free complex.
 The derived ranks r_i are the expected ranks of the differentials, determined
@@ -92,6 +92,81 @@ def tpqr_cartan_matrix(p: int, q: int, r: int) -> List[List[int]]:
         for j, a in row.items():
             dense[j] = a
     return A
+
+
+# A NamedTuple body cannot define `__new__`, so the fields live on a private
+# base and the public class validates its arguments as it is built.
+class _TpqrGraph(NamedTuple):
+    p: int
+    q: int
+    r: int
+
+
+class TpqrGraph(_TpqrGraph):
+    """T_{p,q,r}, its vertices indexed in the order of `tpqr_cartan_rows`."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, q: int, r: int) -> "TpqrGraph":
+        _check_pqr(p, q, r)
+        return super().__new__(cls, p, q, r)
+
+    @property
+    def n(self) -> int:
+        return self.p + self.q + self.r - 2
+
+    @property
+    def z1(self) -> int:
+        """0-based index of the distinguished vertex z_1."""
+        return self.p + self.q - 1
+
+    @property
+    def u(self) -> int:
+        return 0
+
+    def x(self, i: int) -> int:
+        """0-based index of x_i (1 <= i <= p-1)."""
+        if not 1 <= i <= self.p - 1:
+            raise IndexError(f"x_{i} out of range")
+        return i
+
+    def y(self, i: int) -> int:
+        if not 1 <= i <= self.q - 1:
+            raise IndexError(f"y_{i} out of range")
+        return self.p - 1 + i
+
+    def z(self, i: int) -> int:
+        if not 1 <= i <= self.r - 1:
+            raise IndexError(f"z_{i} out of range")
+        return self.p + self.q - 2 + i
+
+    @property
+    def vertex_names(self) -> List[str]:
+        return ["u"] + [f"{arm}{i}" for arm, k in zip("xyz", self) for i in range(1, k)]
+
+    @property
+    def cartan(self) -> List[List[int]]:
+        return tpqr_cartan_matrix(self.p, self.q, self.r)
+
+    @property
+    def adjacency(self) -> List[List[int]]:
+        A = self.cartan
+        return [[j for j in range(self.n) if i != j and A[i][j] == -1] for i in range(self.n)]
+
+    @property
+    def S(self) -> Tuple[int, ...]:
+        """All vertices except z_1."""
+        z1 = self.z1
+        return tuple(i for i in range(self.n) if i != z1)
+
+    def rho(self) -> Tuple[int, ...]:
+        return (1,) * self.n
+
+    def fundamental_weight(self, vertex: int) -> Tuple[int, ...]:
+        return tuple(1 if i == vertex else 0 for i in range(self.n))
+
+    def labels_as_dict(self, labels: Sequence[int]) -> Dict[str, int]:
+        return dict(zip(self.vertex_names, labels))
 
 
 def _check_pqr(p: int, q: int, r: int) -> None:
@@ -244,10 +319,6 @@ def _mismatch(p: int, q: int, r: int, kind: str) -> str:
     return f"classification mismatch for T_{(p, q, r)}: case list says {kind}"
 
 
-def classify_format(fmt: ResolutionFormat) -> TpqrClass:
-    return classify(*fmt.pqr)
-
-
 def noetherian_generic_ring(fmt: ResolutionFormat) -> bool:
     """The generic ring attached to a valid length-3 format is Noetherian
     exactly when the associated graph is a Dynkin diagram (finite type),
@@ -273,8 +344,17 @@ def cyclic_exists(n_param: int, l_param: int) -> bool:
 
 
 def format_exists(f: Sequence[int]) -> bool:
-    """A resolution with this length-3 format exists iff the Euler
-    characteristic vanishes and r_2 > 1."""
+    """Whether a length-3 format can be the format of a minimal free
+    resolution over a local ring: the Euler characteristic vanishes, the
+    ranks are valid and r_2 > 1.
+
+    r_2 = 1 is impossible, by the first structure theorem (Buchsbaum-Eisenbud,
+    Adv. Math. 12, 1974) and Nakayama's lemma.  The resolution need not be
+    of a perfect ideal: (1, 4, 4, 1) is realized by two skew lines in P^3,
+    although a Gorenstein ideal of grade 3 has an odd number of generators
+    (Buchsbaum-Eisenbud, Amer. J. Math. 99, 1977).  The converse, that every
+    format passing these tests is realized, is not certified in the package.
+    """
     fmt = derive_ranks(f)
     if fmt.n != 3:
         raise ValueError("length-3 formats only")

@@ -1,8 +1,7 @@
 """Root systems, Weyl groups and character combinatorics on star graphs.
 
-Everything lives on the tree T_{p,q,r}: a central vertex `u` with three arms
-of p-1, q-1, r-1 vertices.  Vertices are indexed 0-based internally in the
-order u, x_1..x_{p-1}, y_1..y_{q-1}, z_1..z_{r-1}; `z_1` (index p+q-1) is the
+Everything lives on the tree T_{p,q,r}, a `formats.TpqrGraph`: a central
+vertex `u` with three arms of p-1, q-1, r-1 vertices; `z_1` is the
 distinguished vertex whose coefficient defines the S-height grading.  The
 parabolic subset is fixed: S = all vertices except z_1 (`TpqrGraph.S`), so
 W^S, Kostant weights, Levi characters and the BGG check take it from the
@@ -21,90 +20,10 @@ from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .formats import _check_pqr, classify, tpqr_cartan_matrix, tpqr_kind
+from .formats import TpqrGraph, tpqr_kind
 
 Labels = Tuple[int, ...]
 Coords = Tuple[int, ...]
-
-
-# A NamedTuple body cannot define `__new__`, so the fields live on a private
-# base and the public class validates its arguments as it is built.
-class _TpqrGraph(NamedTuple):
-    p: int
-    q: int
-    r: int
-
-
-class TpqrGraph(_TpqrGraph):
-    __slots__ = ()
-
-    def __new__(cls, p: int, q: int, r: int) -> "TpqrGraph":
-        _check_pqr(p, q, r)
-        return super().__new__(cls, p, q, r)
-
-    @property
-    def n(self) -> int:
-        return self.p + self.q + self.r - 2
-
-    @property
-    def z1(self) -> int:
-        """0-based index of the distinguished vertex z_1."""
-        return self.p + self.q - 1
-
-    @property
-    def u(self) -> int:
-        return 0
-
-    def x(self, i: int) -> int:
-        """0-based index of x_i (1 <= i <= p-1)."""
-        if not 1 <= i <= self.p - 1:
-            raise IndexError(f"x_{i} out of range")
-        return i
-
-    def y(self, i: int) -> int:
-        if not 1 <= i <= self.q - 1:
-            raise IndexError(f"y_{i} out of range")
-        return self.p - 1 + i
-
-    def z(self, i: int) -> int:
-        if not 1 <= i <= self.r - 1:
-            raise IndexError(f"z_{i} out of range")
-        return self.p + self.q - 2 + i
-
-    @property
-    def vertex_names(self) -> List[str]:
-        names = ["u"]
-        names += [f"x{i}" for i in range(1, self.p)]
-        names += [f"y{i}" for i in range(1, self.q)]
-        names += [f"z{i}" for i in range(1, self.r)]
-        return names
-
-    @property
-    def cartan(self) -> List[List[int]]:
-        return tpqr_cartan_matrix(self.p, self.q, self.r)
-
-    @property
-    def adjacency(self) -> List[List[int]]:
-        A = self.cartan
-        return [[j for j in range(self.n) if i != j and A[i][j] == -1] for i in range(self.n)]
-
-    @property
-    def S(self) -> Tuple[int, ...]:
-        """All vertices except z_1."""
-        z1 = self.z1
-        return tuple(i for i in range(self.n) if i != z1)
-
-    def rho(self) -> Labels:
-        return (1,) * self.n
-
-    def fundamental_weight(self, vertex: int) -> Labels:
-        return tuple(1 if i == vertex else 0 for i in range(self.n))
-
-    def labels_as_dict(self, labels: Sequence[int]) -> Dict[str, int]:
-        return dict(zip(self.vertex_names, labels))
-
-    def classify(self):
-        return classify(self.p, self.q, self.r)
 
 
 # ---------------------------------------------------------------------------

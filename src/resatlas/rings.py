@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .formats import ResolutionFormat
-from .kacmoody import TpqrGraph, bgg_initial_terms
+from .formats import ResolutionFormat, TpqrGraph
+from .kacmoody import bgg_initial_terms
 from .schur import is_dominant, partitions_bounded
 
 Weight = Tuple[int, ...]
@@ -214,15 +214,13 @@ class RspecComponent(NamedTuple):
 
 
 def lambda_from_sigma_tau(
-    graph: TpqrGraph, sigma: Sequence[int], tau: Sequence[int], z1_label: int,
-    z_arm_ascending: bool = False,
+    graph: TpqrGraph, sigma: Sequence[int], tau: Sequence[int], z1_label: int
 ) -> Tuple[int, ...]:
     """Labels on T_{p,q,r}: chain labels are consecutive differences of tau
     (x_i -> tau_{p-i} - tau_{p-i+1}, u -> tau_p - tau_{p+1},
     y_j -> tau_{p+j} - tau_{p+j+1}), the z_1 label is given, and the rest of
-    the z-arm reads consecutive differences of sigma — by default in the
-    descending-index orientation z_{1+i} -> sigma_{r-1-i} - sigma_{r-i},
-    or ascending (z_{1+i} -> sigma_i - sigma_{i+1}) when requested."""
+    the z-arm reads consecutive differences of sigma,
+    z_{1+i} -> sigma_i - sigma_{i+1}."""
     p, q, r = graph.p, graph.q, graph.r
     if len(tau) != p + q:
         raise ValueError(f"tau must have length {p + q}")
@@ -236,10 +234,7 @@ def lambda_from_sigma_tau(
         labels[graph.y(j)] = tau[p + j - 1] - tau[p + j]
     labels[graph.z1] = z1_label
     for i in range(1, r - 1):
-        if z_arm_ascending:
-            labels[graph.z(1 + i)] = sigma[i - 1] - sigma[i]
-        else:
-            labels[graph.z(1 + i)] = sigma[r - 2 - i] - sigma[r - 1 - i]
+        labels[graph.z(1 + i)] = sigma[i - 1] - sigma[i]
     return tuple(labels)
 
 
@@ -252,7 +247,8 @@ def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
     quad = ra_component(mu, fmt)
     sigma, tau = quad.w3, quad.w1
     graph = TpqrGraph(*fmt.pqr)
-    lam = lambda_from_sigma_tau(graph, sigma, tau, mu.a)
+    # The z-arm reads the dual of w_3.
+    lam = lambda_from_sigma_tau(graph, tuple(-x for x in reversed(sigma)), tau, mu.a)
     if any(v < 0 for v in lam):
         raise AssertionError(f"{tuple(fmt.f)} {mu}: lambda {lam} not dominant although a >= 0")
     # Round trip: chain differences plus the anchor tau_{p+q} = c - b - beta_1
@@ -438,14 +434,14 @@ def dictionary_crosscheck(
     Each K* term, mapped through the dictionary with its own z_1 label
     (t-1, -t-1, -t-1-u, -t-1-s for bottom/middle/top_u/top_s), must equal the
     corresponding parabolic Verma highest weight (identity, s_{z1},
-    s_{z1}s_u, s_{z1}s_{z2} dot-applied to lambda).  The z-arm is read in the
-    ascending-sigma orientation, under which the match is exact for all arm
+    s_{z1}s_u, s_{z1}s_{z2} dot-applied to lambda).  The dictionary reads
+    sigma itself on the z-arm, under which the match is exact for all arm
     lengths.
     """
     graph = TpqrGraph(*fmt.pqr)
     ks = kstar_terms(sigma, tau, t, fmt)
     a = t - 1
-    lam = lambda_from_sigma_tau(graph, tuple(sigma), tau, a, z_arm_ascending=True)
+    lam = lambda_from_sigma_tau(graph, tuple(sigma), tau, a)
     layers = bgg_initial_terms(graph, lam)
     expected = [(ks.bottom, t - 1), (ks.middle, -t - 1), (ks.top_u, -t - 1 - ks.u)]
     if ks.top_s is not None:
@@ -454,7 +450,7 @@ def dictionary_crosscheck(
     if len(bgg) != len(expected):
         return False
     for weight, ((sig_term, tau_term), z1lab) in zip(bgg, expected):
-        mapped = lambda_from_sigma_tau(graph, sig_term, tau_term, z1lab, z_arm_ascending=True)
+        mapped = lambda_from_sigma_tau(graph, sig_term, tau_term, z1lab)
         if mapped != weight:
             return False
     return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterator, Sequence, Tuple
 
-from .formats import _check_pqr
+from .formats import TpqrGraph
 
 
 def is_dominant(w: Sequence[int]) -> bool:
@@ -60,7 +60,7 @@ def g2_dim_formula(p: int, q: int, r: int) -> int:
     C(r-1,2)*[C(N+1,2) - dim S_{2^p}] + C(r,2)*[C(N,2) - dim S_{2^{p-1},1,1}]
     with N = C(p+q, p) and Schur dimensions over rank p+q.
     """
-    _check_pqr(p, q, r)
+    TpqrGraph(p, q, r)  # refuses a short arm
     n = p + q
     N = comb(n, p)
 
@@ -74,5 +74,5 @@ def g2_dim_formula(p: int, q: int, r: int) -> int:
 
 def g1_dim_formula(p: int, q: int, r: int) -> int:
     """Dimension of the first graded piece: C^{r-1} tensor Lambda^p C^{p+q}."""
-    _check_pqr(p, q, r)
+    TpqrGraph(p, q, r)  # refuses a short arm
     return (r - 1) * comb(p + q, p)

@@ -173,7 +173,6 @@ def test_classification_builds_no_dense_cartan_matrix(monkeypatch):
         return build(p, q, r)
 
     monkeypatch.setattr(formats, "tpqr_cartan_matrix", counted)
-    monkeypatch.setattr(kacmoody, "tpqr_cartan_matrix", counted)
     assert run_check("classification") == "576 triples, anchors D4/E8/affine/indefinite confirmed"
     assert calls == []
 

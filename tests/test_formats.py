@@ -8,8 +8,8 @@ import pytest
 
 from resatlas import formats
 from resatlas.formats import (
+    TpqrGraph,
     classify,
-    classify_format,
     cyclic_exists,
     derive_ranks,
     format_exists,
@@ -136,6 +136,34 @@ def test_cartan_rows_and_matrix_equal_the_dense_oracle_on_the_table():
                 assert tpqr_cartan_rows(p, q, r) == rows, (p, q, r)
 
 
+def test_graph_helpers_name_the_neighbours_the_cartan_rows_build_on_the_table():
+    # u is adjacent to x_1, to y_1 when q >= 2, and to z_1; each arm is a
+    # path.  The table is the `classification` check's 576 triples.
+    for p in range(2, 10):
+        for q in range(1, 10):
+            for r in range(2, 10):
+                g = TpqrGraph(p, q, r)
+                arms = {
+                    "x": [g.x(i) for i in range(1, p)],
+                    "y": [g.y(j) for j in range(1, q)],
+                    "z": [g.z(k) for k in range(1, r)],
+                }
+                edges = set()
+                for arm in arms.values():
+                    path = [g.u] + arm
+                    edges |= {frozenset(e) for e in zip(path, path[1:])}
+                rows = tpqr_cartan_rows(p, q, r)
+                built = {frozenset((i, j)) for i, row in enumerate(rows) for j in row if j != i}
+                assert built == edges, (p, q, r)
+                names = dict.fromkeys(range(len(rows)))
+                names[g.u] = "u"
+                for letter, arm in arms.items():
+                    names.update((v, f"{letter}{k}") for k, v in enumerate(arm, start=1))
+                assert g.vertex_names == list(names.values()), (p, q, r)
+                assert g.n == len(rows) and g.z1 == g.z(1), (p, q, r)
+                assert g.S == tuple(v for v in range(g.n) if v != g.z1), (p, q, r)
+
+
 def test_noetherian():
     assert noetherian_generic_ring(derive_ranks([1, 4, 4, 1]))
     assert not noetherian_generic_ring(derive_ranks([2, 6, 7, 3]))
@@ -161,4 +189,4 @@ def test_format_exists():
 
 def test_classify_format_matches_pqr():
     fmt = derive_ranks([2, 6, 5, 1])
-    assert classify_format(fmt).dynkin == "E6"
+    assert classify(*fmt.pqr).dynkin == "E6"

@@ -1219,7 +1219,7 @@ def character_series_all_weights(graph, lam, levi=False, max_level=None):
     A = graph.cartan
     n = graph.n
     gens = list(graph.S) if levi else list(range(n))
-    if graph.classify().finite:
+    if classify(*graph).finite:
         pos_roots = positive_roots_by_closure(A)
     else:
         pos_roots = list(roots_by_peterson(A, n - 1))

@@ -334,23 +334,23 @@ def test_import_lint_flags_every_import_of_the_module(module):
     assert module_imports(tree, "math") == [3, 7]
 
 
-def exact_internals(tree):
-    """The lines, ascending, where a tree reads a private name of `exact`:
-    `exact._name` on a name bound to the module, or `_name` imported from
+def private_reads(tree, module):
+    """The lines, ascending, where a tree reads a private name of `module`:
+    `module._name` on a name bound to the module, or `_name` imported from
     it."""
-    modules = {"exact"} | {
+    modules = {module} | {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name == "exact"
+        if alias.name == module
     }
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in modules and node.attr.startswith("_"):
                 lines.append(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exact":
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
             if any(alias.name.startswith("_") for alias in node.names):
                 lines.append(node.lineno)
     return sorted(lines)
@@ -360,8 +360,16 @@ def exact_internals(tree):
     "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "exact"], ids=lambda p: p.stem
 )
 def test_only_exact_reads_its_registry_and_private_names(path):
-    lines = exact_internals(ast.parse(path.read_text(), filename=str(path)))
+    lines = private_reads(ast.parse(path.read_text(), filename=str(path)), "exact")
     assert lines == [], f"{path.name}: reads exact's private names at lines {lines}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    others = sorted(p.stem for p in SRC.glob("*.py") if p.stem not in (path.stem, "__init__"))
+    reads = {m: lines for m in others if (lines := private_reads(tree, m))}
+    assert reads == {}, f"{path.name}: reads private names of {reads} (module: lines)"
 
 
 def test_exact_internals_lint_flags_every_read_of_the_registry_or_a_private_name():
@@ -377,7 +385,18 @@ def test_exact_internals_lint_flags_every_read_of_the_registry_or_a_private_name
         "other._unpack(0)\n"
         "MPoly._private\n"
     )
-    assert exact_internals(tree) == [2, 3, 6, 6, 7]
+    assert private_reads(tree, "exact") == [2, 3, 6, 6, 7]
+
+
+def test_private_name_lint_flags_a_read_of_formats_on_both_lines():
+    tree = ast.parse(
+        "from . import formats\n"
+        "from .formats import TpqrGraph, _check_pqr\n"
+        "formats.classify(2, 3, 7)\n"
+        "formats._check_pqr(2, 3, 7)\n"
+        "exact._BITS\n"
+    )
+    assert private_reads(tree, "formats") == [2, 4]
 
 
 def run_check_names(tree):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -96,12 +97,32 @@ def test_rspec_component_anchor():
     assert g.labels_as_dict(comp.lam) == {"u": 1, "x1": 1, "y1": 1, "z1": 2}
 
 
-def test_lambda_round_trip_orientations_agree_short_arm():
-    g = TpqrGraph(2, 2, 2)
-    # r = 2: the z-arm has no extra vertices, both orientations coincide
-    lam1 = lambda_from_sigma_tau(g, (3,), (2, 1, 1, 0), 5)
-    lam2 = lambda_from_sigma_tau(g, (3,), (2, 1, 1, 0), 5, z_arm_ascending=True)
-    assert lam1 == lam2
+def lambda_descending(g, sigma, tau, z1_label):
+    """The dictionary with the z-arm read from the top of sigma down,
+    z_{1+i} -> sigma_{r-1-i} - sigma_{r-i}: the reading `rspec` prints."""
+    p, q, r = g
+    labels = [0] * g.n
+    labels[g.u] = tau[p - 1] - tau[p]
+    for i in range(1, p):
+        labels[g.x(i)] = tau[p - i - 1] - tau[p - i]
+    for j in range(1, q):
+        labels[g.y(j)] = tau[p + j - 1] - tau[p + j]
+    labels[g.z1] = z1_label
+    for i in range(1, r - 1):
+        labels[g.z(1 + i)] = sigma[r - 2 - i] - sigma[r - 1 - i]
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("pqr", [(2, 2, 4), (2, 3, 5), (3, 3, 5)], ids=str)
+def test_the_dictionary_on_the_dual_reads_the_z_arm_descending(pqr):
+    g = TpqrGraph(*pqr)
+    rng = random.Random(11)
+    for _ in range(50):
+        sigma = tuple(rng.randint(-4, 4) for _ in range(g.r - 1))
+        tau = tuple(rng.randint(-4, 4) for _ in range(g.p + g.q))
+        z1_label = rng.randint(0, 4)
+        dual = tuple(-x for x in reversed(sigma))
+        assert lambda_from_sigma_tau(g, dual, tau, z1_label) == lambda_descending(g, sigma, tau, z1_label)
 
 
 def test_generator_families_d4():
@@ -139,7 +160,10 @@ def generated(members, fmt, degree):
     return sorted(map(sextuple, reached), key=MuIndex.sort_key)
 
 
-GENERATOR_FORMATS = [(2, 6, 5, 1), (2, 5, 5, 2), (3, 6, 4, 1), (1, 5, 6, 2), (1, 4, 4, 1)]
+# Every valid format with f_0 <= 3, f_1, f_2 <= 8 and f_3 <= 7: 163 of them.
+GENERATOR_FORMATS = [
+    f for f in product(range(1, 4), range(1, 9), range(1, 9), range(1, 8)) if derive_ranks(f).valid
+]
 
 
 @pytest.mark.parametrize("f", GENERATOR_FORMATS, ids=str)
