@@ -121,7 +121,9 @@ def cmd_analyze(args) -> Dict:
     fmt = _valid_format(args.f)
     cls = formats.classify(*fmt.pqr)
     p, q, r = fmt.pqr
-    defect = kacmoody.defect_graded_dims(p, q, r, m_max=args.cutoff, max_height=args.max_height)
+    graph = TpqrGraph(p, q, r)
+    supply = kacmoody.root_multiplicities(graph, args.max_height)
+    defect = kacmoody.defect_graded_dims(graph, supply, m_max=args.cutoff)
     return {
         "format": list(fmt.f),
         "ranks": list(fmt.r),
@@ -190,7 +192,9 @@ def text_roots(pl: Dict, args) -> List[str]:
 
 
 def cmd_defect(args) -> Dict:
-    defect = kacmoody.defect_graded_dims(*args.pqr, m_max=args.cutoff, max_height=args.max_height)
+    graph = TpqrGraph(*args.pqr)
+    supply = kacmoody.root_multiplicities(graph, args.max_height)
+    defect = kacmoody.defect_graded_dims(graph, supply, m_max=args.cutoff)
     return {
         "pqr": list(args.pqr),
         "dims": list(defect.dims),
@@ -230,13 +234,13 @@ def cmd_bgg_check(args) -> Dict:
     graph = TpqrGraph(*args.pqr)
     lam = _parse_lam(graph, args.lam)
     layers = kacmoody.bgg_initial_terms(graph, lam)
-    ok, bad = kacmoody.bgg_euler_check(graph, lam, args.cutoff)
+    bad = kacmoody.bgg_euler_check(graph, lam, args.cutoff)
     return {
         "pqr": list(args.pqr),
         "lambda": graph.labels_as_dict(lam),
         "initial_terms": [[graph.labels_as_dict(w) for w in layer] for layer in layers],
-        "euler_ok": ok,
-        "first_bad_level": bad,
+        "euler_ok": bad is None,
+        "first_bad_level": None if bad is None else bad.drop[graph.z1],
         "cutoff": args.cutoff,
     }
 
@@ -329,7 +333,7 @@ def cmd_kstar_check(args) -> Dict:
     results = []
     for _ in range(args.count):
         sigma, tau, t = random_sigma_tau(rng, fmt)
-        ok = rings.dictionary_crosscheck(sigma, tau, t, fmt)
+        ok = rings.dictionary_crosscheck(sigma, tau, t, fmt) is None
         results.append({"sigma": list(sigma), "tau": list(tau), "t": t, "ok": ok})
     return {"format": list(fmt.f), "seed": args.seed, "checks": results,
             "ok": all(r["ok"] for r in results)}
@@ -374,7 +378,7 @@ def cmd_verify_thm112(args) -> Dict:
         "r3": args.r3,
         "expected_ranks": list(res.complex.fmt.r),
         "sign_convention": complexes.DELTA_SIGN_CONVENTION,
-        **_complex_payload(res.complex, complexes.thm112_certificate(res).ok, args.seed),
+        **_complex_payload(res.complex, complexes.thm112_certificate(res) is None, args.seed),
     }
 
 
@@ -392,7 +396,7 @@ def cmd_verify_monomial(args) -> Dict:
     return {
         "t": args.t,
         "generators": [str(g) for g in res.ideal_generators],
-        **_complex_payload(res.complex, complexes.verify_complex(res.complex).ok, args.seed),
+        **_complex_payload(res.complex, not complexes.verify_complex(res.complex), args.seed),
     }
 
 

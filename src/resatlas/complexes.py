@@ -6,6 +6,14 @@ family of formats (1, 2t, 2t, 1), and the split D_4 model with its quadratic
 relation — plus a certificate of d.d = 0 for the generic family,
 Buchsbaum-Eisenbud multiplier factorization checks and the q_1 cycle
 coefficients.
+
+The certificates share one verdict shape: each returns nothing exactly when
+its fact holds, and otherwise what broke.  `verify_complex` returns its
+nonzero composition entries (an empty tuple when there are none), and
+`be_multipliers` and `thm112_certificate` return None or the failure's
+detail.
+`be_rank_check` and `d4_relation_check` instead return the ranks and the
+relation's sides that the CLI prints, with their verdict.
 """
 
 from __future__ import annotations
@@ -62,28 +70,23 @@ class FreeComplex(_FreeComplex):
         )
 
 
-class ComplexReport(NamedTuple):
-    ok: bool
-    failures: Tuple[Tuple[int, int, int, str], ...]  # (i, row, col, entry)
-
-
 def _nonzero_entries(m: ExactMatrix) -> Iterator[Tuple[int, int, str]]:
     """The (row, col, printed entry) of each nonzero entry, row by row, each
     printed only when it is reached."""
     return ((r, c, str(e)) for r, row in enumerate(m.data) for c, e in enumerate(row) if e != 0)
 
 
-def verify_complex(complex_: FreeComplex) -> ComplexReport:
+def verify_complex(complex_: FreeComplex) -> Tuple[Tuple[int, int, int, str], ...]:
     """Check every composition d_i . d_{i+1} = 0 by exact symbolic
-    expansion; each failure names an entry of d_i . d_{i+1} and prints it.
-    The generic family has its own certificate, `thm112_certificate`, which
-    expands no composition."""
-    failures = [
+    expansion.  Returns the failures, empty exactly when every composition
+    vanishes: an (i, row, col, printed entry) for each nonzero entry of
+    d_i . d_{i+1}.  The generic family has its own certificate,
+    `thm112_certificate`, which expands no composition."""
+    return tuple(
         (i, r, c, e)
         for i in range(1, complex_.fmt.n)
         for r, c, e in _nonzero_entries(complex_.d(i).matmul(complex_.d(i + 1)))
-    ]
-    return ComplexReport(ok=not failures, failures=tuple(failures))
+    )
 
 
 def koszul_complex() -> FreeComplex:
@@ -150,14 +153,10 @@ def _complement_sign(subset: Sequence[int]) -> int:
     return -1 if (s - r * (r - 1) // 2) % 2 else 1
 
 
-class MultiplierReport(NamedTuple):
-    ok: bool
-    detail: str = ""
-
-
-def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
+def be_multipliers(complex_: FreeComplex, seed: int) -> Optional[str]:
     """First-structure-theorem factorization at the point of full rank that
-    `be_rank_check(complex_, seed)` finds; a failed report if it finds none.
+    `be_rank_check(complex_, seed)` finds.  Returns None if it holds, else
+    what broke: no such point, or the minor where the factorization fails.
 
     a_n is the vector of maximal minors of d_n.  For i < n, a_i is the
     Plucker coordinate vector of the column space of d_i: the r_i-minors on
@@ -179,8 +178,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
     fmt = complex_.fmt
     rk = be_rank_check(complex_, seed)
     if not rk.ok:
-        detail = f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
-        return MultiplierReport(ok=False, detail=detail)
+        return f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
     mats = rk.spec.differentials
     a: List[Dict[Tuple[int, ...], int]] = []
     for d, r in zip(mats, fmt.r):
@@ -202,13 +200,12 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> MultiplierReport:
             rhs = _complement_sign(cols) * a[i][comp]
             if rhs == 0:
                 if lhs != 0:
-                    detail = f"d_{i}: minor {rows0}x{cols} nonzero but product vanishes"
-                    return MultiplierReport(ok=False, detail=detail)
+                    return f"d_{i}: minor {rows0}x{cols} nonzero but product vanishes"
             elif first is None:
                 first = (lhs, rhs)
             elif lhs * first[1] != first[0] * rhs:
-                return MultiplierReport(ok=False, detail=f"d_{i}: inconsistent scalar at {rows0}x{cols}")
-    return MultiplierReport(ok=True)
+                return f"d_{i}: inconsistent scalar at {rows0}x{cols}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +284,7 @@ def thm112_build(r3: int) -> Thm112Result:
     return Thm112Result(complex=cx, delta=delta, B=Bm, a1=a1)
 
 
-class CertificateReport(NamedTuple):
-    ok: bool
-    detail: str = ""
-
-
-def thm112_certificate(res: Thm112Result) -> CertificateReport:
+def thm112_certificate(res: Thm112Result) -> Optional[str]:
     """d_1 . d_2 = 0 and d_2 . d_3 = 0 for a complex built as the generic
     family is, from five facts checked exactly, none of them a composition:
 
@@ -308,10 +300,10 @@ def thm112_certificate(res: Thm112Result) -> CertificateReport:
     Math. 99, 1977).  With p = B^T u and q = B^T v, B^T Delta B = p q^T -
     q p^T, so x = p x q and x^T B^T Delta = (x.p) v^T - (x.q) u^T = 0.
     Then (a) and (e) give d_1 . d_2 = a_1 x^T B^T Delta = 0, and
-    d_2 . d_3 = B^T (Delta . d_3) = 0.  A failure names the first fact
-    that fails and, for (a), (b), (c) and (e), its first nonzero entry."""
-    detail = next(_thm112_failures(res), "")
-    return CertificateReport(ok=not detail, detail=detail)
+    d_2 . d_3 = B^T (Delta . d_3) = 0.  Returns None if all five hold,
+    else the first fact that fails and, for (a), (b), (c) and (e), its
+    first nonzero entry."""
+    return next(_thm112_failures(res), None)
 
 
 def _thm112_failures(res: Thm112Result):

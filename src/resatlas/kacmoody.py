@@ -419,21 +419,44 @@ def _pair_sum(
     return rhs
 
 
+class Difference(NamedTuple):
+    """Where two series first differ: the drop, and its coefficient on the
+    left side and on the right."""
+
+    drop: Coords
+    lhs: int
+    rhs: int
+
+
+def _first_difference(
+    lhs: Dict[Coords, int], rhs: Dict[Coords, int], degree: Callable
+) -> Optional[Difference]:
+    """None if the two series are equal, a missing drop reading as 0; else
+    their lowest differing drop by `degree`, then by coordinates."""
+    if lhs == rhs:
+        return None
+    for drop in sorted(lhs.keys() | rhs.keys(), key=lambda k: (degree(k), k)):
+        if lhs.get(drop, 0) != rhs.get(drop, 0):
+            return Difference(drop, lhs.get(drop, 0), rhs.get(drop, 0))
+    return None
+
+
 def verify_denominator_identity(
     A: Sequence[Sequence[int]], H: int, mults: Dict[Coords, int]
-) -> bool:
+) -> Optional[Difference]:
     """Independent check: re-expand the product side from scratch and compare
-    against the Weyl alternating sum, both truncated at height H.  Raises
-    ValueError on a negative multiplicity, and on an A that
-    `weyl_denominator_sum` refuses: one that is not symmetric with 2 on the
-    diagonal and 0 or -1 off it."""
+    it with the Weyl alternating sum, both truncated at height H.  Returns
+    None if they agree, else the lowest drop where they differ, with the
+    product's coefficient and the sum's.  Raises ValueError on a negative
+    multiplicity, and on an A that `weyl_denominator_sum` refuses: one that
+    is not symmetric with 2 on the diagonal and 0 or -1 off it."""
     factors = [(beta, mults[beta]) for beta in sorted(mults, key=lambda b: (sum(b), b))]
     for beta, m in factors:
         if m < 0:
             raise ValueError(f"negative multiplicity {m} at root {beta}")
     # Tallest first: see `_truncated_product`.
     product = _truncated_product({(0,) * len(A): 1}, factors[::-1], H, sum)
-    return product == weyl_denominator_sum(A, H)
+    return _first_difference(product, weyl_denominator_sum(A, H), sum)
 
 
 def _finite_roots(A: Sequence[Sequence[int]]) -> Dict[Coords, int]:
@@ -573,18 +596,15 @@ class DefectDims(NamedTuple):
 
 
 def defect_graded_dims(
-    p: int, q: int, r: int, m_max: int = 8, max_height: Optional[int] = None
+    graph: TpqrGraph, supply: Tuple[Dict[Coords, int], bool], m_max: int
 ) -> DefectDims:
-    """Graded dimensions of the positive part of the S-height grading at z_1.
-
-    Finite type, by the case list: exhaustive, the whole root system, and
-    `max_height` is ignored.
-    Otherwise `max_height` is required: roots are truncated at that height
-    and the dims are lower bounds.  The multiplicities are summed by level
-    straight from `root_multiplicities`.
+    """Graded dimensions of the positive part of the S-height grading at z_1,
+    levels 1..m_max, summed by level from `supply`, the result of
+    `root_multiplicities(graph, H)`.  On finite type it is the whole root
+    system and the dims are exhaustive; otherwise the roots stop at height
+    H and the dims are lower bounds.
     """
-    graph = TpqrGraph(p, q, r)
-    mults, exhaustive = root_multiplicities(graph, max_height)
+    mults, exhaustive = supply
     dims = [0] * (m_max + 1)  # dims[m] = dim L_m; dims[0] is dropped
     total = 0
     for m, mult in zip(map(itemgetter(graph.z1), mults), mults.values()):
@@ -716,48 +736,6 @@ def character_series(
     return mults
 
 
-def weyl_dim(graph: TpqrGraph, lam: Labels, roots: Collection[Coords]) -> int:
-    """Total dimension via the Weyl dimension formula over the positive
-    roots `roots` of a finite type."""
-    lam_rho = tuple(x + 1 for x in lam)
-    num = 1
-    den = 1
-    for alpha in roots:
-        num *= sum(map(mul, lam_rho, alpha))
-        den *= sum(alpha)
-    d, rem = divmod(num, den)
-    if rem:
-        g = gcd(num, den)
-        raise AssertionError(f"{graph} lam {lam}: Weyl dimension formula gives {num // g}/{den // g}")
-    return d
-
-
-def weyl_kac_character(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[Tuple[int, ...], int]:
-    """ht^S-graded dimensions (levels 0..cutoff) and total dimension of the
-    finite-type irreducible V(lam); grading counts the z_1 coefficient of the
-    drop from the highest weight.  Off finite type `root_multiplicities`
-    refuses."""
-    if any(x < 0 for x in lam):
-        raise ValueError("lam must be dominant")
-    z1 = graph.z1
-    roots, _ = root_multiplicities(graph)
-    series = character_series(graph, lam, roots)
-    dims = [0] * (cutoff + 1)
-    total = 0
-    for beta, m in series.items():
-        total += m
-        s = beta[z1]
-        if s <= cutoff:
-            dims[s] += m
-    dim = weyl_dim(graph, lam, roots)
-    if total != dim:
-        raise AssertionError(
-            f"{graph} lam {lam}: character total {total} disagrees with "
-            f"dimension formula {dim}"
-        )
-    return tuple(dims), total
-
-
 # ---------------------------------------------------------------------------
 # BGG initial terms and Euler check
 # ---------------------------------------------------------------------------
@@ -814,7 +792,7 @@ def bgg_initial_terms(graph: TpqrGraph, lam: Labels) -> List[List[Labels]]:
     return [layer0, layer1, layer2]
 
 
-def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, Optional[int]]:
+def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Optional[Difference]:
     """The truncated BGG Euler identity: the alternating sum over W^S of the
     parabolic Verma characters ch L_S(w.lam) / P equals ch L(lam) up to
     S-height `cutoff`, where P = prod (1 - e^{-alpha}) over the nilradical
@@ -823,8 +801,9 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
         sum_w (-1)^l(w) e^{-gamma_w} ch L_S(w.lam) = [ch L(lam) P]_{level <= cutoff}
 
     with gamma_w = lam - w.lam.  P is 1 plus terms of level >= 1, so both
-    forms agree or first differ at the same level.  Returns the verdict and
-    the first discrepant S-level (None if equal)."""
+    forms agree or first differ at the same level.  Returns None if the two
+    sides agree, else the lowest drop where they differ, by S-level, with
+    the alternating sum's coefficient and the right side's."""
     if tpqr_kind(*graph) != "finite":
         raise ValueError("finite type required")
     z1 = graph.z1
@@ -846,6 +825,4 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Tuple[bool, O
     nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[z1] > 0]
     rhs = character_series(graph, lam, roots, max_level=cutoff)
     rhs = _truncated_product(rhs, nilradical, cutoff, itemgetter(z1))
-    if lhs == rhs:
-        return True, None
-    return False, min(k[z1] for k in set(lhs) | set(rhs) if lhs.get(k, 0) != rhs.get(k, 0))
+    return _first_difference(lhs, rhs, itemgetter(z1))

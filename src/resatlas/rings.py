@@ -427,7 +427,7 @@ def dictionary_crosscheck(
     tau: Sequence[int],
     t: int,
     fmt: ResolutionFormat,
-) -> bool:
+) -> Optional[str]:
     """The K* terms equal the three-layer BGG initial terms through the
     lambda-dictionary.
 
@@ -436,22 +436,23 @@ def dictionary_crosscheck(
     corresponding parabolic Verma highest weight (identity, s_{z1},
     s_{z1}s_u, s_{z1}s_{z2} dot-applied to lambda).  The dictionary reads
     sigma itself on the z-arm, under which the match is exact for all arm
-    lengths.
+    lengths.  Returns None if every term matches, else the first K* term
+    that does not, by name, with both weights on the labelled vertices.
     """
     graph = TpqrGraph(*fmt.pqr)
     ks = kstar_terms(sigma, tau, t, fmt)
     a = t - 1
     lam = lambda_from_sigma_tau(graph, tuple(sigma), tau, a)
     layers = bgg_initial_terms(graph, lam)
-    expected = [(ks.bottom, t - 1), (ks.middle, -t - 1), (ks.top_u, -t - 1 - ks.u)]
+    expected = [
+        ("bottom", ks.bottom, t - 1), ("middle", ks.middle, -t - 1), ("top_u", ks.top_u, -t - 1 - ks.u)
+    ]
     if ks.top_s is not None:
-        expected.append((ks.top_s, -t - 1 - ks.s))
+        expected.append(("top_s", ks.top_s, -t - 1 - ks.s))
+    # Both sides have a fourth term exactly when r = r_3 + 1 >= 3.
     bgg = [layers[0][0], layers[1][0]] + list(layers[2])
-    if len(bgg) != len(expected):
-        return False
-    for weight, ((sig_term, tau_term), z1lab) in zip(bgg, expected):
+    for weight, (name, (sig_term, tau_term), z1lab) in zip(bgg, expected, strict=True):
         mapped = lambda_from_sigma_tau(graph, sig_term, tau_term, z1lab)
         if mapped != weight:
-            return False
-    return True
-
+            return f"{name} maps to {graph.labels_as_dict(mapped)}, BGG term {graph.labels_as_dict(weight)}"
+    return None

@@ -1,8 +1,9 @@
 """Must-fail twins for the paper checks in `resatlas.checks`: a broken
 input makes the check raise `CheckFailed`, or the `AssertionError` it
-extends from a cross-check inside the library (`formats.classify`,
-`kacmoody.weyl_kac_character`), naming the object that broke, also under
-`python -O`.  `tests/test_lint.py` fails when a check has no twin here."""
+extends from a cross-check inside the library (`formats.classify`),
+naming the object that broke, also under `python -O`: the drop and both
+coefficients where an identity breaks, the K* term that maps wrong.
+`tests/test_lint.py` fails when a check has no twin here."""
 
 import json
 import os
@@ -185,6 +186,20 @@ def test_defect_dims_catch_a_wrong_closed_formula(monkeypatch):
         run_check("defect-dims")
 
 
+def test_defect_dims_build_one_root_supply_per_graph(monkeypatch):
+    # The comparison and the level recount read the same supply.
+    graphs = []
+    supply = kacmoody.root_multiplicities
+
+    def counted(graph, H=None):
+        graphs.append(tuple(graph))
+        return supply(graph, H)
+
+    monkeypatch.setattr(kacmoody, "root_multiplicities", counted)
+    run_check("defect-dims")
+    assert graphs == [(2, 2, 2), (3, 3, 2), (2, 2, 3)]
+
+
 def test_spin_branching_catches_a_dropped_lowest_weight(monkeypatch):
     assert run_check("spin-branching") == "V(w_z1) on D4 has S-graded dims (1, 6, 1)"
     series = kacmoody.character_series
@@ -195,7 +210,9 @@ def test_spin_branching_catches_a_dropped_lowest_weight(monkeypatch):
         return {beta: m for beta, m in mults.items() if beta != lowest}
 
     monkeypatch.setattr(kacmoody, "character_series", without_lowest)
-    with pytest.raises(AssertionError, match="character total 7 disagrees with dimension formula 8"):
+    with pytest.raises(CheckFailed, match=re.escape(
+        "D4 V(w_z1): S-graded dims (1, 6, 0), total 7, expected (1, 6, 1), 8"
+    )):
         run_check("spin-branching")
 
 
@@ -210,7 +227,26 @@ def test_dictionary_crosscheck_catches_a_shifted_layer_2_weight(monkeypatch):
 
     monkeypatch.setattr(rings, "bgg_initial_terms", shifted)
     with pytest.raises(CheckFailed, match=re.escape(
-        "(1, 4, 4, 1): K*/BGG mismatch at sigma=(3,) tau=(2, 2, 2, 1) t=3"
+        "(1, 4, 4, 1): K*/BGG mismatch at sigma=(3,) tau=(2, 2, 2, 1) t=3: "
+        "top_u maps to {'u': 2, 'x1': 1, 'y1': 2, 'z1': -5}, "
+        "BGG term {'u': 3, 'x1': 1, 'y1': 2, 'z1': -5}"
+    )):
+        run_check("dictionary-crosscheck")
+
+
+def test_dictionary_crosscheck_names_a_shifted_kstar_term(monkeypatch):
+    terms = rings.kstar_terms
+
+    def shifted_middle(sigma, tau, t, fmt):
+        ks = terms(sigma, tau, t, fmt)
+        sig, ta = ks.middle
+        return ks._replace(middle=(sig, (ta[0] + 1,) + ta[1:]))
+
+    monkeypatch.setattr(rings, "kstar_terms", shifted_middle)
+    with pytest.raises(CheckFailed, match=re.escape(
+        "(1, 4, 4, 1): K*/BGG mismatch at sigma=(3,) tau=(2, 2, 2, 1) t=3: "
+        "middle maps to {'u': 3, 'x1': 1, 'y1': 1, 'z1': -4}, "
+        "BGG term {'u': 3, 'x1': 0, 'y1': 1, 'z1': -4}"
     )):
         run_check("dictionary-crosscheck")
 
@@ -227,7 +263,11 @@ def test_denominator_identity_catches_one_wrong_multiplicity(monkeypatch):
         return {**mults, beta: mults[beta] + 1}
 
     monkeypatch.setattr(kacmoody, "roots_by_peterson", one_more)
-    with pytest.raises(CheckFailed, match=r"T_\{2,3,7\}: denominator identity fails to height 8"):
+    # u + x1 counted twice: one more factor (1 - e^{-(u + x1)}).
+    with pytest.raises(CheckFailed, match=re.escape(
+        "T_{2,3,7}: denominator identity fails to height 8: at drop (1, 1, 0, 0, 0, 0, 0, 0, 0, 0) "
+        "of height 2 the product has -1, the Weyl sum 0"
+    )):
         run_check("denominator-identity")
 
 
@@ -253,7 +293,11 @@ def test_denominator_identity_catches_a_dropped_factor(monkeypatch):
         return product(series, [f for f in factors if f[0] != dropped], *args)
 
     monkeypatch.setattr(kacmoody, "_truncated_product", without_one_height_3_root)
-    with pytest.raises(CheckFailed, match=r"T_\{2,3,7\}: denominator identity fails to height 8"):
+    # The factor of u + x1 + y1 left out: the product keeps its 1 there.
+    with pytest.raises(CheckFailed, match=re.escape(
+        "T_{2,3,7}: denominator identity fails to height 8: at drop (1, 1, 1, 0, 0, 0, 0, 0, 0, 0) "
+        "of height 3 the product has 1, the Weyl sum 0"
+    )):
         run_check("denominator-identity")
 
 
@@ -268,9 +312,11 @@ def test_root_counts_catch_a_dropped_highest_root(monkeypatch):
         run_check("root-counts")
 
 
-_D4_ZERO_FAILS_AT_LEVEL_1 = (
-    r"D4 lambda \{'u': 0, 'x1': 0, 'y1': 0, 'z1': 0\}: Euler identity fails at level 1"
-)
+def d4_zero_fails_at_level_1(drop, lhs, rhs):
+    return re.escape(
+        f"D4 lambda {{'u': 0, 'x1': 0, 'y1': 0, 'z1': 0}}: Euler identity fails at level 1: "
+        f"at drop {drop} the BGG sum has {lhs}, ch L(lam) P {rhs}"
+    )
 
 
 def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
@@ -286,13 +332,13 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
         return {k: [e for e in v if e[2] != drop] for k, v in grouped.items()}
 
     monkeypatch.setattr(kacmoody, "enumerate_WS", without_s_z1)
-    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
+    with pytest.raises(CheckFailed, match=d4_zero_fails_at_level_1((0, 0, 0, 1), 0, -1)):
         run_check("bgg-euler")
 
 
 def test_bgg_euler_catches_a_multiplier_that_does_nothing(monkeypatch):
     monkeypatch.setattr(kacmoody, "_truncated_product", lambda series, *args: series)
-    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
+    with pytest.raises(CheckFailed, match=d4_zero_fails_at_level_1((0, 0, 0, 1), -1, 0)):
         run_check("bgg-euler")
 
 
@@ -303,7 +349,7 @@ def test_bgg_euler_catches_a_skipped_nilradical_factor(monkeypatch):
         return product(series, [f for f in factors if f[0] != (1, 0, 0, 1)], *args)
 
     monkeypatch.setattr(kacmoody, "_truncated_product", skip_one_root)
-    with pytest.raises(CheckFailed, match=_D4_ZERO_FAILS_AT_LEVEL_1):
+    with pytest.raises(CheckFailed, match=d4_zero_fails_at_level_1((1, 0, 0, 1), -1, 0)):
         run_check("bgg-euler")
 
 
@@ -346,13 +392,13 @@ def test_suite_reports_an_internal_error_as_that_checks_failure(monkeypatch, cap
     def boom(*args, **kwargs):
         raise ValueError("internal boom")
 
-    monkeypatch.setattr(kacmoody, "weyl_kac_character", boom)
+    monkeypatch.setattr(schur, "g1_dim_formula", boom)
     rc = cli.main(["suite", "paper-checks", "--json"])
     out, err = capsys.readouterr()
     assert rc == 1
     results = json.loads(out)["results"]
     assert len(results) == len(CHECKS) == 14
-    assert [r["check"] for r in results if not r["ok"]] == ["spin-branching"]
+    assert [r["check"] for r in results if not r["ok"]] == ["defect-dims"]
     failed = next(r for r in results if not r["ok"])
     assert failed["detail"] == "internal error: ValueError: internal boom"
     assert "Traceback" in err

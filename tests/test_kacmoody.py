@@ -34,9 +34,7 @@ from resatlas.kacmoody import (
     roots_by_peterson,
     verify_denominator_identity,
     weyl_denominator_sum,
-    weyl_dim,
     weyl_elements,
-    weyl_kac_character,
 )
 from resatlas.schur import schur_dim
 
@@ -526,7 +524,7 @@ def test_affine_null_root_multiplicity():
     # delta = alpha_u*3 + 2 on each arm-adjacent vertex + 1 on each arm end
     delta = (3, 2, 1, 2, 1, 2, 1)
     assert mults[delta] == 6
-    assert verify_denominator_identity(g.cartan, 12, mults)
+    assert verify_denominator_identity(g.cartan, 12, mults) is None
 
 
 @pytest.mark.parametrize(
@@ -604,12 +602,27 @@ def test_denominator_identity_rejects_a_negative_multiplicity():
 def test_indefinite_identity_verifies():
     A = tpqr_cartan_matrix(2, 3, 7)
     mults = roots_by_peterson(A, 8)
-    assert verify_denominator_identity(A, 8, mults)
+    assert verify_denominator_identity(A, 8, mults) is None
     # all real roots at height 1 are simple
     n = len(A)
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         assert mults[e] == 1
+
+
+def test_the_identity_names_the_lowest_of_two_wrong_multiplicities():
+    # One more factor (1 - e^{-beta}) puts -1 at beta, where the Weyl sum,
+    # whose terms are rho - w rho, has 0.  The lower height comes first,
+    # whatever the dict order; within a height, the lower coordinates.
+    A = tpqr_cartan_matrix(2, 3, 7)
+    mults = roots_by_peterson(A, 8)
+    # z1..z5, taller than u + x1 + y1 but before it by coordinates.
+    tall, short, shorter = (0,) * 4 + (1,) * 5 + (0,), (1, 1, 1) + (0,) * 7, (0,) * 7 + (1, 1, 1)
+    assert sum(tall) == 5 and sum(short) == sum(shorter) == 3 and tall < short
+    bad = {**mults, tall: mults[tall] + 1, short: mults[short] + 1}
+    assert verify_denominator_identity(A, 8, bad) == (short, -1, 0)
+    bad = {**mults, short: mults[short] + 1, shorter: mults[shorter] + 1}
+    assert verify_denominator_identity(A, 8, bad) == (shorter, -1, 0)
 
 
 def test_weyl_group_order_d4():
@@ -1084,10 +1097,14 @@ def test_kostant_anchor_t334():
 
 
 def test_defect_dims_finite():
-    assert defect_graded_dims(2, 2, 2, m_max=4).dims == (6, 0, 0, 0)
-    d = defect_graded_dims(3, 3, 2, m_max=4)
+    def dims(*pqr):
+        graph = TpqrGraph(*pqr)
+        return defect_graded_dims(graph, root_multiplicities(graph), m_max=4)
+
+    assert dims(2, 2, 2).dims == (6, 0, 0, 0)
+    d = dims(3, 3, 2)
     assert d.dims == (20, 1, 0, 0) and d.total == 21 and d.exhaustive
-    assert defect_graded_dims(2, 2, 3, m_max=4).dims == (12, 1, 0, 0)
+    assert dims(2, 2, 3).dims == (12, 1, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -1097,52 +1114,78 @@ def test_defect_dims_finite():
 )
 def test_defect_dims_are_the_level_sums_of_the_roots(pqr, H):
     graph = TpqrGraph(*pqr)
-    mults, _ = root_multiplicities(graph, H)
+    supply = root_multiplicities(graph, H)
+    mults, _ = supply
     m_max = max(coords[graph.z1] for coords in mults) + 1
     want = [0] * m_max
     for coords, m in mults.items():
         if coords[graph.z1]:
             want[coords[graph.z1] - 1] += m
-    got = defect_graded_dims(*pqr, m_max=m_max, max_height=H)
+    got = defect_graded_dims(graph, supply, m_max=m_max)
     assert got.dims == tuple(want) and want[-1] == 0
     assert got.exhaustive == (H is None)
     assert got.total == (sum(want) if H is None else None)
-    cut = defect_graded_dims(*pqr, m_max=1, max_height=H)
+    cut = defect_graded_dims(graph, supply, m_max=1)
     assert cut.dims == (want[0],) and cut.total == got.total
 
 
 def test_defect_dims_truncated_nonfinite():
-    d = defect_graded_dims(3, 3, 3, m_max=2, max_height=8)
+    g = TpqrGraph(3, 3, 3)
+    d = defect_graded_dims(g, root_multiplicities(g, 8), m_max=2)
     assert not d.exhaustive and d.total is None
     assert d.dims[0] > 0
+
+
+def weyl_dim(graph, lam, roots):
+    """The finite-type oracle: dim V(lam) by the Weyl dimension formula over
+    the positive roots `roots`, as an exact quotient, which a root supply
+    with a root missing can make non-integral."""
+    lam_rho = tuple(x + 1 for x in lam)
+    return prod(Fraction(sum(map(mul, lam_rho, alpha)), sum(alpha)) for alpha in roots)
+
+
+def graded_dims(graph, lam, cutoff):
+    """The S-graded dimensions, levels 0..cutoff, and the total of the
+    finite-type V(lam), summed from `character_series` over the supply of
+    `kacmoody.root_multiplicities`; the total must equal `weyl_dim`."""
+    roots, _ = kacmoody.root_multiplicities(graph)
+    series = character_series(graph, lam, roots)
+    dims = [0] * (cutoff + 1)
+    for beta, m in series.items():
+        if beta[graph.z1] <= cutoff:
+            dims[beta[graph.z1]] += m
+    total = sum(series.values())
+    assert total == weyl_dim(graph, lam, roots), (graph, lam, total)
+    return tuple(dims), total
 
 
 def test_character_dimensions_d4():
     g = TpqrGraph(2, 2, 2)
     spin = g.fundamental_weight(g.z1)
-    dims, total = weyl_kac_character(g, spin, 2)
+    dims, total = graded_dims(g, spin, 2)
     assert dims == (1, 6, 1) and total == 8
     adjoint = g.fundamental_weight(g.u)
-    dims, total = weyl_kac_character(g, adjoint, 2)
+    dims, total = graded_dims(g, adjoint, 2)
     assert total == 28 and dims == (6, 16, 6)
 
 
 def test_character_dimensions_e6():
     g = TpqrGraph(3, 3, 2)
-    dims, total = weyl_kac_character(g, g.fundamental_weight(g.z1), 4)
+    dims, total = graded_dims(g, g.fundamental_weight(g.z1), 4)
     assert total == 78
     assert dims == (1, 20, 36, 20, 1)
 
 
 def test_character_total_check_holds_under_python_O():
+    # The spin-branching check pins V(w_z1) on D4 by an explicit raise, so
+    # a character that doubles every weight fails it also under -O.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from resatlas import kacmoody\n"
-        "from resatlas.kacmoody import TpqrGraph\n"
-        "dim = kacmoody.weyl_dim\n"
-        "kacmoody.weyl_dim = lambda graph, lam, roots: dim(graph, lam, roots) + 1\n"
-        "g = TpqrGraph(2, 2, 2)\n"
-        "kacmoody.weyl_kac_character(g, g.fundamental_weight(g.z1), 2)\n"
+        "from resatlas.checks import CHECKS, Budget\n"
+        "series = kacmoody.character_series\n"
+        "kacmoody.character_series = lambda *a: {b: 2 * m for b, m in series(*a).items()}\n"
+        "dict(CHECKS)['spin-branching'](Budget(None))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -1151,8 +1194,8 @@ def test_character_total_check_holds_under_python_O():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 1
-    assert "AssertionError" in proc.stderr
-    assert "character total 8 disagrees with dimension formula 9" in proc.stderr
+    assert "CheckFailed" in proc.stderr
+    assert "S-graded dims (2, 12, 2), total 16, expected (1, 6, 1), 8" in proc.stderr
 
 
 def test_weyl_dim_matches_series():
@@ -1334,13 +1377,14 @@ def drop_highest_root(monkeypatch):
 def test_a_missing_root_breaks_the_d4_vector_character(monkeypatch):
     # The drop where the all-weights recursion went non-integral is not
     # dominant, so it is read by reflection; the BGG identity and the
-    # dimension formula catch the missing root instead.
+    # dimension formula catch the missing root instead.  Without the
+    # highest root's factor, ch L(lam) P keeps a term at that root.
     drop_highest_root(monkeypatch)
     g = TpqrGraph(2, 2, 2)
     lam = g.fundamental_weight(g.z1)
-    assert bgg_euler_check(g, lam, 2) == (False, 1)
-    with pytest.raises(AssertionError, match="Weyl dimension formula gives 20/3"):
-        weyl_kac_character(g, lam, 2)
+    assert bgg_euler_check(g, lam, 2) == ((2, 1, 1, 1), 0, 1)
+    roots, _ = kacmoody.root_multiplicities(g)
+    assert weyl_dim(g, lam, roots) == Fraction(20, 3)
 
 
 @pytest.mark.parametrize("pqr, vertex", [((2, 2, 2), "u"), ((3, 3, 2), "z1")], ids=["D4-u", "E6-z1"])
@@ -1348,14 +1392,14 @@ def test_a_missing_root_makes_freudenthal_non_integral(monkeypatch, pqr, vertex)
     drop_highest_root(monkeypatch)
     g = TpqrGraph(*pqr)
     lam = g.fundamental_weight(getattr(g, vertex))
-    for run in (lambda: bgg_euler_check(g, lam, 2), lambda: weyl_kac_character(g, lam, 2)):
+    for run in (lambda: bgg_euler_check(g, lam, 2), lambda: graded_dims(g, lam, 2)):
         with pytest.raises(AssertionError, match=re.escape(repr(g)) + " lam .*not a multiplicity"):
             run()
 
 
 def test_e8_adjoint_graded_dimensions():
     g = TpqrGraph(2, 3, 5)
-    assert weyl_kac_character(g, g.fundamental_weight(g.z(4)), 10) == (
+    assert graded_dims(g, g.fundamental_weight(g.z(4)), 10) == (
         (4, 10, 20, 30, 40, 40, 40, 30, 20, 10, 4),
         248,
     )
@@ -1402,8 +1446,7 @@ def test_bgg_initial_terms_zero_weight():
 def test_bgg_euler_d4():
     g = TpqrGraph(2, 2, 2)
     for lam in [(0, 0, 0, 0), g.fundamental_weight(g.z1), g.fundamental_weight(g.u)]:
-        ok, bad = bgg_euler_check(g, lam, 4)
-        assert ok, (lam, bad)
+        assert bgg_euler_check(g, lam, 4) is None, lam
 
 
 @pytest.mark.parametrize(
@@ -1425,7 +1468,7 @@ def test_the_bgg_check_builds_each_root_supply_once(monkeypatch, pqr, vertex, cu
         return solve(A, H)
 
     monkeypatch.setattr(kacmoody, "roots_by_peterson", counted)
-    assert bgg_euler_check(g, lam, cutoff) == (True, None)
+    assert bgg_euler_check(g, lam, cutoff) is None
     assert sorted(ranks) == [g.n - 1, g.n]
 
 

@@ -14,12 +14,15 @@ No module imports `dataclasses`: its generated methods cost about 1 ms of
 import per record class, and records are NamedTuples.  A `functools.cache`
 or `lru_cache` decorates only functions without parameters: output must
 not depend on call history, and a repeated job pays for its own
-mathematics.  Outside `exact`, no module reads a private name of `exact`,
-or imports one: only `exact` knows how monomials are packed and how a
-polynomial's ring names their fields.  `kacmoody` reads the finite-type
+mathematics.  No module reads a private name of another, or imports one:
+so only `exact` knows how monomials are packed and how a polynomial's ring
+names their fields.  `kacmoody` reads the finite-type
 case list, `formats.tpqr_kind`, only where the root supply is made and
 where the BGG check refuses a type; every other engine takes its roots as
-an argument."""
+an argument.  No certificate of `kacmoody`, `rings` or `complexes` (a
+function named `verify_*`, `*_check`, `*_certificate` or `*_crosscheck`)
+is annotated to return a bare bool: each returns nothing when its fact
+holds and what broke otherwise."""
 
 import ast
 import re
@@ -550,3 +553,44 @@ def test_reader_lint_flags_a_new_reader():
         "KIND = tpqr_kind\n"
     )
     assert readers(tree, "tpqr_kind") == ["<module>", "Graph.kind", "character_series", "root_multiplicities"]
+
+
+def bool_verdicts(tree):
+    """The functions and methods, at any depth, named as certificates
+    (`verify_*`, `*_check`, `*_certificate`, `*_crosscheck`) and annotated
+    `-> bool`."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (node.name.startswith("verify_") or node.name.endswith(("_check", "_certificate", "_crosscheck")))
+        and node.returns is not None
+        and ast.unparse(node.returns).strip("'\"") == "bool"
+    ]
+
+
+@pytest.mark.parametrize("module", ["kacmoody", "rings", "complexes"])
+def test_no_certificate_returns_a_bare_bool(module):
+    path = SRC / f"{module}.py"
+    assert bool_verdicts(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_verdict_lint_flags_a_certificate_annotated_bool():
+    tree = ast.parse(
+        "def verify_identity(A) -> bool:\n"
+        "    return True\n"
+        "\n"
+        "def euler_check(g) -> 'bool':\n"
+        "    return True\n"
+        "\n"
+        "def thm_certificate(res) -> Optional[str]:\n"
+        "    return None\n"
+        "\n"
+        "def is_dominant(w) -> bool:\n"
+        "    return True\n"
+        "\n"
+        "class C:\n"
+        "    def dictionary_crosscheck(self) -> bool:\n"
+        "        return True\n"
+    )
+    assert bool_verdicts(tree) == ["verify_identity", "euler_check", "dictionary_crosscheck"]

@@ -213,11 +213,11 @@ def test_dictionary_crosscheck_random():
             sigma = tuple(sorted((rng.randint(0, 3) for _ in range(r3)), reverse=True))
             tau = tuple(sorted((rng.randint(0, 3) for _ in range(r1 + r2)), reverse=True))
             t = rng.randint(1, 3)
-            assert dictionary_crosscheck(sigma, tau, t, fmt)
+            assert dictionary_crosscheck(sigma, tau, t, fmt) is None
 
 
 def test_dictionary_crosscheck_detects_breakage(monkeypatch):
-    assert dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
+    assert dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4) is None
     terms = rings.kstar_terms
 
     def off_by_one_u(sigma, tau, t, fmt):
@@ -225,7 +225,10 @@ def test_dictionary_crosscheck_detects_breakage(monkeypatch):
         return ks._replace(u=ks.u + 1)
 
     monkeypatch.setattr(rings, "kstar_terms", off_by_one_u)
-    assert not dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4)
+    # The crosscheck reads the replaced u only in top_u's z_1 label, -t - 1 - u.
+    assert dictionary_crosscheck((1,), (1, 1, 0, 0), 1, FMT_D4) == (
+        "top_u maps to {'u': 0, 'x1': 2, 'y1': 2, 'z1': -5}, BGG term {'u': 0, 'x1': 2, 'y1': 2, 'z1': -4}"
+    )
 
 
 def test_rspec_component_degree_one_weights():
