@@ -352,12 +352,13 @@ def _complex_payload(complex_, zero: bool, seed: int) -> Dict:
     """Compositions (`zero` if every d.d vanishes), seeded ranks, fixture
     and verdict of a built complex."""
     rk = complexes.be_rank_check(complex_, seed=seed)
+    ranks_ok = rk.ranks == complex_.fmt.r
     return {
         "compositions_zero": zero,
         "ranks": list(rk.ranks),
-        "ranks_ok": rk.ok,
+        "ranks_ok": ranks_ok,
         "fixture": complexes.complex_to_json(complex_),
-        "ok": zero and rk.ok,
+        "ok": zero and ranks_ok,
     }
 
 
@@ -392,11 +393,11 @@ def text_verify_thm112(pl: Dict, args) -> List[str]:
 
 
 def cmd_verify_monomial(args) -> Dict:
-    res = complexes.monomial_complex(args.t)
+    cx = complexes.monomial_complex(args.t)
     return {
         "t": args.t,
-        "generators": [str(g) for g in res.ideal_generators],
-        **_complex_payload(res.complex, not complexes.verify_complex(res.complex), args.seed),
+        "generators": [str(g) for g in cx.d(1).data[0]],
+        **_complex_payload(cx, not complexes.verify_complex(cx), args.seed),
     }
 
 
@@ -412,8 +413,8 @@ def text_verify_monomial(pl: Dict, args) -> List[str]:
 def cmd_verify_d4(args) -> Dict:
     rep = complexes.d4_relation_check()
     return {
-        "ok": rep.ok,
-        "normalization": rep.normalization,
+        "ok": rep.lhs == rep.pfaffian and rep.rhs == rep.pfaffian,
+        "normalization": dict(complexes.D4_NORMALIZATION),
         "lhs": str(rep.lhs),
         "rhs": str(rep.rhs),
         "pfaffian": str(rep.pfaffian),

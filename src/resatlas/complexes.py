@@ -12,8 +12,9 @@ its fact holds, and otherwise what broke.  `verify_complex` returns its
 nonzero composition entries (an empty tuple when there are none), and
 `be_multipliers` and `thm112_certificate` return None or the failure's
 detail.
-`be_rank_check` and `d4_relation_check` instead return the ranks and the
-relation's sides that the CLI prints, with their verdict.
+`be_rank_check` and `d4_relation_check` instead return what the CLI
+prints, the ranks at a point and the relation's sides, for the caller to
+compare with the expected ranks and the Pfaffian.
 """
 
 from __future__ import annotations
@@ -106,7 +107,6 @@ def koszul_complex() -> FreeComplex:
 
 
 class RankReport(NamedTuple):
-    ok: bool
     ranks: Tuple[int, ...]
     spec: FreeComplex  # the complex at the last point tried
 
@@ -115,14 +115,14 @@ def be_rank_check(complex_: FreeComplex, seed: int) -> RankReport:
     """At a seeded integer point, every differential has its expected rank
     r_i.  Up to 50 points, seeded seed * 1000 + attempt, are tried in turn
     until the ranks of all differentials equal (r_1, ..., r_n); otherwise
-    the report is not ok and carries the last point's ranks."""
+    the report carries the last point's ranks."""
     names = exact.variables(e for d in complex_.differentials for row in d.data for e in row)
     for attempt in range(50):
         spec = complex_.substitute(seeded_random_point(seed * 1000 + attempt, names))
         ranks = tuple(m.rank() for m in spec.differentials)
         if ranks == complex_.fmt.r:
-            return RankReport(ok=True, ranks=ranks, spec=spec)
-    return RankReport(ok=False, ranks=ranks, spec=spec)
+            break
+    return RankReport(ranks=ranks, spec=spec)
 
 
 def complex_to_json(complex_: FreeComplex) -> Dict:
@@ -177,7 +177,7 @@ def be_multipliers(complex_: FreeComplex, seed: int) -> Optional[str]:
     """
     fmt = complex_.fmt
     rk = be_rank_check(complex_, seed)
-    if not rk.ok:
+    if rk.ranks != fmt.r:
         return f"no seeded point of full rank: ranks {rk.ranks}, expected {fmt.r}"
     mats = rk.spec.differentials
     a: List[Dict[Tuple[int, ...], int]] = []
@@ -342,13 +342,9 @@ def _thm112_failures(res: Thm112Result):
 # ---------------------------------------------------------------------------
 
 
-class MonomialResult(NamedTuple):
-    complex: FreeComplex
-    ideal_generators: Tuple[MPoly, ...]
-
-
-def monomial_complex(t: int) -> MonomialResult:
-    """The format (1, 2t, 2t, 1) monomial complex on variables X_1..X_{2t}:
+def monomial_complex(t: int) -> FreeComplex:
+    """The format (1, 2t, 2t, 1) monomial complex on variables X_1..X_{2t},
+    whose d_1 row holds the ideal's generators:
 
     d_3 = (X_{2t}, X_1, ..., X_{2t-1})^T,
     d_2 two-diagonal cyclic: (d_2)_{i,i} = X_{i-2 mod 2t},
@@ -386,14 +382,12 @@ def monomial_complex(t: int) -> MonomialResult:
                 prod = prod * X[k]
         ps.append(prod)
     d1 = ExactMatrix([ps])
-    fmt = derive_ranks([1, m, m, 1])
-    cx = FreeComplex(
-        fmt=fmt,
+    return FreeComplex(
+        fmt=derive_ranks([1, m, m, 1]),
         differentials=[d1, d2, d3],
         variables=names,
         label=f"monomial(t={t})",
     )
-    return MonomialResult(complex=cx, ideal_generators=tuple(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +452,18 @@ D4_NORMALIZATION = {"eps_c": 1, "eps_p": 1, "eps_v": 1, "eps_split": -1}
 
 
 class D4RelationReport(NamedTuple):
-    ok: bool
-    normalization: Dict[str, int]
     lhs: MPoly
     rhs: MPoly
     pfaffian: MPoly
 
 
 def d4_relation_check() -> D4RelationReport:
-    """Both sides of the quadratic relation
+    """The two sides of the quadratic relation
     (v_2)_4 (d_2)_{1,1} = p^4_{23} c^1_4 - p^4_{24} c^1_3 + p^4_{34} c^1_2
-    equal the Pfaffian, under the fixed sign normalization
+    and the Pfaffian, under the fixed sign normalization
     `D4_NORMALIZATION`: eps_c on c-extractions, eps_p on p-extractions,
-    eps_v on v_2, and eps_split on c-extractions involving e_4.
+    eps_v on v_2, and eps_split on c-extractions involving e_4.  The
+    relation holds when both sides equal the Pfaffian.
     """
     model = d4_split_model()
     eps = D4_NORMALIZATION
@@ -481,10 +474,7 @@ def d4_relation_check() -> D4RelationReport:
     }
     lhs = eps["eps_v"] * model.v2[3] * MPoly.coerce(model.d2.data[0][0])
     rhs = eps["eps_p"] * (p[(2, 3)] * c[4] - p[(2, 4)] * c[3] + p[(3, 4)] * c[2])
-    pf = model.pfaffian
-    return D4RelationReport(
-        ok=lhs == pf and rhs == pf, normalization=dict(eps), lhs=lhs, rhs=rhs, pfaffian=pf
-    )
+    return D4RelationReport(lhs=lhs, rhs=rhs, pfaffian=model.pfaffian)
 
 
 # ---------------------------------------------------------------------------

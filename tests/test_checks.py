@@ -63,16 +63,21 @@ def test_generic_family_catches_a_broken_skew_pattern(monkeypatch):
 
 
 def test_monomial_family_catches_a_wrong_generator_degree(monkeypatch):
+    # Every generator times X_1: the compositions still vanish and the ranks
+    # stay (1, 2t - 1, 1), so only the degree leg can fail.
     build = complexes.monomial_complex
 
-    def extra_factor(t):
-        res = build(t)
-        gens = res.ideal_generators
-        x1 = res.complex.d(3).data[1][0]  # d_3 = (X_2t, X_1, ..., X_2t-1)^T
-        return res._replace(ideal_generators=(gens[0] * x1,) + gens[1:])
+    def times_x1(t):
+        cx = build(t)
+        x1 = cx.d(3).data[1][0]  # d_3 = (X_2t, X_1, ..., X_2t-1)^T
+        d1 = ExactMatrix([[g * x1 for g in cx.d(1).data[0]]])
+        return FreeComplex(cx.fmt, [d1, cx.d(2), cx.d(3)], cx.variables, cx.label)
 
-    monkeypatch.setattr(complexes, "monomial_complex", extra_factor)
-    with pytest.raises(CheckFailed, match=r"monomial family t=2: generator .* not of degree 2"):
+    broken = times_x1(2)
+    assert complexes.verify_complex(broken) == ()
+    assert complexes.be_rank_check(broken, seed=3).ranks == (1, 3, 1)
+    monkeypatch.setattr(complexes, "monomial_complex", times_x1)
+    with pytest.raises(CheckFailed, match=re.escape("monomial family t=2: generator X1^2*X2 not of degree 2")):
         run_check("monomial-family")
 
 
@@ -91,17 +96,42 @@ def test_families_name_the_entry_of_a_nonzero_composition(monkeypatch, check, bu
     build = getattr(complexes, builder)
 
     def one_added_to_d3(arg):
+        # The monomial builder returns the complex, the generic one a
+        # record that holds it.
         res = build(arg)
-        d1, d2, d3 = res.complex.differentials
+        cx = res if isinstance(res, FreeComplex) else res.complex
+        d1, d2, d3 = cx.differentials
         data = [list(row) for row in d3.data]
         data[0][0] = data[0][0] + 1
-        cx = res.complex
         broken = FreeComplex(cx.fmt, [d1, d2, ExactMatrix(data)], cx.variables, cx.label)
-        return res._replace(complex=broken)
+        return broken if res is cx else res._replace(complex=broken)
 
     monkeypatch.setattr(complexes, builder, one_added_to_d3)
     with pytest.raises(CheckFailed, match=re.escape(message)):
         run_check(check)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("generic-family", "generic family r3=1: ranks (0, 0, 0), expected (1, 2, 1)"),
+        ("monomial-family", "monomial family t=2: ranks (0, 0, 0), expected (1, 3, 1)"),
+    ],
+    ids=["generic-family", "monomial-family"],
+)
+def test_families_catch_ranks_below_the_format(monkeypatch, check, message):
+    monkeypatch.setattr(complexes, "seeded_random_point", lambda seed, names: {v: 0 for v in names})
+    with pytest.raises(CheckFailed, match=re.escape(message)):
+        run_check(check)
+
+
+def test_d4_relation_catches_a_pfaffian_other_than_the_papers(monkeypatch):
+    # Both sides equal this "Pfaffian", so only the string leg can fail.
+    m = complexes.d4_split_model()
+    wrong = m.b[(1, 2)] * m.b[(3, 4)]
+    monkeypatch.setattr(complexes, "d4_relation_check", lambda: complexes.D4RelationReport(wrong, wrong, wrong))
+    with pytest.raises(CheckFailed, match=re.escape("split D4: lhs b12*b34, rhs b12*b34, Pfaffian b12*b34")):
+        run_check("d4-relation")
 
 
 def test_d4_relation_catches_a_negated_product_entry(monkeypatch):
@@ -187,7 +217,7 @@ def test_defect_dims_catch_a_wrong_closed_formula(monkeypatch):
 
 
 def test_defect_dims_build_one_root_supply_per_graph(monkeypatch):
-    # The comparison and the level recount read the same supply.
+    # `defect_graded_dims` sums the one supply built for each graph.
     graphs = []
     supply = kacmoody.root_multiplicities
 

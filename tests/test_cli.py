@@ -147,6 +147,12 @@ def test_verify_commands(capsys):
 
 
 D4_RELATION = complexes.d4_relation_check
+RANK_CHECK = complexes.be_rank_check
+
+
+def d4_relation_with_rhs_negated():
+    rep = D4_RELATION()
+    return rep._replace(rhs=-rep.rhs)
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -175,12 +181,17 @@ D4_RELATION = complexes.d4_relation_check
             complexes, "verify_complex", lambda complex_: ((1, 0, 0, "x"),), "FAIL", "ok",
         ),
         (
+            ("verify-monomial", "--t", "2"),
+            complexes, "be_rank_check",
+            lambda complex_, seed: RANK_CHECK(complex_, seed)._replace(ranks=(1, 2, 1)),
+            "  seeded ranks (1, 2, 1) (expected (1, 3, 1)): False", "ranks_ok",
+        ),
+        (
             ("verify-d4",),
-            complexes, "d4_relation_check", lambda: D4_RELATION()._replace(ok=False),
-            "FAIL", "ok",
+            complexes, "d4_relation_check", d4_relation_with_rhs_negated, "FAIL", "ok",
         ),
     ],
-    ids=["bgg-check", "kstar-check", "verify-thm112", "verify-monomial", "verify-d4"],
+    ids=["bgg-check", "kstar-check", "verify-thm112", "verify-monomial", "verify-monomial-ranks", "verify-d4"],
 )
 def test_a_false_verdict_exits_1(capsys, monkeypatch, argv, module, name, fake, line, key, as_json):
     monkeypatch.setattr(module, name, fake)

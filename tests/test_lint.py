@@ -6,7 +6,9 @@ private bases included, or of a dataclass) is read somewhere in the
 package as an attribute, no module-level public
 function is a generator (the benchmark's tracer wraps every public function
 of a layer module, and on a generator it would time only the generator's
-creation, not the work done as it is consumed).  The package's `__init__`
+creation, not the work done as it is consumed).  No NamedTuple declares a
+field named `ok`: a stored verdict restates a comparison that its caller
+makes.  The package's `__init__`
 binds no names: it re-exports nothing.  No module imports anything from
 `fractions`: the exact kernel's points, entries, determinants and ranks,
 the signature's diagonal pairs and the dimension quotients are all ints.
@@ -165,6 +167,44 @@ def unread_fields(src=SRC):
 
 def test_every_record_field_is_read():
     assert unread_fields() == []
+
+
+def ok_fields(src=SRC):
+    """`file:line` of each field named `ok` that a NamedTuple class of the
+    package declares, at any depth."""
+    return [
+        f"{path.name}:{item.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and any(_named(b, "NamedTuple") for b in node.bases)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id == "ok"
+    ]
+
+
+def test_no_record_stores_a_verdict():
+    assert ok_fields() == []
+
+
+def test_verdict_field_lint_flags_an_ok_field_by_line(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import typing\n"
+        "from typing import NamedTuple\n"
+        "\n"
+        "class Report(NamedTuple):\n"
+        "    ranks: tuple\n"
+        "    ok: bool\n"
+        "\n"
+        "class Plain:\n"
+        "    ok: bool\n"
+        "\n"
+        "def build():\n"
+        "    class Inner(typing.NamedTuple):\n"
+        "        ok: bool = True\n"
+        "    ok = True\n"
+        "    return Inner(ok)\n"
+    )
+    assert ok_fields(tmp_path) == ["mod.py:6", "mod.py:13"]
 
 
 def test_field_lint_flags_an_unread_field(tmp_path):
@@ -357,14 +397,6 @@ def private_reads(tree, module):
             if any(alias.name.startswith("_") for alias in node.names):
                 lines.append(node.lineno)
     return sorted(lines)
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SRC.glob("*.py")) if p.stem != "exact"], ids=lambda p: p.stem
-)
-def test_only_exact_reads_its_registry_and_private_names(path):
-    lines = private_reads(ast.parse(path.read_text(), filename=str(path)), "exact")
-    assert lines == [], f"{path.name}: reads exact's private names at lines {lines}"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)

@@ -199,10 +199,14 @@ def test_kstar_terms_structure():
 
 
 def test_kstar_top_s_present_when_r3_ge_2():
+    # By hand, with r = (1, 4, 2) and t = 1: s = sigma_1 + 1 - sigma_2 = 3,
+    # and top_s = (sigma_1 + t, sigma_2 + s; tau_1 + t + s, ...,
+    # tau_{r1+1} + t + s, rest) = (4, 4; 6, 6, 1, 1, 0).
     fmt = derive_ranks([1, 5, 6, 2])
+    assert fmt.r == (1, 4, 2)
     ks = kstar_terms((3, 1), (2, 2, 1, 1, 0), 1, fmt)
-    assert ks.top_s is not None
-    assert ks.s == 3 + 1 - 1
+    assert ks.s == 3
+    assert ks.top_s == ((4, 4), (6, 6, 1, 1, 0))
 
 
 def test_dictionary_crosscheck_random():
