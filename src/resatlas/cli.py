@@ -135,7 +135,7 @@ def cmd_analyze(args) -> Dict:
         "noetherian": formats.noetherian_generic_ring(fmt),
         "defect_dims": list(defect.dims),
         "defect_total": defect.total,
-        "defect_exhaustive": defect.exhaustive,
+        "defect_exhaustive": defect.total is not None,
         "generator_families": [
             {**_family_json(g), "count": len(g.members)} for g in rings.semigroup_generators(fmt)
         ],
@@ -199,7 +199,7 @@ def cmd_defect(args) -> Dict:
         "pqr": list(args.pqr),
         "dims": list(defect.dims),
         "total": defect.total,
-        "exhaustive": defect.exhaustive,
+        "exhaustive": defect.total is not None,
     }
 
 
@@ -264,7 +264,7 @@ def cmd_ra_decompose(args) -> Dict:
         "cutoff": args.cutoff,
         "count": len(comps),
         "components": [
-            {"mu": _mu_json(mu), "weights": [list(w) for w in quad.weights]}
+            {"mu": _mu_json(mu), "weights": [list(w) for w in quad]}
             for mu, quad in comps
         ],
     }

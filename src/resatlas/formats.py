@@ -16,8 +16,11 @@ class ResolutionFormat(NamedTuple):
     f: Tuple[int, ...]          # (f_0, ..., f_n)
     r: Tuple[int, ...]          # (r_1, ..., r_n)
     r0: int
-    valid: bool
     diagnosis: Optional[str]
+
+    @property
+    def valid(self) -> bool:
+        return self.diagnosis is None
 
     @property
     def n(self) -> int:
@@ -52,7 +55,7 @@ def derive_ranks(f: Sequence[int]) -> ResolutionFormat:
             break
     if diagnosis is None and r0 < 0:
         diagnosis = f"r_0 = {r0} < 0"
-    return ResolutionFormat(f=f, r=r, r0=r0, valid=diagnosis is None, diagnosis=diagnosis)
+    return ResolutionFormat(f=f, r=r, r0=r0, diagnosis=diagnosis)
 
 
 class TpqrClass(NamedTuple):

@@ -591,8 +591,7 @@ def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
 
 class DefectDims(NamedTuple):
     dims: Tuple[int, ...]        # dims[m-1] = dim L_m
-    total: Optional[int]         # total dim L (finite type only)
-    exhaustive: bool
+    total: Optional[int]         # total dim L; None unless the supply is exhaustive
 
 
 def defect_graded_dims(
@@ -612,9 +611,7 @@ def defect_graded_dims(
             total += mult
             if m <= m_max:
                 dims[m] += mult
-    return DefectDims(
-        dims=tuple(dims[1:]), total=total if exhaustive else None, exhaustive=exhaustive
-    )
+    return DefectDims(dims=tuple(dims[1:]), total=total if exhaustive else None)
 
 
 # ---------------------------------------------------------------------------

@@ -60,20 +60,8 @@ class GLWeightQuadruple(NamedTuple):
     w0: Weight
 
     @property
-    def weights(self) -> Tuple[Weight, Weight, Weight, Weight]:
-        return (self.w3, self.w2, self.w1, self.w0)
-
-    @property
     def dominant(self) -> bool:
-        return all(is_dominant(w) for w in self.weights)
-
-    @property
-    def even(self) -> Tuple[Weight, Weight]:
-        return (self.w0, self.w2)
-
-    @property
-    def odd(self) -> Tuple[Weight, Weight]:
-        return (self.w1, self.w3)
+        return all(map(is_dominant, self))
 
 
 def ra_component(mu: MuIndex, fmt: ResolutionFormat) -> GLWeightQuadruple:
@@ -105,7 +93,7 @@ def ra_component(mu: MuIndex, fmt: ResolutionFormat) -> GLWeightQuadruple:
     if quad.dominant != (a >= 0):
         raise AssertionError(
             f"{tuple(fmt.f)} R_a component of {mu}: dominance {quad.dominant} "
-            f"disagrees with a = {a} >= 0 ({quad.weights})"
+            f"disagrees with a = {a} >= 0 ({tuple(quad)})"
         )
     return quad
 
@@ -190,9 +178,9 @@ def ra_enumerate(
     # Every mu has a >= 0, so `ra_component` has checked that q is dominant.
     out = [(mu, q) for mu, q in quads if mu.a - mu.b + mu.c >= 0]
     for what, keys in (
-        ("weight quadruple", [q.weights for _, q in out]),
-        ("even projection (F_0, F_2)", [q.even for _, q in out]),
-        ("odd projection (F_1, F_3)", [q.odd for _, q in out]),
+        ("weight quadruple", [tuple(q) for _, q in out]),
+        ("even projection (F_0, F_2)", [(q.w0, q.w2) for _, q in out]),
+        ("odd projection (F_1, F_3)", [(q.w1, q.w3) for _, q in out]),
     ):
         if len(set(keys)) != len(keys):
             dup = next(k for k in keys if keys.count(k) > 1)
@@ -241,10 +229,9 @@ def lambda_from_sigma_tau(
 def rspec_component(mu: MuIndex, fmt: ResolutionFormat) -> RspecComponent:
     """The (sigma, tau) weights and the T_{p,q,r} weight lambda of the
     special-fiber component indexed by mu (requires a >= 0)."""
-    _check_mu(mu, fmt)
+    quad = ra_component(mu, fmt)
     if mu.a < 0:
         raise ValueError("membership requires a >= 0")
-    quad = ra_component(mu, fmt)
     sigma, tau = quad.w3, quad.w1
     graph = TpqrGraph(*fmt.pqr)
     # The z-arm reads the dual of w_3.
@@ -371,7 +358,6 @@ class KStarComplex(NamedTuple):
     top_s: Optional[Tuple[Weight, Weight]]
     s: int
     u: int
-    t: int
 
 
 def kstar_terms(
@@ -419,7 +405,7 @@ def kstar_terms(
     else:
         s = sigma[0] + 1  # formal value; the summand itself collapses
         top_s = None
-    return KStarComplex(bottom=bottom, middle=middle, top_u=top_u, top_s=top_s, s=s, u=u, t=t)
+    return KStarComplex(bottom=bottom, middle=middle, top_u=top_u, top_s=top_s, s=s, u=u)
 
 
 def dictionary_crosscheck(

@@ -216,6 +216,17 @@ def test_defect_dims_catch_a_wrong_closed_formula(monkeypatch):
         run_check("defect-dims")
 
 
+def test_defect_dims_catch_a_supply_that_is_not_exhaustive(monkeypatch):
+    # The right dims from a supply marked truncated: no total, so not exhaustive.
+    supply = kacmoody.root_multiplicities
+    monkeypatch.setattr(kacmoody, "root_multiplicities", lambda graph: (supply(graph)[0], False))
+    with pytest.raises(CheckFailed, match=re.escape(
+        "(2, 2, 2): defect dims [6, 0, 0, 0, 0, 0] (exhaustive False, total None), "
+        "expected [6, 0, 0, 0, 0, 0]"
+    )):
+        run_check("defect-dims")
+
+
 def test_defect_dims_build_one_root_supply_per_graph(monkeypatch):
     # `defect_graded_dims` sums the one supply built for each graph.
     graphs = []

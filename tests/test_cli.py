@@ -121,6 +121,17 @@ def test_ra_decompose(capsys):
     code, out = run(capsys, "ra-decompose", "1", "4", "4", "1", "--cutoff", "4", "--json")
     payload = json.loads(out)
     assert code == 0 and payload["count"] == 67
+    # All four weights, by hand from `rings.ra_component` on r = (1, 3, 1),
+    # r0 = 0: mu c = 1 has A = 1, B = -1, so w3 = (1), w2 = (-1^4),
+    # w1 = (1^4), w0 = (-1).
+    code, out = run(capsys, "ra-decompose", "1", "4", "4", "1", "--cutoff", "1")
+    assert code == 0 and out == (
+        "R_a components of format (1, 4, 4, 1) up to degree 1: 4\n"
+        "  mu=(a=0,b=0,c=0,alpha=(),beta=(),gamma=())  F3..F0: (0,) (0, 0, 0, 0) (0, 0, 0, 0) (0,)\n"
+        "  mu=(a=0,b=0,c=0,alpha=(),beta=(1,),gamma=())  F3..F0: (0,) (1, 0, 0, 0) (0, 0, 0, -1) (0,)\n"
+        "  mu=(a=0,b=0,c=1,alpha=(),beta=(),gamma=())  F3..F0: (1,) (-1, -1, -1, -1) (1, 1, 1, 1) (-1,)\n"
+        "  mu=(a=1,b=0,c=0,alpha=(),beta=(),gamma=())  F3..F0: (1,) (0, 0, 0, -1) (0, 0, 0, 0) (0,)\n"
+    )
 
 
 def test_rspec(capsys):

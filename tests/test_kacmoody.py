@@ -1053,6 +1053,48 @@ def test_enumerate_ws_equals_the_test_on_every_element(pqr):
     assert len(enumerate_WS(g, SUFFIX_CASES[pqr][-1])[1]) == 1  # s_z1 alone
 
 
+def levels_below_length(graph, kept):
+    """Each kept (length, labels, drop) whose z_1 level, the z_1 coordinate of
+    its drop, is below its length, named by length, level and drop."""
+    return [
+        f"length {length}, level {drop[graph.z1]}, drop "
+        f"{ {k: v for k, v in graph.labels_as_dict(drop).items() if v} }"
+        for length, _, drop in kept
+        if drop[graph.z1] < length
+    ]
+
+
+@pytest.mark.parametrize(
+    "pqr", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 2, 4), (4, 2, 2), (3, 3, 2)],
+    ids=lambda v: "T%d%d%d" % v,
+)
+def test_ws_levels_are_at_least_the_length(pqr):
+    # The drop (lam + rho) - w(lam + rho) is a sum of l(w) roots beta > 0 with
+    # w^{-1} beta < 0, each times a coefficient >= 1.  w^{-1} keeps the
+    # simple roots of S positive, so no such beta lies in the Levi on S
+    # (Kostant; Lepowsky, J. Algebra 49, 1977), and each adds at least 1 to
+    # the z_1 level.  The lone length-1 element s_z1 has level lam_z1 + 1:
+    # equality at lam_z1 = 0.
+    g = TpqrGraph(*pqr)
+    top = len(root_multiplicities(g)[0])
+    lams = [(0,) * g.n, g.fundamental_weight(g.z1)]
+    if pqr != (3, 3, 2):
+        lams += [g.fundamental_weight(v) for v in range(g.n) if v != g.z1]
+        lams += [(1,) * g.n, tuple(2 * x for x in g.fundamental_weight(g.z1))]
+    for lam in lams:
+        grouped = enumerate_WS(g, top, lam)
+        assert levels_below_length(g, (e for v in grouped.values() for e in v)) == [], lam
+        assert [drop[g.z1] for _, _, drop in grouped[1]] == [lam[g.z1] + 1], lam
+
+
+def test_ws_level_bound_names_a_levi_element():
+    # s_u is in the Levi on S: length 1, level 0.
+    g = TpqrGraph(2, 2, 2)
+    kept = [e for v in enumerate_WS(g, 12).values() for e in v]
+    s_u = next(e for e in weyl_elements(g, 1) if e[2][g.u])
+    assert levels_below_length(g, kept + [s_u]) == ["length 1, level 0, drop {'u': 1}"]
+
+
 @pytest.mark.parametrize(
     "pqr, L, lengths", [((2, 2, 2), 12, 7), ((2, 3, 7), 4, 5)], ids=["D4", "T237"]
 )
@@ -1103,7 +1145,7 @@ def test_defect_dims_finite():
 
     assert dims(2, 2, 2).dims == (6, 0, 0, 0)
     d = dims(3, 3, 2)
-    assert d.dims == (20, 1, 0, 0) and d.total == 21 and d.exhaustive
+    assert d.dims == (20, 1, 0, 0) and d.total == 21
     assert dims(2, 2, 3).dims == (12, 1, 0, 0)
 
 
@@ -1123,7 +1165,6 @@ def test_defect_dims_are_the_level_sums_of_the_roots(pqr, H):
             want[coords[graph.z1] - 1] += m
     got = defect_graded_dims(graph, supply, m_max=m_max)
     assert got.dims == tuple(want) and want[-1] == 0
-    assert got.exhaustive == (H is None)
     assert got.total == (sum(want) if H is None else None)
     cut = defect_graded_dims(graph, supply, m_max=1)
     assert cut.dims == (want[0],) and cut.total == got.total
@@ -1132,7 +1173,7 @@ def test_defect_dims_are_the_level_sums_of_the_roots(pqr, H):
 def test_defect_dims_truncated_nonfinite():
     g = TpqrGraph(3, 3, 3)
     d = defect_graded_dims(g, root_multiplicities(g, 8), m_max=2)
-    assert not d.exhaustive and d.total is None
+    assert d.total is None
     assert d.dims[0] > 0
 
 

@@ -169,21 +169,24 @@ def test_every_record_field_is_read():
     assert unread_fields() == []
 
 
-def ok_fields(src=SRC):
-    """`file:line` of each field named `ok` that a NamedTuple class of the
-    package declares, at any depth."""
+VERDICT_FIELDS = {"ok", "valid", "exhaustive"}
+
+
+def verdict_fields(src=SRC):
+    """`file:line` of each field named `ok`, `valid` or `exhaustive` that a
+    NamedTuple class of the package declares, at any depth."""
     return [
         f"{path.name}:{item.lineno}"
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.ClassDef) and any(_named(b, "NamedTuple") for b in node.bases)
         for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id == "ok"
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.target.id in VERDICT_FIELDS
     ]
 
 
 def test_no_record_stores_a_verdict():
-    assert ok_fields() == []
+    assert verdict_fields() == []
 
 
 def test_verdict_field_lint_flags_an_ok_field_by_line(tmp_path):
@@ -197,6 +200,22 @@ def test_verdict_field_lint_flags_an_ok_field_by_line(tmp_path):
         "\n"
         "class Plain:\n"
         "    ok: bool\n"
+        "    valid: bool\n"
+        "\n"
+        "class Format(NamedTuple):\n"
+        "    diagnosis: str\n"
+        "    valid: bool\n"
+        "\n"
+        "class Derived(NamedTuple):\n"
+        "    diagnosis: str\n"
+        "\n"
+        "    @property\n"
+        "    def valid(self) -> bool:\n"
+        "        return self.diagnosis is None\n"
+        "\n"
+        "class Dims(typing.NamedTuple):\n"
+        "    total: int\n"
+        "    exhaustive: bool\n"
         "\n"
         "def build():\n"
         "    class Inner(typing.NamedTuple):\n"
@@ -204,7 +223,7 @@ def test_verdict_field_lint_flags_an_ok_field_by_line(tmp_path):
         "    ok = True\n"
         "    return Inner(ok)\n"
     )
-    assert ok_fields(tmp_path) == ["mod.py:6", "mod.py:13"]
+    assert verdict_fields(tmp_path) == ["mod.py:6", "mod.py:14", "mod.py:25", "mod.py:29"]
 
 
 def test_field_lint_flags_an_unread_field(tmp_path):

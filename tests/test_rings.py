@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -39,7 +40,7 @@ def in_rspec(mu, fmt):
 
 def test_ra_component_a1_anchor():
     quad = ra_component(MuIndex(a=1, b=0, c=0), FMT_D4)
-    assert quad.weights == ((1,), (0, 0, 0, -1), (0, 0, 0, 0), (0,))
+    assert tuple(quad) == ((1,), (0, 0, 0, -1), (0, 0, 0, 0), (0,))
     assert in_ra(MuIndex(a=1, b=0, c=0), FMT_D4)
 
 
@@ -81,6 +82,31 @@ def test_ra_enumeration_counts_and_injectivity():
     comps = ra_enumerate(FMT_D4, 4)  # internal asserts cover injectivity
     assert len(comps) == 67
     assert all(quad.dominant for _, quad in comps)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({}, "weight quadruple ((0,), (0, 0, 0, 0), (0, 0, 0, 0), (0,))"),
+        ({"w3": (1,), "w1": (1, 1, 1, 1)}, "even projection (F_0, F_2) ((0,), (0, 0, 0, 0))"),
+        ({"w0": (-1,)}, "odd projection (F_1, F_3) ((0, 0, 0, 0), (0,))"),
+    ],
+    ids=["quadruple", "even", "odd"],
+)
+def test_ra_enumerate_names_the_first_key_that_repeats(monkeypatch, changes, message):
+    # The second component is made the first with `changes`: the first key
+    # in the order quadruple, even, odd that then repeats is named.
+    component = rings.ra_component
+    first = component(MuIndex(a=0, b=0, c=0), FMT_D4)
+
+    def second_from_first(mu, fmt):
+        return first._replace(**changes) if mu.beta == (1,) else component(mu, fmt)
+
+    monkeypatch.setattr(rings, "ra_component", second_from_first)
+    with pytest.raises(AssertionError, match=re.escape(
+        f"(1, 4, 4, 1) R_a to degree 1: {message} occurs twice"
+    )):
+        ra_enumerate(FMT_D4, 1)
 
 
 def test_mu_enumerate_deterministic():
