@@ -15,7 +15,7 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -79,35 +79,39 @@ def _leaves_first(adjacency: Sequence[Sequence[int]], last: Optional[int] = None
 
 
 def _reflect_into(
-    out: Dict[Labels, Coords], i: int, adj: Sequence[int], elems: Collection[Tuple[Labels, Coords]]
+    out: Dict[Labels, int], i: int, adj: Sequence[int], unit: int,
+    elems: Collection[Tuple[Labels, int]],
 ) -> int:
-    """Put s_i w into `out` for each (labels, drop) of w in `elems`, label i
-    positive, and return how many were built."""
-    for labels, drop in elems:
+    """Put s_i w into `out` for each (labels, value) of w in `elems`, label i
+    positive, its value raised by label i times `unit`, and return how many
+    were built."""
+    for labels, value in elems:
         li = labels[i]
         new = list(labels)
         new[i] = -li
         for j in adj:
             new[j] += li
-        d = list(drop)
-        d[i] += li
-        out[tuple(new)] = tuple(d)
+        out[tuple(new)] = value + li * unit
     return len(elems)
 
 
 def _weyl_walk(
     adjacency: Sequence[Sequence[int]],
     top: Sequence[int],
-    max_height: Optional[int] = None,
+    units: Sequence[int],
+    bound: Optional[int] = None,
     last: Optional[int] = None,
-) -> Iterator[Dict[Labels, Coords]]:
-    """The Weyl group by length: layer k maps the labels of w(top) to the
-    drop top - w(top) in root coordinates, over the w of length k.  Every
-    label of `top` must be >= 1 (else ValueError naming the position and
-    the label), so w(top) determines w, and s_i w is longer than w exactly
-    when label i of w(top) is positive (Björner–Brenti, *Combinatorics of
-    Coxeter Groups*, §1.6, §2.4): s_i then negates that label l_i, adds it
-    to the labels of the neighbours of i and adds it to drop i.
+) -> Iterator[Dict[Labels, int]]:
+    """The Weyl group by length: layer k maps the labels of w(top) to one
+    int, over the w of length k.  Every label of `top` must be >= 1 (else
+    ValueError naming the position and the label), so w(top) determines w,
+    and s_i w is longer than w exactly when label i of w(top) is positive
+    (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4): s_i
+    then negates that label l_i and adds it to the labels of the neighbours
+    of i.  The drop top - w(top) in root coordinates rises by l_i at i, and
+    the int is sum d_i units[i] over that drop d, so the caller chooses
+    what it keeps of the drop: all of it, packed, or nothing, with every
+    unit 0.  No drop tuple is built.
 
     The vertices are taken in the order of `_leaves_first(adjacency, last)`,
     which ends with `last` (by default u on T_{p,q,r}), and "before",
@@ -124,11 +128,12 @@ def _weyl_walk(
     branch, or has its first negative label at a neighbour f of d before d
     that l_d lifts back above 0, so d is in the second.  So layer k + 1 is
     reached from layer k alone, and since the parent's drop is at most the
-    child's in every coordinate, leaving out the w with ht(drop) >
-    `max_height` is exact.  The proof holds for any total order; in this
-    one every vertex of a tree but the last has a single later neighbour,
-    its parent, so the second branch runs about once per element where
-    index order ran it about twice.
+    child's in every coordinate, a parent's int is at most its child's when
+    every unit is >= 0, and leaving out the w whose int exceeds `bound` is
+    exact.  The proof holds for any total order; in this one every vertex
+    of a tree but the last has a single later neighbour, its parent, so the
+    second branch runs about once per element where index order ran it
+    about twice.
 
     Each layer is held as one dict per first descent, with the identity
     after the last vertex, and the yielded layer merges them in that order,
@@ -155,39 +160,41 @@ def _weyl_walk(
     for f, v in enumerate(order):
         after = sorted(k for k in map(place.__getitem__, adjacency[v]) if k > f)
         later.append([(order[k], k, order[f + 1 : k]) for k in after])
-    groups: List[Dict[Labels, Coords]] = [{} for _ in range(n)] + [{tuple(top): (0,) * n}]
+    groups: List[Dict[Labels, int]] = [{} for _ in range(n)] + [{tuple(top): 0}]
     while True:
-        layer: Dict[Labels, Coords] = {}
+        layer: Dict[Labels, int] = {}
         for group in groups:
             layer.update(group)
         if not layer:
             return
         yield layer
-        nxt: List[Dict[Labels, Coords]] = [{} for _ in range(n + 1)]
+        nxt: List[Dict[Labels, int]] = [{} for _ in range(n + 1)]
         built = 0
         for k, i in enumerate(order):
+            unit = units[i]
             for group in groups[k + 1 :]:
                 kids = group.items()
-                if max_height is not None:
-                    kids = [e for e in kids if sum(e[1]) + e[0][i] <= max_height]
-                built += _reflect_into(nxt[k], i, adjacency[i], kids)
+                if bound is not None:
+                    kids = [e for e in kids if e[1] + e[0][i] * unit <= bound]
+                built += _reflect_into(nxt[k], i, adjacency[i], unit, kids)
         for f, group, ascents in zip(order, groups, later):
             for i, k, between in ascents:
                 near_i = near[i]
+                unit = units[i]
                 kids = []
                 for e in group.items():
                     labels = e[0]
                     li = labels[i]
                     if li <= 0 or labels[f] + li <= 0:
                         continue
-                    if max_height is not None and sum(e[1]) + li > max_height:
+                    if bound is not None and e[1] + li * unit > bound:
                         continue
                     for j in between:
                         if labels[j] < 0 and (j not in near_i or labels[j] + li <= 0):
                             break
                     else:
                         kids.append(e)
-                built += _reflect_into(nxt[k], i, adjacency[i], kids)
+                built += _reflect_into(nxt[k], i, adjacency[i], unit, kids)
         size = sum(map(len, nxt))
         if built != size:
             raise RuntimeError(f"{built} builds for a layer of {size} elements")
@@ -204,16 +211,30 @@ def root_labels(A: Sequence[Sequence[int]], coords: Sequence[int]) -> Labels:
 # ---------------------------------------------------------------------------
 
 
-def _check_cartan(A: Sequence[Sequence[int]], off_ok: Callable[[int], bool], off: str) -> None:
-    """Raise ValueError naming the first entry of A that breaks its symmetry,
-    is not 2 on the diagonal, or off it fails `off_ok`, which `off` names."""
+def _check_cartan(A: Sequence[Sequence[int]], lowest: Optional[int], off: str) -> None:
+    """Raise ValueError naming the first entry of A, row by row, that breaks
+    its symmetry, is not 2 on the diagonal, or off it is not in [lowest, 0]
+    (unbounded below if `lowest` is None), which `off` names.  The test runs
+    on whole rows and on the entries off the diagonal at once; only a
+    matrix that fails it is scanned entry by entry for the message."""
     n = len(A)
+    rows = list(map(tuple, A))
+    flat = list(chain.from_iterable(rows))
+    rest = flat[:]
+    del rest[:: n + 1]  # the diagonal of a square matrix
+    if (
+        list(zip(*rows)) == rows
+        and flat[:: n + 1] == [2] * n
+        and (not rest or max(rest) <= 0 and (lowest is None or min(rest) >= lowest))
+    ):
+        return
     for i in range(n):
         for j in range(n):
-            if A[i][j] != A[j][i]:
-                raise ValueError(f"A[{i}][{j}] = {A[i][j]} but A[{j}][{i}] = {A[j][i]}")
-            if i == j and A[i][i] != 2 or i != j and not off_ok(A[i][j]):
-                raise ValueError(f"A[{i}][{j}] = {A[i][j]}, not {2 if i == j else off}")
+            a = A[i][j]
+            if a != A[j][i]:
+                raise ValueError(f"A[{i}][{j}] = {a} but A[{j}][{i}] = {A[j][i]}")
+            if i == j and a != 2 or i != j and not (a <= 0 and (lowest is None or a >= lowest)):
+                raise ValueError(f"A[{i}][{j}] = {a}, not {2 if i == j else off}")
 
 
 def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
@@ -223,13 +244,25 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     any other symmetric A, or a diagonal entry other than 2, raises
     ValueError naming the entry.  Every label of rho is 1, so w(rho)
     determines w and no two elements share a drop: each count is
-    (-1)^l(w), and none cancels."""
-    _check_cartan(A, lambda a: a in (0, -1), "0 or -1")
+    (-1)^l(w), and none cancels.
+
+    The walk packs each drop into one int, a byte per coordinate and the
+    height in the byte above them, and its bound on that int is the height
+    cutoff.  No coordinate of a kept drop exceeds its height H, so H must be
+    below 256 (else ValueError naming H); each key is unpacked from its
+    bytes."""
+    if H >= 256:
+        raise ValueError(f"H = {H} does not fit the walk's one byte per coordinate; need H < 256")
+    _check_cartan(A, -1, "0 or -1")
     n = len(A)
     adjacency = [[j for j in range(n) if i != j and A[i][j] != 0] for i in range(n)]
+    scale = 256**n
+    units = [256**i + scale for i in range(n)]
     out: Dict[Coords, int] = {}
-    for length, layer in enumerate(_weyl_walk(adjacency, (1,) * n, H)):
-        out.update(dict.fromkeys(layer.values(), -1 if length % 2 else 1))
+    for length, layer in enumerate(_weyl_walk(adjacency, (1,) * n, units, (H + 1) * scale - 1)):
+        sign = -1 if length % 2 else 1
+        for v in layer.values():
+            out[tuple(v.to_bytes(n + 1, "little")[:n])] = sign
     return out
 
 
@@ -316,7 +349,7 @@ def roots_by_peterson(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int]:
     L = lcm(1..H).  Raises ArithmeticError naming the root if a division is
     inexact or a multiplicity comes out negative or non-integral.
     """
-    _check_cartan(A, lambda a: a <= 0, "<= 0")
+    _check_cartan(A, None, "<= 0")
     if H < 1:
         return {}
     n = len(A)
@@ -448,8 +481,8 @@ def verify_denominator_identity(
     it with the Weyl alternating sum, both truncated at height H.  Returns
     None if they agree, else the lowest drop where they differ, with the
     product's coefficient and the sum's.  Raises ValueError on a negative
-    multiplicity, and on an A that `weyl_denominator_sum` refuses: one that
-    is not symmetric with 2 on the diagonal and 0 or -1 off it."""
+    multiplicity, and on what `weyl_denominator_sum` refuses: an A that is
+    not symmetric with 2 on the diagonal and 0 or -1 off it, or H >= 256."""
     factors = [(beta, mults[beta]) for beta in sorted(mults, key=lambda b: (sum(b), b))]
     for beta, m in factors:
         if m < 0:
@@ -504,8 +537,20 @@ def levi_roots(graph: TpqrGraph) -> Dict[Coords, int]:
 # ---------------------------------------------------------------------------
 
 
-# (length, w(lam + rho), lam - w.lam in root coordinates)
-WeylElem = Tuple[int, Labels, Coords]
+# (length, w(lam + rho)) and, for W^S, (length, w(lam + rho), lam - w.lam
+# in root coordinates)
+WeylElem = Tuple[int, Labels]
+WSElem = Tuple[int, Labels, Coords]
+
+
+def _lam_rho(graph: TpqrGraph, lam: Optional[Labels]) -> Labels:
+    """lam + rho (lam = 0 by default); ValueError naming the vertex if lam
+    is not dominant."""
+    top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
+    for name, x in zip(graph.vertex_names, top):
+        if x < 1:
+            raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
+    return top
 
 
 def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> List[WeylElem]:
@@ -519,29 +564,57 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
     does for rho.
 
-    Each element is the plain tuple (length, labels, drop): labels is
-    w(lam + rho) and drop is lam - w.lam in root coordinates.  It must stay
-    an exact tuple of ints and int tuples.  CPython's cyclic collector
-    untracks such a tuple at the first pass that finds its items untracked,
-    but never a tuple subclass such as a NamedTuple, so every later full
-    collection would rescan all the elements kept (2,903,040 on E7)."""
-    top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
-    for name, x in zip(graph.vertex_names, top):
-        if x < 1:
-            raise ValueError(f"lam has label {x - 1} < 0 at vertex {name}")
+    Each element is the plain tuple (length, labels), labels = w(lam + rho),
+    which determines w; the walk keeps no drop (every unit 0), and
+    `enumerate_WS` derives the drops of the few it keeps.  The record must
+    stay an exact tuple of an int and an int tuple.  CPython's cyclic
+    collector untracks such a tuple at the first pass that finds its items
+    untracked, but never a tuple subclass such as a NamedTuple, so every
+    later full collection would rescan all the elements kept (2,903,040 on
+    E7)."""
+    top = _lam_rho(graph, lam)
+    walk = _weyl_walk(graph.adjacency, top, (0,) * graph.n, last=graph.z1)
     out: List[WeylElem] = []
-    for length, layer in zip(range(L + 1), _weyl_walk(graph.adjacency, top, last=graph.z1)):
-        out += zip(repeat(length), layer, layer.values())
+    for length, layer in zip(range(L + 1), walk):
+        out += zip(repeat(length), layer)
     return out
+
+
+def _drop(adjacency: Sequence[Sequence[int]], top: Labels, labels: Labels, length: int) -> Coords:
+    """top - w(top) in root coordinates for the w of `length` with
+    w(top) = `labels`, from the labels alone.  While some label l_f is
+    negative, f is a descent of w (Björner–Brenti, §1.6): add -l_f to drop f
+    and apply s_f, which shortens w by one.  So `top` is reached in exactly
+    `length` steps; if it is not, or `labels` has the wrong size, the labels
+    are not those of an element of that length in the orbit of `top`, and
+    RuntimeError names them.  At most `length` steps are taken."""
+    if len(labels) != len(top):
+        raise RuntimeError(f"labels {labels} have {len(labels)} entries, not {len(top)}")
+    cur = list(labels)
+    drop = [0] * len(top)
+    for _ in range(length):
+        f = next((f for f, x in enumerate(cur) if x < 0), None)
+        if f is None:
+            break
+        lf = cur[f]
+        drop[f] -= lf
+        cur[f] = -lf
+        for j in adjacency[f]:
+            cur[j] += lf
+    else:
+        if tuple(cur) == top:
+            return tuple(drop)
+    raise RuntimeError(f"labels {labels} do not descend to {top} in {length} steps")
 
 
 def enumerate_WS(
     graph: TpqrGraph, L: int, lam: Optional[Labels] = None
-) -> Dict[int, List[WeylElem]]:
+) -> Dict[int, List[WSElem]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
-    grouped by length, each the (length, labels, drop) tuple that
-    `weyl_elements` gives, sorted by labels within a length; a length with
-    no element has no key.
+    grouped by length, each the tuple (length, labels, drop): a record of
+    `weyl_elements` and its drop lam - w.lam = (lam + rho) - w(lam + rho)
+    in root coordinates, derived from the labels by `_drop`; sorted by
+    labels within a length; a length with no element has no key.
 
     Membership test: label j of w(lam + rho) is positive for every j in S,
     every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
@@ -555,18 +628,24 @@ def enumerate_WS(
     descent of w is z_1, the walk's last vertex, exactly when z_1 is its
     only negative label: the group of z_1 and the identity, which end each
     length, are that length's W^S.  Each length is found by bisection and
-    read back from its end to the first element that fails the test.
+    read back from its end to the first element that fails the test.  Only
+    the elements kept get a drop.
     """
+    top = _lam_rho(graph, lam)
+    adjacency = graph.adjacency
     on_S = itemgetter(*graph.S)  # S has at least two vertices
     elems = weyl_elements(graph, L, lam)
-    grouped: Dict[int, List[WeylElem]] = {}
+    grouped: Dict[int, List[WSElem]] = {}
     start = 0
     while start < len(elems):
         end = first = bisect_right(elems, elems[start][0], start, key=itemgetter(0))
         while first > start and min(on_S(elems[first - 1][1])) > 0:
             first -= 1
         if first < end:  # one length and distinct labels: sorted by labels
-            grouped[elems[start][0]] = sorted(elems[first:end])
+            grouped[elems[start][0]] = [
+                (length, labels, _drop(adjacency, top, labels, length))
+                for length, labels in sorted(elems[first:end])
+            ]
         start = end
     return grouped
 

@@ -8,8 +8,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, islice, permutations, repeat
-from math import gcd, prod
-from operator import add, gt, itemgetter, mul
+from math import gcd, lcm, prod
+from operator import add, gt, itemgetter, mul, sub
 from pathlib import Path
 
 import pytest
@@ -577,6 +577,54 @@ def test_the_denominator_sum_refuses_a_matrix_its_walk_cannot_reflect_with(A, en
         weyl_denominator_sum(A, 6)
 
 
+def test_the_denominator_sum_refuses_a_height_past_one_byte():
+    # Each drop coordinate is packed into one byte; H = 255 still fits.
+    A = tpqr_cartan_matrix(2, 2, 2)
+    with pytest.raises(ValueError, match=r"^H = 256 does not fit"):
+        weyl_denominator_sum(A, 256)
+    assert weyl_denominator_sum(A, 255) == weyl_denominator_sum(A, 30)
+    assert len(weyl_denominator_sum(A, 30)) == 192
+
+
+def cartan_entry_error(A, off_ok, off):
+    """The first entry of A, row by row, that `_check_cartan` names, as its
+    message, or None: the entry-by-entry oracle for its whole-matrix test."""
+    n = len(A)
+    for i in range(n):
+        for j in range(n):
+            if A[i][j] != A[j][i]:
+                return f"A[{i}][{j}] = {A[i][j]} but A[{j}][{i}] = {A[j][i]}"
+            if i == j and A[i][i] != 2 or i != j and not off_ok(A[i][j]):
+                return f"A[{i}][{j}] = {A[i][j]}, not {2 if i == j else off}"
+    return None
+
+
+def test_the_cartan_check_names_the_entry_the_scan_names():
+    # Random matrices near a Cartan matrix: mostly symmetric, a few entries
+    # changed, with the tuple rows that a caller may pass.
+    rng = random.Random(23)
+    rules = [(None, lambda a: a <= 0, "<= 0"), (-1, lambda a: a in (0, -1), "0 or -1")]
+    outcomes = Counter()
+    for case in range(600):
+        n = rng.randint(1, 6)
+        A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i, j in combinations(range(n), 2):
+            A[i][j] = A[j][i] = rng.choice([0, 0, -1, -1, -2, -3])
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            A[rng.randrange(n)][rng.randrange(n)] = rng.choice([-2, -1, 0, 1, 2, 3])
+        if rng.random() < 0.5:
+            A = [tuple(row) for row in A]
+        for lowest, off_ok, off in rules:
+            want = cartan_entry_error(A, off_ok, off)
+            if want is None:
+                kacmoody._check_cartan(A, lowest, off)
+            else:
+                with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+                    kacmoody._check_cartan(A, lowest, off)
+            outcomes[want is None] += 1
+    assert outcomes[True] > 200 and outcomes[False] > 200, outcomes
+
+
 def test_the_identity_refuses_affine_a1_rather_than_failing_it():
     # roots_by_peterson accepts A_1^(1); walking its -2 as -1 would make the
     # true identity read False.
@@ -629,7 +677,7 @@ def test_weyl_group_order_d4():
     g = TpqrGraph(2, 2, 2)
     elems = weyl_elements(g, 12)  # longest element has length 12
     assert len(elems) == 192
-    assert max(length for length, _, _ in elems) == 12
+    assert max(length for length, _ in elems) == 12
 
 
 def solve_coords(A, labels):
@@ -646,6 +694,27 @@ def solve_coords(A, labels):
                 for j in range(col, n + 1):
                     m[i][j] -= f * m[col][j]
     return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def inverse_map(A):
+    """x -> the k with A k = x, for an invertible A, on integer vectors: the
+    columns of A^{-1} from `solve_coords`, scaled by their common
+    denominator D once, so that each solve is integer sums and one exact
+    division by D (asserted)."""
+    n = len(A)
+    cols = [solve_coords(A, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    D = lcm(*(c.denominator for col in cols for c in col))
+    rows = [[int(cols[j][i] * D) for j in range(n)] for i in range(n)]
+
+    def solve(x):
+        out = []
+        for row in rows:
+            k, rem = divmod(sum(map(mul, row, x)), D)
+            assert rem == 0, (x, row)
+            out.append(k)
+        return tuple(out)
+
+    return solve
 
 
 def dot_walk(graph, word, labels):
@@ -679,17 +748,33 @@ def check_walk(g, word, lam):
 
 
 def walk_pairs(elems):
-    """(length, w.lam, drop) of each element, sorted."""
+    """(length, w.lam, drop) of each (length, labels, drop), sorted."""
     return sorted((length, tuple(x - 1 for x in labels), drop) for length, labels, drop in elems)
 
 
+def with_drops(graph, elems, lam, solve=None):
+    """Each (length, labels) record of `weyl_elements` from lam + rho with
+    its drop (lam + rho) - labels in root coordinates: by `solve`, a map
+    of that difference, if given, else derived from the labels by
+    `kacmoody._drop`, as `enumerate_WS` derives it."""
+    top = tuple(x + 1 for x in lam)
+    adjacency = graph.adjacency
+    return [
+        (length, labels, solve(tuple(map(sub, top, labels))) if solve
+         else kacmoody._drop(adjacency, top, labels, length))
+        for length, labels in elems
+    ]
+
+
 def test_walk_equals_the_word_replay_on_all_of_w_d4():
+    # Every drop of W is derived from its labels, and checked against the
+    # replay, which `check_walk` checks against `solve_coords`.
     g = TpqrGraph(2, 2, 2)
     words = [word for word, _, _ in weyl_elements_with_inverse_images(g, 12)]
     assert len(words) == 192
     for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.u)]:
         replayed = sorted((len(word),) + check_walk(g, word, lam) for word in words)
-        assert walk_pairs(weyl_elements(g, 12, lam)) == replayed
+        assert walk_pairs(with_drops(g, weyl_elements(g, 12, lam), lam)) == replayed
 
 
 def test_walk_equals_the_word_replay_on_ws_d5():
@@ -708,7 +793,12 @@ def test_walk_equals_the_word_replay_on_all_of_w_e6():
     words = [word for word, _, _ in weyl_elements_with_inverse_images(g, 36)]
     assert len(words) == 51840
     replayed = sorted((len(word),) + dot_walk(g, word, lam) for word in words)
-    assert walk_pairs(weyl_elements(g, 36, lam)) == replayed
+    drop = inverse_map(g.cartan)
+    assert walk_pairs(with_drops(g, weyl_elements(g, 36, lam), lam, drop)) == replayed
+    # The drops that `enumerate_WS` derives, on the 72 elements of W^S.
+    kept = [e for v in enumerate_WS(g, 36, lam).values() for e in v]
+    assert len(kept) == 72
+    assert kept == with_drops(g, [e[:2] for e in kept], lam, drop)
 
 
 @pytest.mark.parametrize(
@@ -732,6 +822,18 @@ def test_weyl_records_are_plain_tuples_the_collector_untracks(pqr, L, count):
         assert not any(map(gc.is_tracked, records))
 
 
+def test_weyl_elements_are_labels_only_and_untracked_after_collection():
+    # The record is (length, labels) and nothing more; see the test above
+    # for why two passes.
+    records = weyl_elements(TpqrGraph(2, 2, 2), 12)
+    assert len(records) == 192
+    assert {tuple(map(type, e)) for e in records} == {(int, tuple)}
+    if platform.python_implementation() == "CPython":
+        gc.collect()
+        gc.collect()
+        assert not any(gc.is_tracked(e) or gc.is_tracked(e[1]) for e in records)
+
+
 def test_weyl_elements_refuse_a_negative_lam():
     g = TpqrGraph(2, 2, 3)
     lam = tuple(-x for x in g.fundamental_weight(g.z(2)))
@@ -743,9 +845,11 @@ def test_weyl_elements_refuse_a_negative_lam():
 
 @pytest.mark.parametrize("pqr, H", [((2, 2, 2), 20), ((3, 3, 2), 30)], ids=["D4-H20", "E6-H30"])
 def test_weyl_denominator_sum_equals_the_length_walk_cut_by_height(pqr, H):
+    # The drop rho - w(rho) of each element of W, solved from its labels.
     g = TpqrGraph(*pqr)
+    elems = weyl_elements(g, len(root_multiplicities(g)[0]))
     signed = Counter()
-    for length, _, drop in weyl_elements(g, len(root_multiplicities(g)[0])):
+    for length, _, drop in with_drops(g, elems, (0,) * g.n, inverse_map(g.cartan)):
         if sum(drop) <= H:
             signed[drop] += -1 if length % 2 else 1
     assert weyl_denominator_sum(g.cartan, H) == {k: v for k, v in signed.items() if v}
@@ -782,6 +886,29 @@ def dedupe_walk(adjacency, top, max_height=None):
                 if new not in nxt:
                     nxt[new] = drop[:i] + (drop[i] + li,) + drop[i + 1 :]
         layer = nxt
+
+
+def packed_walk(adjacency, top, H=None, last=None):
+    """`_weyl_walk` with each drop packed into its int, base B = 2**32 per
+    coordinate and the height in the digit above them, each layer read back
+    as labels -> drop, with the height digit checked against the drop.
+    The bound (H + 1) B**n - 1 on that int keeps the drops of height <= H.
+    Without H, the walk with every unit 0, as `weyl_elements` walks, is
+    checked to give the same labels in the same order."""
+    n = len(top)
+    B = 2**32
+    units = [B**i + B**n for i in range(n)]
+    bound = None if H is None else (H + 1) * B**n - 1
+    bare = kacmoody._weyl_walk(adjacency, top, (0,) * n, None, last)
+    for layer in kacmoody._weyl_walk(adjacency, top, units, bound, last):
+        out = {}
+        for labels, v in layer.items():
+            drop = tuple(v // B**i % B for i in range(n))
+            assert v // B**n == sum(drop), (labels, v)
+            out[labels] = drop
+        if H is None:
+            assert list(next(bare)) == list(out)
+        yield out
 
 
 @pytest.mark.parametrize(
@@ -833,7 +960,7 @@ def test_the_walk_equals_the_dedupe_walk_layer_by_layer(pqr, lam, H, layers):
     assert kacmoody._leaves_first(adjacency, last)[-1] == last
     want = list(islice(dedupe_walk(adjacency, top, H), layers))
     for order_last in (None, last):
-        got = list(islice(kacmoody._weyl_walk(adjacency, top, H, order_last), layers))
+        got = list(islice(packed_walk(adjacency, top, H, order_last), layers))
         assert len(got) == len(want)
         for k, (a, b) in enumerate(zip(got, want)):
             assert a == b, (pqr, lam, H, order_last, k)
@@ -865,10 +992,10 @@ def test_the_walk_does_not_depend_on_the_vertex_numbering(pqr, lam, H):
         adjacency[sigma[v]] = sorted(sigma[j] for j in g.adjacency[v])
         moved[sigma[v]] = top[v]
     back = itemgetter(*sigma)
-    want = list(kacmoody._weyl_walk(g.adjacency, top, H))
+    want = list(packed_walk(g.adjacency, top, H))
     got = [
         {back(labels): back(drop) for labels, drop in layer.items()}
-        for layer in kacmoody._weyl_walk(adjacency, moved, H)
+        for layer in packed_walk(adjacency, moved, H)
     ]
     assert sorted(sigma) != sigma and sorted(sigma) == list(range(n))
     assert got == want
@@ -879,9 +1006,35 @@ def test_the_walk_refuses_a_top_with_a_label_below_one():
     # the labels before the first descent need not be positive.
     g = TpqrGraph(2, 2, 2)
     with pytest.raises(ValueError, match=r"top has label 0 < 1 at position 0"):
-        next(kacmoody._weyl_walk(g.adjacency, (0, 1, 1, 1)))
+        next(kacmoody._weyl_walk(g.adjacency, (0, 1, 1, 1), (0,) * 4))
     with pytest.raises(ValueError, match=r"top has label -2 < 1 at position 3"):
-        next(kacmoody._weyl_walk(g.adjacency, (1, 1, 1, -2), 5))
+        next(kacmoody._weyl_walk(g.adjacency, (1, 1, 1, -2), (1,) * 4, 5))
+
+
+def test_the_drop_derivation_refuses_labels_it_cannot_descend():
+    # rho on E6 is fixed by the diagram automorphism, so w_0 rho = -rho,
+    # at length 36, and rho - w_0 rho = 2 rho is the sum of the positive
+    # roots.  One step short or one too many, a changed label, a missing
+    # entry, or -rho on the hyperbolic T_{2,3,7}, outside the Tits cone,
+    # where descending never reaches rho: each raises after at most
+    # `length` steps.
+    g = TpqrGraph(3, 3, 2)
+    rho = g.rho()
+    minus = tuple(-x for x in rho)
+    roots = root_multiplicities(g)[0]
+    assert kacmoody._drop(g.adjacency, rho, minus, 36) == tuple(map(sum, zip(*roots)))
+    bad = [(minus, 35), (minus, 37), (rho, 1), ((1, 1, 1, 1, 1, 2), 0), (minus[:5], 36)]
+    for labels, length in bad:
+        with pytest.raises(RuntimeError, match=re.escape(f"labels {labels} ")):
+            kacmoody._drop(g.adjacency, rho, labels, length)
+    s_z1 = reflect(g, rho, g.z1)
+    assert kacmoody._drop(g.adjacency, rho, s_z1, 1) == tuple(int(j == g.z1) for j in range(g.n))
+    with pytest.raises(RuntimeError, match=re.escape(f"labels {s_z1} do not descend to {rho} in 2 steps")):
+        kacmoody._drop(g.adjacency, rho, s_z1, 2)
+    h = TpqrGraph(2, 3, 7)
+    minus = tuple(-x for x in h.rho())
+    with pytest.raises(RuntimeError, match=re.escape(f"labels {minus} do not descend")):
+        kacmoody._drop(h.adjacency, h.rho(), minus, 1000)
 
 
 def weyl_elements_with_inverse_images(graph, L):
@@ -936,9 +1089,7 @@ def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
     if L is None:
         L = len(root_multiplicities(g)[0])  # the length of the longest element
     oracle = weyl_elements_with_inverse_images(g, L)
-    assert sorted((length, labels) for length, labels, _ in weyl_elements(g, L)) == sorted(
-        (len(w), l) for w, l, _ in oracle
-    )
+    assert sorted(weyl_elements(g, L)) == sorted((len(w), l) for w, l, _ in oracle)
     for word, labels, inv in oracle:
         for j in range(g.n):
             # label j of w(rho) is the height of w^{-1}(alpha_j), a real root
@@ -996,11 +1147,11 @@ def test_enumerate_ws_equals_the_inversion_set_definition(pqr, L):
 def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     g = TpqrGraph(2, 2, 2)
     elements = kacmoody.weyl_elements
-    s_z1_drop = tuple(1 if j == g.z1 else 0 for j in range(g.n))  # rho - s_z1 rho = alpha_z1
+    s_z1_labels = reflect(g, g.rho(), g.z1)  # s_z1 rho = rho - alpha_z1
     monkeypatch.setattr(
         kacmoody,
         "weyl_elements",
-        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[2] != s_z1_drop],
+        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[1] != s_z1_labels],
     )
     grouped = ws_words(enumerate_WS(g, 12))
     oracle = ws_by_inversion_sets(g, 12)
@@ -1011,13 +1162,19 @@ def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
 def ws_by_testing_every_element(graph, L, lam=None):
     """W^S up to length L as `enumerate_WS` groups it, by testing the labels
     on S of every element of `weyl_elements`: the oracle for
-    `enumerate_WS`, which tests only the end of each length."""
+    `enumerate_WS`, which tests only the end of each length.  Each kept
+    record gets the drop derived from its labels, checked to lower
+    lam + rho to them."""
+    lam = (0,) * graph.n if lam is None else lam
+    A = graph.cartan
     on_S = itemgetter(*graph.S)
     elems = weyl_elements(graph, L, lam)
     grouped = {}
     kept = map(gt, map(min, map(on_S, map(itemgetter(1), elems))), repeat(0))
-    for elem in compress(elems, kept):
-        grouped.setdefault(elem[0], []).append(elem)
+    for elem in with_drops(graph, compress(elems, kept), lam):
+        length, labels, drop = elem
+        assert root_labels(A, drop) == tuple(x + 1 - y for x, y in zip(lam, labels)), elem
+        grouped.setdefault(length, []).append(elem)
     return {k: sorted(v) for k, v in grouped.items()}
 
 
@@ -1091,7 +1248,9 @@ def test_ws_level_bound_names_a_levi_element():
     # s_u is in the Levi on S: length 1, level 0.
     g = TpqrGraph(2, 2, 2)
     kept = [e for v in enumerate_WS(g, 12).values() for e in v]
-    s_u = next(e for e in weyl_elements(g, 1) if e[2][g.u])
+    s_u = (1, reflect(g, g.rho(), g.u))
+    assert s_u in weyl_elements(g, 1)
+    s_u += (tuple(int(j == g.u) for j in range(g.n)),)  # rho - s_u rho = alpha_u
     assert levels_below_length(g, kept + [s_u]) == ["length 1, level 0, drop {'u': 1}"]
 
 
