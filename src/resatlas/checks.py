@@ -10,6 +10,10 @@ failures) exactly when their fact holds, and otherwise what broke: the
 lowest drop where two series differ, the K* term that maps wrong, the
 fact, minor or composition entry that fails.  A check puts that into its
 message.
+
+Each leg of a check can fail on its own: no leg repeats a comparison that
+the library raises on before it returns, and none compares a table entry
+with the literal it is built from.
 """
 
 from __future__ import annotations
@@ -170,14 +174,9 @@ def _check_spin_branching(budget: Budget) -> str:
 
 def _check_ra(budget: Budget) -> str:
     fmt = derive_ranks([1, 4, 4, 1])
+    # `ra_enumerate` and `ra_component` raise on a repeated or non-dominant
+    # component; what is left to check is that the second formula agrees.
     comps = rings.ra_enumerate(fmt, 4)
-    quads = [tuple(quad) for _, quad in comps]
-    if len(set(quads)) != len(quads):
-        dup = next(q for q in quads if quads.count(q) > 1)
-        raise CheckFailed(f"(1, 4, 4, 1) R_a to degree 4 not multiplicity-free: {dup} repeats")
-    for mu, quad in comps:
-        if not quad.dominant:
-            raise CheckFailed(f"(1, 4, 4, 1) R_a component of {mu} is not dominant: {tuple(quad)}")
     rng = random.Random(1109)
     for _ in range(200):
         budget.check("R_a formulas")
@@ -243,7 +242,7 @@ def _check_monomial(budget: Budget) -> str:
 
 
 def _check_d4_relation(budget: Budget) -> str:
-    rep = complexes.d4_relation_check()
+    rep = complexes.d4_relation_sides()
     normalization = complexes.D4_NORMALIZATION
     if rep.lhs != rep.pfaffian or rep.rhs != rep.pfaffian:
         raise CheckFailed(
@@ -252,15 +251,6 @@ def _check_d4_relation(budget: Budget) -> str:
         )
     if str(rep.pfaffian) != "b12*b34 - b13*b24 + b14*b23":
         raise CheckFailed(f"split D4: lhs {rep.lhs}, rhs {rep.rhs}, Pfaffian {rep.pfaffian}")
-    m = complexes.d4_split_model()
-    for entry, got, want in (
-        ("ef[(2, 1)]", m.ef[(2, 1)], m.b[(1, 2)]),
-        ("ef[(4, 1)]", m.ef[(4, 1)], -m.b[(1, 4)]),
-        ("eee[(2, 3, 4)]", m.eee[(2, 3, 4)], m.b[(2, 3)]),
-        ("v2[0]", m.v2[0], m.b[(2, 3)]),
-    ):
-        if got != want:
-            raise CheckFailed(f"split D4 table {entry} = {got}, expected {want}")
     return f"both relation sides equal the Pfaffian; normalization {normalization}"
 
 

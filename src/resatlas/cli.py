@@ -419,7 +419,7 @@ def text_verify_monomial(pl: Dict, args) -> List[str]:
 
 
 def cmd_verify_d4(args) -> Dict:
-    rep = complexes.d4_relation_check()
+    rep = complexes.d4_relation_sides()
     return {
         "ok": rep.lhs == rep.pfaffian and rep.rhs == rep.pfaffian,
         "normalization": dict(complexes.D4_NORMALIZATION),

@@ -12,7 +12,7 @@ its fact holds, and otherwise what broke.  `verify_complex` returns its
 nonzero composition entries (an empty tuple when there are none), and
 `be_multipliers` and `thm112_certificate` return None or the failure's
 detail.
-`be_rank_check` and `d4_relation_check` instead return what the CLI
+`be_rank_check` and `d4_relation_sides` instead return what the CLI
 prints, the ranks at a point and the relation's sides, for the caller to
 compare with the expected ranks and the Pfaffian.
 """
@@ -399,7 +399,6 @@ class SplitD4Model(NamedTuple):
     b: Dict[Tuple[int, int], MPoly]           # b_{ij}, i < j in 1..4
     ee: Dict[Tuple[int, int], Tuple[MPoly, ...]]   # e_i . e_j in F_2 coords
     ef: Dict[Tuple[int, int], MPoly]          # g-coefficient of e_k . f_l
-    eee: Dict[Tuple[int, int, int], MPoly]    # g-coefficient of e_i e_j e_k
     v2: Tuple[MPoly, MPoly, MPoly, MPoly]
     pfaffian: MPoly
     d2: ExactMatrix
@@ -434,16 +433,10 @@ def d4_split_model() -> SplitD4Model:
             else:
                 val = b[(l, k)]
             ef[(k, l)] = val
-    eee = {
-        (1, 2, 3): zero,
-        (1, 2, 4): b[(1, 2)],
-        (1, 3, 4): b[(1, 3)],
-        (2, 3, 4): b[(2, 3)],
-    }
     pf = b[(1, 2)] * b[(3, 4)] - b[(1, 3)] * b[(2, 4)] + b[(1, 4)] * b[(2, 3)]
     v2 = (b[(2, 3)], -b[(1, 3)], b[(1, 2)], pf)
     d2 = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-    return SplitD4Model(b=b, ee=ee, ef=ef, eee=eee, v2=v2, pfaffian=pf, d2=d2)
+    return SplitD4Model(b=b, ee=ee, ef=ef, v2=v2, pfaffian=pf, d2=d2)
 
 
 # The literal table reading with c^1_4 negated: e_4 is the split basis
@@ -457,7 +450,7 @@ class D4RelationReport(NamedTuple):
     pfaffian: MPoly
 
 
-def d4_relation_check() -> D4RelationReport:
+def d4_relation_sides() -> D4RelationReport:
     """The two sides of the quadratic relation
     (v_2)_4 (d_2)_{1,1} = p^4_{23} c^1_4 - p^4_{24} c^1_3 + p^4_{34} c^1_2
     and the Pfaffian, under the fixed sign normalization

@@ -129,7 +129,7 @@ def test_d4_relation_catches_a_pfaffian_other_than_the_papers(monkeypatch):
     # Both sides equal this "Pfaffian", so only the string leg can fail.
     m = complexes.d4_split_model()
     wrong = m.b[(1, 2)] * m.b[(3, 4)]
-    monkeypatch.setattr(complexes, "d4_relation_check", lambda: complexes.D4RelationReport(wrong, wrong, wrong))
+    monkeypatch.setattr(complexes, "d4_relation_sides", lambda: complexes.D4RelationReport(wrong, wrong, wrong))
     with pytest.raises(CheckFailed, match=re.escape("split D4: lhs b12*b34, rhs b12*b34, Pfaffian b12*b34")):
         run_check("d4-relation")
 
@@ -147,15 +147,21 @@ def test_d4_relation_catches_a_negated_product_entry(monkeypatch):
         run_check("d4-relation")
 
 
-def test_ra_truncations_catch_a_repeated_component(monkeypatch):
-    enumerate_ = rings.ra_enumerate
+def test_ra_truncations_catch_a_shifted_general_weight(monkeypatch):
+    assert run_check("ra-truncations") == (
+        "67 components to degree 4; 200 random mu agree across both formulas"
+    )
+    general = rings.ra_general_component
 
-    def first_repeated(fmt, cutoff):
-        comps = enumerate_(fmt, cutoff)
-        return comps + comps[:1]
+    def last_f2_entry_plus_1(x, partitions, fmt):
+        weights = general(x, partitions, fmt)
+        return weights[:2] + [weights[2][:-1] + (weights[2][-1] + 1,)] + weights[3:]
 
-    monkeypatch.setattr(rings, "ra_enumerate", first_repeated)
-    with pytest.raises(CheckFailed, match=r"\(1, 4, 4, 1\) R_a to degree 4 not multiplicity-free"):
+    monkeypatch.setattr(rings, "ra_general_component", last_f2_entry_plus_1)
+    with pytest.raises(CheckFailed, match=re.escape(
+        "(1, 4, 4, 1) MuIndex(a=3, b=0, c=3, alpha=(), beta=(0, 0), gamma=()): "
+        "general formula gives ((-3,), (3, 3, 3, 3), (-3, -3, -3, -5), (6,))"
+    )):
         run_check("ra-truncations")
 
 

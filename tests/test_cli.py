@@ -157,7 +157,7 @@ def test_verify_commands(capsys):
     assert code == 0 and "eps_split" in out
 
 
-D4_RELATION = complexes.d4_relation_check
+D4_RELATION = complexes.d4_relation_sides
 RANK_CHECK = complexes.be_rank_check
 
 
@@ -199,7 +199,7 @@ def d4_relation_with_rhs_negated():
         ),
         (
             ("verify-d4",),
-            complexes, "d4_relation_check", d4_relation_with_rhs_negated, "FAIL", "ok",
+            complexes, "d4_relation_sides", d4_relation_with_rhs_negated, "FAIL", "ok",
         ),
     ],
     ids=["bgg-check", "kstar-check", "verify-thm112", "verify-monomial", "verify-monomial-ranks", "verify-d4"],

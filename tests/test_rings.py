@@ -64,6 +64,18 @@ def test_dominance_iff_a_nonnegative():
         assert quad.dominant == (a >= 0)
 
 
+def test_ra_component_names_a_dominance_that_disagrees_with_a(monkeypatch):
+    # `is_dominant` lies for the F_0 weight (-1,) of c = 1 alone: the
+    # cross-check names the format, mu and a.
+    is_dominant = rings.is_dominant
+    monkeypatch.setattr(rings, "is_dominant", lambda w: is_dominant(w) and w != (-1,))
+    mu = MuIndex(a=2, b=1, c=1, beta=(1,))
+    with pytest.raises(AssertionError, match=re.escape(
+        f"(1, 4, 4, 1) R_a component of {mu}: dominance False disagrees with a = 2 >= 0"
+    )):
+        ra_component(mu, FMT_D4)
+
+
 def test_general_formula_agrees_with_length3():
     rng = random.Random(5)
     for _ in range(100):
