@@ -15,7 +15,7 @@ symmetric, so the labels of a root alpha = sum k_i alpha_i are (A k).
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Collection, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -82,15 +82,16 @@ def _reflect_into(
     out: Dict[Labels, int], i: int, adj: Sequence[int], unit: int,
     elems: Collection[Tuple[Labels, int]],
 ) -> int:
-    """Put s_i w into `out` for each (labels, value) of w in `elems`, label i
-    positive, its value raised by label i times `unit`, and return how many
-    were built."""
-    for labels, value in elems:
-        li = labels[i]
-        new = list(labels)
+    """Put s_i w into `out` for each (key, value) of w in `elems`, label i
+    positive: its length, the key's last entry, raised by one and its value
+    by label i times `unit`; return how many were built."""
+    for key, value in elems:
+        li = key[i]
+        new = list(key)
         new[i] = -li
         for j in adj:
             new[j] += li
+        new[-1] += 1
         out[tuple(new)] = value + li * unit
     return len(elems)
 
@@ -101,9 +102,9 @@ def _weyl_walk(
     units: Sequence[int],
     bound: Optional[int] = None,
     last: Optional[int] = None,
-) -> Iterator[Dict[Labels, int]]:
-    """The Weyl group by length: layer k maps the labels of w(top) to one
-    int, over the w of length k.  Every label of `top` must be >= 1 (else
+) -> Iterator[List[Dict[Labels, int]]]:
+    """The Weyl group by length: each w is one key, the labels of w(top)
+    then l(w), mapped to one int.  Every label of `top` must be >= 1 (else
     ValueError naming the position and the label), so w(top) determines w,
     and s_i w is longer than w exactly when label i of w(top) is positive
     (Björner–Brenti, *Combinatorics of Coxeter Groups*, §1.6, §2.4): s_i
@@ -126,8 +127,8 @@ def _weyl_walk(
     l_i lifts above 0, which is to say when s_i w has first descent i.  The
     parent s_d w' of any w' either has f after d, so d is in the first
     branch, or has its first negative label at a neighbour f of d before d
-    that l_d lifts back above 0, so d is in the second.  So layer k + 1 is
-    reached from layer k alone, and since the parent's drop is at most the
+    that l_d lifts back above 0, so d is in the second.  So length k + 1 is
+    reached from length k alone, and since the parent's drop is at most the
     child's in every coordinate, a parent's int is at most its child's when
     every unit is >= 0, and leaving out the w whose int exceeds `bound` is
     exact.  The proof holds for any total order; in this one every vertex
@@ -135,16 +136,16 @@ def _weyl_walk(
     second branch runs about once per element where index order ran it
     about twice.
 
-    Each layer is held as one dict per first descent, with the identity
-    after the last vertex, and the yielded layer merges them in that order,
-    so it ends with the elements whose first descent is the last vertex,
-    then the identity.  Vertex i acts on every later group with no test,
-    and the second branch runs once per group and later neighbour of its
-    first descent.  Since the labels fix the first descent, a repeat lands
-    in the group of its first build; RuntimeError is raised if a layer is
-    built a different number of times than it has elements.  On an
-    infinite W an unbounded walk never ends; the caller stops taking
-    layers."""
+    Each length is yielded unmerged, as its list of one dict per first
+    descent in that order, the identity's last, so it ends with the
+    elements whose first descent is the last vertex, then the identity.
+    The first key is `top` then 0, and each build adds one to the last
+    entry.  Vertex i acts on every later group with no test, and the second
+    branch runs once per group and later neighbour of its first descent.
+    Since the labels fix the first descent, a repeat lands in the group of
+    its first build; RuntimeError is raised if a length is built a
+    different number of times than it has elements.  On an infinite W an
+    unbounded walk never ends; the caller stops taking lengths."""
     n = len(top)
     for k, x in enumerate(top):
         if x < 1:
@@ -160,14 +161,9 @@ def _weyl_walk(
     for f, v in enumerate(order):
         after = sorted(k for k in map(place.__getitem__, adjacency[v]) if k > f)
         later.append([(order[k], k, order[f + 1 : k]) for k in after])
-    groups: List[Dict[Labels, int]] = [{} for _ in range(n)] + [{tuple(top): 0}]
-    while True:
-        layer: Dict[Labels, int] = {}
-        for group in groups:
-            layer.update(group)
-        if not layer:
-            return
-        yield layer
+    groups: List[Dict[Labels, int]] = [{} for _ in range(n)] + [{tuple(top) + (0,): 0}]
+    while any(groups):
+        yield groups
         nxt: List[Dict[Labels, int]] = [{} for _ in range(n + 1)]
         built = 0
         for k, i in enumerate(order):
@@ -197,7 +193,7 @@ def _weyl_walk(
                 built += _reflect_into(nxt[k], i, adjacency[i], unit, kids)
         size = sum(map(len, nxt))
         if built != size:
-            raise RuntimeError(f"{built} builds for a layer of {size} elements")
+            raise RuntimeError(f"{built} builds for a length of {size} elements")
         groups = nxt
 
 
@@ -249,8 +245,8 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     The walk packs each drop into one int, a byte per coordinate and the
     height in the byte above them, and its bound on that int is the height
     cutoff.  No coordinate of a kept drop exceeds its height H, so H must be
-    below 256 (else ValueError naming H); each key is unpacked from its
-    bytes."""
+    below 256 (else ValueError naming H); each key is unpacked from the
+    bytes of a value, group by group, and the walk's keys are not read."""
     if H >= 256:
         raise ValueError(f"H = {H} does not fit the walk's one byte per coordinate; need H < 256")
     _check_cartan(A, -1, "0 or -1")
@@ -259,9 +255,9 @@ def weyl_denominator_sum(A: Sequence[Sequence[int]], H: int) -> Dict[Coords, int
     scale = 256**n
     units = [256**i + scale for i in range(n)]
     out: Dict[Coords, int] = {}
-    for length, layer in enumerate(_weyl_walk(adjacency, (1,) * n, units, (H + 1) * scale - 1)):
+    for length, groups in enumerate(_weyl_walk(adjacency, (1,) * n, units, (H + 1) * scale - 1)):
         sign = -1 if length % 2 else 1
-        for v in layer.values():
+        for v in chain.from_iterable(map(dict.values, groups)):
             out[tuple(v.to_bytes(n + 1, "little")[:n])] = sign
     return out
 
@@ -537,9 +533,9 @@ def levi_roots(graph: TpqrGraph) -> Dict[Coords, int]:
 # ---------------------------------------------------------------------------
 
 
-# (length, w(lam + rho)) and, for W^S, (length, w(lam + rho), lam - w.lam
-# in root coordinates)
-WeylElem = Tuple[int, Labels]
+# w(lam + rho) followed by l(w) and, for W^S, (length, w(lam + rho),
+# lam - w.lam in root coordinates)
+WeylElem = Tuple[int, ...]
 WSElem = Tuple[int, Labels, Coords]
 
 
@@ -564,19 +560,19 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
     w^{-1} alpha_i is, so the walk's length test holds for lam + rho as it
     does for rho.
 
-    Each element is the plain tuple (length, labels), labels = w(lam + rho),
-    which determines w; the walk keeps no drop (every unit 0), and
-    `enumerate_WS` derives the drops of the few it keeps.  The record must
-    stay an exact tuple of an int and an int tuple.  CPython's cyclic
-    collector untracks such a tuple at the first pass that finds its items
-    untracked, but never a tuple subclass such as a NamedTuple, so every
+    Each element is the walk's own key, the plain tuple of n + 1 ints
+    labels + (length,), labels = w(lam + rho), which determines w; the walk
+    keeps no drop (every unit 0), and `enumerate_WS` derives the drops of
+    the few it keeps.  The record must stay an exact tuple of ints.
+    CPython's cyclic collector untracks such a tuple at the first pass that
+    visits it, but never a tuple subclass such as a NamedTuple, so every
     later full collection would rescan all the elements kept (2,903,040 on
     E7)."""
     top = _lam_rho(graph, lam)
     walk = _weyl_walk(graph.adjacency, top, (0,) * graph.n, last=graph.z1)
     out: List[WeylElem] = []
-    for length, layer in zip(range(L + 1), walk):
-        out += zip(repeat(length), layer)
+    for groups in islice(walk, L + 1):
+        out += chain.from_iterable(groups)
     return out
 
 
@@ -612,9 +608,9 @@ def enumerate_WS(
 ) -> Dict[int, List[WSElem]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
     grouped by length, each the tuple (length, labels, drop): a record of
-    `weyl_elements` and its drop lam - w.lam = (lam + rho) - w(lam + rho)
-    in root coordinates, derived from the labels by `_drop`; sorted by
-    labels within a length; a length with no element has no key.
+    `weyl_elements` split, and its drop lam - w.lam = (lam + rho) -
+    w(lam + rho) in root coordinates, derived from the labels by `_drop`;
+    sorted by labels within a length; a length with no element has no key.
 
     Membership test: label j of w(lam + rho) is positive for every j in S,
     every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
@@ -627,9 +623,10 @@ def enumerate_WS(
     label of w(lam + rho) is 0, since lam + rho is regular, so the first
     descent of w is z_1, the walk's last vertex, exactly when z_1 is its
     only negative label: the group of z_1 and the identity, which end each
-    length, are that length's W^S.  Each length is found by bisection and
-    read back from its end to the first element that fails the test.  Only
-    the elements kept get a drop.
+    length, are that length's W^S.  Each length (a record's last entry) is
+    found by bisection and read back from its end to the first element
+    that fails the test; only the elements kept are sliced to their labels
+    and get a drop.
     """
     top = _lam_rho(graph, lam)
     adjacency = graph.adjacency
@@ -638,13 +635,14 @@ def enumerate_WS(
     grouped: Dict[int, List[WSElem]] = {}
     start = 0
     while start < len(elems):
-        end = first = bisect_right(elems, elems[start][0], start, key=itemgetter(0))
-        while first > start and min(on_S(elems[first - 1][1])) > 0:
+        length = elems[start][-1]
+        end = first = bisect_right(elems, length, start, key=itemgetter(-1))
+        while first > start and min(on_S(elems[first - 1])) > 0:
             first -= 1
-        if first < end:  # one length and distinct labels: sorted by labels
-            grouped[elems[start][0]] = [
+        if first < end:  # distinct labels: sorted by labels
+            grouped[length] = [
                 (length, labels, _drop(adjacency, top, labels, length))
-                for length, labels in sorted(elems[first:end])
+                for labels in sorted(rec[:-1] for rec in elems[first:end])
             ]
         start = end
     return grouped

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, islice, permutations, repeat
@@ -677,7 +678,7 @@ def test_weyl_group_order_d4():
     g = TpqrGraph(2, 2, 2)
     elems = weyl_elements(g, 12)  # longest element has length 12
     assert len(elems) == 192
-    assert max(length for length, _ in elems) == 12
+    assert max(rec[-1] for rec in elems) == 12
 
 
 def solve_coords(A, labels):
@@ -753,16 +754,17 @@ def walk_pairs(elems):
 
 
 def with_drops(graph, elems, lam, solve=None):
-    """Each (length, labels) record of `weyl_elements` from lam + rho with
-    its drop (lam + rho) - labels in root coordinates: by `solve`, a map
-    of that difference, if given, else derived from the labels by
-    `kacmoody._drop`, as `enumerate_WS` derives it."""
+    """Each record labels + (length,) of `weyl_elements` from lam + rho as
+    (length, labels, drop), its drop (lam + rho) - labels in root
+    coordinates: by `solve`, a map of that difference, if given, else
+    derived from the labels by `kacmoody._drop`, as `enumerate_WS` derives
+    it."""
     top = tuple(x + 1 for x in lam)
     adjacency = graph.adjacency
     return [
         (length, labels, solve(tuple(map(sub, top, labels))) if solve
          else kacmoody._drop(adjacency, top, labels, length))
-        for length, labels in elems
+        for length, labels in ((rec[-1], rec[:-1]) for rec in elems)
     ]
 
 
@@ -798,7 +800,7 @@ def test_walk_equals_the_word_replay_on_all_of_w_e6():
     # The drops that `enumerate_WS` derives, on the 72 elements of W^S.
     kept = [e for v in enumerate_WS(g, 36, lam).values() for e in v]
     assert len(kept) == 72
-    assert kept == with_drops(g, [e[:2] for e in kept], lam, drop)
+    assert kept == with_drops(g, [labels + (length,) for length, labels, _ in kept], lam, drop)
 
 
 @pytest.mark.parametrize(
@@ -822,16 +824,52 @@ def test_weyl_records_are_plain_tuples_the_collector_untracks(pqr, L, count):
         assert not any(map(gc.is_tracked, records))
 
 
-def test_weyl_elements_are_labels_only_and_untracked_after_collection():
-    # The record is (length, labels) and nothing more; see the test above
-    # for why two passes.
-    records = weyl_elements(TpqrGraph(2, 2, 2), 12)
-    assert len(records) == 192
-    assert {tuple(map(type, e)) for e in records} == {(int, tuple)}
+@pytest.mark.parametrize(
+    "pqr, L, count", [((2, 2, 2), 12, 192), ((3, 3, 2), 36, 51840)], ids=["D4", "E6"]
+)
+def test_weyl_elements_are_labels_then_length_and_untracked_after_collection(pqr, L, count):
+    # The record is an exact tuple of n + 1 ints, labels + (length,), and
+    # nothing more; see the test above for why two passes.  The last entry
+    # is the length: the identity alone has no negative label and ends in 0,
+    # and any other record reflected at its first negative label, a descent
+    # of w, which s_f shortens by one, is a record ending in one less.
+    g = TpqrGraph(*pqr)
+    records = weyl_elements(g, L)
+    assert len(records) == count
+    assert {(type(e), tuple(map(type, e))) for e in records} == {(tuple, (int,) * (g.n + 1))}
+    lengths = [e[-1] for e in records]
+    assert lengths == sorted(lengths) and lengths[-1] == L
+    kept = set(records)
+    for e in records:
+        f = next((f for f, x in enumerate(e[:-1]) if x < 0), None)
+        if f is None:
+            assert e == g.rho() + (0,), e
+        else:
+            assert reflect(g, e[:-1], f) + (e[-1] - 1,) in kept, e
     if platform.python_implementation() == "CPython":
         gc.collect()
         gc.collect()
-        assert not any(gc.is_tracked(e) or gc.is_tracked(e[1]) for e in records)
+        assert not any(map(gc.is_tracked, records))
+
+
+def test_weyl_elements_keep_one_tuple_per_element():
+    # 23,040 elements of D6 from w_z1 + rho, each one tuple of 7 small ints
+    # (96 bytes, and 8 for its list slot): about 2.7 MB traced at the peak,
+    # which also holds the list's spare room and the walk's last groups.  A
+    # second object per element, such as a (length, labels) pair around the
+    # labels, with a merged copy of each length, takes the peak past 3.5 MB.
+    g = TpqrGraph(4, 2, 2)
+    lam = g.fundamental_weight(g.z1)
+    assert len(weyl_elements(g, 1, lam)) == 7  # the graph's cached fields are built
+    if platform.python_implementation() == "CPython":
+        tracemalloc.start()
+        try:
+            records = weyl_elements(g, 30, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 23040
+        assert peak < 3_000_000, peak
 
 
 def test_weyl_elements_refuse_a_negative_lam():
@@ -890,24 +928,35 @@ def dedupe_walk(adjacency, top, max_height=None):
 
 def packed_walk(adjacency, top, H=None, last=None):
     """`_weyl_walk` with each drop packed into its int, base B = 2**32 per
-    coordinate and the height in the digit above them, each layer read back
-    as labels -> drop, with the height digit checked against the drop.
+    coordinate and the height in the digit above them, each length read
+    back as labels -> drop, with the height digit checked against the drop.
     The bound (H + 1) B**n - 1 on that int keeps the drops of height <= H.
+    Each key is checked to be the labels then the length, each element to
+    sit in the group of its first descent in the walk's order (the
+    identity's group last), and no labels to repeat across the groups.
     Without H, the walk with every unit 0, as `weyl_elements` walks, is
-    checked to give the same labels in the same order."""
+    checked to give the same keys in the same order."""
     n = len(top)
     B = 2**32
     units = [B**i + B**n for i in range(n)]
     bound = None if H is None else (H + 1) * B**n - 1
+    order = kacmoody._leaves_first(adjacency, last)
     bare = kacmoody._weyl_walk(adjacency, top, (0,) * n, None, last)
-    for layer in kacmoody._weyl_walk(adjacency, top, units, bound, last):
+    for length, groups in enumerate(kacmoody._weyl_walk(adjacency, top, units, bound, last)):
+        assert len(groups) == n + 1
         out = {}
-        for labels, v in layer.items():
-            drop = tuple(v // B**i % B for i in range(n))
-            assert v // B**n == sum(drop), (labels, v)
-            out[labels] = drop
+        for k, group in enumerate(groups):
+            for key, v in group.items():
+                labels = key[:-1]
+                assert len(key) == n + 1 and key[-1] == length, (key, length)
+                first = next((place for place, f in enumerate(order) if labels[f] < 0), n)
+                assert first == k, (labels, k)
+                drop = tuple(v // B**i % B for i in range(n))
+                assert v // B**n == sum(drop), (labels, v)
+                out[labels] = drop
+        assert len(out) == sum(map(len, groups))
         if H is None:
-            assert list(next(bare)) == list(out)
+            assert [list(group) for group in next(bare)] == [list(group) for group in groups]
         yield out
 
 
@@ -1089,7 +1138,7 @@ def test_weyl_elements_equal_the_inverse_image_oracle(pqr, L):
     if L is None:
         L = len(root_multiplicities(g)[0])  # the length of the longest element
     oracle = weyl_elements_with_inverse_images(g, L)
-    assert sorted(weyl_elements(g, L)) == sorted((len(w), l) for w, l, _ in oracle)
+    assert sorted(weyl_elements(g, L)) == sorted(l + (len(w),) for w, l, _ in oracle)
     for word, labels, inv in oracle:
         for j in range(g.n):
             # label j of w(rho) is the height of w^{-1}(alpha_j), a real root
@@ -1151,7 +1200,7 @@ def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
     monkeypatch.setattr(
         kacmoody,
         "weyl_elements",
-        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[1] != s_z1_labels],
+        lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[:-1] != s_z1_labels],
     )
     grouped = ws_words(enumerate_WS(g, 12))
     oracle = ws_by_inversion_sets(g, 12)
@@ -1170,7 +1219,7 @@ def ws_by_testing_every_element(graph, L, lam=None):
     on_S = itemgetter(*graph.S)
     elems = weyl_elements(graph, L, lam)
     grouped = {}
-    kept = map(gt, map(min, map(on_S, map(itemgetter(1), elems))), repeat(0))
+    kept = map(gt, map(min, map(on_S, (e[:-1] for e in elems))), repeat(0))
     for elem in with_drops(graph, compress(elems, kept), lam):
         length, labels, drop = elem
         assert root_labels(A, drop) == tuple(x + 1 - y for x, y in zip(lam, labels)), elem
@@ -1248,9 +1297,9 @@ def test_ws_level_bound_names_a_levi_element():
     # s_u is in the Levi on S: length 1, level 0.
     g = TpqrGraph(2, 2, 2)
     kept = [e for v in enumerate_WS(g, 12).values() for e in v]
-    s_u = (1, reflect(g, g.rho(), g.u))
-    assert s_u in weyl_elements(g, 1)
-    s_u += (tuple(int(j == g.u) for j in range(g.n)),)  # rho - s_u rho = alpha_u
+    labels = reflect(g, g.rho(), g.u)
+    assert labels + (1,) in weyl_elements(g, 1)
+    s_u = (1, labels, tuple(int(j == g.u) for j in range(g.n)))  # rho - s_u rho = alpha_u
     assert levels_below_length(g, kept + [s_u]) == ["length 1, level 0, drop {'u': 1}"]
 
 

@@ -120,11 +120,16 @@ def quotient_series(graph, L):
 
 
 def walk_counts(graph, L, lam=None):
-    """The layer sizes of `_weyl_walk` from lam + rho (lam = 0 by default),
-    lengths 0..L."""
+    """The number of elements `_weyl_walk` yields at each length from
+    lam + rho (lam = 0 by default), lengths 0..L, each key checked to end
+    with its length."""
     top = graph.rho() if lam is None else tuple(x + 1 for x in lam)
     walk = kacmoody._weyl_walk(graph.adjacency, top, (0,) * graph.n)
-    counts = [len(layer) for layer in islice(walk, L + 1)]
+    counts = []
+    for length, groups in enumerate(islice(walk, L + 1)):
+        ends = [key[-1] for group in groups for key in group]
+        assert ends == [length] * len(ends), length
+        counts.append(len(ends))
     return counts + [0] * (L + 1 - len(counts))
 
 
@@ -197,7 +202,8 @@ def test_steinbergs_series_is_chevalleys_product_on_finite_type(pqr):
 
 def test_the_counts_catch_an_element_dropped_from_one_layer(monkeypatch):
     g = TpqrGraph(3, 3, 2)
-    victim = enumerate_WS(g, 36)[5][0][:2]  # (length, labels), as `weyl_elements` keeps it
+    length, labels, _ = enumerate_WS(g, 36)[5][0]
+    victim = labels + (length,)  # as `weyl_elements` keeps it
     elements = kacmoody.weyl_elements
     monkeypatch.setattr(
         kacmoody,
