@@ -396,47 +396,24 @@ def monomial_complex(t: int) -> FreeComplex:
 
 
 class SplitD4Model(NamedTuple):
-    b: Dict[Tuple[int, int], MPoly]           # b_{ij}, i < j in 1..4
-    ee: Dict[Tuple[int, int], Tuple[MPoly, ...]]   # e_i . e_j in F_2 coords
-    ef: Dict[Tuple[int, int], MPoly]          # g-coefficient of e_k . f_l
-    v2: Tuple[MPoly, MPoly, MPoly, MPoly]
+    p: Dict[Tuple[int, int], MPoly]   # p^4_{ij}, ij in 23, 24, 34
+    c: Dict[int, MPoly]               # c^1_k, k in 2, 3, 4
     pfaffian: MPoly
-    d2: ExactMatrix
 
 
 def d4_split_model() -> SplitD4Model:
-    """The split resolution of format (1, 4, 4, 1) with generic
-    multiplication, built verbatim from its defining tables."""
+    """The entries of the split resolution of format (1, 4, 4, 1) with
+    generic multiplication that its quadratic relation reads, from its
+    defining tables in the variables b_{ij}, i < j in 1..4: p^4_{ij}, the
+    e_4 coordinate of e_i . e_j, is b_{ij}; c^1_k, the g-coefficient of
+    e_k . f_1, is b_{1k}, negated for k = 4; and the Pfaffian of b, which
+    is (v_2)_4."""
     keys = list(combinations(range(1, 5), 2))
     b = dict(zip(keys, exact.ring(f"b{i}{j}" for i, j in keys)))
-    zero = MPoly.const(0)
-    one = MPoly.const(1)
-    ee: Dict[Tuple[int, int], Tuple[MPoly, ...]] = {}
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            ee[(i, j)] = (zero, zero, zero, b[(i, j)])
-    for i in range(1, 4):
-        vec = [zero, zero, zero, b[(i, 4)]]
-        vec[i - 1] = -one
-        ee[(i, 4)] = tuple(vec)
-    ef = {}
-    for k in range(1, 5):
-        for l in range(1, 5):
-            if k == l:
-                val = one if k == 4 else zero
-            elif k == 4:
-                val = -b[(l, 4)]
-            elif l == 4:
-                val = zero
-            elif k < l:
-                val = -b[(k, l)]
-            else:
-                val = b[(l, k)]
-            ef[(k, l)] = val
+    p = {ij: b[ij] for ij in ((2, 3), (2, 4), (3, 4))}
+    c = {2: b[(1, 2)], 3: b[(1, 3)], 4: -b[(1, 4)]}
     pf = b[(1, 2)] * b[(3, 4)] - b[(1, 3)] * b[(2, 4)] + b[(1, 4)] * b[(2, 3)]
-    v2 = (b[(2, 3)], -b[(1, 3)], b[(1, 2)], pf)
-    d2 = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
-    return SplitD4Model(b=b, ee=ee, ef=ef, v2=v2, pfaffian=pf, d2=d2)
+    return SplitD4Model(p=p, c=c, pfaffian=pf)
 
 
 # The literal table reading with c^1_4 negated: e_4 is the split basis
@@ -456,16 +433,15 @@ def d4_relation_sides() -> D4RelationReport:
     and the Pfaffian, under the fixed sign normalization
     `D4_NORMALIZATION`: eps_c on c-extractions, eps_p on p-extractions,
     eps_v on v_2, and eps_split on c-extractions involving e_4.  The
-    relation holds when both sides equal the Pfaffian.
+    relation holds when both sides equal the Pfaffian.  Its left side is
+    eps_v times the Pfaffian, since (v_2)_4 is the Pfaffian and
+    (d_2)_{1,1} = 1.
     """
     model = d4_split_model()
     eps = D4_NORMALIZATION
-    p = {ij: model.ee[ij][3] for ij in ((2, 3), (2, 4), (3, 4))}
-    c = {
-        k: eps["eps_c"] * (eps["eps_split"] if k == 4 else 1) * model.ef[(k, 1)]
-        for k in (2, 3, 4)
-    }
-    lhs = eps["eps_v"] * model.v2[3] * MPoly.coerce(model.d2.data[0][0])
+    p = model.p
+    c = {k: eps["eps_c"] * (eps["eps_split"] if k == 4 else 1) * v for k, v in model.c.items()}
+    lhs = eps["eps_v"] * model.pfaffian
     rhs = eps["eps_p"] * (p[(2, 3)] * c[4] - p[(2, 4)] * c[3] + p[(3, 4)] * c[2])
     return D4RelationReport(lhs=lhs, rhs=rhs, pfaffian=model.pfaffian)
 

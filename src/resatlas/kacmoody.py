@@ -508,24 +508,15 @@ def root_multiplicities(graph: TpqrGraph, H: Optional[int] = None) -> Tuple[Dict
     """The positive roots of `graph` mapped to their multiplicities, by
     height, and whether that is all of them: on finite type, by
     `tpqr_kind`, the whole root system and H ignored; otherwise those up to
-    height H, which is then required (else ValueError).  With `levi_roots`,
-    the one source of the roots that the engines below take."""
+    height H, which is then required (else ValueError).  The one source of
+    the roots that the engines below take: the Levi's on S are its level-0
+    part, those with z_1 coefficient 0."""
     A = graph.cartan
     if tpqr_kind(*graph) == "finite":
         return _finite_roots(A), True
     if H is None:
         raise ValueError("non-finite type needs a height cutoff H")
     return roots_by_peterson(A, H), False
-
-
-def levi_roots(graph: TpqrGraph) -> Dict[Coords, int]:
-    """The positive roots of the Levi subalgebra on S, each mapped to its
-    multiplicity 1, on any T_{p,q,r}: those of the Cartan matrix on S, of
-    finite type A_{p+q-1} x A_{r-2}, by `_finite_roots`, with a z_1
-    coefficient 0 inserted."""
-    A, S, z1 = graph.cartan, graph.S, graph.z1
-    block = _finite_roots([[A[i][j] for j in S] for i in S])
-    return {c[:z1] + (0,) + c[z1:]: m for c, m in block.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +696,8 @@ def character_series(
     Theory*, §22.3; only touches actual weights of the representation).
 
     `roots` holds the positive roots, in any order: the keys of
-    `root_multiplicities` for the whole algebra of a finite type, or of
-    `levi_roots` for the Levi on S, whose irreducibles are
+    `root_multiplicities` for the whole algebra of a finite type, or their
+    level-0 part for the Levi on S, whose irreducibles are
     finite-dimensional on any T_{p,q,r}.  Every such root has multiplicity
     1, and no multiplicity is read.  The generators are the vertices whose
     simple roots are in `roots`, and lam need only be dominant on them
@@ -883,7 +874,8 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Optional[Diff
     z1 = graph.z1
     n = graph.n
     roots, _ = root_multiplicities(graph)
-    levi = levi_roots(graph)
+    levi = [alpha for alpha in roots if not alpha[z1]]
+    nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[z1] > 0]
     grouped = enumerate_WS(graph, len(roots), lam)  # longest element length bound
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
@@ -896,7 +888,6 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Optional[Diff
                 key = tuple(beta[i] + gamma[i] for i in range(n))
                 lhs[key] = lhs.get(key, 0) + sign * c
     lhs = {k: v for k, v in lhs.items() if v}
-    nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[z1] > 0]
     rhs = character_series(graph, lam, roots, max_level=cutoff)
     rhs = _truncated_product(rhs, nilradical, cutoff, itemgetter(z1))
     return _first_difference(lhs, rhs, itemgetter(z1))

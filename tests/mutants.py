@@ -170,16 +170,24 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "d4-relation: both sides equal the Pfaffian",
         "src/resatlas/complexes.py",
-        "val = b[(l, k)]",
-        "val = -b[(l, k)]",
-        ("tests/test_acceptance.py::test_criterion_12_example_relation",),
+        "3: b[(1, 3)]",
+        "3: -b[(1, 3)]",
+        (
+            "tests/test_acceptance.py::test_criterion_12_example_relation",
+            "tests/test_complexes.py::test_d4_split_model_tables",
+            "tests/test_cli.py::test_verify_d4_json_golden",
+            "tests/test_catalogue.py::test_every_catalogue_variant_passes_or_hits_the_known_crash",
+        ),
     ),
     Mutant(
         "d4-relation: the paper's Pfaffian",
         "src/resatlas/complexes.py",
         'exact.ring(f"b{i}{j}" for i, j in keys)',
         'exact.ring(f"b{j}{i}" for i, j in keys)',
-        ("tests/test_checks.py::test_d4_relation_catches_a_pfaffian_other_than_the_papers",),
+        (
+            "tests/test_acceptance.py::test_criterion_12_example_relation",
+            "tests/test_complexes.py::test_d4_split_model_tables",
+        ),
     ),
     Mutant(
         "be-multipliers: factorization",
@@ -228,6 +236,67 @@ MUTANTS: Tuple[Mutant, ...] = (
         (
             "tests/test_kacmoody.py::test_enumerate_ws_equals_the_inversion_set_definition[D4]",
             "tests/test_poincare.py::test_the_ws_filter_has_steinbergs_counts[D4]",
+        ),
+    ),
+    Mutant(
+        "bgg_euler_check: the Levi's roots are the level-0 part of the supply",
+        "src/resatlas/kacmoody.py",
+        "not alpha[z1]",
+        "alpha[z1] <= 1",
+        (
+            "tests/test_acceptance.py::test_criterion_06_bgg_euler_d4",
+            "tests/test_kacmoody.py::test_bgg_euler_d4",
+            "tests/test_catalogue.py::test_every_catalogue_variant_passes_or_hits_the_known_crash",
+        ),
+    ),
+    Mutant(
+        "exact._sum_products: the degree guard",
+        "src/resatlas/exact.py",
+        ">= DEGREE_LIMIT",
+        "> DEGREE_LIMIT",
+        (
+            "tests/test_exact.py::test_degree_past_the_field_raises",
+            "tests/test_exact.py::test_degree_overflow_raises_under_python_O",
+        ),
+    ),
+    Mutant(
+        "exact._mac: the product's sign",
+        "src/resatlas/exact.py",
+        "ca *= sign",
+        "ca *= 1",
+        (
+            "tests/test_acceptance.py::test_criterion_10_generic_family",
+            "tests/test_acceptance.py::test_criterion_13_be_factorization",
+            "tests/test_complexes.py::test_thm112_seeded_build",
+        ),
+    ),
+    Mutant(
+        "cli.main: bad input exits 2",
+        "src/resatlas/cli.py",
+        "return 2",
+        "return 1",
+        (
+            "tests/test_cli.py::test_analyze_invalid_exits_2",
+            "tests/test_cli.py::test_a_malformed_entry_is_named_and_exits_2[lam-repeated]",
+            "tests/test_cli.py::test_suite_unknown_name",
+        ),
+    ),
+    Mutant(
+        "cli._parse_lam: a vertex given twice is refused",
+        "src/resatlas/cli.py",
+        "given.add(name)",
+        "given.discard(name)",
+        ("tests/test_cli.py::test_a_malformed_entry_is_named_and_exits_2[lam-repeated]",),
+    ),
+    Mutant(
+        "root-counts: the detail string's numbers",
+        "src/resatlas/checks.py",
+        "positive-root counts 12/36/120",
+        "positive-root counts 12/36/121",
+        (
+            "tests/test_checks.py::test_root_counts_catch_a_dropped_highest_root",
+            "tests/test_cli.py::test_fresh_process_suite_json_matches_golden_without_seconds",
+            "tests/test_catalogue.py::test_every_catalogue_variant_passes_or_hits_the_known_crash",
         ),
     ),
 )

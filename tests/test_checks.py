@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from resatlas import cli, complexes, formats, kacmoody, rings, schur
+from resatlas import cli, complexes, exact, formats, kacmoody, rings, schur
 from resatlas.checks import CHECKS, Budget, CheckFailed
 from resatlas.complexes import FreeComplex
 from resatlas.exact import ExactMatrix
@@ -127,8 +127,8 @@ def test_families_catch_ranks_below_the_format(monkeypatch, check, message):
 
 def test_d4_relation_catches_a_pfaffian_other_than_the_papers(monkeypatch):
     # Both sides equal this "Pfaffian", so only the string leg can fail.
-    m = complexes.d4_split_model()
-    wrong = m.b[(1, 2)] * m.b[(3, 4)]
+    b12, b34 = exact.ring(["b12", "b34"])
+    wrong = b12 * b34
     monkeypatch.setattr(complexes, "d4_relation_sides", lambda: complexes.D4RelationReport(wrong, wrong, wrong))
     with pytest.raises(CheckFailed, match=re.escape("split D4: lhs b12*b34, rhs b12*b34, Pfaffian b12*b34")):
         run_check("d4-relation")
@@ -139,7 +139,7 @@ def test_d4_relation_catches_a_negated_product_entry(monkeypatch):
 
     def negated_b23():
         m = build()
-        return m._replace(ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
+        return m._replace(p={**m.p, (2, 3): -m.p[(2, 3)]})
 
     monkeypatch.setattr(complexes, "d4_split_model", negated_b23)
     with pytest.raises(CheckFailed, match=r"split D4: relation fails under the fixed normalization "

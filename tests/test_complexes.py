@@ -208,17 +208,58 @@ def test_monomial_generators_t2():
     ]
 
 
-def test_d4_split_model_tables():
-    m = d4_split_model()
+def d4_split_tables():
+    """The split resolution of format (1, 4, 4, 1) with generic
+    multiplication, built verbatim from its defining tables: the variables
+    b_{ij}, i < j in 1..4; e_i . e_j in F_2 coordinates; the g-coefficient
+    of e_k . f_l; v_2; and d_2.  The oracle for the entries that
+    `d4_split_model` keeps."""
+    keys = list(combinations(range(1, 5), 2))
+    b = dict(zip(keys, exact.ring(f"b{i}{j}" for i, j in keys)))
     zero = MPoly.const(0)
-    assert m.ee[(1, 2)] == (zero, zero, zero, m.b[(1, 2)])
-    assert m.ee[(1, 4)] == (-MPoly.const(1), zero, zero, m.b[(1, 4)])
-    assert m.ef[(2, 1)] == m.b[(1, 2)]
-    assert m.ef[(1, 2)] == -m.b[(1, 2)]
-    assert m.ef[(4, 1)] == -m.b[(1, 4)]
-    assert m.ef[(4, 4)] == MPoly.const(1)
+    one = MPoly.const(1)
+    ee = {}
+    for i in range(1, 4):
+        for j in range(i + 1, 4):
+            ee[(i, j)] = (zero, zero, zero, b[(i, j)])
+    for i in range(1, 4):
+        vec = [zero, zero, zero, b[(i, 4)]]
+        vec[i - 1] = -one
+        ee[(i, 4)] = tuple(vec)
+    ef = {}
+    for k in range(1, 5):
+        for l in range(1, 5):
+            if k == l:
+                val = one if k == 4 else zero
+            elif k == 4:
+                val = -b[(l, 4)]
+            elif l == 4:
+                val = zero
+            elif k < l:
+                val = -b[(k, l)]
+            else:
+                val = b[(l, k)]
+            ef[(k, l)] = val
+    pf = b[(1, 2)] * b[(3, 4)] - b[(1, 3)] * b[(2, 4)] + b[(1, 4)] * b[(2, 3)]
+    v2 = (b[(2, 3)], -b[(1, 3)], b[(1, 2)], pf)
+    d2 = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    return b, ee, ef, v2, d2
+
+
+def test_d4_split_model_tables():
+    b, ee, ef, v2, d2 = d4_split_tables()
+    zero = MPoly.const(0)
+    assert ee[(1, 2)] == (zero, zero, zero, b[(1, 2)])
+    assert ee[(1, 4)] == (-MPoly.const(1), zero, zero, b[(1, 4)])
+    assert ef[(2, 1)] == b[(1, 2)] and ef[(1, 2)] == -b[(1, 2)]
+    assert ef[(4, 1)] == -b[(1, 4)] and ef[(4, 4)] == MPoly.const(1)
+    # The model keeps p^4_{ij} = (e_i . e_j)_4, c^1_k = (e_k . f_1)_g and
+    # the Pfaffian, which is (v_2)_4 (d_2)_{1,1}, the relation's left side.
+    m = d4_split_model()
+    assert m.p == {ij: ee[ij][3] for ij in ((2, 3), (2, 4), (3, 4))}
+    assert m.c == {k: ef[(k, 1)] for k in (2, 3, 4)}
+    assert m.pfaffian == v2[3] * MPoly.coerce(d2.data[0][0])
     assert str(m.pfaffian) == "b12*b34 - b13*b24 + b14*b23"
-    assert m.v2[0] == m.b[(2, 3)] and m.v2[3] == m.pfaffian
 
 
 def test_d4_relation():
@@ -230,11 +271,11 @@ def test_d4_relation():
 
 
 def _negate_b23(m):
-    return m._replace(ee={**m.ee, (2, 3): m.ee[(2, 3)][:3] + (-m.ee[(2, 3)][3],)})
+    return m._replace(p={**m.p, (2, 3): -m.p[(2, 3)]})
 
 
 def _negate_c14(m):
-    return m._replace(ef={**m.ef, (4, 1): -m.ef[(4, 1)]})
+    return m._replace(c={**m.c, 4: -m.c[4]})
 
 
 @pytest.mark.parametrize("break_model", [_negate_b23, _negate_c14], ids=["ee23", "ef41"])
@@ -247,7 +288,7 @@ def test_d4_relation_fails_on_one_negated_table_entry(monkeypatch, break_model):
 
 def test_pfaffian_signed_s3_equivariance():
     m = d4_split_model()
-    keys = sorted(m.b)
+    keys = list(combinations(range(1, 5), 2))
     pt = seeded_random_point(5, [f"b{i}{j}" for (i, j) in keys])
     pfaffian = ExactMatrix([[m.pfaffian]])
     base = pfaffian.substitute(pt).data[0][0]
