@@ -524,10 +524,8 @@ def root_multiplicities(graph: TpqrGraph, H: Optional[int] = None) -> Tuple[Dict
 # ---------------------------------------------------------------------------
 
 
-# w(lam + rho) followed by l(w) and, for W^S, (length, w(lam + rho),
-# lam - w.lam in root coordinates)
+# w(lam + rho) followed by l(w)
 WeylElem = Tuple[int, ...]
-WSElem = Tuple[int, Labels, Coords]
 
 
 def _lam_rho(graph: TpqrGraph, lam: Optional[Labels]) -> Labels:
@@ -553,8 +551,8 @@ def weyl_elements(graph: TpqrGraph, L: int, lam: Optional[Labels] = None) -> Lis
 
     Each element is the walk's own key, the plain tuple of n + 1 ints
     labels + (length,), labels = w(lam + rho), which determines w; the walk
-    keeps no drop (every unit 0), and `enumerate_WS` derives the drops of
-    the few it keeps.  The record must stay an exact tuple of ints.
+    keeps no drop (every unit 0), and `bgg_euler_check` derives the drops
+    of the few it sums.  The record must stay an exact tuple of ints.
     CPython's cyclic collector untracks such a tuple at the first pass that
     visits it, but never a tuple subclass such as a NamedTuple, so every
     later full collection would rescan all the elements kept (2,903,040 on
@@ -596,12 +594,10 @@ def _drop(adjacency: Sequence[Sequence[int]], top: Labels, labels: Labels, lengt
 
 def enumerate_WS(
     graph: TpqrGraph, L: int, lam: Optional[Labels] = None
-) -> Dict[int, List[WSElem]]:
+) -> Dict[int, List[Labels]]:
     """Elements of W^S (inversions all outside the Levi on S) up to length L,
-    grouped by length, each the tuple (length, labels, drop): a record of
-    `weyl_elements` split, and its drop lam - w.lam = (lam + rho) -
-    w(lam + rho) in root coordinates, derived from the labels by `_drop`;
-    sorted by labels within a length; a length with no element has no key.
+    grouped by length, each its labels w(lam + rho), which determine w,
+    sorted within a length; a length with no element has no key.
 
     Membership test: label j of w(lam + rho) is positive for every j in S,
     every vertex but z_1.  That is w^{-1}(alpha_j) > 0, because
@@ -616,14 +612,11 @@ def enumerate_WS(
     only negative label: the group of z_1 and the identity, which end each
     length, are that length's W^S.  Each length (a record's last entry) is
     found by bisection and read back from its end to the first element
-    that fails the test; only the elements kept are sliced to their labels
-    and get a drop.
+    that fails the test; only the elements kept are sliced to their labels.
     """
-    top = _lam_rho(graph, lam)
-    adjacency = graph.adjacency
     on_S = itemgetter(*graph.S)  # S has at least two vertices
     elems = weyl_elements(graph, L, lam)
-    grouped: Dict[int, List[WSElem]] = {}
+    grouped: Dict[int, List[Labels]] = {}
     start = 0
     while start < len(elems):
         length = elems[start][-1]
@@ -631,10 +624,7 @@ def enumerate_WS(
         while first > start and min(on_S(elems[first - 1])) > 0:
             first -= 1
         if first < end:  # distinct labels: sorted by labels
-            grouped[length] = [
-                (length, labels, _drop(adjacency, top, labels, length))
-                for labels in sorted(rec[:-1] for rec in elems[first:end])
-            ]
+            grouped[length] = sorted(rec[:-1] for rec in elems[first:end])
         start = end
     return grouped
 
@@ -642,14 +632,11 @@ def enumerate_WS(
 def kostant_weights(graph: TpqrGraph, L: int) -> Dict[int, List[Labels]]:
     """Highest weights of the Lie algebra homology of the nilradical, by
     degree k = 0..L: {w rho - rho : w in W^S, l(w) = k}, read off the labels
-    of the (length, labels, drop) tuples of `enumerate_WS`, each dominant on
-    S because the labels of w(rho) are positive there; a degree with no
-    weight maps to [].  Every element of W of length <= L is built."""
+    w(rho) that `enumerate_WS` gives, each dominant on S because those
+    labels are positive there; a degree with no weight maps to [].  Every
+    element of W of length <= L is built."""
     grouped = enumerate_WS(graph, L)
-    return {
-        k: [tuple(x - 1 for x in labels) for _, labels, _ in grouped.get(k, [])]
-        for k in range(L + 1)
-    }
+    return {k: [tuple(x - 1 for x in labels) for labels in grouped.get(k, [])] for k in range(L + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +855,9 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Optional[Diff
     with gamma_w = lam - w.lam.  P is 1 plus terms of level >= 1, so both
     forms agree or first differ at the same level.  Returns None if the two
     sides agree, else the lowest drop where they differ, by S-level, with
-    the alternating sum's coefficient and the right side's."""
+    the alternating sum's coefficient and the right side's.  gamma_w is
+    derived from the labels only for l(w) <= cutoff: on W^S its level is at
+    least l(w), as it sums l(w) roots outside the Levi, each at least once."""
     if tpqr_kind(*graph) != "finite":
         raise ValueError("finite type required")
     z1 = graph.z1
@@ -877,10 +866,13 @@ def bgg_euler_check(graph: TpqrGraph, lam: Labels, cutoff: int) -> Optional[Diff
     levi = [alpha for alpha in roots if not alpha[z1]]
     nilradical = [(alpha, m) for alpha, m in roots.items() if alpha[z1] > 0]
     grouped = enumerate_WS(graph, len(roots), lam)  # longest element length bound
+    top = _lam_rho(graph, lam)
+    adjacency = graph.adjacency
     lhs: Dict[Coords, int] = {}
     for length, elems in grouped.items():
         sign = -1 if length % 2 else 1
-        for _, labels, gamma in elems:
+        for labels in elems if length <= cutoff else ():
+            gamma = _drop(adjacency, top, labels, length)
             if gamma[z1] > cutoff:
                 continue
             mu = tuple(x - 1 for x in labels)

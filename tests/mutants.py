@@ -235,7 +235,7 @@ MUTANTS: Tuple[Mutant, ...] = (
         "sorted(rec[1:] for rec in elems[first:end])",
         (
             "tests/test_kacmoody.py::test_enumerate_ws_equals_the_inversion_set_definition[D4]",
-            "tests/test_poincare.py::test_the_ws_filter_has_steinbergs_counts[D4]",
+            "tests/test_kacmoody.py::test_kostant_anchor_t334",
         ),
     ),
     Mutant(
@@ -246,6 +246,18 @@ MUTANTS: Tuple[Mutant, ...] = (
         (
             "tests/test_acceptance.py::test_criterion_06_bgg_euler_d4",
             "tests/test_kacmoody.py::test_bgg_euler_d4",
+            "tests/test_catalogue.py::test_every_catalogue_variant_passes_or_hits_the_known_crash",
+        ),
+    ),
+    Mutant(
+        "bgg_euler_check: only W^S elements of length <= cutoff get a drop",
+        "src/resatlas/kacmoody.py",
+        "length <= cutoff",
+        "length < cutoff",
+        (
+            "tests/test_acceptance.py::test_criterion_06_bgg_euler_d4",
+            "tests/test_kacmoody.py::test_bgg_euler_d4",
+            "tests/test_kacmoody.py::test_the_bgg_check_derives_drops_only_up_to_its_cutoff",
             "tests/test_catalogue.py::test_every_catalogue_variant_passes_or_hits_the_known_crash",
         ),
     ),

@@ -126,11 +126,21 @@ def test_families_catch_ranks_below_the_format(monkeypatch, check, message):
 
 
 def test_d4_relation_catches_a_pfaffian_other_than_the_papers(monkeypatch):
-    # Both sides equal this "Pfaffian", so only the string leg can fail.
+    # Both sides equal this "Pfaffian", and it is 1 at b12 = b34 = 1, so
+    # only the determinant leg can fail: its square is not the determinant.
     b12, b34 = exact.ring(["b12", "b34"])
     wrong = b12 * b34
     monkeypatch.setattr(complexes, "d4_relation_sides", lambda: complexes.D4RelationReport(wrong, wrong, wrong))
     with pytest.raises(CheckFailed, match=re.escape("split D4: lhs b12*b34, rhs b12*b34, Pfaffian b12*b34")):
+        run_check("d4-relation")
+
+
+def test_d4_relation_catches_a_negated_pfaffian(monkeypatch):
+    # Both sides equal -Pf, whose square is the determinant, so only the
+    # leg at b12 = b34 = 1 can fail: -Pf is -1 there.
+    minus = -complexes.d4_relation_sides().pfaffian
+    monkeypatch.setattr(complexes, "d4_relation_sides", lambda: complexes.D4RelationReport(minus, minus, minus))
+    with pytest.raises(CheckFailed, match=re.escape(f"split D4: lhs {minus}, rhs {minus}, Pfaffian {minus}")):
         run_check("d4-relation")
 
 
@@ -374,9 +384,13 @@ def test_bgg_euler_catches_a_dropped_ws_element(monkeypatch):
 
     def without_s_z1(graph, L, lam):
         # s_z1 lowers lam + rho by its z1 label times alpha_z1
-        drop = tuple(lam[j] + 1 if j == graph.z1 else 0 for j in range(graph.n))
+        top = tuple(x + 1 for x in lam)
+        drop = tuple(top[j] if j == graph.z1 else 0 for j in range(graph.n))
         grouped = enumerate_ws(graph, L, lam)
-        return {k: [e for e in v if e[2] != drop] for k, v in grouped.items()}
+        return {
+            k: [e for e in v if kacmoody._drop(graph.adjacency, top, e, k) != drop]
+            for k, v in grouped.items()
+        }
 
     monkeypatch.setattr(kacmoody, "enumerate_WS", without_s_z1)
     with pytest.raises(CheckFailed, match=d4_zero_fails_at_level_1((0, 0, 0, 1), 0, -1)):

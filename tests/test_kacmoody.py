@@ -756,8 +756,8 @@ def with_drops(graph, elems, lam, solve=None):
     """Each record labels + (length,) of `weyl_elements` from lam + rho as
     (length, labels, drop), its drop (lam + rho) - labels in root
     coordinates: by `solve`, a map of that difference, if given, else
-    derived from the labels by `kacmoody._drop`, as `enumerate_WS` derives
-    it."""
+    derived from the labels by `kacmoody._drop`, as `bgg_euler_check`
+    derives it."""
     top = tuple(x + 1 for x in lam)
     adjacency = graph.adjacency
     return [
@@ -765,6 +765,12 @@ def with_drops(graph, elems, lam, solve=None):
          else kacmoody._drop(adjacency, top, labels, length))
         for length, labels in ((rec[-1], rec[:-1]) for rec in elems)
     ]
+
+
+def ws_records(grouped):
+    """The elements of `enumerate_WS`'s groups as `weyl_elements` keeps
+    them, labels + (length,)."""
+    return [labels + (length,) for length, v in grouped.items() for labels in v]
 
 
 def test_walk_equals_the_word_replay_on_all_of_w_d4():
@@ -784,8 +790,7 @@ def test_walk_equals_the_word_replay_on_ws_d5():
     assert len(words) == 40  # |W(D5)| / |W(A3 x A1)|
     for lam in [(0,) * g.n, g.fundamental_weight(g.z1), g.fundamental_weight(g.z(2))]:
         replayed = sorted((len(word),) + check_walk(g, word, lam) for word in words)
-        grouped = enumerate_WS(g, 20, lam)
-        assert walk_pairs(e for v in grouped.values() for e in v) == replayed
+        assert walk_pairs(with_drops(g, ws_records(enumerate_WS(g, 20, lam)), lam)) == replayed
 
 
 def test_walk_equals_the_word_replay_on_all_of_w_e6():
@@ -796,10 +801,10 @@ def test_walk_equals_the_word_replay_on_all_of_w_e6():
     replayed = sorted((len(word),) + dot_walk(g, word, lam) for word in words)
     drop = inverse_map(g.cartan)
     assert walk_pairs(with_drops(g, weyl_elements(g, 36, lam), lam, drop)) == replayed
-    # The drops that `enumerate_WS` derives, on the 72 elements of W^S.
-    kept = [e for v in enumerate_WS(g, 36, lam).values() for e in v]
+    # The drops that `bgg_euler_check` derives, on the 72 elements of W^S.
+    kept = ws_records(enumerate_WS(g, 36, lam))
     assert len(kept) == 72
-    assert kept == with_drops(g, [labels + (length,) for length, labels, _ in kept], lam, drop)
+    assert with_drops(g, kept, lam) == with_drops(g, kept, lam, drop)
 
 
 @pytest.mark.parametrize(
@@ -1170,16 +1175,12 @@ def ws_oracle(graph, L):
 
 
 def ws_by_inversion_sets(graph, L):
-    """`ws_oracle` as sorted (length, labels), grouped by length as
-    `enumerate_WS` groups it."""
+    """`ws_oracle` as sorted labels, grouped by length as `enumerate_WS`
+    groups it."""
     grouped = {}
     for word, labels in ws_oracle(graph, L):
-        grouped.setdefault(len(word), []).append((len(word), labels))
+        grouped.setdefault(len(word), []).append(labels)
     return {k: sorted(v) for k, v in grouped.items()}
-
-
-def ws_words(grouped):
-    return {k: sorted((length, labels) for length, labels, _ in v) for k, v in grouped.items()}
 
 
 @pytest.mark.parametrize(
@@ -1189,7 +1190,7 @@ def test_enumerate_ws_equals_the_inversion_set_definition(pqr, L):
     g = TpqrGraph(*pqr)
     for word, _, _ in weyl_elements_with_inverse_images(g, L):
         assert len(set(inversion_roots(g, word))) == len(word)  # |Phi_w| = l(w)
-    assert ws_words(enumerate_WS(g, L)) == ws_by_inversion_sets(g, L)
+    assert enumerate_WS(g, L) == ws_by_inversion_sets(g, L)
 
 
 def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
@@ -1201,7 +1202,7 @@ def test_inversion_set_comparison_catches_a_dropped_element(monkeypatch):
         "weyl_elements",
         lambda graph, L, lam=None: [e for e in elements(graph, L, lam) if e[:-1] != s_z1_labels],
     )
-    grouped = ws_words(enumerate_WS(g, 12))
+    grouped = enumerate_WS(g, 12)
     oracle = ws_by_inversion_sets(g, 12)
     assert grouped != oracle
     assert [k for k in oracle if grouped.get(k) != oracle[k]] == [1]
@@ -1211,18 +1212,17 @@ def ws_by_testing_every_element(graph, L, lam=None):
     """W^S up to length L as `enumerate_WS` groups it, by testing the labels
     on S of every element of `weyl_elements`: the oracle for
     `enumerate_WS`, which tests only the end of each length.  Each kept
-    record gets the drop derived from its labels, checked to lower
-    lam + rho to them."""
+    element's drop, derived from its labels by `kacmoody._drop`, is checked
+    to lower lam + rho to them."""
     lam = (0,) * graph.n if lam is None else lam
     A = graph.cartan
     on_S = itemgetter(*graph.S)
     elems = weyl_elements(graph, L, lam)
     grouped = {}
     kept = map(gt, map(min, map(on_S, (e[:-1] for e in elems))), repeat(0))
-    for elem in with_drops(graph, compress(elems, kept), lam):
-        length, labels, drop = elem
-        assert root_labels(A, drop) == tuple(x + 1 - y for x, y in zip(lam, labels)), elem
-        grouped.setdefault(length, []).append(elem)
+    for length, labels, drop in with_drops(graph, compress(elems, kept), lam):
+        assert root_labels(A, drop) == tuple(x + 1 - y for x, y in zip(lam, labels)), labels
+        grouped.setdefault(length, []).append(labels)
     return {k: sorted(v) for k, v in grouped.items()}
 
 
@@ -1286,16 +1286,17 @@ def test_ws_levels_are_at_least_the_length(pqr):
     if pqr != (3, 3, 2):
         lams += [g.fundamental_weight(v) for v in range(g.n) if v != g.z1]
         lams += [(1,) * g.n, tuple(2 * x for x in g.fundamental_weight(g.z1))]
+    solve = inverse_map(g.cartan)
     for lam in lams:
-        grouped = enumerate_WS(g, top, lam)
-        assert levels_below_length(g, (e for v in grouped.values() for e in v)) == [], lam
-        assert [drop[g.z1] for _, _, drop in grouped[1]] == [lam[g.z1] + 1], lam
+        kept = with_drops(g, ws_records(enumerate_WS(g, top, lam)), lam, solve)
+        assert levels_below_length(g, kept) == [], lam
+        assert [drop[g.z1] for length, _, drop in kept if length == 1] == [lam[g.z1] + 1], lam
 
 
 def test_ws_level_bound_names_a_levi_element():
     # s_u is in the Levi on S: length 1, level 0.
     g = TpqrGraph(2, 2, 2)
-    kept = [e for v in enumerate_WS(g, 12).values() for e in v]
+    kept = with_drops(g, ws_records(enumerate_WS(g, 12)), (0,) * g.n)
     labels = reflect(g, g.rho(), g.u)
     assert labels + (1,) in weyl_elements(g, 1)
     s_u = (1, labels, tuple(int(j == g.u) for j in range(g.n)))  # rho - s_u rho = alpha_u
@@ -1727,6 +1728,26 @@ def test_the_bgg_check_builds_each_root_supply_once(monkeypatch, pqr, vertex, cu
     monkeypatch.setattr(kacmoody, "roots_by_peterson", counted)
     assert bgg_euler_check(g, lam, cutoff) is None
     assert ranks == [g.n]
+
+
+def test_the_bgg_check_derives_drops_only_up_to_its_cutoff(monkeypatch):
+    # On W^S the level of the drop is at least the length (see
+    # `test_ws_levels_are_at_least_the_length`), so of the 72 elements of
+    # W^S(E6) only those of length <= cutoff can reach the sum.
+    g = TpqrGraph(3, 3, 2)
+    lam = g.fundamental_weight(g.z1)
+    grouped = enumerate_WS(g, 36, lam)
+    assert sum(map(len, grouped.values())) == 72
+    lengths = []
+    drop = kacmoody._drop
+
+    def counted(adjacency, top, labels, length):
+        lengths.append(length)
+        return drop(adjacency, top, labels, length)
+
+    monkeypatch.setattr(kacmoody, "_drop", counted)
+    assert bgg_euler_check(g, lam, 2) is None
+    assert lengths == [k for k in range(3) for _ in grouped.get(k, [])]
 
 
 def fundamental_in_exterior_check(graph: TpqrGraph, arm: str, i: int) -> bool:

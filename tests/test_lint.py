@@ -2,8 +2,8 @@
 (`python -O` strips them; checks raise explicitly instead), every public
 function, method and property is used somewhere in the package (a test
 alone does not keep a name), every record field (of a NamedTuple class,
-private bases included, or of a dataclass) is read somewhere in the
-package as an attribute, no module-level public
+private bases included, or of a dataclass) is read as an attribute in a
+module of the package that can hold the record, no module-level public
 function is a generator (the benchmark's tracer wraps every public function
 of a layer module, and on a generator it would time only the generator's
 creation, not the work done as it is consumed).  No NamedTuple declares a
@@ -29,6 +29,7 @@ holds and what broke otherwise."""
 import ast
 import re
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -129,10 +130,14 @@ def test_dead_name_lint_flags_an_unused_function_and_property(tmp_path):
     assert dead_names(tmp_path) == ["mod.C.size", "mod.tested", "mod.unused"]
 
 
-def _named(node, name):
-    """`name` or `module.name`, called or not."""
+def _name_of(node):
+    """`name` of `name` or `module.name`, called or not."""
     target = node.func if isinstance(node, ast.Call) else node
-    return (getattr(target, "id", None) or getattr(target, "attr", None)) == name
+    return getattr(target, "id", None) or getattr(target, "attr", None)
+
+
+def _named(node, name):
+    return _name_of(node) == name
 
 
 def _is_record(node):
@@ -143,26 +148,66 @@ def _is_record(node):
     )
 
 
+def _annotation_words(node):
+    """The identifiers of an annotation, string annotations included."""
+    return set(re.findall(r"\w+", ast.unparse(node)))
+
+
+def _names_used(tree):
+    """Every identifier a tree defines as a class or uses: bare names,
+    attributes, imported names and the words of annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            used.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            used |= _annotation_words(node.annotation)
+    return used
+
+
 def unread_fields(src=SRC):
     """The fields of the package's records (NamedTuple classes and
     dataclasses) that nothing in the package reads as an attribute
-    (`obj.field`); a keyword to the constructor is not a read."""
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
-    reads = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-    return [
-        f"{path.stem}.{node.name}.{item.target.id}"
-        for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.ClassDef) and _is_record(node)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-        and item.target.id not in reads
-    ]
+    (`obj.field`); a keyword to the constructor is not a read.  A read of
+    `.f` counts toward record R only in a module that can hold an R: one
+    that defines R or a public subclass of it, names either, or calls a
+    function whose return annotation names either.  So `mu.b` of one
+    record does not keep an unread `b` of another."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(src.glob("*.py"))}
+    nodes = {stem: list(ast.walk(tree)) for stem, tree in trees.items()}
+    returns = {}  # function name -> the words of its return annotation
+    for node in chain.from_iterable(nodes.values()):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            returns.setdefault(node.name, set()).update(_annotation_words(node.returns))
+    knows = {}  # module -> the words it uses and those its calls return
+    reads = {}  # module -> the attributes it reads
+    for stem, tree in trees.items():
+        called = {_name_of(n) for n in nodes[stem] if isinstance(n, ast.Call)}
+        knows[stem] = _names_used(tree).union(*(returns.get(f, ()) for f in called))
+        reads[stem] = {n.attr for n in nodes[stem] if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    classes = [(stem, node) for stem, tree in trees.items() for node in tree.body if isinstance(node, ast.ClassDef)]
+    unread = []
+    for stem, node in classes:
+        if not _is_record(node):
+            continue
+        public_subclasses = {
+            sub.name for _, sub in classes
+            if not sub.name.startswith("_") and any(_named(b, node.name) for b in sub.bases)
+        }
+        readers = [reads[m] for m in trees if knows[m] & ({node.name} | public_subclasses)]
+        unread += [
+            f"{stem}.{node.name}.{item.target.id}"
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and not any(item.target.id in r for r in readers)
+        ]
+    return unread
 
 
 def test_every_record_field_is_read():
@@ -261,8 +306,53 @@ def test_field_lint_flags_an_unread_field(tmp_path):
         "    p.y = 1\n"
         "    return Report(ok=p.x > 0 and g.p > 0, detail='x')\n"
     )
-    (tmp_path / "cli.py").write_text("def main(rep, root):\n    return rep.ok, root.mult\n")
+    (tmp_path / "cli.py").write_text(
+        "from mod import Report, Root\n"
+        "\n"
+        "def main(rep: Report, root: Root):\n"
+        "    return rep.ok, root.mult\n"
+    )
     assert unread_fields(tmp_path) == ["mod.Root.coords", "mod._Graph.q", "mod.Report.detail", "mod.Point.y"]
+
+
+def test_field_lint_counts_a_read_only_where_the_record_can_be(tmp_path):
+    # `mu.b` of MuIndex does not keep SplitD4Model.b: `cli` reads `.b` but
+    # neither names SplitD4Model nor calls a function that returns one.
+    # `checks` reads `.p` where it names the record and `.pfaffian` of what
+    # a call annotated `-> "SplitD4Model"` returns.
+    (tmp_path / "complexes.py").write_text(
+        "from typing import NamedTuple\n"
+        "\n"
+        "class SplitD4Model(NamedTuple):\n"
+        "    b: dict\n"
+        "    p: dict\n"
+        "    pfaffian: int\n"
+        "\n"
+        'def d4_split_model() -> "SplitD4Model":\n'
+        "    return SplitD4Model({}, {}, 0)\n"
+    )
+    (tmp_path / "rings.py").write_text(
+        "from typing import NamedTuple\n"
+        "\n"
+        "class MuIndex(NamedTuple):\n"
+        "    a: int\n"
+        "    b: int\n"
+        "\n"
+        "def total(mu):\n"
+        "    return mu.a + mu.b\n"
+    )
+    (tmp_path / "checks.py").write_text(
+        "from . import complexes\n"
+        "from .complexes import SplitD4Model\n"
+        "\n"
+        "def relation():\n"
+        "    return complexes.d4_split_model().pfaffian\n"
+        "\n"
+        "def table(model: SplitD4Model):\n"
+        "    return model.p\n"
+    )
+    (tmp_path / "cli.py").write_text("def main(mu, model):\n    return mu.b, model\n")
+    assert unread_fields(tmp_path) == ["complexes.SplitD4Model.b"]
 
 
 def public_generators(tree):
